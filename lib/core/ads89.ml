@@ -12,6 +12,17 @@ type stats = Consensus_intf.stats = {
   rounds_at_decision : int array;
 }
 
+type decode_stats = {
+  refills : Bprc_strip.Edge_counters.refill_stats;
+  fallbacks : int;
+}
+
+module type S = sig
+  include Consensus_intf.S
+
+  val decode_stats : t -> decode_stats
+end
+
 module Make_over_snapshot
     (R : Bprc_runtime.Runtime_intf.S)
     (Snap : Bprc_snapshot.Snapshot_intf.S) =
@@ -31,17 +42,18 @@ struct
             virtual-round checker. *)
   }
 
-  (* Per-instance decode scratch (PR 4's arena idea lifted to the
-     protocol layer): one mod-3K counter matrix plus one distance
+  (* Per-instance decode scratch (the simulator's arena idea lifted to
+     the protocol layer): one mod-3K counter matrix plus one distance
      graph, refilled in place once per scan instead of allocated once
-     per round.  The pair is claimed for the decode window with a CAS
-     so the real-parallel runtime stays safe: under the cooperative
-     runtimes the window never straddles a yield (except [Local_flips],
-     see [run]), so the claim always succeeds and steady-state decode
-     allocates nothing; under [Par] a contending process falls back to
-     a fresh pair — decode is a pure function of the scanned view, so
-     results are bit-identical and only the allocation profile
-     differs. *)
+     per round — and incrementally, re-decoding only the rows whose
+     published array changed since the instance's previous decode.
+     The pair is claimed for the decode window with a CAS so the
+     real-parallel runtime stays safe: under the cooperative runtimes
+     the window never straddles a yield, so the claim always succeeds
+     and steady-state decode allocates nothing; under [Par] a
+     contending process falls back to a fresh pair — decode is a pure
+     function of the scanned view, so results are bit-identical and
+     only the cost differs. *)
   type scratch = { s_ec : Ec.t; s_g : Dg.t }
 
   type t = {
@@ -56,6 +68,7 @@ struct
             across that process's yields *)
     scratch : scratch;
     scratch_busy : bool Atomic.t;
+    fallbacks : int Atomic.t;  (** decodes that found the scratch claimed *)
     mode : coin_mode;
     oracle_seed : int;
     (* Meta-level instrumentation (not part of the algorithm's shared
@@ -96,6 +109,7 @@ struct
       scratch =
         { s_ec = Ec.create ~k ~n:R.n; s_g = Dg.create_scratch ~k ~n:R.n };
       scratch_busy = Atomic.make false;
+      fallbacks = Atomic.make 0;
       mode = coin_mode;
       oracle_seed;
       raw_round = Array.make R.n 0;
@@ -134,15 +148,20 @@ struct
 
   let acquire t =
     if Atomic.compare_and_set t.scratch_busy false true then t.scratch
-    else
+    else begin
+      Atomic.incr t.fallbacks;
       { s_ec = Ec.create ~k:t.k ~n:R.n; s_g = Dg.create_scratch ~k:t.k ~n:R.n }
+    end
 
   let release t scr =
     if scr == t.scratch then Atomic.set t.scratch_busy false
 
   (* Decode the scanned view into the scratch: rows into the counter
      matrix, counters into the distance graph.  Validation and error
-     messages are exactly the fresh [of_rows]/[to_graph] path's. *)
+     messages are exactly the fresh [of_rows]/[to_graph] path's.  A
+     row whose published [edges] array is the one the scratch adopted
+     last is skipped: published rows are never mutated ([inc_fields]
+     publishes a fresh row, every other write reuses the array). *)
   let graph_into scr view =
     for i = 0 to R.n - 1 do
       Ec.set_row scr.s_ec i view.(i).edges
@@ -250,16 +269,13 @@ struct
     v
 
   (* The scratch claim discipline in [run]: acquire after the scan,
-     release before the write — both yield, the decode window between
-     them does not, so under the cooperative runtimes the shared pair
-     is always free when claimed.  The one exception is [Local_flips],
-     whose [R.flip] yields mid-window: the claim is held across it
-     (the flip must stay before the round bump — it is a yield point
-     the adversary may probe, so hoisting [inc_fields] would change
-     schedules), and a process interleaved there simply decodes into a
-     fresh pair.  A process crashed at that yield leaks the claim:
-     every later decode of the instance falls back to fresh allocation
-     — a performance loss only, never a correctness one. *)
+     release before the next yield — the write, or [Local_flips]'s
+     [R.flip] — so under the cooperative runtimes the shared pair is
+     always free when claimed.  [Local_flips] re-acquires after the
+     flip and re-decodes the same view (its per-pid buffer survives
+     the yield) before the round bump; the flip stays where it was, a
+     yield point the adversary may probe.  The re-decode is nearly
+     free: no row changed unless another process decoded meanwhile. *)
   let run t ~input =
     let me = R.pid () in
     (* Announce: adopt the input and enter round 1. *)
@@ -312,7 +328,10 @@ struct
           | None -> (
             match t.mode with
             | Local_flips ->
+              release t scr;
               let v = R.flip () in
+              let scr = acquire t in
+              let (_ : Dg.t) = graph_into scr view in
               let current_coin, coins, edges = inc_fields t scr view me in
               release t scr;
               write t { pref = Some v; current_coin; coins; edges; ghost = 0 };
@@ -351,6 +370,12 @@ struct
       max_raw_round = Array.fold_left max 0 t.raw_round;
       decided = Array.copy t.decided;
       rounds_at_decision = Array.copy t.rounds_at_decision;
+    }
+
+  let decode_stats t =
+    {
+      refills = Ec.refill_stats t.scratch.s_ec;
+      fallbacks = Atomic.get t.fallbacks;
     }
 
   let register_bits t = Params.register_bits t.params ~n:R.n

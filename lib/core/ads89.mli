@@ -44,9 +44,27 @@ type stats = Consensus_intf.stats = {
   rounds_at_decision : int array;
 }
 
+type decode_stats = {
+  refills : Bprc_strip.Edge_counters.refill_stats;
+      (** the paths taken by the shared scratch's decodes *)
+  fallbacks : int;  (** decodes into a fresh pair (shared scratch claimed) *)
+}
+(** Strip-decode counters of one instance, bumped without allocating
+    and deterministic under the simulator.  The refill counters are
+    only touched under the scratch claim; [fallbacks] is an atomic
+    counter, since fallbacks are exactly the decodes that contend.  Under the
+    cooperative runtimes [fallbacks] is always 0. *)
+
+module type S = sig
+  include Consensus_intf.S
+
+  val decode_stats : t -> decode_stats
+  (** The instance's strip-decode counters so far. *)
+end
+
 module Make_over_snapshot
     (R : Bprc_runtime.Runtime_intf.S)
-    (_ : Bprc_snapshot.Snapshot_intf.S) : Consensus_intf.S
+    (_ : Bprc_snapshot.Snapshot_intf.S) : S
 (** The protocol over another scannable-memory implementation.
 
     {b Caution}: safety (consistency/validity) only needs P1–P3, but
@@ -56,6 +74,6 @@ module Make_over_snapshot
     {!Bprc_snapshot.Embedded} do not, and the protocol can livelock
     over it (experiment E13; DESIGN.md interpretation note 8). *)
 
-module Make (R : Bprc_runtime.Runtime_intf.S) : Consensus_intf.S
+module Make (R : Bprc_runtime.Runtime_intf.S) : S
 (** The paper's configuration: the protocol over the §2 handshake
     snapshot of the given runtime. *)

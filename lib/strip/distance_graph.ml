@@ -23,6 +23,7 @@ type t = {
   kk : int;
   w : int array;  (** [w.(i*nn + j)]: edge weight, or [absent] *)
   mutable pos : positions;
+  mutable generation : int;  (** bumped by every [invalidate] *)
   (* Reconstruction scratch, lazily allocated on the first
      [reconstruct] and reused across refills of the same graph: a
      scratch graph on the protocol decision path reconstructs once per
@@ -31,6 +32,7 @@ type t = {
   mutable order : int array;
   mutable count : int array;  (** counting-sort histogram *)
   mutable posbuf : int array;  (** backs the cached [Pos] candidate *)
+  mutable pos_some : positions;  (** [Pos posbuf], boxed once *)
 }
 
 let n t = t.nn
@@ -43,10 +45,12 @@ let make ~k ~n w =
     kk = k;
     w;
     pos = Unknown;
+    generation = 0;
     rank = [||];
     order = [||];
     count = [||];
     posbuf = [||];
+    pos_some = Unknown;
   }
 
 let of_positions ~k pos =
@@ -75,7 +79,11 @@ let create_scratch ~k ~n =
   if k <= 0 || n <= 0 then invalid_arg "Distance_graph.create_scratch";
   make ~k ~n (Array.make (n * n) absent)
 
-let invalidate t = t.pos <- Unknown
+let invalidate t =
+  t.pos <- Unknown;
+  t.generation <- t.generation + 1
+
+let generation t = t.generation
 let set_edge t i j d = t.w.((i * t.nn) + j) <- d
 let clear_edge t i j = t.w.((i * t.nn) + j) <- absent
 
@@ -96,10 +104,11 @@ let weight t i j =
    positionally, any graph that fails keeps the relaxation fallback.
    O(n^2), amortized over every query on the same graph.
 
-   The scratch arrays ([rank]/[order]/[count]/[posbuf]) are allocated
-   once per graph and reused on every refill, so a steady-state
-   reconstruct allocates nothing.  The ordering is a counting sort by
-   rank (rank values lie in [0, n-1]); it can break rank ties
+   The scratch arrays ([rank]/[order]/[count]/[posbuf]) and the
+   [Pos posbuf] box are allocated once per graph and reused on every
+   refill, so a steady-state reconstruct allocates nothing.  The
+   ordering is a counting sort by rank (rank values lie in
+   [0, n-1]); it can break rank ties
    differently than the [Array.sort] it replaces, which is immaterial:
    tied tokens share a position, so tie order only changes which
    representative anchors the next gap, and the verification pass
@@ -111,7 +120,8 @@ let ensure_scratch t =
     t.rank <- Array.make t.nn 0;
     t.order <- Array.make t.nn 0;
     t.count <- Array.make t.nn 0;
-    t.posbuf <- Array.make t.nn 0
+    t.posbuf <- Array.make t.nn 0;
+    t.pos_some <- Pos t.posbuf
   end
 
 let reconstruct t =
@@ -168,7 +178,7 @@ let reconstruct t =
          done
        done
      with Exit -> ok := false);
-    if !ok then Pos pos else Inconsistent
+    if !ok then t.pos_some else Inconsistent
   end
 
 let positions t =
@@ -284,6 +294,7 @@ let copy t =
     order = [||];
     count = [||];
     posbuf = [||];
+    pos_some = Unknown;
   }
 
 let inc t i =

@@ -81,8 +81,9 @@ val pp : Format.formatter -> t -> unit
 
     A scratch graph is one [t] refilled in place once per protocol scan
     instead of allocated per decode: {!Edge_counters.to_graph_into}
-    clears/sets every off-diagonal edge and calls {!invalidate}, after
-    which the graph is indistinguishable from a fresh
+    sets or clears the edges that changed (every off-diagonal edge on
+    a full refill) and calls {!invalidate} unless nothing changed,
+    after which the graph is indistinguishable from a fresh
     {!of_weights} decode of the same data — queries, including the
     cached position reconstruction (which reuses per-graph
     rank/order/pos scratch arrays), answer identically.  The
@@ -103,8 +104,15 @@ val clear_edge : t -> int -> int -> unit
 (** Remove edge [(i,j)] (same contract as {!set_edge}). *)
 
 val invalidate : t -> unit
-(** Drop the cached position reconstruction; call once per refill
-    (before or after the edge writes, but before any query). *)
+(** Drop the cached position reconstruction and bump {!generation};
+    call once per refill (before or after the edge writes, but before
+    any query). *)
+
+val generation : t -> int
+(** How many times the graph has been {!invalidate}d.  A refiller that
+    remembers the generation it left behind can tell whether the graph
+    still holds its own last fill — {!Edge_counters.to_graph_into}
+    re-decodes only the changed rows exactly when it does. *)
 
 val reconstruct_into : t -> bool
 (** Force the position reconstruction now, into the graph's reused

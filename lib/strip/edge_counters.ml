@@ -2,13 +2,58 @@
    [int array] indexed [i*n + j] (row-major, so a process's own row —
    the only part it writes — is one contiguous slice).  The observable
    behavior is pinned against the pre-rewrite [Edge_counters_ref] by
-   the differential property tests. *)
+   the differential property tests.
 
-type t = { kk : int; nn : int; e : int array }
+   On top of the matrix sits the incremental-refill bookkeeping of
+   [to_graph_into]: which row array each matrix row was last adopted
+   from, which rows changed since the last decode, and the scratch
+   graph (and its generation) that holds that decode. *)
+
+type t = {
+  kk : int;
+  nn : int;
+  e : int array;
+  src : int array array;
+      (** [src.(i)]: the array row [i] was last adopted from by
+          [set_row], or [no_row] when the row was written otherwise *)
+  dirty : int array;
+      (** the first [ndirty] entries: rows changed since the last decode *)
+  mutable ndirty : int;
+  is_dirty : Bytes.t;  (** ['\001'] at the rows listed in [dirty] *)
+  mutable synced : Distance_graph.t option;
+      (** the graph holding the decode of the matrix minus the dirty rows *)
+  mutable synced_gen : int;  (** [synced]'s generation right after that decode *)
+  mutable full_refills : int;
+  mutable incremental_refills : int;
+  mutable rows_redecoded : int;
+  mutable reuses : int;
+}
+
+(* Private to this module, so never physically equal to a row handed
+   to [set_row] (not [[||]]: every empty array is the same atom, and an
+   empty row must still fail validation). *)
+let no_row = [| -1 |]
+
+let make ~k ~n e =
+  {
+    kk = k;
+    nn = n;
+    e;
+    src = Array.make n no_row;
+    dirty = Array.make n 0;
+    ndirty = 0;
+    is_dirty = Bytes.make n '\000';
+    synced = None;
+    synced_gen = 0;
+    full_refills = 0;
+    incremental_refills = 0;
+    rows_redecoded = 0;
+    reuses = 0;
+  }
 
 let create ~k ~n =
   if k <= 0 || n <= 0 then invalid_arg "Edge_counters.create";
-  { kk = k; nn = n; e = Array.make (n * n) 0 }
+  make ~k ~n (Array.make (n * n) 0)
 
 let of_rows ~k rows =
   let n = Array.length rows in
@@ -23,21 +68,40 @@ let of_rows ~k rows =
     rows;
   let e = Array.make (n * n) 0 in
   Array.iteri (fun i r -> Array.blit r 0 e (i * n) n) rows;
-  { kk = k; nn = n; e }
+  make ~k ~n e
+
+let mark_dirty t i =
+  if Bytes.unsafe_get t.is_dirty i = '\000' then begin
+    Bytes.unsafe_set t.is_dirty i '\001';
+    t.dirty.(t.ndirty) <- i;
+    t.ndirty <- t.ndirty + 1
+  end
+
+let clear_dirty t =
+  for d = 0 to t.ndirty - 1 do
+    Bytes.unsafe_set t.is_dirty t.dirty.(d) '\000'
+  done;
+  t.ndirty <- 0
 
 (* In-place adoption of scanned rows: the validation and the stored
    matrix are exactly [of_rows]'s (same error messages on bad input),
    minus the fresh allocation — one scratch [t] per protocol instance
-   absorbs a view per scan. *)
+   absorbs a view per scan.  A row physically equal to the one last
+   adopted at [i] is skipped outright: published rows are immutable,
+   so it was validated and copied already. *)
 let set_row t i r =
   if i < 0 || i >= t.nn then invalid_arg "Edge_counters.set_row: no such row";
-  if Array.length r <> t.nn then
-    invalid_arg "Edge_counters.of_rows: not square";
-  for j = 0 to t.nn - 1 do
-    if r.(j) < 0 || r.(j) >= 3 * t.kk then
-      invalid_arg "Edge_counters.of_rows: counter out of range"
-  done;
-  Array.blit r 0 t.e (i * t.nn) t.nn
+  if r != Array.unsafe_get t.src i then begin
+    if Array.length r <> t.nn then
+      invalid_arg "Edge_counters.of_rows: not square";
+    for j = 0 to t.nn - 1 do
+      if r.(j) < 0 || r.(j) >= 3 * t.kk then
+        invalid_arg "Edge_counters.of_rows: counter out of range"
+    done;
+    Array.blit r 0 t.e (i * t.nn) t.nn;
+    t.src.(i) <- r;
+    mark_dirty t i
+  end
 
 let set_rows t rows =
   if Array.length rows <> t.nn then
@@ -76,8 +140,10 @@ let valid t =
   done;
   !ok
 
+let undecodable () = invalid_arg "Edge_counters.to_graph: undecodable state"
+
 let to_graph t =
-  if not (valid t) then invalid_arg "Edge_counters.to_graph: undecodable state";
+  if not (valid t) then undecodable ();
   let present i j =
     let a = decode_pair t i j in
     a <= t.kk
@@ -88,25 +154,93 @@ let to_graph t =
   in
   Distance_graph.of_weights ~k:t.kk ~present ~weight ~n:t.nn
 
+let[@inline] fill_pair t g i j =
+  let a = decode_pair t i j in
+  if a <= t.kk then Distance_graph.set_edge g i j a
+  else Distance_graph.clear_edge g i j
+
+(* A pair with both rows dirty is visited once, from its lower row. *)
+let[@inline] visit t i j =
+  j <> i && not (j < i && Bytes.unsafe_get t.is_dirty j <> '\000')
+
 (* [to_graph] decoded into a caller-owned scratch graph: same validity
    check (and error message), same resulting edge set — a pair decodes
    to a present edge exactly when [a <= K], with weight [a] — but the
-   fill is explicit loops over set/clear, so a steady-state decode
-   allocates nothing. *)
+   fill is explicit loops over set/clear, so a decode allocates nothing
+   beyond the [Some g] that records a newly seen graph.
+
+   Only the 2(n-1) pairs of each changed row are re-validated and
+   re-decoded: when [g] still holds this matrix's last decode (same
+   graph, generation untouched since), every other pair is exactly as
+   last decoded and was valid then.  With no changed row the graph,
+   and its cached position reconstruction, is kept as is.  Otherwise —
+   first use, another graph, a fill by someone else, a raised error —
+   every row counts as changed, which is the whole-matrix decode: each
+   unordered pair is validated once and filled both ways. *)
 let to_graph_into t g =
   if Distance_graph.n g <> t.nn || Distance_graph.k g <> t.kk then
     invalid_arg "Edge_counters.to_graph_into: scratch graph shape mismatch";
-  if not (valid t) then invalid_arg "Edge_counters.to_graph: undecodable state";
-  Distance_graph.invalidate g;
-  for i = 0 to t.nn - 1 do
-    for j = 0 to t.nn - 1 do
-      if i <> j then begin
-        let a = decode_pair t i j in
-        if a <= t.kk then Distance_graph.set_edge g i j a
-        else Distance_graph.clear_edge g i j
-      end
-    done
-  done
+  let warm =
+    match t.synced with
+    | Some g' -> g' == g && Distance_graph.generation g = t.synced_gen
+    | None -> false
+  in
+  if not warm then
+    for i = 0 to t.nn - 1 do
+      mark_dirty t i
+    done;
+  let dn = t.ndirty in
+  if dn = 0 then t.reuses <- t.reuses + 1
+  else begin
+    for d = 0 to dn - 1 do
+      let i = t.dirty.(d) in
+      for j = 0 to t.nn - 1 do
+        if visit t i j then begin
+          let a = decode_pair t i j in
+          if a > t.kk && a < 2 * t.kk then begin
+            t.synced <- None;
+            clear_dirty t;
+            undecodable ()
+          end
+        end
+      done
+    done;
+    for d = 0 to dn - 1 do
+      let i = t.dirty.(d) in
+      for j = 0 to t.nn - 1 do
+        if visit t i j then begin
+          fill_pair t g i j;
+          fill_pair t g j i
+        end
+      done
+    done;
+    clear_dirty t;
+    Distance_graph.invalidate g;
+    (match t.synced with
+    | Some g' when g' == g -> ()
+    | _ -> t.synced <- Some g);
+    t.synced_gen <- Distance_graph.generation g;
+    if dn = t.nn then t.full_refills <- t.full_refills + 1
+    else begin
+      t.incremental_refills <- t.incremental_refills + 1;
+      t.rows_redecoded <- t.rows_redecoded + dn
+    end
+  end
+
+type refill_stats = {
+  full_refills : int;
+  incremental_refills : int;
+  rows_redecoded : int;
+  reuses : int;
+}
+
+let refill_stats (t : t) =
+  {
+    full_refills = t.full_refills;
+    incremental_refills = t.incremental_refills;
+    rows_redecoded = t.rows_redecoded;
+    reuses = t.reuses;
+  }
 
 let inc_row_with t ~graph i =
   if Distance_graph.n graph <> t.nn || Distance_graph.k graph <> t.kk then
@@ -126,4 +260,7 @@ let inc_row_with t ~graph i =
 
 let inc_row t i = inc_row_with t ~graph:(to_graph t) i
 
-let apply_inc t i = Array.blit (inc_row t i) 0 t.e (i * t.nn) t.nn
+let apply_inc t i =
+  Array.blit (inc_row t i) 0 t.e (i * t.nn) t.nn;
+  t.src.(i) <- no_row;
+  mark_dirty t i

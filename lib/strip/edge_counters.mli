@@ -30,12 +30,18 @@ val set_rows : t -> int array array -> unit
 (** [of_rows] in place: adopt the rows into an existing (scratch) [t],
     with the identical validation and error messages, allocating
     nothing.  One scratch counter object per protocol instance absorbs
-    a scanned view per round. *)
+    a scanned view per round.  Row by row as {!set_row}. *)
 
 val set_row : t -> int -> int array -> unit
 (** Adopt a single row (validated like {!set_rows}) — lets a caller
     holding per-process row arrays fill the scratch without assembling
     a row matrix first.
+
+    {b Adopted rows must never be mutated afterwards.}  A row
+    physically equal to the one last adopted at the same index is
+    taken as unchanged and skipped; any other array is copied in and
+    marks the row changed for the next {!to_graph_into}.  Shared-memory
+    rows satisfy this: a published row is never written again.
     @raise Invalid_argument on a bad row index, length or entry. *)
 
 val k : t -> int
@@ -70,12 +76,36 @@ val to_graph : t -> Distance_graph.t
 
 val to_graph_into : t -> Distance_graph.t -> unit
 (** [to_graph] decoded into a caller-owned scratch graph (built with
-    {!Distance_graph.create_scratch} at the same [k]/[n]): every
-    off-diagonal edge is set or cleared and the graph's cached
-    reconstruction invalidated, after which the scratch answers every
-    query exactly as a fresh [to_graph t] would — allocating nothing.
+    {!Distance_graph.create_scratch} at the same [k]/[n]), after which
+    the scratch answers every query exactly as a fresh [to_graph t]
+    would.
+
+    Incremental: when [g] still holds this [t]'s previous decode (the
+    same graph, not {!Distance_graph.invalidate}d since), only the
+    rows changed since then (per {!set_row}/{!apply_inc}) have their
+    pairs re-validated and re-decoded, and the cached reconstruction
+    is dropped; with no changed row the graph and its cached
+    reconstruction are kept untouched.  Otherwise every row counts as
+    changed: every off-diagonal edge is validated, set or cleared and
+    the cache invalidated.  Either way the steady state allocates
+    nothing.
     @raise Invalid_argument when {!valid} is false (same message as
-    {!to_graph}) or on a scratch-shape mismatch. *)
+    {!to_graph}; the graph is left as it was) or on a scratch-shape
+    mismatch. *)
+
+type refill_stats = {
+  full_refills : int;
+      (** whole-matrix decodes by {!to_graph_into}: cold ones (first
+          use, another graph, after an error) and every-row-changed ones *)
+  incremental_refills : int;  (** decodes of 1 to n-1 changed rows *)
+  rows_redecoded : int;  (** changed rows decoded by incremental refills *)
+  reuses : int;  (** refills with no changed row: graph kept as is *)
+}
+
+val refill_stats : t -> refill_stats
+(** Counters of {!to_graph_into}'s paths since [t] was made (plain
+    ints, bumped without allocating; deterministic under the
+    simulator). *)
 
 val inc_row_with : t -> graph:Distance_graph.t -> int -> int array
 (** {!inc_row} against a caller-supplied decode of [t] — the scratch
@@ -89,4 +119,5 @@ val inc_row : t -> int -> int array
 (** The new row for process [i] per [inc_graph]; pure. *)
 
 val apply_inc : t -> int -> unit
-(** [inc_row] stored in place (sequential/test convenience). *)
+(** [inc_row] stored in place (sequential/test convenience); marks the
+    row changed for the next {!to_graph_into}. *)

@@ -540,3 +540,128 @@ let alloc_suite =
   ]
 
 let suite = suite @ alloc_suite
+
+(* --- Strip-decode counters ---------------------------------------------- *)
+
+(* Under a cooperative runtime the shared decode scratch is never found
+   claimed, and every scan is decoded exactly once: fully, only in its
+   changed rows, or not at all when no row changed.  Round robin runs
+   the n=32 processes in lockstep, so each round's first decode finds
+   every row republished (a full refill) and the other 31 reuse it.
+   The random scheduler spreads the writes out: after the first decode
+   nearly every refill is incremental or a reuse. *)
+let run_decode_counters ~adversary ~seed =
+  let n = 32 in
+  let sim = Sim.create ~seed ~max_steps:20_000_000 ~n ~adversary () in
+  let module C = Ads89.Make ((val Sim.runtime sim)) in
+  let t = C.create ~coin_mode:Ads89.Oracle_shared ~oracle_seed:seed () in
+  let inputs = mixed_inputs n seed in
+  let handles =
+    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+  in
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  (match Spec.check ~inputs ~decisions:(Array.map Sim.result handles) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let d = C.decode_stats t and st = C.stats t in
+  let r = d.Ads89.refills in
+  Alcotest.(check int) "no fallbacks" 0 d.fallbacks;
+  Alcotest.(check int) "every scan decoded once" st.Ads89.scans
+    (r.full_refills + r.incremental_refills + r.reuses);
+  (r, st)
+
+let test_decode_counters_round_robin () =
+  let d, st = run_decode_counters ~adversary:(Adversary.round_robin ()) ~seed:3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "full refills %d <= rounds %d + 1"
+       d.Bprc_strip.Edge_counters.full_refills st.Ads89.max_raw_round)
+    true
+    (d.full_refills <= st.max_raw_round + 1);
+  Alcotest.(check int) "the rest reuse the round's view"
+    (st.scans - d.full_refills) d.reuses
+
+let test_decode_counters_random () =
+  let d, _ = run_decode_counters ~adversary:(Adversary.random ()) ~seed:3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "full refills %d <= 2"
+       d.Bprc_strip.Edge_counters.full_refills)
+    true (d.full_refills <= 2);
+  Alcotest.(check bool) "incremental path taken" true
+    (d.incremental_refills > 0
+    && d.rows_redecoded >= d.incremental_refills
+    && d.rows_redecoded <= 16 * d.incremental_refills)
+
+(* [Local_flips] yields at its flip between decode and write.  The
+   claim on the shared scratch is released before that yield, so a
+   process crashed while suspended there leaves it free: later decodes
+   keep using the shared pair and none falls back to a fresh one. *)
+let test_local_flips_crash_at_flip () =
+  let crashes = ref 0 in
+  for seed = 1 to 8 do
+    let n = 3 in
+    let sim =
+      Sim.create ~seed ~max_steps:3_000_000 ~n ~adversary:(Adversary.random ())
+        ()
+    in
+    let at_flip = Array.make n false in
+    let module R = struct
+      include (val Sim.runtime sim : Runtime_intf.S)
+
+      let flip () =
+        at_flip.(pid ()) <- true;
+        flip ()
+    end in
+    let module C = Ads89.Make (R) in
+    let t = C.create ~coin_mode:Ads89.Local_flips () in
+    let inputs = mixed_inputs n (seed + 800) in
+    let handles =
+      Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+    in
+    (* Crash the first process seen suspended at its flip. *)
+    let victim = ref (-1) and decodes_at_crash = ref 0 in
+    let decodes () =
+      let d = (C.decode_stats t).Ads89.refills in
+      d.full_refills + d.incremental_refills + d.reuses
+    in
+    let rec go () =
+      if Sim.step sim then begin
+        (if !victim < 0 then
+           match Array.find_index Fun.id at_flip with
+           | Some p ->
+             Sim.crash sim p;
+             victim := p;
+             decodes_at_crash := decodes ()
+           | None -> ());
+        go ()
+      end
+    in
+    go ();
+    if !victim >= 0 then begin
+      incr crashes;
+      (match Spec.check ~inputs ~decisions:(Array.map Sim.result handles) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed %d: %s" seed e);
+      Array.iteri
+        (fun i h ->
+          if i <> !victim && Sim.result h = None then
+            Alcotest.failf "seed %d: survivor %d undecided" seed i)
+        handles;
+      Alcotest.(check int) "no fallbacks after the crash" 0
+        (C.decode_stats t).fallbacks;
+      Alcotest.(check bool) "survivors kept decoding" true
+        (decodes () > !decodes_at_crash)
+    end
+  done;
+  Alcotest.(check bool) "some process crashed at its flip" true (!crashes > 0)
+
+let decode_suite =
+  [
+    Alcotest.test_case "decode counters: n=32 round robin" `Quick
+      test_decode_counters_round_robin;
+    Alcotest.test_case "decode counters: n=32 random" `Quick
+      test_decode_counters_random;
+    Alcotest.test_case "decode counters: local-flips crash at flip" `Quick
+      test_local_flips_crash_at_flip;
+  ]
+
+let suite = suite @ decode_suite

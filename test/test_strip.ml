@@ -255,7 +255,11 @@ let test_counters_of_rows_validation () =
       ignore (Edge_counters.of_rows ~k:2 [| [| 0; 6 |]; [| 0; 0 |] |]));
   Alcotest.check_raises "square check"
     (Invalid_argument "Edge_counters.of_rows: not square") (fun () ->
-      ignore (Edge_counters.of_rows ~k:2 [| [| 0 |]; [| 0; 0 |] |]))
+      ignore (Edge_counters.of_rows ~k:2 [| [| 0 |]; [| 0; 0 |] |]));
+  (* In place too, even for a row never adopted before. *)
+  Alcotest.check_raises "set_row square check"
+    (Invalid_argument "Edge_counters.of_rows: not square") (fun () ->
+      Edge_counters.set_row (Edge_counters.create ~k:2 ~n:2) 0 [||])
 
 let test_counters_leader_never_runs_away () =
   (* A single process inc'ing forever saturates at lead K over everyone
@@ -776,27 +780,88 @@ let suite =
    iteration, fed stale-mixed scanned rows exactly like
    [test_diff_counters_stale_views]; every observable of the refilled
    scratch must match both a fresh flat decode and the frozen
-   reference.  This is the shape of the protocol decision path after
-   the allocation rework: set_rows -> to_graph_into -> queries ->
-   inc_row_with, with nothing surviving from the previous round. *)
-let diff_into_walk ~k ~n ~steps ~seed ~sample =
+   reference.  This is the shape of the protocol decision path:
+   set_rows -> to_graph_into -> queries -> inc_row_with.
+
+   Without [incremental] every view is built from fresh row arrays, so
+   every refill is a full one.  With it the view is one row matrix
+   kept across steps, the way a protocol instance's scratch sees
+   successive scans: each step replaces a random subset of rows (most
+   often one or none, sometimes a content-equal copy, sometimes all of
+   them) and keeps the other arrays physically shared, so refills take
+   the incremental and unchanged-view paths.  Every tenth step swaps
+   in a broken row for one step — out of range, or (K >= 2) decoding
+   into the forbidden band — which must raise the fresh path's
+   message, after which the next valid refill must again equal a
+   fresh decode. *)
+let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
   let r = rng seed in
   let live = Edge_counters_ref.create ~k ~n in
   let old_rows = ref (Edge_counters_ref.rows live) in
   let scratch = Edge_counters.create ~k ~n in
   let g_scr = Distance_graph.create_scratch ~k ~n in
   let lbuf = Array.make n (-1) in
+  let view = Edge_counters_ref.rows live in
+  let pick p =
+    if Bprc_rng.Splitmix.bool r then (Edge_counters_ref.rows live).(p)
+    else Array.copy !old_rows.(p)
+  in
+  let raised f =
+    match f () with () -> None | exception Invalid_argument m -> Some m
+  in
   for step = 1 to steps do
     let i = Bprc_rng.Splitmix.int r n in
     Edge_counters_ref.apply_inc live i;
     if Bprc_rng.Splitmix.int r 5 = 0 then
       old_rows := Edge_counters_ref.rows live;
-    let mixed =
-      Array.init n (fun p ->
-          if Bprc_rng.Splitmix.bool r then (Edge_counters_ref.rows live).(p)
-          else !old_rows.(p))
-    in
     let ctx = Printf.sprintf "into k=%d n=%d step %d" k n step in
+    if not incremental then
+      for p = 0 to n - 1 do
+        view.(p) <- pick p
+      done
+    else begin
+      (match Bprc_rng.Splitmix.int r 8 with
+      | 0 -> ()
+      | 1 ->
+        for p = 0 to n - 1 do
+          view.(p) <- pick p
+        done
+      | 2 ->
+        let p = Bprc_rng.Splitmix.int r n in
+        view.(p) <- Array.copy view.(p)
+      | 3 ->
+        for p = 0 to n - 1 do
+          if Bprc_rng.Splitmix.int r 4 = 0 then view.(p) <- pick p
+        done
+      | _ ->
+        let p = Bprc_rng.Splitmix.int r n in
+        view.(p) <- pick p);
+      if step mod 10 = 0 && n > 1 then begin
+        (* One broken row for one step; [view] itself stays intact. *)
+        let p = Bprc_rng.Splitmix.int r n in
+        let q = (p + 1) mod n in
+        let bad = Array.copy view.(p) in
+        let undecodable = k >= 2 && Bprc_rng.Splitmix.bool r in
+        bad.(q) <-
+          (if undecodable then (view.(q).(p) + k + 1) mod (3 * k) else 3 * k);
+        let broken = Array.copy view in
+        broken.(p) <- bad;
+        let want =
+          raised (fun () ->
+              ignore (Edge_counters.to_graph (Edge_counters.of_rows ~k broken)))
+        in
+        let got =
+          raised (fun () ->
+              Edge_counters.set_rows scratch broken;
+              Edge_counters.to_graph_into scratch g_scr)
+        in
+        if want = None || got <> want then
+          Alcotest.failf "%s: broken row %d raised %s, fresh path %s" ctx p
+            (Option.value got ~default:"nothing")
+            (Option.value want ~default:"nothing")
+      end
+    end;
+    let mixed = Array.copy view in
     Edge_counters.set_rows scratch mixed;
     let fresh = Edge_counters.of_rows ~k mixed in
     let refc = Edge_counters_ref.of_rows ~k mixed in
@@ -852,16 +917,29 @@ let diff_into_walk ~k ~n ~steps ~seed ~sample =
     else begin
       match Edge_counters.to_graph_into scratch g_scr with
       | () -> Alcotest.failf "%s: to_graph_into accepted invalid state" ctx
-      | exception Invalid_argument _ -> ()
+      | exception Invalid_argument m ->
+        if m <> "Edge_counters.to_graph: undecodable state" then
+          Alcotest.failf "%s: to_graph_into raised %s" ctx m
     end
-  done
+  done;
+  let st = Edge_counters.refill_stats scratch in
+  if st.Edge_counters.full_refills = 0 then
+    Alcotest.failf "k=%d n=%d: no full refill" k n;
+  if incremental && (st.incremental_refills = 0 || st.reuses = 0) then
+    Alcotest.failf "k=%d n=%d: incremental %d, reuses %d" k n
+      st.incremental_refills st.reuses;
+  if (not incremental) && st.incremental_refills + st.reuses > 0 then
+    Alcotest.failf "k=%d n=%d: fresh-row views refilled incrementally" k n
 
 let test_diff_into () =
-  diff_into_walk ~k:2 ~n:2 ~steps:400 ~seed:21 ~sample:1;
-  diff_into_walk ~k:1 ~n:4 ~steps:400 ~seed:22 ~sample:1;
-  diff_into_walk ~k:3 ~n:4 ~steps:400 ~seed:23 ~sample:2;
-  diff_into_walk ~k:2 ~n:8 ~steps:250 ~seed:24 ~sample:10;
-  diff_into_walk ~k:2 ~n:32 ~steps:30 ~seed:25 ~sample:15
+  List.iter
+    (fun incremental ->
+      diff_into_walk ~incremental ~k:2 ~n:2 ~steps:400 ~seed:21 ~sample:1 ();
+      diff_into_walk ~incremental ~k:1 ~n:4 ~steps:400 ~seed:22 ~sample:1 ();
+      diff_into_walk ~incremental ~k:3 ~n:4 ~steps:400 ~seed:23 ~sample:2 ();
+      diff_into_walk ~incremental ~k:2 ~n:8 ~steps:250 ~seed:24 ~sample:10 ();
+      diff_into_walk ~incremental ~k:2 ~n:32 ~steps:30 ~seed:25 ~sample:15 ())
+    [ false; true ]
 
 (* Steady-state allocation ceiling for the scratch decode: refill one
    scratch graph alternately from two fixed counter states (two, so
@@ -898,13 +976,52 @@ let test_reconstruct_into_no_alloc () =
     refill (if i land 1 = 0 then a else b)
   done;
   let dw = Gc.minor_words () -. m0 in
-  let per = dw /. float_of_int rounds in
-  Alcotest.(check bool)
-    (* The only steady-state allocation is the [Pos] cache constructor
-       (2 words per reconstruction); 4 leaves slack for boxing
-       differences across compiler versions. *)
-    (Printf.sprintf "scratch decode minor words/refill %.2f <= 4" per)
-    true (per <= 4.0)
+  Alcotest.(check (float 0.))
+    "scratch decode minor words over 2000 full refills" 0. dw
+
+(* The protocol's steady state: successive views of one instance share
+   every row array but the one just republished.  Alternating between
+   two such views makes every refill an incremental one-dirty-row
+   decode; with its reconstruction and the protocol's queries it must
+   allocate nothing at all. *)
+let test_incremental_refill_no_alloc () =
+  let k = 2 and n = 32 in
+  let c = Edge_counters.create ~k ~n in
+  for i = 0 to n - 1 do
+    Edge_counters.apply_inc c i
+  done;
+  let va = Edge_counters.rows c in
+  Edge_counters.apply_inc c 5;
+  let vb = Array.copy va in
+  vb.(5) <- Edge_counters.row c 5;
+  let scratch = Edge_counters.create ~k ~n in
+  let g = Distance_graph.create_scratch ~k ~n in
+  let refill v =
+    Edge_counters.set_rows scratch v;
+    Edge_counters.to_graph_into scratch g;
+    ignore (Distance_graph.reconstruct_into g : bool);
+    for j = 0 to n - 1 do
+      ignore (Distance_graph.dist_ge g 5 j k : bool);
+      ignore (Distance_graph.is_leader g j : bool)
+    done
+  in
+  refill va;
+  refill vb;
+  Gc.full_major ();
+  let rounds = 2000 in
+  let before = Edge_counters.refill_stats scratch in
+  let m0 = Gc.minor_words () in
+  for i = 1 to rounds do
+    refill (if i land 1 = 1 then va else vb)
+  done;
+  let dw = Gc.minor_words () -. m0 in
+  let after = Edge_counters.refill_stats scratch in
+  Alcotest.(check int) "every refill incremental" rounds
+    (after.incremental_refills - before.Edge_counters.incremental_refills);
+  Alcotest.(check int) "one row each" rounds
+    (after.rows_redecoded - before.rows_redecoded);
+  Alcotest.(check int) "no full refill" before.full_refills after.full_refills;
+  Alcotest.(check (float 0.)) "minor words over 2000 one-row refills" 0. dw
 
 let suite =
   suite
@@ -913,4 +1030,6 @@ let suite =
         test_diff_into;
       Alcotest.test_case "into: reconstruct_into allocation ceiling" `Quick
         test_reconstruct_into_no_alloc;
+      Alcotest.test_case "into: incremental refill allocates nothing" `Quick
+        test_incremental_refill_no_alloc;
     ]
