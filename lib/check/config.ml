@@ -1,5 +1,4 @@
 module Sim = Bprc_runtime.Sim
-module Runtime_intf = Bprc_runtime.Runtime_intf
 module Inject = Bprc_faults.Inject
 module Fault_plan = Bprc_faults.Fault_plan
 module Snap_checker = Bprc_snapshot.Snap_checker
@@ -23,48 +22,23 @@ module Cons_lin = Lin.Make (Specs.Consensus)
    [create]) but not free: each application allocates a module block
    and a closure per operation.  The explorer calls [setup] once per
    run — hundreds of thousands of times — so the applications are
-   memoized per simulator arena, keyed on the physical identity of
-   {!Sim.runtime}'s packed module (guaranteed stable for the arena's
-   life).  Caches are domain-local: arenas migrate between explorer
-   workers, and a migrated arena simply re-applies the functor once on
-   its new domain rather than racing on a shared table.  Weakened
+   memoized in arena-local slots ({!Sim.local}) over the arena's
+   {!Sim.runtime}, which is stable for the arena's life.  An entry
+   dies with its arena; every explore makes fresh arenas, so a table
+   keyed on arenas from outside would keep all of them alive.  Weakened
    runtimes ({!Inject.weaken_runtime} with a non-empty plan) are never
    cached — the wrapper carries per-run mutable state and is a fresh
    module each run. *)
 
-let snap_cache :
-    (Obj.t * (module Bprc_snapshot.Snapshot_intf.S)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let handshake_slot =
+  Sim.new_local (fun sim ->
+      (module Bprc_snapshot.Handshake.Make ((val Sim.runtime sim))
+      : Bprc_snapshot.Snapshot_intf.S))
 
-let handshake_for rt =
-  let cache = Domain.DLS.get snap_cache in
-  let key = Obj.repr rt in
-  match List.find_opt (fun (k, _) -> k == key) !cache with
-  | Some (_, m) -> m
-  | None ->
-    let m =
-      (module Bprc_snapshot.Handshake.Make ((val rt : Runtime_intf.S))
-      : Bprc_snapshot.Snapshot_intf.S)
-    in
-    cache := (key, m) :: !cache;
-    m
-
-let cons_cache :
-    (Obj.t * (module Bprc_core.Consensus_intf.S)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let ads89_for rt =
-  let cache = Domain.DLS.get cons_cache in
-  let key = Obj.repr rt in
-  match List.find_opt (fun (k, _) -> k == key) !cache with
-  | Some (_, m) -> m
-  | None ->
-    let m =
-      (module Bprc_core.Ads89.Make ((val rt : Runtime_intf.S))
-      : Bprc_core.Consensus_intf.S)
-    in
-    cache := (key, m) :: !cache;
-    m
+let ads89_slot =
+  Sim.new_local (fun sim ->
+      (module Bprc_core.Ads89.Make ((val Sim.runtime sim))
+      : Bprc_core.Consensus_intf.S))
 
 (* [linearizable] takes the events as an array ({!Lin.check_events}):
    one run-verdict costs no intermediate list, and the message — built
@@ -151,38 +125,25 @@ let snapshot_prog ~plan ~prog =
   let weakened = plan <> [] in
   (* Per-arena checker/history scratch.  A parked checkpoint-ladder
      arena holds a partially recorded history across other runs, so one
-     scratch pair per domain is not enough — the pair is keyed on the
-     arena (its runtime module), like the functor cache above, and
-     rewound with [reset]/[clear] when the arena starts a fresh run. *)
-  let scratch :
-      (Obj.t * (Snap_checker.t * Specs.snap_op Hist.t)) list ref Domain.DLS.key
-      =
-    Domain.DLS.new_key (fun () -> ref [])
+     scratch pair per domain is not enough — the pair lives on the arena,
+     like the functor caches above, and is rewound with [reset]/[clear]
+     when the arena starts a fresh run. *)
+  let scratch =
+    Sim.new_local (fun _ -> (Snap_checker.create ~n ~init:0, Hist.create ()))
   in
   fun sim ->
-    let rt = Sim.runtime sim in
     let (module S) =
       if weakened then begin
-        let (module R) = Inject.weaken_runtime rt ~plan in
+        let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
         (module Bprc_snapshot.Handshake.Make (R)
         : Bprc_snapshot.Snapshot_intf.S)
       end
-      else handshake_for rt
+      else Sim.local sim handshake_slot
     in
     let snap = S.create ~init:0 () in
-    let ck, h =
-      let cache = Domain.DLS.get scratch in
-      let key = Obj.repr rt in
-      match List.find_opt (fun (k, _) -> k == key) !cache with
-      | Some (_, ((ck, h) as entry)) ->
-        Snap_checker.reset ck;
-        Hist.clear h;
-        entry
-      | None ->
-        let entry = (Snap_checker.create ~n ~init:0, Hist.create ()) in
-        cache := (key, entry) :: !cache;
-        entry
-    in
+    let ck, h = Sim.local sim scratch in
+    Snap_checker.reset ck;
+    Hist.clear h;
     for i = 0 to n - 1 do
       ignore
         (Sim.spawn sim (fun () ->
@@ -220,7 +181,7 @@ let snapshot_prog ~plan ~prog =
    bounded corner search, not a proof. *)
 let consensus_split sim =
   let n = 2 in
-  let (module C) = ads89_for (Sim.runtime sim) in
+  let (module C) = Sim.local sim ads89_slot in
   let params = { Bprc_core.Params.k = 2; delta = 1; m = Some 3 } in
   let st = C.create ~params () in
   let h : Specs.cons_op Hist.t = Hist.create () in

@@ -143,7 +143,9 @@ let driver ~n (plan : Fault_plan.t) =
   }
 
 let fire d sim =
-  if d.pending <> [] then
+  match d.pending with
+  | [] -> ()
+  | pending ->
     d.pending <-
       List.filter
         (fun f ->
@@ -161,16 +163,57 @@ let fire d sim =
             end
             else true
           | _ -> false)
-        d.pending
+        pending
 
-let drive sim ~driver ~max_steps =
-  let rec go () =
+(* The earliest clock at which a pending fault can fall due, capped at
+   [until].  A process takes at most one step per tick of the global
+   clock, so a fault [at_step - steps_of pid] of its process's steps
+   away cannot fall due sooner than that many ticks from now.  Right
+   after [fire], every pending fault is at least one step away.  Gaps
+   are compared rather than added to [now], so a huge [at_step] cannot
+   overflow. *)
+let next_due d sim ~until =
+  let now = Sim.clock sim in
+  List.fold_left
+    (fun acc f ->
+      match f with
+      | Fault_plan.Crash { pid; at_step } | Fault_plan.Stall { pid; at_step; _ }
+        ->
+        let gap = at_step - Sim.steps_of sim pid in
+        if gap < acc - now then now + gap else acc
+      | _ -> acc)
+    until d.pending
+
+(* Fire what is due, then run uninterrupted to the earliest clock at
+   which anything can next fall due.  Nothing can fall due in between,
+   so every fault fires at exactly the step a fire-before-every-step
+   loop would fire it at.  [crash_at] fires at most one entry per clock
+   tick, in clock order: an entry due at the same tick as an earlier
+   one fires a tick later. *)
+let drive ?(crash_at = []) sim ~driver ~max_steps =
+  let max_steps = min max_steps (Sim.max_steps sim) in
+  let rec go crash_at =
+    let now = Sim.clock sim in
+    let crash_at =
+      match crash_at with
+      | (at, pid) :: rest when now >= at ->
+        Sim.crash sim pid;
+        rest
+      | pending -> pending
+    in
     fire driver sim;
-    if Sim.clock sim >= max_steps then false
-    else if Sim.step sim then go ()
-    else true
+    if now >= max_steps then false
+    else
+      let until =
+        match crash_at with
+        | (at, _) :: _ -> min max_steps (max at (now + 1))
+        | [] -> max_steps
+      in
+      match Sim.run_to sim ~clock:(next_due driver sim ~until) with
+      | Some Sim.Completed -> true
+      | Some Sim.Hit_step_limit | None -> go crash_at
   in
-  go ()
+  go (List.sort compare crash_at)
 
 (* ------------------------------------------------------------------ *)
 (* Link faults                                                         *)

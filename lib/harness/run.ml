@@ -167,21 +167,6 @@ type consensus_run = {
   registers_used : int;
 }
 
-let drive sim ~max_steps ~crash_at ~fault_driver =
-  let pending = ref (List.sort compare crash_at) in
-  let rec go () =
-    (match !pending with
-    | (step, pid) :: rest when Sim.clock sim >= step ->
-      Sim.crash sim pid;
-      pending := rest
-    | _ -> ());
-    Bprc_faults.Inject.fire fault_driver sim;
-    if Sim.clock sim >= max_steps then false
-    else if Sim.step sim then go ()
-    else true
-  in
-  go ()
-
 let probe_adversary ~n ~sched ~probe =
   let published_sum () =
     Bprc_core.Coin_probe.published_sum_at_front (probe ())
@@ -211,8 +196,8 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
          engine's shards lean on this to amortize one arena over
          thousands of instances.  The arena's creation-time shape must
          match: same [n], and a creation-time step bound of at least
-         [max_steps] (the driver loop below enforces the requested
-         bound itself, one step at a time). *)
+         [max_steps] (the fault driver enforces the requested bound
+         itself). *)
       if Sim.n sim <> n then
         invalid_arg
           (Printf.sprintf "Run.consensus_once: reused sim has n=%d, want n=%d"
@@ -226,7 +211,8 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
       sim
     | None -> Sim.create ~seed ~max_steps ~n ~adversary ()
   in
-  let fault_driver = Bprc_faults.Inject.driver ~n faults in
+  let driver = Bprc_faults.Inject.driver ~n faults in
+  let drive () = Bprc_faults.Inject.drive sim ~driver ~crash_at ~max_steps in
   let runtime = Bprc_faults.Inject.weaken_runtime (Sim.runtime sim) ~plan:faults in
   let run_ads (module C : Bprc_core.Consensus_intf.S) mode =
     let t = C.create ~params ~coin_mode:mode ~oracle_seed:seed () in
@@ -235,7 +221,7 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
       Array.init n (fun i ->
           Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
     in
-    let completed = drive sim ~max_steps ~crash_at ~fault_driver in
+    let completed = drive () in
     let decisions = Array.map Sim.result handles in
     let st = C.stats t in
     {
@@ -270,7 +256,7 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
       Array.init n (fun i ->
           Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
     in
-    let completed = drive sim ~max_steps ~crash_at ~fault_driver in
+    let completed = drive () in
     let decisions = Array.map Sim.result handles in
     {
       completed;

@@ -106,11 +106,9 @@ type t = {
          scratch buffers, ctx record and effect continuations are
          single-domain state, so [step]/[run] refuse to drive the arena
          from anywhere else *)
-  mutable rt : Obj.t;
-      (* memoized [runtime] module ([kont_none] until first use): the
-         module closes over [t] only and stays valid across [reset], so
-         per-run callers (the explorer's setup closures) get the same
-         physical module instead of twelve fresh closures per run *)
+  mutable locals : Obj.t array;
+      (* arena-local storage, indexed by [local] slot; [local_absent]
+         until a slot's first use, and kept across [reset] *)
 }
 
 type 'a handle = { cell : 'a option ref }
@@ -188,7 +186,7 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
     max_stall = 0;
     validate = debug;
     owner = self_id ();
-    rt = kont_none;
+    locals = [||];
   }
 
 let reset ?seed ?adversary t =
@@ -385,21 +383,30 @@ let step t =
   check_owner t "step";
   step_inline t
 
-let run t =
-  check_owner t "run";
+let check_ready t what =
+  check_owner t what;
   if t.spawned < t.n then
-    invalid_arg "Sim.run: fewer processes spawned than n";
-  let rec go () =
-    if t.clock >= t.max_steps then Hit_step_limit
-    else if step_inline t then go ()
-    else Completed
-  in
-  go ()
+    invalid_arg (Printf.sprintf "Sim.%s: fewer processes spawned than n" what)
+
+(* The one bounded stepping loop: [check_ready] has run once for the
+   whole stretch, so a step costs [step_inline] and two compares. *)
+let rec steps_to t ~clock =
+  if t.clock >= t.max_steps then Some Hit_step_limit
+  else if t.clock >= clock then None
+  else if step_inline t then steps_to t ~clock
+  else Some Completed
+
+let run_to t ~clock =
+  check_ready t "run_to";
+  steps_to t ~clock
+
+let run t =
+  check_ready t "run";
+  (* The clock cannot reach [max_int] before the arena's bound. *)
+  match steps_to t ~clock:max_int with Some o -> o | None -> Hit_step_limit
 
 let run_until t ~stop =
-  check_owner t "run_until";
-  if t.spawned < t.n then
-    invalid_arg "Sim.run_until: fewer processes spawned than n";
+  check_ready t "run_until";
   let rec go () =
     if t.clock >= t.max_steps then Some Hit_step_limit
     else if stop () then None
@@ -510,15 +517,33 @@ let make_runtime (t : t) : (module Runtime_intf.S) =
       record_access t t.current (-1) "" access_yield Trace.Step
   end : Runtime_intf.S)
 
-(* The module is pure closure state over [t] and the mli promises it
-   stays valid across [reset], so it is built once per arena and cached.
-   The cache slot shares [kont_none] as its "absent" sentinel; a packed
-   first-class module is a block, so the physical-equality test is
-   unambiguous. *)
-let runtime (t : t) : (module Runtime_intf.S) =
-  if t.rt != kont_none then (Obj.obj t.rt : (module Runtime_intf.S))
+(* Arena-local storage.  Slots are numbered process-wide; an arena's
+   [locals] array grows to the highest slot it has used.  The sentinel
+   is a private block, so no stored value can be mistaken for it. *)
+type 'a local = { index : int; init : t -> 'a }
+
+let locals_made = Atomic.make 0
+let local_absent = Obj.repr (ref ())
+let new_local init = { index = Atomic.fetch_and_add locals_made 1; init }
+
+let local t l =
+  let i = l.index in
+  if i >= Array.length t.locals then begin
+    let grown = Array.make (i + 1) local_absent in
+    Array.blit t.locals 0 grown 0 (Array.length t.locals);
+    t.locals <- grown
+  end;
+  let v = Array.unsafe_get t.locals i in
+  if v != local_absent then (Obj.obj v : 'a)
   else begin
-    let m = make_runtime t in
-    t.rt <- Obj.repr m;
-    m
+    let x = l.init t in
+    t.locals.(i) <- Obj.repr x;
+    x
   end
+
+(* The module is pure closure state over [t] and the mli promises it
+   stays valid across [reset], so it is built once per arena: per-run
+   callers (the explorer's setup closures) get the same physical module
+   instead of twelve fresh closures per run. *)
+let runtime_slot = new_local make_runtime
+let runtime t = local t runtime_slot

@@ -68,8 +68,26 @@ val runtime : t -> (module Runtime_intf.S)
     Registers made from it belong to this instance only.  The module
     stays valid across {!reset}; registers must be re-made.  The same
     physical module is returned on every call (it is memoized on the
-    arena), so per-run callers may key functor-application caches on
-    it. *)
+    arena); per-run callers keep functor applications over it in a
+    {!local} slot. *)
+
+type 'a local
+(** A slot of arena-local storage: each arena holds at most one value
+    per slot, made on first use and kept across {!reset} for the
+    arena's whole life.  Per-arena caches (functor applications over
+    {!runtime}, checker scratch) live here so they die with their
+    arena; a cache keyed on arenas from outside would keep every arena
+    alive. *)
+
+val new_local : (t -> 'a) -> 'a local
+(** A fresh slot whose value for an arena is made by applying the
+    initializer to that arena.  Slots are never freed: make them once,
+    not per run. *)
+
+val local : t -> 'a local -> 'a
+(** The arena's value for the slot, made on first use.  Like the
+    arena itself this is single-domain state: only the arena's owner
+    may use it. *)
 
 val adopt : t -> unit
 (** Make the calling domain the arena's owner {e without} resetting it.
@@ -78,7 +96,7 @@ val adopt : t -> unit
     by another, and the mid-run state (suspended fibers, clocks,
     registers) must survive the migration — which {!reset} would wipe.
     Only legal at a quiescent point: the previous owner must have
-    returned from {!step}/{!run}/{!run_until} and must never drive the
+    returned from {!step}/{!run}/{!run_to}/{!run_until} and must never drive the
     arena again without re-adopting it.  Concurrent driving is still a
     race; this merely transfers the single-driver token. *)
 
@@ -92,6 +110,15 @@ val run : t -> outcome
     is hit.  @raise Invalid_argument if fewer than [n] processes were
     spawned, or when called from a domain other than the arena's owner
     (see {!step}). *)
+
+val run_to : t -> clock:int -> outcome option
+(** Like {!run}, but pause and return [None] once the global clock
+    reaches [clock] (checked before every step, after the step-limit
+    check).  Ownership and spawning are checked once per call, not per
+    step, so this is the cheapest way to drive a bounded stretch of a
+    run; the arena is left mid-run and can be driven further by any of
+    the driving functions.  [Some outcome] means the run finished or hit
+    the arena's bound first.  Raises like {!run}. *)
 
 val run_until : t -> stop:(unit -> bool) -> outcome option
 (** Like {!run}, but pause and return [None] as soon as [stop ()] holds

@@ -7,6 +7,30 @@
    pre-rewrite implementation ([Handshake_ref]): the simulated
    schedules, and so every pinned trace digest, are bit-identical. *)
 
+(* Register names depend only on the base [name] and [n], yet
+   [Printf.sprintf] dominated [create]'s allocation when a checker calls
+   it once per explored run.  Memoized per domain on [(name, n)] outside
+   the functor, since [Run.consensus_once] applies the functor once per
+   instance: the name strings themselves are unchanged byte for byte. *)
+let names_cache :
+    (string * int * (string array * string array)) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let names_for name n =
+  let cache = Domain.DLS.get names_cache in
+  match
+    List.find_opt (fun (nm, k, _) -> k = n && String.equal nm name) !cache
+  with
+  | Some (_, _, ns) -> ns
+  | None ->
+    let vs = Array.init n (fun j -> Printf.sprintf "%s.V%d" name j) in
+    let ar =
+      Array.init (n * n) (fun idx ->
+          Printf.sprintf "%s.A%d.%d" name (idx / n) (idx mod n))
+    in
+    cache := (name, n, (vs, ar)) :: !cache;
+    (vs, ar)
+
 module Make (R : Bprc_runtime.Runtime_intf.S) = struct
   type 'a cell = { value : 'a; toggle : bool }
 
@@ -21,26 +45,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     mutable retries : int;
   }
 
-  (* Register names depend only on the base [name] and [R.n], yet
-     [Printf.sprintf] dominated [create]'s allocation when a checker
-     calls it once per explored run.  Memoized per base name at functor
-     level: the name strings themselves are unchanged byte for byte. *)
-  let names_cache : (string * (string array * string array)) list ref = ref []
-
-  let names_for name =
-    match List.assoc_opt name !names_cache with
-    | Some ns -> ns
-    | None ->
-      let vs = Array.init R.n (fun j -> Printf.sprintf "%s.V%d" name j) in
-      let ar =
-        Array.init (R.n * R.n) (fun idx ->
-            Printf.sprintf "%s.A%d.%d" name (idx / R.n) (idx mod R.n))
-      in
-      names_cache := (name, (vs, ar)) :: !names_cache;
-      (vs, ar)
-
   let create ?(name = "snap") ~init () =
-    let value_names, arrow_names = names_for name in
+    let value_names, arrow_names = names_for name R.n in
     let cell0 = { value = init; toggle = false } in
     {
       values = Array.init R.n (fun j -> R.make_reg ~name:value_names.(j) cell0);
@@ -90,8 +96,12 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       for j = 0 to n - 1 do
         if j <> me then begin
           if R.read t.arrows.((me * n) + j) then dirty := true;
+          (* Physically equal cells cannot differ: test identity before
+             the polymorphic compare, which also keeps a NaN value from
+             looking changed against itself. *)
           let a = v1.(j) and b = v2.(j) in
-          if a.toggle <> b.toggle || a.value <> b.value then dirty := true
+          if a != b && (a.toggle <> b.toggle || a.value <> b.value) then
+            dirty := true
         end
       done;
       if !dirty then begin

@@ -603,6 +603,29 @@ let test_skewed_ladder_regen () =
     true
     (regens1 > regens0)
 
+(* Every explore makes fresh arenas, and the registry memoizes functor
+   applications and checker scratch per arena.  Those caches must let
+   an arena die with its explore: live words stay flat across repeated
+   explores instead of growing by every dead arena. *)
+let test_explore_caches_do_not_leak () =
+  let cfg = Option.get (Config.find "snapshot-atomic") in
+  let explore () = ignore (Config.run ~max_runs:64 cfg) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 5 do
+    explore ()
+  done;
+  let before = live () in
+  for _ = 1 to 40 do
+    explore ()
+  done;
+  let after = live () in
+  if after - before > 10_000 then
+    Alcotest.failf "live words grew from %d to %d over 40 explores" before
+      after
+
 let suite =
   [
     Alcotest.test_case "lin: empty" `Quick test_lin_empty;
@@ -645,4 +668,6 @@ let suite =
       test_ladder_vs_scratch_equivalence;
     Alcotest.test_case "explore: skewed ladder regeneration" `Quick
       test_skewed_ladder_regen;
+    Alcotest.test_case "explore: caches die with their arenas" `Quick
+      test_explore_caches_do_not_leak;
   ]

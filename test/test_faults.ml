@@ -307,6 +307,163 @@ let test_consensus_once_with_faults () =
   Alcotest.(check (option bool)) "crashed process undecided" None
     r.Bprc_harness.Run.decisions.(0)
 
+(* ------------------------------------------------------------------ *)
+(* The fault driver is exact                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference semantics [Inject.drive] must reproduce, one step at
+   a time: at most one [crash_at] entry per step, then every due plan
+   fault, then one step. *)
+let reference_drive sim ~driver ~crash_at ~max_steps =
+  let open Bprc_runtime in
+  let pending = ref (List.sort compare crash_at) in
+  let rec go () =
+    (match !pending with
+    | (at, pid) :: rest when Sim.clock sim >= at ->
+      Sim.crash sim pid;
+      pending := rest
+    | _ -> ());
+    Inject.fire driver sim;
+    if Sim.clock sim >= max_steps then false
+    else if Sim.step sim then go ()
+    else true
+  in
+  go ()
+
+let trace_digest sim =
+  let open Bprc_runtime in
+  let buf = Buffer.create 4096 in
+  Trace.iter
+    (fun (e : Trace.event) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%d|%d|%d|%s|%s\n" e.time e.pid e.reg_id e.reg_name
+           (match e.kind with
+           | Trace.Read -> "R"
+           | Trace.Write -> "W"
+           | Trace.Flip b -> if b then "F1" else "F0"
+           | Trace.Step -> "S"
+           | Trace.Note s -> "N:" ^ s)))
+    (Option.get (Sim.trace sim));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* What a driven run leaves behind: completion, clock, decisions, and
+   per pid its steps, flips and whether it crashed, plus the trace. *)
+let fingerprint sim ~n ~completed ~decisions =
+  let open Bprc_runtime in
+  ( (completed, Sim.clock sim, decisions),
+    List.init n (fun pid ->
+        (Sim.steps_of sim pid, Sim.flips_of sim pid, Sim.crashed sim pid)),
+    trace_digest sim )
+
+let driver_n = 4
+let driver_max_steps = 200_000
+
+let traced_arena () =
+  let open Bprc_runtime in
+  Sim.create ~seed:0 ~max_steps:driver_max_steps ~n:driver_n ~record_trace:true
+    ~adversary:(Adversary.random ()) ()
+
+(* [Run.consensus_once] driven by [Inject.drive], against the same
+   instance wired by hand and driven by [reference_drive]. *)
+let compare_drivers ~sched ~seed ~max_steps ~crash_at ~faults =
+  let open Bprc_runtime in
+  let module Run = Bprc_harness.Run in
+  let n = driver_n in
+  let mode = Bprc_core.Ads89.Shared_walk in
+  let sim = traced_arena () in
+  let r =
+    Run.consensus_once ~sim ~max_steps ~sched ~crash_at ~faults
+      ~algo:(Run.Ads mode) ~pattern:Run.Random_inputs ~n ~seed ()
+  in
+  let got =
+    fingerprint sim ~n ~completed:r.Run.completed ~decisions:r.Run.decisions
+  in
+  let sim = traced_arena () in
+  let adversary =
+    match sched with
+    | Run.Random_sched -> Adversary.random ()
+    | Run.Round_robin_sched -> Adversary.round_robin ()
+    | Run.Bursty_sched b -> Adversary.bursty ~burst:b ()
+    | _ -> Alcotest.fail "adaptive schedulers are not wired here"
+  in
+  Sim.reset ~seed ~adversary sim;
+  let inputs = Run.inputs_of_pattern Run.Random_inputs ~n ~seed in
+  let module R = (val Inject.weaken_runtime (Sim.runtime sim) ~plan:faults) in
+  let module C = Bprc_core.Ads89.Make (R) in
+  let t = C.create ~coin_mode:mode ~oracle_seed:seed () in
+  let handles =
+    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+  in
+  let completed =
+    reference_drive sim ~driver:(Inject.driver ~n faults) ~crash_at ~max_steps
+  in
+  let want =
+    fingerprint sim ~n ~completed ~decisions:(Array.map Sim.result handles)
+  in
+  (want, got)
+
+let test_drive_matches_step_loop () =
+  let module Run = Bprc_harness.Run in
+  let cases =
+    [
+      ("no faults", driver_max_steps, [], []);
+      ( "crash_at with duplicate clocks",
+        driver_max_steps,
+        [ (40, 1); (40, 2); (12, 3); (40, 1); (0, 3) ],
+        [] );
+      ( "crash and stall plans",
+        driver_max_steps,
+        [],
+        [
+          Fault_plan.Crash { pid = 0; at_step = 25 };
+          Fault_plan.Stall { pid = 1; at_step = 10; steps = 200 };
+          Fault_plan.Stall { pid = 2; at_step = 0; steps = 30 };
+          Fault_plan.Stall { pid = 3; at_step = max_int; steps = 5 };
+        ] );
+      ( "stall on a crashed pid",
+        driver_max_steps,
+        [ (30, 1); (9, 2) ],
+        [
+          Fault_plan.Crash { pid = 1; at_step = 15 };
+          Fault_plan.Stall { pid = 1; at_step = 15; steps = 100 };
+          Fault_plan.Stall { pid = 1; at_step = 16; steps = 50 };
+          Fault_plan.Stall { pid = 2; at_step = 40; steps = 60 };
+          Fault_plan.Stall { pid = 3; at_step = 20; steps = 70 };
+        ] );
+      ( "budget runs out with faults pending",
+        150,
+        [ (149, 0); (150, 1); (400, 2) ],
+        [
+          Fault_plan.Stall { pid = 2; at_step = 30; steps = 500 };
+          Fault_plan.Crash { pid = 3; at_step = 1_000 };
+        ] );
+    ]
+  in
+  List.iter
+    (fun sched ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (name, max_steps, crash_at, faults) ->
+              let want, got =
+                compare_drivers ~sched ~seed ~max_steps ~crash_at ~faults
+              in
+              let label what =
+                Printf.sprintf "%s, %s, seed %d: %s" name (Run.sched_name sched)
+                  seed what
+              in
+              let (wc, wclock, wd), wper, wdigest = want
+              and (gc, gclock, gd), gper, gdigest = got in
+              Alcotest.(check bool) (label "completed") wc gc;
+              Alcotest.(check int) (label "clock") wclock gclock;
+              Alcotest.(check bool) (label "decisions") true (wd = gd);
+              Alcotest.(check (list (triple int int bool)))
+                (label "per-pid steps, flips, crashed") wper gper;
+              Alcotest.(check string) (label "trace digest") wdigest gdigest)
+            cases)
+        [ 1; 2 ])
+    [ Run.Random_sched; Run.Round_robin_sched; Run.Bursty_sched 3 ]
+
 let suite =
   [
     Alcotest.test_case "plan: json round-trip" `Quick test_plan_json_roundtrip;
@@ -330,4 +487,6 @@ let suite =
     Alcotest.test_case "hunt: bad args" `Quick test_hunt_rejects_bad_args;
     Alcotest.test_case "harness: consensus_once faults" `Quick
       test_consensus_once_with_faults;
+    Alcotest.test_case "drive: matches the step-by-step loop" `Quick
+      test_drive_matches_step_loop;
   ]

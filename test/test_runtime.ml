@@ -874,3 +874,126 @@ let owner_suite =
   ]
 
 let suite = suite @ owner_suite
+
+(* --- Bounded driving: run_to ----------------------------------------- *)
+
+let spawn_loopers sim k ~yields =
+  for _ = 1 to k do
+    ignore
+      (Sim.spawn sim (fun () ->
+           let (module R) = Sim.runtime sim in
+           for _ = 1 to yields do
+             R.yield ()
+           done))
+  done
+
+let test_run_to_pauses_and_resumes () =
+  (* Pausing at chosen clocks and resuming must make exactly the run
+     [Sim.run] makes in one go. *)
+  let fresh () =
+    let sim =
+      Sim.create ~seed:5 ~n:3 ~record_trace:true
+        ~adversary:(Adversary.random ()) ()
+    in
+    spawn_loopers sim 3 ~yields:20;
+    sim
+  in
+  let whole = fresh () in
+  Alcotest.(check bool) "one-go run completes" true (Sim.run whole = Sim.Completed);
+  let paused = fresh () in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "paused at %d" c)
+        true
+        (Sim.run_to paused ~clock:c = None);
+      Alcotest.(check int) (Printf.sprintf "clock is %d" c) c (Sim.clock paused))
+    [ 0; 1; 7; 30 ];
+  Alcotest.(check bool) "a target behind the clock pauses at once" true
+    (Sim.run_to paused ~clock:5 = None);
+  Alcotest.(check int) "no step taken" 30 (Sim.clock paused);
+  Alcotest.(check bool) "resumes to completion" true
+    (Sim.run_to paused ~clock:max_int = Some Sim.Completed);
+  Alcotest.(check int) "same length" (Sim.clock whole) (Sim.clock paused);
+  for pid = 0 to 2 do
+    Alcotest.(check int)
+      (Printf.sprintf "pid %d steps" pid)
+      (Sim.steps_of whole pid) (Sim.steps_of paused pid)
+  done;
+  let events sim = Trace.to_list (Option.get (Sim.trace sim)) in
+  Alcotest.(check bool) "same trace" true (events whole = events paused)
+
+let test_run_to_respects_arena_bound () =
+  let bounded () =
+    let sim =
+      Sim.create ~seed:1 ~max_steps:10 ~n:2
+        ~adversary:(Adversary.round_robin ()) ()
+    in
+    spawn_loopers sim 2 ~yields:50;
+    sim
+  in
+  let sim = bounded () in
+  Alcotest.(check bool) "paused before the bound" true
+    (Sim.run_to sim ~clock:4 = None);
+  Alcotest.(check bool) "the bound stops a later target" true
+    (Sim.run_to sim ~clock:100 = Some Sim.Hit_step_limit);
+  Alcotest.(check int) "stopped at the bound" 10 (Sim.clock sim);
+  Alcotest.(check bool) "the bound is sticky" true
+    (Sim.run_to sim ~clock:100 = Some Sim.Hit_step_limit);
+  let sim = bounded () in
+  Alcotest.(check bool) "a target at the bound reports the bound" true
+    (Sim.run_to sim ~clock:10 = Some Sim.Hit_step_limit);
+  let unspawned =
+    Sim.create ~seed:1 ~n:2 ~adversary:(Adversary.round_robin ()) ()
+  in
+  spawn_loopers unspawned 1 ~yields:1;
+  Alcotest.check_raises "fewer processes spawned"
+    (Invalid_argument "Sim.run_to: fewer processes spawned than n") (fun () ->
+      ignore (Sim.run_to unspawned ~clock:5))
+
+let test_run_to_rejects_foreign_domain () =
+  let sim = Sim.create ~seed:3 ~n:2 ~adversary:(Adversary.round_robin ()) () in
+  spawn_yielders sim 2;
+  let rejected =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match Sim.run_to sim ~clock:1 with
+           | _ -> false
+           | exception Invalid_argument msg ->
+             Astring.String.is_prefix ~affix:"Sim.run_to: arena owned" msg))
+  in
+  Alcotest.(check bool) "run_to from foreign domain rejected" true rejected;
+  Alcotest.(check int) "no step taken" 0 (Sim.clock sim);
+  Alcotest.(check bool) "the owner still drives it" true
+    (Sim.run_to sim ~clock:1 = None)
+
+(* --- Arena-local storage ---------------------------------------------- *)
+
+let test_local_slots () =
+  let made = ref 0 in
+  let slot = Sim.new_local (fun sim -> incr made; (Sim.n sim, ref 0)) in
+  let a = Sim.create ~seed:1 ~n:2 ~adversary:(Adversary.round_robin ()) () in
+  let b = Sim.create ~seed:1 ~n:3 ~adversary:(Adversary.round_robin ()) () in
+  let va = Sim.local a slot in
+  Alcotest.(check int) "made from its arena" 2 (fst va);
+  Alcotest.(check bool) "same value on every use" true (Sim.local a slot == va);
+  Sim.reset a;
+  Alcotest.(check bool) "kept across reset" true (Sim.local a slot == va);
+  Alcotest.(check int) "another arena gets its own" 3 (fst (Sim.local b slot));
+  Alcotest.(check int) "one init per arena" 2 !made;
+  Alcotest.(check bool) "the runtime module is one per arena" true
+    (Sim.runtime a == Sim.runtime a && Sim.runtime a != Sim.runtime b)
+
+let run_to_suite =
+  [
+    Alcotest.test_case "local: one value per arena, kept across reset"
+      `Quick test_local_slots;
+    Alcotest.test_case "run_to: pauses exactly, resumes" `Quick
+      test_run_to_pauses_and_resumes;
+    Alcotest.test_case "run_to: respects the arena bound" `Quick
+      test_run_to_respects_arena_bound;
+    Alcotest.test_case "run_to: foreign domain rejected" `Quick
+      test_run_to_rejects_foreign_domain;
+  ]
+
+let suite = suite @ run_to_suite

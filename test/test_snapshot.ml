@@ -765,3 +765,31 @@ let suite =
       Alcotest.test_case "diff: flat vs reference handshake (saturated)" `Quick
         test_diff_handshake_saturated;
     ]
+
+(* A lone scan reads the same NaN cell twice.  Compared structurally
+   alone the two reads differ ([nan <> nan]) and the scan retries until
+   the step bound; cells are compared by identity first, so the scan
+   takes its 4 accesses and p1's empty body 1 step. *)
+let test_handshake_nan_scan_terminates () =
+  let sim =
+    Sim.create ~seed:0 ~max_steps:10_000 ~n:2
+      ~adversary:(Adversary.round_robin ()) ()
+  in
+  let module S = Handshake.Make ((val Sim.runtime sim)) in
+  let mem = S.create ~init:Float.nan () in
+  let view = Sim.spawn sim (fun () -> S.scan mem) in
+  ignore (Sim.spawn sim (fun () -> ()));
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check int) "steps" 6 (Sim.clock sim);
+  Alcotest.(check int) "retries" 0 (S.scan_retries mem);
+  match Sim.result view with
+  | Some v ->
+    Alcotest.(check bool) "view is all NaN" true (Array.for_all Float.is_nan v)
+  | None -> Alcotest.fail "the scan did not return"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "handshake: NaN scan terminates" `Quick
+        test_handshake_nan_scan_terminates;
+    ]
