@@ -20,21 +20,8 @@
      throughput.exe --assert-explorer-words-per-run CEIL
                                         exit 1 if explorer-seq allocates more
                                         than CEIL minor words per explored run
-                                        (the ladder rewrite's allocation-free
-                                        DFS bookkeeping guard)
-     throughput.exe --assert-seq-vs-ref R
-                                        exit 1 if explorer-seq runs/sec falls
-                                        below R x explorer-ref (the in-process
-                                        floor on the amortized-replay speedup;
-                                        machine-independent, unlike the 2x
-                                        claim against the recorded baseline)
-     throughput.exe --assert-seq-vs-baseline R
-                                        exit 1 if explorer-seq runs/sec falls
-                                        below R x the --baseline file's
-                                        recorded explorer-seq rate (the 2x
-                                        claim, checked when refreshing the
-                                        shipped report on a comparable
-                                        machine; requires --baseline)
+                                        (the allocation-free DFS bookkeeping
+                                        guard)
      throughput.exe --assert-consensus-words-per-decision CEIL
                                         exit 1 if the consensus row allocates
                                         more than CEIL minor words per decided
@@ -71,19 +58,11 @@
                  inputs (ops = decided processes)
      explorer    bounded exhaustive exploration of a 3-process
                  write-then-read config (ops = exploration runs)
-     explorer-ref   the same snapshot-atomic tree explored by the
-                 frozen pre-ladder Explorer_ref — the in-process
-                 baseline the amortized-replay speedup is asserted
-                 against
      explorer-seq   the snapshot-atomic registry config explored
                  unreduced (30k-run tree) with no pool at all — the
                  apples-to-apples sequential baseline for the parN rows
                  (the plain "explorer" row uses a much lighter config
-                 and is not comparable); runs with the explorer's
-                 default checkpoint ladder
-     explorer-ladder0  explorer-seq with the ladder disabled
-                 (--ladder 0 semantics): isolates how much of the
-                 seq rate is the ladder vs the allocation work
+                 and is not comparable)
      explorer-parN  the same config and tree over a N-worker pool
                  (ops = exploration runs; all rows from explorer-seq
                  down must report identical run counts — checked)
@@ -303,41 +282,21 @@ let par_config () =
   | Some c -> c
   | None -> failwith "snapshot-atomic config missing"
 
-let explore_par_once ?ladder ?pool cfg =
+let explore_par_once ?pool cfg =
   let stats =
     Bprc_check.Explorer.explore ~n:cfg.Bprc_check.Config.n
-      ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false ?ladder ?pool
+      ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false ?pool
       ~setup:cfg.Bprc_check.Config.setup ()
   in
   if not stats.Bprc_check.Explorer.exhausted then
     failwith "explorer-seq/par bench did not exhaust";
   stats.Bprc_check.Explorer.runs
 
-(* The frozen pre-ladder explorer on the identical tree: the in-process
-   baseline for the amortized-replay speedup assert.  Being in the same
-   process and build, it moves with the machine and the shared workload
-   libraries, so the seq-vs-ref ratio is conservative — the recorded
-   BENCH_throughput.json baseline is where the full speedup shows. *)
-let bench_explorer_ref ~trials () =
+let bench_explorer_seq ~trials () =
   let cfg = par_config () in
   let runs = ref 0 in
   for _ = 1 to trials do
-    let stats =
-      Bprc_check.Explorer_ref.explore ~n:cfg.Bprc_check.Config.n
-        ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false
-        ~setup:cfg.Bprc_check.Config.setup ()
-    in
-    if not stats.Bprc_check.Explorer_ref.exhausted then
-      failwith "explorer-ref bench did not exhaust";
-    runs := !runs + stats.Bprc_check.Explorer_ref.runs
-  done;
-  (!runs, None, 0.0)
-
-let bench_explorer_seq ?ladder ~trials () =
-  let cfg = par_config () in
-  let runs = ref 0 in
-  for _ = 1 to trials do
-    runs := !runs + explore_par_once ?ladder cfg
+    runs := !runs + explore_par_once cfg
   done;
   (!runs, None, 0.0)
 
@@ -455,10 +414,7 @@ let table ~trials samples =
         "explorer-parN minor words sum the driving domain and all pool \
          helper domains (per-domain Gc counters banked at chunk join)";
         "explorer-seq is the same config as explorer-parN with no pool: \
-         the baseline for par scaling asserts (checkpoint ladder on)";
-        "explorer-ref is the frozen pre-ladder explorer on the same tree; \
-         explorer-ladder0 is explorer-seq with the ladder disabled — \
-         together they isolate the amortized-replay speedup";
+         the baseline for par scaling asserts";
         "service-nN rows drive the lib/service decision engine closed-loop \
          (in-flight window pinned at its cap of 1000) over a 2-worker pool; \
          their lat_p50_s/lat_p99_s metrics are submit-to-decide latency";
@@ -488,8 +444,6 @@ let parse_args args =
   and esnap_obj_ceiling = ref None
   and explorer_words_ceiling = ref None
   and consensus_words_ceiling = ref None
-  and seq_vs_ref = ref None
-  and seq_vs_baseline = ref None
   and consensus_vs_baseline = ref None
   and service8_vs_baseline = ref None
   and par1_vs_seq = ref None
@@ -533,10 +487,6 @@ let parse_args args =
     | "--assert-consensus-words-per-decision" :: v :: tl ->
       number "--assert-consensus-words-per-decision" consensus_words_ceiling v
         tl go
-    | "--assert-seq-vs-ref" :: v :: tl ->
-      number "--assert-seq-vs-ref" seq_vs_ref v tl go
-    | "--assert-seq-vs-baseline" :: v :: tl ->
-      number "--assert-seq-vs-baseline" seq_vs_baseline v tl go
     | "--assert-consensus-vs-baseline" :: v :: tl ->
       number "--assert-consensus-vs-baseline" consensus_vs_baseline v tl go
     | "--assert-service8-vs-baseline" :: v :: tl ->
@@ -554,9 +504,9 @@ let parse_args args =
   in
   go args;
   ( !json, !trials, !baseline, !ceiling, !esnap_ceiling, !esnap_obj_ceiling,
-    !explorer_words_ceiling, !consensus_words_ceiling, !seq_vs_ref,
-    !seq_vs_baseline, !consensus_vs_baseline, !service8_vs_baseline,
-    !par1_vs_seq, !par_scaling, !space_ceiling, !huge_n )
+    !explorer_words_ceiling, !consensus_words_ceiling,
+    !consensus_vs_baseline, !service8_vs_baseline, !par1_vs_seq,
+    !par_scaling, !space_ceiling, !huge_n )
 
 let read_baseline file =
   let ic = open_in file in
@@ -579,9 +529,9 @@ let read_baseline file =
 
 let () =
   let ( json, trials, baseline, ceiling, esnap_ceiling, esnap_obj_ceiling,
-        explorer_words_ceiling, consensus_words_ceiling, seq_vs_ref,
-        seq_vs_baseline, consensus_vs_baseline, service8_vs_baseline,
-        par1_vs_seq, par_scaling, space_ceiling, huge_n ) =
+        explorer_words_ceiling, consensus_words_ceiling,
+        consensus_vs_baseline, service8_vs_baseline, par1_vs_seq,
+        par_scaling, space_ceiling, huge_n ) =
     parse_args (List.tl (Array.to_list Sys.argv))
   in
   (* Load the baseline before any report write: --json may target the
@@ -599,10 +549,7 @@ let () =
         ~bench:"consensus" ~unit_:"decision"
         (bench_consensus ~trials ~space:consensus_space);
       measure ~bench:"explorer" ~unit_:"run" (bench_explorer ~trials);
-      measure ~bench:"explorer-ref" ~unit_:"run" (bench_explorer_ref ~trials);
       measure ~bench:"explorer-seq" ~unit_:"run" (bench_explorer_seq ~trials);
-      measure ~bench:"explorer-ladder0" ~unit_:"run"
-        (bench_explorer_seq ~ladder:0 ~trials);
       measure ~bench:"explorer-par1" ~unit_:"run"
         (bench_explorer_par ~workers:1 ~trials);
       measure ~bench:"explorer-par2" ~unit_:"run"
@@ -618,16 +565,14 @@ let () =
     @ (if huge_n then [ measure_large_n ~n:1024 ] else [])
   in
   (* The explorer rows over the snapshot-atomic tree must agree on the
-     work done: identical trees, identical run counts — across worker
-     counts, ladder settings, and the frozen reference — only the rate
-     may differ. *)
+     work done: identical trees, identical run counts across worker
+     counts — only the rate may differ. *)
   (match
      List.filter_map
        (fun s ->
          if
            String.starts_with ~prefix:"explorer-par" s.bench
-           || s.bench = "explorer-seq" || s.bench = "explorer-ref"
-           || s.bench = "explorer-ladder0"
+           || s.bench = "explorer-seq"
          then Some s.ops
          else None)
        samples
@@ -693,9 +638,9 @@ let () =
   in
   check_ceiling ~what:"esnap-scan object words/op" ~got:esnap_obj
     esnap_obj_ceiling;
-  (* The ladder rewrite's allocation guard: the explorer's own DFS
-     bookkeeping is allocation-free, so words/run on the 30k-run tree
-     is workload setup + check cost and must stay flat. *)
+  (* The explorer's allocation guard: its own DFS bookkeeping is
+     allocation-free, so words/run on the 30k-run tree is workload
+     setup + check cost and must stay flat. *)
   let explorer_seq = List.find (fun s -> s.bench = "explorer-seq") samples in
   check_ceiling ~what:"explorer-seq minor words/run"
     ~got:(minor_per_op explorer_seq) explorer_words_ceiling;
@@ -738,8 +683,6 @@ let () =
       end
       else Printf.printf "%s: %.2fx (floor %.2fx) — ok\n%!" what got r
   in
-  check_ratio ~what:"explorer-seq vs explorer-ref" ~num:"explorer-seq"
-    ~den:"explorer-ref" seq_vs_ref;
   check_ratio ~what:"explorer-par1 vs explorer-seq" ~num:"explorer-par1"
     ~den:"explorer-seq" par1_vs_seq;
   check_ratio ~what:"explorer-par4 vs explorer-par1" ~num:"explorer-par4"
@@ -747,8 +690,7 @@ let () =
   (* Rate claims against the recorded report rather than an in-process
      row: only meaningful when refreshing the shipped
      BENCH_throughput.json on a machine comparable to the one that
-     produced the baseline.  explorer-seq carries the headline 2x
-     amortized-replay claim; consensus and service-n8 are the
+     produced the baseline.  consensus and service-n8 are the
      before/after floors guarding the protocol-decode rewrite. *)
   let check_vs_baseline ~flag ~row = function
     | None -> ()
@@ -788,8 +730,6 @@ let () =
           Printf.printf "%s vs recorded baseline: %.2fx (floor %.2fx) — ok\n%!"
             row got r)
   in
-  check_vs_baseline ~flag:"--assert-seq-vs-baseline" ~row:"explorer-seq"
-    seq_vs_baseline;
   check_vs_baseline ~flag:"--assert-consensus-vs-baseline" ~row:"consensus"
     consensus_vs_baseline;
   check_vs_baseline ~flag:"--assert-service8-vs-baseline" ~row:"service-n8"

@@ -713,18 +713,6 @@ let check_cmd =
       value & flag
       & info [ "no-shrink" ] ~doc:"Skip ddmin minimization of the witness.")
   in
-  let ladder_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ladder" ] ~docv:"K"
-          ~doc:
-            "Checkpoint-ladder budget: up to $(docv) parked simulator \
-             arenas per shard amortize schedule-prefix replay (0 \
-             disables; default: the explorer's own).  A pure \
-             performance knob — reports are bit-identical at any \
-             value.")
-  in
   let replay_arg =
     Arg.(
       value
@@ -797,7 +785,7 @@ let check_cmd =
           exit exit_budget))
   in
   let action configs list max_runs max_steps budget_s out json no_shrink
-      ladder replay_file workers =
+      replay_file workers =
     if list then begin
       List.iter
         (fun c ->
@@ -832,7 +820,7 @@ let check_cmd =
           | cfg :: rest ->
             let stats =
               Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
-                ~shrink:(not no_shrink) ?ladder ~pool cfg
+                ~shrink:(not no_shrink) ~pool cfg
             in
             if not json then begin
               match stats.Bprc_check.Explorer.violation with
@@ -922,10 +910,6 @@ let check_cmd =
                   ("version", Bprc_util.Json.Int 1);
                   ( "workers",
                     Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
-                  ( "ladder",
-                    Bprc_util.Json.Int
-                      (Option.value ladder
-                         ~default:Bprc_check.Explorer.default_ladder) );
                   ("outcome", Bprc_util.Json.Str outcome);
                   ( "configs",
                     Bprc_util.Json.Arr (List.map config_json results) );
@@ -950,8 +934,8 @@ let check_cmd =
           found, 124 exploration bound hit first.")
     Term.(
       const action $ configs_arg $ list_arg $ max_runs_arg $ max_steps_arg
-      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ ladder_arg
-      $ replay_arg $ workers_opt_arg)
+      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ replay_arg
+      $ workers_opt_arg)
 
 (* --- serve-bench ------------------------------------------------------- *)
 

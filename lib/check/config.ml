@@ -123,11 +123,11 @@ let snapshot_prog ~plan ~prog =
     | Snap_lin.Not_linearizable -> false
   in
   let weakened = plan <> [] in
-  (* Per-arena checker/history scratch.  A parked checkpoint-ladder
-     arena holds a partially recorded history across other runs, so one
-     scratch pair per domain is not enough — the pair lives on the arena,
-     like the functor caches above, and is rewound with [reset]/[clear]
-     when the arena starts a fresh run. *)
+  (* Per-arena checker/history scratch.  Parallel exploration gives
+     every shard its own arena and moves shards between domains from
+     round to round, so the pair lives on the arena, like the functor
+     caches above, and is rewound with [reset]/[clear] at the start of
+     every run. *)
   let scratch =
     Sim.new_local (fun _ -> (Snap_checker.create ~n ~init:0, Hist.create ()))
   in
@@ -281,10 +281,10 @@ let all =
 let names () = List.map (fun c -> c.name) all
 let find name = List.find_opt (fun c -> c.name = name) all
 
-let run ?max_steps ?max_runs ?budget_s ?shrink ?ladder ?pool cfg =
+let run ?max_steps ?max_runs ?budget_s ?shrink ?pool cfg =
   Explorer.explore ~n:cfg.n
     ~max_steps:(Option.value max_steps ~default:cfg.max_steps)
-    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?ladder ?pool
+    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?pool
     ~setup:cfg.setup ()
 
 let replay ?max_steps cfg (w : Explorer.witness) =

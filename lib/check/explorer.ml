@@ -22,16 +22,9 @@ type stats = {
 
 type replay_outcome = Pass | Fail of string | Cutoff
 
-let default_ladder = 8
-
-(* Test instrumentation for the checkpoint ladder: how many runs were
-   resumed from a parked arena instead of replayed from the root, and
-   how many rungs were (re)generated by a partial drive.  Monotonic
-   process-wide counters; the ladder tests read deltas around an
-   exploration to assert the machinery actually engaged. *)
-let resumes = Atomic.make 0
-let regens = Atomic.make 0
-let ladder_counters () = (Atomic.get resumes, Atomic.get regens)
+(* Kept for callers that still read the retired checkpoint ladder's
+   counters; nothing parks or regenerates arenas any more. *)
+let ladder_counters () = (0, 0)
 
 (* ---- step independence ------------------------------------------------ *)
 
@@ -60,7 +53,7 @@ let access_of_step sim =
 (* ---- the DFS decision tree -------------------------------------------- *)
 
 (* The decision tree lives in depth-indexed int-array pools (the same
-   style as [Sim]'s scratch ladder) instead of per-node heap records:
+   style as [Sim]'s scratch buffers) instead of per-node heap records:
    one slot per tree depth, reused every time the DFS revisits that
    depth, so steady-state exploration allocates nothing per run.  Depth
    [r] (relative to the shard prefix) holds either a scheduling point —
@@ -81,11 +74,10 @@ let access_of_step sim =
    independence with its captured access), so it is computed once per
    node creation instead of once per step.
 
-   [pos]/[ci]/[fi] are the driving arena's decision cursors (decisions
+   [pos]/[ci]/[fi] are the current run's decision cursors (decisions
    executed, prefix choices and prefix flips consumed); they live here
-   rather than in per-run closures so one adversary closure per shard
-   serves every arena, and so an arena can be parked (cursors saved)
-   and resumed (cursors restored) by the checkpoint ladder.  [cap] is
+   rather than in per-run closures so one adversary closure serves
+   every run of the shard, each rewinding them to the root.  [cap] is
    the depth whose access code the drive loop must capture after the
    current step ([-1] = none): fresh nodes and re-chosen branches set
    it, so access capture happens exactly once per branch. *)
@@ -165,10 +157,15 @@ exception Prune
    abandoned and its decision prefix becomes a child shard. *)
 exception Frontier_hit
 
+(* An explorer bug: a replayed prefix stopped matching the recorded
+   tree.  Deliberately not caught with the setup's own exceptions, so it
+   escapes instead of turning into a witness. *)
+exception Divergence of string
+
 let index_of arr pid =
   let n = Array.length arr in
   let rec go i =
-    if i >= n then failwith "Explorer: replay divergence (pid not runnable)"
+    if i >= n then raise (Divergence "replay divergence (pid not runnable)")
     else if arr.(i) = pid then i
     else go (i + 1)
   in
@@ -180,6 +177,10 @@ let index_of arr pid =
    installed by [reset]; never actually asked to choose. *)
 let placeholder_adversary =
   Adversary.make ~name:"explore-init" (fun ctx -> ctx.runnable.(0))
+
+(* An exception out of a process body or a check is that run's
+   violation, reported under this failure text. *)
+let raised e = "raised: " ^ Printexc.to_string e
 
 (* Replay on an existing arena: [Sim.reset] guarantees bit-identical
    behaviour to a fresh [Sim.create], so the explorer and the shrinker
@@ -206,7 +207,9 @@ let replay_on sim ~choices ~flips ~setup =
   | Sim.Completed -> (
     match check () with
     | Ok () -> (Pass, Sim.clock sim)
-    | Error e -> (Fail e, Sim.clock sim))
+    | Error e -> (Fail e, Sim.clock sim)
+    | exception e -> (Fail (raised e), Sim.clock sim))
+  | exception e -> (Fail (raised e), Sim.clock sim)
 
 let replay ~n ?(max_steps = 2000) ~choices ~flips ~setup () =
   let sim =
@@ -214,38 +217,13 @@ let replay ~n ?(max_steps = 2000) ~choices ~flips ~setup () =
   in
   replay_on sim ~choices ~flips ~setup
 
-(* ---- arenas and the checkpoint ladder ---------------------------------- *)
-
-(* A parked simulator arena.  Effect continuations are one-shot, so a
-   checkpoint cannot be a copy of simulator state: it is a whole extra
-   arena driven to a branch point on the DFS spine and paused there
-   ([Sim.run_until]), to be resumed — and thereby consumed — by a later
-   run whose decision prefix it matches.  [ar_pos]/[ar_ci]/[ar_fi] are
-   the [dfs] cursors saved at the park point; [ar_check] is the
-   property check [setup] returned when this arena's lifecycle
-   started. *)
-type arena = {
-  ar_sim : Sim.t;
-  mutable ar_check : unit -> (unit, string) result;
-  mutable ar_pos : int;
-  mutable ar_ci : int;
-  mutable ar_fi : int;
-}
-
-(* Per-shard mutable exploration state: the flat DFS pools, the one
-   adversary/flip-source pair every arena of the shard shares (they
-   read the [dfs] cursors, so they are run-agnostic), the ladder of
-   parked arenas ([st_rungs], sorted by ascending park position; the
-   deepest rung is on top) and the free list of spent ones.  Arenas are
-   created lazily, at most [ladder + 1] of them. *)
+(* Per-shard mutable exploration state: the flat DFS pools, the
+   shard's one simulator arena (every run rewinds it with [Sim.reset],
+   which also adopts it for whichever domain explores the shard this
+   round), and the sleep set pending at the carve point. *)
 type shard_state = {
   st_dfs : dfs;
-  mutable st_adv : Adversary.t;
-  mutable st_flip : pid:int -> bool;
-  st_rungs : arena Vec.t;
-  st_free : arena Vec.t;
-  mutable st_made : int;
-  mutable st_seeded : int;  (* sb_runs when the ladder was last seeded *)
+  st_sim : Sim.t;
   st_seed_pid : int array;
   st_seed_acc : int array;
 }
@@ -257,9 +235,9 @@ type shard_state = {
    as runnable-array indices (what a replay needs) and coin decisions
    as raw booleans; [sb_seed] is the sleep set pending at the carve
    point, so sleep-set reduction below the prefix starts exactly where
-   the sequential walk would have it.  Each shard owns lazily created
-   simulator arenas, so a worker exploring it never shares mutable
-   state with any other shard.
+   the sequential walk would have it.  Each shard owns its simulator
+   arena, made when the shard is first explored, so a worker exploring
+   it never shares mutable state with any other shard.
 
    A shard's {e stream} is the sequence of runs the sequential DFS
    would perform below its prefix.  When a shard is armed
@@ -368,19 +346,15 @@ let pending_fill st rel =
     !np
   end
 
-let state_of ~n sub =
+let state_of ~n ~max_steps sub =
   match sub.sb_st with
   | Some st -> st
   | None ->
     let st =
       {
         st_dfs = dfs_make ();
-        st_adv = placeholder_adversary;
-        st_flip = (fun ~pid:_ -> false);
-        st_rungs = Vec.create ();
-        st_free = Vec.create ();
-        st_made = 0;
-        st_seeded = min_int / 2;
+        st_sim =
+          Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ();
         st_seed_pid = Array.of_list (List.map fst sub.sb_seed);
         st_seed_acc = Array.of_list (List.map snd sub.sb_seed);
       }
@@ -407,22 +381,13 @@ let state_of ~n sub =
    step and the captured sleep set is exactly the one the sequential
    walk would carry into that scheduling point.
 
-   [ladder] is the checkpoint budget: up to that many parked arenas
-   per shard.  Each run starts from the deepest rung at or below its
-   divergence position instead of a root replay when one exists;
-   backtracking invalidates rungs beyond the new divergence eagerly
-   (parking validity is about decision prefixes, and a rung may only
-   survive a backtrack it is strictly below).  Consumed rungs are
-   regenerated lazily, at most one partial drive per run, from the
-   rung below (or from the root, when the ladder ran dry under a deep
-   divergence) — an exponential-spacing policy: the ladder keeps a
-   near-divergence top rung plus a geometric tail of older, shallower
-   ones.  None of this can change results: an arena resumed at a rung
-   is bit-identical to one replayed from the root ([Sim.reset]
-   determinism), so the ladder only redistributes simulator work. *)
-let explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota ~deadline
+   Every run replays from the root: [Sim.reset] on the shard's arena,
+   [setup], then the drive loop.  An exception out of a process body or
+   the check ends the run as a violation; the explorer's own
+   [Divergence] escapes. *)
+let explore_sub ~n ~max_steps ~reduction ~setup ~quota ~deadline
     ?(cancel = fun () -> false) sub =
-  let st = state_of ~n sub in
+  let st = state_of ~n ~max_steps sub in
   let d = st.st_dfs in
   let plen = prefix_len sub in
   let did = ref 0 in
@@ -470,263 +435,158 @@ let explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota ~deadline
         ch = subtree_make ~choices ~flips ~seed;
       }
   in
-  (* Install the shard's adversary/flip closures once; every arena of
-     the shard shares them (they read only the [dfs] cursors). *)
-  if st.st_made = 0 then begin
-    let choose (ctx : Adversary.ctx) =
-      let p = d.pos in
-      if p < plen then begin
-        (* Replaying the frozen prefix: the simulator state is
-           bit-identical to when the carve recorded it, so the stored
-           runnable index picks the same process. *)
-        let k = sub.sb_choices.(d.ci) in
-        d.ci <- d.ci + 1;
+  (* The adversary and flip source read only the [dfs] cursors, so one
+     pair serves every run of this call. *)
+  let choose (ctx : Adversary.ctx) =
+    let p = d.pos in
+    if p < plen then begin
+      (* Replaying the frozen prefix: the simulator state is
+         bit-identical to when the carve recorded it, so the stored
+         runnable index picks the same process. *)
+      let k = sub.sb_choices.(d.ci) in
+      d.ci <- d.ci + 1;
+      d.pos <- p + 1;
+      ctx.runnable.(k)
+    end
+    else begin
+      let rel = p - plen in
+      if rel < d.len then begin
+        if Bytes.get d.kind rel <> '\000' then
+          raise (Divergence "schedule/flip divergence");
+        let k = d.cix.(rel) in
+        let k =
+          if k >= 0 then k
+          else begin
+            (* Backtrack advanced this node's branch: re-resolve the
+               pid's runnable index and re-capture its access. *)
+            let k = index_of ctx.runnable d.order.(rel).(d.bidx.(rel)) in
+            d.cix.(rel) <- k;
+            if reduction then d.cap <- rel;
+            k
+          end
+        in
         d.pos <- p + 1;
         ctx.runnable.(k)
       end
       else begin
-        let rel = p - plen in
-        if rel < d.len then begin
-          if Bytes.get d.kind rel <> '\000' then
-            failwith "Explorer: schedule/flip divergence";
-          let k = d.cix.(rel) in
-          let k =
-            if k >= 0 then k
-            else begin
-              (* Backtrack advanced this node's branch: re-resolve the
-                 pid's runnable index and re-capture its access. *)
-              let k = index_of ctx.runnable d.order.(rel).(d.bidx.(rel)) in
-              d.cix.(rel) <- k;
-              if reduction then d.cap <- rel;
-              k
+        if sub.sb_split_depth >= 0 && p >= sub.sb_split_depth then begin
+          register rel;
+          raise Frontier_hit
+        end;
+        ensure_depth d rel ~n;
+        let row = d.order.(rel) in
+        let onum = ref 0 in
+        let first_k = ref (-1) in
+        let rn = Array.length ctx.runnable in
+        if reduction then begin
+          let np = pending_fill st rel in
+          d.snum.(rel) <- np;
+          d.sin.(rel) <- np;
+          let sp = d.spid.(rel) in
+          for i = 0 to rn - 1 do
+            let pid = Array.unsafe_get ctx.runnable i in
+            let sleeping = ref false in
+            for j = 0 to np - 1 do
+              if Array.unsafe_get sp j = pid then sleeping := true
+            done;
+            if not !sleeping then begin
+              row.(!onum) <- pid;
+              if !first_k < 0 then first_k := i;
+              incr onum
             end
-          in
-          d.pos <- p + 1;
-          ctx.runnable.(k)
+          done
         end
         else begin
-          if sub.sb_split_depth >= 0 && p >= sub.sb_split_depth then begin
-            register rel;
-            raise Frontier_hit
-          end;
-          ensure_depth d rel ~n;
-          let row = d.order.(rel) in
-          let onum = ref 0 in
-          let first_k = ref (-1) in
-          let rn = Array.length ctx.runnable in
-          if reduction then begin
-            let np = pending_fill st rel in
-            d.snum.(rel) <- np;
-            d.sin.(rel) <- np;
-            let sp = d.spid.(rel) in
-            for i = 0 to rn - 1 do
-              let pid = Array.unsafe_get ctx.runnable i in
-              let sleeping = ref false in
-              for j = 0 to np - 1 do
-                if Array.unsafe_get sp j = pid then sleeping := true
-              done;
-              if not !sleeping then begin
-                row.(!onum) <- pid;
-                if !first_k < 0 then first_k := i;
-                incr onum
-              end
-            done
-          end
-          else begin
-            Array.blit ctx.runnable 0 row 0 rn;
-            onum := rn;
-            first_k := 0
-          end;
-          if !onum = 0 then raise Prune;
-          Bytes.set d.kind rel '\000';
-          d.onum.(rel) <- !onum;
-          d.bidx.(rel) <- 0;
-          d.cix.(rel) <- !first_k;
-          if reduction then d.cap <- rel;
-          d.len <- rel + 1;
-          d.pos <- p + 1;
-          ctx.runnable.(!first_k)
-        end
-      end
-    in
-    let flip ~pid:_ =
-      let p = d.pos in
-      if p < plen then begin
-        let b = sub.sb_flips.(d.fi) in
-        d.fi <- d.fi + 1;
+          Array.blit ctx.runnable 0 row 0 rn;
+          onum := rn;
+          first_k := 0
+        end;
+        if !onum = 0 then raise Prune;
+        Bytes.set d.kind rel '\000';
+        d.onum.(rel) <- !onum;
+        d.bidx.(rel) <- 0;
+        d.cix.(rel) <- !first_k;
+        if reduction then d.cap <- rel;
+        d.len <- rel + 1;
         d.pos <- p + 1;
-        b
+        ctx.runnable.(!first_k)
       end
-      else begin
-        let rel = p - plen in
-        if rel < d.len then begin
-          if Bytes.get d.kind rel = '\000' then
-            failwith "Explorer: schedule/flip divergence";
-          d.pos <- p + 1;
-          d.bidx.(rel) = 1
-        end
-        else begin
-          ensure_depth d rel ~n;
-          Bytes.set d.kind rel '\001';
-          d.bidx.(rel) <- 0;
-          d.len <- rel + 1;
-          d.pos <- p + 1;
-          false
-        end
-      end
-    in
-    st.st_adv <- Adversary.make ~name:"explore" choose;
-    st.st_flip <- flip
-  end;
-  let new_arena () =
-    st.st_made <- st.st_made + 1;
-    {
-      ar_sim =
-        Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ();
-      ar_check = (fun () -> Ok ());
-      ar_pos = 0;
-      ar_ci = 0;
-      ar_fi = 0;
-    }
-  in
-  (* Start a fresh arena lifecycle: rewind (adopting ownership), rewire
-     the shard closures, run [setup].  Cursors go to the root. *)
-  let fresh_arena () =
-    let a =
-      match Vec.pop st.st_free with Some a -> a | None -> new_arena ()
-    in
-    Sim.reset ~adversary:st.st_adv a.ar_sim;
-    Sim.set_flip_source a.ar_sim st.st_flip;
-    a.ar_check <- setup a.ar_sim;
-    a.ar_pos <- 0;
-    a.ar_ci <- 0;
-    a.ar_fi <- 0;
-    a
-  in
-  let spend a = Vec.push st.st_free a in
-  (* Regenerate the ladder when the run about to start found it too
-     far below the divergence.  At most one partial drive per run, and
-     the drive crosses only already-explored decisions, so it cannot
-     prune, carve or extend the tree.  Two sources, in priority order:
-     move the rung below up to just under the divergence (only when
-     another rung remains beneath it — exponential spacing: a
-     near-divergence top over a geometric tail), or start a fresh
-     lifecycle when the ladder ran dry under a deep divergence.  Every
-     arena lifecycle still crosses its decision path exactly once
-     (continuations are one-shot), so regeneration is replay-neutral
-     in aggregate — it redistributes simulator work, never multiplies
-     it — but each drive has fixed mechanism cost, so fresh seeding is
-     rate-limited to at most one per [seed_interval] of the shard's own
-     runs to keep the ladder ~free on dense complete trees. *)
-  let seed_interval = 8 in
-  let maybe_regen ~dabs =
-    let t = dabs - 2 in
-    if t > plen + 1 then begin
-      let nr = Vec.length st.st_rungs in
-      let src =
-        if nr >= 2 then begin
-          match Vec.last st.st_rungs with
-          | Some a when a.ar_pos < t - 3 -> Vec.pop st.st_rungs
-          | _ -> None
-        end
-        else if
-          nr = 0
-          && t - plen >= 16
-          && sub.sb_runs - st.st_seeded >= seed_interval
-          && (Vec.length st.st_free > 0 || st.st_made <= ladder)
-        then begin
-          st.st_seeded <- sub.sb_runs;
-          Some (fresh_arena ())
-        end
-        else None
-      in
-      match src with
-      | None -> ()
-      | Some a ->
-        Sim.adopt a.ar_sim;
-        d.pos <- a.ar_pos;
-        d.ci <- a.ar_ci;
-        d.fi <- a.ar_fi;
-        (match Sim.run_until a.ar_sim ~stop:(fun () -> d.pos >= t) with
-        | None ->
-          a.ar_pos <- d.pos;
-          a.ar_ci <- d.ci;
-          a.ar_fi <- d.fi;
-          Vec.push st.st_rungs a;
-          Atomic.incr regens
-        | Some _ ->
-          (* Hit the step bound mid-drive (cutoff-heavy path): the
-             arena is spent, not parked. *)
-          spend a)
     end
   in
+  let flip ~pid:_ =
+    let p = d.pos in
+    if p < plen then begin
+      let b = sub.sb_flips.(d.fi) in
+      d.fi <- d.fi + 1;
+      d.pos <- p + 1;
+      b
+    end
+    else begin
+      let rel = p - plen in
+      if rel < d.len then begin
+        if Bytes.get d.kind rel = '\000' then
+          raise (Divergence "schedule/flip divergence");
+        d.pos <- p + 1;
+        d.bidx.(rel) = 1
+      end
+      else begin
+        ensure_depth d rel ~n;
+        Bytes.set d.kind rel '\001';
+        d.bidx.(rel) <- 0;
+        d.len <- rel + 1;
+        d.pos <- p + 1;
+        false
+      end
+    end
+  in
+  let adversary = Adversary.make ~name:"explore" choose in
+  let sim = st.st_sim in
+  let witness failure =
+    let choices = ref [] and flips = ref [] in
+    for r = d.len - 1 downto 0 do
+      if Bytes.get d.kind r = '\000' then choices := d.cix.(r) :: !choices
+      else flips := (d.bidx.(r) = 1) :: !flips
+    done;
+    for i = Array.length sub.sb_choices - 1 downto 0 do
+      choices := sub.sb_choices.(i) :: !choices
+    done;
+    for i = Array.length sub.sb_flips - 1 downto 0 do
+      flips := sub.sb_flips.(i) :: !flips
+    done;
+    `Violation
+      { choices = !choices; flips = !flips; failure; clock = Sim.clock sim }
+  in
   let run_once () =
-    (* Divergence: the deepest decision position this run shares with
-       the previous one.  Rungs above it were invalidated by backtrack,
-       so the ladder's top (if any) is a valid resume point. *)
-    let dabs = plen + d.len - 1 in
-    let hot =
-      match Vec.pop st.st_rungs with
-      | Some a ->
-        Atomic.incr resumes;
-        a
-      | None -> fresh_arena ()
-    in
-    if ladder > 0 then maybe_regen ~dabs;
-    Sim.adopt hot.ar_sim;
-    d.pos <- hot.ar_pos;
-    d.ci <- hot.ar_ci;
-    d.fi <- hot.ar_fi;
+    Sim.reset ~adversary sim;
+    Sim.set_flip_source sim flip;
+    let check = setup sim in
+    d.pos <- 0;
+    d.ci <- 0;
+    d.fi <- 0;
     d.cap <- -1;
-    let sim = hot.ar_sim in
-    let outcome =
-      let rec drive () =
-        if Sim.clock sim >= max_steps then `Cutoff
-        else if Sim.step sim then begin
-          let c = d.cap in
-          if c >= 0 then begin
-            d.acc.(c) <- access_of_step sim;
-            d.cap <- -1
-          end;
-          drive ()
-        end
-        else `Done
-      in
-      try drive () with
-      | Prune -> `Pruned
-      | Frontier_hit -> `Frontier
+    let rec drive () =
+      if Sim.clock sim >= max_steps then `Cutoff
+      else if Sim.step sim then begin
+        let c = d.cap in
+        if c >= 0 then begin
+          d.acc.(c) <- access_of_step sim;
+          d.cap <- -1
+        end;
+        drive ()
+      end
+      else `Done
     in
-    let res =
-      match outcome with
-      | `Pruned -> `Pruned
-      | `Cutoff -> `Cutoff
-      | `Frontier -> `Frontier
-      | `Done -> (
-        match hot.ar_check () with
-        | Ok () -> `Pass
-        | Error failure ->
-          let choices = ref [] and flips = ref [] in
-          for r = d.len - 1 downto 0 do
-            if Bytes.get d.kind r = '\000' then
-              choices := d.cix.(r) :: !choices
-            else flips := (d.bidx.(r) = 1) :: !flips
-          done;
-          for i = Array.length sub.sb_choices - 1 downto 0 do
-            choices := sub.sb_choices.(i) :: !choices
-          done;
-          for i = Array.length sub.sb_flips - 1 downto 0 do
-            flips := sub.sb_flips.(i) :: !flips
-          done;
-          `Violation
-            {
-              choices = !choices;
-              flips = !flips;
-              failure;
-              clock = Sim.clock sim;
-            })
-    in
-    spend hot;
-    res
+    match drive () with
+    | `Cutoff -> `Cutoff
+    | `Done -> (
+      match check () with
+      | Ok () -> `Pass
+      | Error failure -> witness failure
+      | exception e -> witness (raised e))
+    | exception Prune -> `Pruned
+    | exception Frontier_hit -> `Frontier
+    | exception (Divergence _ as e) -> raise e
+    | exception e -> witness (raised e)
   in
   (* Backtrack to the deepest decision below the prefix with an
      unexplored alternative; marks the shard done when none is left.
@@ -764,23 +624,6 @@ let explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota ~deadline
       end
     end
   in
-  (* Rungs survive a backtrack only when parked strictly below the new
-     divergence: a rung above it has executed a decision the advanced
-     branch replaces.  Invalidation must be eager (here, not at resume
-     time) — a later run could dive deeper than a stale rung's position
-     and mistake it for valid. *)
-  let invalidate_rungs () =
-    let bound = plen + d.len - 1 in
-    let rec go () =
-      match Vec.last st.st_rungs with
-      | Some a when a.ar_pos > bound ->
-        ignore (Vec.pop st.st_rungs);
-        spend a;
-        go ()
-      | _ -> ()
-    in
-    go ()
-  in
   while
     (not sub.sb_done)
     && sub.sb_violation = None
@@ -805,10 +648,7 @@ let explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota ~deadline
       incr did;
       sub.sb_runs <- sub.sb_runs + 1;
       sub.sb_violation <- Some w);
-    if sub.sb_violation = None then begin
-      backtrack ();
-      invalidate_rungs ()
-    end
+    if sub.sb_violation = None then backtrack ()
   done
 
 (* ---- sequential-report reconstruction ---------------------------------- *)
@@ -931,18 +771,18 @@ let annotate root =
    children are discarded — only the counters matter.  Bounded by
    [q <= max_runs] runs; runs without a deadline so the reported
    counters stay exact even when a wall-clock budget expired. *)
-let rerun_for_bound ~n ~max_steps ~reduction ~ladder ~setup sh q =
+let rerun_for_bound ~n ~max_steps ~reduction ~setup sh q =
   let clone =
     subtree_make ~choices:sh.sb_choices ~flips:sh.sb_flips ~seed:sh.sb_seed
   in
   let pre = if sh.sb_split_at >= 0 then min q sh.sb_split_at else q in
   if pre > 0 then
-    explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota:pre
+    explore_sub ~n ~max_steps ~reduction ~setup ~quota:pre
       ~deadline:None clone;
   if pre < q then begin
     clone.sb_split_depth <- sh.sb_split_depth;
     clone.sb_split_at <- clone.sb_runs;
-    explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota:(q - pre)
+    explore_sub ~n ~max_steps ~reduction ~setup ~quota:(q - pre)
       ~deadline:None clone
   end;
   (clone.sb_pruned, clone.sb_cutoff)
@@ -963,9 +803,7 @@ let quota_growth = 8
 let steal_threshold = 2 (* arm re-splits when live < threshold * workers *)
 
 let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
-    ?(reduction = true) ?(shrink = true) ?(ladder = default_ladder) ?pool
-    ?par_quota ~setup () =
-  if ladder < 0 then invalid_arg "Explorer.explore: negative ladder";
+    ?(reduction = true) ?(shrink = true) ?pool ?par_quota ~setup () =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget_s in
   let over_deadline () =
     match deadline with None -> false | Some d -> Unix.gettimeofday () > d
@@ -981,7 +819,7 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
          no reconstruction — a 1-worker pool pays nothing for the
          parallel machinery.  The parallel path reconstructs exactly
          this path's report, so the two stay bit-identical. *)
-      explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota:max_runs
+      explore_sub ~n ~max_steps ~reduction ~setup ~quota:max_runs
         ~deadline root;
       ( root.sb_runs,
         root.sb_pruned,
@@ -1013,7 +851,7 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
             if b.bh_exact then (pr, cut)
             else begin
               let rp, rc =
-                rerun_for_bound ~n ~max_steps ~reduction ~ladder ~setup
+                rerun_for_bound ~n ~max_steps ~reduction ~setup
                   b.bh_sh b.bh_q
               in
               (pr + (rp - b.bh_pr0), cut + (rc - b.bh_cut0))
@@ -1079,7 +917,7 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
               Pool.map_gated p ~skip:shed (Array.length arr) (fun i ->
                   let s = arr.(i) in
                   let quota = min !round_quota (max_runs - s.sb_lb) in
-                  explore_sub ~n ~max_steps ~reduction ~ladder ~setup ~quota
+                  explore_sub ~n ~max_steps ~reduction ~setup ~quota
                     ~deadline
                     ~cancel:(fun () -> shed i)
                     s;
@@ -1100,8 +938,8 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
     | None -> None
     | Some w when not shrink -> Some w
     | Some w ->
-      (* Shrink replays run on their own arena: explorer arenas may be
-         parked mid-run, and [replay_on] flips sticky validation on. *)
+      (* Shrink replays run on their own arena: [replay_on] turns sticky
+         validation on, which no shard arena should inherit. *)
       let shrink_sim =
         Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ()
       in

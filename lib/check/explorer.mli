@@ -7,33 +7,21 @@
     decision with an unexplored alternative.  The simulator is
     deterministic, so identical prefixes reach identical states and the
     tree enumerates exactly the reachable interleavings up to the step
-    bound.  Runs share a small pool of reusable simulator arenas,
-    rewound with {!Bprc_runtime.Sim.reset} — which guarantees
-    bit-identical behaviour to a fresh simulator — so exploring
-    thousands of schedules does not allocate thousands of process
-    tables.
+    bound.
 
-    {b Amortized replay: the checkpoint ladder.}  Effect continuations
-    are one-shot, so a mid-run simulator state cannot be copied; a
-    checkpoint is therefore a whole extra arena driven to a branch
-    point on the current DFS spine with {!Bprc_runtime.Sim.run_until}
-    and parked there.  On backtrack to depth [d], the next run resumes
-    (and consumes) the deepest parked arena at or below the divergence
-    instead of replaying from the root; backtracking eagerly drops
-    rungs parked beyond the new divergence, and consumed rungs are
-    regenerated lazily — at most one partial drive per run, sourced
-    from the rung below (or the root when the ladder ran dry), keeping
-    a near-divergence top rung over a geometric tail of shallower ones
-    (exponential spacing).  The [?ladder] knob bounds the parked-arena
-    count (0 disables; both the width-1 path and the parallel shard
-    path go through it).  Resumed arenas are bit-identical to replayed
-    ones, so the ladder never affects results — only where simulator
-    steps are spent.
+    {b Every run replays from the root.}  Each shard of the tree owns
+    one simulator arena; a run is {!Bprc_runtime.Sim.reset} (which
+    guarantees bit-identical behaviour to a fresh simulator and adopts
+    the arena for the calling domain), [setup], and one drive down the
+    run's decisions, so exploring thousands of schedules does not
+    allocate thousands of process tables.  Effect continuations are
+    one-shot, so a mid-run state cannot be copied; parking extra arenas
+    at branch points would only move replay work, not remove it.
 
     {b Allocation discipline.}  DFS bookkeeping (candidate orders,
     branch indices, sleep sets, captured access codes) lives in
     depth-indexed int-array pools reused across runs, in the style of
-    [Sim]'s scratch ladder, so steady-state exploration allocates O(1)
+    [Sim]'s scratch buffers, so steady-state exploration allocates O(1)
     words per run; the pending sleep set entering a fresh node is
     recomputed from the node below it rather than threaded through
     every step.
@@ -53,7 +41,11 @@
     A violation is returned as a {!witness}: the schedule (runnable
     indices, in {!Bprc_runtime.Adversary.scripted} form) and flip
     sequence of the failing run, by default minimized with
-    {!Bprc_faults.Shrink.ddmin} under replay validation.
+    {!Bprc_faults.Shrink.ddmin} under replay validation.  An exception
+    raised by a process body or by the check is a violation too, with
+    failure ["raised: "] followed by the exception's
+    [Printexc.to_string]; {!replay} classifies the same raise as
+    {!Fail}, so such witnesses shrink and replay like any other.
 
     {b Parallel exploration.}  With a [?pool] wider than one worker,
     the tree is sharded by a {e work-stealing carve frontier}: a cheap
@@ -106,9 +98,6 @@ type stats = {
   violation : witness option;
 }
 
-val default_ladder : int
-(** Default checkpoint budget (parked arenas per shard). *)
-
 val explore :
   n:int ->
   ?max_steps:int ->
@@ -116,7 +105,6 @@ val explore :
   ?budget_s:float ->
   ?reduction:bool ->
   ?shrink:bool ->
-  ?ladder:int ->
   ?pool:Bprc_harness.Pool.t ->
   ?par_quota:int ->
   setup:setup ->
@@ -139,18 +127,11 @@ val explore :
     [par_quota] (default 1024) is the first parallel round's per-shard
     run quota, an expert/test knob: smaller values force more rounds
     and earlier re-carving, which the stress tests use to exercise the
-    steal schedule on small trees; it never affects results.
-    [ladder] (default {!default_ladder}) bounds the checkpoint ladder —
-    the parked arenas per shard that amortize prefix replay; [0]
-    disables parking entirely.  Like [par_quota] it never affects
-    results, only how much simulator work a run costs. *)
+    steal schedule on small trees; it never affects results. *)
 
 val ladder_counters : unit -> int * int
-(** [(resumes, regens)]: process-wide monotonic counts of runs resumed
-    from a parked arena and of rungs (re)generated by a partial drive.
-    Test instrumentation — read deltas around an exploration to assert
-    the ladder engaged (e.g. that a skewed tree exercises rung
-    regeneration on backtrack). *)
+(** Always [(0, 0)]: the retired checkpoint ladder's resume and
+    regeneration counts, kept only so existing readers still build. *)
 
 type replay_outcome =
   | Pass

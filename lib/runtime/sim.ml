@@ -405,18 +405,6 @@ let run t =
   (* The clock cannot reach [max_int] before the arena's bound. *)
   match steps_to t ~clock:max_int with Some o -> o | None -> Hit_step_limit
 
-let run_until t ~stop =
-  check_ready t "run_until";
-  let rec go () =
-    if t.clock >= t.max_steps then Some Hit_step_limit
-    else if stop () then None
-    else if step_inline t then go ()
-    else Some Completed
-  in
-  go ()
-
-let adopt t = t.owner <- self_id ()
-
 let spawn t f =
   if t.spawned >= t.n then invalid_arg "Sim.spawn: already spawned n processes";
   let pid = t.spawned in

@@ -89,17 +89,6 @@ val local : t -> 'a local -> 'a
     arena itself this is single-domain state: only the arena's owner
     may use it. *)
 
-val adopt : t -> unit
-(** Make the calling domain the arena's owner {e without} resetting it.
-    This is the parked-arena seam for the explorer's checkpoint ladder:
-    a simulator replayed to a branch point by one worker may be resumed
-    by another, and the mid-run state (suspended fibers, clocks,
-    registers) must survive the migration — which {!reset} would wipe.
-    Only legal at a quiescent point: the previous owner must have
-    returned from {!step}/{!run}/{!run_to}/{!run_until} and must never drive the
-    arena again without re-adopting it.  Concurrent driving is still a
-    race; this merely transfers the single-driver token. *)
-
 val spawn : t -> (unit -> 'a) -> 'a handle
 (** Register process number [spawned-so-far] (pids are assigned 0,1,...).
     Must be called exactly [n] times before {!run}.
@@ -119,16 +108,6 @@ val run_to : t -> clock:int -> outcome option
     run; the arena is left mid-run and can be driven further by any of
     the driving functions.  [Some outcome] means the run finished or hit
     the arena's bound first.  Raises like {!run}. *)
-
-val run_until : t -> stop:(unit -> bool) -> outcome option
-(** Like {!run}, but pause and return [None] as soon as [stop ()] holds
-    (checked before every step, after the step-limit check).  The arena
-    is left mid-run and can be driven further by {!step}, {!run} or
-    another [run_until] — or parked as a checkpoint and resumed later,
-    possibly from another domain via {!adopt}.  [Some outcome] means the
-    run finished before [stop] fired.  Raises like {!run} when fewer
-    than [n] processes are spawned or the caller does not own the
-    arena. *)
 
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no

@@ -4,8 +4,9 @@
    (the [Embedded] rewrite's recipe) instead of fresh option arrays per
    attempt — a retry allocates nothing.  Register creation order, names
    and the read/write order per operation are exactly those of the
-   pre-rewrite implementation ([Handshake_ref]): the simulated
-   schedules, and so every pinned trace digest, are bit-identical. *)
+   pre-rewrite implementation (frozen in
+   [test/oracles/handshake_ref.ml]): the simulated schedules, and so
+   every pinned trace digest, are bit-identical. *)
 
 (* Register names depend only on the base [name] and [n], yet
    [Printf.sprintf] dominated [create]'s allocation when a checker calls

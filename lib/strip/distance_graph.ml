@@ -9,7 +9,8 @@
    n=1024.  Graphs that decode from arbitrary [of_weights] data and do
    not correspond to any positions (no such graph arises on the
    protocol path) fall back to the original relaxation algorithms,
-   kept verbatim in [Distance_graph_ref] and mirrored here. *)
+   kept verbatim in [test/oracles/distance_graph_ref.ml] and mirrored
+   here. *)
 
 let absent = min_int
 

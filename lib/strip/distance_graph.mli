@@ -51,8 +51,8 @@ val leaders : t -> int list
     tokens).  Built by an index loop (no intermediate lists), but the
     result list still allocates: hot callers should use {!is_leader} /
     {!leaders_into} instead; this form is kept for tests and the
-    checker.  {!Distance_graph_ref.leaders} is the differential
-    oracle. *)
+    checker.  The frozen copy in [test/oracles/distance_graph_ref.ml]
+    is its differential oracle. *)
 
 val is_leader : t -> int -> bool
 (** [is_leader t i]: does [i] have an edge to every other process?

@@ -1,8 +1,9 @@
 (* Flat representation: the n x n mod-3K counter matrix lives in one
    [int array] indexed [i*n + j] (row-major, so a process's own row —
    the only part it writes — is one contiguous slice).  The observable
-   behavior is pinned against the pre-rewrite [Edge_counters_ref] by
-   the differential property tests.
+   behavior is pinned against the frozen pre-rewrite copy in
+   [test/oracles/edge_counters_ref.ml] by the differential property
+   tests.
 
    On top of the matrix sits the incremental-refill bookkeeping of
    [to_graph_into]: which row array each matrix row was last adopted

@@ -484,16 +484,15 @@ let test_max_runs_mid_shard () =
     [ 1; 7; 123; 1000 ]
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint ladder: pure speed, bit-identical reports                *)
+(* Differential against the frozen reference explorer                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The ladder contract: Explorer with any ladder budget, sequential or
-   pooled, reproduces the frozen pre-ladder Explorer_ref's full report
-   — stats totals, the exhausted flag, and the (shrunk) witness — on
-   every registry configuration.  [max_runs] keeps the unbounded
-   consensus trees finite; it also exercises the bounded-stop path
-   under every ladder setting. *)
-let test_ladder_vs_scratch_equivalence () =
+(* Explorer, sequential or pooled, reproduces the frozen reference
+   Explorer_ref's full report — stats totals, the exhausted flag, and
+   the (shrunk) witness — on every registry configuration.  [max_runs]
+   keeps the unbounded consensus trees finite; it also exercises the
+   bounded-stop path. *)
+let test_matches_reference () =
   let max_runs = 1500 in
   List.iter
     (fun cfg ->
@@ -532,76 +531,20 @@ let test_ladder_vs_scratch_equivalence () =
         | Some _, None -> Alcotest.failf "%s: witness lost" label
         | None, Some _ -> Alcotest.failf "%s: spurious witness" label
       in
+      let explore ?pool () =
+        Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
+          ~max_runs ~reduction:cfg.Config.reduction ?pool
+          ~setup:cfg.Config.setup ()
+      in
+      check_eq ~label:(name ^ " seq") (explore ());
       List.iter
-        (fun ladder ->
-          let explore ?pool () =
-            Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-              ~max_runs ~reduction:cfg.Config.reduction ~ladder ?pool
-              ~setup:cfg.Config.setup ()
-          in
-          check_eq
-            ~label:(Printf.sprintf "%s ladder=%d seq" name ladder)
-            (explore ());
-          List.iter
-            (fun w ->
-              let pool = Bprc_harness.Pool.create ~workers:w () in
-              let stats = explore ~pool () in
-              Bprc_harness.Pool.shutdown pool;
-              check_eq
-                ~label:(Printf.sprintf "%s ladder=%d @%d workers" name ladder w)
-                stats)
-            [ 1; 2; 4 ])
-        [ 0; 1; 8 ])
+        (fun w ->
+          let pool = Bprc_harness.Pool.create ~workers:w () in
+          let stats = explore ~pool () in
+          Bprc_harness.Pool.shutdown pool;
+          check_eq ~label:(Printf.sprintf "%s @%d workers" name w) stats)
+        [ 1; 2; 4 ])
     Config.all
-
-(* Rung regeneration under adversarial skew: the same lopsided tree as
-   [test_skewed_steal] keeps nearly all runs under one deep prefix, so
-   backtracks constantly land below parked rungs, invalidating them and
-   driving the lazy move/fresh regeneration policy.  The global
-   counters must show both paths firing, and the report must still be
-   identical to a ladderless exploration. *)
-let test_skewed_ladder_regen () =
-  let module Sim = Bprc_runtime.Sim in
-  let setup sim =
-    let (module R) = Sim.runtime sim in
-    let flag = R.make_reg ~name:"flag" 0 in
-    let a = R.make_reg ~name:"a" 0 in
-    let b = R.make_reg ~name:"b" 0 in
-    ignore
-      (Sim.spawn sim (fun () ->
-           if R.read flag = 1 then
-             for k = 1 to 12 do
-               R.write a k
-             done));
-    ignore
-      (Sim.spawn sim (fun () ->
-           R.write flag 1;
-           for k = 1 to 4 do
-             R.write b k
-           done));
-    fun () -> Ok ()
-  in
-  let explore ~ladder () =
-    Explorer.explore ~n:2 ~max_steps:256 ~reduction:false ~shrink:false ~ladder
-      ~setup ()
-  in
-  let off = explore ~ladder:0 () in
-  let resumes0, regens0 = Explorer.ladder_counters () in
-  let on_ = explore ~ladder:8 () in
-  let resumes1, regens1 = Explorer.ladder_counters () in
-  Alcotest.(check bool) "skewed tree exhausted" true on_.Explorer.exhausted;
-  Alcotest.(check int) "ladder does not change runs" off.Explorer.runs
-    on_.Explorer.runs;
-  Alcotest.(check int) "ladder does not change pruned" off.Explorer.pruned
-    on_.Explorer.pruned;
-  Alcotest.(check bool)
-    (Printf.sprintf "rungs were consumed (%d resumes)" (resumes1 - resumes0))
-    true
-    (resumes1 > resumes0);
-  Alcotest.(check bool)
-    (Printf.sprintf "rungs were regenerated (%d regens)" (regens1 - regens0))
-    true
-    (regens1 > regens0)
 
 (* Every explore makes fresh arenas, and the registry memoizes functor
    applications and checker scratch per arena.  Those caches must let
@@ -664,10 +607,8 @@ let suite =
       test_skewed_steal;
     Alcotest.test_case "explore: max_runs mid-shard" `Quick
       test_max_runs_mid_shard;
-    Alcotest.test_case "explore: ladder-vs-scratch equivalence" `Quick
-      test_ladder_vs_scratch_equivalence;
-    Alcotest.test_case "explore: skewed ladder regeneration" `Quick
-      test_skewed_ladder_regen;
+    Alcotest.test_case "explore: matches frozen reference" `Quick
+      test_matches_reference;
     Alcotest.test_case "explore: caches die with their arenas" `Quick
       test_explore_caches_do_not_leak;
   ]

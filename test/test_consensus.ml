@@ -364,25 +364,27 @@ let test_consensus_explored_schedules () =
   let params = { Params.default with Params.m = Some 40 } in
   let runs_checked = ref 0 in
   let stats =
-    Explore.search ~n:2 ~max_steps:1500 ~max_runs:1500
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 ~max_steps:1500 ~max_runs:1500
+      (fun (module R : Runtime_intf.S) ->
         let module C = Ads89.Make ((val (module R : Runtime_intf.S))) in
         let t = C.create ~params () in
         let inputs = [| true; false |] in
         let decisions = [| None; None |] in
         let body i = decisions.(i) <- Some (C.run t ~input:inputs.(i)) in
-        let check sim =
-          if Sim.clock sim < 1500 then begin
-            incr runs_checked;
-            Spec.check_exn ~inputs ~decisions;
+        (* Runs cut off at the step bound never reach the check. *)
+        let check () =
+          incr runs_checked;
+          match Spec.check ~inputs ~decisions with
+          | Error _ as e -> e
+          | Ok () ->
             if Array.exists (fun d -> d = None) decisions then
-              failwith "explored run completed without decisions"
-          end
+              Error "explored run completed without decisions"
+            else Ok ()
         in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "explored many runs" true (stats.Explore.runs >= 1500);
+  Exhaust.no_violation stats;
+  Alcotest.(check bool) "explored many runs" true (stats.runs >= 1500);
   Alcotest.(check bool) "checked complete runs" true (!runs_checked > 0)
 
 (* --- Multicore soak --------------------------------------------------- *)

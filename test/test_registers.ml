@@ -231,8 +231,7 @@ let test_regular_of_safe_exhaustive () =
   (* Writer toggles the bit twice; reader reads twice.  Exhaustively,
      every history must be regular. *)
   let stats =
-    Explore.search ~n:2 ~max_steps:400
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 ~max_steps:400 (fun (module R : Runtime_intf.S) ->
         let module B = Regular_of_safe.Make ((val (module R : Runtime_intf.S))) in
         let reg = B.make ~init:false () in
         let hist = History.create () in
@@ -245,14 +244,15 @@ let test_regular_of_safe_exhaustive () =
             record 1 (fun v -> History.R (Bool.to_int v)) (fun () -> B.read reg);
             record 1 (fun v -> History.R (Bool.to_int v)) (fun () -> B.read reg)
         in
-        let check _sim =
+        let check () =
           if not (Linearize.regular ~init:0 (History.ops hist)) then
-            failwith "regular_of_safe: regularity violated"
+            Error "regular_of_safe: regularity violated"
+          else Ok ()
         in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted
+  Exhaust.no_violation stats;
+  Alcotest.(check bool) "exhausted" true stats.exhausted
 
 let test_kary_regular_random () =
   for seed = 1 to 40 do
@@ -327,8 +327,7 @@ let test_va_atomic_exhaustive () =
   (* Writer: 2 writes; two readers: 1 read each.  Full interleaving
      space, every history linearizable. *)
   let stats =
-    Explore.search ~n:3 ~max_steps:400
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:3 ~max_steps:400 (fun (module R : Runtime_intf.S) ->
         let module V = Va_swmr.Make ((val (module R : Runtime_intf.S))) in
         let reg = V.make ~readers:2 ~init:0 () in
         let hist = History.create () in
@@ -343,14 +342,15 @@ let test_va_atomic_exhaustive () =
               (timed (module R) hist p (fun v -> History.R v) (fun () ->
                    V.read reg ~me:(p - 1)))
         in
-        let check _sim =
+        let check () =
           if not (Linearize.atomic ~init:0 (History.ops hist)) then
-            failwith "VA: atomicity violated"
+            Error "VA: atomicity violated"
+          else Ok ()
         in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted
+  Exhaust.no_violation stats;
+  Alcotest.(check bool) "exhausted" true stats.exhausted
 
 let test_va_seq_grows () =
   let sim = Sim.create ~seed:1 ~n:1 ~adversary:(Adversary.round_robin ()) () in
@@ -375,8 +375,8 @@ let bloom_explore strategy =
   let stats =
     (* The Reread_winner reader costs one extra step, pushing the
        interleaving count to 14!/(5!5!4!) = 252252. *)
-    Explore.search ~n:3 ~max_steps:400 ~max_runs:400_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:3 ~max_steps:400 ~max_runs:400_000
+      (fun (module R : Runtime_intf.S) ->
         let module B = Bloom_2w.Make ((val (module R : Runtime_intf.S))) in
         let reg = B.make ~strategy ~init:0 () in
         let hist = History.create () in
@@ -398,25 +398,25 @@ let bloom_explore strategy =
               (timed (module R) hist 2 (fun v -> History.R v) (fun () ->
                    B.read reg))
         in
-        let check _sim =
+        let check () =
           if not (Linearize.atomic ~init:0 (History.ops hist)) then
-            incr violations
+            incr violations;
+          Ok ()
         in
         (body, check))
-      ()
   in
   (stats, !violations)
 
 let test_bloom_single_collect_not_atomic () =
   let stats, violations = bloom_explore Bloom_2w.Single_collect in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
   Alcotest.(check bool)
     (Printf.sprintf "found violations (%d)" violations)
     true (violations > 0)
 
 let test_bloom_reread_atomic_exhaustive () =
   let stats, violations = bloom_explore Bloom_2w.Reread_winner in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
   Alcotest.(check int) "no violations" 0 violations
 
 let test_bloom_reread_atomic_random_soak () =

@@ -304,91 +304,88 @@ let test_par_many_threads () =
   Alcotest.(check bool) "all pids correct under systhreads" true
     (Array.for_all Fun.id results)
 
-(* --- Explore ---------------------------------------------------------- *)
+(* --- Exhaustive exploration -------------------------------------------- *)
 
 let test_explore_exhausts_tiny () =
   (* Two processes, one op each: the tree is tiny and must be exhausted. *)
   let stats =
-    Explore.search ~n:2
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 (fun (module R : Runtime_intf.S) ->
         let reg = R.make_reg 0 in
         let body i = R.write reg i in
-        let check _sim =
+        let check () =
           let v = R.peek reg in
-          if v <> 0 && v <> 1 then failwith "impossible final value"
+          if v <> 0 && v <> 1 then Error "impossible final value" else Ok ()
         in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
-  Alcotest.(check bool) "explored more than one run" true (stats.Explore.runs > 1)
+  Exhaust.no_violation stats;
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
+  Alcotest.(check bool) "explored more than one run" true (stats.runs > 1)
 
 let test_explore_finds_race () =
   (* Exploration must find the interleaving in which both processes read
      0 before either writes, i.e. final counter 1 despite 2 increments. *)
   let found_lost_update = ref false in
   let stats =
-    Explore.search ~n:2
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 (fun (module R : Runtime_intf.S) ->
         let reg = R.make_reg 0 in
         let body _ =
           let v = R.read reg in
           R.write reg (v + 1)
         in
-        let check _sim = if R.peek reg = 1 then found_lost_update := true in
+        let check () =
+          if R.peek reg = 1 then found_lost_update := true;
+          Ok ()
+        in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
   Alcotest.(check bool) "lost update found" true !found_lost_update
 
 let test_explore_branches_on_flips () =
   (* One process, two flips: 4 leaf outcomes must all be observed. *)
   let seen = Hashtbl.create 4 in
   let stats =
-    Explore.search ~n:1
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:1 (fun (module R : Runtime_intf.S) ->
         let reg = R.make_reg (false, false) in
         let body _ =
           let a = R.flip () in
           let b = R.flip () in
           R.write reg (a, b)
         in
-        let check _sim = Hashtbl.replace seen (R.peek reg) () in
+        let check () =
+          Hashtbl.replace seen (R.peek reg) ();
+          Ok ()
+        in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
   Alcotest.(check int) "all four flip outcomes" 4 (Hashtbl.length seen)
 
 let test_explore_run_count_two_writers () =
   (* Two procs, each: start + 1 write = 2 steps; schedules of the 4-step
      word with 2 a's and 2 b's = C(4,2) = 6 executions. *)
   let stats =
-    Explore.search ~n:2
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 (fun (module R : Runtime_intf.S) ->
         let reg = R.make_reg 0 in
         let body i = R.write reg i in
-        (body, fun _ -> ()))
-      ()
+        (body, fun () -> Ok ()))
   in
-  Alcotest.(check int) "C(4,2) interleavings" 6 stats.Explore.runs
+  Alcotest.(check int) "C(4,2) interleavings" 6 stats.runs
 
 let test_explore_respects_max_runs () =
   let stats =
-    Explore.search ~n:2 ~max_runs:3
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 ~max_runs:3 (fun (module R : Runtime_intf.S) ->
         let reg = R.make_reg 0 in
         let body i =
           R.write reg i;
           R.write reg (i + 1);
           R.write reg (i + 2)
         in
-        (body, fun _ -> ()))
-      ()
+        (body, fun () -> Ok ()))
   in
-  Alcotest.(check int) "stopped at max_runs" 3 stats.Explore.runs;
-  Alcotest.(check bool) "not exhausted" false stats.Explore.exhausted
+  Alcotest.(check int) "stopped at max_runs" 3 stats.runs;
+  Alcotest.(check bool) "not exhausted" false stats.exhausted
 
 let suite =
   [
@@ -683,45 +680,84 @@ let test_flip_observer () =
 
 let test_explore_counts_step_limited () =
   let stats =
-    Explore.search ~n:1 ~max_steps:3
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:1 ~max_steps:3 (fun (module R : Runtime_intf.S) ->
         let reg = R.make_reg 0 in
         let body _ =
           for i = 1 to 10 do
             R.write reg i
           done
         in
-        (body, fun _ -> ()))
-      ()
+        (body, fun () -> Ok ()))
   in
-  Alcotest.(check int) "one (deterministic) run" 1 stats.Explore.runs;
-  Alcotest.(check int) "that run was cut short" 1 stats.Explore.step_limited_runs;
-  Alcotest.(check bool) "tree still exhausted" true stats.Explore.exhausted
+  Alcotest.(check int) "one (deterministic) run" 1 stats.runs;
+  Alcotest.(check int) "that run was cut short" 1 stats.step_limited;
+  Alcotest.(check bool) "tree still exhausted" true stats.exhausted
 
 exception Violation of int
 
+(* Two racy increments whose check raises on a lost update, carrying
+   the final counter as evidence.  The raise is that run's violation:
+   a shrunk witness, identical at any worker count, that replays to the
+   same failure and clock.  A raise from a process body is reported the
+   same way. *)
 let test_explore_propagates_violation () =
-  (* Two racy increments: some interleaving loses an update, and the
-     check's exception must escape the search with its payload (the
-     final counter value) intact. *)
-  let raised =
-    try
-      ignore
-        (Explore.search ~n:2
-           ~setup:(fun (module R : Runtime_intf.S) ->
-             let reg = R.make_reg 0 in
-             let body _ =
-               let v = R.read reg in
-               R.write reg (v + 1)
-             in
-             let check _ = if R.peek reg < 2 then raise (Violation (R.peek reg)) in
-             (body, check))
-           ());
-      None
-    with Violation v -> Some v
+  let module Explorer = Bprc_check.Explorer in
+  let lost_update ~raise_in_body (module R : Runtime_intf.S) =
+    let reg = R.make_reg 0 in
+    let body _ =
+      let v = R.read reg in
+      if raise_in_body && v = 1 then raise (Violation v);
+      R.write reg (v + 1)
+    in
+    let check () =
+      if R.peek reg < 2 then raise (Violation (R.peek reg));
+      Ok ()
+    in
+    (body, check)
   in
-  Alcotest.(check (option int)) "lost update reported with evidence" (Some 1)
-    raised
+  let witness ?shrink ?pool ~raise_in_body label =
+    match
+      (Exhaust.explore ~n:2 ?shrink ?pool (lost_update ~raise_in_body))
+        .violation
+    with
+    | Some w -> w
+    | None -> Alcotest.failf "%s: lost update not reported" label
+  in
+  let replays ~raise_in_body label (w : Explorer.witness) =
+    let outcome, clock =
+      Explorer.replay ~n:2 ~choices:w.choices ~flips:w.flips
+        ~setup:(Exhaust.setup ~n:2 (lost_update ~raise_in_body))
+        ()
+    in
+    (match outcome with
+    | Explorer.Fail f ->
+      Alcotest.(check string) (label ^ ": replayed failure") w.failure f
+    | Explorer.Pass | Explorer.Cutoff ->
+      Alcotest.failf "%s: witness does not replay" label);
+    Alcotest.(check int) (label ^ ": replayed clock") w.clock clock
+  in
+  let evidence = "raised: " ^ Printexc.to_string (Violation 1) in
+  let seq = witness ~raise_in_body:false "sequential" in
+  Alcotest.(check string) "lost update reported with evidence" evidence
+    seq.failure;
+  replays ~raise_in_body:false "sequential" seq;
+  let raw = witness ~shrink:false ~raise_in_body:false "unshrunk" in
+  Alcotest.(check bool) "witness shrunk" true
+    (List.length seq.choices <= List.length raw.choices);
+  List.iter
+    (fun workers ->
+      let pool = Bprc_harness.Pool.create ~workers () in
+      let label = Printf.sprintf "@%d workers" workers in
+      let w = witness ~pool ~raise_in_body:false label in
+      Bprc_harness.Pool.shutdown pool;
+      Alcotest.(check (list int)) (label ^ ": same schedule") seq.choices
+        w.choices;
+      Alcotest.(check string) (label ^ ": same failure") seq.failure w.failure;
+      replays ~raise_in_body:false label w)
+    [ 1; 2 ];
+  let body = witness ~raise_in_body:true "body raise" in
+  Alcotest.(check string) "body raise reported" evidence body.failure;
+  replays ~raise_in_body:true "body raise" body
 
 let faults_support_suite =
   [

@@ -213,8 +213,8 @@ let test_handshake_exhaustive_two_procs () =
   (* n=2, each process: one write then one scan.  Full interleaving
      space; all three properties checked on every execution. *)
   let stats =
-    Explore.search ~n:2 ~max_steps:4000 ~max_runs:400_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 ~max_steps:4000 ~max_runs:400_000
+      (fun (module R : Runtime_intf.S) ->
         let module S = Handshake.Make ((val (module R : Runtime_intf.S))) in
         let mem = S.create ~init:0 () in
         let checker = Snap_checker.create ~n:2 ~init:0 in
@@ -228,16 +228,16 @@ let test_handshake_exhaustive_two_procs () =
           Snap_checker.record_scan checker ~pid:p ~start_time:s
             ~finish_time:(Snap_checker.stamp checker) ~view
         in
-        let check _sim =
-          match Snap_checker.check_all checker with
-          | Ok () -> ()
-          | Error e -> failwith ("handshake exhaustive: " ^ e)
+        let check () =
+          Result.map_error
+            (fun e -> "handshake exhaustive: " ^ e)
+            (Snap_checker.check_all checker)
         in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
-  Alcotest.(check bool) "nontrivial" true (stats.Explore.runs > 100)
+  Exhaust.no_violation stats;
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
+  Alcotest.(check bool) "nontrivial" true (stats.runs > 100)
 
 let test_handshake_retries_happen_and_are_bounded () =
   (* Writers churn while one process scans; scans may retry but never
@@ -473,8 +473,8 @@ let test_embedded_random_wide () =
 
 let test_embedded_exhaustive_two_procs () =
   let stats =
-    Explore.search ~n:2 ~max_steps:4000 ~max_runs:400_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Exhaust.explore ~n:2 ~max_steps:4000 ~max_runs:400_000
+      (fun (module R : Runtime_intf.S) ->
         let module S = Embedded.Make ((val (module R : Runtime_intf.S))) in
         let mem = S.create ~init:0 () in
         let checker = Snap_checker.create ~n:2 ~init:0 in
@@ -488,15 +488,15 @@ let test_embedded_exhaustive_two_procs () =
           Snap_checker.record_scan checker ~pid:p ~start_time:s
             ~finish_time:(Snap_checker.stamp checker) ~view
         in
-        let check _sim =
-          match Snap_checker.check_all checker with
-          | Ok () -> ()
-          | Error e -> failwith ("embedded exhaustive: " ^ e)
+        let check () =
+          Result.map_error
+            (fun e -> "embedded exhaustive: " ^ e)
+            (Snap_checker.check_all checker)
         in
         (body, check))
-      ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted
+  Exhaust.no_violation stats;
+  Alcotest.(check bool) "exhausted" true stats.exhausted
 
 let test_embedded_scan_wait_free_under_saturation () =
   (* The scenario that starves the handshake scanner: an endless
