@@ -48,8 +48,9 @@
 
    The four benches:
      raw-sim     n=4 processes spinning on write/read of private
-                 registers under round-robin — the Sim.step inner loop
-                 with nothing else on top (ops = simulated steps)
+                 registers under round-robin, driven by one Sim.run —
+                 the simulator's inlined step loop with nothing else on
+                 top (ops = simulated steps)
      esnap-scan  n=4 processes doing write+scan pairs on the embedded-
                  scan snapshot (ops = write+scan pairs; a write embeds
                  a full scan, so each pair costs two collect sweeps;

@@ -78,9 +78,9 @@ let access_of_step sim =
    executed, prefix choices and prefix flips consumed); they live here
    rather than in per-run closures so one adversary closure serves
    every run of the shard, each rewinding them to the root.  [cap] is
-   the depth whose access code the drive loop must capture after the
-   current step ([-1] = none): fresh nodes and re-chosen branches set
-   it, so access capture happens exactly once per branch. *)
+   the depth whose access code must be captured once the current step
+   has run ([-1] = none): fresh nodes and re-chosen branches set it, so
+   access capture happens exactly once per branch. *)
 type dfs = {
   mutable kind : Bytes.t;  (* 0 = sched, 1 = flip *)
   mutable order : int array array;
@@ -382,9 +382,9 @@ let state_of ~n ~max_steps sub =
    walk would carry into that scheduling point.
 
    Every run replays from the root: [Sim.reset] on the shard's arena,
-   [setup], then the drive loop.  An exception out of a process body or
-   the check ends the run as a violation; the explorer's own
-   [Divergence] escapes. *)
+   [setup], then one [Sim.run_to] to the step bound.  An exception out
+   of a process body or the check ends the run as a violation; the
+   explorer's own [Divergence] escapes. *)
 let explore_sub ~n ~max_steps ~reduction ~setup ~quota ~deadline
     ?(cancel = fun () -> false) sub =
   let st = state_of ~n ~max_steps sub in
@@ -435,9 +435,25 @@ let explore_sub ~n ~max_steps ~reduction ~setup ~quota ~deadline
         ch = subtree_make ~choices ~flips ~seed;
       }
   in
+  let sim = st.st_sim in
+  (* Store the pending access capture, if any.  [Sim.last_access_code]
+     still holds the previous step's access when the next [choose]
+     runs (the step resets it only after the choice), so the capture
+     happens there and once more after the run's last step.  No sleep
+     set reads that last one today — a finished run's last node has one
+     candidate, a cut-off run's has no child under the bound — but it
+     keeps [acc] holding the access of every branch taken. *)
+  let capture () =
+    let c = d.cap in
+    if c >= 0 then begin
+      d.acc.(c) <- access_of_step sim;
+      d.cap <- -1
+    end
+  in
   (* The adversary and flip source read only the [dfs] cursors, so one
      pair serves every run of this call. *)
   let choose (ctx : Adversary.ctx) =
+    capture ();
     let p = d.pos in
     if p < plen then begin
       (* Replaying the frozen prefix: the simulator state is
@@ -540,7 +556,6 @@ let explore_sub ~n ~max_steps ~reduction ~setup ~quota ~deadline
     end
   in
   let adversary = Adversary.make ~name:"explore" choose in
-  let sim = st.st_sim in
   let witness failure =
     let choices = ref [] and flips = ref [] in
     for r = d.len - 1 downto 0 do
@@ -564,21 +579,12 @@ let explore_sub ~n ~max_steps ~reduction ~setup ~quota ~deadline
     d.ci <- 0;
     d.fi <- 0;
     d.cap <- -1;
-    let rec drive () =
-      if Sim.clock sim >= max_steps then `Cutoff
-      else if Sim.step sim then begin
-        let c = d.cap in
-        if c >= 0 then begin
-          d.acc.(c) <- access_of_step sim;
-          d.cap <- -1
-        end;
-        drive ()
-      end
-      else `Done
-    in
-    match drive () with
-    | `Cutoff -> `Cutoff
-    | `Done -> (
+    match Sim.run_to sim ~clock:max_steps with
+    | None | Some Sim.Hit_step_limit ->
+      capture ();
+      `Cutoff
+    | Some Sim.Completed -> (
+      capture ();
       match check () with
       | Ok () -> `Pass
       | Error failure -> witness failure

@@ -5,10 +5,13 @@
    fresh box (and every cross-function [next64] result another) — ~6
    minor words per draw, which the random scheduler pays once per
    simulated step.  The byte-buffer store is unboxed, and with the
-   arithmetic chain inlined ([@inline] on [mix64]/[next64]) a draw
-   allocates nothing.  The arithmetic itself is unchanged bit for bit,
-   so every seeded stream — and every pinned digest derived from one —
-   is identical to the record-based implementation's. *)
+   arithmetic chain inlined ([@inline] on [mix64]/[next64], [@inlined]
+   at their call sites below, so a failure to inline is warning 55) a
+   draw allocates nothing.  Dune's dev profile compiles libraries with
+   [-opaque], so callers in other modules always make a real call to
+   [bool], [int] and the rest.  The arithmetic itself is unchanged bit
+   for bit, so every seeded stream — and every pinned digest derived
+   from one — is identical to the record-based implementation's. *)
 
 type t = Bytes.t
 
@@ -34,11 +37,11 @@ let reseed t ~seed = set t (mix64 (Int64.of_int seed))
 let assign t ~of_ = Bytes.blit of_ 0 t 0 8
 
 let[@inline] next64 t =
-  let s = Int64.add (get t) golden_gamma in
-  set t s;
-  mix64 s
+  let s = Int64.add ((get [@inlined]) t) golden_gamma in
+  (set [@inlined]) t s;
+  (mix64 [@inlined]) s
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (next64 t) 34)
+let bits30 t = Int64.to_int (Int64.shift_right_logical ((next64 [@inlined]) t) 34)
 
 (* The rejection loops are top-level (not closures over the bound) so a
    draw allocates nothing. *)
@@ -47,7 +50,9 @@ let rec draw_narrow t limit bound =
   if r < limit then r mod bound else draw_narrow t limit bound
 
 let rec draw_wide t mask exact limit bound =
-  let r = Int64.to_int (Int64.shift_right_logical (next64 t) 2) land mask in
+  let r =
+    Int64.to_int (Int64.shift_right_logical ((next64 [@inlined]) t) 2) land mask
+  in
   if exact || r < limit then r mod bound else draw_wide t mask exact limit bound
 
 let int t bound =
@@ -69,10 +74,10 @@ let int t bound =
     draw_wide t mask exact limit bound
   end
 
-let bool t = Int64.logand (next64 t) 1L = 1L
+let bool t = Int64.logand ((next64 [@inlined]) t) 1L = 1L
 
 let float t =
-  let r = Int64.to_int (Int64.shift_right_logical (next64 t) 11) in
+  let r = Int64.to_int (Int64.shift_right_logical ((next64 [@inlined]) t) 11) in
   float_of_int r *. (1.0 /. 9007199254740992.0)
 
 let split t = of_state (mix64 (next64 t))
@@ -82,6 +87,7 @@ let fork t i =
     (mix64 (Int64.add (get t) (Int64.mul (Int64.of_int (i + 1)) 0xC2B2AE3D27D4EB4FL)))
 
 let reseed_fork t ~seed i =
-  let master = mix64 (Int64.of_int seed) in
-  set t
-    (mix64 (Int64.add master (Int64.mul (Int64.of_int (i + 1)) 0xC2B2AE3D27D4EB4FL)))
+  let master = (mix64 [@inlined]) (Int64.of_int seed) in
+  (set [@inlined]) t
+    ((mix64 [@inlined])
+       (Int64.add master (Int64.mul (Int64.of_int (i + 1)) 0xC2B2AE3D27D4EB4FL)))

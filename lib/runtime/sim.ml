@@ -214,7 +214,7 @@ let reset ?seed ?adversary t =
    recording off (the experiment and explorer default) an access is two
    field writes and no allocation. *)
 let[@inline always] record_access t pid reg_id reg_name k kind =
-  t.last_access <- access_code ~reg_id k;
+  t.last_access <- (access_code [@inlined]) ~reg_id k;
   match t.tr with
   | None -> ()
   | Some tr -> Trace.record tr { Trace.time = t.clock; pid; reg_id; reg_name; kind }
@@ -360,8 +360,28 @@ let[@inline always] runnable_pids t =
   if t.runnable_dirty || t.clock <= t.max_stall then rebuild_runnable t
   else t.runnable_cache
 
+(* Inlining.  Without flambda, ocamlopt honours [@inline] only for a
+   function whose body defines no closure (no [fun], no local
+   [let rec]) and drops it silently otherwise.  The hot call sites of
+   [step_inline], [step_pid], [runnable_pids] and [record_access] carry
+   [@inlined], so a body that stops inlining is warning 55, an error in
+   dune's dev profile.  That profile compiles libraries with [-opaque],
+   so no [@inline] works across modules: only same-module calls inline.
+
+   The adversary-choice check is top-level for that reason: an
+   [Array.exists (fun p -> p = pid)] in [step_inline] made every step a
+   call. *)
+let rec chose_runnable runnable pid i =
+  i < Array.length runnable
+  && (Array.unsafe_get runnable i = pid || chose_runnable runnable pid (i + 1))
+
+let non_runnable t pid =
+  invalid_arg
+    (Printf.sprintf "Sim.step: adversary %s chose non-runnable pid %d"
+       t.adversary.name pid)
+
 let[@inline always] step_inline t =
-  let runnable = runnable_pids t in
+  let runnable = (runnable_pids [@inlined]) t in
   if Array.length runnable = 0 then false
   else begin
     let ctx = t.ctx in
@@ -371,17 +391,15 @@ let[@inline always] step_inline t =
     if ctx.Adversary.runnable != runnable then
       ctx.Adversary.runnable <- runnable;
     let pid = t.adversary.choose ctx in
-    if t.validate && not (Array.exists (fun p -> p = pid) runnable) then
-      invalid_arg
-        (Printf.sprintf "Sim.step: adversary %s chose non-runnable pid %d"
-           t.adversary.name pid);
-    step_pid t pid;
+    if t.validate && not (chose_runnable runnable pid 0) then
+      non_runnable t pid;
+    (step_pid [@inlined]) t pid;
     true
   end
 
 let step t =
   check_owner t "step";
-  step_inline t
+  (step_inline [@inlined]) t
 
 let check_ready t what =
   check_owner t what;
@@ -393,7 +411,7 @@ let check_ready t what =
 let rec steps_to t ~clock =
   if t.clock >= t.max_steps then Some Hit_step_limit
   else if t.clock >= clock then None
-  else if step_inline t then steps_to t ~clock
+  else if (step_inline [@inlined]) t then steps_to t ~clock
   else Some Completed
 
 let run_to t ~clock =
@@ -481,13 +499,13 @@ let make_runtime (t : t) : (module Runtime_intf.S) =
     let read r =
       if t.current >= 0 then perform Yield_step;
       let v = r.v in
-      record_access t t.current r.id r.name access_read Trace.Read;
+      (record_access [@inlined]) t t.current r.id r.name access_read Trace.Read;
       v
 
     let write r v =
       if t.current >= 0 then perform Yield_step;
       r.v <- v;
-      record_access t t.current r.id r.name access_write Trace.Write
+      (record_access [@inlined]) t t.current r.id r.name access_write Trace.Write
 
     let peek r = r.v
     let poke r v = r.v <- v
@@ -502,7 +520,7 @@ let make_runtime (t : t) : (module Runtime_intf.S) =
 
     let yield () =
       if t.current >= 0 then perform Yield_step;
-      record_access t t.current (-1) "" access_yield Trace.Step
+      (record_access [@inlined]) t t.current (-1) "" access_yield Trace.Step
   end : Runtime_intf.S)
 
 (* Arena-local storage.  Slots are numbered process-wide; an arena's

@@ -111,7 +111,10 @@ val run_to : t -> clock:int -> outcome option
 
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no
-    process is runnable (all finished or crashed).
+    process is runnable (all finished or crashed).  Only for drivers
+    that act between steps: to drive a run, or a stretch of one, use
+    {!run_to} or {!run}, which check ownership once and step inline
+    instead of paying a call and an ownership check per step.
 
     An arena is owned by the domain that {!create}d or last {!reset}
     it: its scratch buffers, adversary context and suspended effect

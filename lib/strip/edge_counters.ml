@@ -196,7 +196,7 @@ let to_graph_into t g =
     for d = 0 to dn - 1 do
       let i = t.dirty.(d) in
       for j = 0 to t.nn - 1 do
-        if visit t i j then begin
+        if (visit [@inlined]) t i j then begin
           let a = decode_pair t i j in
           if a > t.kk && a < 2 * t.kk then begin
             t.synced <- None;
@@ -209,9 +209,9 @@ let to_graph_into t g =
     for d = 0 to dn - 1 do
       let i = t.dirty.(d) in
       for j = 0 to t.nn - 1 do
-        if visit t i j then begin
-          fill_pair t g i j;
-          fill_pair t g j i
+        if (visit [@inlined]) t i j then begin
+          (fill_pair [@inlined]) t g i j;
+          (fill_pair [@inlined]) t g j i
         end
       done
     done;

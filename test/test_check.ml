@@ -489,17 +489,27 @@ let test_max_runs_mid_shard () =
 
 (* Explorer, sequential or pooled, reproduces the frozen reference
    Explorer_ref's full report — stats totals, the exhausted flag, and
-   the (shrunk) witness — on every registry configuration.  [max_runs]
-   keeps the unbounded consensus trees finite; it also exercises the
-   bounded-stop path. *)
+   the (shrunk) witness — on every registry configuration, under both
+   reduction settings rather than only its own.  Reduction is unsound
+   as a check on the weakened configs, but the reduced walk is still
+   deterministic, and their weakened registers give it explicit
+   yields and coin flips to capture.  A step access captured late,
+   early or not at all changes some sleep set, and so the run counts.
+   [max_runs] keeps the unbounded consensus trees finite; it also
+   exercises the bounded-stop path. *)
 let test_matches_reference () =
   let max_runs = 1500 in
+  let both cfg =
+    List.map (fun reduction -> (cfg, reduction)) [ true; false ]
+  in
   List.iter
-    (fun cfg ->
-      let name = cfg.Config.name in
+    (fun (cfg, reduction) ->
+      let name =
+        Printf.sprintf "%s reduction:%b" cfg.Config.name reduction
+      in
       let reference =
         Explorer_ref.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-          ~max_runs ~reduction:cfg.Config.reduction ~setup:cfg.Config.setup ()
+          ~max_runs ~reduction ~setup:cfg.Config.setup ()
       in
       let check_eq ~label (stats : Explorer.stats) =
         Alcotest.(check int) (label ^ ": runs") reference.Explorer_ref.runs
@@ -533,8 +543,7 @@ let test_matches_reference () =
       in
       let explore ?pool () =
         Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-          ~max_runs ~reduction:cfg.Config.reduction ?pool
-          ~setup:cfg.Config.setup ()
+          ~max_runs ~reduction ?pool ~setup:cfg.Config.setup ()
       in
       check_eq ~label:(name ^ " seq") (explore ());
       List.iter
@@ -544,7 +553,7 @@ let test_matches_reference () =
           Bprc_harness.Pool.shutdown pool;
           check_eq ~label:(Printf.sprintf "%s @%d workers" name w) stats)
         [ 1; 2; 4 ])
-    Config.all
+    (List.concat_map both Config.all)
 
 (* Every explore makes fresh arenas, and the registry memoizes functor
    applications and checker scratch per arena.  Those caches must let

@@ -1003,6 +1003,44 @@ let test_run_to_rejects_foreign_domain () =
   Alcotest.(check bool) "the owner still drives it" true
     (Sim.run_to sim ~clock:1 = None)
 
+(* With validation on, a choice outside the runnable set raises the same
+   error whichever driver took the step, and valid choices step as
+   usual up to it. *)
+let test_validate_rejects_non_runnable () =
+  let bad_at = 4 in
+  let adversary =
+    Adversary.make ~name:"bad" (fun ctx ->
+        if ctx.Adversary.clock = bad_at then 2 else ctx.Adversary.runnable.(0))
+  in
+  let fresh () =
+    let sim = Sim.create ~seed:1 ~n:3 ~adversary () in
+    spawn_loopers sim 3 ~yields:10;
+    Sim.crash sim 2;
+    Sim.set_validate sim true;
+    sim
+  in
+  let expected =
+    Invalid_argument "Sim.step: adversary bad chose non-runnable pid 2"
+  in
+  let sim = fresh () in
+  for c = 1 to bad_at do
+    Alcotest.(check bool) (Printf.sprintf "step %d taken" c) true (Sim.step sim)
+  done;
+  Alcotest.check_raises "step" expected (fun () -> ignore (Sim.step sim));
+  Alcotest.(check int) "step: the bad choice is not taken" bad_at
+    (Sim.clock sim);
+  let sim = fresh () in
+  Alcotest.(check bool) "run_to: valid choices step" true
+    (Sim.run_to sim ~clock:bad_at = None);
+  Alcotest.check_raises "run_to" expected (fun () ->
+      ignore (Sim.run_to sim ~clock:max_int));
+  Alcotest.(check int) "run_to: the bad choice is not taken" bad_at
+    (Sim.clock sim);
+  let sim = fresh () in
+  Alcotest.check_raises "run" expected (fun () -> ignore (Sim.run sim));
+  Alcotest.(check int) "run: the bad choice is not taken" bad_at
+    (Sim.clock sim)
+
 (* --- Arena-local storage ---------------------------------------------- *)
 
 let test_local_slots () =
@@ -1030,6 +1068,8 @@ let run_to_suite =
       test_run_to_respects_arena_bound;
     Alcotest.test_case "run_to: foreign domain rejected" `Quick
       test_run_to_rejects_foreign_domain;
+    Alcotest.test_case "validate: non-runnable choice rejected by every driver"
+      `Quick test_validate_rejects_non_runnable;
   ]
 
 let suite = suite @ run_to_suite
