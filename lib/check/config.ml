@@ -18,26 +18,26 @@ module Cons_lin = Lin.Make (Specs.Consensus)
 
 (* ---- per-arena functor-application caches ------------------------------ *)
 
-(* [Handshake.Make]/[Ads89.Make] are pure (all state lives under their
-   [create]) but not free: each application allocates a module block
-   and a closure per operation.  The explorer calls [setup] once per
-   run — hundreds of thousands of times — so the applications are
-   memoized in arena-local slots ({!Sim.local}) over the arena's
-   {!Sim.runtime}, which is stable for the arena's life.  An entry
-   dies with its arena; every explore makes fresh arenas, so a table
-   keyed on arenas from outside would keep all of them alive.  Weakened
-   runtimes ({!Inject.weaken_runtime} with a non-empty plan) are never
-   cached — the wrapper carries per-run mutable state and is a fresh
-   module each run. *)
+(* [Handshake.Make_batched]/[Ads89.Make_batched] are pure (all state
+   lives under their [create]) but not free: each application
+   allocates a module block and a closure per operation.  The explorer
+   calls [setup] once per run — hundreds of thousands of times — so
+   the applications are memoized in arena-local slots ({!Sim.local})
+   over the arena's {!Sim.batched}, which is stable for the arena's
+   life.  An entry dies with its arena; every explore makes fresh
+   arenas, so a table keyed on arenas from outside would keep all of
+   them alive.  Weakened runtimes ({!Inject.weaken_runtime} with a
+   non-empty plan) are never cached — the wrapper carries per-run
+   mutable state and is a fresh module each run. *)
 
 let handshake_slot =
   Sim.new_local (fun sim ->
-      (module Bprc_snapshot.Handshake.Make ((val Sim.runtime sim))
+      (module Bprc_snapshot.Handshake.Make_batched ((val Sim.batched sim))
       : Bprc_snapshot.Snapshot_intf.S))
 
 let ads89_slot =
   Sim.new_local (fun sim ->
-      (module Bprc_core.Ads89.Make ((val Sim.runtime sim))
+      (module Bprc_core.Ads89.Make_batched ((val Sim.batched sim))
       : Bprc_core.Consensus_intf.S))
 
 (* [linearizable] takes the events as an array ({!Lin.check_events}):

@@ -399,5 +399,8 @@ struct
     | Some rec_ -> Bprc_util.Vec.to_list rec_
 end
 
+module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) =
+  Make_over_snapshot (R) (Bprc_snapshot.Handshake.Make_batched (R))
+
 module Make (R : Bprc_runtime.Runtime_intf.S) =
-  Make_over_snapshot (R) (Bprc_snapshot.Handshake.Make (R))
+  Make_batched (Bprc_runtime.Runtime_intf.Loop (R))

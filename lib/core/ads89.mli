@@ -74,6 +74,10 @@ module Make_over_snapshot
     {!Bprc_snapshot.Embedded} do not, and the protocol can livelock
     over it (experiment E13; DESIGN.md interpretation note 8). *)
 
-module Make (R : Bprc_runtime.Runtime_intf.S) : S
+module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) : S
 (** The paper's configuration: the protocol over the §2 handshake
-    snapshot of the given runtime. *)
+    snapshot of the given runtime, whose collects run as batches. *)
+
+module Make (R : Bprc_runtime.Runtime_intf.S) : S
+(** [Make_batched] over {!Bprc_runtime.Runtime_intf.Loop}: the same
+    protocol and accesses, one access at a time. *)

@@ -4,10 +4,12 @@ open Bprc_runtime
 (* Register weakening                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let weakens plan =
+  List.exists (function Fault_plan.Weaken _ -> true | _ -> false) plan
+
 let weaken_runtime (rt : (module Runtime_intf.S)) ~(plan : Fault_plan.t) :
     (module Runtime_intf.S) =
-  if not (List.exists (function Fault_plan.Weaken _ -> true | _ -> false) plan)
-  then rt
+  if not (weakens plan) then rt
   else
     let (module B : Runtime_intf.S) = rt in
     let counter = ref 0 in
@@ -124,6 +126,14 @@ let weaken_runtime (rt : (module Runtime_intf.S)) ~(plan : Fault_plan.t) :
       let now = B.now
       let yield = B.yield
     end : Runtime_intf.S)
+
+let weaken_batched (rt : (module Runtime_intf.BATCHED)) ~plan :
+    (module Runtime_intf.BATCHED) =
+  if not (weakens plan) then rt
+  else
+    let (module B) = rt in
+    let (module W) = weaken_runtime (module B : Runtime_intf.S) ~plan in
+    (module Runtime_intf.Loop (W))
 
 (* ------------------------------------------------------------------ *)
 (* Process faults (crash / stall)                                      *)

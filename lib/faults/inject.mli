@@ -25,6 +25,15 @@ val weaken_runtime :
     the domain of a polymorphic register cannot be enumerated.
     [peek]/[poke] bypass weakening (checker-only). *)
 
+val weaken_batched :
+  (module Runtime_intf.BATCHED) ->
+  plan:Fault_plan.t ->
+  (module Runtime_intf.BATCHED)
+(** {!weaken_runtime} for a batching runtime: the runtime unchanged when
+    the plan has no [Weaken] fault, and otherwise the weakened runtime
+    lifted by {!Runtime_intf.Loop}, whose batches are loops of the
+    weakened single accesses. *)
+
 type driver
 (** Mutable firing state: each process fault fires at most once. *)
 

@@ -214,6 +214,9 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
   let driver = Bprc_faults.Inject.driver ~n faults in
   let drive () = Bprc_faults.Inject.drive sim ~driver ~crash_at ~max_steps in
   let runtime = Bprc_faults.Inject.weaken_runtime (Sim.runtime sim) ~plan:faults in
+  let batched =
+    Bprc_faults.Inject.weaken_batched (Sim.batched sim) ~plan:faults
+  in
   let run_ads (module C : Bprc_core.Consensus_intf.S) mode =
     let t = C.create ~params ~coin_mode:mode ~oracle_seed:seed () in
     slot := probe_adversary ~n ~sched ~probe:(fun () -> C.coin_probe t);
@@ -237,7 +240,8 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     }
   in
   match algo with
-  | Ads mode -> run_ads (module Bprc_core.Ads89.Make ((val runtime))) mode
+  | Ads mode ->
+    run_ads (module Bprc_core.Ads89.Make_batched ((val batched))) mode
   | Ads_esnap mode ->
     (* The paper's protocol over the wait-free embedded snapshot: at
        large [n] the handshake's clean double-collect window shrinks
@@ -245,8 +249,8 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
        runs over [Embedded], whose scans borrow instead of starving
        (liveness caveat: DESIGN.md note 8 — in practice the borrowed
        views are current enough to decide at every n exercised). *)
-    let module R = (val runtime) in
-    let module E = Bprc_snapshot.Embedded.Make (R) in
+    let module R = (val batched) in
+    let module E = Bprc_snapshot.Embedded.Make_batched (R) in
     run_ads (module Bprc_core.Ads89.Make_over_snapshot (R) (E)) mode
   | Ah ->
     let module C = Bprc_core.Ah88.Make ((val runtime)) in

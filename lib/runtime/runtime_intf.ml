@@ -46,3 +46,58 @@ module type S = sig
   val yield : unit -> unit
   (** An explicit no-op step. *)
 end
+
+(** {!S} plus straight-line runs of register accesses.  A batch
+    operation performs exactly the accesses, in exactly the order, of
+    the loop of single accesses it documents — each one is still one
+    step chosen by the adversary — but the addresses are fixed before
+    the first access, and nothing but the caller's own [out] buffer
+    changes between the accesses.  A runtime may therefore carry out
+    the whole run without resuming the caller between the accesses:
+    {!Sim.batched} does, and {!Loop} lifts any {!S} one access at a
+    time. *)
+module type BATCHED = sig
+  include S
+
+  val collect : 'a reg array -> skip:int -> 'a array -> unit
+  (** [collect regs ~skip out] is
+      [for j = 0 to Array.length regs - 1 do
+         if j <> skip then out.(j) <- read regs.(j) done]:
+      one step per read, ascending.  [out.(skip)] is left alone.
+      @raise Invalid_argument when [out] is shorter than [regs]. *)
+
+  val write_idx : 'a reg array -> int array -> 'a -> unit
+  (** [write_idx regs idx v] writes [v] to [regs.(idx.(k))] for every
+      [k] ascending: one step per write. *)
+
+  val read_any : bool reg array -> int array -> bool
+  (** [read_any regs idx] reads [regs.(idx.(k))] for every [k]
+      ascending — all of them, whatever they hold — and returns whether
+      any read [true]. *)
+end
+
+(** The per-access lifting: every batch is the documented loop of
+    single accesses, so a runtime without batching (a weakened or
+    instrumented wrapper, {!Par}) keeps its own per-access semantics. *)
+module Loop (R : S) : BATCHED with type 'a reg = 'a R.reg = struct
+  include R
+
+  let collect regs ~skip out =
+    if Array.length out < Array.length regs then
+      invalid_arg "collect: out is shorter than regs";
+    for j = 0 to Array.length regs - 1 do
+      if j <> skip then out.(j) <- R.read regs.(j)
+    done
+
+  let write_idx regs idx v =
+    for k = 0 to Array.length idx - 1 do
+      R.write regs.(idx.(k)) v
+    done
+
+  let read_any regs idx =
+    let any = ref false in
+    for k = 0 to Array.length idx - 1 do
+      if R.read regs.(idx.(k)) then any := true
+    done;
+    !any
+end

@@ -3,30 +3,75 @@ open Effect.Deep
 
 type _ Effect.t += Yield_step : unit Effect.t
 type _ Effect.t += Flip_coin : bool Effect.t
+type _ Effect.t += Run_batch : unit Effect.t
 
 (* Process status as an immediate int tag with the payload (start body
    or pending continuation) in a separate [kont] slot.  A boxed
    [Suspended of continuation] constructor would allocate two words on
    every step; the split representation stores an unboxed tag plus one
-   pointer instead.  Tags 0..2 are exactly the schedulable statuses, so
+   pointer instead.  Tags 0..3 are exactly the schedulable statuses, so
    the runnable scan is a single comparison. *)
 let st_not_started = 0 (* kont : unit -> unit, the unstarted body *)
 let st_suspended = 1 (* kont : (unit, unit) continuation *)
 let st_pending_flip = 2 (* kont : (bool, unit) continuation *)
-let st_running = 3
-let st_finished = 4
-let st_crashed = 5
+let st_batch = 3 (* kont : (unit, unit) continuation; accesses pending *)
+let st_running = 4
+let st_finished = 5
+let st_crashed = 6
 let kont_none = Obj.repr 0
 
+(* The simulator's register.  It is not a flat float record, so [v]
+   holds any value boxed, whatever ['a] is. *)
+type 'a register = { mutable v : 'a; id : int; name : string }
+
+(* A batch kind, stored in [proc.b_kind]:
+     collect  b_out.(j) <- read b_regs.(j), j ascending, j <> b_skip
+     write    write b_val to b_regs.(b_idx.(k)), k ascending
+     any      read b_regs.(b_idx.(k)), k ascending; b_any |= value *)
+let batch_collect = 0
+let batch_write = 1
+let batch_any = 2
+
+(* [b_*]: the pending batch of a process in status [st_batch], stored in
+   place so that issuing one allocates nothing beyond its continuation.
+   [b_pos] is the position of the next access: a register index for a
+   collect, an index into [b_idx] otherwise.  The slot is left as it is
+   between batches of one process, and emptied when the process
+   finishes or crashes and on [reset], so it never holds on to a
+   finished run's registers. *)
 type proc = {
   ppid : int;
   mutable status : int;  (* one of the [st_*] tags *)
-  mutable kont : Obj.t;  (* payload for tags 0..2, [kont_none] otherwise *)
+  mutable kont : Obj.t;  (* payload for tags 0..3, [kont_none] otherwise *)
   mutable steps : int;
   mutable flips : int;
   mutable stall_until : int;  (* clock value before which pid is stalled *)
   prng : Bprc_rng.Splitmix.t;
+  mutable b_kind : int;
+  mutable b_pos : int;
+  mutable b_skip : int;
+  mutable b_any : bool;
+  mutable b_regs : Obj.t register array;
+  mutable b_idx : int array;
+  mutable b_out : Obj.t array;  (* never a flat float array *)
+  mutable b_val : Obj.t;  (* a write batch's value *)
+  mutable handler : (unit, unit) handler;  (* see [fiber_handler] *)
 }
+
+(* Placeholder until a process slot's first fiber start. *)
+let no_handler : (unit, unit) handler =
+  { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
+
+(* Every batch names at least one register, so an empty [b_regs] means
+   an empty slot.  The explorer resets its arena on every run; skipping
+   the stores keeps runs that never batch from paying for them. *)
+let clear_batch p =
+  if Array.length p.b_regs > 0 then begin
+    p.b_regs <- [||];
+    p.b_idx <- [||];
+    p.b_out <- [||];
+    p.b_val <- kont_none
+  end
 
 (* The last shared access of the current step, packed into one
    immediate int so the hot path never allocates:
@@ -55,19 +100,33 @@ let debug =
    before the unchecked casts: an unstarted body is a closure, a pending
    continuation is a continuation block, every other status carries
    [kont_none].  Any future drift between a tag and its payload type
-   then raises here instead of turning into undefined behavior. *)
-let check_kont_shape st (payload : Obj.t) =
+   then raises here instead of turning into undefined behavior.  A
+   pending batch must also have its next access in range, since
+   [batch_access] reads its arrays unchecked. *)
+let check_kont_shape p st (payload : Obj.t) =
   let ok =
     if st = st_not_started then
       Obj.is_block payload && Obj.tag payload = Obj.closure_tag
-    else if st = st_suspended || st = st_pending_flip then
+    else if st = st_suspended || st = st_pending_flip || st = st_batch then
       Obj.is_block payload && Obj.tag payload = Obj.cont_tag
     else payload == kont_none
   in
   if not ok then
     invalid_arg
       (Printf.sprintf
-         "Sim.step_pid: kont payload shape does not match status tag %d" st)
+         "Sim.step_pid: kont payload shape does not match status tag %d" st);
+  if st = st_batch then begin
+    let regs = Array.length p.b_regs in
+    let in_range =
+      if p.b_kind = batch_collect then
+        p.b_pos < regs && Array.length p.b_out >= regs
+      else
+        p.b_pos < Array.length p.b_idx
+        && p.b_idx.(p.b_pos) >= 0 && p.b_idx.(p.b_pos) < regs
+    in
+    if p.b_pos < 0 || not in_range then
+      invalid_arg "Sim.step_pid: pending batch access out of range"
+  end
 
 type t = {
   n : int;
@@ -109,6 +168,7 @@ type t = {
   mutable locals : Obj.t array;
       (* arena-local storage, indexed by [local] slot; [local_absent]
          until a slot's first use, and kept across [reset] *)
+  mutable resumes : int;  (* continuations resumed since [reset] *)
 }
 
 type 'a handle = { cell : 'a option ref }
@@ -126,6 +186,37 @@ let check_owner t what =
           adopts ownership)"
          what t.owner d)
 
+(* The effect handler of every fiber of process [p], made once per
+   process slot at its first start: deep handlers stay installed across
+   resumptions, so a fiber start allocates only its stack and body
+   wrapper, and [effc] — which runs on every suspension, part of the
+   per-step hot path — returns a preallocated [Some] closure. *)
+let fiber_handler (p : proc) : (unit, unit) handler =
+  let suspend status =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        p.status <- status;
+        p.kont <- Obj.repr k)
+  in
+  let on_yield = suspend st_suspended and on_batch = suspend st_batch in
+  let on_flip =
+    Some
+      (fun (k : (bool, unit) continuation) ->
+        p.status <- st_pending_flip;
+        p.kont <- Obj.repr k)
+  in
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield_step -> (on_yield : ((a, unit) continuation -> unit) option)
+        | Flip_coin -> (on_flip : ((a, unit) continuation -> unit) option)
+        | Run_batch -> (on_batch : ((a, unit) continuation -> unit) option)
+        | _ -> None);
+  }
+
 (* Rewind every process slot and its RNG stream in place.  The per-pid
    streams are [fork master (pid + 1)] of a master seeded from [seed];
    [reseed_fork] composes the two without allocating generator records,
@@ -138,6 +229,7 @@ let reset_procs ~seed procs =
       p.steps <- 0;
       p.flips <- 0;
       p.stall_until <- 0;
+      clear_batch p;
       Bprc_rng.Splitmix.reseed_fork p.prng ~seed (p.ppid + 1))
     procs
 
@@ -154,6 +246,15 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
           flips = 0;
           stall_until = 0;
           prng = Bprc_rng.Splitmix.create ~seed:0;
+          b_kind = batch_collect;
+          b_pos = 0;
+          b_skip = -1;
+          b_any = false;
+          b_regs = [||];
+          b_idx = [||];
+          b_out = [||];
+          b_val = kont_none;
+          handler = no_handler;
         })
   in
   reset_procs ~seed procs;
@@ -187,6 +288,7 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
     validate = debug;
     owner = self_id ();
     locals = [||];
+    resumes = 0;
   }
 
 let reset ?seed ?adversary t =
@@ -207,6 +309,7 @@ let reset ?seed ?adversary t =
   t.runnable_cache <- t.scratch.(0);
   t.runnable_dirty <- true;
   t.max_stall <- 0;
+  t.resumes <- 0;
   t.owner <- self_id ();
   match t.tr with None -> () | Some tr -> Trace.clear tr
 
@@ -228,41 +331,16 @@ let note t ~pid s =
     Trace.record tr
       { Trace.time = t.clock; pid; reg_id = -1; reg_name = ""; kind = Trace.Note s }
 
-(* Run or resume a fiber of process [p] until it suspends or finishes.
-   Deep handlers keep the handler installed across resumptions, so this
-   wrapper is only entered for the initial start.  The two suspension
-   closures (and their [Some] wrappers) are hoisted out of [effc]: they
-   are allocated once per fiber, not on every perform — [effc] itself
-   runs on every suspension and is part of the per-step hot path. *)
+(* Start process [p]'s fiber and run it until it suspends or finishes. *)
 let start_fiber (p : proc) (body : unit -> unit) =
-  let on_yield =
-    Some
-      (fun (k : (unit, unit) continuation) ->
-        p.status <- st_suspended;
-        p.kont <- Obj.repr k)
-  in
-  let on_flip =
-    Some
-      (fun (k : (bool, unit) continuation) ->
-        p.status <- st_pending_flip;
-        p.kont <- Obj.repr k)
-  in
+  if p.handler == no_handler then p.handler <- fiber_handler p;
   match_with
     (fun () ->
       body ();
       p.status <- st_finished;
-      p.kont <- kont_none)
-    ()
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield_step -> (on_yield : ((a, unit) continuation -> unit) option)
-          | Flip_coin -> (on_flip : ((a, unit) continuation -> unit) option)
-          | _ -> None);
-    }
+      p.kont <- kont_none;
+      clear_batch p)
+    () p.handler
 
 let draw_flip t (p : proc) =
   let b =
@@ -287,7 +365,37 @@ let draw_flip t (p : proc) =
   (match t.flip_observer with Some f -> f ~pid:p.ppid b | None -> ());
   b
 
-(* Execute one atomic step of process [pid]. *)
+(* Carry out the next access of [p]'s pending batch exactly as the
+   single [read] or [write] it stands for (see [make_runtime]) would.
+   True when it was the batch's last access.  The positions were
+   checked against the arrays when the batch was issued. *)
+let[@inline always] batch_access t p =
+  let i = p.b_pos in
+  if p.b_kind = batch_collect then begin
+    let r = Array.unsafe_get p.b_regs i in
+    Array.unsafe_set p.b_out i r.v;
+    (record_access [@inlined]) t p.ppid r.id r.name access_read Trace.Read;
+    let next = if i + 1 = p.b_skip then i + 2 else i + 1 in
+    p.b_pos <- next;
+    next >= Array.length p.b_regs
+  end
+  else begin
+    let r = Array.unsafe_get p.b_regs (Array.unsafe_get p.b_idx i) in
+    if p.b_kind = batch_write then begin
+      r.v <- p.b_val;
+      (record_access [@inlined]) t p.ppid r.id r.name access_write Trace.Write
+    end
+    else begin
+      if (Obj.obj r.v : bool) then p.b_any <- true;
+      (record_access [@inlined]) t p.ppid r.id r.name access_read Trace.Read
+    end;
+    p.b_pos <- i + 1;
+    i + 1 >= Array.length p.b_idx
+  end
+
+(* Execute one atomic step of process [pid].  A process in [st_batch]
+   stays there, fiber suspended, until the step that carries out its
+   batch's last access; that step resumes the fiber. *)
 let[@inline always] step_pid t pid =
   let p = t.procs.(pid) in
   t.last_access <- access_none;
@@ -296,9 +404,19 @@ let[@inline always] step_pid t pid =
   t.current <- pid;
   let st = p.status in
   let payload = p.kont in
-  if debug then check_kont_shape st payload;
+  if debug then check_kont_shape p st payload;
   p.status <- st_running;
-  (if st = st_suspended then continue (Obj.obj payload : (unit, unit) continuation) ()
+  (if st = st_suspended then begin
+     t.resumes <- t.resumes + 1;
+     continue (Obj.obj payload : (unit, unit) continuation) ()
+   end
+   else if st = st_batch then begin
+     if (batch_access [@inlined]) t p then begin
+       t.resumes <- t.resumes + 1;
+       continue (Obj.obj payload : (unit, unit) continuation) ()
+     end
+     else p.status <- st_batch
+   end
    else if st = st_pending_flip then begin
      (* [draw_flip] runs observer callbacks in scheduler context, where
         no effect handler is installed; clear [current] so a register
@@ -307,6 +425,7 @@ let[@inline always] step_pid t pid =
      t.current <- -1;
      let b = draw_flip t p in
      t.current <- pid;
+     t.resumes <- t.resumes + 1;
      continue (Obj.obj payload : (bool, unit) continuation) b
    end
    else if st = st_not_started then start_fiber p (Obj.obj payload : unit -> unit)
@@ -325,7 +444,7 @@ let rebuild_runnable t =
   let live = ref 0 and all = ref 0 in
   for i = 0 to t.n - 1 do
     let p = Array.unsafe_get t.procs i in
-    if p.status <= st_pending_flip then begin
+    if p.status <= st_batch then begin
       incr all;
       if p.stall_until <= t.clock then incr live
     end
@@ -338,7 +457,7 @@ let rebuild_runnable t =
   let j = ref 0 in
   for i = 0 to t.n - 1 do
     let p = Array.unsafe_get t.procs i in
-    if p.status <= st_pending_flip then
+    if p.status <= st_batch then
       if (not use_live) || p.stall_until <= t.clock then begin
         Array.unsafe_set out !j i;
         incr j
@@ -363,7 +482,8 @@ let[@inline always] runnable_pids t =
 (* Inlining.  Without flambda, ocamlopt honours [@inline] only for a
    function whose body defines no closure (no [fun], no local
    [let rec]) and drops it silently otherwise.  The hot call sites of
-   [step_inline], [step_pid], [runnable_pids] and [record_access] carry
+   [step_inline], [step_pid], [batch_access], [runnable_pids] and
+   [record_access] carry
    [@inlined], so a body that stops inlining is warning 55, an error in
    dune's dev profile.  That profile compiles libraries with [-opaque],
    so no [@inline] works across modules: only same-module calls inline.
@@ -442,6 +562,7 @@ let crash t pid =
   if p.status <> st_finished then begin
     p.status <- st_crashed;
     p.kont <- kont_none;
+    clear_batch p;
     t.runnable_dirty <- true
   end
 
@@ -462,6 +583,7 @@ let steps_of t pid = t.procs.(pid).steps
 let flips_of t pid = t.procs.(pid).flips
 let trace t = t.tr
 let last_access_code t = t.last_access
+let resumes t = t.resumes
 
 let last_access t =
   let c = t.last_access in
@@ -486,10 +608,16 @@ let set_validate t on = t.validate <- on
    initialization.  [t.current >= 0] holds exactly while a fiber of
    this simulator is being stepped (the scheduler clears it around
    observer callbacks), so the guard replaces a per-access [try]/[with]
-   on [Effect.Unhandled] — an exception frame saved on every step. *)
-let make_runtime (t : t) : (module Runtime_intf.S) =
+   on [Effect.Unhandled] — an exception frame saved on every step.
+
+   A batch is issued to the scheduler only from inside a fiber, with at
+   least two accesses, and (for a collect) into an array that is not a
+   flat float array, since the scheduler stores through an [Obj.t]
+   array.  Anything else runs the documented loop of single accesses,
+   so a batch of one access costs exactly one access. *)
+let make_runtime (t : t) : (module Runtime_intf.BATCHED) =
   (module struct
-    type 'a reg = { mutable v : 'a; id : int; name : string }
+    type 'a reg = 'a register
 
     let make_reg ?(name = "r") v =
       let id = t.next_reg_id in
@@ -521,7 +649,76 @@ let make_runtime (t : t) : (module Runtime_intf.S) =
     let yield () =
       if t.current >= 0 then perform Yield_step;
       (record_access [@inlined]) t t.current (-1) "" access_yield Trace.Step
-  end : Runtime_intf.S)
+
+    (* Fill the calling process's batch slot; [perform Run_batch] then
+       hands it to the scheduler.  A pointer store is skipped when the
+       slot already holds the array (a scan's repeated collects), which
+       also skips its write barrier. *)
+    let slot kind regs =
+      let p = Array.unsafe_get t.procs t.current in
+      p.b_kind <- kind;
+      if Obj.repr p.b_regs != Obj.repr regs then
+        p.b_regs <-
+          (Obj.magic (regs : _ register array) : Obj.t register array);
+      p
+
+    let idx_slot kind regs idx =
+      for k = 0 to Array.length idx - 1 do
+        let i = Array.unsafe_get idx k in
+        if i < 0 || i >= Array.length regs then
+          invalid_arg "Sim: batch index out of range"
+      done;
+      let p = slot kind regs in
+      p.b_pos <- 0;
+      if p.b_idx != idx then p.b_idx <- idx;
+      p
+
+    let collect regs ~skip out =
+      let len = Array.length regs in
+      if Array.length out < len then
+        invalid_arg "Sim.collect: out is shorter than regs";
+      let accesses = if skip >= 0 && skip < len then len - 1 else len in
+      if accesses >= 2 && t.current >= 0
+         && Obj.tag (Obj.repr out) <> Obj.double_array_tag
+      then begin
+        let p = slot batch_collect regs in
+        p.b_skip <- skip;
+        p.b_pos <- (if skip = 0 then 1 else 0);
+        if Obj.repr p.b_out != Obj.repr out then
+          p.b_out <- (Obj.magic (out : _ array) : Obj.t array);
+        perform Run_batch
+      end
+      else
+        for j = 0 to len - 1 do
+          if j <> skip then out.(j) <- read regs.(j)
+        done
+
+    let write_idx regs idx v =
+      if Array.length idx >= 2 && t.current >= 0 then begin
+        let p = idx_slot batch_write regs idx in
+        p.b_val <- Obj.repr v;
+        perform Run_batch
+      end
+      else
+        for k = 0 to Array.length idx - 1 do
+          write regs.(idx.(k)) v
+        done
+
+    let read_any regs idx =
+      if Array.length idx >= 2 && t.current >= 0 then begin
+        let p = idx_slot batch_any regs idx in
+        p.b_any <- false;
+        perform Run_batch;
+        p.b_any
+      end
+      else begin
+        let any = ref false in
+        for k = 0 to Array.length idx - 1 do
+          if read regs.(idx.(k)) then any := true
+        done;
+        !any
+      end
+  end : Runtime_intf.BATCHED)
 
 (* Arena-local storage.  Slots are numbered process-wide; an arena's
    [locals] array grows to the highest slot it has used.  The sentinel
@@ -550,6 +747,17 @@ let local t l =
 (* The module is pure closure state over [t] and the mli promises it
    stays valid across [reset], so it is built once per arena: per-run
    callers (the explorer's setup closures) get the same physical module
-   instead of twelve fresh closures per run. *)
-let runtime_slot = new_local make_runtime
-let runtime t = local t runtime_slot
+   instead of fresh closures per run.  Its [S] view is kept beside it,
+   since coercing a first-class module builds a new block. *)
+type runtimes = {
+  batched : (module Runtime_intf.BATCHED);
+  plain : (module Runtime_intf.S);
+}
+
+let runtime_slot =
+  new_local (fun t ->
+      let (module B) = make_runtime t in
+      { batched = (module B); plain = (module B : Runtime_intf.S) })
+
+let runtime t = (local t runtime_slot).plain
+let batched t = (local t runtime_slot).batched

@@ -1,7 +1,8 @@
 (** Deterministic cooperative simulator of asynchronous shared memory.
 
     Processes run as effect-handler fibers.  Every register access (and
-    every local coin flip) suspends the fiber; an {!Adversary.t} then
+    every local coin flip) suspends the fiber — a straight-line batch of
+    accesses suspends it once, see {!batched} — and an {!Adversary.t}
     chooses which process takes the next atomic step.  One step = one
     register access = one unit of measured cost, matching the cost model
     of the paper's lemmas.
@@ -70,6 +71,17 @@ val runtime : t -> (module Runtime_intf.S)
     physical module is returned on every call (it is memoized on the
     arena); per-run callers keep functor applications over it in a
     {!local} slot. *)
+
+val batched : t -> (module Runtime_intf.BATCHED)
+(** The same module as {!runtime}, with its batch operations: a batch
+    suspends the calling fiber once, the scheduler carries out one of
+    its accesses per step — every step still chosen by the adversary,
+    with the clock, {!last_access_code} and trace event of the single
+    access it stands for — and the step that carries out the last
+    access resumes the fiber.  Schedules, traces and results are those
+    of {!Runtime_intf.Loop} over {!runtime}; only the number of fiber
+    resumptions ({!resumes}) falls.  Memoized like {!runtime}, of which
+    it is the same physical module. *)
 
 type 'a local
 (** A slot of arena-local storage: each arena holds at most one value
@@ -191,6 +203,15 @@ val last_access_code : t -> int
     schedule explorer in [lib/check] consumes this to compute step
     independence for partial-order reduction without allocating on
     every step. *)
+
+val resumes : t -> int
+(** Suspended fibers resumed since creation or the last {!reset}.  A
+    step resumes its process's fiber unless it starts the process or
+    carries out a non-final access of a batch (see {!batched}), so
+    under a per-access runtime [clock] is [resumes] plus one start step
+    per process, and with batches [clock / resumes] approaches the mean
+    batch length.  A plain counter: reading it and bumping it allocate
+    nothing. *)
 
 val note : t -> pid:int -> string -> unit
 (** Append an algorithm-level annotation to the trace (no-op when

@@ -1,4 +1,11 @@
-module Make (R : Bprc_runtime.Runtime_intf.S) = struct
+module type S = sig
+  include Snapshot_intf.S
+
+  val borrows : 'a t -> int
+  val max_seq : 'a t -> int
+end
+
+module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
   type 'a cell = {
     mutable value : 'a;
     mutable seq : int;
@@ -51,13 +58,12 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       borrow_count = 0;
     }
 
-  (* Fill [out] with one collect.  The explicit ascending loop keeps the
-     register-read order (and hence the simulated schedule) identical to
-     the [Array.init] it replaces. *)
+  (* Fill [out] with one collect: one batch of ascending reads, the
+     register-read order (and hence the simulated schedule) of the
+     [Array.init] it replaces. *)
   let collect_into t me out =
-    for j = 0 to R.n - 1 do
-      out.(j) <- (if j = me then t.self_cells.(me) else R.read t.cells.(j))
-    done
+    out.(me) <- t.self_cells.(me);
+    R.collect t.cells ~skip:me out
 
   (* Compare collect [cur] against [prev] (and the scan's [first]),
      updating [moved_once].  The verdict is a plain int so the retry
@@ -154,3 +160,6 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
         ~bits_per_register:(value_bits + 63 + (R.n * value_bits));
     ]
 end
+
+module Make (R : Bprc_runtime.Runtime_intf.S) =
+  Make_batched (Bprc_runtime.Runtime_intf.Loop (R))

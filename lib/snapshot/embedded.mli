@@ -17,7 +17,7 @@
     sequence numbers as a comparison point (the bounded version is the
     [DS89]-style construction the paper's bibliography points to). *)
 
-module Make (_ : Bprc_runtime.Runtime_intf.S) : sig
+module type S = sig
   include Snapshot_intf.S
 
   val borrows : 'a t -> int
@@ -26,3 +26,11 @@ module Make (_ : Bprc_runtime.Runtime_intf.S) : sig
   val max_seq : 'a t -> int
   (** Largest sequence number issued (the unbounded component). *)
 end
+
+module Make_batched (_ : Bprc_runtime.Runtime_intf.BATCHED) : S
+(** The one implementation: every collect is one batch
+    ({!Bprc_runtime.Runtime_intf.BATCHED.collect}). *)
+
+module Make (_ : Bprc_runtime.Runtime_intf.S) : S
+(** [Make_batched] over {!Bprc_runtime.Runtime_intf.Loop}: the same
+    reads, one at a time. *)

@@ -32,7 +32,29 @@ let names_for name n =
     cache := (name, n, (vs, ar)) :: !cache;
     (vs, ar)
 
-module Make (R : Bprc_runtime.Runtime_intf.S) = struct
+(* The arrow-matrix positions a process touches, made once per [n] and
+   domain and shared by every instance: [rows.(i)] lists [i*n + j], the
+   arrows scanner [i] clears and reads back, and [cols.(j)] lists
+   [i*n + j], the arrows writer [j] raises — each over the other
+   processes in ascending order. *)
+let arrows_cache :
+    (int * (int array array * int array array)) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let arrows_for n =
+  let cache = Domain.DLS.get arrows_cache in
+  match List.assoc_opt n !cache with
+  | Some tables -> tables
+  | None ->
+    let others p f =
+      Array.init (n - 1) (fun k -> f (if k < p then k else k + 1))
+    in
+    let rows = Array.init n (fun i -> others i (fun j -> (i * n) + j)) in
+    let cols = Array.init n (fun j -> others j (fun i -> (i * n) + j)) in
+    cache := (n, (rows, cols)) :: !cache;
+    (rows, cols)
+
+module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
   type 'a cell = { value : 'a; toggle : bool }
 
   type 'a t = {
@@ -45,6 +67,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     v2 : 'a cell array array;  (** per-scanner second-collect buffers *)
     mutable retries : int;
   }
+
+  let rows, cols = arrows_for R.n
 
   let create ?(name = "snap") ~init () =
     let value_names, arrow_names = names_for name R.n in
@@ -61,13 +85,26 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       retries = 0;
     }
 
+  (* With two processes every batch below is a single access, issued
+     directly: a one-access batch then costs exactly one access, without
+     the batch operation's call and checks. *)
+  let single = R.n = 2
+
+  let[@inline] write_idx regs idx (v : bool) =
+    if single then R.write regs.(idx.(0)) v else R.write_idx regs idx v
+
+  let[@inline] collect regs ~me (out : 'a cell array) =
+    if single then out.(1 - me) <- R.read regs.(1 - me)
+    else R.collect regs ~skip:me out
+
+  let[@inline] read_any regs idx =
+    if single then R.read regs.(idx.(0)) else R.read_any regs idx
+
   let write t v =
     let me = R.pid () in
     (* Raise every scanner's arrow before publishing: a scan that
        started earlier and has not yet checked arrows will restart. *)
-    for i = 0 to R.n - 1 do
-      if i <> me then R.write t.arrows.((i * R.n) + me) true
-    done;
+    write_idx t.arrows cols.(me) true;
     let toggle = not t.my_toggle.(me) in
     t.my_toggle.(me) <- toggle;
     t.my_value.(me) <- v;
@@ -76,34 +113,28 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
   (* The register reads/writes and their order are exactly [scan]'s of
      the pre-rewrite implementation; only the final materialization of
      the view changed from [Array.init] to filling [out], so a process
-     that reuses a per-pid view buffer scans without allocating. *)
+     that reuses a per-pid view buffer scans without allocating.  The
+     arrow read-back runs before the comparison of the two collects
+     rather than interleaved with it: the comparison reads only local
+     buffers, so the accesses and their values are the same. *)
   let scan_into t out =
     let me = R.pid () in
     let n = R.n in
     if Array.length out <> n then
       invalid_arg "Handshake.scan_into: view buffer must have length n";
-    let v1 = t.v1.(me) and v2 = t.v2.(me) in
+    let v1 = t.v1.(me) and v2 = t.v2.(me) and mine = rows.(me) in
     let rec attempt () =
+      write_idx t.arrows mine false;
+      collect t.values ~me v1;
+      collect t.values ~me v2;
+      let dirty = ref (read_any t.arrows mine) in
       for j = 0 to n - 1 do
-        if j <> me then R.write t.arrows.((me * n) + j) false
-      done;
-      for j = 0 to n - 1 do
-        if j <> me then v1.(j) <- R.read t.values.(j)
-      done;
-      for j = 0 to n - 1 do
-        if j <> me then v2.(j) <- R.read t.values.(j)
-      done;
-      let dirty = ref false in
-      for j = 0 to n - 1 do
-        if j <> me then begin
-          if R.read t.arrows.((me * n) + j) then dirty := true;
-          (* Physically equal cells cannot differ: test identity before
-             the polymorphic compare, which also keeps a NaN value from
-             looking changed against itself. *)
-          let a = v1.(j) and b = v2.(j) in
-          if a != b && (a.toggle <> b.toggle || a.value <> b.value) then
-            dirty := true
-        end
+        (* Physically equal cells cannot differ: test identity before
+           the polymorphic compare, which also keeps a NaN value from
+           looking changed against itself. *)
+        let a = v1.(j) and b = v2.(j) in
+        if j <> me && a != b && (a.toggle <> b.toggle || a.value <> b.value)
+        then dirty := true
       done;
       if !dirty then begin
         t.retries <- t.retries + 1;
@@ -131,3 +162,6 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       Space.entry ~group:"arrows" ~registers:(R.n * R.n) ~bits_per_register:1;
     ]
 end
+
+module Make (R : Bprc_runtime.Runtime_intf.S) =
+  Make_batched (Bprc_runtime.Runtime_intf.Loop (R))

@@ -18,4 +18,11 @@
     Everything is bounded: per scan/write pair the extra state is one
     toggle bit and [n] arrow bits. *)
 
+module Make_batched (_ : Bprc_runtime.Runtime_intf.BATCHED) : Snapshot_intf.S
+(** The one implementation.  A write's arrow raises, a scan's arrow
+    clears, each of its two collects and its arrow read-back are one
+    batch each ({!Bprc_runtime.Runtime_intf.BATCHED}). *)
+
 module Make (_ : Bprc_runtime.Runtime_intf.S) : Snapshot_intf.S
+(** [Make_batched] over {!Bprc_runtime.Runtime_intf.Loop}: the same
+    accesses, one at a time. *)

@@ -430,6 +430,13 @@ let test_drive_matches_step_loop () =
           Fault_plan.Stall { pid = 2; at_step = 40; steps = 60 };
           Fault_plan.Stall { pid = 3; at_step = 20; steps = 70 };
         ] );
+      ( "weakened register (per-access under batching)",
+        driver_max_steps,
+        [],
+        [
+          Fault_plan.Weaken { index = 3; semantics = Fault_plan.Regular };
+          Fault_plan.Crash { pid = 2; at_step = 30 };
+        ] );
       ( "budget runs out with faults pending",
         150,
         [ (149, 0); (150, 1); (400, 2) ],

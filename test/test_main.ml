@@ -4,6 +4,7 @@ let () =
       ("util", Test_util.suite);
       ("rng", Test_rng.suite);
       ("runtime", Test_runtime.suite);
+      ("batch", Test_batch.suite);
       ("registers", Test_registers.suite);
       ("snapshot", Test_snapshot.suite);
       ("space", Test_space.suite);
