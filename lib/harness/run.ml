@@ -14,8 +14,14 @@ let sched_name = function
   | Anti_coin_sched -> "anti-coin (stretch)"
   | Osc_coin_sched -> "anti-coin (split)"
 
-let find_runnable (ctx : Adversary.ctx) p =
-  Array.to_list ctx.runnable |> List.find_opt p
+(* The first runnable pid satisfying [p]. *)
+let rec find_from runnable p i =
+  if i >= Array.length runnable then None
+  else
+    let pid = Array.unsafe_get runnable i in
+    if p pid then Some pid else find_from runnable p (i + 1)
+
+let find_runnable (ctx : Adversary.ctx) p = find_from ctx.runnable p 0
 
 (* Full-information walk-stretching adversary: publish pending flips
    that pull the published sum toward zero; otherwise let flip-less
@@ -98,21 +104,21 @@ type coin_run = {
 
 let coin_once ?(delta = 2) ?m ?(sched = Random_sched) ?(max_steps = 10_000_000)
     ~n ~seed () =
-  (* The adaptive adversaries need probes into the coin, which exists
-     only after the sim, so the sim gets a mutable adversary slot. *)
-  let slot = ref (plain_adversary Random_sched) in
-  let dispatch = Adversary.make ~name:"dispatch" (fun ctx -> !slot.Adversary.choose ctx) in
-  let sim = Sim.create ~seed ~max_steps ~n ~adversary:dispatch () in
+  let sim = Sim.create ~seed ~max_steps ~n ~adversary:(plain_adversary sched) () in
   let module C = Bprc_coin.Bounded_walk.Make ((val Sim.runtime sim)) in
   let coin = C.create_custom ~delta ?m ~seed () in
+  (* The adaptive adversaries probe the coin, which exists only after
+     the sim. *)
   let published_sum () = C.published_walk_value coin in
   let pending pid = C.pending_direction coin pid in
-  (slot :=
-     match sched with
-     | Anti_coin_sched -> stretch_adversary ~published_sum ~pending ()
-     | Osc_coin_sched ->
-       oscillation_adversary ~n ~threshold:(delta * n) ~published_sum ~pending ()
-     | s -> plain_adversary s);
+  (match sched with
+  | Anti_coin_sched ->
+    Sim.set_adversary sim (stretch_adversary ~published_sum ~pending ())
+  | Osc_coin_sched ->
+    Sim.set_adversary sim
+      (oscillation_adversary ~n ~threshold:(delta * n) ~published_sum
+         ~pending ())
+  | Random_sched | Round_robin_sched | Bursty_sched _ -> ());
   let handles = Array.init n (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   let coin_completed = Sim.run sim = Sim.Completed in
   let values = Array.to_list handles |> List.filter_map Sim.result in
@@ -167,26 +173,28 @@ type consensus_run = {
   registers_used : int;
 }
 
-let probe_adversary ~n ~sched ~probe =
+(* The adaptive adversaries probe the protocol instance, which exists
+   only after the sim: the sim starts with [plain_adversary sched], and
+   these replace it once the instance is built. *)
+let install_probe_adversary sim ~n ~sched ~probe =
   let published_sum () =
     Bprc_core.Coin_probe.published_sum_at_front (probe ())
   in
   let pending pid = Bprc_core.Coin_probe.pending_at_front (probe ()) pid in
   match sched with
-  | Anti_coin_sched -> stretch_adversary ~published_sum ~pending ()
+  | Anti_coin_sched ->
+    Sim.set_adversary sim (stretch_adversary ~published_sum ~pending ())
   | Osc_coin_sched ->
     let threshold = (probe ()).Bprc_core.Coin_probe.threshold in
-    oscillation_adversary ~n ~threshold ~published_sum ~pending ()
-  | s -> plain_adversary s
+    Sim.set_adversary sim
+      (oscillation_adversary ~n ~threshold ~published_sum ~pending ())
+  | Random_sched | Round_robin_sched | Bursty_sched _ -> ()
 
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(crash_at = [])
     ?(faults = []) ~algo ~pattern ~n ~seed () =
   let inputs = inputs_of_pattern pattern ~n ~seed in
-  let slot = ref (plain_adversary Random_sched) in
-  let adversary =
-    Adversary.make ~name:"dispatch" (fun ctx -> !slot.Adversary.choose ctx)
-  in
+  let adversary = plain_adversary sched in
   let sim =
     match reuse with
     | Some sim ->
@@ -219,7 +227,7 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
   in
   let run_ads (module C : Bprc_core.Consensus_intf.S) mode =
     let t = C.create ~params ~coin_mode:mode ~oracle_seed:seed () in
-    slot := probe_adversary ~n ~sched ~probe:(fun () -> C.coin_probe t);
+    install_probe_adversary sim ~n ~sched ~probe:(fun () -> C.coin_probe t);
     let handles =
       Array.init n (fun i ->
           Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
@@ -255,7 +263,7 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
   | Ah ->
     let module C = Bprc_core.Ah88.Make ((val runtime)) in
     let t = C.create ~k:params.Bprc_core.Params.k ~delta:params.Bprc_core.Params.delta () in
-    slot := probe_adversary ~n ~sched ~probe:(fun () -> C.coin_probe t);
+    install_probe_adversary sim ~n ~sched ~probe:(fun () -> C.coin_probe t);
     let handles =
       Array.init n (fun i ->
           Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))

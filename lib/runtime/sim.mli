@@ -227,6 +227,15 @@ val set_flip_observer : t -> (pid:int -> bool -> unit) -> unit
     pid and the drawn value, whatever the source.  Used by the fault
     subsystem's recorder to capture the flip sequence of a run. *)
 
+val set_adversary : t -> Adversary.t -> unit
+(** Replace the adversary from the next step on; the run, the clock and
+    the adversary stream go on as they were.  For an adversary that can
+    only be built once the run exists, such as one that probes the
+    protocol instance it schedules: create or {!reset} the arena with a
+    placeholder, build the instance over {!runtime}, then install the
+    adversary here before the first step.  Legal at any time, also from
+    a fiber or a flip observer mid-run. *)
+
 val set_validate : t -> bool -> unit
 (** Enable (or disable) the O(n)-per-step check that every adversary
     choice is a member of the runnable set it was shown, raising

@@ -125,7 +125,7 @@ let arenas_live t =
   k
 
 (* Never asked to choose: [Run.consensus_once ~sim] resets the arena
-   with its own dispatch adversary before the first step. *)
+   with the instance's own adversary before the first step. *)
 let arena_init_adversary =
   Adversary.make ~name:"service-arena-init" (fun ctx -> ctx.runnable.(0))
 

@@ -60,7 +60,7 @@ let of_positions ~k pos =
   for i = 0 to nn - 1 do
     for j = 0 to nn - 1 do
       if i <> j && pos.(i) >= pos.(j) then
-        w.((i * nn) + j) <- min (pos.(i) - pos.(j)) k
+        w.((i * nn) + j) <- Int.min (pos.(i) - pos.(j)) k
     done
   done;
   make ~k ~n:nn w
@@ -171,7 +171,7 @@ let reconstruct t =
          for j = 0 to nn - 1 do
            if i <> j then begin
              let expect =
-               if pos.(i) >= pos.(j) then min (pos.(i) - pos.(j)) t.kk
+               if pos.(i) >= pos.(j) then Int.min (pos.(i) - pos.(j)) t.kk
                else absent
              in
              if unsafe_w t i j <> expect then raise Exit

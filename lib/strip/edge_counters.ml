@@ -127,9 +127,13 @@ let iter_rows t f =
     done
   done
 
+(* Every counter is in [0, 3K) (validated when adopted, kept there by
+   [inc_row_with]), so the difference is in (-3K, 3K) and one
+   conditional add reduces it mod 3K: two [mod]s by a non-constant are
+   two integer divisions. *)
 let decode_pair t i j =
-  let m = 3 * t.kk in
-  ((t.e.((i * t.nn) + j) - t.e.((j * t.nn) + i)) mod m + m) mod m
+  let d = t.e.((i * t.nn) + j) - t.e.((j * t.nn) + i) in
+  if d < 0 then d + (3 * t.kk) else d
 
 let valid t =
   let ok = ref true in

@@ -5,6 +5,7 @@ let () =
       ("rng", Test_rng.suite);
       ("runtime", Test_runtime.suite);
       ("batch", Test_batch.suite);
+      ("stretch", Test_stretch.suite);
       ("registers", Test_registers.suite);
       ("snapshot", Test_snapshot.suite);
       ("space", Test_space.suite);

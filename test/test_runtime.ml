@@ -515,9 +515,46 @@ let test_dist_exponential () =
     (Invalid_argument "Dist.exponential: rate must be positive") (fun () ->
       ignore (Bprc_rng.Dist.exponential rng ~rate:0.0))
 
+(* Minor words per [choose] call: the marginal cost of [calls] more
+   calls, over a runnable set that alternates between dense and sparse
+   so every branch of every adversary runs. *)
+let words_per_choose (a : Adversary.t) =
+  let dense = [| 0; 1; 2; 3 |] and sparse = [| 1; 3 |] in
+  let ctx =
+    {
+      Adversary.clock = 0;
+      runnable = dense;
+      rng = Bprc_rng.Splitmix.create ~seed:5;
+      trace = None;
+    }
+  in
+  let words calls =
+    let m0 = Gc.minor_words () in
+    for i = 1 to calls do
+      ctx.Adversary.runnable <- (if i land 4 = 0 then dense else sparse);
+      ignore (a.Adversary.choose ctx : int)
+    done;
+    Gc.minor_words () -. m0
+  in
+  (words 20_000 -. words 10_000) /. 10_000.
+
+let test_choose_allocation_free () =
+  List.iter
+    (fun (name, a) ->
+      Alcotest.(check (float 0.)) (name ^ ": words per choose") 0.
+        (words_per_choose a))
+    [
+      ("round-robin", Adversary.round_robin ());
+      ("random", Adversary.random ());
+      ("bursty-7", Adversary.bursty ~burst:7 ());
+      ("prioritize", Adversary.prioritize ~favored:[ 2; 3 ] ());
+    ]
+
 let gap_suite =
   [
     Alcotest.test_case "scripted adversary" `Quick test_scripted_adversary;
+    Alcotest.test_case "adversaries: choose allocates nothing" `Quick
+      test_choose_allocation_free;
     Alcotest.test_case "note recorded" `Quick test_note_recorded;
     Alcotest.test_case "dist: exponential" `Quick test_dist_exponential;
   ]

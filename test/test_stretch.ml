@@ -1,0 +1,268 @@
+(* The simulator's dense round-robin stretch against the per-step path:
+   one round-robin adversary run natively, where [Sim.run_to] picks the
+   pids itself, and behind [Adversary.make ~name a.choose], which hides
+   the policy and so forces a [choose] call per step.  Both runs of one
+   arena must give the same trace, per-pid steps, resumes, results and
+   final cursor. *)
+
+open Bprc_runtime
+module Fault_plan = Bprc_faults.Fault_plan
+module Inject = Bprc_faults.Inject
+
+(* Things a driver does between [run_to] pauses. *)
+type action =
+  | Nothing
+  | Steps of int  (** that many [Sim.step] calls *)
+  | Crash of int
+  | Stall of int * int  (** pid, steps *)
+
+type case = {
+  n : int;
+  seed : int;
+  lengths : int array;  (** rounds per process; 0 finishes at once *)
+  pauses : (int * action) list;  (** run_to clock, then the action *)
+  plan : Fault_plan.t;  (** crash and stall faults for [Inject.drive] *)
+  crash_at : (int * int) list;
+  max_steps : int;
+  observer_stalls : bool;  (** a flip observer stalls a process *)
+}
+
+let cursor (a : Adversary.t) =
+  match a.Adversary.policy with
+  | Adversary.Round_robin next -> !next
+  | Adversary.Closure -> Alcotest.fail "not a round-robin adversary"
+
+(* Writes, batched collects, flips, reads and yields: every status a
+   stretch steps through. *)
+let spawn_workload sim lengths =
+  let (module B : Runtime_intf.BATCHED) = Sim.batched sim in
+  let n = Sim.n sim in
+  let regs = Array.init n (fun j -> B.make_reg j) in
+  Array.init n (fun i ->
+      Sim.spawn sim (fun () ->
+          let out = Array.make n 0 in
+          let acc = ref 0 in
+          for r = 1 to lengths.(i) do
+            B.write regs.(i) (r * (i + 1));
+            B.collect regs ~skip:i out;
+            if B.flip () then acc := !acc + B.read regs.((i + 1) mod n)
+            else B.yield ();
+            Array.iter (fun v -> acc := !acc + v) out
+          done;
+          !acc))
+
+let act sim = function
+  | Nothing -> ()
+  | Steps k ->
+    for _ = 1 to k do
+      ignore (Sim.step sim)
+    done
+  | Crash pid -> Sim.crash sim pid
+  | Stall (pid, steps) -> Sim.stall sim pid ~steps
+
+(* One run of [c] on [sim] (fresh or just reset) under [adversary]. *)
+let observe sim c adversary =
+  Sim.reset ~seed:c.seed ~adversary sim;
+  let handles = spawn_workload sim c.lengths in
+  if c.observer_stalls then
+    Sim.set_flip_observer sim (fun ~pid b ->
+        if b then Sim.stall sim ((pid + 1) mod c.n) ~steps:(pid + 2));
+  let paused =
+    List.map
+      (fun (clock, a) ->
+        let o = Sim.run_to sim ~clock in
+        act sim a;
+        (o, Sim.clock sim))
+      c.pauses
+  in
+  let driver = Inject.driver ~n:c.n c.plan in
+  let completed =
+    Inject.drive sim ~driver ~crash_at:c.crash_at ~max_steps:c.max_steps
+  in
+  ( paused,
+    completed,
+    Sim.clock sim,
+    Trace.to_list (Option.get (Sim.trace sim)),
+    Array.init c.n (Sim.steps_of sim),
+    Sim.resumes sim,
+    Array.map Sim.result handles )
+
+let gen_action n =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Nothing);
+        (2, map (fun k -> Steps k) (int_range 1 12));
+        (1, map (fun p -> Crash p) (int_range 0 (n - 1)));
+        (1, map2 (fun p s -> Stall (p, s)) (int_range 0 (n - 1)) (int_range 0 20));
+      ])
+
+let gen_fault n =
+  QCheck.Gen.(
+    oneof
+      [
+        map2
+          (fun pid at_step -> Fault_plan.Crash { pid; at_step })
+          (int_range 0 (n - 1)) (int_range 0 40);
+        map3
+          (fun pid at_step steps -> Fault_plan.Stall { pid; at_step; steps })
+          (int_range 0 (n - 1)) (int_range 0 40) (int_range 0 30);
+      ])
+
+let gen_case =
+  QCheck.Gen.(
+    oneofl [ 1; 2; 3; 4; 8 ] >>= fun n ->
+    int_bound 10_000 >>= fun seed ->
+    array_size (return n) (int_range 0 6) >>= fun lengths ->
+    list_size (int_range 0 5) (pair (int_range 0 200) (gen_action n))
+    >>= fun pauses ->
+    list_size (int_range 0 3) (gen_fault n) >>= fun plan ->
+    list_size (int_range 0 2) (pair (int_range 0 200) (int_range 0 (n - 1)))
+    >>= fun crash_at ->
+    frequency [ (3, return 100_000); (1, int_range 5 300) ] >>= fun max_steps ->
+    map
+      (fun observer_stalls ->
+        {
+          n;
+          seed;
+          lengths;
+          pauses = List.sort compare pauses;
+          plan;
+          crash_at;
+          max_steps;
+          observer_stalls;
+        })
+      bool)
+
+let print_case c =
+  let action = function
+    | Nothing -> "-"
+    | Steps k -> Printf.sprintf "step x%d" k
+    | Crash p -> Printf.sprintf "crash p%d" p
+    | Stall (p, s) -> Printf.sprintf "stall p%d %d" p s
+  in
+  Printf.sprintf
+    "n=%d seed=%d lengths=[%s] pauses=[%s] plan=%d faults crash_at=[%s] \
+     max_steps=%d observer=%b"
+    c.n c.seed
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.lengths)))
+    (String.concat "; "
+       (List.map (fun (k, a) -> Printf.sprintf "%d:%s" k (action a)) c.pauses))
+    (List.length c.plan)
+    (String.concat ";"
+       (List.map (fun (k, p) -> Printf.sprintf "%d:p%d" k p) c.crash_at))
+    c.max_steps c.observer_stalls
+
+let prop_stretch =
+  QCheck.Test.make ~count:300
+    ~name:"round-robin: stretch = per-step choose (trace, steps, cursor)"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let sim =
+        Sim.create ~seed:c.seed ~max_steps:c.max_steps ~record_trace:true
+          ~n:c.n ~adversary:(Adversary.round_robin ()) ()
+      in
+      let native = Adversary.round_robin () in
+      let a = observe sim c native in
+      let base = Adversary.round_robin () in
+      let wrapped = Adversary.make ~name:"wrapped" base.Adversary.choose in
+      let b = observe sim c wrapped in
+      if a <> b then QCheck.Test.fail_report "runs differ";
+      if cursor native <> cursor base then
+        QCheck.Test.fail_reportf "cursors differ: %d vs %d" (cursor native)
+          (cursor base);
+      true)
+
+(* A closure adversary: always the highest runnable pid. *)
+let last_runnable () =
+  Adversary.make ~name:"last" (fun ctx ->
+      let r = ctx.Adversary.runnable in
+      r.(Array.length r - 1))
+
+(* Replacing the adversary mid-run takes effect at the next step and
+   leaves the clock and the processes as they were. *)
+let test_set_adversary () =
+  let n = 3 in
+  let sim =
+    Sim.create ~seed:1 ~record_trace:true ~n
+      ~adversary:(Adversary.round_robin ()) ()
+  in
+  let (module R) = Sim.runtime sim in
+  for _ = 1 to n do
+    ignore
+      (Sim.spawn sim (fun () ->
+           for _ = 1 to 10 do
+             R.yield ()
+           done))
+  done;
+  let pids () =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.kind = Trace.Step then Some e.Trace.pid else None)
+      (Trace.to_list (Option.get (Sim.trace sim)))
+  in
+  Alcotest.(check bool) "paused" true (Sim.run_to sim ~clock:7 = None);
+  Alcotest.(check (list int)) "round-robin so far" [ 0; 1; 2; 0 ] (pids ());
+  (* A closure adversary in place of round-robin. *)
+  Sim.set_adversary sim (last_runnable ());
+  Alcotest.(check bool) "paused again" true (Sim.run_to sim ~clock:10 = None);
+  Alcotest.(check int) "clock kept" 10 (Sim.clock sim);
+  Alcotest.(check (list int)) "the new adversary's picks"
+    [ 0; 1; 2; 0; 2; 2; 2 ] (pids ());
+  (* And back to a fresh round-robin, which starts over at pid 0. *)
+  let rr = Adversary.round_robin () in
+  Sim.set_adversary sim rr;
+  Alcotest.(check bool) "completes" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check (list int)) "per-pid steps" [ 11; 11; 11 ]
+    (List.init n (Sim.steps_of sim));
+  (match pids () with
+  | 0 :: 1 :: 2 :: 0 :: 2 :: 2 :: 2 :: 0 :: 1 :: 2 :: _ -> ()
+  | l ->
+    Alcotest.failf "round-robin after the swap: %s"
+      (String.concat " " (List.map string_of_int l)));
+  Alcotest.(check int) "cursor past the last pick" 2 (cursor rr)
+
+(* A flip observer that swaps the adversary in the middle of a dense
+   round-robin stretch ends the stretch at that step. *)
+let test_set_adversary_from_observer () =
+  let n = 3 in
+  let sim =
+    Sim.create ~seed:1 ~record_trace:true ~n
+      ~adversary:(Adversary.round_robin ()) ()
+  in
+  let (module R) = Sim.runtime sim in
+  for _ = 1 to n do
+    ignore
+      (Sim.spawn sim (fun () ->
+           for _ = 1 to 5 do
+             R.yield ()
+           done;
+           ignore (R.flip ());
+           for _ = 1 to 5 do
+             R.yield ()
+           done))
+  done;
+  let swapped = ref (-1) in
+  Sim.set_flip_observer sim (fun ~pid:_ _ ->
+      if !swapped < 0 then begin
+        swapped := Sim.clock sim;
+        Sim.set_adversary sim (last_runnable ())
+      end);
+  Alcotest.(check bool) "completes" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check int) "p0's flip swapped at its 7th step" 19 !swapped;
+  let after =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.time > !swapped then Some e.Trace.pid else None)
+      (Trace.to_list (Option.get (Sim.trace sim)))
+  in
+  Alcotest.(check (list int)) "the new adversary's picks from the next step"
+    [ 2; 2; 2; 2; 2; 2; 1; 1; 1; 1; 1; 1; 0; 0; 0; 0; 0 ] after
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_stretch;
+    Alcotest.test_case "set_adversary mid-run" `Quick test_set_adversary;
+    Alcotest.test_case "set_adversary from a flip observer" `Quick
+      test_set_adversary_from_observer;
+  ]
