@@ -16,8 +16,42 @@ let seed_arg =
           "Random seed (default 1).  Every run is deterministic in it, \
            independent of $(b,--workers).")
 
+(* The exit codes [main] maps parse results to.  Commands with outcome
+   codes of their own (violation, bound hit) describe them in [~doc]. *)
+let cmd_info =
+  Cmd.info
+    ~exits:
+      [
+        Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+        Cmd.Exit.info 2 ~doc:"on usage errors, command-line parsing included.";
+        Cmd.Exit.info Cmd.Exit.internal_error
+          ~doc:"on unexpected internal errors (bugs).";
+      ]
+
+(* Integer options with a range: a value outside it is a usage error
+   (exit 2), not an exception from deep inside a run. *)
+let int_in ~lo ~hi ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when lo <= v && v <= hi -> Ok v
+    | _ -> Error (Printf.sprintf "invalid value '%s', expected %s" s expected)
+  in
+  Arg.conv' (parse, Fmt.int)
+
+let positive_int = int_in ~lo:1 ~hi:max_int ~expected:"a positive integer"
+
+(* The options checked after parsing keep the message their goldens
+   pin; [positive_int] is the same predicate at parse time. *)
+let require_positive ~flag v =
+  if v < 1 then begin
+    Fmt.epr "%s expects a positive integer@." flag;
+    exit 2
+  end
+
 let n_arg =
-  Arg.(value & opt int 4 & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(
+    value & opt positive_int 4
+    & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
 
 let sched_conv =
   let parse = function
@@ -119,7 +153,7 @@ let run_cmd =
       exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one consensus instance in the simulator.")
+    (cmd_info "run" ~doc:"Run one consensus instance in the simulator.")
     Term.(const action $ n_arg $ seed_arg $ algo_arg $ sched_arg $ pattern_arg)
 
 
@@ -194,7 +228,7 @@ let space_report_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "space-report"
+    (cmd_info "space-report"
        ~doc:
          "Report the shared-memory footprint of a protocol instance: every \
           register group with its width, the total shared bits, and the \
@@ -216,7 +250,7 @@ let coin_cmd =
       r.Bprc_harness.Run.overflows
   in
   Cmd.v
-    (Cmd.info "coin" ~doc:"Flip one bounded weak shared coin (§3).")
+    (cmd_info "coin" ~doc:"Flip one bounded weak shared coin (§3).")
     Term.(const action $ n_arg $ seed_arg $ delta_arg $ sched_arg)
 
 (* --- experiment ------------------------------------------------------- *)
@@ -263,11 +297,7 @@ let experiment_cmd =
         (String.concat " " Bprc_harness.Experiments.ids);
       exit 2
     | None -> ());
-    (match workers with
-    | Some w when w < 1 ->
-      Fmt.epr "--workers expects a positive integer@.";
-      exit 2
-    | _ -> ());
+    Option.iter (require_positive ~flag:"--workers") workers;
     let pool =
       try
         match workers with
@@ -300,16 +330,14 @@ let experiment_cmd =
           workers = Bprc_harness.Pool.workers pool;
           quick;
           total_wall_s = Unix.gettimeofday () -. t0;
-          calibration = None;
           entries;
-          extra = [];
         }
       in
       Bprc_harness.Report.write ~path report;
       Fmt.pr "wrote %s@." path
   in
   Cmd.v
-    (Cmd.info "experiment"
+    (cmd_info "experiment"
        ~doc:"Reproduce the paper's quantitative claims (see EXPERIMENTS.md).")
     Term.(const action $ ids_arg $ quick_arg $ csv_arg $ json_arg $ workers_arg)
 
@@ -317,7 +345,10 @@ let experiment_cmd =
 
 let multi_cmd =
   let width_arg =
-    Arg.(value & opt int 8 & info [ "width" ] ~doc:"Bit width of the domain.")
+    Arg.(
+      value
+      & opt (int_in ~lo:1 ~hi:30 ~expected:"an integer in [1, 30]") 8
+      & info [ "width" ] ~docv:"BITS" ~doc:"Bit width of the domain (1 to 30).")
   in
   let action n seed width =
     let sim =
@@ -345,7 +376,7 @@ let multi_cmd =
       (Array.map Bprc_runtime.Sim.result handles)
   in
   Cmd.v
-    (Cmd.info "multi" ~doc:"Multi-valued consensus (the paper's extension).")
+    (cmd_info "multi" ~doc:"Multi-valued consensus (the paper's extension).")
     Term.(const action $ n_arg $ seed_arg $ width_arg)
 
 (* --- trace ------------------------------------------------------------ *)
@@ -413,7 +444,7 @@ let trace_cmd =
           (Bprc_runtime.Trace_stats.analyze tr ~n)
   in
   Cmd.v
-    (Cmd.info "trace"
+    (cmd_info "trace"
        ~doc:"Run a consensus prefix with trace recording and print access              statistics.")
     Term.(const action $ n_arg $ seed_arg $ sched_arg $ steps_arg $ digest_arg)
 
@@ -461,10 +492,9 @@ let workers_opt_arg =
 
 let pool_of_workers workers =
   match workers with
-  | Some w when w < 1 ->
-    Fmt.epr "--workers expects a positive integer@.";
-    exit 2
-  | Some w -> Bprc_harness.Pool.create ~workers:w ()
+  | Some w ->
+    require_positive ~flag:"--workers" w;
+    Bprc_harness.Pool.create ~workers:w ()
   | None -> Bprc_harness.Pool.default ()
 
 let hunt_cmd =
@@ -568,7 +598,7 @@ let hunt_cmd =
       exit exit_violation
   in
   Cmd.v
-    (Cmd.info "hunt"
+    (cmd_info "hunt"
        ~doc:
          "Fuzz a scenario with random fault plans; on failure, write a \
           shrunk replayable counterexample script.  Exit codes: 0 clean, 1 \
@@ -652,7 +682,7 @@ let replay_cmd =
           exit exit_ok))
   in
   Cmd.v
-    (Cmd.info "replay"
+    (cmd_info "replay"
        ~doc:
          "Re-execute a hunt counterexample script deterministically.  Exit \
           codes: 1 when the violation reproduces, 0 when the run is clean.")
@@ -922,7 +952,7 @@ let check_cmd =
         | _ -> exit_budget)
   in
   Cmd.v
-    (Cmd.info "check"
+    (cmd_info "check"
        ~doc:
          "Exhaustively explore the schedules of small configurations \
           (linearizability + P1-P3 + consensus spec on every completed \
@@ -1036,19 +1066,9 @@ let serve_bench_cmd =
   in
   let action n seed algo sched pattern instances cap batch mode registers
       json workers =
-    if instances < 1 then begin
-      Fmt.epr "--instances expects a positive integer@.";
-      exit 2
-    end;
-    if cap < 1 then begin
-      Fmt.epr "--in-flight expects a positive integer@.";
-      exit 2
-    end;
-    (match batch with
-    | Some b when b < 1 ->
-      Fmt.epr "--batch expects a positive integer@.";
-      exit 2
-    | _ -> ());
+    require_positive ~flag:"--instances" instances;
+    require_positive ~flag:"--in-flight" cap;
+    Option.iter (require_positive ~flag:"--batch") batch;
     let pool = pool_of_workers workers in
     let eng =
       Bprc_service.Engine.create ~mode ~seed ~in_flight_cap:cap ?batch
@@ -1157,7 +1177,7 @@ let serve_bench_cmd =
     exit (if st.violations > 0 then exit_violation else exit_ok)
   in
   Cmd.v
-    (Cmd.info "serve-bench"
+    (cmd_info "serve-bench"
        ~doc:
          "Drive the long-lived decision engine with a sustained stream of \
           consensus instances over a domain pool: bounded in-flight window \
@@ -1171,7 +1191,7 @@ let serve_bench_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "bprc" ~version:"1.0.0"
+    (cmd_info "bprc" ~version:"1.0.0"
        ~doc:
          "Bounded polynomial randomized consensus (Attiya-Dolev-Shavit, PODC \
           1989): simulator, baselines, experiment suite, and fault-injection \
@@ -1179,4 +1199,12 @@ let main =
     [ run_cmd; coin_cmd; experiment_cmd; multi_cmd; trace_cmd; hunt_cmd;
       replay_cmd; check_cmd; serve_bench_cmd; space_report_cmd ]
 
-let () = exit (Cmd.eval main)
+(* A command-line parse error is a usage error like the ones above
+   (exit 2): cmdliner's own 124 would collide with the "bound hit"
+   outcome of [check] and [hunt]. *)
+let () =
+  exit
+    (match Cmd.eval_value main with
+    | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -2,7 +2,8 @@
     §3 and EXPERIMENTS.md for the mapping to the paper's claims).
 
     Each experiment returns a {!Table.t}; [quick] shrinks trial counts
-    for CI-speed runs (the full sizes are used by [bench/main.exe]).
+    for CI-speed runs ([bprc experiment] runs the full sizes unless
+    given [--quick]).
 
     Every experiment expresses its trials as pure [(rng -> sample)]
     functions fanned out over a {!Pool.t} ([pool] defaults to the

@@ -1,36 +1,20 @@
 type entry = { table : Table.t; wall_s : float }
 
-type calibration = {
-  trials : int;
-  seq_wall_s : float;
-  par_wall_s : float;
-  speedup : float;
-  deterministic : bool;
-}
-
 type t = {
   date : string;
   workers : int;
   quick : bool;
   total_wall_s : float;
-  calibration : calibration option;
   entries : entry list;
-  extra : (string * Table.json) list;
 }
 
-let schema_version = 1
+let schema_version = 2
 
 let iso8601 time =
   let tm = Unix.gmtime time in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
-
-let default_filename ?time () =
-  let time = match time with Some t -> t | None -> Unix.time () in
-  let tm = Unix.gmtime time in
-  Printf.sprintf "BENCH_%04d-%02d-%02d.json" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
 let column_summaries (table : Table.t) =
   List.mapi
@@ -79,32 +63,17 @@ let entry_json e =
                (column_summaries e.table)) );
       ])
 
-let calibration_json c =
-  Table.Obj
-    [
-      ("trials", Table.Int c.trials);
-      ("seq_wall_s", Table.Float c.seq_wall_s);
-      ("par_wall_s", Table.Float c.par_wall_s);
-      ("speedup", Table.Float c.speedup);
-      ("deterministic", Table.Bool c.deterministic);
-    ]
-
 let to_json r =
   Table.Obj
-    ([
+    [
       ("schema_version", Table.Int schema_version);
       ("kind", Table.Str "bprc-bench-report");
       ("date", Table.Str r.date);
       ("workers", Table.Int r.workers);
       ("quick", Table.Bool r.quick);
       ("total_wall_s", Table.Float r.total_wall_s);
-      ( "calibration",
-        match r.calibration with
-        | None -> Table.Null
-        | Some c -> calibration_json c );
       ("experiments", Table.Arr (List.map entry_json r.entries));
     ]
-    @ r.extra)
 
 let to_string r = Table.json_to_string (to_json r)
 

@@ -1,26 +1,14 @@
-(** Machine-readable bench reports ([BENCH_<date>.json]).
+(** Machine-readable experiment reports ([bprc experiment --json FILE]).
 
-    One report captures a whole driver run: every experiment's table
-    (with numeric cells as JSON numbers), its wall time, automatic
-    per-column sample summaries (median, ci95, …), the worker count,
-    and a parallel-harness calibration (measured speedup of the domain
-    pool against the inline sequential path, plus a bitwise
-    determinism check of the per-trial results).  Reports from
-    successive PRs form the perf trajectory; see EXPERIMENTS.md for
-    the schema and how to compare two files. *)
+    One report captures a whole [bprc experiment] run: every
+    experiment's table (with numeric cells as JSON numbers), its wall
+    time, automatic per-column sample summaries (median, ci95, …) and
+    the worker count.  See EXPERIMENTS.md for the schema and how to
+    compare two files. *)
 
 type entry = {
   table : Table.t;
   wall_s : float;  (** wall-clock seconds for this experiment *)
-}
-
-type calibration = {
-  trials : int;
-  seq_wall_s : float;  (** the same trial batch, inline on one worker *)
-  par_wall_s : float;  (** …and fanned out over the pool *)
-  speedup : float;  (** [seq_wall_s /. par_wall_s] *)
-  deterministic : bool;
-      (** per-trial results bit-identical between the two runs *)
 }
 
 type t = {
@@ -28,21 +16,13 @@ type t = {
   workers : int;
   quick : bool;
   total_wall_s : float;
-  calibration : calibration option;
   entries : entry list;
-  extra : (string * Table.json) list;
-      (** report-specific top-level fields appended verbatim to the JSON
-          object (e.g. the embedded baseline of [BENCH_throughput.json]);
-          empty for the experiment driver *)
 }
 
 val schema_version : int
 
 val iso8601 : float -> string
 (** Render a Unix timestamp as [YYYY-MM-DDThh:mm:ssZ]. *)
-
-val default_filename : ?time:float -> unit -> string
-(** [BENCH_<YYYY-MM-DD>.json], defaulting to now. *)
 
 val column_summaries : Table.t -> (string * Stats.summary) list
 (** Per-column descriptive statistics over the rows whose cell in that

@@ -1,5 +1,5 @@
 (** Frozen pre-ladder sequential explorer, kept as a differential
-    oracle and bench baseline.
+    oracle.
 
     This is the stateless-checking baseline {!Explorer} was rewritten
     from: per-run heap-allocated DFS node records, every run replayed
@@ -7,10 +7,8 @@
     machinery.  Its reports define the sequential-exact semantics the
     optimised {!Explorer} must reproduce bit for bit — the equivalence
     suite in [test/test_check.ml] diffs full reports against it across
-    every registry config, ladder setting and worker count, and
-    [bench/throughput.exe]'s [explorer-ref] row is the in-process
-    baseline for the ladder speedup assert.  Do not modify this module
-    when changing {!Explorer}. *)
+    every registry config, with and without reduction, at every worker
+    count.  Do not modify this module when changing {!Explorer}. *)
 
 type setup = Bprc_runtime.Sim.t -> unit -> (unit, string) result
 

@@ -621,3 +621,43 @@ let suite =
     Alcotest.test_case "explore: caches die with their arenas" `Quick
       test_explore_caches_do_not_leak;
   ]
+
+(* Allocation ceilings for the explorer over the snapshot-atomic
+   registry config, unreduced (a 30,448-run tree).  The DFS bookkeeping
+   allocates nothing, so words per run are workload setup and checks,
+   pinned at 600.  A 1-worker pool runs inline and must not pay for
+   parallel machinery: its words per run, helper domains included,
+   stay within one word of the poolless sweep. *)
+let test_explorer_words_per_run () =
+  let cfg = get_config "snapshot-atomic" in
+  let sweep ?pool () =
+    Gc.full_major ();
+    Option.iter Bprc_harness.Pool.reset_helper_minor_words pool;
+    let m0 = Gc.minor_words () in
+    let stats =
+      Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
+        ~reduction:false ?pool ~setup:cfg.Config.setup ()
+    in
+    let words =
+      Gc.minor_words () -. m0
+      +. Option.fold ~none:0.0 ~some:Bprc_harness.Pool.helper_minor_words pool
+    in
+    Alcotest.(check bool) "exhausted" true stats.Explorer.exhausted;
+    (stats.Explorer.runs, words /. float_of_int stats.Explorer.runs)
+  in
+  let runs, seq = sweep () in
+  let pool = Bprc_harness.Pool.create ~workers:1 () in
+  let runs1, par1 = sweep ~pool () in
+  Bprc_harness.Pool.shutdown pool;
+  Alcotest.(check int) "runs" 30_448 runs;
+  Alcotest.(check int) "same tree with a 1-worker pool" runs runs1;
+  if seq > 600.0 then Alcotest.failf "explorer words/run %.2f > 600" seq;
+  if par1 > seq +. 1.0 then
+    Alcotest.failf "1-worker pool words/run %.2f > no-pool %.2f + 1" par1 seq
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "alloc: explorer words/run ceiling" `Quick
+        test_explorer_words_per_run;
+    ]

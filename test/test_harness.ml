@@ -175,17 +175,7 @@ let test_report_json () =
       workers = 2;
       quick = true;
       total_wall_s = 1.25;
-      calibration =
-        Some
-          {
-            Report.trials = 8;
-            seq_wall_s = 1.0;
-            par_wall_s = 0.5;
-            speedup = 2.0;
-            deterministic = true;
-          };
       entries = [ { Report.table; wall_s = 0.25 } ];
-      extra = [];
     }
   in
   let s = Report.to_string r in
@@ -194,24 +184,20 @@ let test_report_json () =
       Alcotest.(check bool) ("contains " ^ affix) true
         (Astring.String.is_infix ~affix s))
     [
-      "\"schema_version\":1";
+      "\"schema_version\":2";
       "\"date\":\"1970-01-01T00:00:00Z\"";
       "\"workers\":2";
-      "\"speedup\":2";
-      "\"deterministic\":true";
       "\"id\":\"E0\"";
       "\"wall_s\":0.25";
     ];
+  Alcotest.(check bool) "schema 2 has no calibration" false
+    (Astring.String.is_infix ~affix:"calibration" s);
   (* Column summaries cover numeric columns only. *)
   let sums = Report.column_summaries table in
   Alcotest.(check (list string)) "numeric columns" [ "x" ] (List.map fst sums);
   let x = List.assoc "x" sums in
   Alcotest.(check int) "samples" 2 x.Stats.count;
   Alcotest.(check bool) "mean" true (feq x.Stats.mean 2.0)
-
-let test_report_default_filename () =
-  Alcotest.(check string) "epoch name" "BENCH_1970-01-01.json"
-    (Report.default_filename ~time:0.0 ())
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -443,8 +429,6 @@ let suite =
     Alcotest.test_case "table: to_json" `Quick test_table_to_json;
     Alcotest.test_case "json: string escaping" `Quick test_json_string_escaping;
     Alcotest.test_case "report: json rendering" `Quick test_report_json;
-    Alcotest.test_case "report: default filename" `Quick
-      test_report_default_filename;
     Alcotest.test_case "pool: map order" `Quick test_pool_map_order;
     Alcotest.test_case "pool: deterministic across workers" `Quick
       test_pool_workers_deterministic;

@@ -1110,3 +1110,41 @@ let run_to_suite =
   ]
 
 let suite = suite @ run_to_suite
+
+(* Allocation ceiling for the simulator's step loop: n=4 processes
+   spinning on write/read of private registers under round-robin,
+   driven by one [Sim.run], setup included.  A step costs the 2-word
+   effect continuation and nothing else; above 3.0 words/step a
+   per-step allocation has crept back in. *)
+let test_raw_sim_words_per_step () =
+  let n = 4 and iters = 100_000 in
+  Gc.full_major ();
+  let m0 = Gc.minor_words () in
+  let sim =
+    Sim.create ~seed:1 ~max_steps:max_int ~n
+      ~adversary:(Adversary.round_robin ()) ()
+  in
+  let (module R) = Sim.runtime sim in
+  for i = 0 to n - 1 do
+    let r = R.make_reg ~name:(Printf.sprintf "r%d" i) 0 in
+    ignore
+      (Sim.spawn sim (fun () ->
+           for k = 1 to iters do
+             R.write r k;
+             ignore (R.read r)
+           done))
+  done;
+  (match Sim.run sim with
+  | Sim.Completed -> ()
+  | Sim.Hit_step_limit -> Alcotest.fail "unexpected step limit");
+  let per = (Gc.minor_words () -. m0) /. float_of_int (Sim.clock sim) in
+  if per > 3.0 then
+    Alcotest.failf "raw-sim minor words/step %.2f > 3.0" per
+
+let alloc_suite =
+  [
+    Alcotest.test_case "alloc: raw-sim words/step ceiling" `Quick
+      test_raw_sim_words_per_step;
+  ]
+
+let suite = suite @ alloc_suite

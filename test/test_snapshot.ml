@@ -793,3 +793,46 @@ let suite =
       Alcotest.test_case "handshake: NaN scan terminates" `Quick
         test_handshake_nan_scan_terminates;
     ]
+
+(* Allocation ceiling for the embedded snapshot: n=4 processes doing
+   write + [scan_into] pairs under round-robin, setup included.  The
+   simulator's own 2 words/step of effect continuations are taken off,
+   so what is left is the snapshot's object allocation per pair (a
+   write embeds a full scan; the explicit scan reuses its view
+   buffer), pinned at 16 words. *)
+let test_embedded_words_per_op () =
+  let n = 4 and pairs = 3_000 in
+  Gc.full_major ();
+  let m0 = Gc.minor_words () in
+  let sim =
+    Sim.create ~seed:2 ~max_steps:max_int ~n
+      ~adversary:(Adversary.round_robin ()) ()
+  in
+  let module S = Embedded.Make ((val Sim.runtime sim)) in
+  let mem = S.create ~init:0 () in
+  for i = 0 to n - 1 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           let view = Array.make n 0 in
+           for k = 1 to pairs do
+             S.write mem ((k * n) + i);
+             S.scan_into mem view
+           done))
+  done;
+  (match Sim.run sim with
+  | Sim.Completed -> ()
+  | Sim.Hit_step_limit -> Alcotest.fail "unexpected step limit");
+  let words = Gc.minor_words () -. m0 in
+  let per =
+    (words -. (2.0 *. float_of_int (Sim.clock sim))) /. float_of_int (n * pairs)
+  in
+  if per > 16.0 then
+    Alcotest.failf "embedded object words per write+scan %.2f > 16" per
+
+let alloc_suite =
+  [
+    Alcotest.test_case "alloc: embedded words/op ceiling" `Quick
+      test_embedded_words_per_op;
+  ]
+
+let suite = suite @ alloc_suite
