@@ -815,7 +815,7 @@ let check_cmd =
           exit exit_budget))
   in
   let action configs list max_runs max_steps budget_s out json no_shrink
-      replay_file workers =
+      replay_file =
     if list then begin
       List.iter
         (fun c ->
@@ -841,7 +841,6 @@ let check_cmd =
                 exit 2)
             names
       in
-      let pool = pool_of_workers workers in
       let results =
         (* Stop exploring further configurations at the first violation,
            mirroring hunt's stop-at-first-failure. *)
@@ -850,7 +849,7 @@ let check_cmd =
           | cfg :: rest ->
             let stats =
               Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
-                ~shrink:(not no_shrink) ~pool cfg
+                ~shrink:(not no_shrink) cfg
             in
             if not json then begin
               match stats.Bprc_check.Explorer.violation with
@@ -937,9 +936,7 @@ let check_cmd =
              (Bprc_util.Json.Obj
                 [
                   ("kind", Bprc_util.Json.Str "bprc-check-report");
-                  ("version", Bprc_util.Json.Int 1);
-                  ( "workers",
-                    Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
+                  ("version", Bprc_util.Json.Int 2);
                   ("outcome", Bprc_util.Json.Str outcome);
                   ( "configs",
                     Bprc_util.Json.Arr (List.map config_json results) );
@@ -957,15 +954,11 @@ let check_cmd =
          "Exhaustively explore the schedules of small configurations \
           (linearizability + P1-P3 + consensus spec on every completed \
           run); on violation, write a ddmin-minimized replayable witness \
-          schedule.  Run/pruned counts equal the sequential explorer's \
-          stopped at its first violation, so reports are bit-identical \
-          at any --workers count.  \
-          Exit codes: 0 every configuration exhausted clean, 1 violation \
-          found, 124 exploration bound hit first.")
+          schedule.  Exit codes: 0 every configuration exhausted clean, \
+          1 violation found, 124 exploration bound hit first.")
     Term.(
       const action $ configs_arg $ list_arg $ max_runs_arg $ max_steps_arg
-      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ replay_arg
-      $ workers_opt_arg)
+      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ replay_arg)
 
 (* --- serve-bench ------------------------------------------------------- *)
 

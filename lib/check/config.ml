@@ -281,11 +281,10 @@ let all =
 let names () = List.map (fun c -> c.name) all
 let find name = List.find_opt (fun c -> c.name = name) all
 
-let run ?max_steps ?max_runs ?budget_s ?shrink ?pool cfg =
+let run ?max_steps ?max_runs ?budget_s ?shrink cfg =
   Explorer.explore ~n:cfg.n
     ~max_steps:(Option.value max_steps ~default:cfg.max_steps)
-    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?pool
-    ~setup:cfg.setup ()
+    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ~setup:cfg.setup ()
 
 let replay ?max_steps cfg (w : Explorer.witness) =
   Explorer.replay ~n:cfg.n

@@ -32,13 +32,9 @@ val run :
   ?max_runs:int ->
   ?budget_s:float ->
   ?shrink:bool ->
-  ?pool:Bprc_harness.Pool.t ->
   t ->
   Explorer.stats
 (** {!Explorer.explore} with the configuration's program, bound and
-    reduction setting ([max_steps] overrides the default; [pool] fans
-    subtree exploration out across domains with bit-identical
-    results — every registry setup is safe to run from helper
-    domains). *)
+    reduction setting ([max_steps] overrides the default). *)
 
 val replay : ?max_steps:int -> t -> Explorer.witness -> Explorer.replay_outcome * int

@@ -48,10 +48,8 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let field j k to_v =
-  match Option.bind (Json.member k j) to_v with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "witness: missing or ill-typed field %S" k)
+let what = "witness"
+let field j k conv = Json.field ~what j k conv
 
 let of_json j =
   let* k = field j "kind" Json.to_string_opt in
@@ -68,26 +66,12 @@ let of_json j =
   let* n = field j "n" Json.to_int_opt in
   let* max_steps = field j "max_steps" Json.to_int_opt in
   let* choices =
-    let* l = field j "choices" Json.to_list_opt in
-    List.fold_left
-      (fun acc c ->
-        let* acc = acc in
-        match Json.to_int_opt c with
-        | Some i -> Ok (i :: acc)
-        | None -> Error "witness: non-integer choice")
-      (Ok []) l
-    |> Result.map List.rev
+    Json.list_field ~what j "choices" Json.to_int_opt
+      ~bad:"non-integer choice"
   in
   let* flips =
-    let* l = field j "flips" Json.to_list_opt in
-    List.fold_left
-      (fun acc b ->
-        let* acc = acc in
-        match Json.to_bool_opt b with
-        | Some v -> Ok (v :: acc)
-        | None -> Error "witness: non-boolean flip")
-      (Ok []) l
-    |> Result.map List.rev
+    Json.list_field ~what j "flips" Json.to_bool_opt
+      ~bad:"non-boolean flip"
   in
   let* failure = field j "failure" Json.to_string_opt in
   let* clock = field j "clock" Json.to_int_opt in
@@ -99,20 +83,5 @@ let of_string str =
   let* j = Json.of_string str in
   of_json j
 
-let save ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
-
-let load ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> of_string contents
+let save ~path t = Json.save ~path (to_json t)
+let load ~path = Result.bind (Json.load ~path) of_json

@@ -58,11 +58,6 @@ let helper_minor_words t =
   Mutex.unlock t.m;
   w
 
-let reset_helper_minor_words t =
-  Mutex.lock t.m;
-  t.helper_minor <- 0.0;
-  Mutex.unlock t.m
-
 (* Drain the job from the calling domain.  Takes and returns with
    [t.m] held.  Trials are claimed in chunks — one lock round-trip per
    chunk instead of per trial — sized so every worker still gets ~8
@@ -188,32 +183,6 @@ let map_list t f xs =
   check_live t "Pool.map_list";
   let arr = Array.of_list xs in
   map t (Array.length arr) (fun i -> f arr.(i)) |> Array.to_list
-
-module Gate = struct
-  (* A monotone min-latch: [lower] only ever decreases the level, so a
-     racy [level] read is conservative — a reader may briefly see a
-     stale (higher) level and do work it could have skipped, but never
-     skips work it must do.  That is exactly the contract cancellation
-     needs to stay output-deterministic: skipping is an optimisation,
-     counting never reads the gate. *)
-  type g = int Atomic.t
-
-  let create ?(level = max_int) () = Atomic.make level
-  let level = Atomic.get
-
-  let rec lower g r =
-    let c = Atomic.get g in
-    if r < c && not (Atomic.compare_and_set g c r) then lower g r
-end
-
-let map_gated t ~skip count f =
-  check_live t "Pool.map_gated";
-  ignore
-    (map t count (fun i ->
-         (* [skip] is re-read at claim time on the claiming domain, so a
-            gate lowered mid-job sheds the not-yet-started tail without
-            any extra synchronisation. *)
-         if not (skip i) then f i))
 
 let map_seeded t ~rng ~trials f =
   check_live t "Pool.map_seeded";

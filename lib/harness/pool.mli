@@ -48,47 +48,12 @@ val map : t -> int -> (int -> 'a) -> 'a array
     call from any domain.  If any call raises, one of the exceptions is
     re-raised in the caller after all claimed trials finish.
     @raise Invalid_argument when the pool has been {!shutdown} (as do
-    {!map_list}, {!map_gated} and {!map_seeded}). *)
+    {!map_list} and {!map_seeded}). *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs] is [List.map f xs] with the calls distributed
     over the pool, preserving input order.  The list-shaped counterpart
-    of {!map}; the CLI uses it as the dispatch layer shared between the
-    fault-hunt loop and the parallel explorer. *)
-
-(** A monotone min-latch shared across the workers of one {!map_gated}
-    job.  {!Gate.lower} only ever decreases the level, and reads are
-    plain atomic loads, so a stale read is always conservative (too
-    high): a worker may start a unit it could have skipped but never
-    skips a unit below the final level.  The parallel explorer uses it
-    for deterministic cancellation — a shard that finds a violation
-    lowers the gate to its schedule-order rank, shedding every unit
-    ranked after it. *)
-module Gate : sig
-  type g
-
-  val create : ?level:int -> unit -> g
-  (** Fresh gate at [level] (default [max_int] = nothing shed). *)
-
-  val level : g -> int
-  (** Current level; racy but monotonically non-increasing. *)
-
-  val lower : g -> int -> unit
-  (** Lower the gate to [min (level g) r]. *)
-end
-
-val map_gated : t -> skip:(int -> bool) -> int -> (int -> unit) -> unit
-(** [map_gated pool ~skip count f] runs [f i] for each [i] not vetoed
-    by [skip i], with the calls distributed over the pool.  This is the
-    steal/donate dispatch layer of the parallel explorer: indices are
-    claimed dynamically (a free worker "steals" the next unclaimed
-    slice, so claim order — but nothing observable — depends on
-    timing), and [skip] is consulted on the claiming domain right
-    before each unit starts, typically reading a {!Gate} that a
-    violating unit lowered.  Because skipped work must be work whose
-    output the caller provably discards, [skip]-shedding cannot change
-    results — callers that meet that contract keep {!map}'s bit-for-bit
-    determinism at any worker count. *)
+    of {!map}; the CLI's fault-hunt loop dispatches trials through it. *)
 
 val helper_minor_words : t -> float
 (** Cumulative [Gc.minor_words] allocated by helper domains while
@@ -98,10 +63,6 @@ val helper_minor_words : t -> float
     lock at chunk completion; add it to a driving-domain measurement to
     get whole-pool allocation.  Only meaningful between jobs, read from
     the driving domain. *)
-
-val reset_helper_minor_words : t -> unit
-(** Zero the {!helper_minor_words} accumulator (start of a measured
-    interval). *)
 
 val map_seeded :
   t -> rng:Bprc_rng.Splitmix.t -> trials:int -> (Bprc_rng.Splitmix.t -> 'a) -> 'a array

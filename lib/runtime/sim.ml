@@ -627,7 +627,6 @@ let clock t = t.clock
 let n t = t.n
 let registers_created t = t.next_reg_id
 let max_steps t = t.max_steps
-let owner_domain t = t.owner
 let steps_of t pid = t.procs.(pid).steps
 let flips_of t pid = t.procs.(pid).flips
 let trace t = t.tr

@@ -60,9 +60,8 @@ val reset : ?seed:int -> ?adversary:Adversary.t -> t -> unit
     register raises no error but is meaningless.
 
     [reset] also {e adopts ownership}: the calling domain becomes the
-    arena's owner (see {!step}), which is how the parallel explorer
-    migrates a per-subtree arena between pool workers — always through
-    a reset, never mid-run. *)
+    arena's owner (see {!step}), so an arena moves between domains
+    only through a reset, never mid-run. *)
 
 val runtime : t -> (module Runtime_intf.S)
 (** The shared-memory interface bound to this simulator instance.
@@ -169,14 +168,6 @@ val registers_created : t -> int
     creation (or the last {!reset}) — the measured side of the space
     accounting: a protocol whose space report is honest creates exactly
     this many registers and never more mid-run. *)
-
-val owner_domain : t -> int
-(** Id of the domain that currently owns the arena — the one that
-    {!create}d or last {!reset} it.  Stealing an arena between domains
-    is legal exactly at a {!reset} boundary (which re-adopts it); this
-    accessor lets harness code assert that invariant, e.g. that no
-    explorer worker ever drives a shard arena another domain still
-    owns. *)
 
 val steps_of : t -> int -> int
 (** Steps taken by one process. *)

@@ -13,8 +13,7 @@
     one reusable simulator arena per instance shape ([n], step bound),
     adopted via [Sim.reset]'s ownership machinery, so a sustained run
     decides thousands of instances with a handful of arena allocations
-    — the same trick the parallel explorer plays with its per-shard
-    simulators.
+    — the same trick the explorer plays with its one simulator.
 
     {b Determinism.}  Instance randomness is forked from the engine
     seed by ticket ([Splitmix.fork base ticket] — the harness's

@@ -261,3 +261,41 @@ let to_int_opt = function
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function Arr xs -> Some xs | _ -> None
+
+(* --- document decoding and files ----------------------------------- *)
+
+let field ~what j k conv =
+  match Option.bind (member k j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing or ill-typed field %S" what k)
+
+let list_field ~what j k conv ~bad =
+  match field ~what j k to_list_opt with
+  | Error _ as e -> e
+  | Ok xs ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | x :: tl -> (
+        match conv x with
+        | Some v -> go (v :: acc) tl
+        | None -> Error (what ^ ": " ^ bad))
+    in
+    go [] xs
+
+let save ~path j =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (to_string j);
+      output_char oc '\n')
+
+let load ~path =
+  match
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error e -> Error e
+  | contents -> of_string contents

@@ -1,9 +1,10 @@
 (** Minimal JSON document type, emitter and parser (no external
     dependency).
 
-    Used by {!Bprc_harness.Table}/[Report] for the bench-report files
-    and by [Bprc_faults.Script] for counterexample scripts, which must
-    round-trip through disk bit-identically. *)
+    Used by {!Bprc_harness.Table}/[Report] for the bench-report files,
+    and by [Bprc_faults.Script] and [Bprc_check.Witness] for
+    counterexample files, which must round-trip through disk
+    bit-identically. *)
 
 type t =
   | Null
@@ -33,3 +34,32 @@ val to_int_opt : t -> int option
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option
+
+(** {1 Documents and files}
+
+    Decoders for the fields of a saved document.  [what] names the
+    document in error messages, e.g. ["witness: missing or ill-typed
+    field \"n\""]. *)
+
+val field :
+  what:string -> t -> string -> (t -> 'a option) -> ('a, string) result
+(** [field ~what j k conv] is [conv] applied to member [k] of [j];
+    [Error] when the member is missing or [conv] rejects it. *)
+
+val list_field :
+  what:string ->
+  t ->
+  string ->
+  (t -> 'a option) ->
+  bad:string ->
+  ('a list, string) result
+(** [list_field ~what j k conv ~bad] decodes member [k] of [j] as an
+    array whose every element [conv] accepts; a rejected element is
+    [Error (what ^ ": " ^ bad)]. *)
+
+val save : path:string -> t -> unit
+(** Write the compact rendering of a value and a newline to [path]. *)
+
+val load : path:string -> (t, string) result
+(** Read and parse the whole file at [path]; an unreadable file is an
+    [Error] carrying the [Sys_error] message. *)

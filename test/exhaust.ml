@@ -12,9 +12,9 @@ let setup ~n f sim =
 
 (* Always unreduced: bodies may share OCaml state that register-level
    independence cannot see. *)
-let explore ~n ?max_steps ?max_runs ?shrink ?pool f =
+let explore ~n ?max_steps ?max_runs ?shrink f =
   Bprc_check.Explorer.explore ~n ?max_steps ?max_runs ~reduction:false ?shrink
-    ?pool ~setup:(setup ~n f) ()
+    ~setup:(setup ~n f) ()
 
 let no_violation (stats : Bprc_check.Explorer.stats) =
   match stats.violation with

@@ -7,8 +7,9 @@
     machinery.  Its reports define the sequential-exact semantics the
     optimised {!Explorer} must reproduce bit for bit — the equivalence
     suite in [test/test_check.ml] diffs full reports against it across
-    every registry config, with and without reduction, at every worker
-    count.  Do not modify this module when changing {!Explorer}. *)
+    every registry config, with and without reduction, and on a skewed
+    tree and mid-tree [max_runs] bounds.  Do not modify this module
+    when changing {!Explorer}. *)
 
 type setup = Bprc_runtime.Sim.t -> unit -> (unit, string) result
 
@@ -39,8 +40,7 @@ val explore :
   setup:setup ->
   unit ->
   stats
-(** Sequential-only [explore]; same semantics and defaults as
-    {!Explorer.explore} restricted to one worker. *)
+(** Same semantics and defaults as {!Explorer.explore}. *)
 
 val replay :
   n:int ->

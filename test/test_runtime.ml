@@ -734,16 +734,17 @@ exception Violation of int
 
 (* Two racy increments whose check raises on a lost update, carrying
    the final counter as evidence.  The raise is that run's violation:
-   a shrunk witness, identical at any worker count, that replays to the
-   same failure and clock.  A raise from a process body is reported the
+   a shrunk witness that replays to the same failure and clock.  A
+   raise from a process body or from the setup itself is reported the
    same way. *)
 let test_explore_propagates_violation () =
   let module Explorer = Bprc_check.Explorer in
-  let lost_update ~raise_in_body (module R : Runtime_intf.S) =
+  let lost_update ~raise_in (module R : Runtime_intf.S) =
+    if raise_in = `Setup then raise (Violation 1);
     let reg = R.make_reg 0 in
     let body _ =
       let v = R.read reg in
-      if raise_in_body && v = 1 then raise (Violation v);
+      if raise_in = `Body && v = 1 then raise (Violation v);
       R.write reg (v + 1)
     in
     let check () =
@@ -752,18 +753,15 @@ let test_explore_propagates_violation () =
     in
     (body, check)
   in
-  let witness ?shrink ?pool ~raise_in_body label =
-    match
-      (Exhaust.explore ~n:2 ?shrink ?pool (lost_update ~raise_in_body))
-        .violation
-    with
+  let witness ?shrink ~raise_in label =
+    match (Exhaust.explore ~n:2 ?shrink (lost_update ~raise_in)).violation with
     | Some w -> w
     | None -> Alcotest.failf "%s: lost update not reported" label
   in
-  let replays ~raise_in_body label (w : Explorer.witness) =
+  let replays ~raise_in label (w : Explorer.witness) =
     let outcome, clock =
       Explorer.replay ~n:2 ~choices:w.choices ~flips:w.flips
-        ~setup:(Exhaust.setup ~n:2 (lost_update ~raise_in_body))
+        ~setup:(Exhaust.setup ~n:2 (lost_update ~raise_in))
         ()
     in
     (match outcome with
@@ -774,27 +772,19 @@ let test_explore_propagates_violation () =
     Alcotest.(check int) (label ^ ": replayed clock") w.clock clock
   in
   let evidence = "raised: " ^ Printexc.to_string (Violation 1) in
-  let seq = witness ~raise_in_body:false "sequential" in
+  let seq = witness ~raise_in:`Check "sequential" in
   Alcotest.(check string) "lost update reported with evidence" evidence
     seq.failure;
-  replays ~raise_in_body:false "sequential" seq;
-  let raw = witness ~shrink:false ~raise_in_body:false "unshrunk" in
+  replays ~raise_in:`Check "sequential" seq;
+  let raw = witness ~shrink:false ~raise_in:`Check "unshrunk" in
   Alcotest.(check bool) "witness shrunk" true
     (List.length seq.choices <= List.length raw.choices);
   List.iter
-    (fun workers ->
-      let pool = Bprc_harness.Pool.create ~workers () in
-      let label = Printf.sprintf "@%d workers" workers in
-      let w = witness ~pool ~raise_in_body:false label in
-      Bprc_harness.Pool.shutdown pool;
-      Alcotest.(check (list int)) (label ^ ": same schedule") seq.choices
-        w.choices;
-      Alcotest.(check string) (label ^ ": same failure") seq.failure w.failure;
-      replays ~raise_in_body:false label w)
-    [ 1; 2 ];
-  let body = witness ~raise_in_body:true "body raise" in
-  Alcotest.(check string) "body raise reported" evidence body.failure;
-  replays ~raise_in_body:true "body raise" body
+    (fun (raise_in, label) ->
+      let w = witness ~raise_in label in
+      Alcotest.(check string) (label ^ " reported") evidence w.failure;
+      replays ~raise_in label w)
+    [ (`Body, "body raise"); (`Setup, "setup raise") ]
 
 let faults_support_suite =
   [

@@ -110,8 +110,32 @@ let prop_push_length =
       done;
       Vec.length v = k)
 
+(* The shared field decoders of saved documents: their error strings
+   are part of the witness and hunt-script file contracts. *)
+let test_json_document_fields () =
+  let doc s = Result.get_ok (Json.of_string s) in
+  let ints j =
+    Json.list_field ~what:"doc" j "xs" Json.to_int_opt ~bad:"non-integer x"
+  in
+  let err = Alcotest.(result (list int) string) in
+  Alcotest.check err "ints" (Ok [ 3; 1; 2 ]) (ints (doc {|{"xs":[3,1,2]}|}));
+  Alcotest.check err "empty" (Ok []) (ints (doc {|{"xs":[]}|}));
+  Alcotest.check err "bad element" (Error "doc: non-integer x")
+    (ints (doc {|{"xs":[1,true]}|}));
+  Alcotest.check err "missing"
+    (Error {|doc: missing or ill-typed field "xs"|})
+    (ints (doc {|{"ys":[]}|}));
+  Alcotest.check err "not an array"
+    (Error {|doc: missing or ill-typed field "xs"|})
+    (ints (doc {|{"xs":1}|}));
+  Alcotest.(check (result int string))
+    "scalar" (Ok 7)
+    (Json.field ~what:"doc" (doc {|{"n":7}|}) "n" Json.to_int_opt)
+
 let suite =
   [
+    Alcotest.test_case "json: document fields" `Quick
+      test_json_document_fields;
     Alcotest.test_case "push/get" `Quick test_push_get;
     Alcotest.test_case "set" `Quick test_set;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
