@@ -457,28 +457,75 @@ let exit_ok = 0
 let exit_violation = 1
 let exit_budget = 124
 
+module Json = Bprc_util.Json
+module Explorer = Bprc_check.Explorer
+module Scenario = Bprc_check.Scenario
+module Script = Bprc_check.Script
+module Witness = Bprc_check.Witness
+
+(* Report a usage error found after parsing, and exit 2. *)
+let usage_error fmt = Fmt.kstr (fun msg -> Fmt.epr "%s@." msg; exit 2) fmt
+
+(* The report of [bprc replay] and [bprc check --replay]: [noun] names
+   the replayed file ("script" or "witness"), [head] leads the JSON
+   summary, [banner] prints the human header, and [expected] is the
+   saved schedule the [outcome] and [clock] of its replay are compared
+   with. *)
+let replay_report ~json ~noun ~head ~banner ~(expected : Explorer.witness)
+    ~clock outcome =
+  let summary oc fields =
+    if json then
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              (head @ (("outcome", Json.Str oc) :: ("clock", Json.Int clock)
+                       :: fields))))
+  in
+  if not json then banner ();
+  match (outcome : Explorer.replay_outcome) with
+  | Fail f ->
+    let bit_identical = clock = expected.clock && f = expected.failure in
+    if not json then begin
+      Fmt.pr "failure  : %s@." f;
+      Fmt.pr "expected : %s@." expected.failure;
+      Fmt.pr "clock    : %d (%s: %d)%s@." clock noun expected.clock
+        (if bit_identical then "  [bit-identical]" else "")
+    end;
+    summary "reproduced"
+      [ ("failure", Json.Str f); ("bit_identical", Json.Bool bit_identical) ];
+    exit exit_violation
+  | Pass ->
+    if not json then
+      Fmt.pr "failure  : none reproduced (%s expected: %s)@." noun
+        expected.failure;
+    summary "clean" [];
+    exit exit_ok
+  | Cutoff ->
+    if not json then Fmt.pr "failure  : step bound hit before completion@.";
+    summary "cutoff" [];
+    exit exit_budget
+
 let scenario_arg =
   let scenario_conv =
     Arg.conv
       ( (fun s ->
-          match Bprc_faults.Scenario.find s with
+          match Scenario.find s with
           | Some sc -> Ok sc
           | None ->
             Error
               (`Msg
                  (Printf.sprintf "unknown scenario %s (valid: %s)" s
-                    (String.concat ", " Bprc_faults.Scenario.names)))),
-        fun ppf (s : Bprc_faults.Scenario.t) ->
-          Fmt.string ppf s.Bprc_faults.Scenario.name )
+                    (String.concat ", " Scenario.names)))),
+        fun ppf (s : Scenario.t) -> Fmt.string ppf s.name )
   in
   Arg.(
     value
-    & opt scenario_conv Bprc_faults.Scenario.consensus
+    & opt scenario_conv Scenario.consensus
     & info [ "scenario" ] ~docv:"NAME"
         ~doc:
           (Printf.sprintf
              "Hunt scenario: %s.  See DESIGN.md \"Fault model\"."
-             (String.concat ", " Bprc_faults.Scenario.names)))
+             (String.concat ", " Scenario.names)))
 
 let workers_opt_arg =
   Arg.(
@@ -532,68 +579,61 @@ let hunt_cmd =
        batch-independent (lowest failing trial index wins). *)
     let batch = max 64 (16 * Bprc_harness.Pool.workers pool) in
     let outcome =
-      Bprc_faults.Hunt.run ?budget_s ~batch ~map ~scenario ~trials ~seed ~n ()
+      Bprc_check.Hunt.run ?budget_s ~batch ~map ~scenario ~trials ~seed ~n ()
     in
     let summary fields =
       if json then
         print_endline
-          (Bprc_util.Json.to_string
-             (Bprc_util.Json.Obj
-                (("scenario",
-                  Bprc_util.Json.Str scenario.Bprc_faults.Scenario.name)
-                 :: ("seed", Bprc_util.Json.Int seed)
-                 :: fields)))
+          (Json.to_string
+             (Json.Obj
+                (("scenario", Json.Str scenario.name)
+                 :: ("seed", Json.Int seed) :: fields)))
     in
     match outcome with
-    | Bprc_faults.Hunt.No_failure { trials_run } ->
+    | No_failure { trials_run } ->
       if not json then
         Fmt.pr "hunt: %d trials of %s clean (seed %d)@." trials_run
-          scenario.Bprc_faults.Scenario.name seed;
+          scenario.name seed;
       summary
         [
-          ("outcome", Bprc_util.Json.Str "no_failure");
-          ("trials_run", Bprc_util.Json.Int trials_run);
+          ("outcome", Json.Str "no_failure");
+          ("trials_run", Json.Int trials_run);
         ];
       exit exit_ok
-    | Bprc_faults.Hunt.Budget_exhausted { trials_run } ->
+    | Budget_exhausted { trials_run } ->
       if not json then
         Fmt.pr "hunt: budget exhausted after %d clean trials@." trials_run;
       summary
         [
-          ("outcome", Bprc_util.Json.Str "budget_exhausted");
-          ("trials_run", Bprc_util.Json.Int trials_run);
+          ("outcome", Json.Str "budget_exhausted");
+          ("trials_run", Json.Int trials_run);
         ];
       exit exit_budget
-    | Bprc_faults.Hunt.Found f ->
-      let s = f.Bprc_faults.Hunt.shrunk in
-      Bprc_faults.Script.save ~path:out s;
+    | Found { script; shrunk; trial; replay_verified } ->
+      Script.save ~path:out shrunk;
+      let w = script.schedule and s = shrunk.schedule in
       if not json then begin
-        Fmt.pr "hunt: FAILURE at trial %d: %s@." f.Bprc_faults.Hunt.trial
-          f.Bprc_faults.Hunt.script.Bprc_faults.Script.failure;
-        Fmt.pr "  plan    : %a@." Bprc_faults.Fault_plan.pp
-          s.Bprc_faults.Script.plan;
+        Fmt.pr "hunt: FAILURE at trial %d: %s@." trial w.failure;
+        Fmt.pr "  plan    : %a@." Bprc_faults.Fault_plan.pp shrunk.header.plan;
         Fmt.pr "  shrunk  : %d->%d faults, %d->%d choices, %d->%d flips@."
-          (List.length f.Bprc_faults.Hunt.script.Bprc_faults.Script.plan)
-          (List.length s.Bprc_faults.Script.plan)
-          (List.length f.Bprc_faults.Hunt.script.Bprc_faults.Script.choices)
-          (List.length s.Bprc_faults.Script.choices)
-          (List.length f.Bprc_faults.Hunt.script.Bprc_faults.Script.flips)
-          (List.length s.Bprc_faults.Script.flips);
+          (List.length script.header.plan)
+          (List.length shrunk.header.plan)
+          (List.length w.choices) (List.length s.choices)
+          (List.length w.flips) (List.length s.flips);
         Fmt.pr "  replay  : %s@."
-          (if f.Bprc_faults.Hunt.replay_verified then "bit-identical"
+          (if replay_verified then "bit-identical"
            else "NOT bit-identical (bug in the recorder?)");
         Fmt.pr "  script  : %s@." out;
         Fmt.pr "  repro   : bprc replay %s@." out
       end;
       summary
         [
-          ("outcome", Bprc_util.Json.Str "failure");
-          ("trial", Bprc_util.Json.Int f.Bprc_faults.Hunt.trial);
-          ("failure", Bprc_util.Json.Str s.Bprc_faults.Script.failure);
-          ("script", Bprc_util.Json.Str out);
-          ( "replay_verified",
-            Bprc_util.Json.Bool f.Bprc_faults.Hunt.replay_verified );
-          ("repro", Bprc_util.Json.Str ("bprc replay " ^ out));
+          ("outcome", Json.Str "failure");
+          ("trial", Json.Int trial);
+          ("failure", Json.Str s.failure);
+          ("script", Json.Str out);
+          ("replay_verified", Json.Bool replay_verified);
+          ("repro", Json.Str ("bprc replay " ^ out));
         ];
       exit exit_violation
   in
@@ -623,63 +663,26 @@ let replay_cmd =
           ~doc:"Emit a machine-readable JSON summary on stdout.")
   in
   let action file json =
-    match Bprc_faults.Script.load ~path:file with
-    | Error e ->
-      Fmt.epr "replay: %s@." e;
-      exit 2
-    | Ok s -> (
-      match Bprc_faults.Scenario.find s.Bprc_faults.Script.scenario with
+    let s =
+      match Script.load ~path:file with
+      | Ok s -> s
+      | Error e -> usage_error "replay: %s" e
+    in
+    let h = s.header in
+    let scenario =
+      match Scenario.find h.scenario with
+      | Some scenario -> scenario
       | None ->
-        Fmt.epr "replay: script names unknown scenario %S@."
-          s.Bprc_faults.Script.scenario;
-        exit 2
-      | Some scenario ->
-        let r = Bprc_faults.Hunt.replay_script ~scenario s in
-        let bit_identical =
-          r.Bprc_faults.Scenario.clock = s.Bprc_faults.Script.clock
-          && Some s.Bprc_faults.Script.failure = r.Bprc_faults.Scenario.failure
-        in
-        let summary outcome fields =
-          if json then
-            print_endline
-              (Bprc_util.Json.to_string
-                 (Bprc_util.Json.Obj
-                    (("scenario",
-                      Bprc_util.Json.Str s.Bprc_faults.Script.scenario)
-                     :: ("script", Bprc_util.Json.Str file)
-                     :: ("outcome", Bprc_util.Json.Str outcome)
-                     :: ("clock",
-                         Bprc_util.Json.Int r.Bprc_faults.Scenario.clock)
-                     :: fields)))
-        in
-        if not json then begin
-          Fmt.pr "scenario : %s  (n=%d seed=%d)@."
-            s.Bprc_faults.Script.scenario s.Bprc_faults.Script.n
-            s.Bprc_faults.Script.seed;
-          Fmt.pr "plan     : %a@." Bprc_faults.Fault_plan.pp
-            s.Bprc_faults.Script.plan
-        end;
-        (match r.Bprc_faults.Scenario.failure with
-        | Some f ->
-          if not json then begin
-            Fmt.pr "failure  : %s@." f;
-            Fmt.pr "expected : %s@." s.Bprc_faults.Script.failure;
-            Fmt.pr "clock    : %d (script: %d)%s@."
-              r.Bprc_faults.Scenario.clock s.Bprc_faults.Script.clock
-              (if bit_identical then "  [bit-identical]" else "")
-          end;
-          summary "reproduced"
-            [
-              ("failure", Bprc_util.Json.Str f);
-              ("bit_identical", Bprc_util.Json.Bool bit_identical);
-            ];
-          exit exit_violation
-        | None ->
-          if not json then
-            Fmt.pr "failure  : none reproduced (script expected: %s)@."
-              s.Bprc_faults.Script.failure;
-          summary "clean" [];
-          exit exit_ok))
+        usage_error "replay: script names unknown scenario %S" h.scenario
+    in
+    let r = Bprc_check.Hunt.replay_script ~scenario s in
+    replay_report ~json ~noun:"script"
+      ~head:[ ("scenario", Json.Str h.scenario); ("script", Json.Str file) ]
+      ~banner:(fun () ->
+        Fmt.pr "scenario : %s  (n=%d seed=%d)@." h.scenario h.n h.seed;
+        Fmt.pr "plan     : %a@." Bprc_faults.Fault_plan.pp h.plan)
+      ~expected:s.schedule ~clock:r.clock
+      (match r.failure with Some f -> Fail f | None -> Pass)
   in
   Cmd.v
     (cmd_info "replay"
@@ -753,66 +756,28 @@ let check_cmd =
              (positional $(docv) arguments are ignored).")
   in
   let replay_action path json =
-    match Bprc_check.Witness.load ~path with
-    | Error e ->
-      Fmt.epr "check: %s@." e;
-      exit 2
-    | Ok w -> (
-      match Bprc_check.Config.find w.Bprc_check.Witness.config with
+    let w =
+      match Witness.load ~path with
+      | Ok w -> w
+      | Error e -> usage_error "check: %s" e
+    in
+    let h = w.header in
+    let cfg =
+      match Bprc_check.Config.find h.config with
+      | Some cfg -> cfg
       | None ->
-        Fmt.epr "check: witness names unknown configuration %S@."
-          w.Bprc_check.Witness.config;
-        exit 2
-      | Some cfg ->
-        let outcome, clock =
-          Bprc_check.Config.replay ~max_steps:w.Bprc_check.Witness.max_steps
-            cfg
-            (Bprc_check.Witness.to_explorer w)
-        in
-        let summary oc fields =
-          if json then
-            print_endline
-              (Bprc_util.Json.to_string
-                 (Bprc_util.Json.Obj
-                    (("config", Bprc_util.Json.Str cfg.Bprc_check.Config.name)
-                     :: ("witness", Bprc_util.Json.Str path)
-                     :: ("outcome", Bprc_util.Json.Str oc)
-                     :: ("clock", Bprc_util.Json.Int clock)
-                     :: fields)))
-        in
-        if not json then
-          Fmt.pr "config   : %s  (n=%d)@." cfg.Bprc_check.Config.name
-            cfg.Bprc_check.Config.n;
-        (match outcome with
-        | Bprc_check.Explorer.Fail f ->
-          let bit_identical =
-            clock = w.Bprc_check.Witness.clock
-            && f = w.Bprc_check.Witness.failure
-          in
-          if not json then begin
-            Fmt.pr "failure  : %s@." f;
-            Fmt.pr "expected : %s@." w.Bprc_check.Witness.failure;
-            Fmt.pr "clock    : %d (witness: %d)%s@." clock
-              w.Bprc_check.Witness.clock
-              (if bit_identical then "  [bit-identical]" else "")
-          end;
-          summary "reproduced"
-            [
-              ("failure", Bprc_util.Json.Str f);
-              ("bit_identical", Bprc_util.Json.Bool bit_identical);
-            ];
-          exit exit_violation
-        | Bprc_check.Explorer.Pass ->
-          if not json then
-            Fmt.pr "failure  : none reproduced (witness expected: %s)@."
-              w.Bprc_check.Witness.failure;
-          summary "clean" [];
-          exit exit_ok
-        | Bprc_check.Explorer.Cutoff ->
-          if not json then
-            Fmt.pr "failure  : step bound hit before completion@.";
-          summary "cutoff" [];
-          exit exit_budget))
+        usage_error "check: witness names unknown configuration %S" h.config
+    in
+    if h.n <> cfg.n then
+      usage_error "check: witness has n=%d but configuration %s has n=%d" h.n
+        cfg.name cfg.n;
+    let outcome, clock =
+      Bprc_check.Config.replay ~max_steps:h.max_steps cfg w.schedule
+    in
+    replay_report ~json ~noun:"witness"
+      ~head:[ ("config", Json.Str cfg.name); ("witness", Json.Str path) ]
+      ~banner:(fun () -> Fmt.pr "config   : %s  (n=%d)@." cfg.name cfg.n)
+      ~expected:w.schedule ~clock outcome
   in
   let action configs list max_runs max_steps budget_s out json no_shrink
       replay_file =
@@ -836,9 +801,8 @@ let check_cmd =
               match Bprc_check.Config.find name with
               | Some c -> c
               | None ->
-                Fmt.epr "check: unknown configuration %S (valid: %s)@." name
-                  (String.concat ", " (Bprc_check.Config.names ()));
-                exit 2)
+                usage_error "check: unknown configuration %S (valid: %s)" name
+                  (String.concat ", " (Bprc_check.Config.names ())))
             names
       in
       let results =
@@ -879,13 +843,16 @@ let check_cmd =
       in
       (match found with
       | Some (cfg, { Bprc_check.Explorer.violation = Some w; _ }) ->
-        Bprc_check.Witness.save ~path:out
-          (Bprc_check.Witness.of_witness ~config:cfg.Bprc_check.Config.name
-             ~n:cfg.Bprc_check.Config.n
-             ~max_steps:
-               (Option.value max_steps
-                  ~default:cfg.Bprc_check.Config.max_steps)
-             w);
+        Witness.save ~path:out
+          {
+            header =
+              {
+                config = cfg.name;
+                n = cfg.n;
+                max_steps = Option.value max_steps ~default:cfg.max_steps;
+              };
+            schedule = w;
+          };
         if not json then begin
           Fmt.pr "  schedule: %d choices, %d flips (ddmin-%s)@."
             (List.length w.Bprc_check.Explorer.choices)

@@ -123,11 +123,10 @@ let snapshot_prog ~plan ~prog =
     | Snap_lin.Not_linearizable -> false
   in
   let weakened = plan <> [] in
-  (* Per-arena checker/history scratch.  Parallel exploration gives
-     every shard its own arena and moves shards between domains from
-     round to round, so the pair lives on the arena, like the functor
-     caches above, and is rewound with [reset]/[clear] at the start of
-     every run. *)
+  (* Per-arena checker/history scratch: an exploration owns one arena,
+     so the pair lives on it, like the functor caches above, dies with
+     it, and is rewound with [reset]/[clear] at the start of every
+     run. *)
   let scratch =
     Sim.new_local (fun _ -> (Snap_checker.create ~n ~init:0, Hist.create ()))
   in

@@ -249,10 +249,10 @@ let shrink_witness ~n ~max_steps ~setup w =
     | (Pass | Cutoff), _ -> false
   in
   let choices =
-    Bprc_faults.Shrink.ddmin ~test:(fun cs -> still_fails cs w.flips) w.choices
+    Shrink.ddmin ~test:(fun cs -> still_fails cs w.flips) w.choices
   in
   let flips =
-    Bprc_faults.Shrink.ddmin ~test:(fun fs -> still_fails choices fs) w.flips
+    Shrink.ddmin ~test:(fun fs -> still_fails choices fs) w.flips
   in
   match replay_on sim ~choices ~flips ~setup with
   | Fail failure, clock -> { choices; flips; failure; clock }

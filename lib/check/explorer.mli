@@ -41,7 +41,7 @@
     A violation is returned as a {!witness}: the schedule (runnable
     indices, in {!Bprc_runtime.Adversary.scripted} form) and flip
     sequence of the failing run, by default minimized with
-    {!Bprc_faults.Shrink.ddmin} under replay validation.  An exception
+    {!Shrink.ddmin} under replay validation.  An exception
     raised by the setup, a process body or the check is a violation
     too, with failure ["raised: "] followed by the exception's
     [Printexc.to_string]; {!replay} classifies the same raise as

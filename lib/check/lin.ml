@@ -18,10 +18,11 @@ module Make (S : SPEC) = struct
   (* Memo table for the failed (linearized-set, state) pairs of one
      [check] call, reused across calls: the explorer checks one short
      history per explored schedule, and even a 16-bucket table per call
-     is measurable at that rate.  Per-domain (parallel exploration
-     shares the spec module across workers) and [Hashtbl.reset] between
-     checks, which also shrinks a table grown by an unusually deep
-     search back to its initial size. *)
+     is measurable at that rate.  Per-domain because [bprc hunt
+     --workers] runs the ABD scenario's checks on pool domains that
+     share one checker module, and [Hashtbl.reset] between checks,
+     which also shrinks a table grown by an unusually deep search back
+     to its initial size. *)
   let failed_key : (int * S.state, unit) Hashtbl.t Domain.DLS.key =
     Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 

@@ -18,6 +18,41 @@ module Register = struct
     | Write v -> Fmt.pf ppf "W(%d)" v
 end
 
+let regular ?(init = Register.init) events =
+  let writes =
+    List.filter_map
+      (fun (e : reg_op Hist.event) ->
+        match e.op with Write v -> Some (e, v) | Read _ -> None)
+      events
+    |> List.sort (fun ((a : reg_op Hist.event), _) (b, _) ->
+           compare a.start_time b.start_time)
+  in
+  let rec check_disjoint = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+      if not (Hist.precedes a b) then
+        invalid_arg "Specs.regular: overlapping writes";
+      check_disjoint rest
+    | _ -> ()
+  in
+  check_disjoint writes;
+  let read_ok r v =
+    (* The last write that precedes the read, or [init]. *)
+    let prior =
+      List.fold_left
+        (fun acc (w, wv) -> if Hist.precedes w r then wv else acc)
+        init writes
+    in
+    v = prior
+    || List.exists
+         (fun (w, wv) ->
+           wv = v && not (Hist.precedes w r || Hist.precedes r w))
+         writes
+  in
+  List.for_all
+    (fun (e : reg_op Hist.event) ->
+      match e.op with Read v -> read_ok e v | Write _ -> true)
+    events
+
 type snap_op =
   | Update of { pid : int; value : int }
   | Scan of int array

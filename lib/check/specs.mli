@@ -14,6 +14,15 @@ type reg_op =
 module Register : Lin.SPEC with type op = reg_op and type state = int
 (** Single integer register, initially [0]. *)
 
+val regular : ?init:int -> reg_op Hist.event list -> bool
+(** Single-writer regularity, weaker than linearizability against
+    {!Register}: every read returns the value of a write it overlaps,
+    or of the last write that precedes it ([init], default [0], when
+    there is none).  Regular registers allow the new-old inversion that
+    atomic ones forbid.
+    @raise Invalid_argument if two writes overlap (more than one
+    writer). *)
+
 (** {1 Atomic snapshot object} *)
 
 type snap_op =

@@ -2,7 +2,6 @@ type ctx = {
   mutable clock : int;
   mutable runnable : int array;
   rng : Bprc_rng.Splitmix.t;
-  trace : Trace.t option;
 }
 
 type policy = Closure | Round_robin of int ref

@@ -3,7 +3,7 @@
     An adversary chooses, at every step, which runnable process moves
     next.  The paper's adversary is adaptive and has full information;
     {!make} lets experiment code build such adversaries by closing over
-    the simulated registers (via [peek]) and the trace. *)
+    the simulated registers (via [peek]). *)
 
 type ctx = {
   mutable clock : int;
@@ -16,7 +16,6 @@ type ctx = {
           the duration of the call: copy [runnable] before retaining
           it. *)
   rng : Bprc_rng.Splitmix.t;  (** adversary's own randomness stream *)
-  trace : Trace.t option;  (** full history if recording was enabled *)
 }
 
 type policy = private

@@ -233,8 +233,8 @@ let reset_procs ~seed procs =
       Bprc_rng.Splitmix.reseed_fork p.prng ~seed (p.ppid + 1))
     procs
 
-let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
-    ?trace_capacity ~n ~adversary () =
+let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false) ~n
+    ~adversary () =
   if n <= 0 then invalid_arg "Sim.create: n must be positive";
   let procs =
     Array.init n (fun i ->
@@ -260,10 +260,7 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
   reset_procs ~seed procs;
   let rng = Bprc_rng.Splitmix.create ~seed:0 in
   Bprc_rng.Splitmix.reseed_fork rng ~seed 0;
-  let tr =
-    if record_trace then Some (Trace.create ?capacity:trace_capacity ())
-    else None
-  in
+  let tr = if record_trace then Some (Trace.create ()) else None in
   {
     n;
     procs;
@@ -280,7 +277,7 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
     last_access = access_none;
     last_flip = false;
     seed;
-    ctx = { Adversary.clock = 0; runnable = [||]; rng; trace = tr };
+    ctx = { Adversary.clock = 0; runnable = [||]; rng };
     scratch = Array.init (n + 1) (fun k -> Array.make k 0);
     runnable_cache = [||];
     runnable_dirty = true;

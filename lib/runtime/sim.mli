@@ -32,16 +32,12 @@ val create :
   ?seed:int ->
   ?max_steps:int ->
   ?record_trace:bool ->
-  ?trace_capacity:int ->
   n:int ->
   adversary:Adversary.t ->
   unit ->
   t
 (** [max_steps] defaults to 10_000_000; [record_trace] defaults to
-    [false] (recording costs memory proportional to the run length).
-    [trace_capacity] bounds the recorded trace to a ring of that many
-    newest events (see {!Trace.create}); ignored unless [record_trace]
-    is set. *)
+    [false] (recording costs memory proportional to the run length). *)
 
 val reset : ?seed:int -> ?adversary:Adversary.t -> t -> unit
 (** Rewind the simulator to the state a fresh {!create} with the same

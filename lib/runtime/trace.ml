@@ -13,84 +13,20 @@ type event = {
   kind : kind;
 }
 
-(* Unbounded recording appends to a growable vector (the historical
-   behavior).  Bounded recording keeps the newest [capacity] events in
-   a preallocated ring; [start] indexes the oldest retained event. *)
-type store =
-  | Unbounded of event Bprc_util.Vec.t
-  | Ring of { data : event array; mutable start : int; mutable len : int }
+type t = event Bprc_util.Vec.t
 
-type t = { mutable store : store; mutable total : int }
-
-let dummy = { time = 0; pid = -1; reg_id = -1; reg_name = ""; kind = Step }
-
-let create ?capacity () =
-  let store =
-    match capacity with
-    | None -> Unbounded (Bprc_util.Vec.create ())
-    | Some c ->
-      if c <= 0 then invalid_arg "Trace.create: capacity must be positive";
-      Ring { data = Array.make c dummy; start = 0; len = 0 }
-  in
-  { store; total = 0 }
-
-let capacity t =
-  match t.store with Unbounded _ -> None | Ring r -> Some (Array.length r.data)
-
-let record t e =
-  t.total <- t.total + 1;
-  match t.store with
-  | Unbounded v -> Bprc_util.Vec.push v e
-  | Ring r ->
-    let cap = Array.length r.data in
-    if r.len < cap then begin
-      r.data.((r.start + r.len) mod cap) <- e;
-      r.len <- r.len + 1
-    end
-    else begin
-      (* Full: overwrite the oldest slot and advance the window. *)
-      r.data.(r.start) <- e;
-      r.start <- (r.start + 1) mod cap
-    end
-
-let length t =
-  match t.store with Unbounded v -> Bprc_util.Vec.length v | Ring r -> r.len
-
-let total t = t.total
-let dropped t = t.total - length t
-
-let get t i =
-  match t.store with
-  | Unbounded v -> Bprc_util.Vec.get v i
-  | Ring r ->
-    if i < 0 || i >= r.len then invalid_arg "Trace.get: index out of bounds";
-    r.data.((r.start + i) mod Array.length r.data)
+let create () = Bprc_util.Vec.create ()
+let record = Bprc_util.Vec.push
+let length = Bprc_util.Vec.length
+let get = Bprc_util.Vec.get
 
 let last t =
   let n = length t in
   if n = 0 then None else Some (get t (n - 1))
 
-let iter f t =
-  match t.store with
-  | Unbounded v -> Bprc_util.Vec.iter f v
-  | Ring r ->
-    for i = 0 to r.len - 1 do
-      f r.data.((r.start + i) mod Array.length r.data)
-    done
-
-let to_list t =
-  let out = ref [] in
-  iter (fun e -> out := e :: !out) t;
-  List.rev !out
-
-let clear t =
-  t.total <- 0;
-  match t.store with
-  | Unbounded v -> Bprc_util.Vec.clear v
-  | Ring r ->
-    r.start <- 0;
-    r.len <- 0;
-    Array.fill r.data 0 (Array.length r.data) dummy
+let iter = Bprc_util.Vec.iter
+let to_list = Bprc_util.Vec.to_list
+let clear = Bprc_util.Vec.clear
 
 let pp_kind ppf = function
   | Read -> Fmt.string ppf "read"

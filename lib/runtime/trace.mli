@@ -2,13 +2,8 @@
 
     Traces drive the adaptive adversaries and the correctness checkers.
     Values are not recorded (they are polymorphic); checkers that need
-    them tag their payloads with unique identifiers instead.
-
-    By default a trace grows without bound.  [create ~capacity:c]
-    instead keeps only the {e newest} [c] events in a preallocated ring
-    buffer — the mode long fuzzing runs ([bprc hunt]) use so recording
-    stays O(capacity) in memory.  Indexing is always relative to the
-    retained window: index 0 is the oldest retained event. *)
+    them tag their payloads with unique identifiers instead.  A trace
+    grows without bound; index 0 is the oldest event. *)
 
 type kind =
   | Read
@@ -27,33 +22,17 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Unbounded when [capacity] is omitted; otherwise a ring keeping the
-    newest [capacity] events.
-    @raise Invalid_argument when [capacity <= 0]. *)
-
-val capacity : t -> int option
-(** The ring capacity, or [None] for an unbounded trace. *)
-
+val create : unit -> t
 val record : t -> event -> unit
-(** Append; on a full ring this evicts the oldest retained event. *)
-
 val length : t -> int
-(** Retained event count ([<= capacity] for rings). *)
-
-val total : t -> int
-(** Events recorded over the trace's lifetime, including evicted ones. *)
-
-val dropped : t -> int
-(** [total t - length t]: events evicted by the ring. *)
 
 val get : t -> int -> event
-(** [get t i] is the [i]-th oldest retained event.
+(** [get t i] is the [i]-th oldest event.
     @raise Invalid_argument out of [0 .. length-1]. *)
 
 val last : t -> event option
 val iter : (event -> unit) -> t -> unit
-(** Oldest retained to newest. *)
+(** Oldest to newest. *)
 
 val to_list : t -> event list
 val clear : t -> unit

@@ -2,8 +2,8 @@
     dependency).
 
     Used by {!Bprc_harness.Table}/[Report] for the bench-report files,
-    and by [Bprc_faults.Script] and [Bprc_check.Witness] for
-    counterexample files, which must round-trip through disk
+    and by [Bprc_check.Witness] for counterexample files (check
+    witnesses and hunt scripts), which must round-trip through disk
     bit-identically. *)
 
 type t =

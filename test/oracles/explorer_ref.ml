@@ -246,12 +246,12 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
         | (Pass | Cutoff), _ -> false
       in
       let choices =
-        Bprc_faults.Shrink.ddmin
+        Bprc_check.Shrink.ddmin
           ~test:(fun cs -> still_fails cs w.flips)
           w.choices
       in
       let flips =
-        Bprc_faults.Shrink.ddmin ~test:(fun fs -> still_fails choices fs) w.flips
+        Bprc_check.Shrink.ddmin ~test:(fun fs -> still_fails choices fs) w.flips
       in
       (match replay_on sim ~choices ~flips ~setup with
       | Fail failure, clock -> Some { choices; flips; failure; clock }

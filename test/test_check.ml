@@ -262,15 +262,17 @@ let test_shrink_shrinks () =
 let test_witness_json_roundtrip () =
   let _, w = find_violation "reg-safe" in
   let saved =
-    Witness.of_witness ~config:"reg-safe" ~n:2 ~max_steps:64 w
+    {
+      Witness.header = { config = "reg-safe"; n = 2; max_steps = 64 };
+      schedule = w;
+    }
   in
   match Witness.of_string (Witness.to_string saved) with
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
   | Ok w' ->
     Alcotest.(check bool) "roundtrip preserves witness" true (saved = w');
-    let back = Witness.to_explorer w' in
     Alcotest.(check (list int)) "choices preserved" w.Explorer.choices
-      back.Explorer.choices
+      w'.schedule.choices
 
 (* ------------------------------------------------------------------ *)
 (* Property: random atomic-register histories are always linearizable  *)

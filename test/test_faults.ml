@@ -1,4 +1,5 @@
 open Bprc_faults
+open Bprc_check
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans and scripts: JSON round-trips                           *)
@@ -56,15 +57,21 @@ let test_weaken_target () =
 
 let sample_script : Script.t =
   {
-    Script.scenario = "snapshot-unsafe";
-    n = 4;
-    seed = 123456789;
-    trial = 42;
-    plan = all_kinds_plan;
-    choices = [ 0; 2; 1; 1; 0 ];
-    flips = [ true; false; true ];
-    failure = "snapshot: P1: scan returned stale value";
-    clock = 321;
+    Script.header =
+      {
+        scenario = "snapshot-unsafe";
+        n = 4;
+        seed = 123456789;
+        trial = 42;
+        plan = all_kinds_plan;
+      };
+    schedule =
+      {
+        choices = [ 0; 2; 1; 1; 0 ];
+        flips = [ true; false; true ];
+        failure = "snapshot: P1: scan returned stale value";
+        clock = 321;
+      };
   }
 
 let test_script_roundtrip () =
@@ -193,21 +200,22 @@ let test_hunt_finds_injected_bug () =
     Alcotest.(check bool) "replay bit-identical" true f.Hunt.replay_verified;
     let orig = f.Hunt.script and small = f.Hunt.shrunk in
     Alcotest.(check bool) "plan not longer" true
-      (List.length small.Script.plan <= List.length orig.Script.plan);
+      (List.length small.header.plan <= List.length orig.header.plan);
     Alcotest.(check bool) "choices not longer" true
-      (List.length small.Script.choices <= List.length orig.Script.choices);
+      (List.length small.schedule.choices
+      <= List.length orig.schedule.choices);
     Alcotest.(check bool) "flips not longer" true
-      (List.length small.Script.flips <= List.length orig.Script.flips);
+      (List.length small.schedule.flips <= List.length orig.schedule.flips);
     (* The shrunk plan must retain the weakening — it IS the bug. *)
     Alcotest.(check bool) "shrunk plan keeps the weakening" true
-      (Fault_plan.weaken_target small.Script.plan ~index:0 <> None);
+      (Fault_plan.weaken_target small.header.plan ~index:0 <> None);
     (* The shrunk script still fails, exactly as it says on the tin. *)
     let r = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe small in
     Alcotest.(check (option string))
       "shrunk script reproduces its recorded failure"
-      (Some small.Script.failure) r.Scenario.failure;
+      (Some small.schedule.failure) r.Scenario.failure;
     Alcotest.(check int) "shrunk script reproduces its recorded clock"
-      small.Script.clock r.Scenario.clock;
+      small.schedule.clock r.Scenario.clock;
     (* And it survives a serialization round-trip before replay. *)
     match Script.of_string (Script.to_string small) with
     | Error e -> Alcotest.failf "shrunk script does not round-trip: %s" e
@@ -263,7 +271,7 @@ let test_hunt_clean_scenarios () =
           60 trials_run
       | Hunt.Found f ->
         Alcotest.failf "%s: unexpected failure %S" scenario.Scenario.name
-          f.Hunt.script.Script.failure
+          f.Hunt.script.schedule.failure
       | Hunt.Budget_exhausted _ -> Alcotest.fail "no budget was set")
     [ Scenario.consensus; Scenario.snapshot; Scenario.abd ]
 

@@ -1,4 +1,7 @@
 open Bprc_netsim
+module Hist = Bprc_check.Hist
+module Specs = Bprc_check.Specs
+module Reg_lin = Bprc_check.Lin.Make (Specs.Register)
 
 (* ------------------------------------------------------------------ *)
 (* Netsim basics                                                       *)
@@ -156,24 +159,19 @@ let test_abd_atomicity_histories () =
     let t = Abd.create ~seed ~n:3 () in
     let (module R) = Abd.runtime t in
     let reg = R.make_reg ~name:"x" 0 in
-    let hist = Bprc_registers.History.create () in
+    let hist = Hist.create () in
     let timed pid kind f =
-      let s = Bprc_registers.History.stamp hist in
+      let s = Hist.stamp hist in
       let r = f () in
-      Bprc_registers.History.record hist
-        {
-          Bprc_registers.History.pid;
-          start_time = s;
-          finish_time = Bprc_registers.History.stamp hist;
-          kind = kind r;
-        };
+      Hist.record hist ~pid ~start_time:s ~finish_time:(Hist.stamp hist)
+        (kind r);
       r
     in
     let _w =
       Abd.spawn_client t (fun () ->
           for v = 1 to 3 do
             timed 0
-              (fun _ -> Bprc_registers.History.W ((10 * 0) + v))
+              (fun _ -> Specs.Write ((10 * 0) + v))
               (fun () ->
                 R.write reg ((10 * 0) + v);
                 (10 * 0) + v)
@@ -184,7 +182,7 @@ let test_abd_atomicity_histories () =
       Abd.spawn_client t (fun () ->
           for v = 1 to 3 do
             timed 1
-              (fun _ -> Bprc_registers.History.W ((10 * 1) + v))
+              (fun _ -> Specs.Write ((10 * 1) + v))
               (fun () ->
                 R.write reg ((10 * 1) + v);
                 (10 * 1) + v)
@@ -196,15 +194,15 @@ let test_abd_atomicity_histories () =
           for _ = 1 to 4 do
             ignore
               (timed 2
-                 (fun v -> Bprc_registers.History.R v)
+                 (fun v -> Specs.Read v)
                  (fun () -> R.read reg))
           done)
     in
     (match Abd.run t with
     | `Completed -> ()
     | _ -> Alcotest.failf "seed %d did not complete" seed);
-    if not (Bprc_registers.Linearize.atomic ~init:0 (Bprc_registers.History.ops hist))
-    then Alcotest.failf "ABD atomicity violation at seed %d" seed
+    if Reg_lin.check (Hist.events hist) = Reg_lin.Not_linearizable then
+      Alcotest.failf "ABD atomicity violation at seed %d" seed
   done
 
 let test_abd_tolerates_minority_crash () =

@@ -1,135 +1,149 @@
 open Bprc_runtime
 open Bprc_registers
+module Hist = Bprc_check.Hist
+module Specs = Bprc_check.Specs
+module Reg_lin = Bprc_check.Lin.Make (Specs.Register)
 
 (* ------------------------------------------------------------------ *)
-(* Linearize checker on hand-built histories                           *)
+(* The register spec's checkers on hand-built histories               *)
 (* ------------------------------------------------------------------ *)
 
-let op pid s f kind = { History.pid; start_time = s; finish_time = f; kind }
+let op pid s f op = { Hist.pid; start_time = s; finish_time = f; op }
+
+let atomic h =
+  match Reg_lin.check h with
+  | Reg_lin.Linearizable _ -> true
+  | Reg_lin.Not_linearizable -> false
 
 let test_lin_sequential_legal () =
-  let h = [ op 0 0 1 (History.W 5); op 1 2 3 (History.R 5) ] in
-  Alcotest.(check bool) "legal" true (Linearize.atomic ~init:0 h)
+  let h = [ op 0 0 1 (Specs.Write 5); op 1 2 3 (Specs.Read 5) ] in
+  Alcotest.(check bool) "legal" true (atomic h)
 
 let test_lin_sequential_illegal () =
-  let h = [ op 0 0 1 (History.W 5); op 1 2 3 (History.R 7) ] in
-  Alcotest.(check bool) "illegal" false (Linearize.atomic ~init:0 h)
+  let h = [ op 0 0 1 (Specs.Write 5); op 1 2 3 (Specs.Read 7) ] in
+  Alcotest.(check bool) "illegal" false (atomic h)
 
 let test_lin_initial_value () =
-  Alcotest.(check bool) "read init" true
-    (Linearize.atomic ~init:9 [ op 0 0 1 (History.R 9) ]);
+  Alcotest.(check bool) "read init" true (atomic [ op 0 0 1 (Specs.Read 0) ]);
   Alcotest.(check bool) "read wrong init" false
-    (Linearize.atomic ~init:9 [ op 0 0 1 (History.R 3) ])
+    (atomic [ op 0 0 1 (Specs.Read 3) ])
 
 let test_lin_overlap_choice () =
   (* A read overlapping a write may return old or new. *)
-  let base = op 0 0 10 (History.W 5) in
+  let base = op 0 0 10 (Specs.Write 5) in
   Alcotest.(check bool) "new ok" true
-    (Linearize.atomic ~init:0 [ base; op 1 2 3 (History.R 5) ]);
+    (atomic [ base; op 1 2 3 (Specs.Read 5) ]);
   Alcotest.(check bool) "old ok" true
-    (Linearize.atomic ~init:0 [ base; op 1 2 3 (History.R 0) ])
+    (atomic [ base; op 1 2 3 (Specs.Read 0) ])
 
 let test_lin_new_old_inversion () =
   (* Two sequential reads during one long write: new then old is the
      classic atomicity violation. *)
   let h =
     [
-      op 0 0 100 (History.W 5);
-      op 1 10 20 (History.R 5);
-      op 1 30 40 (History.R 0);
+      op 0 0 100 (Specs.Write 5);
+      op 1 10 20 (Specs.Read 5);
+      op 1 30 40 (Specs.Read 0);
     ]
   in
-  Alcotest.(check bool) "inversion rejected" false (Linearize.atomic ~init:0 h);
+  Alcotest.(check bool) "inversion rejected" false (atomic h);
   (* Old then new is fine. *)
   let h' =
     [
-      op 0 0 100 (History.W 5);
-      op 1 10 20 (History.R 0);
-      op 1 30 40 (History.R 5);
+      op 0 0 100 (Specs.Write 5);
+      op 1 10 20 (Specs.Read 0);
+      op 1 30 40 (Specs.Read 5);
     ]
   in
   Alcotest.(check bool) "old-then-new accepted" true
-    (Linearize.atomic ~init:0 h')
+    (atomic h')
 
 let test_lin_stale_read_rejected () =
   (* w(1) then w(2) complete; a later read of 1 is illegal. *)
   let h =
     [
-      op 0 0 1 (History.W 1);
-      op 0 2 3 (History.W 2);
-      op 1 4 5 (History.R 1);
+      op 0 0 1 (Specs.Write 1);
+      op 0 2 3 (Specs.Write 2);
+      op 1 4 5 (Specs.Read 1);
     ]
   in
-  Alcotest.(check bool) "stale rejected" false (Linearize.atomic ~init:0 h)
+  Alcotest.(check bool) "stale rejected" false (atomic h)
 
 let test_lin_concurrent_writes_order_free () =
   (* Two overlapping writes; a later read may see either. *)
   let h v =
     [
-      op 0 0 10 (History.W 1);
-      op 1 0 10 (History.W 2);
-      op 2 11 12 (History.R v);
+      op 0 0 10 (Specs.Write 1);
+      op 1 0 10 (Specs.Write 2);
+      op 2 11 12 (Specs.Read v);
     ]
   in
-  Alcotest.(check bool) "sees 1" true (Linearize.atomic ~init:0 (h 1));
-  Alcotest.(check bool) "sees 2" true (Linearize.atomic ~init:0 (h 2));
-  Alcotest.(check bool) "sees ghost" false (Linearize.atomic ~init:0 (h 3))
+  Alcotest.(check bool) "sees 1" true (atomic (h 1));
+  Alcotest.(check bool) "sees 2" true (atomic (h 2));
+  Alcotest.(check bool) "sees ghost" false (atomic (h 3))
 
 let test_lin_witness_order () =
   let h =
-    [ op 0 0 1 (History.W 1); op 1 2 3 (History.R 1); op 0 4 5 (History.W 2) ]
+    [
+      op 0 0 1 (Specs.Write 1);
+      op 1 2 3 (Specs.Read 1);
+      op 0 4 5 (Specs.Write 2);
+    ]
   in
-  match Linearize.witness ~init:0 h with
-  | None -> Alcotest.fail "expected witness"
-  | Some order ->
+  match Reg_lin.check h with
+  | Reg_lin.Not_linearizable -> Alcotest.fail "expected witness"
+  | Reg_lin.Linearizable order ->
     Alcotest.(check int) "all ops in order" 3 (List.length order);
     (* The witness must itself replay legally. *)
     let value = ref 0 in
     List.iter
-      (fun o ->
-        match o.History.kind with
-        | History.W v -> value := v
-        | History.R v ->
-          Alcotest.(check int) "witness read legal" !value v)
+      (fun (e : Specs.reg_op Hist.event) ->
+        match e.op with
+        | Specs.Write v -> value := v
+        | Specs.Read v -> Alcotest.(check int) "witness read legal" !value v)
       order
 
+(* The cap is exact: a history of [Lin.max_events] operations is
+   checked, one more is refused. *)
 let test_lin_too_many_ops () =
-  let h = List.init 62 (fun i -> op 0 (2 * i) ((2 * i) + 1) (History.W i)) in
-  Alcotest.check_raises "cap" (Invalid_argument "Linearize: more than 61 operations")
-    (fun () -> ignore (Linearize.atomic ~init:0 h))
+  let h k = List.init k (fun i -> op 0 (2 * i) ((2 * i) + 1) (Specs.Write i)) in
+  let cap = Bprc_check.Lin.max_events in
+  Alcotest.(check bool) "at the cap" true (atomic (h cap));
+  match atomic (h (cap + 1)) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument beyond the cap"
 
 let test_regular_checker () =
   (* Read overlapping w(5) may return 0 or 5 but not 7. *)
-  let mk v = [ op 0 0 10 (History.W 5); op 1 2 3 (History.R v) ] in
-  Alcotest.(check bool) "old" true (Linearize.regular ~init:0 (mk 0));
-  Alcotest.(check bool) "new" true (Linearize.regular ~init:0 (mk 5));
-  Alcotest.(check bool) "ghost" false (Linearize.regular ~init:0 (mk 7));
+  let mk v = [ op 0 0 10 (Specs.Write 5); op 1 2 3 (Specs.Read v) ] in
+  Alcotest.(check bool) "old" true (Specs.regular (mk 0));
+  Alcotest.(check bool) "new" true (Specs.regular (mk 5));
+  Alcotest.(check bool) "ghost" false (Specs.regular (mk 7));
   (* Regularity tolerates the new/old inversion that atomicity rejects. *)
   let inv =
     [
-      op 0 0 100 (History.W 5);
-      op 1 10 20 (History.R 5);
-      op 1 30 40 (History.R 0);
+      op 0 0 100 (Specs.Write 5);
+      op 1 10 20 (Specs.Read 5);
+      op 1 30 40 (Specs.Read 0);
     ]
   in
   Alcotest.(check bool) "inversion tolerated" true
-    (Linearize.regular ~init:0 inv)
+    (Specs.regular inv)
 
 let test_regular_overlapping_writes_rejected () =
-  let h = [ op 0 0 10 (History.W 1); op 1 5 15 (History.W 2) ] in
+  let h = [ op 0 0 10 (Specs.Write 1); op 1 5 15 (Specs.Write 2) ] in
   Alcotest.check_raises "overlapping writes"
-    (Invalid_argument "Linearize.regular: overlapping writes") (fun () ->
-      ignore (Linearize.regular ~init:0 h))
+    (Invalid_argument "Specs.regular: overlapping writes") (fun () ->
+      ignore (Specs.regular h))
 
 (* ------------------------------------------------------------------ *)
 (* Helpers: run a scenario in the simulator, recording a history       *)
 (* ------------------------------------------------------------------ *)
 
 let timed (module R : Runtime_intf.S) hist pid kind f =
-  let s = History.stamp hist in
+  let s = Hist.stamp hist in
   let r = f () in
-  History.record hist
-    { History.pid; start_time = s; finish_time = History.stamp hist; kind = kind r };
+  Hist.record hist ~pid ~start_time:s ~finish_time:(Hist.stamp hist) (kind r);
   r
 
 (* ------------------------------------------------------------------ *)
@@ -172,11 +186,11 @@ let test_weak_regular_random_schedules () =
     let (module R) = Sim.runtime sim in
     let module W = Weak.Make ((val Sim.runtime sim)) in
     let reg = W.make W.Regular ~init:0 in
-    let hist = History.create () in
+    let hist = Hist.create () in
     ignore
       (Sim.spawn sim (fun () ->
            for v = 1 to 4 do
-             timed (module R) hist 0 (fun () -> History.W v) (fun () ->
+             timed (module R) hist 0 (fun () -> Specs.Write v) (fun () ->
                  W.write reg v)
            done));
     for p = 1 to 2 do
@@ -184,12 +198,12 @@ let test_weak_regular_random_schedules () =
         (Sim.spawn sim (fun () ->
              for _ = 1 to 4 do
                ignore
-                 (timed (module R) hist p (fun v -> History.R v) (fun () ->
+                 (timed (module R) hist p (fun v -> Specs.Read v) (fun () ->
                       W.read reg))
              done))
     done;
     ignore (Sim.run sim);
-    if not (Linearize.regular ~init:0 (History.ops hist)) then
+    if not (Specs.regular (Hist.events hist)) then
       Alcotest.failf "regular violation at seed %d" seed
   done
 
@@ -234,18 +248,23 @@ let test_regular_of_safe_exhaustive () =
     Exhaust.explore ~n:2 ~max_steps:400 (fun (module R : Runtime_intf.S) ->
         let module B = Regular_of_safe.Make ((val (module R : Runtime_intf.S))) in
         let reg = B.make ~init:false () in
-        let hist = History.create () in
+        let hist = Hist.create () in
         let record pid kind f = ignore (timed (module R) hist pid kind f) in
         let body = function
           | 0 ->
-            record 0 (fun _ -> History.W 1) (fun () -> B.write reg true; true);
-            record 0 (fun _ -> History.W 0) (fun () -> B.write reg false; false)
+            record 0 (fun _ -> Specs.Write 1) (fun () ->
+                B.write reg true;
+                true);
+            record 0 (fun _ -> Specs.Write 0) (fun () ->
+                B.write reg false;
+                false)
           | _ ->
-            record 1 (fun v -> History.R (Bool.to_int v)) (fun () -> B.read reg);
-            record 1 (fun v -> History.R (Bool.to_int v)) (fun () -> B.read reg)
+            let read () = B.read reg in
+            record 1 (fun v -> Specs.Read (Bool.to_int v)) read;
+            record 1 (fun v -> Specs.Read (Bool.to_int v)) read
         in
         let check () =
-          if not (Linearize.regular ~init:0 (History.ops hist)) then
+          if not (Specs.regular (Hist.events hist)) then
             Error "regular_of_safe: regularity violated"
           else Ok ()
         in
@@ -260,23 +279,23 @@ let test_kary_regular_random () =
     let (module R) = Sim.runtime sim in
     let module K = Unary_kary.Make ((val Sim.runtime sim)) in
     let reg = K.make ~k:5 ~init:2 () in
-    let hist = History.create () in
+    let hist = Hist.create () in
     ignore
       (Sim.spawn sim (fun () ->
            List.iter
              (fun v ->
-               timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
+               timed (module R) hist 0 (fun _ -> Specs.Write v) (fun () ->
                    K.write reg v))
              [ 4; 0; 3; 1 ]));
     ignore
       (Sim.spawn sim (fun () ->
            for _ = 1 to 6 do
              ignore
-               (timed (module R) hist 1 (fun v -> History.R v) (fun () ->
+               (timed (module R) hist 1 (fun v -> Specs.Read v) (fun () ->
                     K.read reg))
            done));
     ignore (Sim.run sim);
-    if not (Linearize.regular ~init:2 (History.ops hist)) then
+    if not (Specs.regular ~init:2 (Hist.events hist)) then
       Alcotest.failf "kary regularity violation at seed %d" seed
   done
 
@@ -297,11 +316,11 @@ let va_scenario ~writes ~reads_per_reader seed =
   let (module R) = Sim.runtime sim in
   let module V = Va_swmr.Make ((val Sim.runtime sim)) in
   let reg = V.make ~readers:2 ~init:0 () in
-  let hist = History.create () in
+  let hist = Hist.create () in
   ignore
     (Sim.spawn sim (fun () ->
          for v = 1 to writes do
-           timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
+           timed (module R) hist 0 (fun _ -> Specs.Write v) (fun () ->
                V.write reg v)
          done));
   for r = 0 to 1 do
@@ -309,17 +328,17 @@ let va_scenario ~writes ~reads_per_reader seed =
       (Sim.spawn sim (fun () ->
            for _ = 1 to reads_per_reader do
              ignore
-               (timed (module R) hist (r + 1) (fun v -> History.R v) (fun () ->
+               (timed (module R) hist (r + 1) (fun v -> Specs.Read v) (fun () ->
                     V.read reg ~me:r))
            done))
   done;
   ignore (Sim.run sim);
-  History.ops hist
+  Hist.events hist
 
 let test_va_atomic_random () =
   for seed = 1 to 80 do
     let ops = va_scenario ~writes:4 ~reads_per_reader:4 seed in
-    if not (Linearize.atomic ~init:0 ops) then
+    if not (atomic ops) then
       Alcotest.failf "VA atomicity violation at seed %d" seed
   done
 
@@ -330,20 +349,20 @@ let test_va_atomic_exhaustive () =
     Exhaust.explore ~n:3 ~max_steps:400 (fun (module R : Runtime_intf.S) ->
         let module V = Va_swmr.Make ((val (module R : Runtime_intf.S))) in
         let reg = V.make ~readers:2 ~init:0 () in
-        let hist = History.create () in
+        let hist = Hist.create () in
         let body = function
           | 0 ->
             for v = 1 to 2 do
-              timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
+              timed (module R) hist 0 (fun _ -> Specs.Write v) (fun () ->
                   V.write reg v)
             done
           | p ->
             ignore
-              (timed (module R) hist p (fun v -> History.R v) (fun () ->
+              (timed (module R) hist p (fun v -> Specs.Read v) (fun () ->
                    V.read reg ~me:(p - 1)))
         in
         let check () =
-          if not (Linearize.atomic ~init:0 (History.ops hist)) then
+          if not (atomic (Hist.events hist)) then
             Error "VA: atomicity violated"
           else Ok ()
         in
@@ -379,27 +398,27 @@ let bloom_explore strategy =
       (fun (module R : Runtime_intf.S) ->
         let module B = Bloom_2w.Make ((val (module R : Runtime_intf.S))) in
         let reg = B.make ~strategy ~init:0 () in
-        let hist = History.create () in
+        let hist = Hist.create () in
         let body = function
           | 0 ->
             List.iter
               (fun v ->
-                timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
+                timed (module R) hist 0 (fun _ -> Specs.Write v) (fun () ->
                     B.write reg ~me:0 v))
               [ 10; 30 ]
           | 1 ->
             List.iter
               (fun v ->
-                timed (module R) hist 1 (fun _ -> History.W v) (fun () ->
+                timed (module R) hist 1 (fun _ -> Specs.Write v) (fun () ->
                     B.write reg ~me:1 v))
               [ 5; 40 ]
           | _ ->
             ignore
-              (timed (module R) hist 2 (fun v -> History.R v) (fun () ->
+              (timed (module R) hist 2 (fun v -> Specs.Read v) (fun () ->
                    B.read reg))
         in
         let check () =
-          if not (Linearize.atomic ~init:0 (History.ops hist)) then
+          if not (atomic (Hist.events hist)) then
             incr violations;
           Ok ()
         in
@@ -427,13 +446,13 @@ let test_bloom_reread_atomic_random_soak () =
     let (module R) = Sim.runtime sim in
     let module B = Bloom_2w.Make ((val Sim.runtime sim)) in
     let reg = B.make ~init:0 () in
-    let hist = History.create () in
+    let hist = Hist.create () in
     for w = 0 to 1 do
       ignore
         (Sim.spawn sim (fun () ->
              for k = 1 to 3 do
                let v = (10 * (w + 1)) + k in
-               timed (module R) hist w (fun _ -> History.W v) (fun () ->
+               timed (module R) hist w (fun _ -> Specs.Write v) (fun () ->
                    B.write reg ~me:w v)
              done))
     done;
@@ -442,12 +461,12 @@ let test_bloom_reread_atomic_random_soak () =
         (Sim.spawn sim (fun () ->
              for _ = 1 to 3 do
                ignore
-                 (timed (module R) hist r (fun v -> History.R v) (fun () ->
+                 (timed (module R) hist r (fun v -> Specs.Read v) (fun () ->
                       B.read reg))
              done))
     done;
     ignore (Sim.run sim);
-    if not (Linearize.atomic ~init:0 (History.ops hist)) then
+    if not (atomic (Hist.events hist)) then
       Alcotest.failf "Bloom/Reread violation at seed %d" seed
   done
 

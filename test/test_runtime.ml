@@ -525,7 +525,6 @@ let words_per_choose (a : Adversary.t) =
       Adversary.clock = 0;
       runnable = dense;
       rng = Bprc_rng.Splitmix.create ~seed:5;
-      trace = None;
     }
   in
   let words calls =
@@ -561,72 +560,7 @@ let gap_suite =
 
 let suite = suite @ gap_suite
 
-(* --- Ring traces, stalls, flip observer, explore accounting ------------ *)
-
-let step_event time pid =
-  { Trace.time; pid; reg_id = -1; reg_name = ""; kind = Trace.Step }
-
-let test_trace_ring_wraparound () =
-  let tr = Trace.create ~capacity:4 () in
-  Alcotest.(check (option int)) "capacity" (Some 4) (Trace.capacity tr);
-  for i = 1 to 10 do
-    Trace.record tr (step_event i 0)
-  done;
-  Alcotest.(check int) "length capped at capacity" 4 (Trace.length tr);
-  Alcotest.(check int) "total counts evicted events" 10 (Trace.total tr);
-  Alcotest.(check int) "dropped = total - length" 6 (Trace.dropped tr);
-  let times = List.map (fun e -> e.Trace.time) (Trace.to_list tr) in
-  Alcotest.(check (list int)) "newest 4 kept, oldest first" [ 7; 8; 9; 10 ] times;
-  Alcotest.(check int) "get 0 is oldest retained" 7 (Trace.get tr 0).Trace.time;
-  (match Trace.last tr with
-  | Some e -> Alcotest.(check int) "last is newest" 10 e.Trace.time
-  | None -> Alcotest.fail "ring has events");
-  let seen = ref [] in
-  Trace.iter (fun e -> seen := e.Trace.time :: !seen) tr;
-  Alcotest.(check (list int)) "iter oldest to newest" [ 7; 8; 9; 10 ]
-    (List.rev !seen);
-  Trace.clear tr;
-  Alcotest.(check int) "clear empties" 0 (Trace.length tr);
-  Alcotest.(check int) "clear resets total" 0 (Trace.total tr);
-  Trace.record tr (step_event 99 1);
-  Alcotest.(check int) "ring usable after clear" 1 (Trace.length tr);
-  Alcotest.(check int) "refilled event readable" 99 (Trace.get tr 0).Trace.time
-
-let test_trace_ring_rejects_bad_capacity () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
-      ignore (Trace.create ~capacity:0 ()));
-  (* Default mode is unchanged: unbounded, nothing dropped. *)
-  let tr = Trace.create () in
-  Alcotest.(check (option int)) "unbounded" None (Trace.capacity tr);
-  for i = 1 to 100 do
-    Trace.record tr (step_event i 0)
-  done;
-  Alcotest.(check int) "keeps everything" 100 (Trace.length tr);
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tr)
-
-let test_sim_trace_capacity () =
-  let sim =
-    Sim.create ~seed:5 ~record_trace:true ~trace_capacity:8 ~n:1
-      ~adversary:(Adversary.round_robin ()) ()
-  in
-  let (module R) = Sim.runtime sim in
-  let reg = R.make_reg 0 in
-  ignore
-    (Sim.spawn sim (fun () ->
-         for i = 1 to 30 do
-           R.write reg i
-         done));
-  ignore (Sim.run sim);
-  match Sim.trace sim with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-    Alcotest.(check int) "ring bounds retained events" 8 (Trace.length tr);
-    Alcotest.(check bool) "older events were evicted" true (Trace.dropped tr > 0);
-    (match Trace.last tr with
-    | Some e -> Alcotest.(check bool) "newest event survived" true
-        (e.Trace.kind = Trace.Write)
-    | None -> Alcotest.fail "empty trace")
+(* --- Stalls, flip observer, explore accounting ----------------------- *)
 
 let test_stall_delays_process () =
   let order = ref [] in
@@ -788,10 +722,6 @@ let test_explore_propagates_violation () =
 
 let faults_support_suite =
   [
-    Alcotest.test_case "trace: ring wraparound" `Quick test_trace_ring_wraparound;
-    Alcotest.test_case "trace: ring capacity guard" `Quick
-      test_trace_ring_rejects_bad_capacity;
-    Alcotest.test_case "trace: sim ring mode" `Quick test_sim_trace_capacity;
     Alcotest.test_case "stall: delays process" `Quick test_stall_delays_process;
     Alcotest.test_case "stall: rescheduled at exact expiry" `Quick
       test_stall_expiry_reschedules;
