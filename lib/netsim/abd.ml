@@ -62,14 +62,20 @@ let stored t node rid =
   | Some tv -> tv
   | None -> ((0, -1), Hashtbl.find t.inits rid)
 
+(* Store [(mtag, value)] at [me]'s replica unless it already holds a
+   higher tag: a replica's tag never goes down, or a completed write
+   could be overwritten by an older one. *)
+let adopt t me rid mtag value =
+  let cur_tag, _ = stored t me rid in
+  if mtag > cur_tag then Hashtbl.replace t.replicas.(me).store rid (mtag, value)
+
 (* Serve one replica request addressed to [me]. *)
 let serve t ~me ~src = function
   | Get { rid; op } ->
     let mtag, value = stored t me rid in
     Net.send t.net ~dst:src (Get_ack { rid; op; mtag; value })
   | Put { rid; op; mtag; value } ->
-    let cur_tag, _ = stored t me rid in
-    if mtag > cur_tag then Hashtbl.replace t.replicas.(me).store rid (mtag, value);
+    adopt t me rid mtag value;
     Net.send t.net ~dst:src (Put_ack { rid; op })
   | Done -> t.replicas.(me).dones_seen <- t.replicas.(me).dones_seen + 1
   | Get_ack _ | Put_ack _ -> () (* stale ack of a completed phase *)
@@ -120,8 +126,9 @@ let abd_write t rid (to_u : 'a -> univ) (v : 'a) =
   let max_tag = List.fold_left max local_tag tags in
   let mtag = (fst max_tag + 1, me) in
   let value = to_u v in
-  (* Apply locally (first member of the quorum), then remotely. *)
-  Hashtbl.replace t.replicas.(me).store rid (mtag, value);
+  (* Apply locally (first member of the quorum), then remotely.  The
+     local replica may have served a higher tag during the query. *)
+  adopt t me rid mtag value;
   let op = next_op t me in
   quorum_phase t ~me
     ~req:(Put { rid; op; mtag; value })
@@ -141,7 +148,7 @@ let abd_read t rid (of_u : univ -> 'a) : 'a =
       | _ -> None)
   in
   let mtag, value = List.fold_left max local collected in
-  Hashtbl.replace t.replicas.(me).store rid (mtag, value);
+  adopt t me rid mtag value;
   let op = next_op t me in
   quorum_phase t ~me
     ~req:(Put { rid; op; mtag; value })

@@ -90,7 +90,8 @@ let[@inline always] access_code ~reg_id k = ((reg_id + 1) lsl 2) lor k
 (* BPRC_SIM_DEBUG=1 turns on the per-step internal checks: the O(n)
    adversary-choice validation (also switchable per simulator with
    [set_validate] — replay paths force it on) and the status/kont shape
-   assertion guarding the [Obj.obj] casts in [step_pid]. *)
+   assertion guarding the [Obj.obj] casts in [step_pid], also made for
+   every process of a bulk in [bulk_rounds]. *)
 let debug =
   match Sys.getenv_opt "BPRC_SIM_DEBUG" with
   | None | Some ("" | "0" | "false") -> false
@@ -479,10 +480,10 @@ let[@inline always] runnable_pids t =
    function whose body defines no closure (no [fun], no local
    [let rec]) and drops it silently otherwise.  The hot call sites of
    [step_inline], [step_pid], [batch_access], [runnable_pids],
-   [rr_dense] and [record_access] carry [@inlined], so a body that
-   stops inlining is warning 55, an error in dune's dev profile.  That
-   profile compiles libraries with [-opaque], so no [@inline] works
-   across modules: only same-module calls inline.
+   [rr_dense], [read_round] and [record_access] carry [@inlined], so a
+   body that stops inlining is warning 55, an error in dune's dev
+   profile.  That profile compiles libraries with [-opaque], so no
+   [@inline] works across modules: only same-module calls inline.
 
    The adversary-choice check is the top-level [Adversary.is_runnable]
    for that reason: an [Array.exists (fun p -> p = pid)] in
@@ -540,6 +541,81 @@ let[@inline always] rr_dense t =
   let m = Array.length r in
   m > 0 && Array.unsafe_get r (m - 1) = m - 1
 
+(* Reads still to go in [p]'s pending batch; 0 unless it is a read
+   batch ([batch_collect] or [batch_any]).  [b_pos] never rests on
+   [b_skip] (see [batch_access]), so a skip ahead of it costs one. *)
+let reads_left p =
+  if p.status <> st_batch then 0
+  else if p.b_kind = batch_collect then
+    let len = Array.length p.b_regs and s = p.b_skip in
+    len - p.b_pos - if s > p.b_pos && s < len then 1 else 0
+  else if p.b_kind = batch_any then Array.length p.b_idx - p.b_pos
+  else 0
+
+(* The fewest reads left over pids [i..m-1], [acc] so far; stops as
+   soon as the minimum is below 2, since no bulk is possible then. *)
+let rec min_reads_left procs m i acc =
+  if i = m || acc < 2 then acc
+  else
+    let l = reads_left (Array.unsafe_get procs i) in
+    min_reads_left procs m (i + 1) (if l < acc then l else acc)
+
+(* [k] reads of [p]'s read batch, each exactly as [batch_access] would
+   carry it out, none of them its last. *)
+let bulk_reads p k =
+  let regs = p.b_regs and pos = p.b_pos in
+  if p.b_kind = batch_collect then begin
+    let out = p.b_out and skip = p.b_skip in
+    let i = ref pos in
+    for _ = 1 to k do
+      Array.unsafe_set out !i (Array.unsafe_get regs !i).v;
+      i := if !i + 1 = skip then !i + 2 else !i + 1
+    done;
+    p.b_pos <- !i
+  end
+  else begin
+    let idx = p.b_idx in
+    for j = pos to pos + k - 1 do
+      if (Obj.obj (Array.unsafe_get regs (Array.unsafe_get idx j)).v : bool)
+      then p.b_any <- true
+    done;
+    p.b_pos <- pos + k
+  end;
+  p.steps <- p.steps + k
+
+(* Bulk read rounds, at a round boundary of a dense stretch: when each
+   of the [m] runnable processes has a read batch pending with more
+   than [k] reads left, the next [k] rounds are reads only — no
+   register written, no fiber resumed, no observer fired, no choice
+   made — and reads commute, so they run process by process.  [k] keeps
+   every batch's last read, the one that resumes its fiber, for
+   [step_pid] in round order, and keeps the clock below both bounds.
+   So pid 0's step always follows, and that step sets the cursor and
+   [last_access] just as the [k]-th round would have left them before
+   it; the clock, per-pid steps and batch positions and outputs are
+   set here. *)
+let bulk_rounds t m ~clock =
+  let procs = t.procs in
+  let bound = if clock < t.max_steps then clock else t.max_steps in
+  let k = min_reads_left procs m 0 max_int - 1 in
+  let k = if k * m < bound - t.clock then k else (bound - t.clock - 1) / m in
+  if k > 0 then begin
+    for i = 0 to m - 1 do
+      let p = Array.unsafe_get procs i in
+      if debug then check_kont_shape p st_batch p.kont;
+      bulk_reads p k
+    done;
+    t.clock <- t.clock + (k * m)
+  end
+
+(* The per-round test that keeps [bulk_rounds] off the common path in
+   O(1): no trace to record event by event, and pid 0 in a read batch. *)
+let[@inline always] read_round t =
+  t.tr == None
+  &&
+  let p = Array.unsafe_get t.procs 0 in
+  p.status = st_batch && p.b_kind <> batch_write
+
 (* A dense round-robin stretch: while [rr_dense] holds, round-robin
    picks [pid + 1], wrapped at [m], so the loop steps pids in turn with
    no choice to make.  The cursor is stored before every step, just as
@@ -547,13 +623,19 @@ let[@inline always] rr_dense t =
    stretch (a process finishes or crashes, a flip observer or a
    resumed fiber stalls a process or swaps the adversary), so every
    condition is checked again after each one, with the clock bounds of
-   [steps_to]. *)
+   [steps_to].  Each wrap to pid 0 is a round boundary, where
+   [bulk_rounds] may carry out whole rounds of reads at once. *)
 let rec rr_stretch t a next m pid ~clock =
   next := pid + 1;
   (step_pid [@inlined]) t pid;
   if t.clock < clock && t.clock < t.max_steps && (not t.runnable_dirty)
      && t.clock > t.max_stall && t.adversary == a
-  then rr_stretch t a next m (if pid + 1 < m then pid + 1 else 0) ~clock
+  then
+    if pid + 1 < m then rr_stretch t a next m (pid + 1) ~clock
+    else begin
+      if (read_round [@inlined]) t then bulk_rounds t m ~clock;
+      rr_stretch t a next m 0 ~clock
+    end
 
 (* The one bounded stepping loop: [check_ready] has run once for the
    whole call, so a step costs [step_inline] and two compares, or,

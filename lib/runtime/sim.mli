@@ -114,7 +114,15 @@ val run_to : t -> clock:int -> outcome option
     step, so this is the cheapest way to drive a bounded stretch of a
     run; the arena is left mid-run and can be driven further by any of
     the driving functions.  [Some outcome] means the run finished or hit
-    the arena's bound first.  Raises like {!run}. *)
+    the arena's bound first.  Raises like {!run}.
+
+    A pause leaves exactly the state that stepping one access at a
+    time would: the clock, per-process steps, pending batches, a
+    round-robin adversary's cursor and {!last_access_code}.  This holds
+    although a round-robin run may carry out whole rounds of reads at
+    once when every runnable process has a read batch pending: such a
+    bulk stops short of [clock] and of the step bound, and is skipped
+    while a trace is recorded. *)
 
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no
@@ -189,7 +197,8 @@ val last_access_code : t -> int
     flip, 3 explicit yield (flips and yields carry [reg_id = -1]).  The
     schedule explorer in [lib/check] consumes this to compute step
     independence for partial-order reduction without allocating on
-    every step. *)
+    every step.  After {!run_to} pauses it is the code of the last step
+    taken, even when that step followed reads carried out in bulk. *)
 
 val resumes : t -> int
 (** Suspended fibers resumed since creation or the last {!reset}.  A

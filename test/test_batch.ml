@@ -168,10 +168,12 @@ let prop_ads89 =
 
 (* Minor words of one collect of [n - 1] registers by process 0 (the
    other processes finish at once): the marginal cost of 1000 more
-   collects, so per-process start-up cancels out. *)
-let words_per_collect ~n rt_of =
+   collects, so per-process start-up cancels out.  Round-robin by
+   default, whose dense stretch runs all but a collect's last read in
+   bulk. *)
+let words_per_collect ?(adversary = Adversary.round_robin) ~n rt_of =
   let words collects =
-    let sim = Sim.create ~n ~adversary:(Adversary.round_robin ()) () in
+    let sim = Sim.create ~n ~adversary:(adversary ()) () in
     let (module B : Runtime_intf.BATCHED) = rt_of sim in
     let regs = Array.init n (fun j -> B.make_reg j) in
     let out = Array.make n 0 in
@@ -195,13 +197,21 @@ let test_collect_words_constant () =
     let (module R) = Sim.runtime sim in
     (module Runtime_intf.Loop (R) : Runtime_intf.BATCHED)
   in
+  (* The same round-robin behind a closure, stepped one read at a time. *)
+  let wrapped () =
+    let rr = Adversary.round_robin () in
+    Adversary.make ~name:"wrapped" rr.Adversary.choose
+  in
   let w8 = words_per_collect ~n:8 batched
   and w64 = words_per_collect ~n:64 batched
+  and s64 = words_per_collect ~adversary:wrapped ~n:64 batched
   and l64 = words_per_collect ~n:64 looped in
   if w64 > 3. then Alcotest.failf "batched n=64 collect: %.1f words > 3" w64;
   if w64 > w8 +. 0.5 then
     Alcotest.failf "batched collect words grow with n: %.1f (n=8), %.1f (n=64)"
       w8 w64;
+  if w64 > s64 then
+    Alcotest.failf "bulk n=64 collect: %.2f words > %.2f per-step" w64 s64;
   (* The per-access lifting pays a continuation per read, so the gate
      above measures the batch and not a quiet counter. *)
   if l64 < 63. then

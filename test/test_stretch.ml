@@ -3,7 +3,9 @@
    pids itself, and behind [Adversary.make ~name a.choose], which hides
    the policy and so forces a [choose] call per step.  Both runs of one
    arena must give the same trace, per-pid steps, resumes, results and
-   final cursor. *)
+   final cursor.  Without a trace the stretch also carries out whole
+   read-only rounds in bulk, so an untraced arm at larger [n] compares
+   the state at every pause as well. *)
 
 open Bprc_runtime
 module Fault_plan = Bprc_faults.Fault_plan
@@ -32,19 +34,25 @@ let cursor (a : Adversary.t) =
   | Adversary.Round_robin next -> !next
   | Adversary.Closure -> Alcotest.fail "not a round-robin adversary"
 
-(* Writes, batched collects, flips, reads and yields: every status a
-   stretch steps through. *)
+(* Writes, batched collects and [read_any]s, flips, reads and yields:
+   every status a stretch steps through.  Under round-robin the
+   processes keep in step, so at larger [n] whole rounds fall inside
+   the collects and the [read_any]s. *)
 let spawn_workload sim lengths =
   let (module B : Runtime_intf.BATCHED) = Sim.batched sim in
   let n = Sim.n sim in
   let regs = Array.init n (fun j -> B.make_reg j) in
+  let flags = Array.init n (fun _ -> B.make_reg false) in
   Array.init n (fun i ->
+      let idx = Array.init ((n + 1) / 2) (fun k -> (i + 1 + (2 * k)) mod n) in
       Sim.spawn sim (fun () ->
           let out = Array.make n 0 in
           let acc = ref 0 in
           for r = 1 to lengths.(i) do
             B.write regs.(i) (r * (i + 1));
             B.collect regs ~skip:i out;
+            if B.read_any flags idx then acc := !acc + 1000;
+            if r = 2 then B.write flags.(i) true;
             if B.flip () then acc := !acc + B.read regs.((i + 1) mod n)
             else B.yield ();
             Array.iter (fun v -> acc := !acc + v) out
@@ -60,6 +68,13 @@ let act sim = function
   | Crash pid -> Sim.crash sim pid
   | Stall (pid, steps) -> Sim.stall sim pid ~steps
 
+(* What a pause or the end of a run can see of the arena. *)
+let state sim =
+  ( Sim.clock sim,
+    Array.init (Sim.n sim) (Sim.steps_of sim),
+    Sim.resumes sim,
+    Sim.last_access_code sim )
+
 (* One run of [c] on [sim] (fresh or just reset) under [adversary]. *)
 let observe sim c adversary =
   Sim.reset ~seed:c.seed ~adversary sim;
@@ -71,8 +86,9 @@ let observe sim c adversary =
     List.map
       (fun (clock, a) ->
         let o = Sim.run_to sim ~clock in
+        let at = state sim in
         act sim a;
-        (o, Sim.clock sim))
+        (o, at))
       c.pauses
   in
   let driver = Inject.driver ~n:c.n c.plan in
@@ -81,10 +97,8 @@ let observe sim c adversary =
   in
   ( paused,
     completed,
-    Sim.clock sim,
-    Trace.to_list (Option.get (Sim.trace sim)),
-    Array.init c.n (Sim.steps_of sim),
-    Sim.resumes sim,
+    state sim,
+    Option.map Trace.to_list (Sim.trace sim),
     Array.map Sim.result handles )
 
 let gen_action n =
@@ -97,29 +111,39 @@ let gen_action n =
         (1, map2 (fun p s -> Stall (p, s)) (int_range 0 (n - 1)) (int_range 0 20));
       ])
 
-let gen_fault n =
+(* Faults fire on a process's own step count, up to [at]. *)
+let gen_fault n ~at =
   QCheck.Gen.(
     oneof
       [
         map2
           (fun pid at_step -> Fault_plan.Crash { pid; at_step })
-          (int_range 0 (n - 1)) (int_range 0 40);
+          (int_range 0 (n - 1)) (int_range 0 at);
         map3
           (fun pid at_step steps -> Fault_plan.Stall { pid; at_step; steps })
-          (int_range 0 (n - 1)) (int_range 0 40) (int_range 0 30);
+          (int_range 0 (n - 1)) (int_range 0 at) (int_range 0 30);
       ])
 
-let gen_case =
+(* Cases over [ns] processes of up to [rounds] rounds each; pauses,
+   clock crashes and step bounds fall in [0, span n], plan faults in
+   [0, at n] steps of their process. *)
+let gen_case ~ns ~rounds ~span ~at =
   QCheck.Gen.(
-    oneofl [ 1; 2; 3; 4; 8 ] >>= fun n ->
+    oneofl ns >>= fun n ->
+    let span = span n in
     int_bound 10_000 >>= fun seed ->
-    array_size (return n) (int_range 0 6) >>= fun lengths ->
-    list_size (int_range 0 5) (pair (int_range 0 200) (gen_action n))
+    array_size (return n) (int_range 0 rounds) >>= fun lengths ->
+    (* A stretch needs the runnable pids to be 0..m-1, which holds
+       throughout when higher pids finish first. *)
+    bool >>= fun dense ->
+    if dense then Array.sort (fun x y -> compare y x) lengths;
+    list_size (int_range 0 5) (pair (int_range 0 span) (gen_action n))
     >>= fun pauses ->
-    list_size (int_range 0 3) (gen_fault n) >>= fun plan ->
-    list_size (int_range 0 2) (pair (int_range 0 200) (int_range 0 (n - 1)))
+    list_size (int_range 0 3) (gen_fault n ~at:(at n)) >>= fun plan ->
+    list_size (int_range 0 2) (pair (int_range 0 span) (int_range 0 (n - 1)))
     >>= fun crash_at ->
-    frequency [ (3, return 100_000); (1, int_range 5 300) ] >>= fun max_steps ->
+    frequency [ (3, return 100_000); (1, int_range 5 span) ]
+    >>= fun max_steps ->
     map
       (fun observer_stalls ->
         {
@@ -153,14 +177,12 @@ let print_case c =
        (List.map (fun (k, p) -> Printf.sprintf "%d:p%d" k p) c.crash_at))
     c.max_steps c.observer_stalls
 
-let prop_stretch =
-  QCheck.Test.make ~count:300
-    ~name:"round-robin: stretch = per-step choose (trace, steps, cursor)"
-    (QCheck.make ~print:print_case gen_case)
-    (fun c ->
+(* Run [c] natively and wrapped on one arena, with or without a trace. *)
+let prop_stretch ~name ~count ~record_trace gen =
+  QCheck.Test.make ~count ~name (QCheck.make ~print:print_case gen) (fun c ->
       let sim =
-        Sim.create ~seed:c.seed ~max_steps:c.max_steps ~record_trace:true
-          ~n:c.n ~adversary:(Adversary.round_robin ()) ()
+        Sim.create ~seed:c.seed ~max_steps:c.max_steps ~record_trace ~n:c.n
+          ~adversary:(Adversary.round_robin ()) ()
       in
       let native = Adversary.round_robin () in
       let a = observe sim c native in
@@ -172,6 +194,47 @@ let prop_stretch =
         QCheck.Test.fail_reportf "cursors differ: %d vs %d" (cursor native)
           (cursor base);
       true)
+
+let prop_traced =
+  prop_stretch ~count:300
+    ~name:"round-robin: stretch = per-step choose (trace, steps, cursor)"
+    ~record_trace:true
+    (gen_case ~ns:[ 1; 2; 3; 4; 8 ] ~rounds:6 ~span:(fun _ -> 200)
+       ~at:(fun _ -> 40))
+
+(* A round of the workload is about [3n / 2 + 4] steps per process. *)
+let prop_untraced =
+  prop_stretch ~count:100
+    ~name:"round-robin untraced: bulk rounds = per-step choose (state at pauses)"
+    ~record_trace:false
+    (gen_case ~ns:[ 16; 32; 64 ] ~rounds:3
+       ~span:(fun n -> 5 * n * n)
+       ~at:(fun n -> 5 * n))
+
+(* An n=64 decision over the embedded snapshot, native and wrapped:
+   all its steps but the starts and the resuming ones are bulk reads. *)
+let test_esnap_decision () =
+  let n = 64 in
+  let decide adversary =
+    let sim = Sim.create ~seed:11 ~n ~adversary () in
+    let (module B : Runtime_intf.BATCHED) = Sim.batched sim in
+    let module C =
+      Bprc_core.Ads89.Make_over_snapshot (B) (Bprc_snapshot.Embedded.Make_batched (B))
+    in
+    let t = C.create ~coin_mode:Bprc_core.Ads89.Oracle_shared ~oracle_seed:11 () in
+    let handles =
+      Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:(i mod 3 = 0)))
+    in
+    let o = Sim.run sim in
+    (o, state sim, Array.map Sim.result handles)
+  in
+  let native = Adversary.round_robin () and base = Adversary.round_robin () in
+  let ((o, _, decisions) as a) = decide native in
+  let b = decide (Adversary.make ~name:"wrapped" base.Adversary.choose) in
+  Alcotest.(check bool) "every process decided" true
+    (o = Sim.Completed && Array.for_all Option.is_some decisions);
+  Alcotest.(check bool) "clock, per-pid steps, resumes, decisions" true (a = b);
+  Alcotest.(check int) "cursor" (cursor base) (cursor native)
 
 (* A closure adversary: always the highest runnable pid. *)
 let last_runnable () =
@@ -261,7 +324,10 @@ let test_set_adversary_from_observer () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_stretch;
+    QCheck_alcotest.to_alcotest prop_traced;
+    QCheck_alcotest.to_alcotest prop_untraced;
+    Alcotest.test_case "n=64 embedded decision: native = wrapped" `Quick
+      test_esnap_decision;
     Alcotest.test_case "set_adversary mid-run" `Quick test_set_adversary;
     Alcotest.test_case "set_adversary from a flip observer" `Quick
       test_set_adversary_from_observer;
