@@ -130,17 +130,20 @@ let pattern_arg =
 
 (* --- run -------------------------------------------------------------- *)
 
+(* A per-process array on its field line, in a box so it wraps only at
+   the margin: outside a box, the flush at the line's end would break
+   before the last element. *)
+let field_array pp_elt = Fmt.(box (array ~sep:sp pp_elt))
+
 let run_cmd =
   let action n seed algo sched pattern =
     let r = Bprc_harness.Run.consensus_once ~sched ~algo ~pattern ~n ~seed () in
     let inputs = Bprc_harness.Run.inputs_of_pattern pattern ~n ~seed in
     Fmt.pr "algorithm : %s@." (Bprc_harness.Run.algo_name algo);
     Fmt.pr "scheduler : %s@." (Bprc_harness.Run.sched_name sched);
-    Fmt.pr "inputs    : %a@."
-      Fmt.(array ~sep:sp (fmt "%b"))
-      inputs;
+    Fmt.pr "inputs    : %a@." (field_array (Fmt.fmt "%b")) inputs;
     Fmt.pr "decisions : %a@."
-      Fmt.(array ~sep:sp (option ~none:(any "?") (fmt "%b")))
+      (field_array Fmt.(option ~none:(any "?") (fmt "%b")))
       r.Bprc_harness.Run.decisions;
     Fmt.pr "steps     : %d   rounds: %d   walk steps: %d@."
       r.Bprc_harness.Run.steps r.Bprc_harness.Run.max_round
@@ -370,9 +373,9 @@ let multi_cmd =
     | Bprc_runtime.Sim.Hit_step_limit ->
       Fmt.epr "step limit hit@.";
       exit 1);
-    Fmt.pr "inputs    : %a@." Fmt.(array ~sep:sp int) inputs;
+    Fmt.pr "inputs    : %a@." (field_array Fmt.int) inputs;
     Fmt.pr "decisions : %a@."
-      Fmt.(array ~sep:sp (option ~none:(any "?") int))
+      (field_array Fmt.(option ~none:(any "?") int))
       (Array.map Bprc_runtime.Sim.result handles)
   in
   Cmd.v

@@ -3,7 +3,7 @@
 
    The Attiya–Bar-Noy–Dolev-style emulation replicates every register
    across the nodes with majority quorums (lib/netsim), exposing the
-   same Runtime_intf the simulator and the multicore runtime expose —
+   same Runtime_intf the shared-memory simulator exposes —
    so the 1989 shared-memory protocol runs here unchanged, with every
    register step paid for in quorum round-trips, tolerating a crashed
    minority of nodes.

@@ -65,7 +65,7 @@ let () =
   Fmt.pr "fusion process observed (oldest first):@.";
   List.iteri
     (fun i view ->
-      Fmt.pr "  view %d: %a@." (i + 1) Fmt.(array ~sep:sp int) view)
+      Fmt.pr "  view %d: %a@." (i + 1) Fmt.(box (array ~sep:sp int)) view)
     (List.rev !views);
   Fmt.pr "@.scan retries forced by concurrent writes: %d@."
     (S.scan_retries board);

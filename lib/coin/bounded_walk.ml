@@ -8,8 +8,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
             [p]'s own next scan, so a view survives [p]'s yields *)
     threshold : int;  (** δ·n *)
     m : int;
-    steps : int Atomic.t;
-    overflow_count : int Atomic.t;
+    mutable steps : int;
+    mutable overflow_count : int;
     shadow : int array;  (** checker-level counter values incl. pending step *)
     published : int array;  (** checker-level counter values as last written *)
   }
@@ -24,8 +24,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       views = Array.init R.n (fun _ -> Array.make R.n 0);
       threshold;
       m;
-      steps = Atomic.make 0;
-      overflow_count = Atomic.make 0;
+      steps = 0;
+      overflow_count = 0;
       shadow = Array.make R.n 0;
       published = Array.make R.n 0;
     }
@@ -37,7 +37,7 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
   let coin_value t view me =
     let own = view.(me) in
     if own < -t.m || own > t.m then begin
-      Atomic.incr t.overflow_count;
+      t.overflow_count <- t.overflow_count + 1;
       Heads
     end
     else begin
@@ -68,13 +68,13 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
         t.shadow.(me) <- c;
         Snap.write t.mem c;
         t.published.(me) <- c;
-        Atomic.incr t.steps;
+        t.steps <- t.steps + 1;
         loop ()
     in
     loop ()
 
-  let total_walk_steps t = Atomic.get t.steps
-  let overflows t = Atomic.get t.overflow_count
+  let total_walk_steps t = t.steps
+  let overflows t = t.overflow_count
   let walk_value t = Array.fold_left ( + ) 0 t.shadow
   let published_walk_value t = Array.fold_left ( + ) 0 t.published
   let pending_direction t pid = t.shadow.(pid) - t.published.(pid)

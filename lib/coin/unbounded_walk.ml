@@ -4,8 +4,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
   type t = {
     mem : int Snap.t;
     threshold : int;
-    steps : int Atomic.t;
-    max_mag : int Atomic.t;
+    mutable steps : int;
+    mutable max_mag : int;
   }
 
   let create_custom ?(name = "ucoin") ?(delta = 2) ~seed:_ () =
@@ -13,8 +13,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     {
       mem = Snap.create ~name ~init:0 ();
       threshold = delta * R.n;
-      steps = Atomic.make 0;
-      max_mag = Atomic.make 0;
+      steps = 0;
+      max_mag = 0;
     }
 
   let create ?name ~seed () = create_custom ?name ~seed ()
@@ -30,15 +30,14 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
         let delta = if R.flip () then 1 else -1 in
         let c = view.(me) + delta in
         Snap.write t.mem c;
-        Atomic.incr t.steps;
-        let mag = abs c in
-        if mag > Atomic.get t.max_mag then Atomic.set t.max_mag mag;
+        t.steps <- t.steps + 1;
+        t.max_mag <- Int.max t.max_mag (abs c);
         loop ()
       end
     in
     loop ()
 
-  let total_walk_steps t = Atomic.get t.steps
+  let total_walk_steps t = t.steps
   let overflows _ = 0
-  let max_counter_magnitude t = Atomic.get t.max_mag
+  let max_counter_magnitude t = t.max_mag
 end

@@ -12,15 +12,10 @@ type stats = Consensus_intf.stats = {
   rounds_at_decision : int array;
 }
 
-type decode_stats = {
-  refills : Bprc_strip.Edge_counters.refill_stats;
-  fallbacks : int;
-}
-
 module type S = sig
   include Consensus_intf.S
 
-  val decode_stats : t -> decode_stats
+  val decode_stats : t -> Bprc_strip.Edge_counters.refill_stats
 end
 
 module Make_over_snapshot
@@ -42,20 +37,6 @@ struct
             virtual-round checker. *)
   }
 
-  (* Per-instance decode scratch (the simulator's arena idea lifted to
-     the protocol layer): one mod-3K counter matrix plus one distance
-     graph, refilled in place once per scan instead of allocated once
-     per round — and incrementally, re-decoding only the rows whose
-     published array changed since the instance's previous decode.
-     The pair is claimed for the decode window with a CAS so the
-     real-parallel runtime stays safe: under the cooperative runtimes
-     the window never straddles a yield, so the claim always succeeds
-     and steady-state decode allocates nothing; under [Par] a
-     contending process falls back to a fresh pair — decode is a pure
-     function of the scanned view, so results are bit-identical and
-     only the cost differs. *)
-  type scratch = { s_ec : Ec.t; s_g : Dg.t }
-
   type t = {
     k : int;
     threshold : int;  (** δ·n *)
@@ -66,14 +47,18 @@ struct
         (** per-pid scan buffers: [views.(p)] is only ever refilled by
             process [p]'s own next scan, so a view stays readable
             across that process's yields *)
-    scratch : scratch;
-    scratch_busy : bool Atomic.t;
-    fallbacks : int Atomic.t;  (** decodes that found the scratch claimed *)
+    (* The instance's one decode scratch (the simulator's arena idea
+       lifted to the protocol layer): one mod-3K counter matrix plus
+       one distance graph, refilled in place once per scan instead of
+       allocated once per round, and incrementally, re-decoding only
+       the rows whose published array changed since the previous
+       decode.  Every process decodes into it (see [run]). *)
+    ec : Ec.t;
+    g : Dg.t;
     mode : coin_mode;
     oracle_seed : int;
-    (* Meta-level instrumentation (not part of the algorithm's shared
-       state; plain mutation is safe under the cooperative simulator and
-       only approximate under Par). *)
+    (* Meta-level instrumentation, not part of the algorithm's shared
+       state. *)
     raw_round : int array;
     coin_published : int array;  (** current-round counter as last written *)
     coin_pending : int array;  (** drawn-but-unpublished step direction *)
@@ -81,9 +66,9 @@ struct
     rounds_at_decision : int array;
     ghost_count : int array;
     recorder : Virtual_rounds.obs Bprc_util.Vec.t option;
-    scan_count : int Atomic.t;
-    write_count : int Atomic.t;
-    walk_count : int Atomic.t;
+    mutable scan_count : int;
+    mutable write_count : int;
+    mutable walk_count : int;
   }
 
   let create ?(name = "ads89") ?(params = Params.default)
@@ -106,10 +91,8 @@ struct
       params;
       mem = Snap.create ~name ~init ();
       views = Array.init R.n (fun _ -> Array.make R.n init);
-      scratch =
-        { s_ec = Ec.create ~k ~n:R.n; s_g = Dg.create_scratch ~k ~n:R.n };
-      scratch_busy = Atomic.make false;
-      fallbacks = Atomic.make 0;
+      ec = Ec.create ~k ~n:R.n;
+      g = Dg.create_scratch ~k ~n:R.n;
       mode = coin_mode;
       oracle_seed;
       raw_round = Array.make R.n 0;
@@ -120,13 +103,13 @@ struct
       ghost_count = Array.make R.n 0;
       recorder =
         (if record_scans then Some (Bprc_util.Vec.create ()) else None);
-      scan_count = Atomic.make 0;
-      write_count = Atomic.make 0;
-      walk_count = Atomic.make 0;
+      scan_count = 0;
+      write_count = 0;
+      walk_count = 0;
     }
 
   let scan t =
-    Atomic.incr t.scan_count;
+    t.scan_count <- t.scan_count + 1;
     let view = t.views.(R.pid ()) in
     Snap.scan_into t.mem view;
     (match t.recorder with
@@ -141,20 +124,10 @@ struct
     view
 
   let write t st =
-    Atomic.incr t.write_count;
+    t.write_count <- t.write_count + 1;
     let me = R.pid () in
     t.ghost_count.(me) <- t.ghost_count.(me) + 1;
     Snap.write t.mem { st with ghost = t.ghost_count.(me) }
-
-  let acquire t =
-    if Atomic.compare_and_set t.scratch_busy false true then t.scratch
-    else begin
-      Atomic.incr t.fallbacks;
-      { s_ec = Ec.create ~k:t.k ~n:R.n; s_g = Dg.create_scratch ~k:t.k ~n:R.n }
-    end
-
-  let release t scr =
-    if scr == t.scratch then Atomic.set t.scratch_busy false
 
   (* Decode the scanned view into the scratch: rows into the counter
      matrix, counters into the distance graph.  Validation and error
@@ -162,12 +135,12 @@ struct
      row whose published [edges] array is the one the scratch adopted
      last is skipped: published rows are never mutated ([inc_fields]
      publishes a fresh row, every other write reuses the array). *)
-  let graph_into scr view =
+  let graph_into t view =
     for i = 0 to R.n - 1 do
-      Ec.set_row scr.s_ec i view.(i).edges
+      Ec.set_row t.ec i view.(i).edges
     done;
-    Ec.to_graph_into scr.s_ec scr.s_g;
-    scr.s_g
+    Ec.to_graph_into t.ec t.g;
+    t.g
 
   (* Round advancement (§5 [inc]): bump the coin pointer, zero the slot
      now standing for the round being entered, advance the edge
@@ -175,13 +148,13 @@ struct
      the round fields of the new state; [coins]/[edges] are fresh
      arrays because they are published to shared memory and must not
      alias the scratch. *)
-  let inc_fields t scr view me =
+  let inc_fields t view me =
     let st = view.(me) in
     let kp1 = t.k + 1 in
     let current_coin = (st.current_coin + 1) mod kp1 in
     let coins = Array.copy st.coins in
     coins.((current_coin + 1) mod kp1) <- 0;
-    let edges = Ec.inc_row_with scr.s_ec ~graph:scr.s_g me in
+    let edges = Ec.inc_row_with t.ec ~graph:t.g me in
     t.raw_round.(me) <- t.raw_round.(me) + 1;
     t.coin_published.(me) <- 0;
     t.coin_pending.(me) <- 0;
@@ -226,7 +199,7 @@ struct
     let c = coins.(slot) + move in
     coins.(slot) <-
       (if c > t.m + 1 then t.m + 1 else if c < -t.m - 1 then -t.m - 1 else c);
-    Atomic.incr t.walk_count;
+    t.walk_count <- t.walk_count + 1;
     coins
 
   let trails_by_k t g me j = Dg.dist_ge g me j t.k
@@ -268,27 +241,24 @@ struct
     t.rounds_at_decision.(me) <- t.raw_round.(me);
     v
 
-  (* The scratch claim discipline in [run]: acquire after the scan,
-     release before the next yield — the write, or [Local_flips]'s
-     [R.flip] — so under the cooperative runtimes the shared pair is
-     always free when claimed.  [Local_flips] re-acquires after the
-     flip and re-decodes the same view (its per-pid buffer survives
-     the yield) before the round bump; the flip stays where it was, a
-     yield point the adversary may probe.  The re-decode is nearly
-     free: no row changed unless another process decoded meanwhile. *)
+  (* The scratch in [run] holds this process's decode from its scan to
+     its next yield: the write, or [Local_flips]'s [R.flip].  Another
+     process may decode its own view into the scratch during that
+     flip, so [Local_flips] re-decodes the same view (its per-pid
+     buffer survives the yield) before the round bump; the flip stays
+     where it was, a yield point the adversary may probe.  The
+     re-decode is nearly free: no row changed unless another process
+     decoded meanwhile. *)
   let run t ~input =
     let me = R.pid () in
     (* Announce: adopt the input and enter round 1. *)
     let view = scan t in
-    let scr = acquire t in
-    let (_ : Dg.t) = graph_into scr view in
-    let current_coin, coins, edges = inc_fields t scr view me in
-    release t scr;
+    let (_ : Dg.t) = graph_into t view in
+    let current_coin, coins, edges = inc_fields t view me in
     write t { pref = Some input; current_coin; coins; edges; ghost = 0 };
     let rec loop () =
       let view = scan t in
-      let scr = acquire t in
-      let g = graph_into scr view in
+      let g = graph_into t view in
       let my = view.(me) in
       let is_leader = Dg.is_leader g me in
       let can_decide =
@@ -309,43 +279,34 @@ struct
               !ok)
       in
       match my.pref with
-      | Some v when can_decide ->
-        release t scr;
-        decide t me v
+      | Some v when can_decide -> decide t me v
       | _ -> (
         match leaders_agree view g with
         | Some v ->
-          let current_coin, coins, edges = inc_fields t scr view me in
-          release t scr;
+          let current_coin, coins, edges = inc_fields t view me in
           write t { pref = Some v; current_coin; coins; edges; ghost = 0 };
           loop ()
         | None -> (
           match my.pref with
           | Some _ ->
-            release t scr;
             write t { my with pref = None };
             loop ()
           | None -> (
             match t.mode with
             | Local_flips ->
-              release t scr;
               let v = R.flip () in
-              let scr = acquire t in
-              let (_ : Dg.t) = graph_into scr view in
-              let current_coin, coins, edges = inc_fields t scr view me in
-              release t scr;
+              let (_ : Dg.t) = graph_into t view in
+              let current_coin, coins, edges = inc_fields t view me in
               write t { pref = Some v; current_coin; coins; edges; ghost = 0 };
               loop ()
             | Oracle_shared ->
               let v = oracle_value t t.raw_round.(me) in
-              let current_coin, coins, edges = inc_fields t scr view me in
-              release t scr;
+              let current_coin, coins, edges = inc_fields t view me in
               write t { pref = Some v; current_coin; coins; edges; ghost = 0 };
               loop ()
             | Shared_walk -> (
               match next_coin_value t g view me with
               | Undecided ->
-                release t scr;
                 let coins = flip_next_coin t view me in
                 write t { my with pref = None; coins };
                 t.coin_published.(me) <-
@@ -354,8 +315,7 @@ struct
                 loop ()
               | (Heads | Tails) as hv ->
                 let v = hv = Heads in
-                let current_coin, coins, edges = inc_fields t scr view me in
-                release t scr;
+                let current_coin, coins, edges = inc_fields t view me in
                 write t
                   { pref = Some v; current_coin; coins; edges; ghost = 0 };
                 loop ()))))
@@ -364,19 +324,15 @@ struct
 
   let stats t =
     {
-      scans = Atomic.get t.scan_count;
-      writes = Atomic.get t.write_count;
-      walk_steps = Atomic.get t.walk_count;
+      scans = t.scan_count;
+      writes = t.write_count;
+      walk_steps = t.walk_count;
       max_raw_round = Array.fold_left max 0 t.raw_round;
       decided = Array.copy t.decided;
       rounds_at_decision = Array.copy t.rounds_at_decision;
     }
 
-  let decode_stats t =
-    {
-      refills = Ec.refill_stats t.scratch.s_ec;
-      fallbacks = Atomic.get t.fallbacks;
-    }
+  let decode_stats t = Ec.refill_stats t.ec
 
   let register_bits t = Params.register_bits t.params ~n:R.n
 

@@ -44,22 +44,13 @@ type stats = Consensus_intf.stats = {
   rounds_at_decision : int array;
 }
 
-type decode_stats = {
-  refills : Bprc_strip.Edge_counters.refill_stats;
-      (** the paths taken by the shared scratch's decodes *)
-  fallbacks : int;  (** decodes into a fresh pair (shared scratch claimed) *)
-}
-(** Strip-decode counters of one instance, bumped without allocating
-    and deterministic under the simulator.  The refill counters are
-    only touched under the scratch claim; [fallbacks] is an atomic
-    counter, since fallbacks are exactly the decodes that contend.  Under the
-    cooperative runtimes [fallbacks] is always 0. *)
-
 module type S = sig
   include Consensus_intf.S
 
-  val decode_stats : t -> decode_stats
-  (** The instance's strip-decode counters so far. *)
+  val decode_stats : t -> Bprc_strip.Edge_counters.refill_stats
+  (** The paths taken so far by the decodes into the instance's one
+      strip-decode scratch, which every process shares.  Bumped without
+      allocating, and deterministic under the simulator. *)
 end
 
 module Make_over_snapshot

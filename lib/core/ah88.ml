@@ -14,9 +14,9 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     views : state array array;
         (** per-pid scan buffers: slot [p] is refilled only by process
             [p]'s own next scan, so a view survives [p]'s yields *)
-    walk_count : int Atomic.t;
-    max_round_seen : int Atomic.t;
-    max_counter_mag : int Atomic.t;
+    mutable walk_count : int;
+    mutable max_round_seen : int;
+    mutable max_counter_mag : int;
     (* Meta-level probes for the adaptive adversaries. *)
     raw_round : int array;
     coin_published : int array;
@@ -31,15 +31,13 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       threshold = delta * R.n;
       mem = Snap.create ~name ~init ();
       views = Array.init R.n (fun _ -> Array.make R.n init);
-      walk_count = Atomic.make 0;
-      max_round_seen = Atomic.make 0;
-      max_counter_mag = Atomic.make 0;
+      walk_count = 0;
+      max_round_seen = 0;
+      max_counter_mag = 0;
       raw_round = Array.make R.n 0;
       coin_published = Array.make R.n 0;
       coin_pending = Array.make R.n 0;
     }
-
-  let bump_max a v = if v > Atomic.get a then Atomic.set a v
 
   (* Advance to the next round: extend the per-round counter strip. *)
   let inc st =
@@ -87,7 +85,7 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     if !ok && !have then Some !agreed else None
 
   let enter_round t me round =
-    bump_max t.max_round_seen round;
+    t.max_round_seen <- Int.max t.max_round_seen round;
     t.raw_round.(me) <- round;
     t.coin_published.(me) <- 0;
     t.coin_pending.(me) <- 0
@@ -151,8 +149,8 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
               t.coin_pending.(me) <- move;
               let c = coins.(my.round) + move in
               coins.(my.round) <- c;
-              bump_max t.max_counter_mag (abs c);
-              Atomic.incr t.walk_count;
+              t.max_counter_mag <- Int.max t.max_counter_mag (abs c);
+              t.walk_count <- t.walk_count + 1;
               Snap.write t.mem { my with pref = None; coins };
               t.coin_published.(me) <- c;
               t.coin_pending.(me) <- 0;
@@ -161,15 +159,15 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     in
     loop ()
 
-  let max_round t = Atomic.get t.max_round_seen
+  let max_round t = t.max_round_seen
 
   let bits_for x =
     let rec go acc v = if v >= x then acc else go (acc + 1) (v * 2) in
     go 0 1
 
   let max_register_bits t =
-    let rounds = Atomic.get t.max_round_seen + 1 in
-    let counter_bits = 1 + bits_for (Atomic.get t.max_counter_mag + 1) in
+    let rounds = t.max_round_seen + 1 in
+    let counter_bits = 1 + bits_for (t.max_counter_mag + 1) in
     2 (* pref *) + bits_for (rounds + 1) + (rounds * counter_bits)
 
   (* Unbounded-strip baseline: the payload width is the grown maximum
@@ -177,7 +175,7 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
      dependent (the point of experiment E6). *)
   let space t = Snap.space ~value_bits:(max_register_bits t) t.mem
 
-  let total_walk_steps t = Atomic.get t.walk_count
+  let total_walk_steps t = t.walk_count
 
   let coin_probe t =
     {

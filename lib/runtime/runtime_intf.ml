@@ -2,10 +2,13 @@
     repository is written against.
 
     An implementation provides atomic registers, the identity of the
-    calling process, and a local coin flip.  Two implementations exist:
-    {!Sim} (a deterministic, adversary-scheduled simulator in which one
-    register access is one scheduling step — the cost model of the
-    paper) and {!Par} (OCaml 5 domains over [Atomic.t] cells). *)
+    calling process, and a local coin flip.  {!Sim} implements it: a
+    deterministic simulator in which the adversary picks every register
+    access, one scheduling step each — the paper's model and cost
+    model.  The other implementations are built over deterministic
+    simulators too ([Bprc_netsim.Abd]'s quorum registers,
+    [Bprc_faults.Inject]'s weakened registers), so every run can be
+    replayed from its seed and explored schedule by schedule. *)
 
 module type S = sig
   type 'a reg
@@ -78,7 +81,8 @@ end
 
 (** The per-access lifting: every batch is the documented loop of
     single accesses, so a runtime without batching (a weakened or
-    instrumented wrapper, {!Par}) keeps its own per-access semantics. *)
+    instrumented wrapper, ABD's quorum registers) keeps its own
+    per-access semantics. *)
 module Loop (R : S) : BATCHED with type 'a reg = 'a R.reg = struct
   include R
 

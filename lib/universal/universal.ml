@@ -18,7 +18,6 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     apply : 's -> int -> 's * 'r;
     board : announcement option Snap.t;
     instances : Mv.t Bprc_util.Vec.t;
-    instances_mu : Mutex.t;
     name : string;
     params : Bprc_core.Params.t;
     replicas : 's replica array;
@@ -43,7 +42,6 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       apply;
       board = Snap.create ~name:(name ^ ".board") ~init:None ();
       instances = Bprc_util.Vec.create ();
-      instances_mu = Mutex.create ();
       name;
       params;
       replicas =
@@ -67,19 +65,15 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
     (pid, idx, payload)
 
   (* Consensus instance for log position [k], created on demand.  No
-     shared-memory step happens inside creation, and the mutex makes it
-     safe under the parallel runtime. *)
+     shared-memory step happens inside creation. *)
   let instance t k =
-    Mutex.lock t.instances_mu;
     while Bprc_util.Vec.length t.instances <= k do
       Bprc_util.Vec.push t.instances
         (Mv.create
            ~name:(Printf.sprintf "%s.log%d" t.name (Bprc_util.Vec.length t.instances))
            ~params:t.params ~width:t.width ())
     done;
-    let m = Bprc_util.Vec.get t.instances k in
-    Mutex.unlock t.instances_mu;
-    m
+    Bprc_util.Vec.get t.instances k
 
   (* Pick a proposal for log position [k]: the designated process's
      pending announcement if visible, else my own pending operation.

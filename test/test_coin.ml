@@ -190,14 +190,6 @@ let test_oracle_balanced_across_seeds () =
     true
     (!heads > 50 && !heads < 150)
 
-let test_bounded_par_smoke () =
-  (* The bounded coin on real domains: all processes decide. *)
-  let rt = Par.make_runtime ~seed:11 ~n:4 () in
-  let module C = Bounded_walk.Make ((val rt)) in
-  let coin = C.create ~seed:11 () in
-  let results = Par.run ~runtime:rt ~n:4 (fun _ _ -> C.flip coin) in
-  Alcotest.(check int) "all decided" 4 (Array.length results)
-
 let test_bounded_walk_step_alloc_bounded () =
   (* Steady-state allocation ceiling for the walk loop: opposed
      deterministic flips (pid 0 always +1, pid 1 always -1) keep the
@@ -254,5 +246,4 @@ let suite =
       test_local_coin_disagrees_somewhere;
     Alcotest.test_case "oracle: unanimous" `Quick test_oracle_always_agrees;
     Alcotest.test_case "oracle: balanced" `Quick test_oracle_balanced_across_seeds;
-    Alcotest.test_case "bounded: par smoke" `Quick test_bounded_par_smoke;
   ]

@@ -239,71 +239,6 @@ let test_flip_source_override () =
   ignore (Sim.run sim);
   Alcotest.(check (option int)) "all heads" (Some 10) (Sim.result h)
 
-(* --- Par runtime ------------------------------------------------------ *)
-
-let test_par_pids_and_results () =
-  let results =
-    Par.run ~n:4 (fun (module R : Runtime_intf.S) i ->
-        Alcotest.(check int) "pid matches index" i (R.pid ());
-        i * 10)
-  in
-  Alcotest.(check (array int)) "results in order" [| 0; 10; 20; 30 |] results
-
-let test_par_register_visibility () =
-  (* Writer publishes, readers spin until they see it: genuine
-     cross-domain visibility through Atomic. *)
-  let results =
-    Par.run ~n:3 (fun (module R : Runtime_intf.S) i ->
-        let flag = R.make_reg ~name:"local" 0 in
-        ignore flag;
-        i)
-  in
-  Alcotest.(check int) "ran 3 processes" 3 (Array.length results)
-
-let shared_flag = ref None
-
-let test_par_handoff () =
-  (* A register created by pid 0 must be visible to pid 1; registers are
-     created before spawning via a tiny two-phase trick: pid 0 makes it
-     and publishes through a global, pid 1 spins. *)
-  shared_flag := None;
-  let results =
-    Par.run ~n:2 (fun (module R : Runtime_intf.S) i ->
-        if i = 0 then begin
-          let r = R.make_reg ~name:"shared" 41 in
-          R.write r 42;
-          shared_flag := Some (fun () -> R.peek r);
-          0
-        end
-        else begin
-          let rec wait () =
-            match !shared_flag with
-            | Some peek -> peek ()
-            | None ->
-              Domain.cpu_relax ();
-              wait ()
-          in
-          wait ()
-        end)
-  in
-  Alcotest.(check int) "reader saw write" 42 results.(1)
-
-let test_par_flip_deterministic_per_seed () =
-  let run () =
-    Par.run ~seed:77 ~n:2 (fun (module R : Runtime_intf.S) _ ->
-        List.init 50 (fun _ -> R.flip ()))
-  in
-  let a = run () in
-  let b = run () in
-  Alcotest.(check bool) "same seed, same per-process flips" true (a = b)
-
-let test_par_many_threads () =
-  (* Force the systhread fallback path with a large n. *)
-  let n = 64 in
-  let results = Par.run ~n (fun (module R : Runtime_intf.S) i -> R.pid () = i) in
-  Alcotest.(check bool) "all pids correct under systhreads" true
-    (Array.for_all Fun.id results)
-
 (* --- Exhaustive exploration -------------------------------------------- *)
 
 let test_explore_exhausts_tiny () =
@@ -404,11 +339,6 @@ let suite =
     Alcotest.test_case "overspawn rejected" `Quick test_spawn_too_many;
     Alcotest.test_case "underspawn rejected" `Quick test_run_underspawned;
     Alcotest.test_case "flip source override" `Quick test_flip_source_override;
-    Alcotest.test_case "par: pids and results" `Quick test_par_pids_and_results;
-    Alcotest.test_case "par: runs" `Quick test_par_register_visibility;
-    Alcotest.test_case "par: cross-domain visibility" `Quick test_par_handoff;
-    Alcotest.test_case "par: seeded flips" `Quick test_par_flip_deterministic_per_seed;
-    Alcotest.test_case "par: systhread fallback" `Quick test_par_many_threads;
     Alcotest.test_case "explore: exhausts tiny" `Quick test_explore_exhausts_tiny;
     Alcotest.test_case "explore: finds race" `Quick test_explore_finds_race;
     Alcotest.test_case "explore: flip branching" `Quick test_explore_branches_on_flips;

@@ -330,34 +330,6 @@ let test_unbounded_seq_grows () =
   ignore (Sim.run sim);
   Alcotest.(check int) "sequence numbers grow without bound" 25 (U.max_seq mem)
 
-(* Handshake snapshot on real domains: writers publish increasing
-   values; each process's successive scans must be componentwise
-   monotone (a cheap dynamic P3 probe).  The shared memory is allocated
-   on a pre-built runtime before the processes launch. *)
-let test_par_monotone_scans () =
-  let rt = Par.make_runtime ~seed:10 ~n:4 () in
-  let (module R) = rt in
-  let module S = Handshake.Make ((val rt)) in
-  let mem = S.create ~init:0 () in
-  let results =
-    Par.run ~runtime:rt ~n:4 (fun _rt _i ->
-        let prev = Array.make R.n min_int in
-        let monotone = ref true in
-        for k = 1 to 200 do
-          S.write mem k;
-          let view = S.scan mem in
-          Array.iteri
-            (fun j v ->
-              if v < prev.(j) then monotone := false;
-              prev.(j) <- v)
-            view
-        done;
-        !monotone)
-  in
-  Array.iter
-    (fun ok -> Alcotest.(check bool) "per-process scans monotone" true ok)
-    results
-
 let suite =
   [
     Alcotest.test_case "checker: legal accepted" `Quick test_checker_accepts_legal;
@@ -387,7 +359,6 @@ let suite =
       test_handshake_scan_starvation_is_possible;
     Alcotest.test_case "unbounded: random schedules" `Quick test_unbounded_random;
     Alcotest.test_case "unbounded: seq grows" `Quick test_unbounded_seq_grows;
-    Alcotest.test_case "par: monotone scans" `Quick test_par_monotone_scans;
   ]
 
 (* --- Crash injection mid-write ---------------------------------------- *)

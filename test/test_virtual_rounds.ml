@@ -3,10 +3,11 @@ open Bprc_core
 
 (* Run the full protocol with scan recording and hand the observations
    to the §6.1 checker. *)
-let run_recorded ~n ~seed ~adversary ~inputs =
-  let sim = Sim.create ~seed ~max_steps:3_000_000 ~n ~adversary () in
+let run_recorded ?coin_mode ?(max_steps = 3_000_000) ~n ~seed ~adversary
+    ~inputs () =
+  let sim = Sim.create ~seed ~max_steps ~n ~adversary () in
   let module C = Ads89.Make ((val Sim.runtime sim)) in
-  let t = C.create ~record_scans:true () in
+  let t = C.create ?coin_mode ~oracle_seed:seed ~record_scans:true () in
   let _handles =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
@@ -19,7 +20,9 @@ let check_seeds ~n ~seeds ~adversary name =
       let r = Bprc_rng.Splitmix.create ~seed:(seed * 31) in
       Array.init n (fun _ -> Bprc_rng.Splitmix.bool r)
     in
-    let completed, obs = run_recorded ~n ~seed ~adversary:(adversary ()) ~inputs in
+    let completed, obs =
+      run_recorded ~n ~seed ~adversary:(adversary ()) ~inputs ()
+    in
     if not completed then Alcotest.failf "%s: seed %d timed out" name seed;
     match Virtual_rounds.check ~k:2 ~n obs with
     | Ok report ->
@@ -45,6 +48,70 @@ let test_serialization_is_total () =
      lifted to the protocol's own scans.  [check] already fails on
      incomparability; this test asserts it over many seeds with wide n. *)
   check_seeds ~n:6 ~seeds:6 ~adversary:Adversary.random "wide"
+
+(* Every process decodes into its instance's one strip scratch, so a
+   row must be computed from the publishing process's own scan, never
+   from a decode another process left in the scratch.  Between two
+   scans of process [p] lies exactly one write of [p], so the row [p]
+   shows in its later scan is either the row it showed before or
+   [inc_row] of a fresh decode of its earlier scan.  [Local_flips]
+   yields at its flip between decode and write; this pins its re-decode
+   after the flip (without it, n=5 under bursty:40 fails).  Some n=5
+   bursty runs take millions of steps to decide, so runs are cut at
+   100,000 steps and the rows are checked over the scans made so
+   far. *)
+module Ec = Bprc_strip.Edge_counters
+
+let rows_follow_own_scans ~n ~coin_mode ~seed ~adversary name =
+  let inputs =
+    let r = Bprc_rng.Splitmix.create ~seed:(seed * 31) in
+    Array.init n (fun _ -> Bprc_rng.Splitmix.bool r)
+  in
+  let _completed, obs =
+    run_recorded ~coin_mode ~max_steps:100_000 ~n ~seed ~adversary ~inputs ()
+  in
+  let k = Params.default.Params.k in
+  let last = Array.make n None in
+  List.iter
+    (fun (o : Virtual_rounds.obs) ->
+      let p = o.spid in
+      (match last.(p) with
+      | None -> ()
+      | Some (prev : Virtual_rounds.obs) ->
+        let row = o.rows.(p) in
+        if
+          row <> prev.rows.(p)
+          && row <> Ec.inc_row (Ec.of_rows ~k prev.rows) p
+        then
+          Alcotest.failf
+            "%s: seed %d: pid %d published a row not decoded from its scan"
+            name seed p);
+      last.(p) <- Some o)
+    obs
+
+let test_rows_follow_own_scans () =
+  List.iter
+    (fun (mode, coin_mode, seeds) ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun (sched, adversary) ->
+              let name = Printf.sprintf "%s n=%d %s" mode n sched in
+              for seed = 1 to seeds do
+                rows_follow_own_scans ~n ~coin_mode ~seed
+                  ~adversary:(adversary ()) name
+              done)
+            [
+              ("random", Adversary.random);
+              ("bursty:5", fun () -> Adversary.bursty ~burst:5 ());
+              ("bursty:40", fun () -> Adversary.bursty ~burst:40 ());
+            ])
+        [ 3; 4; 5 ])
+    [
+      ("walk", Ads89.Shared_walk, 20);
+      ("local", Ads89.Local_flips, 300);
+      ("oracle", Ads89.Oracle_shared, 20);
+    ]
 
 let test_checker_flags_incomparable () =
   let ob spid ghosts =
@@ -74,6 +141,8 @@ let suite =
     Alcotest.test_case "monotone under bursty" `Quick test_bursty;
     Alcotest.test_case "serialization total (n=6)" `Quick
       test_serialization_is_total;
+    Alcotest.test_case "published rows follow own scans" `Quick
+      test_rows_follow_own_scans;
     Alcotest.test_case "flags incomparable views" `Quick
       test_checker_flags_incomparable;
     Alcotest.test_case "empty history" `Quick test_checker_empty;
