@@ -243,7 +243,8 @@ let space_report_cmd =
 
 let coin_cmd =
   let delta_arg =
-    Arg.(value & opt int 2 & info [ "delta" ] ~doc:"Barrier multiplier δ.")
+    Arg.(
+      value & opt positive_int 2 & info [ "delta" ] ~doc:"Barrier multiplier δ.")
   in
   let action n seed delta sched =
     let r = Bprc_harness.Run.coin_once ~delta ~sched ~n ~seed () in
@@ -406,7 +407,8 @@ let trace_digest tr =
 
 let trace_cmd =
   let steps_arg =
-    Arg.(value & opt int 400 & info [ "steps" ] ~doc:"Steps to simulate.")
+    Arg.(
+      value & opt positive_int 400 & info [ "steps" ] ~doc:"Steps to simulate.")
   in
   let digest_arg =
     Arg.(
@@ -417,20 +419,14 @@ let trace_cmd =
              access statistics (golden determinism regression).")
   in
   let action n seed sched steps digest =
-    let adversary =
-      match sched with
-      | Bprc_harness.Run.Random_sched -> Bprc_runtime.Adversary.random ()
-      | Bprc_harness.Run.Round_robin_sched -> Bprc_runtime.Adversary.round_robin ()
-      | Bprc_harness.Run.Bursty_sched b -> Bprc_runtime.Adversary.bursty ~burst:b ()
-      | Bprc_harness.Run.Anti_coin_sched | Bprc_harness.Run.Osc_coin_sched ->
-        Bprc_runtime.Adversary.random ()
-    in
     let sim =
       Bprc_runtime.Sim.create ~seed ~max_steps:steps ~record_trace:true ~n
-        ~adversary ()
+        ~adversary:(Bprc_harness.Run.plain_adversary sched) ()
     in
     let module C = Bprc_core.Ads89.Make ((val Bprc_runtime.Sim.runtime sim)) in
     let t = C.create () in
+    Bprc_harness.Run.install_probe_adversary sim ~n ~sched ~probe:(fun () ->
+        C.coin_probe t);
     let _ =
       Array.init n (fun i ->
           Bprc_runtime.Sim.spawn sim (fun () -> C.run t ~input:(i mod 2 = 0)))
@@ -550,7 +546,8 @@ let pool_of_workers workers =
 let hunt_cmd =
   let trials_arg =
     Arg.(
-      value & opt int 1000
+      value
+      & opt (int_in ~lo:0 ~hi:max_int ~expected:"a non-negative integer") 1000
       & info [ "trials" ] ~docv:"N" ~doc:"Fault-plan trials to attempt.")
   in
   let budget_arg =
@@ -713,14 +710,14 @@ let check_cmd =
   in
   let max_runs_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt positive_int 200_000
       & info [ "max-runs" ] ~docv:"N"
           ~doc:"Bound on schedules explored per configuration.")
   in
   let max_steps_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "max-steps" ] ~docv:"N"
           ~doc:"Per-run step bound (default: the configuration's own).")
   in

@@ -34,9 +34,11 @@ let weaken_runtime (rt : (module Runtime_intf.S)) ~(plan : Fault_plan.t) :
         | Some sem ->
           Weak { base; sem; writes = Bprc_util.Vec.create (); init = v }
 
-      (* A choice in [0, k) driven by base-runtime flips, as in
-         Bprc_registers.Weak: deterministic under replay, enumerable by
-         the explorer, harmlessly biased toward low indices. *)
+      (* A choice in [0, k) driven by base-runtime flips: deterministic
+         under replay, enumerable by the explorer.  Slightly biased
+         toward low indices when k is not a power of two (rejection
+         sampling would give the explorer unbounded flip branches); any
+         candidate is legal, so the bias is harmless. *)
       let flip_choice k =
         if k <= 1 then 0
         else begin
@@ -197,33 +199,18 @@ let next_due d sim ~until =
 (* Fire what is due, then run uninterrupted to the earliest clock at
    which anything can next fall due.  Nothing can fall due in between,
    so every fault fires at exactly the step a fire-before-every-step
-   loop would fire it at.  [crash_at] fires at most one entry per clock
-   tick, in clock order: an entry due at the same tick as an earlier
-   one fires a tick later. *)
-let drive ?(crash_at = []) sim ~driver ~max_steps =
+   loop would fire it at. *)
+let drive sim ~driver ~max_steps =
   let max_steps = min max_steps (Sim.max_steps sim) in
-  let rec go crash_at =
-    let now = Sim.clock sim in
-    let crash_at =
-      match crash_at with
-      | (at, pid) :: rest when now >= at ->
-        Sim.crash sim pid;
-        rest
-      | pending -> pending
-    in
+  let rec go () =
     fire driver sim;
-    if now >= max_steps then false
+    if Sim.clock sim >= max_steps then false
     else
-      let until =
-        match crash_at with
-        | (at, _) :: _ -> min max_steps (max at (now + 1))
-        | [] -> max_steps
-      in
-      match Sim.run_to sim ~clock:(next_due driver sim ~until) with
+      match Sim.run_to sim ~clock:(next_due driver sim ~until:max_steps) with
       | Some Sim.Completed -> true
-      | Some Sim.Hit_step_limit | None -> go crash_at
+      | Some Sim.Hit_step_limit | None -> go ()
   in
-  go (List.sort compare crash_at)
+  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Link faults                                                         *)

@@ -45,16 +45,12 @@ val fire : driver -> Sim.t -> unit
     is due once [Sim.steps_of sim pid >= at_step].  Call between
     steps. *)
 
-val drive :
-  ?crash_at:(int * int) list -> Sim.t -> driver:driver -> max_steps:int -> bool
+val drive : Sim.t -> driver:driver -> max_steps:int -> bool
 (** Run the simulator to completion, firing every fault at exactly the
-    step a fire-before-every-step loop would: [crash_at] is a list of
-    (global clock, pid) crash points, fired in clock order and at most
-    one per clock tick, each before the plan's due faults.  Between
-    firings the run proceeds in {!Sim.run_to} stretches up to the
-    earliest clock at which anything can next fall due.  Returns [false]
-    if [max_steps] (capped at the arena's own bound) was reached
-    first. *)
+    step a fire-before-every-step loop would.  Between firings the run
+    proceeds in {!Sim.run_to} stretches up to the earliest clock at
+    which a pending fault can next fall due.  Returns [false] if
+    [max_steps] (capped at the arena's own bound) was reached first. *)
 
 val net_hook :
   Fault_plan.t -> nth:int -> src:int -> dst:int -> Bprc_netsim.Netsim.fault_action

@@ -530,8 +530,12 @@ let e9_correctness ?(quick = false) ?pool () =
                       let r =
                         Run.consensus_once ~sched ~algo ~pattern ~n
                           ~seed:(seed_of rng)
-                          ~crash_at:
-                            (if crashed then [ (100 + idx, idx mod n) ]
+                          ~faults:
+                            (if crashed then
+                               [
+                                 Bprc_faults.Fault_plan.Crash
+                                   { pid = idx mod n; at_step = (100 + idx) / n };
+                               ]
                              else [])
                           ()
                       in

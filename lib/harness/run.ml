@@ -191,8 +191,8 @@ let install_probe_adversary sim ~n ~sched ~probe =
   | Random_sched | Round_robin_sched | Bursty_sched _ -> ()
 
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
-    ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(crash_at = [])
-    ?(faults = []) ~algo ~pattern ~n ~seed () =
+    ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(faults = []) ~algo
+    ~pattern ~n ~seed () =
   let inputs = inputs_of_pattern pattern ~n ~seed in
   let adversary = plain_adversary sched in
   let sim =
@@ -220,7 +220,7 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     | None -> Sim.create ~seed ~max_steps ~n ~adversary ()
   in
   let driver = Bprc_faults.Inject.driver ~n faults in
-  let drive () = Bprc_faults.Inject.drive sim ~driver ~crash_at ~max_steps in
+  let drive () = Bprc_faults.Inject.drive sim ~driver ~max_steps in
   let runtime = Bprc_faults.Inject.weaken_runtime (Sim.runtime sim) ~plan:faults in
   let batched =
     Bprc_faults.Inject.weaken_batched (Sim.batched sim) ~plan:faults

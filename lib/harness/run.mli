@@ -18,6 +18,21 @@ type sched =
 
 val sched_name : sched -> string
 
+val plain_adversary : sched -> Bprc_runtime.Adversary.t
+(** The adversary a run under [sched] starts with.  The two adaptive
+    schedulers start as the random one: they need probes into the
+    protocol instance, which exists only after the simulator. *)
+
+val install_probe_adversary :
+  Bprc_runtime.Sim.t ->
+  n:int ->
+  sched:sched ->
+  probe:(unit -> Bprc_core.Coin_probe.t) ->
+  unit
+(** Replace the simulator's adversary with the adaptive one [sched]
+    names, reading the protocol instance through [probe]; a no-op for
+    the non-adaptive schedulers.  Call once the instance is built. *)
+
 (* ------------------------------------------------------------------ *)
 
 type coin_run = {
@@ -80,7 +95,6 @@ val consensus_once :
   ?params:Bprc_core.Params.t ->
   ?max_steps:int ->
   ?sched:sched ->
-  ?crash_at:(int * int) list ->
   ?faults:Bprc_faults.Fault_plan.t ->
   algo:algo ->
   pattern:pattern ->
@@ -88,8 +102,7 @@ val consensus_once :
   seed:int ->
   unit ->
   consensus_run
-(** [crash_at] is a list of (global step, pid) crash points; [faults]
-    is a declarative fault plan (crash/stall faults fire on the
+(** [faults] is a declarative fault plan (crash/stall faults fire on the
     targeted process's own step count, [Weaken] faults downgrade
     registers — see {!Bprc_faults.Inject}).  Link faults in [faults]
     are ignored here (shared-memory run).

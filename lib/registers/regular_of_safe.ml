@@ -1,22 +1,17 @@
 module Make (R : Bprc_runtime.Runtime_intf.S) = struct
-  module W = Weak.Make (R)
-
   type t = {
-    bit : W.t;
+    bit : bool R.reg;
     mutable last : bool;  (** writer's private cache *)
   }
 
   let make ?(name = "reg-of-safe") ~init () =
-    {
-      bit = W.make ~name (W.Safe { domain = 2 }) ~init:(Bool.to_int init);
-      last = init;
-    }
+    { bit = R.make_reg ~name init; last = init }
 
-  let read t = W.read t.bit = 1
+  let read t = R.read t.bit
 
   let write t b =
     if b <> t.last then begin
-      W.write t.bit (Bool.to_int b);
+      R.write t.bit b;
       t.last <- b
     end
 end

@@ -78,8 +78,7 @@ let clear_batch p =
      -1                           no access yet
      ((reg_id + 1) lsl 2) lor k   access to [reg_id] of kind [k]
    with k = 0 read, 1 write, 2 coin flip, 3 explicit yield.  Flips and
-   yields carry reg_id = -1, encoding to bare k.  The flip's drawn value
-   lives in [last_flip]. *)
+   yields carry reg_id = -1, encoding to bare k. *)
 let access_none = -1
 let access_read = 0
 let access_write = 1
@@ -143,7 +142,6 @@ type t = {
   mutable flip_source : (pid:int -> bool) option;
   mutable flip_observer : (pid:int -> bool -> unit) option;
   mutable last_access : int;  (* packed access code, see above *)
-  mutable last_flip : bool;  (* value drawn by the last Flip access *)
   mutable seed : int;
   ctx : Adversary.ctx;  (* one context record, mutated in place *)
   scratch : int array array;
@@ -276,7 +274,6 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false) ~n
     flip_source = None;
     flip_observer = None;
     last_access = access_none;
-    last_flip = false;
     seed;
     ctx = { Adversary.clock = 0; runnable = [||]; rng };
     scratch = Array.init (n + 1) (fun k -> Array.make k 0);
@@ -301,7 +298,6 @@ let reset ?seed ?adversary t =
   t.flip_source <- None;
   t.flip_observer <- None;
   t.last_access <- access_none;
-  t.last_flip <- false;
   t.ctx.Adversary.clock <- 0;
   t.ctx.Adversary.runnable <- t.scratch.(0);
   t.runnable_cache <- t.scratch.(0);
@@ -348,7 +344,6 @@ let draw_flip t (p : proc) =
   in
   p.flips <- p.flips + 1;
   t.last_access <- access_flip;
-  t.last_flip <- b;
   (match t.tr with
   | None -> ()
   | Some tr ->
@@ -711,20 +706,6 @@ let flips_of t pid = t.procs.(pid).flips
 let trace t = t.tr
 let last_access_code t = t.last_access
 let resumes t = t.resumes
-
-let last_access t =
-  let c = t.last_access in
-  if c = access_none then None
-  else
-    let reg_id = (c lsr 2) - 1 in
-    let kind =
-      match c land 3 with
-      | 0 -> Trace.Read
-      | 1 -> Trace.Write
-      | 2 -> Trace.Flip t.last_flip
-      | _ -> Trace.Step
-    in
-    Some (reg_id, kind)
 
 let set_flip_source t f = t.flip_source <- Some f
 let set_flip_observer t f = t.flip_observer <- Some f

@@ -182,17 +182,11 @@ val flips_of : t -> int -> int
 val trace : t -> Trace.t option
 (** The recorded trace, when [record_trace] was set. *)
 
-val last_access : t -> (int * Trace.kind) option
-(** The shared-memory access performed by the most recent step:
-    [(reg_id, kind)] for register reads/writes, [reg_id = -1] for coin
-    flips and explicit yields.  [None] when the step performed no access
-    at all (a process's initial segment before its first suspension).
-    Available whether or not trace recording is on.  Allocates its
-    result; per-step consumers should use {!last_access_code}. *)
-
 val last_access_code : t -> int
-(** Allocation-free variant of {!last_access}, packed into one
-    immediate int: [-1] when the step performed no access, otherwise
+(** The shared-memory access performed by the most recent step,
+    packed into one immediate int so reading it never allocates: [-1]
+    when the step performed no access at all (a process's initial
+    segment before its first suspension), otherwise
     [((reg_id + 1) lsl 2) lor k] with [k] = 0 read, 1 write, 2 coin
     flip, 3 explicit yield (flips and yields carry [reg_id = -1]).  The
     schedule explorer in [lib/check] consumes this to compute step

@@ -26,15 +26,8 @@ val create : unit -> t
 val record : t -> event -> unit
 val length : t -> int
 
-val get : t -> int -> event
-(** [get t i] is the [i]-th oldest event.
-    @raise Invalid_argument out of [0 .. length-1]. *)
-
-val last : t -> event option
 val iter : (event -> unit) -> t -> unit
 (** Oldest to newest. *)
 
 val to_list : t -> event list
 val clear : t -> unit
-
-val pp_event : Format.formatter -> event -> unit

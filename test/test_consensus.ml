@@ -8,29 +8,15 @@ type outcome = {
 }
 
 let run_ads89 ?(max_steps = 3_000_000) ?params ?coin_mode ?(oracle_seed = 0)
-    ?(crash_at = []) ~n ~seed ~adversary ~inputs () =
+    ?(faults = []) ~n ~seed ~adversary ~inputs () =
   let sim = Sim.create ~seed ~max_steps ~n ~adversary () in
   let module C = Ads89.Make ((val Sim.runtime sim)) in
   let t = C.create ?params ?coin_mode ~oracle_seed () in
   let handles =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
-  (* Drive manually so crashes can be injected at given global steps. *)
-  let crash_at = List.sort compare crash_at in
-  let pending = ref crash_at in
-  let completed =
-    let rec go () =
-      (match !pending with
-      | (step, pid) :: rest when Sim.clock sim >= step ->
-        Sim.crash sim pid;
-        pending := rest
-      | _ -> ());
-      if Sim.clock sim >= max_steps then false
-      else if Sim.step sim then go ()
-      else true
-    in
-    go ()
-  in
+  let driver = Bprc_faults.Inject.driver ~n faults in
+  let completed = Bprc_faults.Inject.drive sim ~driver ~max_steps in
   {
     completed;
     decisions = Array.map Sim.result handles;
@@ -114,9 +100,15 @@ let test_crash_tolerance () =
   for seed = 1 to 15 do
     let n = 4 in
     let inputs = mixed_inputs n (seed + 300) in
-    let crash_at = [ (50 + (seed * 17), seed mod n); (200 + (seed * 23), (seed + 1) mod n) ] in
+    let crashed = [ seed mod n; (seed + 1) mod n ] in
+    let faults =
+      List.map2
+        (fun pid at_step -> Bprc_faults.Fault_plan.Crash { pid; at_step })
+        crashed
+        [ (50 + (seed * 17)) / n; (200 + (seed * 23)) / n ]
+    in
     let o =
-      run_ads89 ~n ~seed ~adversary:(Adversary.random ()) ~inputs ~crash_at ()
+      run_ads89 ~n ~seed ~adversary:(Adversary.random ()) ~inputs ~faults ()
     in
     if not o.completed then
       Alcotest.failf "crash: seed %d hit step limit" seed;
@@ -124,7 +116,6 @@ let test_crash_tolerance () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "crash: seed %d: %s" seed e);
     (* At least the never-crashed processes decided. *)
-    let crashed = List.map snd crash_at in
     Array.iteri
       (fun i d ->
         if (not (List.mem i crashed)) && d = None then
@@ -581,7 +572,7 @@ let test_decode_counters_random () =
 (* [Local_flips] yields at its flip between decode and write.  A
    process crashed while suspended there holds nothing: the survivors
    keep decoding into the shared scratch and decide. *)
-let test_local_flips_crash_at_flip () =
+let test_local_flips_crash_on_flip () =
   let crashes = ref 0 in
   for seed = 1 to 8 do
     let n = 3 in
@@ -645,7 +636,7 @@ let decode_suite =
     Alcotest.test_case "decode counters: n=32 random" `Quick
       test_decode_counters_random;
     Alcotest.test_case "decode counters: local-flips crash at flip" `Quick
-      test_local_flips_crash_at_flip;
+      test_local_flips_crash_on_flip;
   ]
 
 let suite = suite @ decode_suite

@@ -162,23 +162,89 @@ let test_record_replay_identity () =
     ]
 
 (* With no overlap possible (single process), weakened registers must
-   behave exactly like atomic ones. *)
+   behave exactly like atomic ones, for both semantics. *)
 let test_weaken_no_overlap_is_atomic () =
   let open Bprc_runtime in
-  let sim = Sim.create ~seed:1 ~n:1 ~adversary:(Adversary.round_robin ()) () in
-  let plan = [ Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe } ] in
+  List.iter
+    (fun semantics ->
+      let sim =
+        Sim.create ~seed:1 ~n:1 ~adversary:(Adversary.round_robin ()) ()
+      in
+      let plan = [ Fault_plan.Weaken { index = -1; semantics } ] in
+      let module R = (val Inject.weaken_runtime (Sim.runtime sim) ~plan) in
+      let h =
+        Sim.spawn sim (fun () ->
+            let r = R.make_reg ~name:"x" 0 in
+            R.write r 5;
+            let a = R.read r in
+            R.write r 9;
+            (a, R.read r))
+      in
+      ignore (Sim.run sim);
+      Alcotest.(check (option (pair int int)))
+        "sequential reads see latest writes" (Some (5, 9)) (Sim.result h))
+    [ Fault_plan.Safe; Fault_plan.Regular ]
+
+(* One writer and two readers over one weakened register, under a
+   random schedule: the writer writes 1..4, each reader reads four
+   times.  Returns the history. *)
+let weakened_history ~semantics ~seed =
+  let open Bprc_runtime in
+  let sim = Sim.create ~seed ~n:3 ~adversary:(Adversary.random ()) () in
+  let plan = [ Fault_plan.Weaken { index = -1; semantics } ] in
   let module R = (val Inject.weaken_runtime (Sim.runtime sim) ~plan) in
-  let h =
-    Sim.spawn sim (fun () ->
-        let r = R.make_reg ~name:"x" 0 in
-        R.write r 5;
-        let a = R.read r in
-        R.write r 9;
-        (a, R.read r))
+  let reg = R.make_reg ~name:"x" 0 in
+  let hist = Hist.create () in
+  let timed pid f =
+    let start_time = Hist.stamp hist in
+    let op = f () in
+    Hist.record hist ~pid ~start_time ~finish_time:(Hist.stamp hist) op
   in
+  ignore
+    (Sim.spawn sim (fun () ->
+         for v = 1 to 4 do
+           timed 0 (fun () ->
+               R.write reg v;
+               Specs.Write v)
+         done));
+  for pid = 1 to 2 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           for _ = 1 to 4 do
+             timed pid (fun () -> Specs.Read (R.read reg))
+           done))
+  done;
   ignore (Sim.run sim);
-  Alcotest.(check (option (pair int int)))
-    "sequential reads see latest writes" (Some (5, 9)) (Sim.result h)
+  Hist.events hist
+
+let test_weaken_regular_histories () =
+  for seed = 1 to 60 do
+    if
+      not
+        (Specs.regular
+           (weakened_history ~semantics:Fault_plan.Regular ~seed))
+    then Alcotest.failf "regular violation at seed %d" seed
+  done
+
+(* A safe read returns the initial value or the value of a write that
+   started before the read finished. *)
+let test_weaken_safe_values_written () =
+  for seed = 1 to 40 do
+    let h = weakened_history ~semantics:Fault_plan.Safe ~seed in
+    let written_before v time =
+      List.exists
+        (fun (w : Specs.reg_op Hist.event) ->
+          w.op = Specs.Write v && w.start_time < time)
+        h
+    in
+    List.iter
+      (fun (e : Specs.reg_op Hist.event) ->
+        match e.op with
+        | Specs.Read v when v <> 0 && not (written_before v e.finish_time) ->
+          Alcotest.failf "safe read of %d at seed %d" v seed
+        | _ -> ())
+      h
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The hunt: end-to-end acceptance                                     *)
@@ -320,17 +386,10 @@ let test_consensus_once_with_faults () =
 (* ------------------------------------------------------------------ *)
 
 (* The reference semantics [Inject.drive] must reproduce, one step at
-   a time: at most one [crash_at] entry per step, then every due plan
-   fault, then one step. *)
-let reference_drive sim ~driver ~crash_at ~max_steps =
+   a time: every due plan fault, then one step. *)
+let reference_drive sim ~driver ~max_steps =
   let open Bprc_runtime in
-  let pending = ref (List.sort compare crash_at) in
   let rec go () =
-    (match !pending with
-    | (at, pid) :: rest when Sim.clock sim >= at ->
-      Sim.crash sim pid;
-      pending := rest
-    | _ -> ());
     Inject.fire driver sim;
     if Sim.clock sim >= max_steps then false
     else if Sim.step sim then go ()
@@ -373,14 +432,14 @@ let traced_arena () =
 
 (* [Run.consensus_once] driven by [Inject.drive], against the same
    instance wired by hand and driven by [reference_drive]. *)
-let compare_drivers ~sched ~seed ~max_steps ~crash_at ~faults =
+let compare_drivers ~sched ~seed ~max_steps ~faults =
   let open Bprc_runtime in
   let module Run = Bprc_harness.Run in
   let n = driver_n in
   let mode = Bprc_core.Ads89.Shared_walk in
   let sim = traced_arena () in
   let r =
-    Run.consensus_once ~sim ~max_steps ~sched ~crash_at ~faults
+    Run.consensus_once ~sim ~max_steps ~sched ~faults
       ~algo:(Run.Ads mode) ~pattern:Run.Random_inputs ~n ~seed ()
   in
   let got =
@@ -403,7 +462,7 @@ let compare_drivers ~sched ~seed ~max_steps ~crash_at ~faults =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
   let completed =
-    reference_drive sim ~driver:(Inject.driver ~n faults) ~crash_at ~max_steps
+    reference_drive sim ~driver:(Inject.driver ~n faults) ~max_steps
   in
   let want =
     fingerprint sim ~n ~completed ~decisions:(Array.map Sim.result handles)
@@ -414,14 +473,9 @@ let test_drive_matches_step_loop () =
   let module Run = Bprc_harness.Run in
   let cases =
     [
-      ("no faults", driver_max_steps, [], []);
-      ( "crash_at with duplicate clocks",
-        driver_max_steps,
-        [ (40, 1); (40, 2); (12, 3); (40, 1); (0, 3) ],
-        [] );
+      ("no faults", driver_max_steps, []);
       ( "crash and stall plans",
         driver_max_steps,
-        [],
         [
           Fault_plan.Crash { pid = 0; at_step = 25 };
           Fault_plan.Stall { pid = 1; at_step = 10; steps = 200 };
@@ -430,8 +484,8 @@ let test_drive_matches_step_loop () =
         ] );
       ( "stall on a crashed pid",
         driver_max_steps,
-        [ (30, 1); (9, 2) ],
         [
+          Fault_plan.Crash { pid = 2; at_step = 3 };
           Fault_plan.Crash { pid = 1; at_step = 15 };
           Fault_plan.Stall { pid = 1; at_step = 15; steps = 100 };
           Fault_plan.Stall { pid = 1; at_step = 16; steps = 50 };
@@ -440,15 +494,14 @@ let test_drive_matches_step_loop () =
         ] );
       ( "weakened register (per-access under batching)",
         driver_max_steps,
-        [],
         [
           Fault_plan.Weaken { index = 3; semantics = Fault_plan.Regular };
           Fault_plan.Crash { pid = 2; at_step = 30 };
         ] );
       ( "budget runs out with faults pending",
         150,
-        [ (149, 0); (150, 1); (400, 2) ],
         [
+          Fault_plan.Crash { pid = 0; at_step = 37 };
           Fault_plan.Stall { pid = 2; at_step = 30; steps = 500 };
           Fault_plan.Crash { pid = 3; at_step = 1_000 };
         ] );
@@ -459,10 +512,8 @@ let test_drive_matches_step_loop () =
       List.iter
         (fun seed ->
           List.iter
-            (fun (name, max_steps, crash_at, faults) ->
-              let want, got =
-                compare_drivers ~sched ~seed ~max_steps ~crash_at ~faults
-              in
+            (fun (name, max_steps, faults) ->
+              let want, got = compare_drivers ~sched ~seed ~max_steps ~faults in
               let label what =
                 Printf.sprintf "%s, %s, seed %d: %s" name (Run.sched_name sched)
                   seed what
@@ -493,6 +544,10 @@ let suite =
     Alcotest.test_case "record/replay identity" `Quick test_record_replay_identity;
     Alcotest.test_case "weaken: no overlap = atomic" `Quick
       test_weaken_no_overlap_is_atomic;
+    Alcotest.test_case "weaken: regular histories" `Quick
+      test_weaken_regular_histories;
+    Alcotest.test_case "weaken: safe reads written values" `Quick
+      test_weaken_safe_values_written;
     Alcotest.test_case "hunt: finds injected bug (e2e)" `Quick
       test_hunt_finds_injected_bug;
     Alcotest.test_case "hunt: worker independent" `Quick

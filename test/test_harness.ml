@@ -348,7 +348,8 @@ let test_consensus_once_all_scheds () =
 
 let test_consensus_once_crash () =
   let r =
-    Run.consensus_once ~crash_at:[ (80, 0) ]
+    Run.consensus_once
+      ~faults:[ Bprc_faults.Fault_plan.Crash { pid = 0; at_step = 26 } ]
       ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk) ~pattern:Run.Random_inputs
       ~n:3 ~seed:4 ()
   in

@@ -147,137 +147,96 @@ let timed (module R : Runtime_intf.S) hist pid kind f =
   r
 
 (* ------------------------------------------------------------------ *)
-(* Weak registers                                                      *)
+(* Weak registers (Inject's safe and regular models)                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_weak_sequential_reads_exact () =
-  (* With a single process there is no overlap: reads must be exact for
-     both semantics. *)
+  (* With a single process there is no overlap: reads, the first of
+     the initial value included, must be exact for both semantics. *)
+  let open Bprc_faults in
   List.iter
-    (fun sem_is_safe ->
+    (fun semantics ->
       let sim =
         Sim.create ~seed:1 ~n:1 ~adversary:(Adversary.round_robin ()) ()
       in
-      let (module R) = Sim.runtime sim in
-      let module W = Weak.Make ((val Sim.runtime sim)) in
-      ignore (module R : Runtime_intf.S);
-      let reg =
-        W.make (if sem_is_safe then W.Safe { domain = 8 } else W.Regular) ~init:3
-      in
+      let plan = [ Fault_plan.Weaken { index = -1; semantics } ] in
+      let module R = (val Inject.weaken_runtime (Sim.runtime sim) ~plan) in
       let h =
         Sim.spawn sim (fun () ->
-            let a = W.read reg in
-            W.write reg 5;
-            let b = W.read reg in
-            W.write reg 7;
-            let c = W.read reg in
+            let reg = R.make_reg ~name:"w" 3 in
+            let a = R.read reg in
+            R.write reg 5;
+            let b = R.read reg in
+            R.write reg 7;
+            let c = R.read reg in
             (a, b, c))
       in
       ignore (Sim.run sim);
       Alcotest.(check (option (triple int int int)))
         "sequential exact" (Some (3, 5, 7)) (Sim.result h))
-    [ true; false ]
-
-let test_weak_regular_random_schedules () =
-  (* One writer, two readers under random schedules: every completed
-     history must satisfy the regular checker. *)
-  for seed = 1 to 60 do
-    let sim = Sim.create ~seed ~n:3 ~adversary:(Adversary.random ()) () in
-    let (module R) = Sim.runtime sim in
-    let module W = Weak.Make ((val Sim.runtime sim)) in
-    let reg = W.make W.Regular ~init:0 in
-    let hist = Hist.create () in
-    ignore
-      (Sim.spawn sim (fun () ->
-           for v = 1 to 4 do
-             timed (module R) hist 0 (fun () -> Specs.Write v) (fun () ->
-                 W.write reg v)
-           done));
-    for p = 1 to 2 do
-      ignore
-        (Sim.spawn sim (fun () ->
-             for _ = 1 to 4 do
-               ignore
-                 (timed (module R) hist p (fun v -> Specs.Read v) (fun () ->
-                      W.read reg))
-             done))
-    done;
-    ignore (Sim.run sim);
-    if not (Specs.regular (Hist.events hist)) then
-      Alcotest.failf "regular violation at seed %d" seed
-  done
-
-let test_weak_safe_stays_in_domain () =
-  for seed = 1 to 40 do
-    let sim = Sim.create ~seed ~n:2 ~adversary:(Adversary.random ()) () in
-    let module W = Weak.Make ((val Sim.runtime sim)) in
-    let reg = W.make (W.Safe { domain = 4 }) ~init:0 in
-    ignore
-      (Sim.spawn sim (fun () ->
-           for v = 0 to 3 do
-             W.write reg v
-           done));
-    let h =
-      Sim.spawn sim (fun () -> List.init 6 (fun _ -> W.read reg))
-    in
-    ignore (Sim.run sim);
-    match Sim.result h with
-    | None -> Alcotest.fail "reader did not finish"
-    | Some vs ->
-      List.iter
-        (fun v ->
-          if v < 0 || v >= 4 then Alcotest.failf "safe out of domain: %d" v)
-        vs
-  done
-
-let test_weak_rejects_bad_domain () =
-  let sim = Sim.create ~seed:1 ~n:1 ~adversary:(Adversary.round_robin ()) () in
-  let module W = Weak.Make ((val Sim.runtime sim)) in
-  Alcotest.check_raises "bad domain"
-    (Invalid_argument "Weak.make: domain must be positive") (fun () ->
-      ignore (W.make (W.Safe { domain = 0 }) ~init:0))
+    [ Fault_plan.Safe; Fault_plan.Regular ]
 
 (* ------------------------------------------------------------------ *)
 (* Regular-from-safe and k-ary-from-bits constructions                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_regular_of_safe_exhaustive () =
-  (* Writer toggles the bit twice; reader reads twice.  Exhaustively,
-     every history must be regular. *)
-  let stats =
-    Exhaust.explore ~n:2 ~max_steps:400 (fun (module R : Runtime_intf.S) ->
-        let module B = Regular_of_safe.Make ((val (module R : Runtime_intf.S))) in
-        let reg = B.make ~init:false () in
-        let hist = Hist.create () in
-        let record pid kind f = ignore (timed (module R) hist pid kind f) in
-        let body = function
-          | 0 ->
-            record 0 (fun _ -> Specs.Write 1) (fun () ->
-                B.write reg true;
-                true);
-            record 0 (fun _ -> Specs.Write 0) (fun () ->
-                B.write reg false;
-                false)
-          | _ ->
-            let read () = B.read reg in
-            record 1 (fun v -> Specs.Read (Bool.to_int v)) read;
+(* The constructions run over a runtime whose every register is safe:
+   an overlapped read returns any value the register ever held. *)
+let safe_runtime rt =
+  let open Bprc_faults in
+  Inject.weaken_runtime rt
+    ~plan:[ Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe } ]
+
+(* Writer writes [true; true; false], so the second write is one the
+   construction skips; reader reads twice.  Exhaustively, every history
+   of the construction is regular, and the raw safe bit, written the
+   same way, is not. *)
+let reg_of_safe_explore ~raw =
+  Exhaust.explore ~n:2 ~max_steps:400 (fun rt ->
+      let (module R : Runtime_intf.S) = safe_runtime rt in
+      let module B = Regular_of_safe.Make (R) in
+      let read, write =
+        if raw then
+          let bit = R.make_reg ~name:"raw-safe" false in
+          ((fun () -> R.read bit), R.write bit)
+        else
+          let reg = B.make ~init:false () in
+          ((fun () -> B.read reg), B.write reg)
+      in
+      let hist = Hist.create () in
+      let record pid kind f = ignore (timed (module R) hist pid kind f) in
+      let body = function
+        | 0 ->
+          List.iter
+            (fun b ->
+              record 0 (fun _ -> Specs.Write (Bool.to_int b)) (fun () ->
+                  write b))
+            [ true; true; false ]
+        | _ ->
+          for _ = 1 to 2 do
             record 1 (fun v -> Specs.Read (Bool.to_int v)) read
-        in
-        let check () =
-          if not (Specs.regular (Hist.events hist)) then
-            Error "regular_of_safe: regularity violated"
-          else Ok ()
-        in
-        (body, check))
-  in
+          done
+      in
+      let check () =
+        if not (Specs.regular (Hist.events hist)) then
+          Error "regularity violated"
+        else Ok ()
+      in
+      (body, check))
+
+let test_regular_of_safe_exhaustive () =
+  let stats = reg_of_safe_explore ~raw:false in
   Exhaust.no_violation stats;
-  Alcotest.(check bool) "exhausted" true stats.exhausted
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
+  let raw = reg_of_safe_explore ~raw:true in
+  Alcotest.(check bool) "raw safe bit is not regular" true
+    (raw.violation <> None)
 
 let test_kary_regular_random () =
   for seed = 1 to 40 do
     let sim = Sim.create ~seed ~n:2 ~adversary:(Adversary.random ()) () in
-    let (module R) = Sim.runtime sim in
-    let module K = Unary_kary.Make ((val Sim.runtime sim)) in
+    let (module R) = safe_runtime (Sim.runtime sim) in
+    let module K = Unary_kary.Make (R) in
     let reg = K.make ~k:5 ~init:2 () in
     let hist = Hist.create () in
     ignore
@@ -489,10 +448,6 @@ let suite =
       test_regular_overlapping_writes_rejected;
     Alcotest.test_case "weak: sequential exact" `Quick
       test_weak_sequential_reads_exact;
-    Alcotest.test_case "weak: regular random" `Quick
-      test_weak_regular_random_schedules;
-    Alcotest.test_case "weak: safe in domain" `Quick test_weak_safe_stays_in_domain;
-    Alcotest.test_case "weak: bad domain" `Quick test_weak_rejects_bad_domain;
     Alcotest.test_case "reg-of-safe: exhaustive regular" `Slow
       test_regular_of_safe_exhaustive;
     Alcotest.test_case "kary: regular random" `Quick test_kary_regular_random;

@@ -24,7 +24,6 @@ type case = {
   lengths : int array;  (** rounds per process; 0 finishes at once *)
   pauses : (int * action) list;  (** run_to clock, then the action *)
   plan : Fault_plan.t;  (** crash and stall faults for [Inject.drive] *)
-  crash_at : (int * int) list;
   max_steps : int;
   observer_stalls : bool;  (** a flip observer stalls a process *)
 }
@@ -92,9 +91,7 @@ let observe sim c adversary =
       c.pauses
   in
   let driver = Inject.driver ~n:c.n c.plan in
-  let completed =
-    Inject.drive sim ~driver ~crash_at:c.crash_at ~max_steps:c.max_steps
-  in
+  let completed = Inject.drive sim ~driver ~max_steps:c.max_steps in
   ( paused,
     completed,
     state sim,
@@ -124,8 +121,8 @@ let gen_fault n ~at =
           (int_range 0 (n - 1)) (int_range 0 at) (int_range 0 30);
       ])
 
-(* Cases over [ns] processes of up to [rounds] rounds each; pauses,
-   clock crashes and step bounds fall in [0, span n], plan faults in
+(* Cases over [ns] processes of up to [rounds] rounds each; pauses
+   and step bounds fall in [0, span n], plan faults in
    [0, at n] steps of their process. *)
 let gen_case ~ns ~rounds ~span ~at =
   QCheck.Gen.(
@@ -140,8 +137,6 @@ let gen_case ~ns ~rounds ~span ~at =
     list_size (int_range 0 5) (pair (int_range 0 span) (gen_action n))
     >>= fun pauses ->
     list_size (int_range 0 3) (gen_fault n ~at:(at n)) >>= fun plan ->
-    list_size (int_range 0 2) (pair (int_range 0 span) (int_range 0 (n - 1)))
-    >>= fun crash_at ->
     frequency [ (3, return 100_000); (1, int_range 5 span) ]
     >>= fun max_steps ->
     map
@@ -152,7 +147,6 @@ let gen_case ~ns ~rounds ~span ~at =
           lengths;
           pauses = List.sort compare pauses;
           plan;
-          crash_at;
           max_steps;
           observer_stalls;
         })
@@ -166,16 +160,13 @@ let print_case c =
     | Stall (p, s) -> Printf.sprintf "stall p%d %d" p s
   in
   Printf.sprintf
-    "n=%d seed=%d lengths=[%s] pauses=[%s] plan=%d faults crash_at=[%s] \
-     max_steps=%d observer=%b"
+    "n=%d seed=%d lengths=[%s] pauses=[%s] plan=%d faults max_steps=%d \
+     observer=%b"
     c.n c.seed
     (String.concat ";" (Array.to_list (Array.map string_of_int c.lengths)))
     (String.concat "; "
        (List.map (fun (k, a) -> Printf.sprintf "%d:%s" k (action a)) c.pauses))
-    (List.length c.plan)
-    (String.concat ";"
-       (List.map (fun (k, p) -> Printf.sprintf "%d:p%d" k p) c.crash_at))
-    c.max_steps c.observer_stalls
+    (List.length c.plan) c.max_steps c.observer_stalls
 
 (* Run [c] natively and wrapped on one arena, with or without a trace. *)
 let prop_stretch ~name ~count ~record_trace gen =
