@@ -1090,6 +1090,7 @@ let serve_bench_cmd =
                 ("busy_s", Bprc_util.Json.Float st.busy_s);
                 ("decisions_per_sec", num st.decisions_per_sec);
                 ("minor_words_per_instance", num st.minor_words_per_instance);
+                ("resumes_per_instance", num st.resumes_per_instance);
                 ("lat_p50_s", num st.lat_p50_s);
                 ("lat_p99_s", num st.lat_p99_s);
                 ( "rounds_hist",
@@ -1132,6 +1133,7 @@ let serve_bench_cmd =
            (List.map
               (fun (r, c) -> Printf.sprintf "%dx%d" c r)
               st.rounds_hist));
+      Fmt.pr "resumes     : %.1f per instance@." st.resumes_per_instance;
       Fmt.pr "digest      : %s@." digest
     end;
     exit (if st.violations > 0 then exit_violation else exit_ok)

@@ -54,11 +54,13 @@ end
     operation performs exactly the accesses, in exactly the order, of
     the loop of single accesses it documents — each one is still one
     step chosen by the adversary — but the addresses are fixed before
-    the first access, and nothing but the caller's own [out] buffer
+    the first access, and nothing but the caller's own output buffers
     changes between the accesses.  A runtime may therefore carry out
     the whole run without resuming the caller between the accesses:
     {!Sim.batched} does, and {!Loop} lifts any {!S} one access at a
-    time. *)
+    time.  Besides the plain collect, the two operations are the fixed
+    access sequences of the §2.2 handshake snapshot's scan attempt and
+    update, so each of those operations is one batch. *)
 module type BATCHED = sig
   include S
 
@@ -69,14 +71,28 @@ module type BATCHED = sig
       one step per read, ascending.  [out.(skip)] is left alone.
       @raise Invalid_argument when [out] is shorter than [regs]. *)
 
-  val write_idx : 'a reg array -> int array -> 'a -> unit
-  (** [write_idx regs idx v] writes [v] to [regs.(idx.(k))] for every
-      [k] ascending: one step per write. *)
+  val scan_attempt :
+    bool reg array -> int array -> 'a reg array -> skip:int -> 'a array ->
+    'a array -> bool
+  (** [scan_attempt arrows idx regs ~skip v1 v2] is
+      [for k = 0 to Array.length idx - 1 do
+         write arrows.(idx.(k)) false done;
+       collect regs ~skip v1;
+       collect regs ~skip v2;
+       any := false;
+       for k = 0 to Array.length idx - 1 do
+         if read arrows.(idx.(k)) then any := true done;
+       !any]:
+      clear the arrows, collect twice, read the arrows back — all of
+      them, whatever they hold — and return whether any read [true].
+      @raise Invalid_argument when [v1] or [v2] is shorter than [regs]. *)
 
-  val read_any : bool reg array -> int array -> bool
-  (** [read_any regs idx] reads [regs.(idx.(k))] for every [k]
-      ascending — all of them, whatever they hold — and returns whether
-      any read [true]. *)
+  val update : bool reg array -> int array -> 'a reg -> 'a -> unit
+  (** [update arrows idx r v] is
+      [for k = 0 to Array.length idx - 1 do
+         write arrows.(idx.(k)) true done;
+       write r v]:
+      raise the arrows, then publish [v]. *)
 end
 
 (** The per-access lifting: every batch is the documented loop of
@@ -86,22 +102,36 @@ end
 module Loop (R : S) : BATCHED with type 'a reg = 'a R.reg = struct
   include R
 
-  let collect regs ~skip out =
+  let check_out what regs out =
     if Array.length out < Array.length regs then
-      invalid_arg "collect: out is shorter than regs";
+      invalid_arg (what ^ ": out is shorter than regs")
+
+  let collect_loop regs ~skip out =
     for j = 0 to Array.length regs - 1 do
       if j <> skip then out.(j) <- R.read regs.(j)
     done
 
-  let write_idx regs idx v =
-    for k = 0 to Array.length idx - 1 do
-      R.write regs.(idx.(k)) v
-    done
+  let collect regs ~skip out =
+    check_out "collect" regs out;
+    collect_loop regs ~skip out
 
-  let read_any regs idx =
+  let scan_attempt arrows idx regs ~skip v1 v2 =
+    check_out "scan_attempt" regs v1;
+    check_out "scan_attempt" regs v2;
+    for k = 0 to Array.length idx - 1 do
+      R.write arrows.(idx.(k)) false
+    done;
+    collect_loop regs ~skip v1;
+    collect_loop regs ~skip v2;
     let any = ref false in
     for k = 0 to Array.length idx - 1 do
-      if R.read regs.(idx.(k)) then any := true
+      if R.read arrows.(idx.(k)) then any := true
     done;
     !any
+
+  let update arrows idx r v =
+    for k = 0 to Array.length idx - 1 do
+      R.write arrows.(idx.(k)) true
+    done;
+    R.write r v
 end

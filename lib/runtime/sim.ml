@@ -24,21 +24,38 @@ let kont_none = Obj.repr 0
    holds any value boxed, whatever ['a] is. *)
 type 'a register = { mutable v : 'a; id : int; name : string }
 
-(* A batch kind, stored in [proc.b_kind]:
-     collect  b_out.(j) <- read b_regs.(j), j ascending, j <> b_skip
-     write    write b_val to b_regs.(b_idx.(k)), k ascending
-     any      read b_regs.(b_idx.(k)), k ascending; b_any |= value *)
-let batch_collect = 0
-let batch_write = 1
-let batch_any = 2
+(* A segment kind, stored in [proc.b_kind]: a straight-line run of
+   accesses of one kind.
+     collect   b_out.(j) <- read b_regs.(j), j ascending, j <> b_skip
+     collect2  the same into b_out2
+     any       read b_arrows.(b_idx.(k)), k ascending; b_any |= value
+     clear     write false to b_arrows.(b_idx.(k)), k ascending
+     raise     write true to b_arrows.(b_idx.(k)), k ascending
+     cell      write b_val to b_cell
+   The read kinds come first.  0 marks an empty slot, and ends a
+   program. *)
+let seg_none = 0
+let seg_collect = 1
+let seg_collect2 = 2
+let seg_any = 3
+let seg_clear = 4
+let seg_raise = 5
+let seg_cell = 6
 
-(* [b_*]: the pending batch of a process in status [st_batch], stored in
-   place so that issuing one allocates nothing beyond its continuation.
-   [b_pos] is the position of the next access: a register index for a
-   collect, an index into [b_idx] otherwise.  The slot is left as it is
-   between batches of one process, and emptied when the process
-   finishes or crashes and on [reset], so it never holds on to a
-   finished run's registers. *)
+(* A batch is a program of segments: the current one in [b_kind], the
+   ones after it in [b_rest], 3 bits each, the next in the low bits.
+   The two programs besides a lone collect: *)
+let scan_rest = seg_collect lor (seg_collect2 lsl 3) lor (seg_any lsl 6)
+let update_rest = seg_cell
+
+(* [b_*]: the pending program of a process in status [st_batch], stored
+   in place so that issuing one allocates nothing beyond its
+   continuation.  [b_pos] is the position of the next access of the
+   current segment: a register index for a collect, an index into
+   [b_idx] for an arrow segment.  The slot is left as it is between
+   batches of one process, and emptied when the process finishes or
+   crashes and on [reset], so it never holds on to a finished run's
+   registers. *)
 type proc = {
   ppid : int;
   mutable status : int;  (* one of the [st_*] tags *)
@@ -47,14 +64,18 @@ type proc = {
   mutable flips : int;
   mutable stall_until : int;  (* clock value before which pid is stalled *)
   prng : Bprc_rng.Splitmix.t;
-  mutable b_kind : int;
+  mutable b_kind : int;  (* one of the [seg_*] kinds *)
+  mutable b_rest : int;
   mutable b_pos : int;
   mutable b_skip : int;
   mutable b_any : bool;
   mutable b_regs : Obj.t register array;
+  mutable b_arrows : bool register array;
   mutable b_idx : int array;
   mutable b_out : Obj.t array;  (* never a flat float array *)
-  mutable b_val : Obj.t;  (* a write batch's value *)
+  mutable b_out2 : Obj.t array;  (* likewise *)
+  mutable b_cell : Obj.t register;
+  mutable b_val : Obj.t;  (* the cell's value *)
   mutable handler : (unit, unit) handler;  (* see [fiber_handler] *)
 }
 
@@ -62,14 +83,20 @@ type proc = {
 let no_handler : (unit, unit) handler =
   { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
 
-(* Every batch names at least one register, so an empty [b_regs] means
-   an empty slot.  The explorer resets its arena on every run; skipping
-   the stores keeps runs that never batch from paying for them. *)
+let no_cell : Obj.t register = { v = kont_none; id = -1; name = "" }
+
+(* The explorer resets its arena on every run; skipping the stores of
+   an empty slot keeps runs that never batch from paying for them. *)
 let clear_batch p =
-  if Array.length p.b_regs > 0 then begin
+  if p.b_kind <> seg_none then begin
+    p.b_kind <- seg_none;
+    p.b_rest <- seg_none;
     p.b_regs <- [||];
+    p.b_arrows <- [||];
     p.b_idx <- [||];
     p.b_out <- [||];
+    p.b_out2 <- [||];
+    p.b_cell <- no_cell;
     p.b_val <- kont_none
   end
 
@@ -101,8 +128,8 @@ let debug =
    continuation is a continuation block, every other status carries
    [kont_none].  Any future drift between a tag and its payload type
    then raises here instead of turning into undefined behavior.  A
-   pending batch must also have its next access in range, since
-   [batch_access] reads its arrays unchecked. *)
+   pending batch must also have the next access of its current segment
+   in range, since [batch_access] reads its arrays unchecked. *)
 let check_kont_shape p st (payload : Obj.t) =
   let ok =
     if st = st_not_started then
@@ -116,15 +143,20 @@ let check_kont_shape p st (payload : Obj.t) =
       (Printf.sprintf
          "Sim.step_pid: kont payload shape does not match status tag %d" st);
   if st = st_batch then begin
-    let regs = Array.length p.b_regs in
+    let kind = p.b_kind and pos = p.b_pos in
     let in_range =
-      if p.b_kind = batch_collect then
-        p.b_pos < regs && Array.length p.b_out >= regs
+      if kind = seg_collect || kind = seg_collect2 then
+        let regs = Array.length p.b_regs in
+        let out = if kind = seg_collect then p.b_out else p.b_out2 in
+        pos < regs && Array.length out >= regs
+      else if kind = seg_cell then pos = 0 && p.b_cell != no_cell
       else
-        p.b_pos < Array.length p.b_idx
-        && p.b_idx.(p.b_pos) >= 0 && p.b_idx.(p.b_pos) < regs
+        (kind = seg_any || kind = seg_clear || kind = seg_raise)
+        && pos < Array.length p.b_idx
+        && p.b_idx.(pos) >= 0
+        && p.b_idx.(pos) < Array.length p.b_arrows
     in
-    if p.b_pos < 0 || not in_range then
+    if pos < 0 || not in_range then
       invalid_arg "Sim.step_pid: pending batch access out of range"
   end
 
@@ -245,13 +277,17 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false) ~n
           flips = 0;
           stall_until = 0;
           prng = Bprc_rng.Splitmix.create ~seed:0;
-          b_kind = batch_collect;
+          b_kind = seg_none;
+          b_rest = seg_none;
           b_pos = 0;
           b_skip = -1;
           b_any = false;
           b_regs = [||];
+          b_arrows = [||];
           b_idx = [||];
           b_out = [||];
+          b_out2 = [||];
+          b_cell = no_cell;
           b_val = kont_none;
           handler = no_handler;
         })
@@ -358,39 +394,65 @@ let draw_flip t (p : proc) =
   (match t.flip_observer with Some f -> f ~pid:p.ppid b | None -> ());
   b
 
-(* Carry out the next access of [p]'s pending batch exactly as the
-   single [read] or [write] it stands for (see [make_runtime]) would.
-   True when it was the batch's last access.  The positions were
-   checked against the arrays when the batch was issued. *)
-let[@inline always] batch_access t p =
-  let i = p.b_pos in
-  if p.b_kind = batch_collect then begin
-    let r = Array.unsafe_get p.b_regs i in
-    Array.unsafe_set p.b_out i r.v;
-    (record_access [@inlined]) t p.ppid r.id r.name access_read Trace.Read;
-    let next = if i + 1 = p.b_skip then i + 2 else i + 1 in
-    p.b_pos <- next;
-    next >= Array.length p.b_regs
-  end
+(* The first position of a collect segment: [b_pos] never rests on
+   [b_skip]. *)
+let[@inline always] collect_start p = if p.b_skip = 0 then 1 else 0
+
+(* [p]'s current segment is done: load its program's next one.  True
+   when there is none, so the program is over.  Every segment of a
+   program has at least one access (see [make_runtime]). *)
+let advance p =
+  let kind = p.b_rest land 7 in
+  if kind = seg_none then true
   else begin
-    let r = Array.unsafe_get p.b_regs (Array.unsafe_get p.b_idx i) in
-    if p.b_kind = batch_write then begin
+    p.b_kind <- kind;
+    p.b_rest <- p.b_rest lsr 3;
+    p.b_pos <- (if kind <= seg_collect2 then collect_start p else 0);
+    false
+  end
+
+(* Carry out the next access of [p]'s pending program exactly as the
+   single [read] or [write] it stands for (see [make_runtime]) would.
+   True when it was the program's last access.  The positions were
+   checked against the arrays when the program was issued. *)
+let[@inline always] batch_access t p =
+  let i = p.b_pos and kind = p.b_kind in
+  let seg_done =
+    if kind <= seg_collect2 then begin
+      let r = Array.unsafe_get p.b_regs i in
+      Array.unsafe_set (if kind = seg_collect then p.b_out else p.b_out2) i r.v;
+      (record_access [@inlined]) t p.ppid r.id r.name access_read Trace.Read;
+      let next = if i + 1 = p.b_skip then i + 2 else i + 1 in
+      p.b_pos <- next;
+      next >= Array.length p.b_regs
+    end
+    else if kind = seg_cell then begin
+      let r = p.b_cell in
       r.v <- p.b_val;
-      (record_access [@inlined]) t p.ppid r.id r.name access_write Trace.Write
+      (record_access [@inlined]) t p.ppid r.id r.name access_write Trace.Write;
+      true
     end
     else begin
-      if (Obj.obj r.v : bool) then p.b_any <- true;
-      (record_access [@inlined]) t p.ppid r.id r.name access_read Trace.Read
-    end;
-    p.b_pos <- i + 1;
-    i + 1 >= Array.length p.b_idx
-  end
+      let r = Array.unsafe_get p.b_arrows (Array.unsafe_get p.b_idx i) in
+      if kind = seg_any then begin
+        if r.v then p.b_any <- true;
+        (record_access [@inlined]) t p.ppid r.id r.name access_read Trace.Read
+      end
+      else begin
+        r.v <- kind = seg_raise;
+        (record_access [@inlined]) t p.ppid r.id r.name access_write Trace.Write
+      end;
+      p.b_pos <- i + 1;
+      i + 1 >= Array.length p.b_idx
+    end
+  in
+  seg_done && advance p
 
 (* Execute one atomic step of process [pid].  A process in [st_batch]
    stays there, fiber suspended, until the step that carries out its
-   batch's last access; that step resumes the fiber.  The steps before
-   it touch neither the status nor [current]: [batch_access] names its
-   process itself. *)
+   program's last access; that step resumes the fiber.  The steps
+   before it touch neither the status nor [current]: [batch_access]
+   names its process itself. *)
 let[@inline always] step_pid t pid =
   let p = t.procs.(pid) in
   t.last_access <- access_none;
@@ -536,16 +598,18 @@ let[@inline always] rr_dense t =
   let m = Array.length r in
   m > 0 && Array.unsafe_get r (m - 1) = m - 1
 
-(* Reads still to go in [p]'s pending batch; 0 unless it is a read
-   batch ([batch_collect] or [batch_any]).  [b_pos] never rests on
-   [b_skip] (see [batch_access]), so a skip ahead of it costs one. *)
+(* Reads still to go in the current segment of [p]'s pending program;
+   0 unless it is a read segment.  [b_pos] never rests on [b_skip] (see
+   [batch_access]), so a skip ahead of it costs one. *)
 let reads_left p =
   if p.status <> st_batch then 0
-  else if p.b_kind = batch_collect then
-    let len = Array.length p.b_regs and s = p.b_skip in
-    len - p.b_pos - if s > p.b_pos && s < len then 1 else 0
-  else if p.b_kind = batch_any then Array.length p.b_idx - p.b_pos
-  else 0
+  else
+    let kind = p.b_kind in
+    if kind <= seg_collect2 then
+      let len = Array.length p.b_regs and s = p.b_skip in
+      len - p.b_pos - if s > p.b_pos && s < len then 1 else 0
+    else if kind = seg_any then Array.length p.b_idx - p.b_pos
+    else 0
 
 (* The fewest reads left over pids [i..m-1], [acc] so far; stops as
    soon as the minimum is below 2, since no bulk is possible then. *)
@@ -555,12 +619,13 @@ let rec min_reads_left procs m i acc =
     let l = reads_left (Array.unsafe_get procs i) in
     min_reads_left procs m (i + 1) (if l < acc then l else acc)
 
-(* [k] reads of [p]'s read batch, each exactly as [batch_access] would
-   carry it out, none of them its last. *)
+(* [k] reads of [p]'s read segment, each exactly as [batch_access]
+   would carry it out, none of them its last. *)
 let bulk_reads p k =
-  let regs = p.b_regs and pos = p.b_pos in
-  if p.b_kind = batch_collect then begin
-    let out = p.b_out and skip = p.b_skip in
+  let pos = p.b_pos in
+  if p.b_kind <= seg_collect2 then begin
+    let regs = p.b_regs and skip = p.b_skip in
+    let out = if p.b_kind = seg_collect then p.b_out else p.b_out2 in
     let i = ref pos in
     for _ = 1 to k do
       Array.unsafe_set out !i (Array.unsafe_get regs !i).v;
@@ -569,22 +634,23 @@ let bulk_reads p k =
     p.b_pos <- !i
   end
   else begin
-    let idx = p.b_idx in
+    let arrows = p.b_arrows and idx = p.b_idx in
     for j = pos to pos + k - 1 do
-      if (Obj.obj (Array.unsafe_get regs (Array.unsafe_get idx j)).v : bool)
-      then p.b_any <- true
+      if (Array.unsafe_get arrows (Array.unsafe_get idx j)).v then
+        p.b_any <- true
     done;
     p.b_pos <- pos + k
   end;
   p.steps <- p.steps + k
 
 (* Bulk read rounds, at a round boundary of a dense stretch: when each
-   of the [m] runnable processes has a read batch pending with more
-   than [k] reads left, the next [k] rounds are reads only — no
-   register written, no fiber resumed, no observer fired, no choice
-   made — and reads commute, so they run process by process.  [k] keeps
-   every batch's last read, the one that resumes its fiber, for
-   [step_pid] in round order, and keeps the clock below both bounds.
+   of the [m] runnable processes is in a read segment with more than
+   [k] reads left, the next [k] rounds are reads only — no register
+   written, no fiber resumed, no segment loaded, no observer fired, no
+   choice made — and reads commute, so they run process by process.
+   [k] keeps every segment's last read, the one that loads the next
+   segment or resumes the fiber, for [step_pid] in round order, and
+   keeps the clock below both bounds.
    So pid 0's step always follows, and that step sets the cursor and
    [last_access] just as the [k]-th round would have left them before
    it; the clock, per-pid steps and batch positions and outputs are
@@ -604,12 +670,13 @@ let bulk_rounds t m ~clock =
   end
 
 (* The per-round test that keeps [bulk_rounds] off the common path in
-   O(1): no trace to record event by event, and pid 0 in a read batch. *)
+   O(1): no trace to record event by event, and pid 0 in a read
+   segment. *)
 let[@inline always] read_round t =
   t.tr == None
   &&
   let p = Array.unsafe_get t.procs 0 in
-  p.status = st_batch && p.b_kind <> batch_write
+  p.status = st_batch && p.b_kind <= seg_any
 
 (* A dense round-robin stretch: while [rr_dense] holds, round-robin
    picks [pid + 1], wrapped at [m], so the loop steps pids in turn with
@@ -719,13 +786,14 @@ let set_adversary t a = t.adversary <- a
    observer callbacks), so the guard replaces a per-access [try]/[with]
    on [Effect.Unhandled] — an exception frame saved on every step.
 
-   A batch is issued to the scheduler only from inside a fiber, with at
-   least two accesses, and (for a collect) into an array that is not a
-   flat float array, since the scheduler stores through an [Obj.t]
-   array.  Anything else runs the documented loop of single accesses,
-   so a batch of one access costs exactly one access. *)
+   A batch is issued to the scheduler only from inside a fiber, with
+   at least one access in every segment and two in all, and into
+   arrays that are not flat float arrays, since the scheduler stores
+   through an [Obj.t] array.  Anything else (n = 1 for the handshake's
+   programs) runs the documented loop of single accesses, so a batch of
+   one access costs exactly one access. *)
 let make_runtime (t : t) : (module Runtime_intf.BATCHED) =
-  (module struct
+  let module S = struct
     type 'a reg = 'a register
 
     let make_reg ?(name = "r") v =
@@ -758,75 +826,93 @@ let make_runtime (t : t) : (module Runtime_intf.BATCHED) =
     let yield () =
       if t.current >= 0 then perform Yield_step;
       (record_access [@inlined]) t t.current (-1) "" access_yield Trace.Step
+  end in
+  (module struct
+    include S
+    module L = Runtime_intf.Loop (S)
 
-    (* Fill the calling process's batch slot; [perform Run_batch] then
-       hands it to the scheduler.  A pointer store is skipped when the
-       slot already holds the array (a scan's repeated collects), which
-       also skips its write barrier. *)
-    let slot kind regs =
+    (* Fill the calling process's batch slot with a program starting
+       with a segment of [kind], then followed by [rest]; [perform
+       Run_batch] hands it to the scheduler.  Every pointer store below
+       is skipped when the slot already holds the array (a process's
+       repeated scans), which also skips its write barrier. *)
+    let slot kind rest =
       let p = Array.unsafe_get t.procs t.current in
       p.b_kind <- kind;
-      if Obj.repr p.b_regs != Obj.repr regs then
-        p.b_regs <-
-          (Obj.magic (regs : _ register array) : Obj.t register array);
+      p.b_rest <- rest;
       p
 
-    let idx_slot kind regs idx =
+    let set_regs p regs =
+      if Obj.repr p.b_regs != Obj.repr regs then
+        p.b_regs <- (Obj.magic (regs : _ register array) : Obj.t register array)
+
+    let set_out p out =
+      if Obj.repr p.b_out != Obj.repr out then
+        p.b_out <- (Obj.magic (out : _ array) : Obj.t array)
+
+    let set_arrows p arrows idx =
       for k = 0 to Array.length idx - 1 do
         let i = Array.unsafe_get idx k in
-        if i < 0 || i >= Array.length regs then
+        if i < 0 || i >= Array.length arrows then
           invalid_arg "Sim: batch index out of range"
       done;
-      let p = slot kind regs in
-      p.b_pos <- 0;
-      if p.b_idx != idx then p.b_idx <- idx;
-      p
+      if p.b_arrows != arrows then p.b_arrows <- arrows;
+      if p.b_idx != idx then p.b_idx <- idx
+
+    let check_out what regs out =
+      if Array.length out < Array.length regs then
+        invalid_arg (Printf.sprintf "Sim.%s: out is shorter than regs" what)
+
+    let flat out = Obj.tag (Obj.repr out) = Obj.double_array_tag
+
+    (* Reads of a collect of [regs] skipping [skip]. *)
+    let reads regs skip =
+      let len = Array.length regs in
+      if skip >= 0 && skip < len then len - 1 else len
 
     let collect regs ~skip out =
-      let len = Array.length regs in
-      if Array.length out < len then
-        invalid_arg "Sim.collect: out is shorter than regs";
-      let accesses = if skip >= 0 && skip < len then len - 1 else len in
-      if accesses >= 2 && t.current >= 0
-         && Obj.tag (Obj.repr out) <> Obj.double_array_tag
-      then begin
-        let p = slot batch_collect regs in
+      check_out "collect" regs out;
+      if reads regs skip >= 2 && t.current >= 0 && not (flat out) then begin
+        let p = slot seg_collect seg_none in
+        set_regs p regs;
         p.b_skip <- skip;
-        p.b_pos <- (if skip = 0 then 1 else 0);
-        if Obj.repr p.b_out != Obj.repr out then
-          p.b_out <- (Obj.magic (out : _ array) : Obj.t array);
+        p.b_pos <- collect_start p;
+        set_out p out;
         perform Run_batch
       end
-      else
-        for j = 0 to len - 1 do
-          if j <> skip then out.(j) <- read regs.(j)
-        done
+      else L.collect regs ~skip out
 
-    let write_idx regs idx v =
-      if Array.length idx >= 2 && t.current >= 0 then begin
-        let p = idx_slot batch_write regs idx in
-        p.b_val <- Obj.repr v;
-        perform Run_batch
-      end
-      else
-        for k = 0 to Array.length idx - 1 do
-          write regs.(idx.(k)) v
-        done
-
-    let read_any regs idx =
-      if Array.length idx >= 2 && t.current >= 0 then begin
-        let p = idx_slot batch_any regs idx in
+    let scan_attempt arrows idx regs ~skip v1 v2 =
+      check_out "scan_attempt" regs v1;
+      check_out "scan_attempt" regs v2;
+      if Array.length idx > 0 && reads regs skip > 0 && t.current >= 0
+         && (not (flat v1)) && not (flat v2)
+      then begin
+        let p = slot seg_clear scan_rest in
+        set_arrows p arrows idx;
+        p.b_pos <- 0;
+        set_regs p regs;
+        p.b_skip <- skip;
+        set_out p v1;
+        if Obj.repr p.b_out2 != Obj.repr v2 then
+          p.b_out2 <- (Obj.magic (v2 : _ array) : Obj.t array);
         p.b_any <- false;
         perform Run_batch;
         p.b_any
       end
-      else begin
-        let any = ref false in
-        for k = 0 to Array.length idx - 1 do
-          if read regs.(idx.(k)) then any := true
-        done;
-        !any
+      else L.scan_attempt arrows idx regs ~skip v1 v2
+
+    let update arrows idx r v =
+      if Array.length idx > 0 && t.current >= 0 then begin
+        let p = slot seg_raise update_rest in
+        set_arrows p arrows idx;
+        p.b_pos <- 0;
+        let cell = (Obj.magic (r : _ register) : Obj.t register) in
+        if p.b_cell != cell then p.b_cell <- cell;
+        p.b_val <- Obj.repr v;
+        perform Run_batch
       end
+      else L.update arrows idx r v
   end : Runtime_intf.BATCHED)
 
 (* Arena-local storage.  Slots are numbered process-wide; an arena's

@@ -69,14 +69,19 @@ val runtime : t -> (module Runtime_intf.S)
 
 val batched : t -> (module Runtime_intf.BATCHED)
 (** The same module as {!runtime}, with its batch operations: a batch
-    suspends the calling fiber once, the scheduler carries out one of
-    its accesses per step — every step still chosen by the adversary,
-    with the clock, {!last_access_code} and trace event of the single
-    access it stands for — and the step that carries out the last
+    — a collect, or a whole handshake scan attempt or update, each a
+    short program of straight-line segments — suspends the calling
+    fiber once.  The scheduler carries out one of its accesses per step,
+    every step still chosen by the adversary, with the clock,
+    {!last_access_code} and trace event of the single access it stands
+    for.  The step that carries out a segment's last access loads the
+    next segment, and the one that carries out the program's last
     access resumes the fiber.  Schedules, traces and results are those
     of {!Runtime_intf.Loop} over {!runtime}; only the number of fiber
-    resumptions ({!resumes}) falls.  Memoized like {!runtime}, of which
-    it is the same physical module. *)
+    resumptions ({!resumes}) falls.  A batch with an empty segment or
+    fewer than two accesses, or one issued outside a fiber, runs as
+    single accesses.  Memoized like {!runtime}, of which it is the same
+    physical module. *)
 
 type 'a local
 (** A slot of arena-local storage: each arena holds at most one value
@@ -120,9 +125,10 @@ val run_to : t -> clock:int -> outcome option
     time would: the clock, per-process steps, pending batches, a
     round-robin adversary's cursor and {!last_access_code}.  This holds
     although a round-robin run may carry out whole rounds of reads at
-    once when every runnable process has a read batch pending: such a
-    bulk stops short of [clock] and of the step bound, and is skipped
-    while a trace is recorded. *)
+    once when every runnable process's pending batch is in a run of
+    reads: such a bulk stops short of [clock] and of the step bound,
+    and of each run's last read, and is skipped while a trace is
+    recorded. *)
 
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no

@@ -17,6 +17,7 @@ type decided = {
   decisions : bool option array;
   completed : bool;
   steps : int;
+  resumes : int;
   rounds : int;
   spec_check : (unit, string) result;
   latency_s : float;
@@ -34,6 +35,7 @@ type stats = {
   busy_s : float;
   decisions_per_sec : float;
   minor_words_per_instance : float;
+  resumes_per_instance : float;
   lat_p50_s : float;
   lat_p99_s : float;
   rounds_hist : (int * int) list;
@@ -76,6 +78,7 @@ type t = {
   mutable max_in_flight : int;
   mutable busy_s : float;
   mutable minor_words : float;  (* banked around dispatch, all domains *)
+  mutable resumes : int;  (* summed over decided instances *)
   mutable closed : bool;
 }
 
@@ -111,6 +114,7 @@ let create ?(mode = Deterministic) ?(seed = 1) ?(in_flight_cap = 1024) ?batch
     max_in_flight = 0;
     busy_s = 0.0;
     minor_words = 0.0;
+    resumes = 0;
     closed = false;
   }
 
@@ -201,13 +205,15 @@ let run_instance t (p : pending) =
     decisions = r.Run.decisions;
     completed = r.Run.completed;
     steps = r.Run.steps;
+    resumes = Sim.resumes sim;
     rounds = r.Run.max_round;
     spec_check = r.Run.spec;
     latency_s;
   }
 
-let account t d =
+let account t (d : decided) =
   t.decided_n <- t.decided_n + 1;
+  t.resumes <- t.resumes + d.resumes;
   (match d.spec_check with
   | Error _ -> t.violations <- t.violations + 1
   | Ok () -> ());
@@ -290,6 +296,10 @@ let stats t =
       (if t.busy_s > 0.0 then float_of_int t.decided_n /. t.busy_s else nan);
     minor_words_per_instance =
       (if t.decided_n > 0 then t.minor_words /. float_of_int t.decided_n
+       else nan);
+    resumes_per_instance =
+      (if t.decided_n > 0 then
+         float_of_int t.resumes /. float_of_int t.decided_n
        else nan);
     lat_p50_s = Stats.Ring.p50 t.lat;
     lat_p99_s = Stats.Ring.p99 t.lat;

@@ -43,6 +43,9 @@ type decided = {
   decisions : bool option array;  (** per-process decided values *)
   completed : bool;  (** every process decided within the step bound *)
   steps : int;  (** shared-memory steps the instance consumed *)
+  resumes : int;
+      (** fiber resumptions the instance took ([Sim.resumes]);
+          deterministic like [steps] *)
   rounds : int;  (** protocol rounds to decide *)
   spec_check : (unit, string) result;
       (** agreement + validity verdict over the decisions *)
@@ -65,6 +68,8 @@ type stats = {
           every dispatch round across the driving domain and all pool
           helpers — the service-level allocation-regression gauge
           ([nan] before any instance decided) *)
+  resumes_per_instance : float;
+      (** mean {!decided.resumes} ([nan] before any instance decided) *)
   lat_p50_s : float;  (** [nan] in {!Deterministic} mode / before data *)
   lat_p99_s : float;  (** likewise *)
   rounds_hist : (int * int) list;

@@ -85,30 +85,17 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
       retries = 0;
     }
 
-  (* With two processes every batch below is a single access, issued
-     directly: a one-access batch then costs exactly one access, without
-     the batch operation's call and checks. *)
-  let single = R.n = 2
-
-  let[@inline] write_idx regs idx (v : bool) =
-    if single then R.write regs.(idx.(0)) v else R.write_idx regs idx v
-
-  let[@inline] collect regs ~me (out : 'a cell array) =
-    if single then out.(1 - me) <- R.read regs.(1 - me)
-    else R.collect regs ~skip:me out
-
-  let[@inline] read_any regs idx =
-    if single then R.read regs.(idx.(0)) else R.read_any regs idx
-
   let write t v =
     let me = R.pid () in
-    (* Raise every scanner's arrow before publishing: a scan that
-       started earlier and has not yet checked arrows will restart. *)
-    write_idx t.arrows cols.(me) true;
+    (* Only this process's own scans read [my_toggle] and [my_value],
+       and it cannot scan while it writes: they may change before the
+       first access. *)
     let toggle = not t.my_toggle.(me) in
     t.my_toggle.(me) <- toggle;
     t.my_value.(me) <- v;
-    R.write t.values.(me) { value = v; toggle }
+    (* Raise every scanner's arrow before publishing: a scan that
+       started earlier and has not yet checked arrows will restart. *)
+    R.update t.arrows cols.(me) t.values.(me) { value = v; toggle }
 
   (* The register reads/writes and their order are exactly [scan]'s of
      the pre-rewrite implementation; only the final materialization of
@@ -124,10 +111,7 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
       invalid_arg "Handshake.scan_into: view buffer must have length n";
     let v1 = t.v1.(me) and v2 = t.v2.(me) and mine = rows.(me) in
     let rec attempt () =
-      write_idx t.arrows mine false;
-      collect t.values ~me v1;
-      collect t.values ~me v2;
-      let dirty = ref (read_any t.arrows mine) in
+      let dirty = ref (R.scan_attempt t.arrows mine t.values ~skip:me v1 v2) in
       for j = 0 to n - 1 do
         (* Physically equal cells cannot differ: test identity before
            the polymorphic compare, which also keeps a NaN value from

@@ -19,9 +19,12 @@
     toggle bit and [n] arrow bits. *)
 
 module Make_batched (_ : Bprc_runtime.Runtime_intf.BATCHED) : Snapshot_intf.S
-(** The one implementation.  A write's arrow raises, a scan's arrow
-    clears, each of its two collects and its arrow read-back are one
-    batch each ({!Bprc_runtime.Runtime_intf.BATCHED}). *)
+(** The one implementation.  A write is one
+    {!Bprc_runtime.Runtime_intf.BATCHED.update} (arrow raises, then the
+    value) and each scan attempt one
+    {!Bprc_runtime.Runtime_intf.BATCHED.scan_attempt} (arrow clears,
+    two collects, arrow read-back), so over [Sim.batched] every
+    operation attempt is one fiber suspension at any [n >= 2]. *)
 
 module Make (_ : Bprc_runtime.Runtime_intf.S) : Snapshot_intf.S
 (** [Make_batched] over {!Bprc_runtime.Runtime_intf.Loop}: the same

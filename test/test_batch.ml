@@ -78,13 +78,15 @@ let pp_fault = function
   | Stall { at; pid; steps } ->
     Printf.sprintf "stall p%d at %d for %d" pid at steps
 
-(* n, scheduler (round-robin, random, bursty-7), seed, fault. *)
+(* n, scheduler (round-robin, random, bursty-7), seed, fault.  At n = 1
+   the handshake's programs have empty segments and run as single
+   accesses; at n = 2 every segment is one access. *)
 let arb_case =
   QCheck.make
     ~print:(fun (n, sched, seed, fault) ->
       Printf.sprintf "n=%d sched=%d seed=%d %s" n sched seed (pp_fault fault))
     QCheck.Gen.(
-      oneofl [ 3; 4; 5; 8 ] >>= fun n ->
+      oneofl [ 1; 2; 3; 4; 5; 8 ] >>= fun n ->
       map3
         (fun sched seed fault -> (n, sched, seed, fault))
         (int_range 0 2) (int_bound 10_000) (gen_fault n))
@@ -166,25 +168,51 @@ let prop_ads89 =
 
 (* ---- allocation, retention, resumption counts ------------------------- *)
 
-(* Minor words of one collect of [n - 1] registers by process 0 (the
-   other processes finish at once): the marginal cost of 1000 more
-   collects, so per-process start-up cancels out.  Round-robin by
-   default, whose dense stretch runs all but a collect's last read in
-   bulk. *)
-let words_per_collect ?(adversary = Adversary.round_robin) ~n rt_of =
-  let words collects =
+(* The three batch operations. *)
+type program = Collect | Update | Scan_attempt
+
+let program_name = function
+  | Collect -> "collect"
+  | Update -> "update"
+  | Scan_attempt -> "scan attempt"
+
+(* Spawn process 0 running [program] [ops] times over registers,
+   arrows, buffers and a value made here, and the others with nothing
+   to do; return what was made. *)
+let[@inline never] spawn_program sim (module B : Runtime_intf.BATCHED)
+    program ~ops =
+  let n = Sim.n sim in
+  let regs = Array.init n (fun j -> B.make_reg [ j ]) in
+  let arrows = Array.init n (fun _ -> B.make_reg false) in
+  let idx = Array.init (n - 1) (fun k -> k + 1) in
+  let out = Array.make n [] and out2 = Array.make n [] in
+  let v = [ n; 5 ] in
+  ignore
+    (Sim.spawn sim (fun () ->
+         for _ = 1 to ops do
+           match program with
+           | Collect -> B.collect regs ~skip:0 out
+           | Update -> B.update arrows idx regs.(0) v
+           | Scan_attempt ->
+             ignore (B.scan_attempt arrows idx regs ~skip:0 out out2)
+         done));
+  for _ = 2 to n do
+    ignore (Sim.spawn sim (fun () -> ()))
+  done;
+  [
+    Obj.repr regs; Obj.repr regs.(0); Obj.repr arrows; Obj.repr idx;
+    Obj.repr out; Obj.repr out2; Obj.repr v;
+  ]
+
+(* Minor words of one [program] (a collect by default) by process 0
+   over [n - 1] registers: the marginal cost of 1000 more, so
+   per-process start-up cancels out.  Round-robin by default, whose
+   dense stretch runs all but a collect's last read in bulk. *)
+let words_per_op ?(adversary = Adversary.round_robin)
+    ?(program = Collect) ~n rt_of =
+  let words ops =
     let sim = Sim.create ~n ~adversary:(adversary ()) () in
-    let (module B : Runtime_intf.BATCHED) = rt_of sim in
-    let regs = Array.init n (fun j -> B.make_reg j) in
-    let out = Array.make n 0 in
-    ignore
-      (Sim.spawn sim (fun () ->
-           for _ = 1 to collects do
-             B.collect regs ~skip:0 out
-           done));
-    for _ = 2 to n do
-      ignore (Sim.spawn sim (fun () -> ()))
-    done;
+    ignore (spawn_program sim (rt_of sim) program ~ops);
     let m0 = Gc.minor_words () in
     ignore (Sim.run sim);
     Gc.minor_words () -. m0
@@ -202,10 +230,10 @@ let test_collect_words_constant () =
     let rr = Adversary.round_robin () in
     Adversary.make ~name:"wrapped" rr.Adversary.choose
   in
-  let w8 = words_per_collect ~n:8 batched
-  and w64 = words_per_collect ~n:64 batched
-  and s64 = words_per_collect ~adversary:wrapped ~n:64 batched
-  and l64 = words_per_collect ~n:64 looped in
+  let w8 = words_per_op ~n:8 batched
+  and w64 = words_per_op ~n:64 batched
+  and s64 = words_per_op ~adversary:wrapped ~n:64 batched
+  and l64 = words_per_op ~n:64 looped in
   if w64 > 3. then Alcotest.failf "batched n=64 collect: %.1f words > 3" w64;
   if w64 > w8 +. 0.5 then
     Alcotest.failf "batched collect words grow with n: %.1f (n=8), %.1f (n=64)"
@@ -217,46 +245,67 @@ let test_collect_words_constant () =
   if l64 < 63. then
     Alcotest.failf "per-access n=64 collect: only %.1f words" l64
 
-(* Process 0 collects from a register array made here, so that nothing
-   but the arena can keep it alive; the others have nothing to do. *)
-let[@inline never] start_instance sim (w : Obj.t Weak.t) =
-  let (module B) = Sim.batched sim in
-  let regs = Array.init (Sim.n sim) (fun j -> B.make_reg j) in
-  let out = Array.make (Sim.n sim) 0 in
-  Weak.set w 0 (Some (Obj.repr regs));
-  ignore
-    (Sim.spawn sim (fun () ->
-         for _ = 1 to 3 do
-           B.collect regs ~skip:0 out
-         done));
-  for _ = 2 to Sim.n sim do
-    ignore (Sim.spawn sim (fun () -> ()))
-  done
+(* A scan attempt or an update is one batch too: its words stay within
+   a collect's ceiling whatever its 2(n - 1) or 4(n - 1) accesses. *)
+let test_program_words_constant () =
+  let batched sim = Sim.batched sim in
+  List.iter
+    (fun program ->
+      let w8 = words_per_op ~program ~n:8 batched
+      and w64 = words_per_op ~program ~n:64 batched in
+      let name = program_name program in
+      if w64 > 3. then Alcotest.failf "batched n=64 %s: %.1f words > 3" name w64;
+      if w64 > w8 +. 0.5 then
+        Alcotest.failf "batched %s words grow with n: %.1f (n=8), %.1f (n=64)"
+          name w8 w64)
+    [ Update; Scan_attempt ]
+
+(* Process 0 runs [program] three times over things that nothing but
+   the arena can keep alive. *)
+let[@inline never] start_instance sim (w : Obj.t Weak.t) program =
+  List.iteri
+    (fun i x -> Weak.set w i (Some x))
+    (spawn_program sim (Sim.batched sim) program ~ops:3)
 
 let collected (w : Obj.t Weak.t) =
   Gc.full_major ();
-  Option.is_none (Weak.get w 0)
+  let all = ref true in
+  for i = 0 to Weak.length w - 1 do
+    if Option.is_some (Weak.get w i) then all := false
+  done;
+  !all
 
+(* At n = 4 under round-robin, the first 4 steps start the processes
+   and process 0 then runs alone: at clock 7 its first program has
+   carried out 3 accesses, so a scan attempt or an update is between
+   its arrow writes and what follows them. *)
 let test_no_retention () =
   let sim = Sim.create ~n:4 ~adversary:(Adversary.round_robin ()) () in
-  let w = Weak.create 1 in
-  (* Stopped mid-batch: the pending batch holds the registers until the
-     arena is reset. *)
-  start_instance sim w;
-  ignore (Sim.run_to sim ~clock:6);
-  Alcotest.(check bool) "held while the batch is pending" false (collected w);
-  Sim.reset sim;
-  Alcotest.(check bool) "released by reset" true (collected w);
-  (* Crashed mid-batch and finished: released with no reset. *)
-  start_instance sim w;
-  ignore (Sim.run_to sim ~clock:6);
-  Sim.crash sim 0;
-  ignore (Sim.run sim);
-  Alcotest.(check bool) "released by crash" true (collected w);
-  Sim.reset sim;
-  start_instance sim w;
-  ignore (Sim.run sim);
-  Alcotest.(check bool) "released on completion" true (collected w)
+  List.iter
+    (fun program ->
+      let what s = program_name program ^ ": " ^ s in
+      let w = Weak.create 7 in
+      (* Stopped mid-program: the pending program holds the registers
+         until the arena is reset. *)
+      start_instance sim w program;
+      ignore (Sim.run_to sim ~clock:7);
+      Alcotest.(check bool)
+        (what "held while the program is pending")
+        false (collected w);
+      Sim.reset sim;
+      Alcotest.(check bool) (what "released by reset") true (collected w);
+      (* Crashed mid-program and finished: released with no reset. *)
+      start_instance sim w program;
+      ignore (Sim.run_to sim ~clock:7);
+      Sim.crash sim 0;
+      ignore (Sim.run sim);
+      Alcotest.(check bool) (what "released by crash") true (collected w);
+      Sim.reset sim;
+      start_instance sim w program;
+      ignore (Sim.run sim);
+      Alcotest.(check bool) (what "released on completion") true (collected w);
+      Sim.reset sim)
+    [ Collect; Update; Scan_attempt ]
 
 let test_resumes () =
   (* Per-access: every step resumes its fiber. *)
@@ -276,6 +325,49 @@ let test_resumes () =
     (Sim.clock sim / Sim.resumes sim);
   Sim.reset sim;
   Alcotest.(check int) "reset zeroes" 0 (Sim.resumes sim);
+  (* Batched and uncontended, at n = 2 and 4: one resume per handshake
+     operation, whatever its n - 1 arrows and 2(n - 1) collect reads. *)
+  List.iter
+    (fun n ->
+      let sim = Sim.create ~n ~adversary:(Adversary.round_robin ()) () in
+      let module B = (val Sim.batched sim) in
+      let module S = Handshake.Make_batched (B) in
+      let snap = S.create ~init:0 () in
+      ignore
+        (Sim.spawn sim (fun () ->
+             S.write snap 1;
+             ignore (S.scan snap);
+             S.write snap 2;
+             ignore (S.scan snap)));
+      for _ = 2 to n do
+        ignore (Sim.spawn sim (fun () -> ()))
+      done;
+      ignore (Sim.run sim);
+      let what s = Printf.sprintf "n=%d handshake: %s" n s in
+      Alcotest.(check int) (what "no retry") 0 (S.scan_retries snap);
+      Alcotest.(check int) (what "steps: starts, 2 updates, 2 attempts")
+        (n + (2 * n) + (8 * (n - 1)))
+        (Sim.clock sim);
+      Alcotest.(check int) (what "one resume per operation") 4
+        (Sim.resumes sim))
+    [ 2; 4 ];
+  (* n=4 round-robin ADS89 decisions over the handshake snapshot. *)
+  let arena = Sim.create ~n:4 ~adversary:(Adversary.round_robin ()) () in
+  let steps = ref 0 and resumes = ref 0 in
+  for seed = 1 to 4 do
+    let r =
+      Bprc_harness.Run.consensus_once ~sim:arena ~max_steps:1_000_000
+        ~sched:Bprc_harness.Run.Round_robin_sched
+        ~algo:(Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk)
+        ~pattern:Bprc_harness.Run.Random_inputs ~n:4 ~seed ()
+    in
+    Alcotest.(check bool) "n=4 decided" true r.Bprc_harness.Run.completed;
+    steps := !steps + Sim.clock arena;
+    resumes := !resumes + Sim.resumes arena
+  done;
+  if !steps < 5 * !resumes then
+    Alcotest.failf "n=4 handshake decisions: %d steps, %d resumes: < 5 per resume"
+      !steps !resumes;
   (* An n=128 decision over the embedded snapshot: collects dominate. *)
   let n = 128 in
   let arena = Sim.create ~n ~adversary:(Adversary.round_robin ()) () in
@@ -317,6 +409,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ads89;
     Alcotest.test_case "alloc: batched collect words constant in n" `Quick
       test_collect_words_constant;
+    Alcotest.test_case "alloc: scan attempt, update words constant in n" `Quick
+      test_program_words_constant;
     Alcotest.test_case "retention: pending batch released" `Quick
       test_no_retention;
     Alcotest.test_case "resumes: per-access 1, n=128 embedded >= 100" `Quick

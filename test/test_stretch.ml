@@ -33,10 +33,17 @@ let cursor (a : Adversary.t) =
   | Adversary.Round_robin next -> !next
   | Adversary.Closure -> Alcotest.fail "not a round-robin adversary"
 
-(* Writes, batched collects and [read_any]s, flips, reads and yields:
-   every status a stretch steps through.  Under round-robin the
-   processes keep in step, so at larger [n] whole rounds fall inside
-   the collects and the [read_any]s. *)
+(* Updates, batched collects and scan attempts, writes, flips, reads
+   and yields: every status a stretch steps through, and every kind of
+   program segment.  Under round-robin the processes keep in step, so
+   at larger [n] whole rounds fall inside the collects and the scan
+   attempts' collects and arrow read-backs, and rounds that meet an
+   update's or a scan attempt's arrow writes end a bulk.  Process [i]
+   first yields [i mod 5] times, so the processes run a few steps out
+   of phase: a round boundary can find pid 0 in a read segment while
+   another process is still in a write segment.  At n = 1 the scan
+   attempt and the update have an empty segment and run as single
+   accesses. *)
 let spawn_workload sim lengths =
   let (module B : Runtime_intf.BATCHED) = Sim.batched sim in
   let n = Sim.n sim in
@@ -44,17 +51,23 @@ let spawn_workload sim lengths =
   let flags = Array.init n (fun _ -> B.make_reg false) in
   Array.init n (fun i ->
       let idx = Array.init ((n + 1) / 2) (fun k -> (i + 1 + (2 * k)) mod n) in
+      let raised = Array.init (n / 2) (fun k -> (i + 2 + (2 * k)) mod n) in
       Sim.spawn sim (fun () ->
-          let out = Array.make n 0 in
+          let out = Array.make n 0 and out2 = Array.make n 0 in
           let acc = ref 0 in
+          for _ = 1 to i mod 5 do
+            B.yield ()
+          done;
           for r = 1 to lengths.(i) do
-            B.write regs.(i) (r * (i + 1));
+            B.update flags raised regs.(i) (r * (i + 1));
             B.collect regs ~skip:i out;
-            if B.read_any flags idx then acc := !acc + 1000;
+            if B.scan_attempt flags idx regs ~skip:i out out2 then
+              acc := !acc + 1000;
             if r = 2 then B.write flags.(i) true;
             if B.flip () then acc := !acc + B.read regs.((i + 1) mod n)
             else B.yield ();
-            Array.iter (fun v -> acc := !acc + v) out
+            Array.iter (fun v -> acc := !acc + v) out;
+            Array.iter (fun v -> acc := !acc + (7 * v)) out2
           done;
           !acc))
 
@@ -193,13 +206,13 @@ let prop_traced =
     (gen_case ~ns:[ 1; 2; 3; 4; 8 ] ~rounds:6 ~span:(fun _ -> 200)
        ~at:(fun _ -> 40))
 
-(* A round of the workload is about [3n / 2 + 4] steps per process. *)
+(* A round of the workload is about [9n / 2 + 2] steps per process. *)
 let prop_untraced =
   prop_stretch ~count:100
     ~name:"round-robin untraced: bulk rounds = per-step choose (state at pauses)"
     ~record_trace:false
     (gen_case ~ns:[ 16; 32; 64 ] ~rounds:3
-       ~span:(fun n -> 5 * n * n)
+       ~span:(fun n -> 14 * n * n)
        ~at:(fun n -> 5 * n))
 
 (* An n=64 decision over the embedded snapshot, native and wrapped:
