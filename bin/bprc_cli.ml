@@ -40,6 +40,20 @@ let int_in ~lo ~hi ~expected =
 
 let positive_int = int_in ~lo:1 ~hi:max_int ~expected:"a positive integer"
 
+(* A wall-clock budget: zero or a negative value would be a vacuous bound
+   hit (124) and NaN would silently disable the budget, so only a
+   positive finite number of seconds parses. *)
+let positive_seconds =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0. -> Ok v
+    | _ ->
+      Error
+        (Printf.sprintf "invalid value '%s', expected a positive number of seconds"
+           s)
+  in
+  Arg.conv' (parse, Fmt.float)
+
 (* The options checked after parsing keep the message their goldens
    pin; [positive_int] is the same predicate at parse time. *)
 let require_positive ~flag v =
@@ -553,7 +567,7 @@ let hunt_cmd =
   let budget_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_seconds) None
       & info [ "budget-s" ] ~docv:"SECONDS"
           ~doc:"Wall-clock budget; exit 124 when it runs out first.")
   in
@@ -724,7 +738,7 @@ let check_cmd =
   let budget_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_seconds) None
       & info [ "budget-s" ] ~docv:"SECONDS"
           ~doc:"Wall-clock budget per configuration.")
   in

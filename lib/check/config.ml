@@ -40,11 +40,50 @@ let ads89_slot =
       (module Bprc_core.Ads89.Make_batched ((val Sim.batched sim))
       : Bprc_core.Consensus_intf.S))
 
+(* ---- per-arena verdict memo -------------------------------------------- *)
+
+(* Every registry check reads only its run's recorded history, and a
+   search's runs repeat few histories: the 30,448 unreduced
+   snapshot-atomic runs record 32 distinct ones.  So each program
+   records into a per-arena [recorder] and runs its check through
+   [memoized], which checks each distinct history once per arena.  The
+   key is the exact event array — pid, stamps and op of every event,
+   scan views included — paired with a hash over all of it
+   ([Hashtbl.hash]'s default limits stop after the first few events).
+   The table compares keys structurally, so the hash only picks the
+   bucket.  Only returned verdicts are stored: a check that raises
+   stores nothing and raises again on every run that reaches its
+   history.  The table lives in a {!Sim.local} slot, so the explorer's,
+   the shrinker's and a replay's arenas each have their own, and it
+   dies with its arena. *)
+type 'op recorder = {
+  hist : 'op Hist.t;
+  verdicts : (int * 'op Hist.event array, (unit, string) result) Hashtbl.t;
+}
+
+let recorder () =
+  Sim.new_local (fun _ -> { hist = Hist.create (); verdicts = Hashtbl.create 64 })
+
+(* The arena's recorder, its history rewound for a new run. *)
+let recording sim slot =
+  let r = Sim.local sim slot in
+  Hist.clear r.hist;
+  r
+
+let memoized r check () =
+  let evs = Hist.events_array r.hist in
+  let key = (Hashtbl.hash_param 64 256 evs, evs) in
+  match Hashtbl.find_opt r.verdicts key with
+  | Some verdict -> verdict
+  | None ->
+    let verdict = check evs in
+    Hashtbl.add r.verdicts key verdict;
+    verdict
+
 (* [linearizable] takes the events as an array ({!Lin.check_events}):
-   one run-verdict costs no intermediate list, and the message — built
-   on violation only — renders from the same array. *)
-let lin_verdict ~name pp_op linearizable h =
-  let events = Hist.events_array h in
+   one verdict costs no intermediate list, and the message — built on
+   violation only — renders from the same array. *)
+let lin_verdict ~name pp_op linearizable events =
   if linearizable events then Ok ()
   else
     Error
@@ -52,64 +91,68 @@ let lin_verdict ~name pp_op linearizable h =
          Fmt.(list ~sep:sp (Hist.pp_event pp_op))
          (Array.to_list events))
 
-let reg_check h () =
-  lin_verdict ~name:"register" Specs.Register.pp_op
-    (fun evs ->
+let reg_check =
+  lin_verdict ~name:"register" Specs.Register.pp_op (fun evs ->
       match Reg_lin.check_events evs with
       | Reg_lin.Linearizable _ -> true
       | Reg_lin.Not_linearizable -> false)
-    h
 
 (* Every process writes a distinct value then reads the register back. *)
-let reg_write_read ~plan sim =
-  let (module Base) = Sim.runtime sim in
-  let (module R) = Inject.weaken_runtime (module Base) ~plan in
-  let r = R.make_reg ~name:"x" 0 in
-  let h : Specs.reg_op Hist.t = Hist.create () in
-  for i = 0 to 1 do
-    ignore
-      (Sim.spawn sim (fun () ->
-           let v = 10 * (i + 1) in
-           let s = Hist.stamp h in
-           R.write r v;
-           let f = Hist.stamp h in
-           Hist.record h ~pid:i ~start_time:s ~finish_time:f (Specs.Write v);
-           let s = Hist.stamp h in
-           let got = R.read r in
-           let f = Hist.stamp h in
-           Hist.record h ~pid:i ~start_time:s ~finish_time:f (Specs.Read got)))
-  done;
-  reg_check h
+let reg_write_read ~plan =
+  let slot = recorder () in
+  fun sim ->
+    let (module Base) = Sim.runtime sim in
+    let (module R) = Inject.weaken_runtime (module Base) ~plan in
+    let r = R.make_reg ~name:"x" 0 in
+    let rc = recording sim slot in
+    let h = rc.hist in
+    for i = 0 to 1 do
+      ignore
+        (Sim.spawn sim (fun () ->
+             let v = 10 * (i + 1) in
+             let s = Hist.stamp h in
+             R.write r v;
+             let f = Hist.stamp h in
+             Hist.record h ~pid:i ~start_time:s ~finish_time:f (Specs.Write v);
+             let s = Hist.stamp h in
+             let got = R.read r in
+             let f = Hist.stamp h in
+             Hist.record h ~pid:i ~start_time:s ~finish_time:f (Specs.Read got)))
+    done;
+    memoized rc reg_check
 
 (* New-old inversion probe: p0 reads twice while p1 writes once.  A
    regular register may serve the overlapping new value then the old
    one; an atomic register may not. *)
-let reg_read_read ~plan sim =
-  let (module Base) = Sim.runtime sim in
-  let (module R) = Inject.weaken_runtime (module Base) ~plan in
-  let r = R.make_reg ~name:"x" 0 in
-  let h : Specs.reg_op Hist.t = Hist.create () in
-  ignore
-    (Sim.spawn sim (fun () ->
-         for _ = 1 to 2 do
+let reg_read_read ~plan =
+  let slot = recorder () in
+  fun sim ->
+    let (module Base) = Sim.runtime sim in
+    let (module R) = Inject.weaken_runtime (module Base) ~plan in
+    let r = R.make_reg ~name:"x" 0 in
+    let rc = recording sim slot in
+    let h = rc.hist in
+    ignore
+      (Sim.spawn sim (fun () ->
+           for _ = 1 to 2 do
+             let s = Hist.stamp h in
+             let got = R.read r in
+             let f = Hist.stamp h in
+             Hist.record h ~pid:0 ~start_time:s ~finish_time:f (Specs.Read got)
+           done));
+    ignore
+      (Sim.spawn sim (fun () ->
            let s = Hist.stamp h in
-           let got = R.read r in
+           R.write r 7;
            let f = Hist.stamp h in
-           Hist.record h ~pid:0 ~start_time:s ~finish_time:f (Specs.Read got)
-         done));
-  ignore
-    (Sim.spawn sim (fun () ->
-         let s = Hist.stamp h in
-         R.write r 7;
-         let f = Hist.stamp h in
-         Hist.record h ~pid:1 ~start_time:s ~finish_time:f (Specs.Write 7)));
-  reg_check h
+           Hist.record h ~pid:1 ~start_time:s ~finish_time:f (Specs.Write 7)));
+    memoized rc reg_check
 
 (* A fixed per-process program of updates and scans over the §2
-   handshake snapshot.  Checked against P1–P3 (Snap_checker) and
-   against full snapshot linearizability; the checkers share one stamp
-   counter so the two views of the history agree.  Update values must
-   strictly increase per process (Snap_checker requirement). *)
+   handshake snapshot.  Checked against P1–P3 (Snap_checker, built
+   from the recorded events) and against full snapshot
+   linearizability.  Update values must strictly increase per process
+   (Snap_checker requirement). *)
 let snapshot_prog ~plan ~prog =
   let n = Array.length prog in
   (* Hoisted out of the per-run closure: the snapshot spec and its
@@ -122,14 +165,26 @@ let snapshot_prog ~plan ~prog =
     | Snap_lin.Linearizable _ -> true
     | Snap_lin.Not_linearizable -> false
   in
-  let weakened = plan <> [] in
-  (* Per-arena checker/history scratch: an exploration owns one arena,
-     so the pair lives on it, like the functor caches above, dies with
-     it, and is rewound with [reset]/[clear] at the start of every
-     run. *)
-  let scratch =
-    Sim.new_local (fun _ -> (Snap_checker.create ~n ~init:0, Hist.create ()))
+  let check evs =
+    let ck = Snap_checker.create ~n ~init:0 in
+    Array.iter
+      (fun (e : Specs.snap_op Hist.event) ->
+        match e.op with
+        | Specs.Update { pid; value } ->
+          Snap_checker.record_write ck ~pid ~start_time:e.start_time
+            ~finish_time:e.finish_time ~value
+        | Specs.Scan view ->
+          Snap_checker.record_scan ck ~pid:e.pid ~start_time:e.start_time
+            ~finish_time:e.finish_time ~view)
+      evs;
+    let ( let* ) = Result.bind in
+    let* () = Snap_checker.check_regularity ck in
+    let* () = Snap_checker.check_snapshot ck in
+    let* () = Snap_checker.check_serializability ck in
+    lin_verdict ~name:"snapshot" Specs.pp_snap_op snap_linearizable evs
   in
+  let weakened = plan <> [] in
+  let slot = recorder () in
   fun sim ->
     let (module S) =
       if weakened then begin
@@ -140,72 +195,73 @@ let snapshot_prog ~plan ~prog =
       else Sim.local sim handshake_slot
     in
     let snap = S.create ~init:0 () in
-    let ck, h = Sim.local sim scratch in
-    Snap_checker.reset ck;
-    Hist.clear h;
+    let rc = recording sim slot in
+    let h = rc.hist in
     for i = 0 to n - 1 do
       ignore
         (Sim.spawn sim (fun () ->
              List.iter
                (function
                  | `Update v ->
-                   let s = Snap_checker.stamp ck in
+                   let s = Hist.stamp h in
                    S.write snap v;
-                   let f = Snap_checker.stamp ck in
-                   Snap_checker.record_write ck ~pid:i ~start_time:s
-                     ~finish_time:f ~value:v;
+                   let f = Hist.stamp h in
                    Hist.record h ~pid:i ~start_time:s ~finish_time:f
                      (Specs.Update { pid = i; value = v })
                  | `Scan ->
-                   let s = Snap_checker.stamp ck in
+                   let s = Hist.stamp h in
                    let view = S.scan snap in
-                   let f = Snap_checker.stamp ck in
-                   Snap_checker.record_scan ck ~pid:i ~start_time:s
-                     ~finish_time:f ~view;
+                   let f = Hist.stamp h in
                    Hist.record h ~pid:i ~start_time:s ~finish_time:f
                      (Specs.Scan view))
                prog.(i)))
     done;
-    fun () ->
-      let ( let* ) = Result.bind in
-      let* () = Snap_checker.check_regularity ck in
-      let* () = Snap_checker.check_snapshot ck in
-      let* () = Snap_checker.check_serializability ck in
-      lin_verdict ~name:"snapshot" Specs.pp_snap_op snap_linearizable h
+    memoized rc check
 
 (* Two-process §5 consensus with split inputs; checked against the
    consensus spec (agreement + validity) both directly and as a
-   linearizable object.  Tiny coin parameters keep runs short; the
-   schedule tree is far too large to exhaust — this configuration is a
-   bounded corner search, not a proof. *)
-let consensus_split sim =
+   linearizable object.  Both read the decisions off the [Propose]
+   events.  Tiny coin parameters keep runs short; the schedule tree is
+   far too large to exhaust — this configuration is a bounded corner
+   search, not a proof. *)
+let consensus_split =
   let n = 2 in
-  let (module C) = Sim.local sim ads89_slot in
   let params = { Bprc_core.Params.k = 2; delta = 1; m = Some 3 } in
-  let st = C.create ~params () in
-  let h : Specs.cons_op Hist.t = Hist.create () in
   let inputs = [| true; false |] in
-  let decisions = Array.make n None in
-  for i = 0 to n - 1 do
-    ignore
-      (Sim.spawn sim (fun () ->
-           let s = Hist.stamp h in
-           let d = C.run st ~input:inputs.(i) in
-           let f = Hist.stamp h in
-           decisions.(i) <- Some d;
-           Hist.record h ~pid:i ~start_time:s ~finish_time:f
-             (Specs.Propose
-                { input = Bool.to_int inputs.(i); output = Bool.to_int d })))
-  done;
-  fun () ->
-    let ( let* ) = Result.bind in
-    let* () = Bprc_core.Spec.check ~inputs ~decisions in
-    lin_verdict ~name:"consensus" Specs.Consensus.pp_op
-      (fun evs ->
+  let lin_check =
+    lin_verdict ~name:"consensus" Specs.Consensus.pp_op (fun evs ->
         match Cons_lin.check_events evs with
         | Cons_lin.Linearizable _ -> true
         | Cons_lin.Not_linearizable -> false)
-      h
+  in
+  let check evs =
+    let decisions = Array.make n None in
+    Array.iter
+      (fun (e : Specs.cons_op Hist.event) ->
+        let (Specs.Propose { output; _ }) = e.op in
+        decisions.(e.pid) <- Some (output = 1))
+      evs;
+    let ( let* ) = Result.bind in
+    let* () = Bprc_core.Spec.check ~inputs ~decisions in
+    lin_check evs
+  in
+  let slot = recorder () in
+  fun sim ->
+    let (module C) = Sim.local sim ads89_slot in
+    let st = C.create ~params () in
+    let rc = recording sim slot in
+    let h = rc.hist in
+    for i = 0 to n - 1 do
+      ignore
+        (Sim.spawn sim (fun () ->
+             let s = Hist.stamp h in
+             let d = C.run st ~input:inputs.(i) in
+             let f = Hist.stamp h in
+             Hist.record h ~pid:i ~start_time:s ~finish_time:f
+               (Specs.Propose
+                  { input = Bool.to_int inputs.(i); output = Bool.to_int d })))
+    done;
+    memoized rc check
 
 let weaken semantics = [ Fault_plan.Weaken { index = -1; semantics } ]
 

@@ -1,6 +1,10 @@
 (** Registry of explorable configurations: small fixed programs over
-    the scannable-memory stack, each paired with the property check the
-    explorer runs on every completed schedule.
+    the scannable-memory stack, each paired with a property check of
+    the history a completed schedule records.  The check reads nothing
+    but that history, so each program runs it once per distinct history
+    on an arena: the verdict is memoized in an arena-local table keyed
+    on the exact events (pids, stamps, ops and scan views, compared
+    structurally).  A check that raises is not memoized.
 
     Configurations deliberately mirror the acceptance gate of the
     checker subsystem: the atomic register and handshake-snapshot

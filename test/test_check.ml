@@ -489,6 +489,65 @@ let test_explore_caches_do_not_leak () =
     Alcotest.failf "live words grew from %d to %d over 40 explores" before
       after
 
+(* Each registry program memoizes its check's verdict per arena, keyed
+   on the exact recorded history.  Seeded schedules (uniformly random,
+   or bursts of 1 to 8 steps) run through one reused arena, whose table
+   is warm from every earlier schedule, must give the outcome and clock
+   a fresh arena (cold table) gives.  The weakened configs must fail on
+   some schedules, so [Error] verdicts are served from the table too.
+   A key without the stamps fails this on reg-safe, one without the
+   scan views on snapshot-unsafe. *)
+let test_verdict_memo_warm_matches_cold () =
+  let module Sim = Bprc_runtime.Sim in
+  let module Adversary = Bprc_runtime.Adversary in
+  let schedules = 300 in
+  let outcome (cfg : Config.t) sim =
+    let raised e = Explorer.Fail ("raised: " ^ Printexc.to_string e) in
+    let o =
+      match cfg.setup sim with
+      | exception e -> raised e
+      | check -> (
+        match Sim.run sim with
+        | Sim.Hit_step_limit -> Explorer.Cutoff
+        | Sim.Completed -> (
+          match check () with
+          | Ok () -> Explorer.Pass
+          | Error f -> Explorer.Fail f
+          | exception e -> raised e)
+        | exception e -> raised e)
+    in
+    (o, Sim.clock sim)
+  in
+  let pp ppf = function
+    | Explorer.Pass, c -> Fmt.pf ppf "pass@%d" c
+    | Explorer.Cutoff, c -> Fmt.pf ppf "cutoff@%d" c
+    | Explorer.Fail f, c -> Fmt.pf ppf "fail@%d: %s" c f
+  in
+  let outcome_t = Alcotest.testable pp ( = ) in
+  List.iter
+    (fun (cfg : Config.t) ->
+      let fresh seed adversary =
+        Sim.create ~seed ~max_steps:cfg.max_steps ~n:cfg.n ~adversary ()
+      in
+      let warm = fresh 0 (Adversary.random ()) in
+      let fails = ref 0 in
+      for seed = 1 to schedules do
+        let adversary () =
+          if seed mod 2 = 0 then Adversary.random ()
+          else Adversary.bursty ~burst:(1 + (seed / 2 mod 8)) ()
+        in
+        Sim.reset ~seed ~adversary:(adversary ()) warm;
+        let w = outcome cfg warm in
+        let c = outcome cfg (fresh seed (adversary ())) in
+        Alcotest.check outcome_t
+          (Printf.sprintf "%s seed %d: warm = cold" cfg.name seed)
+          c w;
+        match c with Explorer.Fail _, _ -> incr fails | _ -> ()
+      done;
+      if cfg.expect_violation && !fails = 0 then
+        Alcotest.failf "%s: no failing schedule in %d" cfg.name schedules)
+    Config.all
+
 let suite =
   [
     Alcotest.test_case "lin: empty" `Quick test_lin_empty;
@@ -532,12 +591,15 @@ let suite =
       test_max_runs_bounds;
     Alcotest.test_case "explore: caches die with their arenas" `Quick
       test_explore_caches_do_not_leak;
+    Alcotest.test_case "check: memoized verdicts warm = cold" `Quick
+      test_verdict_memo_warm_matches_cold;
   ]
 
 (* Allocation ceiling for the explorer over the snapshot-atomic
    registry config, unreduced (a 30,448-run tree).  The DFS bookkeeping
-   allocates nothing, so words per run are workload setup and checks,
-   pinned at 600. *)
+   allocates nothing, and each distinct history is checked once, so
+   words per run are workload setup and history recording: 288.68
+   measured, pinned at 346 (about 20% over). *)
 let test_explorer_words_per_run () =
   let cfg = get_config "snapshot-atomic" in
   Gc.full_major ();
@@ -549,7 +611,7 @@ let test_explorer_words_per_run () =
   let words = (Gc.minor_words () -. m0) /. float_of_int stats.Explorer.runs in
   Alcotest.(check bool) "exhausted" true stats.Explorer.exhausted;
   Alcotest.(check int) "runs" 30_448 stats.Explorer.runs;
-  if words > 600.0 then Alcotest.failf "explorer words/run %.2f > 600" words
+  if words > 346.0 then Alcotest.failf "explorer words/run %.2f > 346" words
 
 let suite =
   suite
