@@ -190,24 +190,18 @@ let space_report_cmd =
     let adversary = Bprc_runtime.Adversary.random () in
     let sim = Bprc_runtime.Sim.create ~seed:0 ~max_steps:1 ~n ~adversary () in
     let params = Bprc_core.Params.default in
-    let algo_key, space, state_bits =
-      let module R = (val Bprc_runtime.Sim.runtime sim) in
+    let (module C : Bprc_core.Consensus_intf.S) =
+      Bprc_harness.Run.protocol algo (Bprc_runtime.Sim.batched sim)
+    in
+    let t = C.create ~params () in
+    (* [state_bits] is the static bound, except for the unbounded
+       baseline: its (initial) grown maximum *)
+    let space = C.space t and state_bits = C.state_bits t in
+    let algo_key =
       match algo with
-      | Bprc_harness.Run.Ads _ ->
-        let module C = Bprc_core.Ads89.Make (R) in
-        let t = C.create ~params () in
-        ("ads", C.space t, Bprc_core.Params.state_bits params ~n)
-      | Bprc_harness.Run.Ads_esnap _ ->
-        let module E = Bprc_snapshot.Embedded.Make (R) in
-        let module C = Bprc_core.Ads89.Make_over_snapshot (R) (E) in
-        let t = C.create ~params () in
-        ("esnap", C.space t, Bprc_core.Params.state_bits params ~n)
-      | Bprc_harness.Run.Ah ->
-        let module C = Bprc_core.Ah88.Make (R) in
-        let t = C.create () in
-        (* the unbounded baseline's payload is its (initial) grown
-           maximum, not the static bound *)
-        ("ah", C.space t, C.max_register_bits t)
+      | Bprc_harness.Run.Ads _ -> "ads"
+      | Bprc_harness.Run.Ads_esnap _ -> "esnap"
+      | Bprc_harness.Run.Ah -> "ah"
     in
     let module Space = Bprc_space.Space in
     let registers_created = Bprc_runtime.Sim.registers_created sim in

@@ -18,7 +18,22 @@
     [m = (f(b)·b)²]). *)
 
 module Make (R : Bprc_runtime.Runtime_intf.S) : sig
-  include Coin_intf.S
+  type t
+
+  val create : ?name:string -> seed:int -> unit -> t
+  (** A fresh one-shot coin shared by all processes of the runtime,
+      with the default [delta] and [m].  [seed] is unused: the walk
+      draws only the processes' own flips. *)
+
+  val flip : t -> bool
+  (** Run this process's part of the protocol until the coin's value is
+      determined for it.  Wait-free. *)
+
+  val total_walk_steps : t -> int
+  (** Walk steps contributed by all processes so far. *)
+
+  val overflows : t -> int
+  (** Number of times a process decided by counter overflow. *)
 
   val create_custom :
     ?name:string -> ?delta:int -> ?m:int -> seed:int -> unit -> t

@@ -1,39 +1,27 @@
 (** Aspnes–Herlihy-style consensus over an {e unbounded} rounds strip —
     the baseline the paper improves on (space-wise).
 
-    Same protocol skeleton as {!Ads89} and the same shared-coin idea,
-    but rounds are plain unbounded integers and every process's segment
-    carries its walk counter for {e every} round it ever executed (the
-    infinite strip of coins, one location per round, exactly what §4
-    compresses away).  Expected polynomial time, like the paper's
-    protocol, but register size grows linearly with the round number
-    reached, and adversarial scheduling can push it arbitrarily high.
+    It is the one §5 loop, {!Ads89.Over_strip}, over the unbounded
+    strip: rounds are plain unbounded integers and every process's
+    segment carries its walk counter for {e every} round it ever
+    executed (the infinite strip of coins, one location per round,
+    exactly what §4 compresses away).  So it differs from {!Ads89} only
+    where the strip does:
+    - a leader is a process at the maximal round, and "trails me by K"
+      is a round difference;
+    - a round advance is round + 1 with one more counter;
+    - the round coin is the sum of every process's counter for my
+      round, with no overflow escape;
+    - a walk step is unclamped, and the largest magnitude is tracked;
+    - [state_bits] and [register_bits] are both the grown maximum,
+      without the handshake toggle.
 
-    {!max_register_bits} exposes the grown size for experiment E6. *)
+    Expected polynomial time, like the paper's protocol, but register
+    size grows linearly with the round number reached, and adversarial
+    scheduling can push it arbitrarily high (experiment E6).  The
+    checker-only hooks stay the bounded strip's: {!Virtual_rounds} reads
+    edge rows, which this strip does not have. *)
 
-module Make (R : Bprc_runtime.Runtime_intf.S) : sig
-  type t
-
-  val create : ?name:string -> ?k:int -> ?delta:int -> unit -> t
-  (** [k] is the decision lag (default 2), [delta] the coin barrier
-      multiplier (default 2), as in {!Ads89}. *)
-
-  val run : t -> input:bool -> bool
-
-  val max_round : t -> int
-  (** Highest round entered by any process so far. *)
-
-  val max_register_bits : t -> int
-  (** Size in bits that the largest segment value reached — grows with
-      {!max_round}, unlike the paper's protocol. *)
-
-  val space : t -> Bprc_space.Space.t
-  (** Space report at the {e current} grown maximum — unlike
-      {!Ads89.Make_over_snapshot}'s, this one is execution-dependent. *)
-
-  val total_walk_steps : t -> int
-
-  val coin_probe : t -> Coin_probe.t
-  (** Meta-level view of the current-round coin counters, for the
-      adaptive adversaries. *)
-end
+module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) :
+  Consensus_intf.S
+(** The baseline over the §2 handshake snapshot of the given runtime. *)

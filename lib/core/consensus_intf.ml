@@ -1,8 +1,13 @@
-(** Signature of the §5 consensus protocol implementations (shared by
-    the paper's configuration and its snapshot-ablated variants). *)
+(** Signature of the §5 consensus protocol implementations: every
+    instance of the one §5 loop ({!Ads89.Over_strip}), over the bounded
+    strip (the paper's configuration and its snapshot-ablated variants)
+    or the unbounded one ({!Ah88}). *)
 
 type coin_mode =
-  | Shared_walk  (** the paper's bounded shared coin — polynomial *)
+  | Shared_walk
+      (** the strip's shared walk — polynomial: the paper's bounded
+          coin over the bounded strip, the unbounded walk over the
+          unbounded one *)
   | Local_flips  (** private flips, Abrahamson-class — exponential *)
   | Oracle_shared  (** perfect per-round shared coin — best case *)
 
@@ -27,7 +32,8 @@ module type S = sig
     unit ->
     t
   (** [record_scans] turns on the checker-level scan recorder consumed
-      by {!Virtual_rounds} (§6.1); off by default. *)
+      by {!Virtual_rounds} (§6.1); off by default.  Only the bounded
+      strip's edge rows mean anything to that checker. *)
 
   val run : t -> input:bool -> bool
   (** Execute the protocol as the calling process; returns the decided
@@ -35,14 +41,22 @@ module type S = sig
 
   val stats : t -> stats
 
+  val state_bits : t -> int
+  (** Bits of protocol state per segment, the payload width [space]
+      charges each value.  Over the bounded strip it is constant over
+      any execution (the paper's headline); over the unbounded strip it
+      is the maximum grown so far. *)
+
   val register_bits : t -> int
-  (** Bound on one segment's size in bits (constant over any execution
-      — the paper's headline). *)
+  (** One segment's width as reported per run.  Over the bounded strip:
+      [state_bits] plus the handshake toggle, the static bound.  Over
+      the unbounded strip: [state_bits] alone, the grown maximum
+      without the toggle. *)
 
   val space : t -> Bprc_space.Space.t
   (** Full shared-memory space report: the underlying scannable
-      memory's register groups with this protocol's per-segment payload
-      as the value width.  Checker-side ghost fields are excluded. *)
+      memory's register groups with [state_bits] as the value width.
+      Checker-side ghost fields are excluded. *)
 
   val coin_probe : t -> Coin_probe.t
   (** Meta-level view of the per-round coin counters, for the

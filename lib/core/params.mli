@@ -18,6 +18,9 @@ val validate : t -> n:int -> int * int * int
 (** [(k, delta, m)] with [m] resolved.  @raise Invalid_argument on
     nonsensical values. *)
 
+val bits_for : int -> int
+(** Bits needed to represent [x] distinct values. *)
+
 val state_bits : t -> n:int -> int
 (** Size in bits of one process's protocol state (preference, coin
     pointer, [K+1] coin counters, [n] edge counters) — the payload one

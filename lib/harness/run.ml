@@ -151,6 +151,22 @@ let algo_name = function
   | Ads_esnap Bprc_core.Ads89.Oracle_shared -> "ADS89/esnap (oracle coin)"
   | Ah -> "AH88-style (unbounded strip)"
 
+let protocol algo (module R : Runtime_intf.BATCHED) :
+    (module Bprc_core.Consensus_intf.S) =
+  match algo with
+  | Ads _ -> (module Bprc_core.Ads89.Make_batched (R))
+  | Ads_esnap _ ->
+    (* The paper's protocol over the wait-free embedded snapshot: at
+       large [n] the handshake's clean double-collect window shrinks
+       like e^{-n} under ongoing writes, so the large-n bench family
+       runs over [Embedded], whose scans borrow instead of starving
+       (liveness caveat: DESIGN.md note 8 — in practice the borrowed
+       views are current enough to decide at every n exercised). *)
+    (module Bprc_core.Ads89.Make_over_snapshot
+              (R)
+              (Bprc_snapshot.Embedded.Make_batched (R)))
+  | Ah -> (module Bprc_core.Ah88.Make_batched (R))
+
 type pattern = Unanimous of bool | Split | Random_inputs
 
 let inputs_of_pattern pattern ~n ~seed =
@@ -221,63 +237,31 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
   in
   let driver = Bprc_faults.Inject.driver ~n faults in
   let drive () = Bprc_faults.Inject.drive sim ~driver ~max_steps in
-  let runtime = Bprc_faults.Inject.weaken_runtime (Sim.runtime sim) ~plan:faults in
   let batched =
     Bprc_faults.Inject.weaken_batched (Sim.batched sim) ~plan:faults
   in
-  let run_ads (module C : Bprc_core.Consensus_intf.S) mode =
-    let t = C.create ~params ~coin_mode:mode ~oracle_seed:seed () in
-    install_probe_adversary sim ~n ~sched ~probe:(fun () -> C.coin_probe t);
-    let handles =
-      Array.init n (fun i ->
-          Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
-    in
-    let completed = drive () in
-    let decisions = Array.map Sim.result handles in
-    let st = C.stats t in
-    {
-      completed;
-      steps = Sim.clock sim;
-      decisions;
-      max_round = st.Bprc_core.Ads89.max_raw_round;
-      register_bits = C.register_bits t;
-      walk_steps = st.Bprc_core.Ads89.walk_steps;
-      spec = Bprc_core.Spec.check ~inputs ~decisions;
-      space = C.space t;
-      registers_used = Sim.registers_created sim;
-    }
+  let (module C : Bprc_core.Consensus_intf.S) = protocol algo batched in
+  let coin_mode =
+    match algo with
+    | Ads mode | Ads_esnap mode -> mode
+    | Ah -> Bprc_core.Ads89.Shared_walk
   in
-  match algo with
-  | Ads mode ->
-    run_ads (module Bprc_core.Ads89.Make_batched ((val batched))) mode
-  | Ads_esnap mode ->
-    (* The paper's protocol over the wait-free embedded snapshot: at
-       large [n] the handshake's clean double-collect window shrinks
-       like e^{-n} under ongoing writes, so the large-n bench family
-       runs over [Embedded], whose scans borrow instead of starving
-       (liveness caveat: DESIGN.md note 8 — in practice the borrowed
-       views are current enough to decide at every n exercised). *)
-    let module R = (val batched) in
-    let module E = Bprc_snapshot.Embedded.Make_batched (R) in
-    run_ads (module Bprc_core.Ads89.Make_over_snapshot (R) (E)) mode
-  | Ah ->
-    let module C = Bprc_core.Ah88.Make ((val runtime)) in
-    let t = C.create ~k:params.Bprc_core.Params.k ~delta:params.Bprc_core.Params.delta () in
-    install_probe_adversary sim ~n ~sched ~probe:(fun () -> C.coin_probe t);
-    let handles =
-      Array.init n (fun i ->
-          Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
-    in
-    let completed = drive () in
-    let decisions = Array.map Sim.result handles in
-    {
-      completed;
-      steps = Sim.clock sim;
-      decisions;
-      max_round = C.max_round t;
-      register_bits = C.max_register_bits t;
-      walk_steps = C.total_walk_steps t;
-      spec = Bprc_core.Spec.check ~inputs ~decisions;
-      space = C.space t;
-      registers_used = Sim.registers_created sim;
-    }
+  let t = C.create ~params ~coin_mode ~oracle_seed:seed () in
+  install_probe_adversary sim ~n ~sched ~probe:(fun () -> C.coin_probe t);
+  let handles =
+    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+  in
+  let completed = drive () in
+  let decisions = Array.map Sim.result handles in
+  let st = C.stats t in
+  {
+    completed;
+    steps = Sim.clock sim;
+    decisions;
+    max_round = st.Bprc_core.Ads89.max_raw_round;
+    register_bits = C.register_bits t;
+    walk_steps = st.Bprc_core.Ads89.walk_steps;
+    spec = Bprc_core.Spec.check ~inputs ~decisions;
+    space = C.space t;
+    registers_used = Sim.registers_created sim;
+  }

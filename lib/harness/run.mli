@@ -69,6 +69,15 @@ type algo =
 
 val algo_name : algo -> string
 
+val protocol :
+  algo ->
+  (module Bprc_runtime.Runtime_intf.BATCHED) ->
+  (module Bprc_core.Consensus_intf.S)
+(** The one mapping from algorithm to protocol module: the §5 loop over
+    the bounded strip ([Ads], over the handshake snapshot; [Ads_esnap],
+    over the embedded one) or over the unbounded strip ([Ah], over the
+    handshake snapshot). *)
+
 type pattern = Unanimous of bool | Split | Random_inputs
 
 val inputs_of_pattern : pattern -> n:int -> seed:int -> bool array
@@ -79,7 +88,9 @@ type consensus_run = {
   decisions : bool option array;
   max_round : int;  (** true round count reached *)
   register_bits : int;
-      (** [Ads]: the static bound; [Ah]: the grown maximum *)
+      (** {!Bprc_core.Consensus_intf.S.register_bits}: [Ads] and
+          [Ads_esnap] report the static bound, state plus toggle; [Ah]
+          reports the grown maximum, without the toggle *)
   walk_steps : int;
   spec : (unit, string) result;
   space : Bprc_space.Space.t;

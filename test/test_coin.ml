@@ -139,57 +139,6 @@ let test_bounded_steps_accounted () =
   ignore (Sim.run sim);
   Alcotest.(check bool) "walk steps recorded" true (C.total_walk_steps coin > 0)
 
-let test_unbounded_magnitude_grows_no_overflow () =
-  let sim = Sim.create ~seed:7 ~n:2 ~adversary:(Adversary.random ()) () in
-  let module C = Unbounded_walk.Make ((val Sim.runtime sim)) in
-  let coin = C.create_custom ~delta:3 ~seed:7 () in
-  let hs = Array.init 2 (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
-  ignore (Sim.run sim);
-  Array.iter (fun h -> if Sim.result h = None then Alcotest.fail "undecided") hs;
-  Alcotest.(check int) "unbounded never overflows" 0 (C.overflows coin);
-  Alcotest.(check bool) "some magnitude" true (C.max_counter_magnitude coin > 0)
-
-let local rt =
-  let module C = Local_coin.Make ((val rt : Runtime_intf.S)) in
-  let coin = C.create ~seed:1 () in
-  fun () -> C.flip coin
-
-let test_local_coin_disagrees_somewhere () =
-  let rate = agreement_rate ~n:4 ~seeds:40 local in
-  Alcotest.(check bool)
-    (Printf.sprintf "local coin agreement %.2f < 1" rate)
-    true (rate < 1.0)
-
-let oracle seed rt =
-  let module C = Oracle_coin.Make ((val rt : Runtime_intf.S)) in
-  let coin = C.create ~seed () in
-  fun () -> C.flip coin
-
-let test_oracle_always_agrees () =
-  for seed = 1 to 30 do
-    match
-      run_coin ~n:4 ~seed ~adversary:(Adversary.random ()) (oracle seed)
-    with
-    | Some (v :: vs) ->
-      Alcotest.(check bool) "oracle unanimous" true (List.for_all (Bool.equal v) vs)
-    | _ -> Alcotest.fail "oracle did not complete"
-  done
-
-let test_oracle_balanced_across_seeds () =
-  let heads = ref 0 in
-  for seed = 1 to 200 do
-    match
-      run_coin ~n:1 ~seed ~adversary:(Adversary.round_robin ()) (oracle seed)
-    with
-    | Some [ true ] -> incr heads
-    | Some [ false ] -> ()
-    | _ -> Alcotest.fail "oracle did not complete"
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "oracle not constant (%d/200 heads)" !heads)
-    true
-    (!heads > 50 && !heads < 150)
-
 let test_bounded_walk_step_alloc_bounded () =
   (* Steady-state allocation ceiling for the walk loop: opposed
      deterministic flips (pid 0 always +1, pid 1 always -1) keep the
@@ -240,10 +189,4 @@ let suite =
       test_bounded_counters_stay_in_band;
     Alcotest.test_case "bounded: steps accounted" `Quick
       test_bounded_steps_accounted;
-    Alcotest.test_case "unbounded: grows, no overflow" `Quick
-      test_unbounded_magnitude_grows_no_overflow;
-    Alcotest.test_case "local: disagreements exist" `Quick
-      test_local_coin_disagrees_somewhere;
-    Alcotest.test_case "oracle: unanimous" `Quick test_oracle_always_agrees;
-    Alcotest.test_case "oracle: balanced" `Quick test_oracle_balanced_across_seeds;
   ]

@@ -184,16 +184,19 @@ let test_stats_decisions_match () =
 
 (* --- AH88 baseline ---------------------------------------------------- *)
 
-(* Returns (completed, decisions, max_round, max_register_bits). *)
+(* Returns (completed, decisions, max_round, register_bits). *)
 let run_ah88 ?(max_steps = 3_000_000) ~n ~seed ~adversary ~inputs () =
   let sim = Sim.create ~seed ~max_steps ~n ~adversary () in
-  let module C = Ah88.Make ((val Sim.runtime sim)) in
+  let module C = Ah88.Make_batched ((val Sim.batched sim)) in
   let t = C.create () in
   let handles =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
   let completed = Sim.run sim = Sim.Completed in
-  (completed, Array.map Sim.result handles, C.max_round t, C.max_register_bits t)
+  ( completed,
+    Array.map Sim.result handles,
+    (C.stats t).Ads89.max_raw_round,
+    C.register_bits t )
 
 let test_ah88_correct () =
   for seed = 1 to 20 do
