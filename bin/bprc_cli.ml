@@ -62,6 +62,23 @@ let require_positive ~flag v =
     exit 2
   end
 
+let workers_opt_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "workers" ] ~docv:"N"
+        ~doc:
+          "Fan trials over $(docv) domains (default: one per core, \
+           overridable via BPRC_WORKERS).  Results are identical at any \
+           worker count.")
+
+let pool_of_workers workers =
+  match workers with
+  | Some w ->
+    require_positive ~flag:"--workers" w;
+    Bprc_harness.Pool.create ~workers:w ()
+  | None -> Bprc_harness.Pool.default ()
+
 let n_arg =
   Arg.(
     value & opt positive_int 4
@@ -256,7 +273,9 @@ let coin_cmd =
   in
   let action n seed delta sched =
     let r = Bprc_harness.Run.coin_once ~delta ~sched ~n ~seed () in
-    Fmt.pr "values     : %a@." Fmt.(list ~sep:sp (fmt "%b")) r.Bprc_harness.Run.values;
+    Fmt.pr "values     : %a@."
+      (field_array (Fmt.fmt "%b"))
+      (Array.of_list r.Bprc_harness.Run.values);
     Fmt.pr "agreed     : %b@." r.Bprc_harness.Run.agreed;
     Fmt.pr "walk steps : %d   overflows: %d@." r.Bprc_harness.Run.walk_steps
       r.Bprc_harness.Run.overflows
@@ -271,7 +290,7 @@ let experiment_cmd =
   let ids_arg =
     Arg.(
       value & pos_all string []
-      & info [] ~docv:"ID" ~doc:"Experiment ids (E1..E14); all when empty.")
+      & info [] ~docv:"ID" ~doc:"Experiment ids (E1..E16); all when empty.")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced trial counts.")
@@ -288,15 +307,6 @@ let experiment_cmd =
             "Also write a machine-readable JSON report to $(docv) (schema in \
              EXPERIMENTS.md).")
   in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Fan trials over $(docv) domains (default: one per core, \
-             overridable via BPRC_WORKERS).")
-  in
   let action ids quick csv json workers =
     let ids = if ids = [] then Bprc_harness.Experiments.ids else ids in
     (match
@@ -309,16 +319,7 @@ let experiment_cmd =
         (String.concat " " Bprc_harness.Experiments.ids);
       exit 2
     | None -> ());
-    Option.iter (require_positive ~flag:"--workers") workers;
-    let pool =
-      try
-        match workers with
-        | Some w -> Bprc_harness.Pool.create ~workers:w ()
-        | None -> Bprc_harness.Pool.default ()
-      with Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        exit 2
-    in
+    let pool = pool_of_workers workers in
     let t0 = Unix.gettimeofday () in
     let entries =
       List.map
@@ -351,7 +352,8 @@ let experiment_cmd =
   Cmd.v
     (cmd_info "experiment"
        ~doc:"Reproduce the paper's quantitative claims (see EXPERIMENTS.md).")
-    Term.(const action $ ids_arg $ quick_arg $ csv_arg $ json_arg $ workers_arg)
+    Term.(
+      const action $ ids_arg $ quick_arg $ csv_arg $ json_arg $ workers_opt_arg)
 
 (* --- multi ------------------------------------------------------------ *)
 
@@ -431,15 +433,15 @@ let trace_cmd =
       Bprc_runtime.Sim.create ~seed ~max_steps:steps ~record_trace:true ~n
         ~adversary:(Bprc_harness.Run.plain_adversary sched) ()
     in
-    let module C = Bprc_core.Ads89.Make ((val Bprc_runtime.Sim.runtime sim)) in
-    let t = C.create () in
-    Bprc_harness.Run.install_probe_adversary sim ~n ~sched ~probe:(fun () ->
-        C.coin_probe t);
-    let _ =
-      Array.init n (fun i ->
-          Bprc_runtime.Sim.spawn sim (fun () -> C.run t ~input:(i mod 2 = 0)))
-    in
-    ignore (Bprc_runtime.Sim.run sim);
+    ignore
+      (Bprc_harness.Run.consensus_on sim
+         ~protocol:
+           (Bprc_harness.Run.protocol
+              (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk))
+         ~sched ~max_steps:steps
+         ~inputs:
+           (Bprc_harness.Run.inputs_of_pattern Bprc_harness.Run.Split ~n ~seed)
+         ());
     match Bprc_runtime.Sim.trace sim with
     | None -> Fmt.epr "no trace recorded@."
     | Some tr ->
@@ -533,23 +535,6 @@ let scenario_arg =
           (Printf.sprintf
              "Hunt scenario: %s.  See DESIGN.md \"Fault model\"."
              (String.concat ", " Scenario.names)))
-
-let workers_opt_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Fan trials over $(docv) domains (default: one per core, \
-           overridable via BPRC_WORKERS).  Results are identical at any \
-           worker count.")
-
-let pool_of_workers workers =
-  match workers with
-  | Some w ->
-    require_positive ~flag:"--workers" w;
-    Bprc_harness.Pool.create ~workers:w ()
-  | None -> Bprc_harness.Pool.default ()
 
 let hunt_cmd =
   let trials_arg =

@@ -108,21 +108,19 @@ let consensus_max_steps = 400_000
 
 let consensus_exec ~n ~seed ~plan ~mode =
   let sim, result = sim_of ~mode ~seed ~max_steps:consensus_max_steps ~n in
-  let module R = (val Inject.weaken_runtime (Sim.runtime sim) ~plan) in
-  let module C = Bprc_core.Ads89.Make (R) in
-  let t = C.create () in
-  let inputs = Array.init n (fun i -> i mod 2 = 0) in
-  let handles =
-    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+  let module Run = Bprc_harness.Run in
+  let r =
+    Run.consensus_on sim
+      ~protocol:(Run.protocol (Run.Ads Bprc_core.Ads89.Shared_walk))
+      ~faults:plan ~max_steps:consensus_max_steps
+      ~inputs:(Run.inputs_of_pattern Run.Split ~n ~seed)
+      ()
   in
-  let driver = Inject.driver ~n plan in
-  let completed = Inject.drive sim ~driver ~max_steps:consensus_max_steps in
-  let decisions = Array.map Sim.result handles in
   let failure =
-    match Bprc_core.Spec.check ~inputs ~decisions with
+    match r.Run.spec with
     | Error e -> Some ("consensus: " ^ e)
     | Ok () ->
-      if completed then None
+      if r.Run.completed then None
       else Some "consensus: step budget exhausted before survivors decided"
   in
   result failure

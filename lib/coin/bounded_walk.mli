@@ -15,15 +15,39 @@
 
     [m] defaults to [4·(δ·n)²], large enough that overflow is rare on
     the scale of the walk's hitting time (Lemma 3.3 takes
-    [m = (f(b)·b)²]). *)
+    [m = (f(b)·b)²]).
+
+    The rule below is the coin's one definition: the standalone coin
+    {!Make} and the round coins of the §5 strips all read it. *)
+
+type verdict = Heads | Tails | Undecided
+(** A coin as read from one view. *)
+
+val bounds : delta:int -> m:int option -> n:int -> int * int
+(** [(barrier, m)] for [n] processes: the barrier [δ·n], and [m], which
+    defaults to [4·(δ·n)²].
+    @raise Invalid_argument unless [delta] is positive and [m] exceeds
+    the barrier. *)
+
+val overflowed : m:int -> int -> bool
+(** Has this own counter escaped [{-m .. m}]?  Then the coin is heads
+    for its owner (Lemmas 3.3–3.4). *)
+
+val barrier : threshold:int -> int -> verdict
+(** The verdict of a walk value against the barriers [±threshold]. *)
+
+val step : m:int -> int -> int -> int
+(** [step ~m c move]: counter [c] after a walk step [move = ±1],
+    clamped into the escape band [±(m+1)]. *)
 
 module Make (R : Bprc_runtime.Runtime_intf.S) : sig
   type t
 
-  val create : ?name:string -> seed:int -> unit -> t
-  (** A fresh one-shot coin shared by all processes of the runtime,
-      with the default [delta] and [m].  [seed] is unused: the walk
-      draws only the processes' own flips. *)
+  val create : ?delta:int -> ?m:int -> unit -> t
+  (** A fresh one-shot coin shared by all processes of the runtime.
+      [delta] is the barrier multiplier (threshold [δ·n], default 2);
+      [m] the counter bound (default [4·(δ·n)²]).
+      @raise Invalid_argument as {!bounds}. *)
 
   val flip : t -> bool
   (** Run this process's part of the protocol until the coin's value is
@@ -35,22 +59,9 @@ module Make (R : Bprc_runtime.Runtime_intf.S) : sig
   val overflows : t -> int
   (** Number of times a process decided by counter overflow. *)
 
-  val create_custom :
-    ?name:string -> ?delta:int -> ?m:int -> seed:int -> unit -> t
-  (** [delta] is the barrier multiplier (threshold [δ·n], default 2);
-      [m] the counter bound. *)
-
-  val walk_value : t -> int
-  (** Current [Σ c_i] as seen by an instantaneous (checker-level) read,
-      including steps drawn but not yet published. *)
-
-  val published_walk_value : t -> int
-  (** [Σ c_i] over the counter values as last {e written} — what a scan
-      can actually observe.  Adversary/checker probe. *)
-
-  val pending_direction : t -> int -> int
-  (** [+1]/[-1] when the process has drawn a flip it has not yet
-      published, [0] otherwise.  The full-information adversary of the
-      paper's model is entitled to this (it sees local coin flips as
-      they happen); the adaptive schedulers in the harness use it. *)
+  val probe : t -> Coin_probe.t
+  (** The coin as the full-information adversary of the paper's model
+      sees it: every process in round 0, its counter as last written,
+      and the direction of a step it has drawn but not yet published.
+      Live: the one record tracks the run. *)
 end

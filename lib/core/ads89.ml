@@ -22,7 +22,7 @@ type 'r segment = {
           virtual-round checker. *)
 }
 
-type verdict = Heads | Tails | Undecided
+type verdict = Bprc_coin.Bounded_walk.verdict = Heads | Tails | Undecided
 
 module type STRIP = sig
   type t
@@ -63,7 +63,6 @@ struct
 
   type t = {
     strip : St.t;
-    threshold : int;  (** δ·n *)
     mem : state Snap.t;
     views : state array array;
         (** per-pid scan buffers: [views.(p)] is only ever refilled by
@@ -73,9 +72,9 @@ struct
     oracle_seed : int;
     (* Meta-level instrumentation, not part of the algorithm's shared
        state. *)
-    raw_round : int array;
-    coin_published : int array;  (** current-round counter as last written *)
-    coin_pending : int array;  (** drawn-but-unpublished step direction *)
+    probe : Bprc_coin.Coin_probe.t;
+        (** true round, current-round counter as last written, and
+            drawn-but-unpublished step direction, per process *)
     decided : bool option array;
     rounds_at_decision : int array;
     ghost_count : int array;
@@ -93,14 +92,11 @@ struct
     let init = { pref = None; round = St.init strip; ghost = 0 } in
     {
       strip;
-      threshold = delta * R.n;
       mem = Snap.create ~name ~init ();
       views = Array.init R.n (fun _ -> Array.make R.n init);
       mode = coin_mode;
       oracle_seed;
-      raw_round = Array.make R.n 0;
-      coin_published = Array.make R.n 0;
-      coin_pending = Array.make R.n 0;
+      probe = Bprc_coin.Coin_probe.create ~n:R.n ~threshold:(delta * R.n);
       decided = Array.make R.n None;
       rounds_at_decision = Array.make R.n (-1);
       ghost_count = Array.make R.n 0;
@@ -136,9 +132,9 @@ struct
   (* Adopt [v] and enter the next round (§5 [inc]). *)
   let enter t me v round =
     let round = St.advance t.strip round in
-    t.raw_round.(me) <- t.raw_round.(me) + 1;
-    t.coin_published.(me) <- 0;
-    t.coin_pending.(me) <- 0;
+    t.probe.rounds.(me) <- t.probe.rounds.(me) + 1;
+    t.probe.published.(me) <- 0;
+    t.probe.pending.(me) <- 0;
     write t me (Some v) round
 
   (* I lead, and every process preferring otherwise trails me by K. *)
@@ -187,7 +183,7 @@ struct
 
   let decide t me v =
     t.decided.(me) <- Some v;
-    t.rounds_at_decision.(me) <- t.raw_round.(me);
+    t.rounds_at_decision.(me) <- t.probe.rounds.(me);
     v
 
   (* The strip's decode holds from this process's scan to its next
@@ -224,18 +220,18 @@ struct
               enter t me v my.round;
               loop ()
             | Oracle_shared ->
-              enter t me (oracle_value t t.raw_round.(me)) my.round;
+              enter t me (oracle_value t t.probe.rounds.(me)) my.round;
               loop ()
             | Shared_walk -> (
               match St.coin t.strip view with
               | Undecided ->
                 let move = if R.flip () then 1 else -1 in
-                t.coin_pending.(me) <- move;
+                t.probe.pending.(me) <- move;
                 let round = St.walk t.strip my.round move in
                 t.walk_count <- t.walk_count + 1;
                 write t me None round;
-                t.coin_published.(me) <- St.counter t.strip round;
-                t.coin_pending.(me) <- 0;
+                t.probe.published.(me) <- St.counter t.strip round;
+                t.probe.pending.(me) <- 0;
                 loop ()
               | Heads ->
                 enter t me true my.round;
@@ -251,7 +247,7 @@ struct
       scans = t.scan_count;
       writes = t.write_count;
       walk_steps = t.walk_count;
-      max_raw_round = Array.fold_left max 0 t.raw_round;
+      max_raw_round = Array.fold_left max 0 t.probe.rounds;
       decided = Array.copy t.decided;
       rounds_at_decision = Array.copy t.rounds_at_decision;
     }
@@ -264,13 +260,7 @@ struct
      space accounting; the snapshot layer adds its own control bits. *)
   let space t = Snap.space ~value_bits:(state_bits t) t.mem
 
-  let coin_probe t =
-    {
-      Coin_probe.rounds = Array.copy t.raw_round;
-      published = Array.copy t.coin_published;
-      pending = Array.copy t.coin_pending;
-      threshold = t.threshold;
-    }
+  let coin_probe t = t.probe
 
   let recorded_scans t =
     match t.recorder with
@@ -357,7 +347,7 @@ module Bounded = struct
     let st = view.(me).round in
     let kp1 = s.k + 1 in
     let own = st.coins.((st.current_coin + 1) mod kp1) in
-    if own < -s.m || own > s.m then Heads
+    if Bprc_coin.Bounded_walk.overflowed ~m:s.m own then Heads
     else begin
       let sum = ref own in
       for j = 0 to Array.length view - 1 do
@@ -370,9 +360,7 @@ module Bounded = struct
           end
         end
       done;
-      if !sum > s.threshold then Heads
-      else if !sum < -s.threshold then Tails
-      else Undecided
+      Bprc_coin.Bounded_walk.barrier ~threshold:s.threshold !sum
     end
 
   (* §5 [inc]: bump the coin pointer, zero the slot now standing for the
@@ -392,9 +380,7 @@ module Bounded = struct
   let walk s st move =
     let slot = (st.current_coin + 1) mod (s.k + 1) in
     let coins = Array.copy st.coins in
-    let c = coins.(slot) + move in
-    coins.(slot) <-
-      (if c > s.m + 1 then s.m + 1 else if c < -s.m - 1 then -s.m - 1 else c);
+    coins.(slot) <- Bprc_coin.Bounded_walk.step ~m:s.m coins.(slot) move;
     { st with coins }
 
   let counter s st = st.coins.((st.current_coin + 1) mod (s.k + 1))

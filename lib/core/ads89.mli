@@ -62,8 +62,8 @@ type 'r segment = {
 }
 (** One process's segment of the scannable memory. *)
 
-type verdict = Heads | Tails | Undecided
-(** A round coin as read from one view. *)
+type verdict = Bprc_coin.Bounded_walk.verdict = Heads | Tails | Undecided
+(** A round coin as read from one view: the §3 coin's verdict. *)
 
 (** A strip: one process's round state and round coins, and how they
     are decoded from a scan, advanced, and walked.  These are the only

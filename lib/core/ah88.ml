@@ -57,9 +57,7 @@ module Unbounded = struct
       let coins = view.(j).round.coins in
       if r < Array.length coins then sum := !sum + coins.(r)
     done;
-    if !sum > s.threshold then Ads89.Heads
-    else if !sum < -s.threshold then Ads89.Tails
-    else Ads89.Undecided
+    Bprc_coin.Bounded_walk.barrier ~threshold:s.threshold !sum
 
   (* Round + 1, with one more counter. *)
   let advance s st =

@@ -58,9 +58,10 @@ module type S = sig
       memory's register groups with [state_bits] as the value width.
       Checker-side ghost fields are excluded. *)
 
-  val coin_probe : t -> Coin_probe.t
+  val coin_probe : t -> Bprc_coin.Coin_probe.t
   (** Meta-level view of the per-round coin counters, for the
-      full-information adaptive adversaries of the harness. *)
+      full-information adaptive adversaries of the harness.  Live: the
+      one record tracks the run. *)
 
   val recorded_scans : t -> Virtual_rounds.obs list
   (** The scans observed so far (empty unless [record_scans]), in

@@ -4,13 +4,8 @@ let default = { k = 2; delta = 2; m = None }
 
 let validate t ~n =
   if t.k <= 0 then invalid_arg "Params: k must be positive";
-  if t.delta <= 0 then invalid_arg "Params: delta must be positive";
   if n <= 0 then invalid_arg "Params: n must be positive";
-  let threshold = t.delta * n in
-  let m =
-    match t.m with Some m -> m | None -> 4 * threshold * threshold
-  in
-  if m <= threshold then invalid_arg "Params: m must exceed the barrier";
+  let _, m = Bprc_coin.Bounded_walk.bounds ~delta:t.delta ~m:t.m ~n in
   (t.k, t.delta, m)
 
 let bits_for x =

@@ -15,7 +15,8 @@ val default : t
 (** [{ k = 2; delta = 2; m = None }]. *)
 
 val validate : t -> n:int -> int * int * int
-(** [(k, delta, m)] with [m] resolved.  @raise Invalid_argument on
+(** [(k, delta, m)] with [m] resolved by
+    {!Bprc_coin.Bounded_walk.bounds}.  @raise Invalid_argument on
     nonsensical values. *)
 
 val bits_for : int -> int

@@ -132,9 +132,10 @@ let e2_coin_steps ?(quick = false) ?pool () =
 let e3_overflow ?(quick = false) ?pool () =
   let n = 4 in
   let delta = 2 in
-  let threshold = delta * n in
+  let threshold, default_m =
+    Bprc_coin.Bounded_walk.bounds ~delta ~m:None ~n
+  in
   let trials = scale quick 300 in
-  let default_m = 4 * threshold * threshold in
   let root = Bprc_rng.Splitmix.create ~seed:0xE3 in
   let rows =
     List.mapi
@@ -736,7 +737,7 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
      (the protocol only relies on P1-P3). *)
   let cap = 1_000_000 in
   let root = Bprc_rng.Splitmix.create ~seed:0xE13 in
-  let consensus_cost c make_snap name =
+  let consensus_cost c protocol name =
     let runs =
       samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials (fun rng ->
           let seed = seed_of rng in
@@ -745,10 +746,8 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
               ~adversary:(Bprc_runtime.Adversary.random ()) ()
           in
           let inputs = Run.inputs_of_pattern Run.Random_inputs ~n ~seed in
-          let decisions = make_snap sim inputs in
-          let ok = Bprc_core.Spec.check ~inputs ~decisions = Ok () in
-          let clock = Bprc_runtime.Sim.clock sim in
-          (ok, clock))
+          let r = Run.consensus_on sim ~protocol ~max_steps:cap ~inputs () in
+          (r.Run.spec = Ok (), r.Run.steps))
     in
     let ok = Array.for_all (fun (ok, _) -> ok) runs in
     let steps =
@@ -768,51 +767,21 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
        else Printf.sprintf "%d/%d (livelock)" timeouts trials);
     ]
   in
-  let over_handshake sim inputs =
-    let module C = Bprc_core.Ads89.Make ((val Bprc_runtime.Sim.runtime sim)) in
-    let t = C.create () in
-    let handles =
-      Array.init n (fun i ->
-          Bprc_runtime.Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
-    in
-    ignore (Bprc_runtime.Sim.run sim);
-    Array.map Bprc_runtime.Sim.result handles
-  in
-  let over_unbounded sim inputs =
-    let module Snap = Bprc_snapshot.Unbounded.Make ((val Bprc_runtime.Sim.runtime sim)) in
-    let module C =
-      Bprc_core.Ads89.Make_over_snapshot
-        ((val Bprc_runtime.Sim.runtime sim))
-        (Snap)
-    in
-    let t = C.create () in
-    let handles =
-      Array.init n (fun i ->
-          Bprc_runtime.Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
-    in
-    ignore (Bprc_runtime.Sim.run sim);
-    Array.map Bprc_runtime.Sim.result handles
-  in
-  let over_embedded sim inputs =
-    let module Snap = Bprc_snapshot.Embedded.Make ((val Bprc_runtime.Sim.runtime sim)) in
-    let module C =
-      Bprc_core.Ads89.Make_over_snapshot
-        ((val Bprc_runtime.Sim.runtime sim))
-        (Snap)
-    in
-    let t = C.create () in
-    let handles =
-      Array.init n (fun i ->
-          Bprc_runtime.Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
-    in
-    ignore (Bprc_runtime.Sim.run sim);
-    Array.map Bprc_runtime.Sim.result handles
+  let over_double_collect (module R : Bprc_runtime.Runtime_intf.BATCHED) :
+      (module Bprc_core.Consensus_intf.S) =
+    (module Bprc_core.Ads89.Make_over_snapshot
+              (R)
+              (Bprc_snapshot.Unbounded.Make (R)))
   in
   let rows =
     [
-      consensus_cost 0 over_handshake "handshake (paper §2, bounded)";
-      consensus_cost 1 over_unbounded "double collect (unbounded seqnos)";
-      consensus_cost 2 over_embedded "embedded scans (wait-free, unbounded)";
+      consensus_cost 0
+        (Run.protocol (Run.Ads Bprc_core.Ads89.Shared_walk))
+        "handshake (paper §2, bounded)";
+      consensus_cost 1 over_double_collect "double collect (unbounded seqnos)";
+      consensus_cost 2
+        (Run.protocol (Run.Ads_esnap Bprc_core.Ads89.Shared_walk))
+        "embedded scans (wait-free, unbounded)";
     ]
   in
   Table.make ~id:"E13"

@@ -1,4 +1,4 @@
-(** The paper's evaluation, reproduced as fourteen experiments (see DESIGN.md
+(** The paper's evaluation, reproduced as sixteen experiments (see DESIGN.md
     §3 and EXPERIMENTS.md for the mapping to the paper's claims).
 
     Each experiment returns a {!Table.t}; [quick] shrinks trial counts

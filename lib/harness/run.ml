@@ -88,9 +88,27 @@ let plain_adversary = function
   | Round_robin_sched -> Adversary.round_robin ()
   | Bursty_sched b -> Adversary.bursty ~burst:b ()
   | Anti_coin_sched | Osc_coin_sched ->
-    (* Without the coin probes these degrade to random; [coin_once]
-       installs the informed versions. *)
+    (* Without the coin probes these degrade to random;
+       [install_probe_adversary] installs the informed versions. *)
     Adversary.random ()
+
+(* The adaptive adversaries probe the coin or protocol instance, which
+   exists only after the sim: the sim starts with [plain_adversary
+   sched], and these replace it once the instance is built. *)
+let install_probe_adversary sim ~sched ~probe =
+  let n = Sim.n sim in
+  let published_sum () =
+    Bprc_coin.Coin_probe.published_sum_at_front (probe ())
+  in
+  let pending pid = Bprc_coin.Coin_probe.pending_at_front (probe ()) pid in
+  match sched with
+  | Anti_coin_sched ->
+    Sim.set_adversary sim (stretch_adversary ~published_sum ~pending ())
+  | Osc_coin_sched ->
+    let threshold = (probe ()).Bprc_coin.Coin_probe.threshold in
+    Sim.set_adversary sim
+      (oscillation_adversary ~n ~threshold ~published_sum ~pending ())
+  | Random_sched | Round_robin_sched | Bursty_sched _ -> ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -106,19 +124,8 @@ let coin_once ?(delta = 2) ?m ?(sched = Random_sched) ?(max_steps = 10_000_000)
     ~n ~seed () =
   let sim = Sim.create ~seed ~max_steps ~n ~adversary:(plain_adversary sched) () in
   let module C = Bprc_coin.Bounded_walk.Make ((val Sim.runtime sim)) in
-  let coin = C.create_custom ~delta ?m ~seed () in
-  (* The adaptive adversaries probe the coin, which exists only after
-     the sim. *)
-  let published_sum () = C.published_walk_value coin in
-  let pending pid = C.pending_direction coin pid in
-  (match sched with
-  | Anti_coin_sched ->
-    Sim.set_adversary sim (stretch_adversary ~published_sum ~pending ())
-  | Osc_coin_sched ->
-    Sim.set_adversary sim
-      (oscillation_adversary ~n ~threshold:(delta * n) ~published_sum
-         ~pending ())
-  | Random_sched | Round_robin_sched | Bursty_sched _ -> ());
+  let coin = C.create ~delta ?m () in
+  install_probe_adversary sim ~sched ~probe:(fun () -> C.probe coin);
   let handles = Array.init n (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   let coin_completed = Sim.run sim = Sim.Completed in
   let values = Array.to_list handles |> List.filter_map Sim.result in
@@ -189,22 +196,36 @@ type consensus_run = {
   registers_used : int;
 }
 
-(* The adaptive adversaries probe the protocol instance, which exists
-   only after the sim: the sim starts with [plain_adversary sched], and
-   these replace it once the instance is built. *)
-let install_probe_adversary sim ~n ~sched ~probe =
-  let published_sum () =
-    Bprc_core.Coin_probe.published_sum_at_front (probe ())
+let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
+    ?(coin_mode = Bprc_core.Ads89.Shared_walk) ?(oracle_seed = 0)
+    ?(sched = Random_sched) ?(faults = []) ~max_steps ~inputs () =
+  let n = Sim.n sim in
+  let (module C : Bprc_core.Consensus_intf.S) =
+    protocol (Bprc_faults.Inject.weaken_batched (Sim.batched sim) ~plan:faults)
   in
-  let pending pid = Bprc_core.Coin_probe.pending_at_front (probe ()) pid in
-  match sched with
-  | Anti_coin_sched ->
-    Sim.set_adversary sim (stretch_adversary ~published_sum ~pending ())
-  | Osc_coin_sched ->
-    let threshold = (probe ()).Bprc_core.Coin_probe.threshold in
-    Sim.set_adversary sim
-      (oscillation_adversary ~n ~threshold ~published_sum ~pending ())
-  | Random_sched | Round_robin_sched | Bursty_sched _ -> ()
+  let t = C.create ~params ~coin_mode ~oracle_seed () in
+  install_probe_adversary sim ~sched ~probe:(fun () -> C.coin_probe t);
+  let handles =
+    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+  in
+  let completed =
+    Bprc_faults.Inject.drive sim
+      ~driver:(Bprc_faults.Inject.driver ~n faults)
+      ~max_steps
+  in
+  let decisions = Array.map Sim.result handles in
+  let st = C.stats t in
+  {
+    completed;
+    steps = Sim.clock sim;
+    decisions;
+    max_round = st.Bprc_core.Ads89.max_raw_round;
+    register_bits = C.register_bits t;
+    walk_steps = st.Bprc_core.Ads89.walk_steps;
+    spec = Bprc_core.Spec.check ~inputs ~decisions;
+    space = C.space t;
+    registers_used = Sim.registers_created sim;
+  }
 
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(faults = []) ~algo
@@ -235,33 +256,10 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
       sim
     | None -> Sim.create ~seed ~max_steps ~n ~adversary ()
   in
-  let driver = Bprc_faults.Inject.driver ~n faults in
-  let drive () = Bprc_faults.Inject.drive sim ~driver ~max_steps in
-  let batched =
-    Bprc_faults.Inject.weaken_batched (Sim.batched sim) ~plan:faults
-  in
-  let (module C : Bprc_core.Consensus_intf.S) = protocol algo batched in
   let coin_mode =
     match algo with
     | Ads mode | Ads_esnap mode -> mode
     | Ah -> Bprc_core.Ads89.Shared_walk
   in
-  let t = C.create ~params ~coin_mode ~oracle_seed:seed () in
-  install_probe_adversary sim ~n ~sched ~probe:(fun () -> C.coin_probe t);
-  let handles =
-    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
-  in
-  let completed = drive () in
-  let decisions = Array.map Sim.result handles in
-  let st = C.stats t in
-  {
-    completed;
-    steps = Sim.clock sim;
-    decisions;
-    max_round = st.Bprc_core.Ads89.max_raw_round;
-    register_bits = C.register_bits t;
-    walk_steps = st.Bprc_core.Ads89.walk_steps;
-    spec = Bprc_core.Spec.check ~inputs ~decisions;
-    space = C.space t;
-    registers_used = Sim.registers_created sim;
-  }
+  consensus_on sim ~protocol:(protocol algo) ~params ~coin_mode
+    ~oracle_seed:seed ~sched ~faults ~max_steps ~inputs ()

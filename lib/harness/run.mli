@@ -20,18 +20,9 @@ val sched_name : sched -> string
 
 val plain_adversary : sched -> Bprc_runtime.Adversary.t
 (** The adversary a run under [sched] starts with.  The two adaptive
-    schedulers start as the random one: they need probes into the
-    protocol instance, which exists only after the simulator. *)
-
-val install_probe_adversary :
-  Bprc_runtime.Sim.t ->
-  n:int ->
-  sched:sched ->
-  probe:(unit -> Bprc_core.Coin_probe.t) ->
-  unit
-(** Replace the simulator's adversary with the adaptive one [sched]
-    names, reading the protocol instance through [probe]; a no-op for
-    the non-adaptive schedulers.  Call once the instance is built. *)
+    schedulers start as the random one: they need probes into the coin
+    or protocol instance, which exists only after the simulator, and
+    {!coin_once} and {!consensus_on} install them once it is built. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -53,7 +44,7 @@ val coin_once :
   unit ->
   coin_run
 (** One standalone bounded-walk shared coin (§3) among [n] simulated
-    processes. *)
+    processes.  [delta] and [m] as {!Bprc_coin.Bounded_walk.bounds}. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -101,6 +92,28 @@ type consensus_run = {
           [Space.registers space] when the report is honest *)
 }
 
+val consensus_on :
+  Bprc_runtime.Sim.t ->
+  protocol:
+    ((module Bprc_runtime.Runtime_intf.BATCHED) ->
+    (module Bprc_core.Consensus_intf.S)) ->
+  ?params:Bprc_core.Params.t ->
+  ?coin_mode:Bprc_core.Ads89.coin_mode ->
+  ?oracle_seed:int ->
+  ?sched:sched ->
+  ?faults:Bprc_faults.Fault_plan.t ->
+  max_steps:int ->
+  inputs:bool array ->
+  unit ->
+  consensus_run
+(** Every simulated consensus run: on a simulator its caller created or
+    reset, weaken the registers [faults] names, build a [protocol]
+    instance ([params], [coin_mode], [oracle_seed]), install [sched]'s
+    adaptive adversary if any (see {!plain_adversary}), spawn one process per input, drive the
+    run for at most [max_steps] while firing [faults]' crashes and
+    stalls, and check the decisions.  Otherwise the simulator's
+    adversary and its trace and flip hooks stay the caller's. *)
+
 val consensus_once :
   ?sim:Bprc_runtime.Sim.t ->
   ?params:Bprc_core.Params.t ->
@@ -113,7 +126,11 @@ val consensus_once :
   seed:int ->
   unit ->
   consensus_run
-(** [faults] is a declarative fault plan (crash/stall faults fire on the
+(** {!consensus_on} with the inputs of [pattern] on a fresh simulator
+    seeded with [seed], whose adversary is [plain_adversary sched];
+    [seed] also seeds the oracle coin.
+
+    [faults] is a declarative fault plan (crash/stall faults fire on the
     targeted process's own step count, [Weaken] faults downgrade
     registers — see {!Bprc_faults.Inject}).  Link faults in [faults]
     are ignored here (shared-memory run).

@@ -15,12 +15,19 @@ let make ~id ~title ~columns ?(notes = []) ?(metrics = []) rows =
     rows;
   { id; title; columns; rows; notes; metrics }
 
+(* Display width: the UTF-8 code points, i.e. the bytes that do not
+   continue a multi-byte sequence. *)
+let width s =
+  let w = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr w) s;
+  !w
+
 let render t =
   let all = t.columns :: t.rows in
   let ncols = List.length t.columns in
   let widths = Array.make ncols 0 in
   List.iter
-    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
+    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (width cell)))
     all;
   let buf = Buffer.create 1024 in
   let line ch =
@@ -36,8 +43,10 @@ let render t =
     Buffer.add_char buf '|';
     List.iteri
       (fun i cell ->
-        Buffer.add_string buf
-          (Printf.sprintf " %-*s |" widths.(i) cell))
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf cell;
+        Buffer.add_string buf (String.make (widths.(i) - width cell) ' ');
+        Buffer.add_string buf " |")
       cells;
     Buffer.add_char buf '\n'
   in

@@ -1,4 +1,4 @@
-(** Aligned ASCII tables (and CSV / JSON) for experiment output. *)
+(** Aligned text tables (and CSV / JSON) for experiment output. *)
 
 type t = {
   id : string;  (** experiment identifier, e.g. "E2" *)
@@ -17,6 +17,9 @@ val make :
   string list list -> t
 
 val render : t -> string
+(** The table with its title and notes, each column padded to its
+    widest cell by display width: UTF-8 code points, not bytes. *)
+
 val print : t -> unit
 val to_csv : t -> string
 

@@ -17,7 +17,7 @@ let run_coin ~n ~seed ~adversary (make : (module Runtime_intf.S) -> unit -> bool
 
 let bounded rt =
   let module C = Bounded_walk.Make ((val rt : Runtime_intf.S)) in
-  let coin = C.create ~seed:1 () in
+  let coin = C.create () in
   fun () -> C.flip coin
 
 let test_bounded_singleton_decides () =
@@ -62,9 +62,19 @@ let test_bounded_rejects_bad_params () =
   let sim = Sim.create ~seed:1 ~n:2 ~adversary:(Adversary.random ()) () in
   let module C = Bounded_walk.Make ((val Sim.runtime sim)) in
   Alcotest.check_raises "delta" (Invalid_argument "Bounded_walk: delta must be positive")
-    (fun () -> ignore (C.create_custom ~delta:0 ~seed:1 ()));
+    (fun () -> ignore (C.create ~delta:0 ()));
   Alcotest.check_raises "m" (Invalid_argument "Bounded_walk: m must exceed the barrier")
-    (fun () -> ignore (C.create_custom ~delta:2 ~m:3 ~seed:1 ()))
+    (fun () -> ignore (C.create ~delta:2 ~m:3 ()))
+
+(* Every counter as last written, and with its drawn step, inside the
+   clamped band ±(m+1). *)
+let in_band ~m (p : Coin_probe.t) =
+  let ok = ref true in
+  Array.iteri
+    (fun i c ->
+      if abs c > m + 1 || abs (c + p.pending.(i)) > m + 1 then ok := false)
+    p.published;
+  !ok
 
 let test_bounded_overflow_escape () =
   (* A minimal counter bound forces overflows; every process still
@@ -73,7 +83,7 @@ let test_bounded_overflow_escape () =
   for seed = 1 to 20 do
     let sim = Sim.create ~seed ~n:2 ~adversary:(Adversary.random ()) () in
     let module C = Bounded_walk.Make ((val Sim.runtime sim)) in
-    let coin = C.create_custom ~delta:2 ~m:5 ~seed () in
+    let coin = C.create ~delta:2 ~m:5 () in
     let hs = Array.init 2 (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
     (match Sim.run sim with
     | Sim.Completed -> ()
@@ -99,11 +109,11 @@ let test_bounded_overflow_deterministic_heads () =
   let delta = 2 and m = 5 in
   let sim = Sim.create ~seed:11 ~n ~adversary:(Adversary.round_robin ()) () in
   let module C = Bounded_walk.Make ((val Sim.runtime sim)) in
-  let coin = C.create_custom ~delta ~m ~seed:11 () in
+  let coin = C.create ~delta ~m () in
   Sim.set_flip_source sim (fun ~pid -> pid = 0);
   let band_ok = ref true in
   Sim.set_flip_observer sim (fun ~pid:_ _ ->
-      if abs (C.walk_value coin) > n * (m + 1) then band_ok := false);
+      if not (in_band ~m (C.probe coin)) then band_ok := false);
   let hs = Array.init n (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   (match Sim.run sim with
   | Sim.Completed -> ()
@@ -116,25 +126,23 @@ let test_bounded_overflow_deterministic_heads () =
   Alcotest.(check int) "both processes escaped by overflow" 2
     (C.overflows coin);
   Alcotest.(check bool) "counters stayed in the clamped band" true !band_ok;
-  Alcotest.(check bool) "final walk value in band" true
-    (abs (C.walk_value coin) <= n * (m + 1))
+  Alcotest.(check bool) "final counters in band" true
+    (in_band ~m (C.probe coin))
 
 let test_bounded_counters_stay_in_band () =
   (* Counters never leave ±(m+1) even under adversarial bursts. *)
   let sim = Sim.create ~seed:5 ~n:3 ~adversary:(Adversary.bursty ~burst:9 ()) () in
   let module C = Bounded_walk.Make ((val Sim.runtime sim)) in
   let m = 6 in
-  let coin = C.create_custom ~delta:1 ~m ~seed:5 () in
+  let coin = C.create ~delta:1 ~m () in
   let _ = Array.init 3 (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   ignore (Sim.run sim);
-  (* walk_value folds the shadow counters; each is clamped. *)
-  Alcotest.(check bool) "walk value bounded" true
-    (abs (C.walk_value coin) <= 3 * (m + 1))
+  Alcotest.(check bool) "counters bounded" true (in_band ~m (C.probe coin))
 
 let test_bounded_steps_accounted () =
   let sim = Sim.create ~seed:6 ~n:2 ~adversary:(Adversary.random ()) () in
   let module C = Bounded_walk.Make ((val Sim.runtime sim)) in
-  let coin = C.create ~seed:6 () in
+  let coin = C.create () in
   let _ = Array.init 2 (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   ignore (Sim.run sim);
   Alcotest.(check bool) "walk steps recorded" true (C.total_walk_steps coin > 0)
@@ -155,7 +163,7 @@ let test_bounded_walk_step_alloc_bounded () =
     Sim.create ~seed:21 ~max_steps ~n ~adversary:(Adversary.round_robin ()) ()
   in
   let module C = Bounded_walk.Make ((val Sim.runtime sim)) in
-  let coin = C.create_custom ~delta:2 ~m:1_000_000 ~seed:21 () in
+  let coin = C.create ~delta:2 ~m:1_000_000 () in
   Sim.set_flip_source sim (fun ~pid -> pid = 0);
   let _ = Array.init n (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   Gc.full_major ();

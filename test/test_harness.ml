@@ -105,6 +105,29 @@ let test_table_render () =
          (fun line -> String.trim line = "a note")
          (String.split_on_char '\n' s))
 
+let test_table_unicode_alignment () =
+  (* Cells with multi-byte UTF-8 text pad by code points, so every
+     row of the rendered table has the same display width. *)
+  let t =
+    Table.make ~id:"U" ~title:"widths" ~columns:[ "bound 1/(2δ)"; "b" ]
+      [ [ "0.25"; "§2" ]; [ "handshake (paper §2)"; "x" ] ]
+  in
+  let width s =
+    String.fold_left
+      (fun w c -> if Char.code c land 0xC0 <> 0x80 then w + 1 else w)
+      0 s
+  in
+  let lines =
+    String.split_on_char '\n' (Table.render t)
+    |> List.filter (fun l -> l <> "" && (l.[0] = '|' || l.[0] = '+'))
+  in
+  Alcotest.(check int) "header, rule lines, rows" 6 (List.length lines);
+  List.iter
+    (fun l -> Alcotest.(check int) ("width of " ^ l) 29 (width l))
+    lines;
+  Alcotest.(check string) "csv unchanged"
+    "bound 1/(2δ),b\n0.25,§2\nhandshake (paper §2),x\n" (Table.to_csv t)
+
 let test_table_row_mismatch () =
   Alcotest.check_raises "row width" (Invalid_argument "Table.make: row width mismatch")
     (fun () ->
@@ -424,6 +447,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mean_between_min_max;
     Alcotest.test_case "table: render" `Quick test_table_render;
     Alcotest.test_case "table: row mismatch" `Quick test_table_row_mismatch;
+    Alcotest.test_case "table: pads by display width" `Quick
+      test_table_unicode_alignment;
     Alcotest.test_case "table: csv" `Quick test_table_csv;
     Alcotest.test_case "table: csv escaping" `Quick test_table_csv_escaping;
     Alcotest.test_case "table: float formatting" `Quick test_fmt_float;

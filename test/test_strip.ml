@@ -1033,3 +1033,172 @@ let suite =
       Alcotest.test_case "into: incremental refill allocates nothing" `Quick
         test_incremental_refill_no_alloc;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The edge-counter game, exhaustively (ROADMAP item 1.1)              *)
+(* ------------------------------------------------------------------ *)
+
+(* A breadth-first search over the edge-counter game alone: no coin,
+   no snapshot, no consensus.  A state is the n x n counter matrix and,
+   in the split game, each process's pending row.
+
+   - Atomic game: a move of process [i] sets row [i] to [inc_row] of
+     the current matrix, scan and write in one step.
+   - Split game: a scan of [i] sets its pending row to that same row; a
+     write copies the pending row into row [i] and clears it.  This is
+     how the §5 loop publishes an increment: the scan and the write are
+     two steps, and other processes may move in between.
+
+   Every reached matrix must be valid and decode to a graph with no
+   positive cycle, a consistent total order and weights in range.  The
+   result is the number of states reached, and the moves to the first
+   bad matrix in breadth-first order (so a shortest one) with that
+   matrix. *)
+
+type game_move = Inc of int | Scan of int | Write of int
+
+let game_move_name = function
+  | Inc i -> Printf.sprintf "inc %d" i
+  | Scan i -> Printf.sprintf "scan %d" i
+  | Write i -> Printf.sprintf "write %d" i
+
+(* A state is one flat array: the matrix row by row, then (split game)
+   the pending rows, -1 throughout for none. *)
+module Game_states = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 64
+end)
+
+(* The decode of a sound matrix, [None] for a bad one. *)
+let sound_decode ec =
+  if not (Edge_counters.valid ec) then None
+  else
+    let g = Edge_counters.to_graph ec in
+    if
+      Distance_graph.no_positive_cycle g
+      && Distance_graph.total_order_consistent g
+      && Distance_graph.weights_in_range g
+    then Some g
+    else None
+
+let explore_game ~split ~k ~n =
+  let nn = n * n in
+  let rows st = Array.init n (fun i -> Array.sub st (i * n) n) in
+  let start = Array.make (if split then 2 * nn else nn) 0 in
+  if split then Array.fill start nn nn (-1);
+  let parent = Game_states.create 4096 in
+  Game_states.replace parent start None;
+  let queue = Queue.create () in
+  Queue.add start queue;
+  let rec path st acc =
+    match Game_states.find parent st with
+    | None -> acc
+    | Some (prev, mv) -> path prev (mv :: acc)
+  in
+  let visit prev mv st =
+    if not (Game_states.mem parent st) then begin
+      Game_states.replace parent st (Some (prev, mv));
+      Queue.add st queue
+    end
+  in
+  let rec loop () =
+    match Queue.take_opt queue with
+    | None -> None
+    | Some st ->
+      let m = rows (Array.sub st 0 nn) in
+      let ec = Edge_counters.of_rows ~k m in
+      match sound_decode ec with
+      | None -> Some (path st [], m)
+      | Some graph ->
+        for i = 0 to n - 1 do
+          let row = Edge_counters.inc_row_with ec ~graph i in
+          if not split then begin
+            let st' = Array.copy st in
+            Array.blit row 0 st' (i * n) n;
+            visit st (Inc i) st'
+          end
+          else begin
+            let scanned = Array.copy st in
+            Array.blit row 0 scanned (nn + (i * n)) n;
+            visit st (Scan i) scanned;
+            if st.(nn + (i * n)) >= 0 then begin
+              let written = Array.copy st in
+              Array.blit st (nn + (i * n)) written (i * n) n;
+              Array.fill written (nn + (i * n)) n (-1);
+              visit st (Write i) written
+            end
+          end
+        done;
+        loop ()
+  in
+  let bad = loop () in
+  (Game_states.length parent, bad)
+
+let test_edge_game () =
+  let expect ~split ~n ~k want =
+    let states, bad = explore_game ~split ~k ~n in
+    let got =
+      match bad with
+      | None -> Printf.sprintf "clean, %d states" states
+      | Some (moves, _) -> Printf.sprintf "fails at depth %d" (List.length moves)
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s game, n=%d, K=%d"
+         (if split then "split" else "atomic")
+         n k)
+      want got
+  in
+  List.iter
+    (fun (n, k, want) -> expect ~split:false ~n ~k want)
+    [
+      (2, 1, "clean, 9 states");
+      (2, 2, "clean, 30 states");
+      (2, 3, "clean, 63 states");
+      (3, 1, "clean, 351 states");
+      (3, 2, "clean, 7992 states");
+      (3, 3, "clean, 53217 states");
+    ];
+  (* THE FAILING ROWS PIN ROADMAP ITEM 1'S DEFECT, as known-defects.t
+     does: with scan and write as separate steps, a process writes a
+     row computed against a stale matrix.  The fix flips them. *)
+  List.iter
+    (fun (n, k, want) -> expect ~split:true ~n ~k want)
+    [
+      (2, 1, "clean, 60 states");
+      (2, 2, "clean, 216 states");
+      (2, 3, "clean, 468 states");
+      (3, 1, "fails at depth 8");
+      (3, 2, "fails at depth 14");
+      (3, 3, "fails at depth 20");
+    ]
+
+let test_edge_game_witness () =
+  match explore_game ~split:true ~k:2 ~n:3 with
+  | _, None -> Alcotest.fail "split game n=3, K=2 is clean"
+  | _, Some (moves, matrix) ->
+    Alcotest.(check (list string))
+      "shortest witness"
+      [
+        "scan 0"; "write 0"; "scan 0"; "write 0"; "scan 1"; "write 1";
+        "scan 0"; "scan 1"; "write 1"; "scan 2"; "write 2"; "scan 2";
+        "write 0"; "write 2";
+      ]
+      (List.map game_move_name moves);
+    (* Process 0 scans while it leads both others by K and so leaves
+       their edges alone; it writes after they have caught up: 0 leads
+       1 by one, yet both are level with 2. *)
+    Alcotest.(check (array (array int)))
+      "bad matrix"
+      [| [| 0; 3; 2 |]; [| 2; 0; 2 |]; [| 2; 2; 0 |] |]
+      matrix
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "game: edge counters, atomic and split" `Quick
+        test_edge_game;
+      Alcotest.test_case "game: split n=3 K=2 witness" `Quick
+        test_edge_game_witness;
+    ]
