@@ -87,7 +87,4 @@ module Make (S : SPEC) = struct
     end
 
   let check events = check_events (Array.of_list events)
-
-  let pp_history ppf events =
-    Fmt.(list ~sep:sp (Hist.pp_event S.pp_op)) ppf events
 end

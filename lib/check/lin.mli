@@ -50,6 +50,4 @@ module Make (S : SPEC) : sig
   (** [check] on {!Hist.events_array} output: the explorer's per-run
       hot path, skipping the intermediate event list.  The array is
       not modified. *)
-
-  val pp_history : Format.formatter -> S.op Hist.event list -> unit
 end

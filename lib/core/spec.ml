@@ -20,8 +20,3 @@ let check ~inputs ~decisions =
              inputs.(0) d0)
       else Ok ()
     end
-
-let check_exn ~inputs ~decisions =
-  match check ~inputs ~decisions with
-  | Ok () -> ()
-  | Error e -> failwith e

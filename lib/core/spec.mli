@@ -10,6 +10,3 @@ val check :
     - decisions of processes that did not decide ([None], e.g. crashed
       or still running) are ignored.
     @raise Invalid_argument on length mismatch. *)
-
-val check_exn : inputs:bool array -> decisions:bool option array -> unit
-(** @raise Failure with the explanation when {!check} fails. *)

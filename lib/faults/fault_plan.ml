@@ -31,11 +31,6 @@ let weaken_target plan ~index =
 let crash_count plan =
   List.length (List.filter (function Crash _ -> true | _ -> false) plan)
 
-let has_link_fault plan =
-  List.exists
-    (function Drop _ | Duplicate _ | Delay _ -> true | _ -> false)
-    plan
-
 let liveness_threatening plan =
   List.exists (function Drop _ | Duplicate _ -> true | _ -> false) plan
 

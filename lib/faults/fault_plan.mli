@@ -36,7 +36,6 @@ val weaken_target : t -> index:int -> semantics option
     (last matching fault wins; a [-1] fault matches every index). *)
 
 val crash_count : t -> int
-val has_link_fault : t -> bool
 
 val liveness_threatening : t -> bool
 (** [true] when the plan contains [Drop] or [Duplicate] faults, which

@@ -33,8 +33,6 @@ let of_state s =
 let create ~seed = of_state (mix64 (Int64.of_int seed))
 
 let copy t = Bytes.sub t 0 8
-let reseed t ~seed = set t (mix64 (Int64.of_int seed))
-let assign t ~of_ = Bytes.blit of_ 0 t 0 8
 
 let[@inline] next64 t =
   let s = Int64.add ((get [@inlined]) t) golden_gamma in

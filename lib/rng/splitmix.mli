@@ -17,16 +17,6 @@ val copy : t -> t
 (** [copy t] is an independent generator that will replay exactly the
     future outputs of [t]. *)
 
-val reseed : t -> seed:int -> unit
-(** Reset [t] in place to the state [create ~seed] produces, without
-    allocating.  Lets long-lived arenas (e.g. a reused simulator) be
-    rewound to a reproducible state. *)
-
-val assign : t -> of_:t -> unit
-(** [assign t ~of_] overwrites [t]'s state in place so it will replay
-    exactly the future outputs of [of_].  The in-place counterpart of
-    {!copy}. *)
-
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -462,108 +462,3 @@ let suite =
     Alcotest.test_case "bloom: reread random soak" `Quick
       test_bloom_reread_atomic_random_soak;
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Bounded sequential timestamps (Israeli-Li style)                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_ts_new_dominates_all () =
-  (* n processes, each holding one label; random relabeling; every new
-     label must dominate all labels alive at its creation (including
-     the taker's old one). *)
-  let rng = Bprc_rng.Splitmix.create ~seed:71 in
-  List.iter
-    (fun n ->
-      let ts = Bounded_ts.create ~n in
-      let held = Array.make n (Bounded_ts.initial ts) in
-      for _ = 1 to 2000 do
-        let taker = Bprc_rng.Splitmix.int rng n in
-        let alive = Array.to_list held in
-        let fresh = Bounded_ts.new_label ts ~alive in
-        List.iter
-          (fun old ->
-            if not (Bounded_ts.dominates fresh old) then
-              Alcotest.failf "fresh %s does not dominate %s (n=%d)"
-                (Fmt.str "%a" Bounded_ts.pp fresh)
-                (Fmt.str "%a" Bounded_ts.pp old)
-                n)
-          alive;
-        held.(taker) <- fresh
-      done)
-    [ 1; 2; 3; 5 ]
-
-let test_ts_recency_order_among_alive () =
-  (* Between two currently-held labels, the more recently issued one
-     dominates. *)
-  let rng = Bprc_rng.Splitmix.create ~seed:73 in
-  let n = 4 in
-  let ts = Bounded_ts.create ~n in
-  let held = Array.make n (Bounded_ts.initial ts) in
-  let issued_at = Array.make n 0 in
-  for step = 1 to 3000 do
-    let taker = Bprc_rng.Splitmix.int rng n in
-    held.(taker) <- Bounded_ts.new_label ts ~alive:(Array.to_list held);
-    issued_at.(taker) <- step;
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i <> j && issued_at.(i) > issued_at.(j) && issued_at.(i) > 0 then
-          if not (Bounded_ts.dominates held.(i) held.(j)) then
-            Alcotest.failf "recency order broken at step %d" step
-      done
-    done
-  done
-
-let test_ts_labels_bounded () =
-  let ts = Bounded_ts.create ~n:3 in
-  let l = Bounded_ts.new_label ts ~alive:[ Bounded_ts.initial ts ] in
-  Alcotest.(check int) "3 trits" 3 (List.length (Bounded_ts.label_trits l));
-  List.iter
-    (fun d ->
-      if d < 0 || d > 2 then Alcotest.fail "digit outside the 3-cycle")
-    (Bounded_ts.label_trits l)
-
-let test_ts_dominates_irreflexive () =
-  let ts = Bounded_ts.create ~n:2 in
-  let l = Bounded_ts.initial ts in
-  Alcotest.(check bool) "not self-dominating" false (Bounded_ts.dominates l l)
-
-let test_ts_guards () =
-  let ts = Bounded_ts.create ~n:2 in
-  let l = Bounded_ts.initial ts in
-  Alcotest.check_raises "too many"
-    (Invalid_argument "Bounded_ts.new_label: too many alive labels") (fun () ->
-      ignore (Bounded_ts.new_label ts ~alive:[ l; l; l ]));
-  let ts3 = Bounded_ts.create ~n:3 in
-  Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Bounded_ts.new_label: label size mismatch") (fun () ->
-      ignore (Bounded_ts.new_label ts3 ~alive:[ l ]))
-
-let prop_ts_long_histories =
-  QCheck.Test.make ~name:"bounded timestamps survive long histories" ~count:40
-    QCheck.(pair (int_range 1 5) (list_of_size Gen.(int_range 1 120) (int_range 0 4)))
-    (fun (n, takers) ->
-      let ts = Bounded_ts.create ~n in
-      let held = Array.make n (Bounded_ts.initial ts) in
-      List.for_all
-        (fun who ->
-          let taker = who mod n in
-          let alive = Array.to_list held in
-          match Bounded_ts.new_label ts ~alive with
-          | fresh ->
-            let ok = List.for_all (Bounded_ts.dominates fresh) alive in
-            held.(taker) <- fresh;
-            ok
-          | exception Invalid_argument _ -> false)
-        takers)
-
-let ts_suite =
-  [
-    Alcotest.test_case "ts: new label dominates" `Quick test_ts_new_dominates_all;
-    Alcotest.test_case "ts: recency order" `Quick test_ts_recency_order_among_alive;
-    Alcotest.test_case "ts: labels bounded" `Quick test_ts_labels_bounded;
-    Alcotest.test_case "ts: irreflexive" `Quick test_ts_dominates_irreflexive;
-    Alcotest.test_case "ts: guards" `Quick test_ts_guards;
-    QCheck_alcotest.to_alcotest prop_ts_long_histories;
-  ]
-
-let suite = suite @ ts_suite

@@ -1035,7 +1035,7 @@ let suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The edge-counter game, exhaustively (ROADMAP item 1.1)              *)
+(* The edge-counter game, exhaustively                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* A breadth-first search over the edge-counter game alone: no coin,
@@ -1050,10 +1050,12 @@ let suite =
      two steps, and other processes may move in between.
 
    Every reached matrix must be valid and decode to a graph with no
-   positive cycle, a consistent total order and weights in range.  The
-   result is the number of states reached, and the moves to the first
-   bad matrix in breadth-first order (so a shortest one) with that
-   matrix. *)
+   positive cycle, a consistent total order and weights in range; with
+   [~exact], the graph must also reconstruct
+   ([Distance_graph.reconstruct_into]), the check whose failure sends
+   the protocol's queries to the relaxation fallback.  The result is
+   the number of states reached, and the moves to the first bad matrix
+   in breadth-first order (so a shortest one) with that matrix. *)
 
 type game_move = Inc of int | Scan of int | Write of int
 
@@ -1072,7 +1074,7 @@ module Game_states = Hashtbl.Make (struct
 end)
 
 (* The decode of a sound matrix, [None] for a bad one. *)
-let sound_decode ec =
+let sound_decode ~exact ec =
   if not (Edge_counters.valid ec) then None
   else
     let g = Edge_counters.to_graph ec in
@@ -1080,10 +1082,11 @@ let sound_decode ec =
       Distance_graph.no_positive_cycle g
       && Distance_graph.total_order_consistent g
       && Distance_graph.weights_in_range g
+      && ((not exact) || Distance_graph.reconstruct_into g)
     then Some g
     else None
 
-let explore_game ~split ~k ~n =
+let explore_game ~exact ~split ~k ~n =
   let nn = n * n in
   let rows st = Array.init n (fun i -> Array.sub st (i * n) n) in
   let start = Array.make (if split then 2 * nn else nn) 0 in
@@ -1109,7 +1112,7 @@ let explore_game ~split ~k ~n =
     | Some st ->
       let m = rows (Array.sub st 0 nn) in
       let ec = Edge_counters.of_rows ~k m in
-      match sound_decode ec with
+      match sound_decode ~exact ec with
       | None -> Some (path st [], m)
       | Some graph ->
         for i = 0 to n - 1 do
@@ -1136,22 +1139,24 @@ let explore_game ~split ~k ~n =
   let bad = loop () in
   (Game_states.length parent, bad)
 
+(* Each row pins two columns: [~exact:true], then [~exact:false]. *)
 let test_edge_game () =
   let expect ~split ~n ~k want =
-    let states, bad = explore_game ~split ~k ~n in
-    let got =
-      match bad with
-      | None -> Printf.sprintf "clean, %d states" states
-      | Some (moves, _) -> Printf.sprintf "fails at depth %d" (List.length moves)
+    let verdict ~exact =
+      match explore_game ~exact ~split ~k ~n with
+      | states, None -> Printf.sprintf "clean, %d states" states
+      | _, Some (moves, _) ->
+        Printf.sprintf "fails at depth %d" (List.length moves)
     in
-    Alcotest.(check string)
+    Alcotest.(check (pair string string))
       (Printf.sprintf "%s game, n=%d, K=%d"
          (if split then "split" else "atomic")
          n k)
-      want got
+      want
+      (verdict ~exact:true, verdict ~exact:false)
   in
   List.iter
-    (fun (n, k, want) -> expect ~split:false ~n ~k want)
+    (fun (n, k, want) -> expect ~split:false ~n ~k (want, want))
     [
       (2, 1, "clean, 9 states");
       (2, 2, "clean, 30 states");
@@ -1160,22 +1165,25 @@ let test_edge_game () =
       (3, 2, "clean, 7992 states");
       (3, 3, "clean, 53217 states");
     ];
-  (* THE FAILING ROWS PIN ROADMAP ITEM 1'S DEFECT, as known-defects.t
+  (* THE FAILING ROWS PIN ROADMAP ITEM 2'S DEFECT, as known-defects.t
      does: with scan and write as separate steps, a process writes a
-     row computed against a stale matrix.  The fix flips them. *)
+     row computed against a stale matrix.  The fix flips them.  The
+     exact decode check sees the corruption sooner at K >= 2. *)
   List.iter
-    (fun (n, k, want) -> expect ~split:true ~n ~k want)
+    (fun (n, k, wants) -> expect ~split:true ~n ~k wants)
     [
-      (2, 1, "clean, 60 states");
-      (2, 2, "clean, 216 states");
-      (2, 3, "clean, 468 states");
-      (3, 1, "fails at depth 8");
-      (3, 2, "fails at depth 14");
-      (3, 3, "fails at depth 20");
+      (2, 1, ("clean, 60 states", "clean, 60 states"));
+      (2, 2, ("clean, 216 states", "clean, 216 states"));
+      (2, 3, ("clean, 468 states", "clean, 468 states"));
+      (3, 1, ("fails at depth 8", "fails at depth 8"));
+      (3, 2, ("fails at depth 10", "fails at depth 14"));
+      (3, 3, ("fails at depth 12", "fails at depth 20"));
     ]
 
+(* Pinned without [~exact]: the bad matrix then fails the checks on the
+   counters and graph themselves, not only the reconstruction. *)
 let test_edge_game_witness () =
-  match explore_game ~split:true ~k:2 ~n:3 with
+  match explore_game ~exact:false ~split:true ~k:2 ~n:3 with
   | _, None -> Alcotest.fail "split game n=3, K=2 is clean"
   | _, Some (moves, matrix) ->
     Alcotest.(check (list string))
