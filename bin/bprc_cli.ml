@@ -180,6 +180,8 @@ let run_cmd =
       r.Bprc_harness.Run.steps r.Bprc_harness.Run.max_round
       r.Bprc_harness.Run.walk_steps;
     Fmt.pr "register  : %d bits@." r.Bprc_harness.Run.register_bits;
+    Fmt.pr "strip     : %d inconsistent reconstructions@."
+      r.Bprc_harness.Run.inconsistent_reconstructions;
     match r.Bprc_harness.Run.spec with
     | Ok () -> Fmt.pr "spec      : consistency and validity hold@."
     | Error e ->

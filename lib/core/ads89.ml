@@ -10,7 +10,14 @@ type stats = Consensus_intf.stats = {
   max_raw_round : int;
   decided : bool option array;
   rounds_at_decision : int array;
+  inconsistent_reconstructions : int;
 }
+
+(* The two decisions as shared boxes: an array of decisions keeps one
+   word per process, not a fresh two-word box each. *)
+let some_true = Some true
+let some_false = Some false
+let decision v = if v then some_true else some_false
 
 type 'r segment = {
   pref : bool option;
@@ -43,6 +50,7 @@ module type STRIP = sig
   val state_bits : t -> int
   val register_bits : t -> int
   val decode_stats : t -> decode_stats
+  val inconsistent_reconstructions : t -> int
 end
 
 module type S = sig
@@ -182,7 +190,7 @@ struct
          round)
 
   let decide t me v =
-    t.decided.(me) <- Some v;
+    t.decided.(me) <- decision v;
     t.rounds_at_decision.(me) <- t.probe.rounds.(me);
     v
 
@@ -250,6 +258,8 @@ struct
       max_raw_round = Array.fold_left max 0 t.probe.rounds;
       decided = Array.copy t.decided;
       rounds_at_decision = Array.copy t.rounds_at_decision;
+      inconsistent_reconstructions =
+        St.inconsistent_reconstructions t.strip;
     }
 
   let decode_stats t = St.decode_stats t.strip
@@ -388,6 +398,7 @@ module Bounded = struct
   let state_bits s = s.state_bits
   let register_bits s = s.register_bits
   let decode_stats s = Ec.refill_stats s.ec
+  let inconsistent_reconstructions s = Dg.inconsistent s.g
 end
 
 module Make_over_snapshot = Over_strip (Bounded)

@@ -51,7 +51,13 @@ type stats = Consensus_intf.stats = {
   max_raw_round : int;
   decided : bool option array;
   rounds_at_decision : int array;
+  inconsistent_reconstructions : int;
 }
+
+val decision : bool -> bool option
+(** [Some v] as one of two shared boxes, so that an array of decisions
+    keeps one word per process.  The §5 loop's [decided] array and the
+    harness's decided results hold these. *)
 
 type 'r segment = {
   pref : bool option;
@@ -121,6 +127,12 @@ module type STRIP = sig
   (** The width {!Consensus_intf.S.register_bits} reports. *)
 
   val decode_stats : t -> decode_stats
+
+  val inconsistent_reconstructions : t -> int
+  (** Position reconstructions of the decoded graph that found no token
+      positions producing it: the corrupt graph fills some query
+      needed positions for (a fill no row change touched keeps its
+      verdict and counts once). *)
 end
 
 module Over_strip

@@ -87,6 +87,7 @@ module Unbounded = struct
 
   let register_bits = state_bits
   let decode_stats _ = ()
+  let inconsistent_reconstructions _ = 0
 end
 
 module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) =

@@ -18,6 +18,12 @@ type stats = {
   max_raw_round : int;  (** true (meta-level, unbounded) round reached *)
   decided : bool option array;  (** per process *)
   rounds_at_decision : int array;  (** raw round at decision, -1 if none *)
+  inconsistent_reconstructions : int;
+      (** position reconstructions of the strip's decoded graph that
+          found no token positions producing it, that is, corrupt
+          graph fills that were queried
+          ({!Bprc_strip.Distance_graph.inconsistent}); 0 over the
+          unbounded strip *)
 }
 
 module type S = sig

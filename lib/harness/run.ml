@@ -194,7 +194,17 @@ type consensus_run = {
   spec : (unit, string) result;
   space : Bprc_space.Space.t;
   registers_used : int;
+  inconsistent_reconstructions : int;
 }
+
+(* A decided result keeps its [n] decisions as the two shared boxes of
+   [Ads89.decision], not as the per-process boxes [Sim.result] hands
+   out: those become short-lived garbage, and a result holds one word
+   per process. *)
+let decision h =
+  match Sim.result h with
+  | Some v -> Bprc_core.Ads89.decision v
+  | None -> None
 
 let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
     ?(coin_mode = Bprc_core.Ads89.Shared_walk) ?(oracle_seed = 0)
@@ -213,7 +223,7 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
       ~driver:(Bprc_faults.Inject.driver ~n faults)
       ~max_steps
   in
-  let decisions = Array.map Sim.result handles in
+  let decisions = Array.map decision handles in
   let st = C.stats t in
   {
     completed;
@@ -225,6 +235,8 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
     spec = Bprc_core.Spec.check ~inputs ~decisions;
     space = C.space t;
     registers_used = Sim.registers_created sim;
+    inconsistent_reconstructions =
+      st.Bprc_core.Ads89.inconsistent_reconstructions;
   }
 
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)

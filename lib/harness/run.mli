@@ -77,6 +77,8 @@ type consensus_run = {
   completed : bool;
   steps : int;  (** global shared-memory steps until everyone decided *)
   decisions : bool option array;
+      (** shared [Some true]/[Some false] boxes: a result keeps one word
+          per process *)
   max_round : int;  (** true round count reached *)
   register_bits : int;
       (** {!Bprc_core.Consensus_intf.S.register_bits}: [Ads] and
@@ -90,6 +92,10 @@ type consensus_run = {
       (** registers actually allocated in the simulator arena
           ({!Bprc_runtime.Sim.registers_created}) — equals
           [Space.registers space] when the report is honest *)
+  inconsistent_reconstructions : int;
+      (** {!Bprc_core.Consensus_intf.stats}[.inconsistent_reconstructions]:
+          queried corrupt graph fills of the bounded strip, 0 over the
+          unbounded strip *)
 }
 
 val consensus_on :

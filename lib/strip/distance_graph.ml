@@ -2,15 +2,17 @@
    [absent] as the missing-edge sentinel — no per-pair options, no row
    arrays.  On top of it sits a cached *position reconstruction*: a
    graph that is exactly [of_positions ~k p] for some token positions
-   [p] (every reachable G(S) is, because positions and their
-   gap-compressed shrinking produce the same graph) answers [dist],
+   [p] (every G(S) the atomic game reaches is, because positions and
+   their gap-compressed shrinking produce the same graph) answers [dist],
    [on_max_path] and [leaders] from the positions in O(1)/O(n) instead
    of the O(n^3)/O(n^4) relaxations — the difference between n=4 and
-   n=1024.  Graphs that decode from arbitrary [of_weights] data and do
-   not correspond to any positions (no such graph arises on the
-   protocol path) fall back to the original relaxation algorithms,
-   kept verbatim in [test/oracles/distance_graph_ref.ml] and mirrored
-   here. *)
+   n=1024.  Graphs that no positions produce fall back to the original
+   relaxation algorithms, kept verbatim in
+   [test/oracles/distance_graph_ref.ml] and mirrored here.  Such graphs
+   do arise on the protocol path: a decode of the bounded strip's
+   counters is inconsistent once concurrent increments have corrupted
+   them (the agreement violation pinned in [test/cram/known-defects.t]),
+   and [inconsistent] counts those reconstructions. *)
 
 let absent = min_int
 
@@ -25,6 +27,7 @@ type t = {
   w : int array;  (** [w.(i*nn + j)]: edge weight, or [absent] *)
   mutable pos : positions;
   mutable generation : int;  (** bumped by every [invalidate] *)
+  mutable inconsistent : int;  (** reconstructions that found no positions *)
   (* Reconstruction scratch, lazily allocated on the first
      [reconstruct] and reused across refills of the same graph: a
      scratch graph on the protocol decision path reconstructs once per
@@ -47,6 +50,7 @@ let make ~k ~n w =
     w;
     pos = Unknown;
     generation = 0;
+    inconsistent = 0;
     rank = [||];
     order = [||];
     count = [||];
@@ -85,6 +89,7 @@ let invalidate t =
   t.generation <- t.generation + 1
 
 let generation t = t.generation
+let inconsistent t = t.inconsistent
 let set_edge t i j d = t.w.((i * t.nn) + j) <- d
 let clear_edge t i j = t.w.((i * t.nn) + j) <- absent
 
@@ -125,6 +130,11 @@ let ensure_scratch t =
     t.pos_some <- Pos t.posbuf
   end
 
+(* Only the failing exits pay for the count. *)
+let fail t =
+  t.inconsistent <- t.inconsistent + 1;
+  Inconsistent
+
 let reconstruct t =
   let nn = t.nn in
   ensure_scratch t;
@@ -163,7 +173,7 @@ let reconstruct t =
       else pos.(cur) <- pos.(prev) + gap
     end
   done;
-  if not !ok then Inconsistent
+  if not !ok then fail t
   else begin
     (* verify: [of_positions ~k pos] must reproduce [t] exactly *)
     (try
@@ -179,7 +189,7 @@ let reconstruct t =
          done
        done
      with Exit -> ok := false);
-    if !ok then t.pos_some else Inconsistent
+    if !ok then t.pos_some else fail t
   end
 
 let positions t =
@@ -221,8 +231,9 @@ let dist t i j =
 
 (* [dist] without the option box: the protocol's trails-by-K test runs
    it once per pair per scan, so the positional path must not allocate.
-   The fallback allocates its relaxation array exactly as [dist] does —
-   it never fires on graphs decoded from real counter states. *)
+   The fallback allocates its relaxation array exactly as [dist] does.
+   It fires on the corrupt decodes of the bounded strip, whose failed
+   reconstructions [inconsistent] counts. *)
 let dist_ge t i j b =
   match positions t with
   | Pos p -> p.(i) >= p.(j) && p.(i) - p.(j) >= b
@@ -291,6 +302,7 @@ let copy t =
     t with
     w = Array.copy t.w;
     pos = (match t.pos with Pos p -> Pos (Array.copy p) | p -> p);
+    inconsistent = 0;
     rank = [||];
     order = [||];
     count = [||];

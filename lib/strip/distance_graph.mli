@@ -114,6 +114,12 @@ val generation : t -> int
     still holds its own last fill — {!Edge_counters.to_graph_into}
     re-decodes only the changed rows exactly when it does. *)
 
+val inconsistent : t -> int
+(** How many position reconstructions of this graph since it was made
+    found no token positions that produce it.  On the bounded strip's
+    scratch graph each one is a corrupt decode, which the relaxation
+    fallback then answers. *)
+
 val reconstruct_into : t -> bool
 (** Force the position reconstruction now, into the graph's reused
     scratch arrays; [true] iff the graph is positional (the O(1)/O(n)

@@ -332,6 +332,40 @@ let test_engine_stats_accounting () =
         out;
       Engine.shutdown e)
 
+(* A decided result keeps its [n] decisions in [n + 1] words plus the
+   two shared [Some true]/[Some false] boxes, whatever [n] is: one box
+   per process, as [Sim.result] hands them out, would read [3n + 1]. *)
+let check_decisions_words what (decisions : bool option array) =
+  let n = Array.length decisions in
+  let words = Obj.reachable_words (Obj.repr decisions) in
+  if Array.exists Option.is_none decisions then
+    Alcotest.failf "%s: undecided process" what;
+  if words > n + 5 then
+    Alcotest.failf "%s: decisions retain %d words > n + 5 = %d" what words
+      (n + 5)
+
+let test_decisions_retained_words () =
+  let n = 8 in
+  let r =
+    Run.consensus_once ~sched:Run.Round_robin_sched
+      ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
+      ~pattern:Run.Random_inputs ~n ~seed:1 ()
+  in
+  check_decisions_words "consensus_once" r.Run.decisions;
+  with_pool 1 (fun pool ->
+      let e = Engine.create ~seed:3 ~pool () in
+      let spec = Workload.spec ~sched:Run.Round_robin_sched ~n () in
+      ignore (Engine.submit_batch e (Workload.uniform ~count:32 spec));
+      let out = Engine.drain e in
+      Alcotest.(check int) "decided" 32 (List.length out);
+      List.iter
+        (fun (d : Engine.decided) ->
+          check_decisions_words
+            (Printf.sprintf "engine ticket %d" d.Engine.ticket)
+            d.Engine.decisions)
+        out;
+      Engine.shutdown e)
+
 let test_workload_weighted () =
   let rng = Bprc_rng.Splitmix.create ~seed:3 in
   let a = Workload.spec ~n:3 () in
@@ -374,4 +408,6 @@ let suite =
     Alcotest.test_case "engine: stats accounting" `Quick
       test_engine_stats_accounting;
     Alcotest.test_case "workload: weighted mix" `Quick test_workload_weighted;
+    Alcotest.test_case "run: decided result retains n + 5 words" `Quick
+      test_decisions_retained_words;
   ]

@@ -606,8 +606,68 @@ let test_embedded_scan_into () =
   ignore (Sim.spawn sim (fun () -> ()));
   ignore (Sim.run sim)
 
+(* The embedded scan under contention, over the batched simulator the
+   large-n protocol runs on: every process alternates write and
+   [scan_into], ten seeds per row.  Round-robin runs never retry, so
+   these rows are the ones that exercise the retry verdict and the
+   borrow.  Steps, retries, borrows and a weighted sum of every view
+   scanned are pinned exactly, so a rewrite of the verdict or of the
+   view copy must keep them; P1-P3 are checked on every run. *)
+let embedded_contention ~adversary ~n ~rounds ~seeds =
+  let steps = ref 0 and retries = ref 0 and borrows = ref 0 in
+  let views = ref 0 in
+  for seed = 1 to seeds do
+    let sim = Sim.create ~seed ~n ~adversary:(adversary ()) () in
+    let module S = Embedded.Make_batched ((val Sim.batched sim)) in
+    let mem = S.create ~init:0 () in
+    let checker = Snap_checker.create ~n ~init:0 in
+    for p = 0 to n - 1 do
+      ignore
+        (Sim.spawn sim (fun () ->
+             let view = Array.make n 0 in
+             for k = 1 to rounds do
+               let s = Snap_checker.stamp checker in
+               S.write mem k;
+               Snap_checker.record_write checker ~pid:p ~start_time:s
+                 ~finish_time:(Snap_checker.stamp checker) ~value:k;
+               let s = Snap_checker.stamp checker in
+               S.scan_into mem view;
+               Array.iteri (fun j v -> views := !views + ((j + 1) * v)) view;
+               Snap_checker.record_scan checker ~pid:p ~start_time:s
+                 ~finish_time:(Snap_checker.stamp checker)
+                 ~view:(Array.copy view)
+             done))
+    done;
+    (match Sim.run sim with
+    | Sim.Completed -> ()
+    | Sim.Hit_step_limit -> Alcotest.failf "n=%d seed %d: step limit" n seed);
+    (match Snap_checker.check_all checker with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "n=%d seed %d: %s" n seed e);
+    steps := !steps + Sim.clock sim;
+    retries := !retries + S.scan_retries mem;
+    borrows := !borrows + S.borrows mem
+  done;
+  [ !steps; !retries; !borrows; !views ]
+
+let test_embedded_contention_pinned () =
+  List.iter
+    (fun (name, adversary, n, expect) ->
+      let got = embedded_contention ~adversary ~n ~rounds:4 ~seeds:10 in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s n=%d: steps, retries, borrows, view sum" name n)
+        expect got)
+    [
+      ("random", Adversary.random, 3, [ 1294; 98; 6; 1705 ]);
+      ("random", Adversary.random, 6, [ 7205; 446; 25; 11944 ]);
+      ("bursty:7", Adversary.bursty ~burst:7, 3, [ 1230; 60; 0; 1818 ]);
+      ("bursty:7", Adversary.bursty ~burst:7, 6, [ 6765; 380; 47; 11807 ]);
+    ]
+
 let embedded_suite =
   [
+    Alcotest.test_case "embedded: contention retries and borrows pinned"
+      `Quick test_embedded_contention_pinned;
     Alcotest.test_case "embedded: random schedules" `Quick test_embedded_random;
     Alcotest.test_case "embedded: n=6" `Quick test_embedded_random_wide;
     Alcotest.test_case "embedded: exhaustive n=2" `Slow
