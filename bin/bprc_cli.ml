@@ -1080,6 +1080,7 @@ let serve_bench_cmd =
                 ("delivered", Bprc_util.Json.Int st.delivered);
                 ("violations", Bprc_util.Json.Int st.violations);
                 ("incomplete", Bprc_util.Json.Int st.incomplete);
+                ("corrupt", Bprc_util.Json.Int st.corrupt);
                 ("max_in_flight", Bprc_util.Json.Int st.max_in_flight);
                 ("wall_s", Bprc_util.Json.Float wall_s);
                 ("busy_s", Bprc_util.Json.Float st.busy_s);
@@ -1129,6 +1130,8 @@ let serve_bench_cmd =
               (fun (r, c) -> Printf.sprintf "%dx%d" c r)
               st.rounds_hist));
       Fmt.pr "resumes     : %.1f per instance@." st.resumes_per_instance;
+      Fmt.pr "strip       : %d instances with inconsistent reconstructions@."
+        st.corrupt;
       Fmt.pr "digest      : %s@." digest
     end;
     exit (if st.violations > 0 then exit_violation else exit_ok)

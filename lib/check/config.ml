@@ -18,27 +18,23 @@ module Cons_lin = Lin.Make (Specs.Consensus)
 
 (* ---- per-arena functor-application caches ------------------------------ *)
 
-(* [Handshake.Make_batched]/[Ads89.Make_batched] are pure (all state
-   lives under their [create]) but not free: each application
-   allocates a module block and a closure per operation.  The explorer
-   calls [setup] once per run — hundreds of thousands of times — so
-   the applications are memoized in arena-local slots ({!Sim.local})
-   over the arena's {!Sim.batched}, which is stable for the arena's
-   life.  An entry dies with its arena; every explore makes fresh
-   arenas, so a table keyed on arenas from outside would keep all of
-   them alive.  Weakened runtimes ({!Inject.weaken_runtime} with a
-   non-empty plan) are never cached — the wrapper carries per-run
-   mutable state and is a fresh module each run. *)
+(* [Handshake.Make_batched] is pure (all state lives under its
+   [create]) but not free: each application allocates a module block
+   and a closure per operation.  The explorer calls [setup] once per
+   run — hundreds of thousands of times — so the application is
+   memoized in an arena-local slot ({!Sim.local}) over the arena's
+   {!Sim.batched}, which is stable for the arena's life, as
+   {!Bprc_harness.Run.applied} memoizes the §5 protocol.  An entry dies
+   with its arena; every explore makes fresh arenas, so a table keyed
+   on arenas from outside would keep all of them alive.  Weakened
+   runtimes ({!Inject.weaken_runtime} with a non-empty plan) are never
+   cached — the wrapper carries per-run mutable state and is a fresh
+   module each run. *)
 
 let handshake_slot =
   Sim.new_local (fun sim ->
       (module Bprc_snapshot.Handshake.Make_batched ((val Sim.batched sim))
       : Bprc_snapshot.Snapshot_intf.S))
-
-let ads89_slot =
-  Sim.new_local (fun sim ->
-      (module Bprc_core.Ads89.Make_batched ((val Sim.batched sim))
-      : Bprc_core.Consensus_intf.S))
 
 (* ---- per-arena verdict memo -------------------------------------------- *)
 
@@ -247,7 +243,9 @@ let consensus_split =
   in
   let slot = recorder () in
   fun sim ->
-    let (module C) = Sim.local sim ads89_slot in
+    let (module C) =
+      Bprc_harness.Run.(applied sim (Ads Bprc_core.Ads89.Shared_walk))
+    in
     let st = C.create ~params () in
     let rc = recording sim slot in
     let h = rc.hist in

@@ -8,8 +8,6 @@ type stats = Consensus_intf.stats = {
   writes : int;
   walk_steps : int;
   max_raw_round : int;
-  decided : bool option array;
-  rounds_at_decision : int array;
   inconsistent_reconstructions : int;
 }
 
@@ -83,8 +81,6 @@ struct
     probe : Bprc_coin.Coin_probe.t;
         (** true round, current-round counter as last written, and
             drawn-but-unpublished step direction, per process *)
-    decided : bool option array;
-    rounds_at_decision : int array;
     ghost_count : int array;
     recorder : Virtual_rounds.obs Bprc_util.Vec.t option;
     mutable scan_count : int;
@@ -105,8 +101,6 @@ struct
       mode = coin_mode;
       oracle_seed;
       probe = Bprc_coin.Coin_probe.create ~n:R.n ~threshold:(delta * R.n);
-      decided = Array.make R.n None;
-      rounds_at_decision = Array.make R.n (-1);
       ghost_count = Array.make R.n 0;
       recorder =
         (if record_scans then Some (Bprc_util.Vec.create ()) else None);
@@ -189,11 +183,6 @@ struct
          (Bprc_rng.Splitmix.create ~seed:t.oracle_seed)
          round)
 
-  let decide t me v =
-    t.decided.(me) <- decision v;
-    t.rounds_at_decision.(me) <- t.probe.rounds.(me);
-    v
-
   (* The strip's decode holds from this process's scan to its next
      yield: the write, or [Local_flips]'s [R.flip].  Another process
      may decode its own view during that flip, so [Local_flips]
@@ -209,7 +198,7 @@ struct
       let view = scan t me in
       let my = view.(me) in
       match my.pref with
-      | Some v when can_decide t view me v -> decide t me v
+      | Some v when can_decide t view me v -> v
       | _ -> (
         match leaders_agree t view with
         | Some v ->
@@ -256,8 +245,6 @@ struct
       writes = t.write_count;
       walk_steps = t.walk_count;
       max_raw_round = Array.fold_left max 0 t.probe.rounds;
-      decided = Array.copy t.decided;
-      rounds_at_decision = Array.copy t.rounds_at_decision;
       inconsistent_reconstructions =
         St.inconsistent_reconstructions t.strip;
     }

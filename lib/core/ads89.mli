@@ -49,15 +49,13 @@ type stats = Consensus_intf.stats = {
   writes : int;
   walk_steps : int;
   max_raw_round : int;
-  decided : bool option array;
-  rounds_at_decision : int array;
   inconsistent_reconstructions : int;
 }
 
 val decision : bool -> bool option
 (** [Some v] as one of two shared boxes, so that an array of decisions
-    keeps one word per process.  The §5 loop's [decided] array and the
-    harness's decided results hold these. *)
+    keeps one word per process.  The harness's decided results hold
+    these. *)
 
 type 'r segment = {
   pref : bool option;

@@ -16,8 +16,6 @@ type stats = {
   writes : int;
   walk_steps : int;
   max_raw_round : int;  (** true (meta-level, unbounded) round reached *)
-  decided : bool option array;  (** per process *)
-  rounds_at_decision : int array;  (** raw round at decision, -1 if none *)
   inconsistent_reconstructions : int;
       (** position reconstructions of the strip's decoded graph that
           found no token positions producing it, that is, corrupt

@@ -197,6 +197,25 @@ type consensus_run = {
   inconsistent_reconstructions : int;
 }
 
+(* One slot per constructor: the module does not depend on the coin
+   mode, which goes to [create]. *)
+let ads_slot =
+  Sim.new_local (fun sim ->
+      protocol (Ads Bprc_core.Ads89.Shared_walk) (Sim.batched sim))
+
+let ads_esnap_slot =
+  Sim.new_local (fun sim ->
+      protocol (Ads_esnap Bprc_core.Ads89.Shared_walk) (Sim.batched sim))
+
+let ah_slot = Sim.new_local (fun sim -> protocol Ah (Sim.batched sim))
+
+let applied sim algo =
+  Sim.local sim
+    (match algo with
+    | Ads _ -> ads_slot
+    | Ads_esnap _ -> ads_esnap_slot
+    | Ah -> ah_slot)
+
 (* A decided result keeps its [n] decisions as the two shared boxes of
    [Ads89.decision], not as the per-process boxes [Sim.result] hands
    out: those become short-lived garbage, and a result holds one word
@@ -205,6 +224,27 @@ let decision h =
   match Sim.result h with
   | Some v -> Bprc_core.Ads89.decision v
   | None -> None
+
+(* The arena's two read-only unanimous vectors, all false and all true.
+   Every complete run that keeps agreement is unanimous, and its result
+   keeps no array of its own. *)
+let unanimous_slot =
+  Sim.new_local (fun sim ->
+      let all v = Array.make (Sim.n sim) (Bprc_core.Ads89.decision v) in
+      (all false, all true))
+
+(* Did every process from [i] on decide [v]? *)
+let rec all_decided handles v i =
+  i >= Array.length handles
+  || (match Sim.result handles.(i) with Some w -> w = v | None -> false)
+     && all_decided handles v (i + 1)
+
+let decisions sim handles =
+  match Sim.result handles.(0) with
+  | Some v when all_decided handles v 1 ->
+    let no, yes = Sim.local sim unanimous_slot in
+    if v then yes else no
+  | _ -> Array.map decision handles
 
 let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
     ?(coin_mode = Bprc_core.Ads89.Shared_walk) ?(oracle_seed = 0)
@@ -223,7 +263,7 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
       ~driver:(Bprc_faults.Inject.driver ~n faults)
       ~max_steps
   in
-  let decisions = Array.map decision handles in
+  let decisions = decisions sim handles in
   let st = C.stats t in
   {
     completed;
@@ -273,5 +313,10 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     | Ads mode | Ads_esnap mode -> mode
     | Ah -> Bprc_core.Ads89.Shared_walk
   in
-  consensus_on sim ~protocol:(protocol algo) ~params ~coin_mode
+  (* A plan that weakens registers hands over a runtime of its own,
+     applied afresh. *)
+  let protocol rt =
+    if rt == Sim.batched sim then applied sim algo else protocol algo rt
+  in
+  consensus_on sim ~protocol ~params ~coin_mode
     ~oracle_seed:seed ~sched ~faults ~max_steps ~inputs ()

@@ -69,6 +69,12 @@ val protocol :
     over the embedded one) or over the unbounded strip ([Ah], over the
     handshake snapshot). *)
 
+val applied : Bprc_runtime.Sim.t -> algo -> (module Bprc_core.Consensus_intf.S)
+(** [protocol algo] over the arena's own {!Bprc_runtime.Sim.batched}
+    runtime, applied once per arena and [algo] constructor and kept in
+    a {!Bprc_runtime.Sim.local} slot.  The module does not depend on
+    the coin mode, which goes to [create]. *)
+
 type pattern = Unanimous of bool | Split | Random_inputs
 
 val inputs_of_pattern : pattern -> n:int -> seed:int -> bool array
@@ -77,8 +83,12 @@ type consensus_run = {
   completed : bool;
   steps : int;  (** global shared-memory steps until everyone decided *)
   decisions : bool option array;
-      (** shared [Some true]/[Some false] boxes: a result keeps one word
-          per process *)
+      (** shared [Some true]/[Some false] boxes, one word per process.
+          A unanimous outcome is one of the arena's two shared vectors
+          ([n] times [Some false] or [Some true]), so results of one
+          arena share them: read-only, never mutate it.  Any other
+          outcome (a [None], or a disagreement) gets an array of its
+          own. *)
   max_round : int;  (** true round count reached *)
   register_bits : int;
       (** {!Bprc_core.Consensus_intf.S.register_bits}: [Ads] and
@@ -134,7 +144,10 @@ val consensus_once :
   consensus_run
 (** {!consensus_on} with the inputs of [pattern] on a fresh simulator
     seeded with [seed], whose adversary is [plain_adversary sched];
-    [seed] also seeds the oracle coin.
+    [seed] also seeds the oracle coin.  The protocol module is
+    {!applied}, unless [faults] weakens registers: that plan's runtime
+    gets a fresh application.  Every instance is still [create]d
+    afresh.
 
     [faults] is a declarative fault plan (crash/stall faults fire on the
     targeted process's own step count, [Weaken] faults downgrade

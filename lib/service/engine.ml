@@ -19,6 +19,7 @@ type decided = {
   steps : int;
   resumes : int;
   rounds : int;
+  inconsistent_reconstructions : int;
   spec_check : (unit, string) result;
   latency_s : float;
 }
@@ -30,6 +31,7 @@ type stats = {
   delivered : int;
   violations : int;
   incomplete : int;
+  corrupt : int;
   in_flight : int;
   max_in_flight : int;
   busy_s : float;
@@ -75,6 +77,7 @@ type t = {
   mutable delivered : int;
   mutable violations : int;
   mutable incomplete : int;
+  mutable corrupt : int;
   mutable max_in_flight : int;
   mutable busy_s : float;
   mutable minor_words : float;  (* banked around dispatch, all domains *)
@@ -111,6 +114,7 @@ let create ?(mode = Deterministic) ?(seed = 1) ?(in_flight_cap = 1024) ?batch
     delivered = 0;
     violations = 0;
     incomplete = 0;
+    corrupt = 0;
     max_in_flight = 0;
     busy_s = 0.0;
     minor_words = 0.0;
@@ -207,6 +211,7 @@ let run_instance t (p : pending) =
     steps = r.Run.steps;
     resumes = Sim.resumes sim;
     rounds = r.Run.max_round;
+    inconsistent_reconstructions = r.Run.inconsistent_reconstructions;
     spec_check = r.Run.spec;
     latency_s;
   }
@@ -218,6 +223,7 @@ let account t (d : decided) =
   | Error _ -> t.violations <- t.violations + 1
   | Ok () -> ());
   if not d.completed then t.incomplete <- t.incomplete + 1;
+  if d.inconsistent_reconstructions > 0 then t.corrupt <- t.corrupt + 1;
   let b = min d.rounds (rounds_buckets - 1) in
   t.rounds_hist.(b) <- t.rounds_hist.(b) + 1;
   if t.mode = Throughput then Stats.Ring.add t.lat d.latency_s
@@ -289,6 +295,7 @@ let stats t =
     delivered = t.delivered;
     violations = t.violations;
     incomplete = t.incomplete;
+    corrupt = t.corrupt;
     in_flight = in_flight t;
     max_in_flight = t.max_in_flight;
     busy_s = t.busy_s;

@@ -40,13 +40,20 @@ val mode_name : mode -> string
 type decided = {
   ticket : int;  (** as returned by {!submit} *)
   shard : int;  (** executing domain id; [-1] in {!Deterministic} mode *)
-  decisions : bool option array;  (** per-process decided values *)
+  decisions : bool option array;
+      (** per-process decided values, shared with
+          {!Bprc_harness.Run.consensus_run}[.decisions]: a unanimous
+          vector is one of its arena's two read-only vectors, so it must
+          not be mutated *)
   completed : bool;  (** every process decided within the step bound *)
   steps : int;  (** shared-memory steps the instance consumed *)
   resumes : int;
       (** fiber resumptions the instance took ([Sim.resumes]);
           deterministic like [steps] *)
   rounds : int;  (** protocol rounds to decide *)
+  inconsistent_reconstructions : int;
+      (** {!Bprc_harness.Run.consensus_run}[.inconsistent_reconstructions]:
+          queried corrupt graph fills of the bounded strip *)
   spec_check : (unit, string) result;
       (** agreement + validity verdict over the decisions *)
   latency_s : float;  (** submit-to-decide; [0.] in {!Deterministic} *)
@@ -59,6 +66,8 @@ type stats = {
   delivered : int;  (** decided records handed to the consumer *)
   violations : int;  (** decided instances whose spec check failed *)
   incomplete : int;  (** instances that hit their step bound *)
+  corrupt : int;
+      (** decided instances with [inconsistent_reconstructions > 0] *)
   in_flight : int;  (** admitted, not yet delivered *)
   max_in_flight : int;  (** high-water mark of [in_flight] *)
   busy_s : float;  (** wall time inside batch dispatch *)

@@ -9,10 +9,10 @@
    every pinned trace digest, are bit-identical. *)
 
 (* Register names depend only on the base [name] and [n], yet
-   [Printf.sprintf] dominated [create]'s allocation when a checker calls
-   it once per explored run.  Memoized per domain on [(name, n)] outside
-   the functor, since [Run.consensus_once] applies the functor once per
-   instance: the name strings themselves are unchanged byte for byte. *)
+   [Printf.sprintf] dominated [create]'s allocation: [create] runs once
+   per consensus instance and once per explored run, under base names
+   the caller picks.  Memoized per domain on [(name, n)]: the name
+   strings themselves are unchanged byte for byte. *)
 let names_cache :
     (string * int * (string array * string array)) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -32,28 +32,6 @@ let names_for name n =
     cache := (name, n, (vs, ar)) :: !cache;
     (vs, ar)
 
-(* The arrow-matrix positions a process touches, made once per [n] and
-   domain and shared by every instance: [rows.(i)] lists [i*n + j], the
-   arrows scanner [i] clears and reads back, and [cols.(j)] lists
-   [i*n + j], the arrows writer [j] raises — each over the other
-   processes in ascending order. *)
-let arrows_cache :
-    (int * (int array array * int array array)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let arrows_for n =
-  let cache = Domain.DLS.get arrows_cache in
-  match List.assoc_opt n !cache with
-  | Some tables -> tables
-  | None ->
-    let others p f =
-      Array.init (n - 1) (fun k -> f (if k < p then k else k + 1))
-    in
-    let rows = Array.init n (fun i -> others i (fun j -> (i * n) + j)) in
-    let cols = Array.init n (fun j -> others j (fun i -> (i * n) + j)) in
-    cache := (n, (rows, cols)) :: !cache;
-    (rows, cols)
-
 module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
   type 'a cell = { value : 'a; toggle : bool }
 
@@ -68,7 +46,18 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
     mutable retries : int;
   }
 
-  let rows, cols = arrows_for R.n
+  (* The arrow-matrix positions a process touches, shared by every
+     instance of this application: [rows.(i)] lists [i*n + j], the
+     arrows scanner [i] clears and reads back, and [cols.(j)] lists
+     [i*n + j], the arrows writer [j] raises — each over the other
+     processes in ascending order. *)
+  let rows, cols =
+    let n = R.n in
+    let others p f =
+      Array.init (n - 1) (fun k -> f (if k < p then k else k + 1))
+    in
+    ( Array.init n (fun i -> others i (fun j -> (i * n) + j)),
+      Array.init n (fun j -> others j (fun i -> (i * n) + j)) )
 
   let create ?(name = "snap") ~init () =
     let value_names, arrow_names = names_for name R.n in

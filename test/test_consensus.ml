@@ -167,20 +167,50 @@ let test_register_bits_constant () =
   Alcotest.(check bool) "protocol did real work" true (st.Ads89.scans > 0);
   Alcotest.(check bool) "rounds advanced" true (st.Ads89.max_raw_round >= 1)
 
-let test_stats_decisions_match () =
-  let sim = Sim.create ~seed:2 ~n:3 ~adversary:(Adversary.random ()) () in
-  let module C = Ads89.Make ((val Sim.runtime sim)) in
-  let t = C.create () in
-  let handles =
-    Array.init 3 (fun i -> Sim.spawn sim (fun () -> C.run t ~input:(i <> 1)))
+(* Every decision [Run.consensus_once] returns is its process's own
+   [Sim.result] in the same run driven directly, whether the result
+   holds one of the arena's shared unanimous vectors (complete runs) or
+   an array of its own (a run cut short, with undecided processes). *)
+let test_decisions_mirror_results () =
+  let module Run = Bprc_harness.Run in
+  let n = 3 in
+  let arena =
+    Sim.create ~seed:0 ~max_steps:20_000_000 ~n
+      ~adversary:(Adversary.round_robin ()) ()
   in
-  ignore (Sim.run sim);
-  let st = C.stats t in
-  Array.iteri
-    (fun i h ->
-      Alcotest.(check (option bool)) "stats mirror results" (Sim.result h)
-        st.Ads89.decided.(i))
-    handles
+  List.iter
+    (fun (seed, max_steps) ->
+      let r =
+        Run.consensus_once ~sim:arena ~max_steps
+          ~algo:(Run.Ads Ads89.Shared_walk) ~pattern:Run.Random_inputs ~n
+          ~seed ()
+      in
+      let inputs = Run.inputs_of_pattern Run.Random_inputs ~n ~seed in
+      let sim =
+        Sim.create ~seed ~max_steps ~n
+          ~adversary:(Run.plain_adversary Run.Random_sched) ()
+      in
+      let module C = Ads89.Make_batched ((val Sim.batched sim)) in
+      let t = C.create ~oracle_seed:seed () in
+      let handles =
+        Array.init n (fun i ->
+            Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+      in
+      let completed = Sim.run sim = Sim.Completed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d completion" seed)
+        completed r.Run.completed;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: undecided iff cut short" seed)
+        (not completed)
+        (Array.exists Option.is_none r.Run.decisions);
+      Array.iteri
+        (fun i h ->
+          Alcotest.(check (option bool))
+            (Printf.sprintf "seed %d, process %d" seed i)
+            (Sim.result h) r.Run.decisions.(i))
+        handles)
+    [ (2, 20_000_000); (3, 20_000_000); (2, 20); (3, 20_000_000) ]
 
 (* --- AH88 baseline ---------------------------------------------------- *)
 
@@ -252,7 +282,8 @@ let suite =
       test_local_flips_mode_small_n;
     Alcotest.test_case "oracle mode" `Quick test_oracle_mode;
     Alcotest.test_case "register bits constant" `Quick test_register_bits_constant;
-    Alcotest.test_case "stats mirror decisions" `Quick test_stats_decisions_match;
+    Alcotest.test_case "decisions mirror results" `Quick
+      test_decisions_mirror_results;
     Alcotest.test_case "ah88: correct" `Quick test_ah88_correct;
     Alcotest.test_case "ah88: space grows" `Quick test_ah88_space_grows_with_rounds;
   ]
@@ -465,13 +496,14 @@ let suite = suite @ fuzz_suite
    simulator arena — over repeated instances at n=4.  The arena is
    reused via [~sim] so the gauge reads the protocol path, not
    simulator construction.  Before the scratch rework this measured in
-   the tens of thousands of words per decision; the ceiling pins the
-   reworked order of magnitude without being flaky about the exact
-   constant (rounds per instance vary with the seed).  A second input
-   builds a fresh arena per instance, so simulator construction counts
-   too; it sits near 790 words and is pinned at 2210, a third of the
-   6,632 measured before the rework.  Both inputs run the random
-   scheduler. *)
+   the tens of thousands of words per decision.  It reads 736 words
+   now that the arena keeps one applied protocol module and the §5
+   loop no decision arrays (788 before), and the ceiling pins that
+   level with a 3% margin; the seeds are fixed, so the count repeats
+   exactly.  A second input builds a fresh arena per instance, so
+   simulator construction counts too; it sits near 660 words and is
+   pinned at 2210, a third of the 6,632 measured before the rework.
+   Both inputs run the random scheduler. *)
 let test_ads89_words_per_decision_bounded () =
   let module Run = Bprc_harness.Run in
   let n = 4 in
@@ -504,7 +536,7 @@ let test_ads89_words_per_decision_bounded () =
   for s = 1 to 5 do
     ignore (reused s)
   done;
-  words_per_decision ~ceiling:2500.0 ~what:"reused arena" reused
+  words_per_decision ~ceiling:760.0 ~what:"reused arena" reused
     (List.init 40 (fun i -> 101 + i));
   (* A fresh arena per instance, creation included: the whole decision
      path as a one-shot caller pays for it. *)

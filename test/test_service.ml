@@ -319,6 +319,7 @@ let test_engine_stats_accounting () =
       Alcotest.(check int) "delivered" 8 st.Engine.delivered;
       Alcotest.(check int) "violations" 0 st.Engine.violations;
       Alcotest.(check int) "incomplete" 0 st.Engine.incomplete;
+      Alcotest.(check int) "corrupt" 0 st.Engine.corrupt;
       Alcotest.(check bool) "throughput measured" true
         (st.Engine.decisions_per_sec > 0.0);
       Alcotest.(check bool) "latency percentiles measured" true
@@ -366,6 +367,96 @@ let test_decisions_retained_words () =
         out;
       Engine.shutdown e)
 
+(* A unanimous result holds one of its arena's two read-only vectors:
+   every unanimous-true result of one arena the same physical array,
+   every unanimous-false result the other. *)
+let test_unanimous_vectors_shared () =
+  let n = 4 in
+  let sim =
+    Bprc_runtime.Sim.create ~seed:0 ~max_steps:20_000_000 ~n
+      ~adversary:(Bprc_runtime.Adversary.round_robin ())
+      ()
+  in
+  let run v seed =
+    let r =
+      Run.consensus_once ~sim
+        ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
+        ~pattern:(Run.Unanimous v) ~n ~seed ()
+    in
+    Alcotest.(check (array (option bool)))
+      (Printf.sprintf "unanimous %b, seed %d" v seed)
+      (Array.make n (Some v)) r.Run.decisions;
+    r.Run.decisions
+  in
+  let t1 = run true 1 and f1 = run false 2 in
+  let t2 = run true 3 and f2 = run false 4 in
+  Alcotest.(check bool) "true results share one array" true (t1 == t2);
+  Alcotest.(check bool) "false results share one array" true (f1 == f2);
+  Alcotest.(check bool) "the two vectors differ" true (t1 != f1)
+
+(* Any other outcome owns its array: a run cut short by a tiny step
+   bound, and a disagreeing one.  K=1 is the cheap source of
+   disagreement (ROADMAP item 13): seed 3 at n=3 decides split within
+   a few hundred steps. *)
+let test_other_outcomes_own_arrays () =
+  let sim =
+    Bprc_runtime.Sim.create ~seed:0 ~max_steps:20_000_000 ~n:3
+      ~adversary:(Bprc_runtime.Adversary.round_robin ())
+      ()
+  in
+  let run ?params ?max_steps ~pattern seed =
+    Run.consensus_once ~sim ?params ?max_steps
+      ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
+      ~pattern ~n:3 ~seed ()
+  in
+  let yes = (run ~pattern:(Run.Unanimous true) 1).Run.decisions in
+  let no = (run ~pattern:(Run.Unanimous false) 1).Run.decisions in
+  let cut = run ~max_steps:20 ~pattern:(Run.Unanimous true) 1 in
+  Alcotest.(check bool) "cut run incomplete" false cut.Run.completed;
+  Alcotest.(check (array (option bool)))
+    "cut run: nobody decided" [| None; None; None |] cut.Run.decisions;
+  let split =
+    run ~params:{ Bprc_core.Params.default with k = 1 }
+      ~pattern:Run.Random_inputs 3
+  in
+  Alcotest.(check bool) "split run completed" true split.Run.completed;
+  Alcotest.(check bool) "split run violates agreement" true
+    (Result.is_error split.Run.spec);
+  Alcotest.(check bool) "split run holds both values" true
+    (Array.mem (Some true) split.Run.decisions
+    && Array.mem (Some false) split.Run.decisions);
+  List.iter
+    (fun (what, d) ->
+      Alcotest.(check bool) (what ^ " owns its array") true
+        (d != yes && d != no))
+    [ ("cut run", cut.Run.decisions); ("split run", split.Run.decisions) ];
+  Alcotest.(check (array (option bool)))
+    "shared vectors untouched" [| Some true; Some true; Some true |] yes;
+  Alcotest.(check (array (option bool)))
+    "shared vectors untouched" [| Some false; Some false; Some false |] no
+
+(* A whole engine batch on one arena keeps at most its two shared
+   vectors, [n + 1] words each, plus the two shared boxes. *)
+let test_batch_decisions_words () =
+  let n = 8 in
+  with_pool 1 (fun pool ->
+      let e = Engine.create ~seed:3 ~pool () in
+      let spec = Workload.spec ~sched:Run.Round_robin_sched ~n () in
+      ignore (Engine.submit_batch e (Workload.uniform ~count:32 spec));
+      let out = Engine.drain e in
+      Engine.shutdown e;
+      let all =
+        Array.of_list (List.map (fun (d : Engine.decided) -> d.Engine.decisions) out)
+      in
+      Alcotest.(check int) "decided" 32 (Array.length all);
+      let words =
+        Obj.reachable_words (Obj.repr all) - (Array.length all + 1)
+      in
+      let bound = (2 * (n + 1)) + 4 in
+      if words > bound then
+        Alcotest.failf "32 results retain %d words of decisions > %d" words
+          bound)
+
 let test_workload_weighted () =
   let rng = Bprc_rng.Splitmix.create ~seed:3 in
   let a = Workload.spec ~n:3 () in
@@ -410,4 +501,10 @@ let suite =
     Alcotest.test_case "workload: weighted mix" `Quick test_workload_weighted;
     Alcotest.test_case "run: decided result retains n + 5 words" `Quick
       test_decisions_retained_words;
+    Alcotest.test_case "run: unanimous results share the arena's vectors"
+      `Quick test_unanimous_vectors_shared;
+    Alcotest.test_case "run: other outcomes own their arrays" `Quick
+      test_other_outcomes_own_arrays;
+    Alcotest.test_case "engine: a batch retains 2(n + 1) + 4 decision words"
+      `Quick test_batch_decisions_words;
   ]
