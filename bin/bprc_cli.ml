@@ -435,24 +435,28 @@ let trace_cmd =
       Bprc_runtime.Sim.create ~seed ~max_steps:steps ~record_trace:true ~n
         ~adversary:(Bprc_harness.Run.plain_adversary sched) ()
     in
-    ignore
-      (Bprc_harness.Run.consensus_on sim
-         ~protocol:
-           (Bprc_harness.Run.protocol
-              (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk))
-         ~sched ~max_steps:steps
-         ~inputs:
-           (Bprc_harness.Run.inputs_of_pattern Bprc_harness.Run.Split ~n ~seed)
-         ());
+    let r =
+      Bprc_harness.Run.consensus_on sim
+        ~protocol:
+          (Bprc_harness.Run.protocol
+             (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk))
+        ~sched ~max_steps:steps
+        ~inputs:
+          (Bprc_harness.Run.inputs_of_pattern Bprc_harness.Run.Split ~n ~seed)
+        ()
+    in
     match Bprc_runtime.Sim.trace sim with
     | None -> Fmt.epr "no trace recorded@."
     | Some tr ->
       if digest then
         Fmt.pr "%d events  md5 %s@." (Bprc_runtime.Trace.length tr)
           (trace_digest tr)
-      else
+      else begin
         Fmt.pr "%a@." Bprc_runtime.Trace_stats.pp
-          (Bprc_runtime.Trace_stats.analyze tr ~n)
+          (Bprc_runtime.Trace_stats.analyze tr ~n);
+        Fmt.pr "strip : %d inconsistent reconstructions@."
+          r.Bprc_harness.Run.inconsistent_reconstructions
+      end
   in
   Cmd.v
     (cmd_info "trace"

@@ -158,12 +158,11 @@ module Make_over_snapshot
 (** The paper's protocol, the loop over the bounded strip, over
     another scannable-memory implementation.
 
-    {b Caution}: safety (consistency/validity) only needs P1–P3, but
-    liveness additionally needs scans whose views are current as of the
-    scan's {e end} — the handshake and {!Bprc_snapshot.Unbounded}
-    double-collect objects provide this, while the borrowed views of
-    {!Bprc_snapshot.Embedded} do not, and the protocol can livelock
-    over it (experiment E13; DESIGN.md interpretation note 8). *)
+    {b Caution}: the bounded strip's stale cap corrupts the decoded
+    distance graph over every snapshot.  Over
+    {!Bprc_snapshot.Embedded} the corruption sticks more often, and the
+    protocol can livelock or break agreement (experiment E13; DESIGN.md
+    interpretation note 8). *)
 
 module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) : S
 (** The paper's configuration: the protocol over the §2 handshake

@@ -28,6 +28,17 @@ let count p arr =
 
 let collect f arr = List.filter_map f (Array.to_list arr)
 
+(* The tally of cell [c]'s seeded consensus trials: [run ~seed] per
+   trial, fanned out as [samples] over [fork root c]. *)
+let tally_runs ?pool root c ~trials run =
+  Run.tally
+    (samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials (fun rng ->
+         run ~seed:(seed_of rng)))
+
+(* A float per finished run of a tally. *)
+let measure field t =
+  List.map (fun r -> float_of_int (field r)) t.Run.finished
+
 (* ------------------------------------------------------------------ *)
 
 let e1_coin_agreement ?(quick = false) ?pool () =
@@ -183,17 +194,13 @@ let e4_rounds ?(quick = false) ?pool () =
   let rows =
     List.mapi
       (fun c n ->
-        let runs =
-          samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials
-            (fun rng ->
+        let t =
+          tally_runs ?pool root c ~trials (fun ~seed ->
               Run.consensus_once ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
-                ~pattern:Run.Random_inputs ~n ~seed:(seed_of rng) ())
+                ~pattern:Run.Random_inputs ~n ~seed ())
         in
-        let completed = collect (fun r -> if r.Run.completed then Some r else None) runs in
-        let rounds =
-          List.map (fun r -> float_of_int r.Run.max_round) completed
-        in
-        let steps = List.map (fun r -> float_of_int r.Run.steps) completed in
+        let rounds = measure (fun r -> r.Run.max_round) t in
+        let steps = measure (fun r -> r.Run.steps) t in
         [
           i n;
           i (List.length rounds);
@@ -240,30 +247,22 @@ let e5_total_steps ?(quick = false) ?pool () =
             if skip then
               [ i n; Run.algo_name algo; "-"; "-"; "-"; "skipped (exp.)" ]
             else begin
-              let runs =
-                samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials
-                  (fun rng ->
+              let t =
+                tally_runs ?pool root c ~trials (fun ~seed ->
                     Run.consensus_once ~max_steps:cap
                       ~sched:Run.Round_robin_sched ~algo
-                      ~pattern:Run.Random_inputs ~n ~seed:(seed_of rng) ())
+                      ~pattern:Run.Random_inputs ~n ~seed ())
               in
-              let steps =
-                collect
-                  (fun r ->
-                    if r.Run.completed then Some (float_of_int r.Run.steps)
-                    else None)
-                  runs
-              in
-              let timeouts = count (fun r -> not r.Run.completed) runs in
-              let m = if steps = [] then nan else Stats.mean steps in
+              let steps = measure (fun r -> r.Run.steps) t in
+              let stat g = if steps = [] then "-" else f (g steps) in
               [
                 i n;
                 Run.algo_name algo;
-                (if steps = [] then "-" else f m);
-                (if steps = [] then "-" else f (Stats.median steps));
-                (if steps = [] then "-" else f (Stats.maximum steps));
-                (if timeouts = 0 then "0"
-                 else Printf.sprintf "%d/%d" timeouts trials);
+                stat Stats.mean;
+                stat Stats.median;
+                stat Stats.maximum;
+                (if t.Run.timeouts = 0 then "0"
+                 else Printf.sprintf "%d/%d" t.Run.timeouts trials);
               ]
             end)
           algos)
@@ -298,16 +297,12 @@ let e6_space ?(quick = false) ?pool () =
   let ads_bits = Bprc_core.Params.register_bits Bprc_core.Params.default ~n in
   let root = Bprc_rng.Splitmix.create ~seed:0xE6 in
   let cell c algo sched =
-    let runs =
-      samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials (fun rng ->
-          Run.consensus_once ~sched ~algo ~pattern:Run.Random_inputs ~n
-            ~seed:(seed_of rng) ())
+    let t =
+      tally_runs ?pool root c ~trials (fun ~seed ->
+          Run.consensus_once ~sched ~algo ~pattern:Run.Random_inputs ~n ~seed ())
     in
-    let completed = collect (fun r -> if r.Run.completed then Some r else None) runs in
-    let bits =
-      List.map (fun r -> float_of_int r.Run.register_bits) completed
-    in
-    let rounds = List.map (fun r -> float_of_int r.Run.max_round) completed in
+    let bits = measure (fun r -> r.Run.register_bits) t in
+    let rounds = measure (fun r -> r.Run.max_round) t in
     [
       Run.algo_name algo;
       Run.sched_name sched;
@@ -543,10 +538,7 @@ let e9_correctness ?(quick = false) ?pool () =
                       in
                       (crashed, r))
                 in
-                let violations =
-                  count (fun (_, r) -> r.Run.spec <> Ok ()) runs
-                in
-                let timeouts = count (fun (_, r) -> not r.Run.completed) runs in
+                let t = Run.tally (Array.map snd runs) in
                 let undecided =
                   count
                     (fun (crashed, r) ->
@@ -559,9 +551,9 @@ let e9_correctness ?(quick = false) ?pool () =
                   Run.sched_name sched;
                   pattern_name pattern;
                   i trials;
-                  i violations;
+                  i t.Run.violations;
                   i undecided;
-                  i timeouts;
+                  i t.Run.timeouts;
                 ])
               patterns)
           scheds)
@@ -636,21 +628,15 @@ let e11_delta_ablation ?(quick = false) ?pool () =
     List.mapi
       (fun c delta ->
         let params = { Bprc_core.Params.default with Bprc_core.Params.delta } in
-        let runs =
-          samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials
-            (fun rng ->
+        let t =
+          tally_runs ?pool root c ~trials (fun ~seed ->
               Run.consensus_once ~params
                 ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
-                ~pattern:Run.Random_inputs ~n ~seed:(seed_of rng) ())
+                ~pattern:Run.Random_inputs ~n ~seed ())
         in
-        let completed = collect (fun r -> if r.Run.completed then Some r else None) runs in
-        let steps = List.map (fun r -> float_of_int r.Run.steps) completed in
-        let rounds =
-          List.map (fun r -> float_of_int r.Run.max_round) completed
-        in
-        let walks =
-          List.map (fun r -> float_of_int r.Run.walk_steps) completed
-        in
+        let steps = measure (fun r -> r.Run.steps) t in
+        let rounds = measure (fun r -> r.Run.max_round) t in
+        let walks = measure (fun r -> r.Run.walk_steps) t in
         [
           i delta;
           i (List.length steps);
@@ -696,17 +682,13 @@ let e12_k_ablation ?(quick = false) ?pool () =
                     ~pattern:Run.Random_inputs ~n ~seed:(seed_of rng) ()))
             scheds
         in
-        let runs = Array.concat per_sched in
-        let violations = count (fun r -> r.Run.spec <> Ok ()) runs in
-        let completed = collect (fun r -> if r.Run.completed then Some r else None) runs in
-        let steps = List.map (fun r -> float_of_int r.Run.steps) completed in
-        let rounds =
-          List.map (fun r -> float_of_int r.Run.max_round) completed
-        in
+        let t = Run.tally (Array.concat per_sched) in
+        let steps = measure (fun r -> r.Run.steps) t in
+        let rounds = measure (fun r -> r.Run.max_round) t in
         [
           i k;
-          i (Array.length runs);
-          i violations;
+          i t.Run.trials;
+          i t.Run.violations;
           f (Stats.mean steps);
           f (Stats.mean rounds);
           i (Bprc_core.Params.register_bits params ~n);
@@ -723,8 +705,11 @@ let e12_k_ablation ?(quick = false) ?pool () =
         "K = 1 lets a leader decide while a disagreeing process trails by";
         "only one round — that process can still become a leader with its";
         "own preference, and consistency breaks (nonzero violations).";
-        "K = 2 (the paper's choice) is the cheapest safe setting; larger";
-        "K only adds rounds of lag, coin slots and register bits.";
+        "K = 2 (the paper's choice) is the cheapest setting without these";
+        "violations, yet not a safe one: the strip defect of ROADMAP";
+        "item 2 still breaks agreement in about 1 of 8,000 instances";
+        "under random scheduling.  Larger K only adds rounds of lag,";
+        "coin slots and register bits.";
       ]
     rows
 
@@ -738,33 +723,24 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
   let cap = 1_000_000 in
   let root = Bprc_rng.Splitmix.create ~seed:0xE13 in
   let consensus_cost c protocol name =
-    let runs =
-      samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials (fun rng ->
-          let seed = seed_of rng in
+    let t =
+      tally_runs ?pool root c ~trials (fun ~seed ->
           let sim =
             Bprc_runtime.Sim.create ~seed ~max_steps:cap ~n
               ~adversary:(Bprc_runtime.Adversary.random ()) ()
           in
           let inputs = Run.inputs_of_pattern Run.Random_inputs ~n ~seed in
-          let r = Run.consensus_on sim ~protocol ~max_steps:cap ~inputs () in
-          (r.Run.spec = Ok (), r.Run.steps))
+          Run.consensus_on sim ~protocol ~max_steps:cap ~inputs ())
     in
-    let ok = Array.for_all (fun (ok, _) -> ok) runs in
-    let steps =
-      collect
-        (fun (_, clock) ->
-          if clock >= cap then None else Some (float_of_int clock))
-        runs
-    in
-    let timeouts = count (fun (_, clock) -> clock >= cap) runs in
+    let steps = measure (fun r -> r.Run.steps) t in
     [
       name;
       i trials;
       f (Stats.mean steps);
       f (Stats.median steps);
-      (if ok then "0" else "VIOLATIONS");
-      (if timeouts = 0 then "0"
-       else Printf.sprintf "%d/%d (livelock)" timeouts trials);
+      i t.Run.violations;
+      (if t.Run.timeouts = 0 then "0"
+       else Printf.sprintf "%d/%d (livelock)" t.Run.timeouts trials);
     ]
   in
   let over_double_collect (module R : Bprc_runtime.Runtime_intf.BATCHED) :
@@ -791,14 +767,15 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
     ~notes:
       [
         Printf.sprintf "n = %d, random scheduler, random inputs." n;
-        "Finding: P1-P3 alone are NOT sufficient for the protocol's";
-        "liveness.  The handshake and plain double-collect scans return";
-        "views current as of the scan's END; the embedded-scan object's";
-        "borrowed views are linearized EARLIER in the scan interval —";
-        "legal for P1-P3, but the edge-counter advance can then act on";
-        "information stale enough to wedge the distance graph into a";
-        "positive cycle (safety is unharmed; a process may stop making";
-        "round progress).  See DESIGN.md, interpretation note 8.";
+        "Finding: the bounded strip's stale cap (ROADMAP item 2) corrupts";
+        "the decoded distance graph over every snapshot, not only over";
+        "the embedded one's mid-interval views.  At n = 6 under random";
+        "scheduling (seeds 1-300) 40 handshake, 37 double-collect and 28";
+        "embedded runs reconstruct a corrupt graph.  Every handshake and";
+        "double-collect run still decides and agrees within 2M steps;";
+        "over the embedded snapshot the corruption sticks more often:";
+        "9 runs livelock and 2 violate agreement.  See DESIGN.md,";
+        "interpretation note 8.";
       ]
     rows
 
@@ -878,6 +855,7 @@ let e15_crash_tolerance ?(quick = false) ?pool () =
   let rows =
     List.mapi
       (fun cell crashes ->
+        (* The crash times draw from the trial's rng before its seed. *)
         let runs =
           samples ?pool ~base:(Bprc_rng.Splitmix.fork root cell) ~trials
             (fun rng ->
@@ -890,21 +868,13 @@ let e15_crash_tolerance ?(quick = false) ?pool () =
                 ~algo:(Ads Bprc_core.Ads89.Shared_walk) ~pattern:Run.Split ~n
                 ~seed:(seed_of rng) ())
         in
-        let violations =
-          count (fun r -> Result.is_error r.Run.spec) runs
-        in
-        let timeouts = count (fun r -> not r.Run.completed) runs in
-        let steps =
-          collect
-            (fun r -> if r.Run.completed then Some r.Run.steps else None)
-            runs
-        in
+        let t = Run.tally runs in
         [
           i crashes;
           i trials;
-          i timeouts;
-          i violations;
-          f (Stats.mean (List.map float_of_int steps));
+          i t.Run.timeouts;
+          i t.Run.violations;
+          f (Stats.mean (measure (fun r -> r.Run.steps) t));
         ])
       [ 0; 1; 2 ]
   in
@@ -946,26 +916,18 @@ let e16_weakening ?(quick = false) ?pool () =
   let rows =
     List.mapi
       (fun cell (label, faults) ->
-        let runs =
-          samples ?pool ~base:(Bprc_rng.Splitmix.fork root cell) ~trials
-            (fun rng ->
+        let t =
+          tally_runs ?pool root cell ~trials (fun ~seed ->
               Run.consensus_once ~max_steps ~faults
                 ~algo:(Ads Bprc_core.Ads89.Shared_walk) ~pattern:Run.Split ~n
-                ~seed:(seed_of rng) ())
-        in
-        let violations = count (fun r -> Result.is_error r.Run.spec) runs in
-        let timeouts = count (fun r -> not r.Run.completed) runs in
-        let steps =
-          collect
-            (fun r -> if r.Run.completed then Some r.Run.steps else None)
-            runs
+                ~seed ())
         in
         [
           label;
           i trials;
-          i violations;
-          i timeouts;
-          f (Stats.mean (List.map float_of_int steps));
+          i t.Run.violations;
+          i t.Run.timeouts;
+          f (Stats.mean (measure (fun r -> r.Run.steps) t));
         ])
       variants
   in

@@ -55,8 +55,9 @@ val e11_delta_ablation : ?quick:bool -> ?pool:Pool.t -> unit -> Table.t
 
 val e12_k_ablation : ?quick:bool -> ?pool:Pool.t -> unit -> Table.t
 (** Ablation: the strip constant K.  K = 1 breaks consistency (measured
-    violations); K = 2 — the paper's choice — is the cheapest safe
-    setting. *)
+    violations); K = 2 — the paper's choice — is the cheapest setting
+    without them, though the strip defect of ROADMAP item 2 still
+    breaks agreement there, rarely. *)
 
 val e13_snapshot_ablation : ?quick:bool -> ?pool:Pool.t -> unit -> Table.t
 (** Ablation: the consensus protocol over each of the three scannable

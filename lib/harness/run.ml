@@ -92,22 +92,26 @@ let plain_adversary = function
        [install_probe_adversary] installs the informed versions. *)
     Adversary.random ()
 
+(* The two views the adaptive adversaries read, built only when one of
+   them is installed. *)
+let probes probe instance =
+  ( (fun () -> Bprc_coin.Coin_probe.published_sum_at_front (probe instance)),
+    fun pid -> Bprc_coin.Coin_probe.pending_at_front (probe instance) pid )
+
 (* The adaptive adversaries probe the coin or protocol instance, which
    exists only after the sim: the sim starts with [plain_adversary
    sched], and these replace it once the instance is built. *)
-let install_probe_adversary sim ~sched ~probe =
-  let n = Sim.n sim in
-  let published_sum () =
-    Bprc_coin.Coin_probe.published_sum_at_front (probe ())
-  in
-  let pending pid = Bprc_coin.Coin_probe.pending_at_front (probe ()) pid in
+let install_probe_adversary sim ~sched probe instance =
   match sched with
   | Anti_coin_sched ->
+    let published_sum, pending = probes probe instance in
     Sim.set_adversary sim (stretch_adversary ~published_sum ~pending ())
   | Osc_coin_sched ->
-    let threshold = (probe ()).Bprc_coin.Coin_probe.threshold in
+    let published_sum, pending = probes probe instance in
+    let threshold = (probe instance).Bprc_coin.Coin_probe.threshold in
     Sim.set_adversary sim
-      (oscillation_adversary ~n ~threshold ~published_sum ~pending ())
+      (oscillation_adversary ~n:(Sim.n sim) ~threshold ~published_sum
+         ~pending ())
   | Random_sched | Round_robin_sched | Bursty_sched _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -125,7 +129,7 @@ let coin_once ?(delta = 2) ?m ?(sched = Random_sched) ?(max_steps = 10_000_000)
   let sim = Sim.create ~seed ~max_steps ~n ~adversary:(plain_adversary sched) () in
   let module C = Bprc_coin.Bounded_walk.Make ((val Sim.runtime sim)) in
   let coin = C.create ~delta ?m () in
-  install_probe_adversary sim ~sched ~probe:(fun () -> C.probe coin);
+  install_probe_adversary sim ~sched C.probe coin;
   let handles = Array.init n (fun _ -> Sim.spawn sim (fun () -> C.flip coin)) in
   let coin_completed = Sim.run sim = Sim.Completed in
   let values = Array.to_list handles |> List.filter_map Sim.result in
@@ -167,8 +171,8 @@ let protocol algo (module R : Runtime_intf.BATCHED) :
        large [n] the handshake's clean double-collect window shrinks
        like e^{-n} under ongoing writes, so the large-n bench family
        runs over [Embedded], whose scans borrow instead of starving
-       (liveness caveat: DESIGN.md note 8 — in practice the borrowed
-       views are current enough to decide at every n exercised). *)
+       (caveat: DESIGN.md note 8 — a corrupt strip reconstruction
+       sticks more often over it, and some runs livelock or disagree). *)
     (module Bprc_core.Ads89.Make_over_snapshot
               (R)
               (Bprc_snapshot.Embedded.Make_batched (R)))
@@ -254,7 +258,7 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
     protocol (Bprc_faults.Inject.weaken_batched (Sim.batched sim) ~plan:faults)
   in
   let t = C.create ~params ~coin_mode ~oracle_seed () in
-  install_probe_adversary sim ~sched ~probe:(fun () -> C.coin_probe t);
+  install_probe_adversary sim ~sched C.coin_probe t;
   let handles =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
@@ -320,3 +324,21 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
   in
   consensus_on sim ~protocol ~params ~coin_mode
     ~oracle_seed:seed ~sched ~faults ~max_steps ~inputs ()
+
+type tally = {
+  trials : int;
+  finished : consensus_run list;
+  violations : int;
+  timeouts : int;
+}
+
+let tally runs =
+  let count p =
+    Array.fold_left (fun acc r -> if p r then acc + 1 else acc) 0 runs
+  in
+  {
+    trials = Array.length runs;
+    finished = List.filter (fun r -> r.completed) (Array.to_list runs);
+    violations = count (fun r -> Result.is_error r.spec);
+    timeouts = count (fun r -> not r.completed);
+  }

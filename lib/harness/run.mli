@@ -160,3 +160,17 @@ val consensus_once :
     The arena must have been created with the same [n] and a step bound
     [>= max_steps]; the calling domain adopts ownership.
     @raise Invalid_argument when the reused arena's shape mismatches. *)
+
+(** What a batch of consensus runs counts as, decided once for every
+    table that reports one. *)
+type tally = {
+  trials : int;  (** runs in the batch *)
+  finished : consensus_run list;
+      (** the runs that [completed], in trial order *)
+  violations : int;  (** runs whose [spec] is an error *)
+  timeouts : int;
+      (** runs not [completed]: cut at their step cap, so their [steps]
+          equal it *)
+}
+
+val tally : consensus_run array -> tally

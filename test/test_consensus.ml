@@ -496,12 +496,13 @@ let suite = suite @ fuzz_suite
    simulator arena — over repeated instances at n=4.  The arena is
    reused via [~sim] so the gauge reads the protocol path, not
    simulator construction.  Before the scratch rework this measured in
-   the tens of thousands of words per decision.  It reads 736 words
-   now that the arena keeps one applied protocol module and the §5
-   loop no decision arrays (788 before), and the ceiling pins that
-   level with a 3% margin; the seeds are fixed, so the count repeats
-   exactly.  A second input builds a fresh arena per instance, so
-   simulator construction counts too; it sits near 660 words and is
+   the tens of thousands of words per decision.  It reads 733 words
+   now that the arena keeps one applied protocol module, the §5 loop
+   no decision arrays and a non-adaptive scheduler no coin-probe
+   closures (788 before), and the ceiling pins that level with a 4%
+   margin; the seeds are fixed, so the count repeats exactly.  A
+   second input builds a fresh arena per instance, so simulator
+   construction counts too; it sits near 656 words and is
    pinned at 2210, a third of the 6,632 measured before the rework.
    Both inputs run the random scheduler. *)
 let test_ads89_words_per_decision_bounded () =

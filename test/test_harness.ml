@@ -379,6 +379,34 @@ let test_consensus_once_crash () =
   Alcotest.(check bool) "completes despite crash" true r.Run.completed;
   Alcotest.(check bool) "spec holds" true (r.Run.spec = Ok ())
 
+(* A run cut at its step cap is a timeout whose steps equal the cap; a
+   finished run with a failed spec is a violation, and still finished. *)
+let test_tally () =
+  let n = 4 and cap = 50 in
+  let algo = Run.Ads Bprc_core.Ads89.Shared_walk in
+  let sim =
+    Bprc_runtime.Sim.create ~seed:1 ~max_steps:cap ~n
+      ~adversary:(Bprc_runtime.Adversary.random ()) ()
+  in
+  let cut =
+    Run.consensus_on sim ~protocol:(Run.protocol algo) ~max_steps:cap
+      ~inputs:(Run.inputs_of_pattern Run.Split ~n ~seed:1)
+      ()
+  in
+  Alcotest.(check bool) "cut run incomplete" false cut.Run.completed;
+  Alcotest.(check int) "cut run's steps equal the cap" cap cut.Run.steps;
+  let clean = Run.consensus_once ~algo ~pattern:Run.Split ~n ~seed:2 () in
+  Alcotest.(check bool) "clean run" true
+    (clean.Run.completed && clean.Run.spec = Ok ());
+  let violating = { clean with Run.spec = Error "stub" } in
+  let t = Run.tally [| clean; cut; violating |] in
+  Alcotest.(check int) "trials" 3 t.Run.trials;
+  Alcotest.(check bool) "finished, in trial order" true
+    (List.length t.Run.finished = 2
+    && List.for_all2 ( == ) t.Run.finished [ clean; violating ]);
+  Alcotest.(check int) "violations" 1 t.Run.violations;
+  Alcotest.(check int) "timeouts" 1 t.Run.timeouts
+
 (* ------------------------------------------------------------------ *)
 (* Experiments (smoke at tiny sizes)                                   *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +505,7 @@ let suite =
     Alcotest.test_case "run: consensus all schedulers" `Quick
       test_consensus_once_all_scheds;
     Alcotest.test_case "run: crash injection" `Quick test_consensus_once_crash;
+    Alcotest.test_case "run: tally" `Quick test_tally;
     Alcotest.test_case "experiments: registry" `Quick test_experiments_registry;
     Alcotest.test_case "experiments: tables well-formed" `Slow
       test_experiment_tables_well_formed;
