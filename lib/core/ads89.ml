@@ -293,10 +293,20 @@ module Bounded = struct
        it. *)
     ec : Ec.t;
     g : Dg.t;
+    seen : round segment array;  (** [seen.(i)]: the segment adopted last *)
     mutable me : int;  (** the process of the latest decode *)
   }
 
   let name = "ads89"
+
+  (* Never published, so no view holds it: the first decode adopts
+     every row. *)
+  let unseen =
+    {
+      pref = None;
+      round = { current_coin = 0; coins = [||]; edges = [||] };
+      ghost = 0;
+    }
 
   let create params ~n =
     let k, delta, m = Params.validate params ~n in
@@ -308,6 +318,7 @@ module Bounded = struct
       register_bits = Params.register_bits params ~n;
       ec = Ec.create ~k ~n;
       g = Dg.create_scratch ~k ~n;
+      seen = Array.make n unseen;
       me = 0;
     }
 
@@ -320,13 +331,18 @@ module Bounded = struct
 
   (* Rows into the counter matrix, counters into the distance graph.
      Validation and error messages are exactly the fresh
-     [of_rows]/[to_graph] path's.  A row whose published [edges] array
-     is the one the scratch adopted last is skipped: published rows
-     are never mutated ([advance] publishes a fresh row, every other
-     write reuses the array). *)
+     [of_rows]/[to_graph] path's.  A segment that is physically the one
+     adopted last is skipped with one compare, and [Ec.set_row] skips a
+     row whose published [edges] array it adopted last: published
+     segments and rows are never mutated ([advance] publishes a fresh
+     row, every other write reuses the array). *)
   let decode s view me =
     for i = 0 to Array.length view - 1 do
-      Ec.set_row s.ec i view.(i).round.edges
+      let seg = view.(i) in
+      if seg != s.seen.(i) then begin
+        Ec.set_row s.ec i seg.round.edges;
+        s.seen.(i) <- seg
+      end
     done;
     Ec.to_graph_into s.ec s.g;
     s.me <- me

@@ -283,6 +283,19 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
       st.Bprc_core.Ads89.inconsistent_reconstructions;
   }
 
+(* From this n up, a decision on a reused arena starts on an empty minor
+   heap.  Its per-instance scratch is about 8n² words (n = 128: 137k,
+   half of OCaml's default 256k-word minor heap), so where a minor
+   collection fell inside it depended only on what the decisions before
+   it had allocated.  One that fell early promoted the n×n blocks and
+   sent the rest of the run's stores into them through the write
+   barrier: at n = 128 such runs took 7.5–10 ms against 5.4–6.6 ms for
+   runs with none (2-vCPU Xeon VM).  At 137k words a decision, the
+   collection point drifts slowly enough that whole stretches of runs
+   were slow or fast together.  Emptying the heap first makes every run
+   start alike. *)
+let empty_minor_heap_from = 64
+
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(faults = []) ~algo
     ~pattern ~n ~seed () =
@@ -309,6 +322,7 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
              "Run.consensus_once: reused sim caps steps at %d, want %d"
              (Sim.max_steps sim) max_steps);
       Sim.reset ~seed ~adversary sim;
+      if n >= empty_minor_heap_from then Gc.minor ();
       sim
     | None -> Sim.create ~seed ~max_steps ~n ~adversary ()
   in

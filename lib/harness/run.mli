@@ -158,7 +158,10 @@ val consensus_once :
     allocating a fresh one; the run is bit-identical to the fresh path
     (the explorer pins the analogous property for schedule replay).
     The arena must have been created with the same [n] and a step bound
-    [>= max_steps]; the calling domain adopts ownership.
+    [>= max_steps]; the calling domain adopts ownership.  From n = 64
+    up, a reused run starts with [Gc.minor ()], so where a minor
+    collection falls inside it no longer depends on how full earlier
+    runs left the minor heap.
     @raise Invalid_argument when the reused arena's shape mismatches. *)
 
 (** What a batch of consensus runs counts as, decided once for every

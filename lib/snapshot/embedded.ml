@@ -24,82 +24,78 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
         (* self_cells.(p): p's own component, updated in place by p's
            [write] instead of allocating a cell per collect (or per
            write); distinct records per process, never shared *)
-    collect_first : 'a cell array array;
-    collect_a : 'a cell array array;
-    collect_b : 'a cell array array;
-        (* per-scanner collect buffers: the first collect of a scan plus
-           two buffers the retry loop alternates between (the previous
-           collect must stay readable while the next one fills).  Scans
-           by different processes interleave, so the buffers are indexed
-           by pid; reusing them makes a collect allocation-free. *)
-    moved_once : bool array array;
+    buf : 'a cell array array;
+        (* buf.(p): the one buffer p's collects fill, allocation-free.
+           It points at freshly published cells, so it lives with the
+           instance: kept longer, it would be promoted and put every
+           collect's stores through the write barrier. *)
     mutable retries : int;
     mutable borrow_count : int;
   }
 
+  (* A scan's pointer-free bookkeeping, by pid: the [seq]s of its first
+     and previous collects, and the writers seen moving once.  One copy
+     serves every instance of the application: a process scans one
+     object at a time, and a scan overwrites its rows as it starts. *)
+  let first_seq = Array.init R.n (fun _ -> Array.make R.n 0)
+  let prev_seq = Array.init R.n (fun _ -> Array.make R.n 0)
+  let moved_once = Array.init R.n (fun _ -> Array.make R.n false)
+
   let create ?(name = "esnap") ~init () =
-    let cell0 = { value = init; seq = 0; view = [||] } in
-    let buffers () = Array.init R.n (fun _ -> Array.make R.n cell0) in
+    (* Published cells are never mutated: all registers share one. *)
+    let cell0 = { value = init; seq = 0; view = Array.make R.n init } in
+    let names = Reg_names.values name R.n in
     {
-      cells =
-        Array.init R.n (fun j ->
-            R.make_reg
-              ~name:(Printf.sprintf "%s.V%d" name j)
-              { value = init; seq = 0; view = Array.make R.n init });
+      cells = Array.init R.n (fun j -> R.make_reg ~name:names.(j) cell0);
       my_value = Array.make R.n init;
       my_seq = Array.make R.n 0;
       self_cells =
         Array.init R.n (fun _ -> { value = init; seq = 0; view = [||] });
-      collect_first = buffers ();
-      collect_a = buffers ();
-      collect_b = buffers ();
-      moved_once = Array.init R.n (fun _ -> Array.make R.n false);
+      buf = Array.init R.n (fun _ -> Array.make R.n cell0);
       retries = 0;
       borrow_count = 0;
     }
 
-  (* Fill [out] with one collect: one batch of ascending reads, the
-     register-read order (and hence the simulated schedule) of the
-     [Array.init] it replaces. *)
+  (* One collect into [out]: one batch of ascending reads. *)
   let collect_into t me out =
     out.(me) <- t.self_cells.(me);
     R.collect t.cells ~skip:me out
 
-  (* Compare collect [cur] against [prev] (and the scan's [first]),
-     updating [moved_once].  The verdict is a plain int so the retry
-     loop allocates nothing:
+  (* Compare collect [cur] against the previous one's [seq]s [prev]
+     (and the scan's first, [first]), updating [moved] and moving
+     [cur]'s [seq]s into [prev].  The verdict is a plain int so the
+     retry loop allocates nothing:
        -2       every component agrees: [cur] is a direct view
        -1       some writer moved, none borrowable yet: collect again
        j >= 0   writer [j] moved twice since [first]: borrow its
-                embedded view (the last such [j] wins, matching the
-                order the original option-accumulating loop produced)
-     The accumulator keeps a borrow verdict once found, and [moved_once]
-     is updated for every moved component either way. *)
-  let rec verdict first prev cur moved_once j acc =
+                embedded view (the last such [j] wins)
+     The accumulator keeps a borrow verdict once found, and [moved] is
+     updated for every moved component either way. *)
+  let rec verdict first prev cur moved j acc =
     if j >= R.n then acc
     else
+      let s = cur.(j).seq in
       let acc =
-        if cur.(j).seq <> prev.(j).seq then
-          if cur.(j).seq <> first.(j).seq && moved_once.(j) then j
+        if s <> prev.(j) then begin
+          prev.(j) <- s;
+          if s <> first.(j) && moved.(j) then j
           else begin
-            moved_once.(j) <- true;
+            moved.(j) <- true;
             if acc = -2 then -1 else acc
           end
+        end
         else acc
       in
-      verdict first prev cur moved_once (j + 1) acc
+      verdict first prev cur moved (j + 1) acc
 
   (* The retry loop, with all state in arguments: no closure, no refs,
      no allocation beyond the simulator's own per-step cost. *)
-  let rec scan_attempt t me first moved_once out prev =
-    let cur =
-      if prev == t.collect_a.(me) then t.collect_b.(me) else t.collect_a.(me)
-    in
-    collect_into t me cur;
-    let v = verdict first prev cur moved_once 0 (-2) in
+  let rec scan_attempt t me buf first prev moved out =
+    collect_into t me buf;
+    let v = verdict first prev buf moved 0 (-2) in
     if v = -2 then begin
       for j = 0 to R.n - 1 do
-        out.(j) <- cur.(j).value
+        out.(j) <- buf.(j).value
       done;
       (* My own component is mine to report. *)
       out.(me) <- t.my_value.(me)
@@ -113,21 +109,25 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
            whose collect entry is a viewless self cell: a process does
            not write during its own scan). *)
         t.borrow_count <- t.borrow_count + 1;
-        Array.blit cur.(v).view 0 out 0 R.n;
+        Array.blit buf.(v).view 0 out 0 R.n;
         out.(me) <- t.my_value.(me)
       end
-      else scan_attempt t me first moved_once out cur
+      else scan_attempt t me buf first prev moved out
     end
 
   let scan_into t out =
     if Array.length out <> R.n then
       invalid_arg "Embedded.scan_into: view buffer must have length n";
     let me = R.pid () in
-    let first = t.collect_first.(me) in
-    collect_into t me first;
-    let moved_once = t.moved_once.(me) in
-    Array.fill moved_once 0 R.n false;
-    scan_attempt t me first moved_once out first
+    let buf = t.buf.(me) and first = first_seq.(me) and prev = prev_seq.(me) in
+    collect_into t me buf;
+    for j = 0 to R.n - 1 do
+      first.(j) <- buf.(j).seq;
+      prev.(j) <- buf.(j).seq
+    done;
+    let moved = moved_once.(me) in
+    Array.fill moved 0 R.n false;
+    scan_attempt t me buf first prev moved out
 
   let scan t =
     let out = Array.make R.n t.my_value.(R.pid ()) in

@@ -8,30 +8,6 @@
    [test/oracles/handshake_ref.ml]): the simulated schedules, and so
    every pinned trace digest, are bit-identical. *)
 
-(* Register names depend only on the base [name] and [n], yet
-   [Printf.sprintf] dominated [create]'s allocation: [create] runs once
-   per consensus instance and once per explored run, under base names
-   the caller picks.  Memoized per domain on [(name, n)]: the name
-   strings themselves are unchanged byte for byte. *)
-let names_cache :
-    (string * int * (string array * string array)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let names_for name n =
-  let cache = Domain.DLS.get names_cache in
-  match
-    List.find_opt (fun (nm, k, _) -> k = n && String.equal nm name) !cache
-  with
-  | Some (_, _, ns) -> ns
-  | None ->
-    let vs = Array.init n (fun j -> Printf.sprintf "%s.V%d" name j) in
-    let ar =
-      Array.init (n * n) (fun idx ->
-          Printf.sprintf "%s.A%d.%d" name (idx / n) (idx mod n))
-    in
-    cache := (name, n, (vs, ar)) :: !cache;
-    (vs, ar)
-
 module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
   type 'a cell = { value : 'a; toggle : bool }
 
@@ -60,7 +36,8 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
       Array.init n (fun j -> others j (fun i -> (i * n) + j)) )
 
   let create ?(name = "snap") ~init () =
-    let value_names, arrow_names = names_for name R.n in
+    let value_names = Reg_names.values name R.n
+    and arrow_names = Reg_names.arrows name R.n in
     let cell0 = { value = init; toggle = false } in
     {
       values = Array.init R.n (fun j -> R.make_reg ~name:value_names.(j) cell0);

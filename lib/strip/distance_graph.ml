@@ -90,8 +90,7 @@ let invalidate t =
 
 let generation t = t.generation
 let inconsistent t = t.inconsistent
-let set_edge t i j d = t.w.((i * t.nn) + j) <- d
-let clear_edge t i j = t.w.((i * t.nn) + j) <- absent
+let weights t = t.w
 
 let edge t i j = t.w.((i * t.nn) + j) <> absent
 
@@ -241,25 +240,45 @@ let dist_ge t i j b =
     let d = (dist_from t i).(j) in
     d <> min_int && d >= b
 
+(* Is the present edge (j,i), of weight [wji], on a max path into i? *)
+let tight t j i wji =
+  match positions t with
+  (* (j,i) is on a max path into i iff its weight is tight:
+     [weight j i = dist j i] — positionally, [p.(j) - p.(i)]. *)
+  | Pos p -> wji = p.(j) - p.(i)
+  | Unknown | Inconsistent ->
+    (* (j,i) lies on a max path from some source k into i. *)
+    let rec try_src k =
+      if k >= t.nn then false
+      else begin
+        let d = dist_from t k in
+        (d.(j) > min_int && d.(i) > min_int && d.(j) + wji = d.(i))
+        || try_src (k + 1)
+      end
+    in
+    try_src 0
+
 let on_max_path t j i =
   let wji = t.w.((j * t.nn) + i) in
-  if wji = absent then false
-  else
-    match positions t with
-    (* (j,i) is on a max path into i iff its weight is tight:
-       [weight j i = dist j i] — positionally, [p.(j) - p.(i)]. *)
-    | Pos p -> wji = p.(j) - p.(i)
-    | Unknown | Inconsistent ->
-      (* (j,i) lies on a max path from some source k into i. *)
-      let rec try_src k =
-        if k >= t.nn then false
-        else begin
-          let d = dist_from t k in
-          (d.(j) > min_int && d.(i) > min_int && d.(j) + wji = d.(i))
-          || try_src (k + 1)
-        end
-      in
-      try_src 0
+  wji <> absent && tight t j i wji
+
+(* One pass over the pairs of [i], with no call out of this module per
+   pair.  The positions are reconstructed, if at all, at the first edge
+   into [i], where [on_max_path] would reconstruct them. *)
+let advance_row t i row =
+  if Array.length row <> t.nn then
+    invalid_arg "Distance_graph.advance_row: row must have length n";
+  let m = 3 * t.kk in
+  for j = 0 to t.nn - 1 do
+    if j <> i then begin
+      let wji = unsafe_w t j i and wij = unsafe_w t i j in
+      if (wji <> absent && tight t j i wji) || (wij <> absent && wij < t.kk)
+      then begin
+        let c = row.(j) + 1 in
+        row.(j) <- (if c = m then 0 else c)
+      end
+    end
+  done
 
 (* Index loops instead of the old [List.init |> List.filter] pair: the
    protocol asks "am I a leader?" and "do all leaders agree?" once per

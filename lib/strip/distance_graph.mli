@@ -40,6 +40,14 @@ val dist_ge : t -> int -> int -> int -> bool
     option: [true] iff [j] is reachable from [i] with max path weight
     at least [b].  The protocol's per-scan trails-by-K test. *)
 
+val advance_row : t -> int -> int array -> unit
+(** [advance_row t i row] advances, by one modulo [3K], every
+    [row.(j)] such that edge [(j,i)] is on a max path into [i] or edge
+    [(i,j)] weighs less than [K]: the paper's [inc_graph] on process
+    [i]'s row of edge counters ({!Edge_counters.inc_row_with}), in one
+    pass.  Allocation-free on a positional graph.
+    @raise Invalid_argument when [Array.length row <> n t]. *)
+
 val on_max_path : t -> int -> int -> bool
 (** [on_max_path t j i]: does edge [(j,i)] lie on some maximum-weight
     path into [i] — equivalently, is its weight {e tight}
@@ -81,8 +89,8 @@ val pp : Format.formatter -> t -> unit
 
     A scratch graph is one [t] refilled in place once per protocol scan
     instead of allocated per decode: {!Edge_counters.to_graph_into}
-    sets or clears the edges that changed (every off-diagonal edge on
-    a full refill) and calls {!invalidate} unless nothing changed,
+    writes the {!weights} of the edges that changed (every off-diagonal
+    edge on a full refill) and calls {!invalidate} unless nothing changed,
     after which the graph is indistinguishable from a fresh
     {!of_weights} decode of the same data — queries, including the
     cached position reconstruction (which reuses per-graph
@@ -92,16 +100,18 @@ val pp : Format.formatter -> t -> unit
     not hold on to a scratch graph across refills. *)
 
 val create_scratch : k:int -> n:int -> t
-(** An edgeless graph to refill via {!set_edge}/{!clear_edge}.
+(** An edgeless graph to refill through {!weights}.
     @raise Invalid_argument when [k <= 0 || n <= 0]. *)
 
-val set_edge : t -> int -> int -> int -> unit
-(** [set_edge t i j w]: make edge [(i,j)] weigh [w].  Refill plumbing:
-    no validation, no cache invalidation — callers must {!invalidate}
-    once per refill.  Diagonal entries must never be set. *)
+val absent : int
+(** The weight {!weights} holds for a missing edge. *)
 
-val clear_edge : t -> int -> int -> unit
-(** Remove edge [(i,j)] (same contract as {!set_edge}). *)
+val weights : t -> int array
+(** The graph's own flat weight matrix: entry [i*n + j] is the weight
+    of edge [(i,j)], or {!absent}.  Refill plumbing: a write is
+    neither validated nor invalidates the cache — callers must
+    {!invalidate} once per refill.  Diagonal entries must stay
+    {!absent}. *)
 
 val invalidate : t -> unit
 (** Drop the cached position reconstruction and bump {!generation};

@@ -159,10 +159,9 @@ let to_graph t =
   in
   Distance_graph.of_weights ~k:t.kk ~present ~weight ~n:t.nn
 
-let[@inline] fill_pair t g i j =
+let[@inline] fill_pair t w absent i j =
   let a = decode_pair t i j in
-  if a <= t.kk then Distance_graph.set_edge g i j a
-  else Distance_graph.clear_edge g i j
+  w.((i * t.nn) + j) <- (if a <= t.kk then a else absent)
 
 (* A pair with both rows dirty is visited once, from its lower row. *)
 let[@inline] visit t i j =
@@ -171,8 +170,9 @@ let[@inline] visit t i j =
 (* [to_graph] decoded into a caller-owned scratch graph: same validity
    check (and error message), same resulting edge set — a pair decodes
    to a present edge exactly when [a <= K], with weight [a] — but the
-   fill is explicit loops over set/clear, so a decode allocates nothing
-   beyond the [Some g] that records a newly seen graph.
+   fill writes the graph's weight matrix in place, so a decode
+   allocates nothing beyond the [Some g] that records a newly seen
+   graph.
 
    Only the 2(n-1) pairs of each changed row are re-validated and
    re-decoded: when [g] still holds this matrix's last decode (same
@@ -210,12 +210,13 @@ let to_graph_into t g =
         end
       done
     done;
+    let w = Distance_graph.weights g and absent = Distance_graph.absent in
     for d = 0 to dn - 1 do
       let i = t.dirty.(d) in
       for j = 0 to t.nn - 1 do
         if (visit [@inlined]) t i j then begin
-          (fill_pair [@inlined]) t g i j;
-          (fill_pair [@inlined]) t g j i
+          (fill_pair [@inlined]) t w absent i j;
+          (fill_pair [@inlined]) t w absent j i
         end
       done
     done;
@@ -250,17 +251,8 @@ let refill_stats (t : t) =
 let inc_row_with t ~graph i =
   if Distance_graph.n graph <> t.nn || Distance_graph.k graph <> t.kk then
     invalid_arg "Edge_counters.inc_row_with: graph shape mismatch";
-  let g = graph in
   let fresh = row t i in
-  for j = 0 to t.nn - 1 do
-    if j <> i then begin
-      let advance =
-        (Distance_graph.edge g j i && Distance_graph.on_max_path g j i)
-        || (Distance_graph.edge g i j && Distance_graph.weight g i j < t.kk)
-      in
-      if advance then fresh.(j) <- (fresh.(j) + 1) mod (3 * t.kk)
-    end
-  done;
+  Distance_graph.advance_row graph i fresh;
   fresh
 
 let inc_row t i = inc_row_with t ~graph:(to_graph t) i

@@ -549,10 +549,78 @@ let test_ads89_words_per_decision_bounded () =
   words_per_decision ~ceiling:2210.0 ~what:"fresh arenas" fresh
     (List.init 24 (fun i -> 0x7E5 + 1 + i))
 
+(* Minor words of one n=64 ADS89 decision over the embedded snapshot
+   (oracle coin, round-robin) on a reused arena, whose applied protocol
+   module already exists.  It reads 40,177 words: the embedded
+   snapshot keeps one collect buffer per scanner in the instance and
+   its pointer-free scan bookkeeping in the application.  It read
+   60,487 when each instance allocated three buffers per scanner, the
+   bookkeeping and n initial views.  The ceiling sits 2% above, below
+   what one more per-instance n x n buffer (4,160 words) costs.  The
+   run is deterministic, so the count repeats exactly. *)
+let test_esnap_words_per_decision_bounded () =
+  let module Run = Bprc_harness.Run in
+  let n = 64 and max_steps = 3_000_000 in
+  let sim =
+    Sim.create ~seed:1 ~max_steps ~n ~adversary:(Adversary.round_robin ()) ()
+  in
+  let decide seed =
+    let r =
+      Run.consensus_once ~sim ~max_steps ~sched:Run.Round_robin_sched
+        ~algo:(Run.Ads_esnap Ads89.Oracle_shared) ~pattern:Run.Random_inputs
+        ~n ~seed ()
+    in
+    if not r.Run.completed then Alcotest.fail "instance did not complete"
+  in
+  decide 1;
+  Gc.full_major ();
+  let m0 = Gc.minor_words () in
+  decide 11;
+  let words = Gc.minor_words () -. m0 in
+  if words > 41_000.0 then
+    Alcotest.failf "esnap n=64: minor words per decision %.0f > 41000" words
+
+(* A reused-arena n=64 decision started with 24k words left in the
+   minor heap.  Left alone, the heap overflows once the instance and
+   its n x n blocks exist, and the collection promotes them: 22,994
+   words.  [Run.consensus_once] empties the minor heap first, so the
+   run promotes 180.  A major cycle that begins mid-run forces a minor
+   collection anyway, so the least of three runs is checked. *)
+let test_large_reused_run_starts_empty () =
+  let module Run = Bprc_harness.Run in
+  let n = 64 and max_steps = 3_000_000 in
+  let sim =
+    Sim.create ~seed:1 ~max_steps ~n ~adversary:(Adversary.round_robin ()) ()
+  in
+  let sink = ref [||] in
+  let promoted seed =
+    Gc.minor ();
+    for _ = 1 to ((Gc.get ()).Gc.minor_heap_size - 24_000) / 101 do
+      sink := Array.make 100 0
+    done;
+    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+    let r =
+      Run.consensus_once ~sim ~max_steps ~sched:Run.Round_robin_sched
+        ~algo:(Run.Ads_esnap Ads89.Oracle_shared) ~pattern:Run.Random_inputs
+        ~n ~seed ()
+    in
+    if not r.Run.completed then Alcotest.fail "instance did not complete";
+    (Gc.quick_stat ()).Gc.promoted_words -. p0
+  in
+  ignore (promoted 1 : float);
+  let least = List.fold_left min infinity (List.map promoted [ 11; 12; 13 ]) in
+  if least > 4_000.0 then
+    Alcotest.failf "n=64 reused run on a full minor heap promoted %.0f words"
+      least
+
 let alloc_suite =
   [
+    Alcotest.test_case "alloc: large reused run starts on an empty minor heap"
+      `Quick test_large_reused_run_starts_empty;
     Alcotest.test_case "alloc: ads89 words/decision ceiling" `Quick
       test_ads89_words_per_decision_bounded;
+    Alcotest.test_case "alloc: esnap n=64 words/decision ceiling" `Quick
+      test_esnap_words_per_decision_bounded;
   ]
 
 let suite = suite @ alloc_suite

@@ -664,8 +664,110 @@ let test_embedded_contention_pinned () =
       ("bursty:7", Adversary.bursty ~burst:7, 6, [ 6765; 380; 47; 11807 ]);
     ]
 
+(* Two embedded objects used alternately by the same processes: each
+   round a process writes and scans [a], then writes and scans [b].
+   The result, read after the run, is every view scanned (in scan
+   order), each object's retries and borrows, and the clock; P1-P3 are
+   checked on each object. *)
+let spawn_alternating sim (module A : Embedded.S) (module B : Embedded.S)
+    ~rounds =
+  let n = Sim.n sim in
+  let a = A.create ~name:"a" ~init:0 () and b = B.create ~name:"b" ~init:0 () in
+  let ca = Snap_checker.create ~n ~init:0
+  and cb = Snap_checker.create ~n ~init:0 in
+  let views = ref [] in
+  let op checker write scan_into p v view =
+    let s = Snap_checker.stamp checker in
+    write v;
+    Snap_checker.record_write checker ~pid:p ~start_time:s
+      ~finish_time:(Snap_checker.stamp checker) ~value:v;
+    let s = Snap_checker.stamp checker in
+    scan_into view;
+    views := Array.copy view :: !views;
+    Snap_checker.record_scan checker ~pid:p ~start_time:s
+      ~finish_time:(Snap_checker.stamp checker) ~view:(Array.copy view)
+  in
+  for p = 0 to n - 1 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           let view = Array.make n 0 in
+           for k = 1 to rounds do
+             op ca (A.write a) (A.scan_into a) p k view;
+             op cb (B.write b) (B.scan_into b) p (10 * k) view
+           done))
+  done;
+  fun () ->
+    List.iter
+      (fun c ->
+        match Snap_checker.check_all c with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+      [ ca; cb ];
+    ( List.rev !views,
+      [
+        A.scan_retries a; A.borrows a; B.scan_retries b; B.borrows b;
+        Sim.clock sim;
+      ] )
+
+let run_alternating sim a b ~rounds =
+  let result = spawn_alternating sim a b ~rounds in
+  (match Sim.run sim with
+  | Sim.Completed -> ()
+  | Sim.Hit_step_limit -> Alcotest.fail "step limit");
+  result ()
+
+(* The scan bookkeeping is per application, shared by its instances:
+   two objects of one application must behave exactly as one object
+   each of two applications, under the same schedule.  Then a run cut
+   short (its processes left mid-scan) on one application, followed
+   by a full run on the same arena and application, must behave as
+   that full run on a fresh arena. *)
+let test_embedded_shared_scratch () =
+  let expect = Alcotest.(pair (list (array int)) (list int)) in
+  List.iter
+    (fun (name, adversary, n) ->
+      for seed = 1 to 5 do
+        let run ~shared =
+          let sim = Sim.create ~seed ~n ~adversary:(adversary ()) () in
+          let (module R) = Sim.batched sim in
+          let module A = Embedded.Make_batched (R) in
+          let b : (module Embedded.S) =
+            if shared then (module A) else (module Embedded.Make_batched (R))
+          in
+          run_alternating sim (module A) b ~rounds:4
+        in
+        Alcotest.check expect
+          (Printf.sprintf "%s n=%d seed %d: one application = two" name n
+             seed)
+          (run ~shared:false) (run ~shared:true)
+      done)
+    [
+      ("random", Adversary.random, 3);
+      ("random", Adversary.random, 6);
+      ("bursty:7", Adversary.bursty ~burst:7, 6);
+    ];
+  let n = 6 in
+  let fresh =
+    let sim = Sim.create ~seed:2 ~n ~adversary:(Adversary.random ()) () in
+    let module A = Embedded.Make_batched ((val Sim.batched sim)) in
+    run_alternating sim (module A) (module A) ~rounds:4
+  in
+  let sim = Sim.create ~seed:1 ~n ~adversary:(Adversary.random ()) () in
+  let module A = Embedded.Make_batched ((val Sim.batched sim)) in
+  let (_ : unit -> _) =
+    spawn_alternating sim (module A) (module A) ~rounds:4
+  in
+  (match Sim.run_to sim ~clock:500 with
+  | None -> ()
+  | Some _ -> Alcotest.fail "the cut run finished");
+  Sim.reset ~seed:2 ~adversary:(Adversary.random ()) sim;
+  Alcotest.check expect "cut run, then a full run on its application" fresh
+    (run_alternating sim (module A) (module A) ~rounds:4)
+
 let embedded_suite =
   [
+    Alcotest.test_case "embedded: scan bookkeeping shared per application"
+      `Quick test_embedded_shared_scratch;
     Alcotest.test_case "embedded: contention retries and borrows pinned"
       `Quick test_embedded_contention_pinned;
     Alcotest.test_case "embedded: random schedules" `Quick test_embedded_random;

@@ -1210,3 +1210,87 @@ let suite =
       Alcotest.test_case "game: split n=3 K=2 witness" `Quick
         test_edge_game_witness;
     ]
+
+(* --- Differential: the advance row in one pass ------------------------ *)
+
+(* [inc_row_with]'s row as it was computed before
+   [Distance_graph.advance_row]: one [edge]/[on_max_path]/[weight]
+   query per pair. *)
+let advance_row_by_queries ec g i =
+  let k = Edge_counters.k ec in
+  let fresh = Edge_counters.row ec i in
+  for j = 0 to Edge_counters.n ec - 1 do
+    if
+      j <> i
+      && ((Distance_graph.edge g j i && Distance_graph.on_max_path g j i)
+         || (Distance_graph.edge g i j && Distance_graph.weight g i j < k))
+    then fresh.(j) <- (fresh.(j) + 1) mod (3 * k)
+  done;
+  fresh
+
+(* Each process's advance row, against its own two fresh decodes: the
+   rows must agree, and so must the failed reconstructions counted on
+   each decode — a reconstruction attempted where the query loop would
+   not attempt one (no edge into [i]) shows up as a count of 1 vs 0.
+   Returns how many of the decodes were corrupt. *)
+let check_advance_rows ctx ec =
+  let corrupt = ref 0 in
+  for i = 0 to Edge_counters.n ec - 1 do
+    let g_old = Edge_counters.to_graph ec
+    and g_new = Edge_counters.to_graph ec in
+    let want = advance_row_by_queries ec g_old i in
+    let got = Edge_counters.inc_row_with ec ~graph:g_new i in
+    Alcotest.(check (array int)) (Printf.sprintf "%s: row %d" ctx i) want got;
+    Alcotest.(check int)
+      (Printf.sprintf "%s: inconsistent, row %d" ctx i)
+      (Distance_graph.inconsistent g_old)
+      (Distance_graph.inconsistent g_new);
+    if Distance_graph.inconsistent g_new > 0 then incr corrupt
+  done;
+  !corrupt
+
+let test_advance_row_matches_queries () =
+  let r = rng 39 in
+  let int = Bprc_rng.Splitmix.int r in
+  (* Consistent graphs: random walks of the atomic game. *)
+  for walk = 1 to 200 do
+    let n = 2 + int 6 and k = 1 + int 3 in
+    let ec = Edge_counters.create ~k ~n in
+    for _ = 1 to int 40 do
+      Edge_counters.apply_inc ec (int n)
+    done;
+    let ctx = Printf.sprintf "atomic walk %d (n=%d, K=%d)" walk n k in
+    Alcotest.(check int) (ctx ^ ": consistent") 0 (check_advance_rows ctx ec)
+  done;
+  (* Corrupt graphs: random walks of the split game (a scan computes a
+     pending row, a later write publishes it), each checked at every
+     decodable matrix it reaches until the first undecodable one. *)
+  let corrupt = ref 0 in
+  for walk = 1 to 300 do
+    let n = 3 + int 2 and k = 1 + int 3 in
+    let rows = Array.init n (fun _ -> Array.make n 0) in
+    let pending = Array.make n None in
+    let rec go step =
+      let ec = Edge_counters.of_rows ~k rows in
+      if step < 60 && Edge_counters.valid ec then begin
+        let ctx = Printf.sprintf "split walk %d step %d" walk step in
+        corrupt := !corrupt + check_advance_rows ctx ec;
+        let i = int n in
+        (match pending.(i) with
+        | Some row when Bprc_rng.Splitmix.bool r ->
+          rows.(i) <- row;
+          pending.(i) <- None
+        | _ -> pending.(i) <- Some (Edge_counters.inc_row ec i));
+        go (step + 1)
+      end
+    in
+    go 0
+  done;
+  if !corrupt = 0 then Alcotest.fail "no split walk reached a corrupt decode"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "diff: advance row = per-pair queries" `Quick
+        test_advance_row_matches_queries;
+    ]
