@@ -330,12 +330,11 @@ module Bounded = struct
     }
 
   (* Rows into the counter matrix, counters into the distance graph.
-     Validation and error messages are exactly the fresh
-     [of_rows]/[to_graph] path's.  A segment that is physically the one
-     adopted last is skipped with one compare, and [Ec.set_row] skips a
-     row whose published [edges] array it adopted last: published
-     segments and rows are never mutated ([advance] publishes a fresh
-     row, every other write reuses the array). *)
+     A segment that is physically the one adopted last is skipped with
+     one compare, and [Ec.set_row] skips a row whose published [edges]
+     array it adopted last: published segments and rows are never
+     mutated ([advance] publishes a fresh row, every other write reuses
+     the array). *)
   let decode s view me =
     for i = 0 to Array.length view - 1 do
       let seg = view.(i) in

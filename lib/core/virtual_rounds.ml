@@ -49,9 +49,9 @@ let check ~k ~n observations =
     let max_seen = ref 0 in
     let count = ref 0 in
     (* One scratch counter matrix and graph, refilled per scan — the
-       checker decodes the way the protocol's [_into] hot path does.
-       The error messages reaching the [undecodable] report are the
-       same strings the fresh [of_rows]/[to_graph] path raised. *)
+       checker decodes the way the protocol does.  The [undecodable]
+       report carries the message [set_row], [set_rows] or
+       [to_graph_into] raised. *)
     let ec = Bprc_strip.Edge_counters.create ~k ~n in
     let g = Bprc_strip.Distance_graph.create_scratch ~k ~n in
     List.iter
@@ -80,25 +80,6 @@ let check ~k ~n observations =
                 | j :: _ -> (j, mx)
                 | [] -> (0, mx))
             in
-            let next = Array.make n 0 in
-            for i = 0 to n - 1 do
-              let d =
-                if i = anchor then Some 0
-                else Bprc_strip.Distance_graph.dist g anchor i
-              in
-              let r =
-                match d with
-                | Some d -> anchor_round - d
-                | None -> (
-                  (* i is ahead of the anchor. *)
-                  match Bprc_strip.Distance_graph.dist g i anchor with
-                  | Some d -> anchor_round + d
-                  | None -> anchor_round)
-              in
-              next.(i) <- max rounds.(i) r
-            done;
-            (* Monotonicity: the paper's claim is that the assignment
-               itself never decreases; flag before clamping. *)
             for i = 0 to n - 1 do
               let d =
                 if i = anchor then Some 0
@@ -108,21 +89,28 @@ let check ~k ~n observations =
                 match d with
                 | Some d -> anchor_round - d
                 | None -> (
+                  (* i is ahead of the anchor. *)
                   match Bprc_strip.Distance_graph.dist g i anchor with
                   | Some d -> anchor_round + d
                   | None -> anchor_round)
               in
+              (* Monotonicity: the paper's claim is that the assignment
+                 itself never decreases; flag before clamping.  The
+                 report names the last process that decreased. *)
               if raw < rounds.(i) then
                 err :=
                   Some
                     (Printf.sprintf
                        "virtual round of %d decreased (%d -> %d) at scan %d"
                        i rounds.(i) raw !count)
+              else rounds.(i) <- raw
             done;
-            Array.blit next 0 rounds 0 n;
             max_seen := max !max_seen (Array.fold_left max 0 rounds);
             prev_rows := Some ob.rows;
-            prev_leaders := Bprc_strip.Distance_graph.leaders g
+            prev_leaders :=
+              List.filter
+                (Bprc_strip.Distance_graph.is_leader g)
+                (List.init n Fun.id)
         end)
       scans;
     (match !err with

@@ -451,6 +451,7 @@ let e8_strip_compression ?(quick = false) ?pool () =
   let run_config (n, k) =
     let game = Bprc_strip.Token_game.create ~k ~n in
     let counters = Bprc_strip.Edge_counters.create ~k ~n in
+    let got = Bprc_strip.Distance_graph.create_scratch ~k ~n in
     let r = Bprc_rng.Splitmix.create ~seed:(n + (k * 17)) in
     let mismatches = ref 0 in
     let max_pos = ref 0 in
@@ -461,7 +462,7 @@ let e8_strip_compression ?(quick = false) ?pool () =
       let pos = Bprc_strip.Token_game.positions game in
       Array.iter (fun p -> if p > !max_pos then max_pos := p) pos;
       let expected = Bprc_strip.Distance_graph.of_positions ~k pos in
-      let got = Bprc_strip.Edge_counters.to_graph counters in
+      Bprc_strip.Edge_counters.to_graph_into counters got;
       if not (Bprc_strip.Distance_graph.equal expected got) then
         incr mismatches
     done;

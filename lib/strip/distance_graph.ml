@@ -3,16 +3,17 @@
    arrays.  On top of it sits a cached *position reconstruction*: a
    graph that is exactly [of_positions ~k p] for some token positions
    [p] (every G(S) the atomic game reaches is, because positions and
-   their gap-compressed shrinking produce the same graph) answers [dist],
-   [on_max_path] and [leaders] from the positions in O(1)/O(n) instead
-   of the O(n^3)/O(n^4) relaxations — the difference between n=4 and
-   n=1024.  Graphs that no positions produce fall back to the original
-   relaxation algorithms, kept verbatim in
-   [test/oracles/distance_graph_ref.ml] and mirrored here.  Such graphs
-   do arise on the protocol path: a decode of the bounded strip's
-   counters is inconsistent once concurrent increments have corrupted
-   them (the agreement violation pinned in [test/cram/known-defects.t]),
-   and [inconsistent] counts those reconstructions. *)
+   their gap-compressed shrinking produce the same graph) answers
+   [dist], [dist_ge] and [advance_row]'s max-path test from the
+   positions in O(1)/O(n) instead of the O(n^3)/O(n^4) relaxations —
+   the difference between n=4 and n=1024.  Graphs that no positions
+   produce fall back to the original relaxation algorithms, kept
+   verbatim in [test/oracles/distance_graph_ref.ml] and mirrored here.
+   Such graphs do arise on the protocol path: a decode of the bounded
+   strip's counters is inconsistent once concurrent increments have
+   corrupted them (the agreement violation pinned in
+   [test/cram/known-defects.t]), and [inconsistent] counts those
+   reconstructions. *)
 
 let absent = min_int
 
@@ -68,15 +69,6 @@ let of_positions ~k pos =
     done
   done;
   make ~k ~n:nn w
-
-let of_weights ~k ~present ~weight ~n =
-  let w = Array.make (n * n) absent in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && present i j then w.((i * n) + j) <- weight i j
-    done
-  done;
-  make ~k ~n w
 
 (* --- scratch-graph plumbing (the [_into] decode path) -------------- *)
 
@@ -258,13 +250,9 @@ let tight t j i wji =
     in
     try_src 0
 
-let on_max_path t j i =
-  let wji = t.w.((j * t.nn) + i) in
-  wji <> absent && tight t j i wji
-
 (* One pass over the pairs of [i], with no call out of this module per
    pair.  The positions are reconstructed, if at all, at the first edge
-   into [i], where [on_max_path] would reconstruct them. *)
+   into [i]: a row with no edge into [i] never needs them. *)
 let advance_row t i row =
   if Array.length row <> t.nn then
     invalid_arg "Distance_graph.advance_row: row must have length n";
@@ -280,12 +268,11 @@ let advance_row t i row =
     end
   done
 
-(* Index loops instead of the old [List.init |> List.filter] pair: the
-   protocol asks "am I a leader?" and "do all leaders agree?" once per
-   scan, and neither question needs a list. *)
-(* A while loop, not an inner recursive function: the closure for the
-   latter captures [t] and [i] and so allocates on every call, which
-   the scan-path alloc tests would charge to the protocol. *)
+(* The protocol asks "am I a leader?" and "do all leaders agree?" once
+   per scan, and neither question needs a list.  A while loop, not an
+   inner recursive function: the closure for the latter captures [t]
+   and [i] and so allocates on every call, which the scan-path alloc
+   tests would charge to the protocol. *)
 let is_leader t i =
   let ok = ref true in
   let j = ref 0 in
@@ -294,79 +281,6 @@ let is_leader t i =
     incr j
   done;
   !ok
-
-let leaders_into t out =
-  if Array.length out < t.nn then
-    invalid_arg "Distance_graph.leaders_into: buffer shorter than n";
-  let c = ref 0 in
-  for i = 0 to t.nn - 1 do
-    if is_leader t i then begin
-      out.(!c) <- i;
-      incr c
-    end
-  done;
-  !c
-
-let leaders t =
-  let acc = ref [] in
-  for i = t.nn - 1 downto 0 do
-    if is_leader t i then acc := i :: !acc
-  done;
-  !acc
-
-(* The copy must not share the reconstruction scratch: a later refill
-   of [t] would silently clobber the copy's cached positions. *)
-let copy t =
-  {
-    t with
-    w = Array.copy t.w;
-    pos = (match t.pos with Pos p -> Pos (Array.copy p) | p -> p);
-    inconsistent = 0;
-    rank = [||];
-    order = [||];
-    count = [||];
-    posbuf = [||];
-    pos_some = Unknown;
-  }
-
-let inc t i =
-  match positions t with
-  | Pos p ->
-    (* Rules 1-3 on a consistent graph are exactly "token [i] moves one
-       step" (the paper's G(inc(i,S)) = inc(i,G(S))): rebuild from the
-       moved positions.  The differential tests pin this against the
-       rule-by-rule reference. *)
-    let p' = Array.copy p in
-    p'.(i) <- p'.(i) + 1;
-    of_positions ~k:t.kk p'
-  | Unknown | Inconsistent ->
-    let g' = copy t in
-    let set j i v = g'.w.((j * t.nn) + i) <- v in
-    for j = 0 to t.nn - 1 do
-      if j <> i then begin
-        (* Rule 1: tight edges into i lose one unit as i catches up. *)
-        let wji = unsafe_w t j i in
-        if wji <> absent && on_max_path t j i then set j i (wji - 1);
-        (* Rule 2: i pulls one further ahead of those it leads, capped. *)
-        let wij = unsafe_w t i j in
-        if wij <> absent && wij < t.kk then set i j (wij + 1)
-      end
-    done;
-    (* Rule 3: flip edges that went negative; a decrement that reaches 0
-       means the tokens are now level, so the reverse 0-edge appears too
-       (Property 1: both directions present iff weight 0). *)
-    for j = 0 to t.nn - 1 do
-      if j <> i then begin
-        let wji = unsafe_w g' j i in
-        if wji <> absent && wji < 0 then begin
-          set j i absent;
-          set i j (-wji)
-        end
-        else if wji = 0 then set i j 0
-      end
-    done;
-    g'.pos <- Unknown;
-    g'
 
 let no_positive_cycle t =
   match positions t with

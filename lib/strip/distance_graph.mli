@@ -19,10 +19,6 @@ type t
 val of_positions : k:int -> int array -> t
 (** Build G(S) from token positions. *)
 
-val of_weights : k:int -> present:(int -> int -> bool) -> weight:(int -> int -> int) -> n:int -> t
-(** Build from arbitrary decoded edge data (used by {!Edge_counters});
-    no structural validation beyond storing. *)
-
 val n : t -> int
 val k : t -> int
 val edge : t -> int -> int -> bool
@@ -31,9 +27,11 @@ val weight : t -> int -> int -> int
 
 val dist : t -> int -> int -> int option
 (** Maximum weight over simple paths from [i] to [j]; [None] when [j]
-    is unreachable from [i].  Computed by condensing weight-0 strongly
-    connected components and longest-path DP over the resulting DAG
-    (sound because valid graphs have no positive cycles). *)
+    is unreachable from [i].  Read off the cached position
+    reconstruction when the graph is some [of_positions] graph
+    ([p.(i) - p.(j)], present iff [p.(i) >= p.(j)]); otherwise computed
+    by [n] rounds of longest-walk relaxation from [i] (sound because
+    valid graphs have no positive cycles). *)
 
 val dist_ge : t -> int -> int -> int -> bool
 (** [dist_ge t i j b] is [dist t i j >= Some b] without allocating the
@@ -42,40 +40,17 @@ val dist_ge : t -> int -> int -> int -> bool
 
 val advance_row : t -> int -> int array -> unit
 (** [advance_row t i row] advances, by one modulo [3K], every
-    [row.(j)] such that edge [(j,i)] is on a max path into [i] or edge
-    [(i,j)] weighs less than [K]: the paper's [inc_graph] on process
-    [i]'s row of edge counters ({!Edge_counters.inc_row_with}), in one
-    pass.  Allocation-free on a positional graph.
+    [row.(j)] such that edge [(j,i)] lies on some maximum-weight path
+    into [i] (its weight is {e tight}: [weight j i = dist j i], the
+    paper's [(∃k)((j,i) ∈ max_paths(k,i))] guard) or edge [(i,j)]
+    weighs less than [K]: the paper's [inc_graph] on process [i]'s row
+    of edge counters ({!Edge_counters.inc_row_with}), in one pass.
+    Allocation-free on a positional graph.
     @raise Invalid_argument when [Array.length row <> n t]. *)
 
-val on_max_path : t -> int -> int -> bool
-(** [on_max_path t j i]: does edge [(j,i)] lie on some maximum-weight
-    path into [i] — equivalently, is its weight {e tight}
-    ([weight j i = dist j i])?  This is the paper's
-    [(∃k)((j,i) ∈ max_paths(k,i))] guard in [inc]. *)
-
-val leaders : t -> int list
-(** Processes [i] with an edge to every other process (the maximal
-    tokens).  Built by an index loop (no intermediate lists), but the
-    result list still allocates: hot callers should use {!is_leader} /
-    {!leaders_into} instead; this form is kept for tests and the
-    checker.  The frozen copy in [test/oracles/distance_graph_ref.ml]
-    is its differential oracle. *)
-
 val is_leader : t -> int -> bool
-(** [is_leader t i]: does [i] have an edge to every other process?
-    Allocation-free; [leaders t = List.filter (is_leader t) [0..n-1]]. *)
-
-val leaders_into : t -> int array -> int
-(** [leaders_into t out] writes the leaders in ascending order into
-    [out] and returns how many there are — the allocation-free
-    counterpart of {!leaders} for callers that own a reusable buffer.
-    @raise Invalid_argument when [Array.length out < n t]. *)
-
-val inc : t -> int -> t
-(** The paper's abstract [inc(i, G)] transformation: token [i] moved
-    one step, tight incoming edges decremented, outgoing weights
-    incremented up to the cap [K], negative edges flipped. *)
+(** [is_leader t i]: does [i] have an edge to every other process
+    (is its token maximal)?  Allocation-free. *)
 
 val no_positive_cycle : t -> bool
 val weights_in_range : t -> bool
@@ -90,14 +65,13 @@ val pp : Format.formatter -> t -> unit
     A scratch graph is one [t] refilled in place once per protocol scan
     instead of allocated per decode: {!Edge_counters.to_graph_into}
     writes the {!weights} of the edges that changed (every off-diagonal
-    edge on a full refill) and calls {!invalidate} unless nothing changed,
-    after which the graph is indistinguishable from a fresh
-    {!of_weights} decode of the same data — queries, including the
-    cached position reconstruction (which reuses per-graph
-    rank/order/pos scratch arrays), answer identically.  The
-    differential tests pin refilled-vs-fresh equality.  A refill
-    clobbers every previous answer derived from the graph; callers must
-    not hold on to a scratch graph across refills. *)
+    edge on a full refill) and calls {!invalidate} unless nothing changed.
+    Queries then answer from the refilled weights; the cached position
+    reconstruction reuses per-graph rank/order/pos scratch arrays.  The
+    differential tests pin every query on refilled graphs against the
+    frozen oracle in [test/oracles].  A refill clobbers every previous
+    answer derived from the graph; callers must not hold on to a
+    scratch graph across refills. *)
 
 val create_scratch : k:int -> n:int -> t
 (** An edgeless graph to refill through {!weights}.

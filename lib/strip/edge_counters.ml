@@ -24,6 +24,7 @@ type t = {
   mutable synced : Distance_graph.t option;
       (** the graph holding the decode of the matrix minus the dirty rows *)
   mutable synced_gen : int;  (** [synced]'s generation right after that decode *)
+  mutable own : Distance_graph.t option;  (** [apply_inc]'s graph *)
   mutable full_refills : int;
   mutable incremental_refills : int;
   mutable rows_redecoded : int;
@@ -35,41 +36,24 @@ type t = {
    empty row must still fail validation). *)
 let no_row = [| -1 |]
 
-let make ~k ~n e =
+let create ~k ~n =
+  if k <= 0 || n <= 0 then invalid_arg "Edge_counters.create";
   {
     kk = k;
     nn = n;
-    e;
+    e = Array.make (n * n) 0;
     src = Array.make n no_row;
     dirty = Array.make n 0;
     ndirty = 0;
     is_dirty = Bytes.make n '\000';
     synced = None;
     synced_gen = 0;
+    own = None;
     full_refills = 0;
     incremental_refills = 0;
     rows_redecoded = 0;
     reuses = 0;
   }
-
-let create ~k ~n =
-  if k <= 0 || n <= 0 then invalid_arg "Edge_counters.create";
-  make ~k ~n (Array.make (n * n) 0)
-
-let of_rows ~k rows =
-  let n = Array.length rows in
-  Array.iter
-    (fun r ->
-      if Array.length r <> n then invalid_arg "Edge_counters.of_rows: not square";
-      Array.iter
-        (fun x ->
-          if x < 0 || x >= 3 * k then
-            invalid_arg "Edge_counters.of_rows: counter out of range")
-        r)
-    rows;
-  let e = Array.make (n * n) 0 in
-  Array.iteri (fun i r -> Array.blit r 0 e (i * n) n) rows;
-  make ~k ~n e
 
 let mark_dirty t i =
   if Bytes.unsafe_get t.is_dirty i = '\000' then begin
@@ -84,20 +68,18 @@ let clear_dirty t =
   done;
   t.ndirty <- 0
 
-(* In-place adoption of scanned rows: the validation and the stored
-   matrix are exactly [of_rows]'s (same error messages on bad input),
-   minus the fresh allocation — one scratch [t] per protocol instance
-   absorbs a view per scan.  A row physically equal to the one last
-   adopted at [i] is skipped outright: published rows are immutable,
-   so it was validated and copied already. *)
+(* In-place adoption of scanned rows: one scratch [t] per protocol
+   instance absorbs a view per scan.  A row physically equal to the one
+   last adopted at [i] is skipped outright: published rows are
+   immutable, so it was validated and copied already. *)
 let set_row t i r =
   if i < 0 || i >= t.nn then invalid_arg "Edge_counters.set_row: no such row";
   if r != Array.unsafe_get t.src i then begin
     if Array.length r <> t.nn then
-      invalid_arg "Edge_counters.of_rows: not square";
+      invalid_arg "Edge_counters.set_row: not square";
     for j = 0 to t.nn - 1 do
       if r.(j) < 0 || r.(j) >= 3 * t.kk then
-        invalid_arg "Edge_counters.of_rows: counter out of range"
+        invalid_arg "Edge_counters.set_row: counter out of range"
     done;
     Array.blit r 0 t.e (i * t.nn) t.nn;
     t.src.(i) <- r;
@@ -106,7 +88,7 @@ let set_row t i r =
 
 let set_rows t rows =
   if Array.length rows <> t.nn then
-    invalid_arg "Edge_counters.of_rows: not square";
+    invalid_arg "Edge_counters.set_rows: not square";
   for i = 0 to t.nn - 1 do
     set_row t i rows.(i)
   done
@@ -115,17 +97,6 @@ let k t = t.kk
 let n t = t.nn
 let row t i = Array.sub t.e (i * t.nn) t.nn
 let rows t = Array.init t.nn (fun i -> row t i)
-let get t i j =
-  if i < 0 || i >= t.nn || j < 0 || j >= t.nn then
-    invalid_arg "Edge_counters.get: index out of range";
-  Array.unsafe_get t.e ((i * t.nn) + j)
-
-let iter_rows t f =
-  for i = 0 to t.nn - 1 do
-    for j = 0 to t.nn - 1 do
-      f i j (Array.unsafe_get t.e ((i * t.nn) + j))
-    done
-  done
 
 (* Every counter is in [0, 3K) (validated when adopted, kept there by
    [inc_row_with]), so the difference is in (-3K, 3K) and one
@@ -145,19 +116,8 @@ let valid t =
   done;
   !ok
 
-let undecodable () = invalid_arg "Edge_counters.to_graph: undecodable state"
-
-let to_graph t =
-  if not (valid t) then undecodable ();
-  let present i j =
-    let a = decode_pair t i j in
-    a <= t.kk
-  in
-  let weight i j =
-    let a = decode_pair t i j in
-    if a <= t.kk then a else 3 * t.kk - a
-  in
-  Distance_graph.of_weights ~k:t.kk ~present ~weight ~n:t.nn
+let undecodable () =
+  invalid_arg "Edge_counters.to_graph_into: undecodable state"
 
 let[@inline] fill_pair t w absent i j =
   let a = decode_pair t i j in
@@ -167,12 +127,10 @@ let[@inline] fill_pair t w absent i j =
 let[@inline] visit t i j =
   j <> i && not (j < i && Bytes.unsafe_get t.is_dirty j <> '\000')
 
-(* [to_graph] decoded into a caller-owned scratch graph: same validity
-   check (and error message), same resulting edge set — a pair decodes
-   to a present edge exactly when [a <= K], with weight [a] — but the
-   fill writes the graph's weight matrix in place, so a decode
-   allocates nothing beyond the [Some g] that records a newly seen
-   graph.
+(* The decode, into a caller-owned scratch graph: a pair decodes to a
+   present edge exactly when [a <= K], with weight [a].  The fill
+   writes the graph's weight matrix in place, so a decode allocates
+   nothing beyond the [Some g] that records a newly seen graph.
 
    Only the 2(n-1) pairs of each changed row are re-validated and
    re-decoded: when [g] still holds this matrix's last decode (same
@@ -255,9 +213,19 @@ let inc_row_with t ~graph i =
   Distance_graph.advance_row graph i fresh;
   fresh
 
-let inc_row t i = inc_row_with t ~graph:(to_graph t) i
-
+(* Sequential play decodes into a graph of [t]'s own, made on the first
+   call, so a run of [apply_inc]s refills it one changed row at a
+   time. *)
 let apply_inc t i =
-  Array.blit (inc_row t i) 0 t.e (i * t.nn) t.nn;
+  let g =
+    match t.own with
+    | Some g -> g
+    | None ->
+      let g = Distance_graph.create_scratch ~k:t.kk ~n:t.nn in
+      t.own <- Some g;
+      g
+  in
+  to_graph_into t g;
+  Array.blit (inc_row_with t ~graph:g i) 0 t.e (i * t.nn) t.nn;
   t.src.(i) <- no_row;
   mark_dirty t i

@@ -11,31 +11,28 @@
     - [K < a < 2K]: undecodable — never reached, because a process only
       advances its pointer when it trails or leads by less than [K].
 
-    [inc_row] is the paper's [inc_graph]: given a (possibly stale,
-    snapshot-read) view of all rows, compute process [i]'s next row by
-    advancing the pointers toward processes it tightly trails (along a
-    max path) or leads by less than [K]. *)
+    A process adopts a (possibly stale, snapshot-read) view of all rows
+    with {!set_row}/{!set_rows}, decodes it into a scratch graph with
+    {!to_graph_into}, and computes its next row with {!inc_row_with},
+    the paper's [inc_graph]: advance the pointers toward processes it
+    tightly trails (along a max path) or leads by less than [K]. *)
 
 type t
 
 val create : k:int -> n:int -> t
 (** All counters 0 (all tokens level). *)
 
-val of_rows : k:int -> int array array -> t
-(** Adopt existing rows (e.g. scanned from shared memory).
+val set_rows : t -> int array array -> unit
+(** Adopt existing rows (e.g. scanned from shared memory) in place,
+    allocating nothing: one scratch counter object per protocol
+    instance absorbs a scanned view per round.  Row by row as
+    {!set_row}.
     @raise Invalid_argument if the matrix is not square or an entry is
     outside [[0, 3K)]. *)
 
-val set_rows : t -> int array array -> unit
-(** [of_rows] in place: adopt the rows into an existing (scratch) [t],
-    with the identical validation and error messages, allocating
-    nothing.  One scratch counter object per protocol instance absorbs
-    a scanned view per round.  Row by row as {!set_row}. *)
-
 val set_row : t -> int -> int array -> unit
-(** Adopt a single row (validated like {!set_rows}) — lets a caller
-    holding per-process row arrays fill the scratch without assembling
-    a row matrix first.
+(** Adopt a single row — lets a caller holding per-process row arrays
+    fill the scratch without assembling a row matrix first.
 
     {b Adopted rows must never be mutated afterwards.}  A row
     physically equal to the one last adopted at the same index is
@@ -47,23 +44,9 @@ val set_row : t -> int -> int array -> unit
 val k : t -> int
 val n : t -> int
 
-val row : t -> int -> int array
-(** Copy of row [i].  Allocates; tests/debug only — hot callers use
-    {!get}/{!iter_rows}. *)
-
 val rows : t -> int array array
 (** Copy of the whole matrix.  Allocates a fresh matrix per call;
-    kept for tests and debugging only — hot callers use
-    {!get}/{!iter_rows}. *)
-
-val get : t -> int -> int -> int
-(** [get t i j]: the counter at [(i,j)], allocation-free.
-    @raise Invalid_argument when an index is outside [[0, n)]. *)
-
-val iter_rows : t -> (int -> int -> int -> unit) -> unit
-(** [iter_rows t f] calls [f i j (get t i j)] for every entry in
-    row-major order — the allocation-free traversal backing what
-    {!rows} is for in tests. *)
+    kept for tests, benchmarks and debugging only. *)
 
 val decode_pair : t -> int -> int -> int
 (** The raw cyclic difference [a] for the ordered pair (see above). *)
@@ -71,14 +54,11 @@ val decode_pair : t -> int -> int -> int
 val valid : t -> bool
 (** No pair decodes into the forbidden band [(K, 2K)]. *)
 
-val to_graph : t -> Distance_graph.t
-(** @raise Invalid_argument when {!valid} is false. *)
-
 val to_graph_into : t -> Distance_graph.t -> unit
-(** [to_graph] decoded into a caller-owned scratch graph (built with
-    {!Distance_graph.create_scratch} at the same [k]/[n]), after which
-    the scratch answers every query exactly as a fresh [to_graph t]
-    would.
+(** Decode into a caller-owned scratch graph (built with
+    {!Distance_graph.create_scratch} at the same [k]/[n]): afterwards
+    the scratch holds edge [(i,j)] with weight [a] exactly when the
+    pair decodes to [a ≤ K] (see above).
 
     Incremental: when [g] still holds this [t]'s previous decode (the
     same graph, not {!Distance_graph.invalidate}d since), only the
@@ -89,9 +69,8 @@ val to_graph_into : t -> Distance_graph.t -> unit
     changed: every off-diagonal edge is validated, set or cleared and
     the cache invalidated.  Either way the steady state allocates
     nothing.
-    @raise Invalid_argument when {!valid} is false (same message as
-    {!to_graph}; the graph is left as it was) or on a scratch-shape
-    mismatch. *)
+    @raise Invalid_argument when {!valid} is false (the graph is left
+    as it was) or on a scratch-shape mismatch. *)
 
 type refill_stats = {
   full_refills : int;
@@ -108,16 +87,15 @@ val refill_stats : t -> refill_stats
     simulator). *)
 
 val inc_row_with : t -> graph:Distance_graph.t -> int -> int array
-(** {!inc_row} against a caller-supplied decode of [t] — the scratch
-    graph just refilled by {!to_graph_into} — so the hot path decodes
-    once per scan instead of once more per increment.  The returned row
-    is fresh (it is published to shared memory and must not alias the
-    scratch).
+(** [inc_row_with t ~graph i]: the new row for process [i] per
+    [inc_graph], against [graph], the decode of [t] just refilled by
+    {!to_graph_into}, so the hot path decodes once per scan.  The
+    returned row is fresh (it is published to shared memory and must
+    not alias the scratch).
     @raise Invalid_argument on a graph shape mismatch. *)
 
-val inc_row : t -> int -> int array
-(** The new row for process [i] per [inc_graph]; pure. *)
-
 val apply_inc : t -> int -> unit
-(** [inc_row] stored in place (sequential/test convenience); marks the
-    row changed for the next {!to_graph_into}. *)
+(** Sequential play: decode [t] with {!to_graph_into} into a graph
+    [t] keeps for this, then store {!inc_row_with}'s row in place and
+    mark it changed for the next {!to_graph_into}.
+    @raise Invalid_argument when {!valid} is false. *)

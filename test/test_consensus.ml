@@ -424,15 +424,27 @@ let suite = suite @ extra_suite
 
 (* --- Parameter-space fuzzing ------------------------------------------ *)
 
+(* [QCheck.int_range lo hi] draws in range but shrinks toward 0, out of
+   it; this one draws the same values and shrinks toward [lo]. *)
+let in_range lo hi =
+  QCheck.(
+    set_print Print.int
+      (map ~rev:(fun x -> x - lo) (fun x -> x + lo) (int_range 0 (hi - lo))))
+
 let prop_consensus_param_fuzz =
   (* Random legal parameter combinations, sizes, schedulers, inputs:
-     the spec must hold and the run must complete. *)
+     the spec must hold and the run must complete.  k starts at 2, the
+     paper's K: at K=1 the §5 decide rule breaks agreement in many
+     n=3 and n=4 runs (ROADMAP item 13), a known defect this test
+     would only rediscover.  Every range shrinks toward its low end,
+     so a failure reports a draw the generator can make, not a
+     [Params] refusal. *)
   QCheck.Test.make ~name:"consensus correct across the parameter space"
     ~count:60
     QCheck.(
-      quad (int_range 2 4) (* k *)
-        (int_range 1 3) (* delta *)
-        (int_range 1 5) (* n *)
+      quad (in_range 2 4) (* k *)
+        (in_range 1 3) (* delta *)
+        (in_range 1 5) (* n *)
         (pair small_int (int_range 0 2) (* seed, scheduler *)))
     (fun (k, delta, n, (seed, sched_ix)) ->
       let params = { Params.default with Params.k; delta } in

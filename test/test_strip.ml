@@ -2,6 +2,23 @@ open Bprc_strip
 
 let rng seed = Bprc_rng.Splitmix.create ~seed
 
+(* The protocol's decode path: adopt rows with [set_rows], decode with
+   [to_graph_into] into a scratch graph. *)
+let counters_of_rows ~k rows =
+  let ec = Edge_counters.create ~k ~n:(Array.length rows) in
+  Edge_counters.set_rows ec rows;
+  ec
+
+let graph_of ec =
+  let g =
+    Distance_graph.create_scratch ~k:(Edge_counters.k ec)
+      ~n:(Edge_counters.n ec)
+  in
+  Edge_counters.to_graph_into ec g;
+  g
+
+let leader_flags g = List.init (Distance_graph.n g) (Distance_graph.is_leader g)
+
 (* ------------------------------------------------------------------ *)
 (* Token game                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -142,10 +159,11 @@ let test_graph_dist_longest_path () =
 
 let test_graph_leaders () =
   let g = Distance_graph.of_positions ~k:2 [| 4; 4; 1 |] in
-  Alcotest.(check (list int)) "two level leaders" [ 0; 1 ]
-    (Distance_graph.leaders g);
+  Alcotest.(check (list bool)) "two level leaders" [ true; true; false ]
+    (leader_flags g);
   let g2 = Distance_graph.of_positions ~k:2 [| 1; 5; 0 |] in
-  Alcotest.(check (list int)) "single leader" [ 1 ] (Distance_graph.leaders g2)
+  Alcotest.(check (list bool)) "single leader" [ false; true; false ]
+    (leader_flags g2)
 
 let test_graph_properties_random () =
   let r = rng 11 in
@@ -185,7 +203,10 @@ let test_graph_dist_matches_shrunken_positions () =
 
 let test_claim_4_1_abstract_inc () =
   (* Claim 4.1: G(move_i(S)) = inc(i, G(S)) along random play of the
-     normalized shrunken game. *)
+     normalized shrunken game.  The abstract [inc] lives only in the
+     frozen oracle: the strip itself advances counter rows
+     ([Distance_graph.advance_row]), which the lockstep tests below pin
+     against the oracle's [inc_row]. *)
   let r = rng 17 in
   for _ = 1 to 60 do
     let n = 2 + Bprc_rng.Splitmix.int r 3 in
@@ -193,13 +214,17 @@ let test_claim_4_1_abstract_inc () =
     let game = Token_game.create ~k ~n in
     for _step = 1 to 40 do
       let i = Bprc_rng.Splitmix.int r n in
-      let g_before = Distance_graph.of_positions ~k (Token_game.positions game) in
+      let g_before =
+        Distance_graph_ref.of_positions ~k (Token_game.positions game)
+      in
       Token_game.move game i;
-      let g_after = Distance_graph.of_positions ~k (Token_game.positions game) in
-      let g_inc = Distance_graph.inc g_before i in
-      if not (Distance_graph.equal g_after g_inc) then
+      let g_after =
+        Distance_graph_ref.of_positions ~k (Token_game.positions game)
+      in
+      let g_inc = Distance_graph_ref.inc g_before i in
+      if not (Distance_graph_ref.equal g_after g_inc) then
         Alcotest.failf "Claim 4.1 fails: n=%d k=%d move %d@ after=%a inc=%a" n k
-          i Distance_graph.pp g_after Distance_graph.pp g_inc
+          i Distance_graph_ref.pp g_after Distance_graph_ref.pp g_inc
     done
   done
 
@@ -210,14 +235,13 @@ let test_claim_4_1_abstract_inc () =
 let test_counters_initial_level () =
   let c = Edge_counters.create ~k:2 ~n:3 in
   Alcotest.(check bool) "valid" true (Edge_counters.valid c);
-  let g = Edge_counters.to_graph c in
-  Alcotest.(check (list int)) "all leaders initially" [ 0; 1; 2 ]
-    (Distance_graph.leaders g)
+  Alcotest.(check (list bool)) "all leaders initially" [ true; true; true ]
+    (leader_flags (graph_of c))
 
 let test_counters_track_game_sequentially () =
   (* The fundamental encoding theorem, sequentially: playing inc_graph
      in lockstep with the normalized shrunken game keeps
-     to_graph(counters) = G(game). *)
+     the decode of the counters = G(game). *)
   let r = rng 23 in
   for _ = 1 to 40 do
     let n = 2 + Bprc_rng.Splitmix.int r 3 in
@@ -231,7 +255,7 @@ let test_counters_track_game_sequentially () =
       if not (Edge_counters.valid counters) then
         Alcotest.fail "counters undecodable";
       let expected = Distance_graph.of_positions ~k (Token_game.positions game) in
-      let got = Edge_counters.to_graph counters in
+      let got = graph_of counters in
       if not (Distance_graph.equal expected got) then
         Alcotest.failf "counters diverge from game: n=%d k=%d@ game=%a got=%a"
           n k Distance_graph.pp expected Distance_graph.pp got
@@ -249,17 +273,24 @@ let test_counters_stay_bounded () =
          if x < 0 || x >= 6 then Alcotest.failf "counter %d out of [0,3K)" x))
     (Edge_counters.rows c)
 
-let test_counters_of_rows_validation () =
+let test_counters_set_row_validation () =
+  let c () = Edge_counters.create ~k:2 ~n:2 in
   Alcotest.check_raises "range check"
-    (Invalid_argument "Edge_counters.of_rows: counter out of range") (fun () ->
-      ignore (Edge_counters.of_rows ~k:2 [| [| 0; 6 |]; [| 0; 0 |] |]));
-  Alcotest.check_raises "square check"
-    (Invalid_argument "Edge_counters.of_rows: not square") (fun () ->
-      ignore (Edge_counters.of_rows ~k:2 [| [| 0 |]; [| 0; 0 |] |]));
-  (* In place too, even for a row never adopted before. *)
-  Alcotest.check_raises "set_row square check"
-    (Invalid_argument "Edge_counters.of_rows: not square") (fun () ->
-      Edge_counters.set_row (Edge_counters.create ~k:2 ~n:2) 0 [||])
+    (Invalid_argument "Edge_counters.set_row: counter out of range") (fun () ->
+      Edge_counters.set_rows (c ()) [| [| 0; 6 |]; [| 0; 0 |] |]);
+  Alcotest.check_raises "row length check"
+    (Invalid_argument "Edge_counters.set_row: not square") (fun () ->
+      Edge_counters.set_rows (c ()) [| [| 0 |]; [| 0; 0 |] |]);
+  Alcotest.check_raises "row count check"
+    (Invalid_argument "Edge_counters.set_rows: not square") (fun () ->
+      Edge_counters.set_rows (c ()) [| [| 0; 0 |] |]);
+  Alcotest.check_raises "row index check"
+    (Invalid_argument "Edge_counters.set_row: no such row") (fun () ->
+      Edge_counters.set_row (c ()) 2 [| 0; 0 |]);
+  (* Even an empty row never adopted before is checked. *)
+  Alcotest.check_raises "set_row empty row"
+    (Invalid_argument "Edge_counters.set_row: not square") (fun () ->
+      Edge_counters.set_row (c ()) 0 [||])
 
 let test_counters_leader_never_runs_away () =
   (* A single process inc'ing forever saturates at lead K over everyone
@@ -268,10 +299,11 @@ let test_counters_leader_never_runs_away () =
   for _ = 1 to 50 do
     Edge_counters.apply_inc c 0
   done;
-  let g = Edge_counters.to_graph c in
+  let g = graph_of c in
   Alcotest.(check int) "lead saturated at K" 2 (Distance_graph.weight g 0 1);
   Alcotest.(check int) "lead saturated at K" 2 (Distance_graph.weight g 0 2);
-  Alcotest.(check (list int)) "sole leader" [ 0 ] (Distance_graph.leaders g)
+  Alcotest.(check (list bool)) "sole leader" [ true; false; false ]
+    (leader_flags g)
 
 let test_counters_trailing_catches_up () =
   let c = Edge_counters.create ~k:2 ~n:2 in
@@ -280,10 +312,10 @@ let test_counters_trailing_catches_up () =
   done;
   (* Process 1 trails by K = 2; after two incs it is level. *)
   Edge_counters.apply_inc c 1;
-  let g = Edge_counters.to_graph c in
+  let g = graph_of c in
   Alcotest.(check int) "gap closed to 1" 1 (Distance_graph.weight g 0 1);
   Edge_counters.apply_inc c 1;
-  let g = Edge_counters.to_graph c in
+  let g = graph_of c in
   Alcotest.(check int) "level" 0 (Distance_graph.weight g 0 1);
   Alcotest.(check bool) "level both edges" true (Distance_graph.edge g 1 0)
 
@@ -303,7 +335,7 @@ let prop_counters_match_game =
           Edge_counters.valid counters
           && Distance_graph.equal
                (Distance_graph.of_positions ~k (Token_game.positions game))
-               (Edge_counters.to_graph counters))
+               (graph_of counters))
         moves)
 
 let suite =
@@ -332,8 +364,8 @@ let suite =
     Alcotest.test_case "counters: track game" `Quick
       test_counters_track_game_sequentially;
     Alcotest.test_case "counters: bounded" `Quick test_counters_stay_bounded;
-    Alcotest.test_case "counters: of_rows validation" `Quick
-      test_counters_of_rows_validation;
+    Alcotest.test_case "counters: set_row validation" `Quick
+      test_counters_set_row_validation;
     Alcotest.test_case "counters: leader saturates" `Quick
       test_counters_leader_never_runs_away;
     Alcotest.test_case "counters: trailing catches up" `Quick
@@ -344,14 +376,14 @@ let suite =
 (* Appended: decoding robustness. *)
 let test_counters_forbidden_band () =
   (* Rows manufactured so a pair decodes into (K, 2K): invalid, and
-     to_graph must refuse. *)
+     to_graph_into must refuse. *)
   let rows = [| [| 0; 3 |]; [| 0; 0 |] |] in
   (* a = (3 - 0) mod 6 = 3 ∈ (2, 4) for K = 2. *)
-  let c = Bprc_strip.Edge_counters.of_rows ~k:2 rows in
-  Alcotest.(check bool) "invalid detected" false (Bprc_strip.Edge_counters.valid c);
-  Alcotest.check_raises "to_graph refuses"
-    (Invalid_argument "Edge_counters.to_graph: undecodable state") (fun () ->
-      ignore (Bprc_strip.Edge_counters.to_graph c))
+  let c = counters_of_rows ~k:2 rows in
+  Alcotest.(check bool) "invalid detected" false (Edge_counters.valid c);
+  Alcotest.check_raises "to_graph_into refuses"
+    (Invalid_argument "Edge_counters.to_graph_into: undecodable state")
+    (fun () -> ignore (graph_of c))
 
 let test_counters_wrapped_decode () =
   (* Pointer differences are cyclic: a pair whose pointers have wrapped
@@ -360,13 +392,13 @@ let test_counters_wrapped_decode () =
   let m = 3 * k in
   (* 0 leads 1 by 2, encoded with 1's pointer numerically ABOVE 0's:
      a = (1 - 5) mod 6 = 2. *)
-  let c = Bprc_strip.Edge_counters.of_rows ~k [| [| 0; 1 |]; [| 5; 0 |] |] in
+  let c = counters_of_rows ~k [| [| 0; 1 |]; [| 5; 0 |] |] in
   Alcotest.(check int) "wrapped difference" 2
     (Bprc_strip.Edge_counters.decode_pair c 0 1);
   Alcotest.(check int) "reverse direction" (m - 2)
     (Bprc_strip.Edge_counters.decode_pair c 1 0);
   Alcotest.(check bool) "valid" true (Bprc_strip.Edge_counters.valid c);
-  let g = Bprc_strip.Edge_counters.to_graph c in
+  let g = graph_of c in
   Alcotest.(check int) "decoded weight" 2
     (Bprc_strip.Distance_graph.weight g 0 1);
   Alcotest.(check bool) "no reverse edge" false
@@ -379,9 +411,7 @@ let test_counters_translation_invariance () =
   let m = 3 * k in
   for e01 = 0 to m - 1 do
     for e10 = 0 to m - 1 do
-      let mk a b =
-        Bprc_strip.Edge_counters.of_rows ~k [| [| 0; a |]; [| b; 0 |] |]
-      in
+      let mk a b = counters_of_rows ~k [| [| 0; a |]; [| b; 0 |] |] in
       let base = mk e01 e10 in
       let a = Bprc_strip.Edge_counters.decode_pair base 0 1 in
       for shift = 1 to m - 1 do
@@ -427,7 +457,7 @@ let test_counters_wrap_boundaries_with_compression () =
         let expected =
           Distance_graph.of_positions ~k (Token_game.positions game)
         in
-        let got = Edge_counters.to_graph counters in
+        let got = graph_of counters in
         if not (Distance_graph.equal expected got) then
           Alcotest.failf "k=%d: decode diverges from game after wrap: %a vs %a"
             k Distance_graph.pp expected Distance_graph.pp got
@@ -444,7 +474,7 @@ let test_counters_wrap_boundaries_with_compression () =
       for round = 1 to 8 * cyc do
         step 0;
         step 1;
-        let g = Edge_counters.to_graph counters in
+        let g = graph_of counters in
         Alcotest.(check int)
           (Printf.sprintf "k=%d round %d: gap to stalled saturated" k round)
           k
@@ -465,7 +495,7 @@ let test_counters_wrap_boundaries_with_compression () =
          pointers; each inc must close the gap by exactly one. *)
       for c = 1 to k do
         step 2;
-        let g = Edge_counters.to_graph counters in
+        let g = graph_of counters in
         Alcotest.(check int)
           (Printf.sprintf "k=%d: catch-up %d closes gap" k c)
           (k - c)
@@ -487,14 +517,16 @@ let suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: flat Distance_graph / Edge_counters vs the frozen     *)
-(* pre-rewrite reference implementations                               *)
+(* Differential: the strip's decode path vs the frozen reference       *)
+(* implementations in test/oracles                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The flat modules answer max-path queries from a reconstructed
    position vector when the graph is consistent and fall back to the
-   reference relaxation otherwise; these lockstep drivers assert the
-   two implementations are observably identical on both paths. *)
+   reference relaxation otherwise.  These tests run the decode the
+   protocol runs (set_row/set_rows -> to_graph_into -> queries ->
+   inc_row_with) and assert that it is observably identical to the
+   reference on both paths. *)
 
 let graphs_agree ~ctx g gr =
   let n = Distance_graph.n g in
@@ -516,8 +548,45 @@ let graphs_agree ~ctx g gr =
     done
   done
 
+(* [advance_row] against the reference's per-pair [inc_graph] guard:
+   one [edge]/[on_max_path]/[weight] query per pair. *)
+let advance_row_agrees ~ctx g gr i =
+  let n = Distance_graph.n g and k = Distance_graph.k g in
+  let row = Array.make n 0 in
+  Distance_graph.advance_row g i row;
+  for j = 0 to n - 1 do
+    let want =
+      j <> i
+      && (Distance_graph_ref.on_max_path gr j i
+         || (Distance_graph_ref.edge gr i j
+            && Distance_graph_ref.weight gr i j < k))
+    in
+    if row.(j) <> Bool.to_int want then
+      Alcotest.failf "%s: advance_row %d, pair %d: flat %d, ref %b" ctx i j
+        row.(j) want
+  done
+
+let leaders_agree ~ctx g gr =
+  let lr = Distance_graph_ref.leaders gr in
+  for i = 0 to Distance_graph.n g - 1 do
+    if Distance_graph.is_leader g i <> List.mem i lr then
+      Alcotest.failf "%s: is_leader %d disagrees with the reference" ctx i
+  done
+
+(* [dist_ge a b] across the bounds bracketing the protocol's
+   trails-by-K query. *)
+let dist_ge_agrees ~ctx g gr a b =
+  let dr = Distance_graph_ref.dist gr a b in
+  for bound = -1 to Distance_graph.k g + 1 do
+    let want = match dr with None -> false | Some d -> d >= bound in
+    if Distance_graph.dist_ge g a b bound <> want then
+      Alcotest.failf "%s: dist_ge (%d,%d) >= %d diverges" ctx a b bound
+  done
+
 (* Full max-path query comparison: O(n^4)+ in the reference, so callers
-   budget it ([pairs = None] compares every ordered pair). *)
+   budget it.  [pairs = None] compares every ordered pair's [dist] and
+   every process's advance row; [Some b] compares [b] random pairs and
+   one random process's row. *)
 let max_path_queries_agree ~ctx ?pairs g gr r =
   let n = Distance_graph.n g in
   let check_pair (i, j) =
@@ -527,11 +596,7 @@ let max_path_queries_agree ~ctx ?pairs g gr r =
       if d <> dr then
         Alcotest.failf "%s: dist (%d,%d) flat=%s ref=%s" ctx i j
           (match d with Some x -> string_of_int x | None -> "-")
-          (match dr with Some x -> string_of_int x | None -> "-");
-      let m = Distance_graph.on_max_path g i j
-      and mr = Distance_graph_ref.on_max_path gr i j in
-      if m <> mr then
-        Alcotest.failf "%s: on_max_path (%d,%d) flat=%b ref=%b" ctx i j m mr
+          (match dr with Some x -> string_of_int x | None -> "-")
     end
   in
   (match pairs with
@@ -539,23 +604,15 @@ let max_path_queries_agree ~ctx ?pairs g gr r =
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         check_pair (i, j)
-      done
+      done;
+      advance_row_agrees ~ctx g gr i
     done
   | Some budget ->
     for _ = 1 to budget do
       check_pair (Bprc_rng.Splitmix.int r n, Bprc_rng.Splitmix.int r n)
-    done);
-  let l = Distance_graph.leaders g and lr = Distance_graph_ref.leaders gr in
-  if l <> lr then Alcotest.failf "%s: leaders disagree" ctx;
-  (* The allocation-free leader forms must agree with the list form. *)
-  for i = 0 to n - 1 do
-    if Distance_graph.is_leader g i <> List.mem i l then
-      Alcotest.failf "%s: is_leader %d disagrees with leaders" ctx i
-  done;
-  let buf = Array.make n (-1) in
-  let cnt = Distance_graph.leaders_into g buf in
-  if Array.to_list (Array.sub buf 0 cnt) <> l then
-    Alcotest.failf "%s: leaders_into disagrees with leaders" ctx
+    done;
+    advance_row_agrees ~ctx g gr (Bprc_rng.Splitmix.int r n));
+  leaders_agree ~ctx g gr
 
 let counters_agree ~ctx flat refc =
   let n = Edge_counters.n flat in
@@ -573,32 +630,48 @@ let counters_agree ~ctx flat refc =
   if Edge_counters.valid flat <> Edge_counters_ref.valid refc then
     Alcotest.failf "%s: validity diverges" ctx
 
+(* One lockstep move of [i], with [g] holding [flat]'s decode: [flat]
+   takes the row [inc_row_with] computes against [g] — adopted the
+   protocol's way with [set_row], or through [apply_inc] — and the
+   reference takes its own [inc_row]; the rows, the counters and the
+   refilled decode must agree.  Returns the reference's decode. *)
+let lockstep_move ~ctx ~via_apply flat g refc i =
+  let row_f = Edge_counters.inc_row_with flat ~graph:g i in
+  if row_f <> Edge_counters_ref.inc_row refc i then
+    Alcotest.failf "%s: inc_row_with diverges" ctx;
+  if via_apply then Edge_counters.apply_inc flat i
+  else Edge_counters.set_row flat i row_f;
+  Edge_counters_ref.apply_inc refc i;
+  counters_agree ~ctx flat refc;
+  Edge_counters.to_graph_into flat g;
+  let gr = Edge_counters_ref.to_graph refc in
+  graphs_agree ~ctx g gr;
+  gr
+
 (* Lockstep random walk: one shared op sequence applied to both
-   implementations, every observable compared after every step.
+   implementations, every observable compared after every step.  The
+   flat side alternates [set_row] and [apply_inc], so its one scratch
+   graph sees both incremental one-row refills and full ones.
    [stall] freezes the last process so the K-gap compression stays
    active while the movers' pointers wrap the mod-3K cycle; [full]
    turns on the exhaustive (reference-priced) max-path comparison. *)
 let diff_counters_walk ~k ~n ~steps ~seed ~stall ~full ~sample =
   let flat = Edge_counters.create ~k ~n in
   let refc = Edge_counters_ref.create ~k ~n in
+  let g = graph_of flat in
   let r = rng seed in
   let movers = if stall && n > 1 then n - 1 else n in
   for step = 1 to steps do
     let i = Bprc_rng.Splitmix.int r movers in
     let ctx = Printf.sprintf "k=%d n=%d step %d (mover %d)" k n step i in
-    let row_f = Edge_counters.inc_row flat i in
-    let row_r = Edge_counters_ref.inc_row refc i in
-    if row_f <> row_r then Alcotest.failf "%s: inc_row diverges" ctx;
-    Edge_counters.apply_inc flat i;
-    Edge_counters_ref.apply_inc refc i;
-    counters_agree ~ctx flat refc;
-    let g = Edge_counters.to_graph flat in
-    let gr = Edge_counters_ref.to_graph refc in
-    graphs_agree ~ctx g gr;
+    let gr = lockstep_move ~ctx ~via_apply:(step mod 3 = 0) flat g refc i in
     if full then max_path_queries_agree ~ctx g gr r
     else if step mod sample = 0 then
       max_path_queries_agree ~ctx ~pairs:4 g gr r
-  done
+  done;
+  let st = Edge_counters.refill_stats flat in
+  if st.Edge_counters.incremental_refills = 0 then
+    Alcotest.failf "k=%d n=%d: no incremental refill" k n
 
 let test_diff_counters_small () =
   (* 10k+ lockstep steps across the required widths; the reference's
@@ -632,18 +705,11 @@ let test_diff_counters_wrap_compression () =
       let n = 3 in
       let flat = Edge_counters.create ~k ~n in
       let refc = Edge_counters_ref.create ~k ~n in
+      let g = graph_of flat in
       let r = rng (100 + k) in
       let step i =
         let ctx = Printf.sprintf "wrap k=%d mover %d" k i in
-        let row_f = Edge_counters.inc_row flat i in
-        let row_r = Edge_counters_ref.inc_row refc i in
-        if row_f <> row_r then Alcotest.failf "%s: inc_row diverges" ctx;
-        Edge_counters.apply_inc flat i;
-        Edge_counters_ref.apply_inc refc i;
-        counters_agree ~ctx flat refc;
-        let g = Edge_counters.to_graph flat in
-        let gr = Edge_counters_ref.to_graph refc in
-        graphs_agree ~ctx g gr;
+        let gr = lockstep_move ~ctx ~via_apply:false flat g refc i in
         max_path_queries_agree ~ctx g gr r
       in
       for _ = 1 to k do
@@ -659,11 +725,11 @@ let test_diff_counters_wrap_compression () =
       done)
     [ 1; 2; 3 ]
 
-(* Stale-view rows: [inc_row] on states assembled with [of_rows] from
-   two different points of the same walk (a scanned view can mix rows
-   of different ages).  Both implementations must agree even on these
-   not-necessarily-position-consistent states — the flat module's
-   relaxation fallback path. *)
+(* Stale-view rows: [inc_row_with] on states assembled with [set_rows]
+   from two different points of the same walk (a scanned view can mix
+   rows of different ages).  Both implementations must agree even on
+   these not-necessarily-position-consistent states — the flat
+   module's relaxation fallback path. *)
 let test_diff_counters_stale_views () =
   let k = 2 and n = 4 in
   let r = rng 77 in
@@ -679,26 +745,30 @@ let test_diff_counters_stale_views () =
           if Bprc_rng.Splitmix.bool r then (Edge_counters_ref.rows live).(p)
           else !old_rows.(p))
     in
-    let flat = Edge_counters.of_rows ~k mixed in
+    let flat = counters_of_rows ~k mixed in
     let refc = Edge_counters_ref.of_rows ~k mixed in
     let ctx = Printf.sprintf "stale step %d" step in
     counters_agree ~ctx flat refc;
     if Edge_counters.valid flat then begin
-      let g = Edge_counters.to_graph flat in
+      let g = graph_of flat in
       let gr = Edge_counters_ref.to_graph refc in
       graphs_agree ~ctx g gr;
       max_path_queries_agree ~ctx g gr r;
       for i = 0 to n - 1 do
-        if Edge_counters.inc_row flat i <> Edge_counters_ref.inc_row refc i
-        then Alcotest.failf "%s: inc_row %d diverges" ctx i
+        if
+          Edge_counters.inc_row_with flat ~graph:g i
+          <> Edge_counters_ref.inc_row refc i
+        then Alcotest.failf "%s: inc_row_with %d diverges" ctx i
       done
     end
   done
 
 (* Arbitrary (not counter-decodable) graphs: random presence/weight
    matrices, including negative weights, positive cycles and
-   non-total-order shapes — everything the position fast path must
-   reject and the fallback must answer exactly like the reference. *)
+   non-total-order shapes, written straight into a scratch graph's
+   weights — everything the position fast path must reject and the
+   fallback must answer exactly like the reference, on graphs no
+   counter state reaches. *)
 let test_diff_graph_arbitrary () =
   let r = rng 31 in
   for case = 1 to 400 do
@@ -711,10 +781,19 @@ let test_diff_graph_arbitrary () =
           w.(i).(j) <- Some (Bprc_rng.Splitmix.int r (k + 4) - 2)
       done
     done;
-    let present i j = w.(i).(j) <> None
-    and weight i j = match w.(i).(j) with Some x -> x | None -> 0 in
-    let g = Distance_graph.of_weights ~k ~present ~weight ~n in
-    let gr = Distance_graph_ref.of_weights ~k ~present ~weight ~n in
+    let g = Distance_graph.create_scratch ~k ~n in
+    let wts = Distance_graph.weights g in
+    Array.iteri
+      (fun i ->
+        Array.iteri (fun j -> Option.iter (fun x -> wts.((i * n) + j) <- x)))
+      w;
+    Distance_graph.invalidate g;
+    let gr =
+      Distance_graph_ref.of_weights ~k
+        ~present:(fun i j -> w.(i).(j) <> None)
+        ~weight:(fun i j -> Option.get w.(i).(j))
+        ~n
+    in
     let ctx = Printf.sprintf "arbitrary case %d (n=%d k=%d)" case n k in
     graphs_agree ~ctx g gr;
     max_path_queries_agree ~ctx g gr r;
@@ -726,15 +805,7 @@ let test_diff_graph_arbitrary () =
     then Alcotest.failf "%s: weights_in_range diverges" ctx;
     if Distance_graph.total_order_consistent g
        <> Distance_graph_ref.total_order_consistent gr
-    then Alcotest.failf "%s: total_order_consistent diverges" ctx;
-    (* [inc] must agree too (rule-by-rule vs position fast path when
-       the graph happens to be consistent). *)
-    if Distance_graph.no_positive_cycle g then
-      for i = 0 to n - 1 do
-        graphs_agree ~ctx:(Printf.sprintf "%s inc %d" ctx i)
-          (Distance_graph.inc g i)
-          (Distance_graph_ref.inc gr i)
-      done
+    then Alcotest.failf "%s: total_order_consistent diverges" ctx
   done
 
 let test_diff_graph_positions () =
@@ -748,11 +819,7 @@ let test_diff_graph_positions () =
     let gr = Distance_graph_ref.of_positions ~k pos in
     let ctx = Printf.sprintf "positions case %d (n=%d k=%d)" case n k in
     graphs_agree ~ctx g gr;
-    max_path_queries_agree ~ctx ~pairs:6 g gr r;
-    let i = Bprc_rng.Splitmix.int r n in
-    graphs_agree ~ctx:(ctx ^ " inc")
-      (Distance_graph.inc g i)
-      (Distance_graph_ref.inc gr i)
+    max_path_queries_agree ~ctx ~pairs:6 g gr r
   done
 
 let suite =
@@ -773,15 +840,15 @@ let suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the [_into] scratch decode path vs fresh decodes      *)
+(* Differential: the scratch decode under scan-shaped views            *)
 (* ------------------------------------------------------------------ *)
 
 (* One scratch counter object + one scratch graph reused across every
    iteration, fed stale-mixed scanned rows exactly like
    [test_diff_counters_stale_views]; every observable of the refilled
-   scratch must match both a fresh flat decode and the frozen
-   reference.  This is the shape of the protocol decision path:
-   set_rows -> to_graph_into -> queries -> inc_row_with.
+   scratch must match the frozen reference.  This is the shape of the
+   protocol decision path: set_rows -> to_graph_into -> queries ->
+   inc_row_with.
 
    Without [incremental] every view is built from fresh row arrays, so
    every refill is a full one.  With it the view is one row matrix
@@ -791,16 +858,20 @@ let suite =
    them) and keeps the other arrays physically shared, so refills take
    the incremental and unchanged-view paths.  Every tenth step swaps
    in a broken row for one step — out of range, or (K >= 2) decoding
-   into the forbidden band — which must raise the fresh path's
-   message, after which the next valid refill must again equal a
-   fresh decode. *)
+   into the forbidden band — which the reference must refuse too and
+   which must raise [set_row]'s or [to_graph_into]'s message, after
+   which the next valid refill must again agree with the reference.
+
+   The reference prices [inc_row] and [dist] at O(n^4) and O(n^3), so
+   up to n = 8 every process's row and every pair's [dist_ge] are
+   compared at every step; wider, one random process's row and one
+   random source's pairs. *)
 let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
   let r = rng seed in
   let live = Edge_counters_ref.create ~k ~n in
   let old_rows = ref (Edge_counters_ref.rows live) in
   let scratch = Edge_counters.create ~k ~n in
   let g_scr = Distance_graph.create_scratch ~k ~n in
-  let lbuf = Array.make n (-1) in
   let view = Edge_counters_ref.rows live in
   let pick p =
     if Bprc_rng.Splitmix.bool r then (Edge_counters_ref.rows live).(p)
@@ -809,6 +880,7 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
   let raised f =
     match f () with () -> None | exception Invalid_argument m -> Some m
   in
+  let every = n <= 8 in
   for step = 1 to steps do
     let i = Bprc_rng.Splitmix.int r n in
     Edge_counters_ref.apply_inc live i;
@@ -846,79 +918,57 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
           (if undecodable then (view.(q).(p) + k + 1) mod (3 * k) else 3 * k);
         let broken = Array.copy view in
         broken.(p) <- bad;
+        (match
+           Edge_counters_ref.to_graph (Edge_counters_ref.of_rows ~k broken)
+         with
+        | _ -> Alcotest.failf "%s: reference accepts broken row %d" ctx p
+        | exception Invalid_argument _ -> ());
         let want =
-          raised (fun () ->
-              ignore (Edge_counters.to_graph (Edge_counters.of_rows ~k broken)))
+          if undecodable then "Edge_counters.to_graph_into: undecodable state"
+          else "Edge_counters.set_row: counter out of range"
         in
         let got =
           raised (fun () ->
               Edge_counters.set_rows scratch broken;
               Edge_counters.to_graph_into scratch g_scr)
         in
-        if want = None || got <> want then
-          Alcotest.failf "%s: broken row %d raised %s, fresh path %s" ctx p
+        if got <> Some want then
+          Alcotest.failf "%s: broken row %d raised %s, want %s" ctx p
             (Option.value got ~default:"nothing")
-            (Option.value want ~default:"nothing")
+            want
       end
     end;
     let mixed = Array.copy view in
     Edge_counters.set_rows scratch mixed;
-    let fresh = Edge_counters.of_rows ~k mixed in
     let refc = Edge_counters_ref.of_rows ~k mixed in
-    (* set_rows == of_rows, observed through the allocation-free
-       reads (and those agree with each other entry by entry). *)
-    Edge_counters.iter_rows scratch (fun i j c ->
-        if c <> mixed.(i).(j) then
-          Alcotest.failf "%s: iter_rows (%d,%d)=%d, view says %d" ctx i j c
-            mixed.(i).(j);
-        if Edge_counters.get scratch i j <> c then
-          Alcotest.failf "%s: get (%d,%d) disagrees with iter_rows" ctx i j);
     counters_agree ~ctx scratch refc;
     if Edge_counters.valid scratch then begin
       Edge_counters.to_graph_into scratch g_scr;
-      let g_fresh = Edge_counters.to_graph fresh in
       let gr = Edge_counters_ref.to_graph refc in
       graphs_agree ~ctx g_scr gr;
-      graphs_agree ~ctx:(ctx ^ " fresh") g_fresh gr;
+      leaders_agree ~ctx g_scr gr;
       if step mod sample = 0 then
         max_path_queries_agree ~ctx ~pairs:6 g_scr gr r;
-      (* dist_ge on the refilled scratch vs dist on a fresh decode,
-         across every pair and the bounds bracketing the protocol's
-         trails-by-K query. *)
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          if a <> b then
-            for bound = -1 to k + 1 do
-              let want =
-                match Distance_graph.dist g_fresh a b with
-                | None -> false
-                | Some d -> d >= bound
-              in
-              if Distance_graph.dist_ge g_scr a b bound <> want then
-                Alcotest.failf "%s: dist_ge (%d,%d) >= %d diverges" ctx a b
-                  bound
-            done
-        done
-      done;
-      (* inc_row_with against the just-refilled scratch decode. *)
-      for p = 0 to n - 1 do
-        if
-          Edge_counters.inc_row_with scratch ~graph:g_scr p
-          <> Edge_counters.inc_row fresh p
-        then Alcotest.failf "%s: inc_row_with %d diverges" ctx p
-      done;
-      (* leaders_into into the reused buffer. *)
-      let cnt = Distance_graph.leaders_into g_scr lbuf in
-      if
-        Array.to_list (Array.sub lbuf 0 cnt)
-        <> Distance_graph.leaders g_fresh
-      then Alcotest.failf "%s: leaders_into on scratch diverges" ctx
+      let sources = if every then List.init n Fun.id else [ i ] in
+      List.iter
+        (fun a ->
+          for b = 0 to n - 1 do
+            if a <> b then dist_ge_agrees ~ctx g_scr gr a b
+          done)
+        sources;
+      List.iter
+        (fun p ->
+          if
+            Edge_counters.inc_row_with scratch ~graph:g_scr p
+            <> Edge_counters_ref.inc_row refc p
+          then Alcotest.failf "%s: inc_row_with %d diverges" ctx p)
+        sources
     end
     else begin
       match Edge_counters.to_graph_into scratch g_scr with
       | () -> Alcotest.failf "%s: to_graph_into accepted invalid state" ctx
       | exception Invalid_argument m ->
-        if m <> "Edge_counters.to_graph: undecodable state" then
+        if m <> "Edge_counters.to_graph_into: undecodable state" then
           Alcotest.failf "%s: to_graph_into raised %s" ctx m
     end
   done;
@@ -993,7 +1043,7 @@ let test_incremental_refill_no_alloc () =
   let va = Edge_counters.rows c in
   Edge_counters.apply_inc c 5;
   let vb = Array.copy va in
-  vb.(5) <- Edge_counters.row c 5;
+  vb.(5) <- (Edge_counters.rows c).(5);
   let scratch = Edge_counters.create ~k ~n in
   let g = Distance_graph.create_scratch ~k ~n in
   let refill v =
@@ -1026,7 +1076,7 @@ let test_incremental_refill_no_alloc () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "into: scratch vs fresh decode (n=2,4,8,32)" `Quick
+      Alcotest.test_case "into: scratch decode vs oracle (n=2,4,8,32)" `Quick
         test_diff_into;
       Alcotest.test_case "into: reconstruct_into allocation ceiling" `Quick
         test_reconstruct_into_no_alloc;
@@ -1042,8 +1092,8 @@ let suite =
    no snapshot, no consensus.  A state is the n x n counter matrix and,
    in the split game, each process's pending row.
 
-   - Atomic game: a move of process [i] sets row [i] to [inc_row] of
-     the current matrix, scan and write in one step.
+   - Atomic game: a move of process [i] sets row [i] to [inc_row_with]
+     of the current matrix, scan and write in one step.
    - Split game: a scan of [i] sets its pending row to that same row; a
      write copies the pending row into row [i] and clears it.  This is
      how the §5 loop publishes an increment: the scan and the write are
@@ -1073,18 +1123,16 @@ module Game_states = Hashtbl.Make (struct
   let hash = Hashtbl.hash_param 64 64
 end)
 
-(* The decode of a sound matrix, [None] for a bad one. *)
-let sound_decode ~exact ec =
-  if not (Edge_counters.valid ec) then None
-  else
-    let g = Edge_counters.to_graph ec in
-    if
-      Distance_graph.no_positive_cycle g
-      && Distance_graph.total_order_consistent g
-      && Distance_graph.weights_in_range g
-      && ((not exact) || Distance_graph.reconstruct_into g)
-    then Some g
-    else None
+(* Is the matrix in [ec] sound?  On [true], [g] holds its decode. *)
+let sound_decode ~exact ec g =
+  Edge_counters.valid ec
+  && begin
+       Edge_counters.to_graph_into ec g;
+       Distance_graph.no_positive_cycle g
+       && Distance_graph.total_order_consistent g
+       && Distance_graph.weights_in_range g
+       && ((not exact) || Distance_graph.reconstruct_into g)
+     end
 
 let explore_game ~exact ~split ~k ~n =
   let nn = n * n in
@@ -1095,6 +1143,8 @@ let explore_game ~exact ~split ~k ~n =
   Game_states.replace parent start None;
   let queue = Queue.create () in
   Queue.add start queue;
+  let ec = Edge_counters.create ~k ~n in
+  let graph = Distance_graph.create_scratch ~k ~n in
   let rec path st acc =
     match Game_states.find parent st with
     | None -> acc
@@ -1111,10 +1161,9 @@ let explore_game ~exact ~split ~k ~n =
     | None -> None
     | Some st ->
       let m = rows (Array.sub st 0 nn) in
-      let ec = Edge_counters.of_rows ~k m in
-      match sound_decode ~exact ec with
-      | None -> Some (path st [], m)
-      | Some graph ->
+      Edge_counters.set_rows ec m;
+      if not (sound_decode ~exact ec graph) then Some (path st [], m)
+      else begin
         for i = 0 to n - 1 do
           let row = Edge_counters.inc_row_with ec ~graph i in
           if not split then begin
@@ -1135,6 +1184,7 @@ let explore_game ~exact ~split ~k ~n =
           end
         done;
         loop ()
+      end
   in
   let bad = loop () in
   (Game_states.length parent, bad)
@@ -1213,39 +1263,37 @@ let suite =
 
 (* --- Differential: the advance row in one pass ------------------------ *)
 
-(* [inc_row_with]'s row as it was computed before
-   [Distance_graph.advance_row]: one [edge]/[on_max_path]/[weight]
-   query per pair. *)
-let advance_row_by_queries ec g i =
-  let k = Edge_counters.k ec in
-  let fresh = Edge_counters.row ec i in
-  for j = 0 to Edge_counters.n ec - 1 do
-    if
-      j <> i
-      && ((Distance_graph.edge g j i && Distance_graph.on_max_path g j i)
-         || (Distance_graph.edge g i j && Distance_graph.weight g i j < k))
-    then fresh.(j) <- (fresh.(j) + 1) mod (3 * k)
-  done;
-  fresh
-
-(* Each process's advance row, against its own two fresh decodes: the
-   rows must agree, and so must the failed reconstructions counted on
-   each decode — a reconstruction attempted where the query loop would
-   not attempt one (no edge into [i]) shows up as a count of 1 vs 0.
+(* Each process's advance row, against its own fresh decode: the row
+   must equal the reference's [inc_row], which asks one
+   [edge]/[on_max_path]/[weight] query per pair, and the decode must
+   count a failed reconstruction exactly when that query loop would
+   reconstruct at all — at an edge into [i] — on a graph with no
+   positions: an eager reconstruction shows up as a count of 1 vs 0.
    Returns how many of the decodes were corrupt. *)
 let check_advance_rows ctx ec =
+  let n = Edge_counters.n ec in
+  let refc =
+    Edge_counters_ref.of_rows ~k:(Edge_counters.k ec) (Edge_counters.rows ec)
+  in
+  let positional = Distance_graph.reconstruct_into (graph_of ec) in
   let corrupt = ref 0 in
-  for i = 0 to Edge_counters.n ec - 1 do
-    let g_old = Edge_counters.to_graph ec
-    and g_new = Edge_counters.to_graph ec in
-    let want = advance_row_by_queries ec g_old i in
-    let got = Edge_counters.inc_row_with ec ~graph:g_new i in
-    Alcotest.(check (array int)) (Printf.sprintf "%s: row %d" ctx i) want got;
+  for i = 0 to n - 1 do
+    let g = graph_of ec in
+    let got = Edge_counters.inc_row_with ec ~graph:g i in
+    Alcotest.(check (array int))
+      (Printf.sprintf "%s: row %d" ctx i)
+      (Edge_counters_ref.inc_row refc i)
+      got;
+    let into_i =
+      List.exists
+        (fun j -> j <> i && Distance_graph.edge g j i)
+        (List.init n Fun.id)
+    in
     Alcotest.(check int)
       (Printf.sprintf "%s: inconsistent, row %d" ctx i)
-      (Distance_graph.inconsistent g_old)
-      (Distance_graph.inconsistent g_new);
-    if Distance_graph.inconsistent g_new > 0 then incr corrupt
+      (if into_i && not positional then 1 else 0)
+      (Distance_graph.inconsistent g);
+    if Distance_graph.inconsistent g > 0 then incr corrupt
   done;
   !corrupt
 
@@ -1271,7 +1319,7 @@ let test_advance_row_matches_queries () =
     let rows = Array.init n (fun _ -> Array.make n 0) in
     let pending = Array.make n None in
     let rec go step =
-      let ec = Edge_counters.of_rows ~k rows in
+      let ec = counters_of_rows ~k rows in
       if step < 60 && Edge_counters.valid ec then begin
         let ctx = Printf.sprintf "split walk %d step %d" walk step in
         corrupt := !corrupt + check_advance_rows ctx ec;
@@ -1280,7 +1328,9 @@ let test_advance_row_matches_queries () =
         | Some row when Bprc_rng.Splitmix.bool r ->
           rows.(i) <- row;
           pending.(i) <- None
-        | _ -> pending.(i) <- Some (Edge_counters.inc_row ec i));
+        | _ ->
+          pending.(i) <-
+            Some (Edge_counters.inc_row_with ec ~graph:(graph_of ec) i));
         go (step + 1)
       end
     in

@@ -54,14 +54,12 @@ let test_serialization_is_total () =
    from a decode another process left in the scratch.  Between two
    scans of process [p] lies exactly one write of [p], so the row [p]
    shows in its later scan is either the row it showed before or
-   [inc_row] of a fresh decode of its earlier scan.  [Local_flips]
+   the frozen oracle's [inc_row] of its earlier scan.  [Local_flips]
    yields at its flip between decode and write; this pins its re-decode
    after the flip (without it, n=5 under bursty:40 fails).  Some n=5
    bursty runs take millions of steps to decide, so runs are cut at
    100,000 steps and the rows are checked over the scans made so
    far. *)
-module Ec = Bprc_strip.Edge_counters
-
 let rows_follow_own_scans ~n ~coin_mode ~seed ~adversary name =
   let inputs =
     let r = Bprc_rng.Splitmix.create ~seed:(seed * 31) in
@@ -81,7 +79,10 @@ let rows_follow_own_scans ~n ~coin_mode ~seed ~adversary name =
         let row = o.rows.(p) in
         if
           row <> prev.rows.(p)
-          && row <> Ec.inc_row (Ec.of_rows ~k prev.rows) p
+          && row
+             <> Edge_counters_ref.inc_row
+                  (Edge_counters_ref.of_rows ~k prev.rows)
+                  p
         then
           Alcotest.failf
             "%s: seed %d: pid %d published a row not decoded from its scan"
@@ -127,6 +128,26 @@ let test_checker_flags_incomparable () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "incomparable views not flagged"
 
+(* Process 0 leads by one; then, while 0 stays put, processes 1 and 2
+   show rows that put 0 two ahead of both.  The anchor is the unmoved
+   leader 0 at round 1, so both fall from round 0 to -1; the verdict
+   names the last of them. *)
+let test_checker_flags_decrease () =
+  let ob spid ghosts rows = { Virtual_rounds.spid; ghosts; rows } in
+  let z = [| 0; 0; 0 |] and lead = [| 0; 1; 1 |] and behind = [| 5; 0; 0 |] in
+  match
+    Virtual_rounds.check ~k:2 ~n:3
+      [
+        ob 0 [| 0; 0; 0 |] [| z; z; z |];
+        ob 0 [| 1; 0; 0 |] [| lead; z; z |];
+        ob 1 [| 1; 1; 1 |] [| lead; behind; behind |];
+      ]
+  with
+  | Ok _ -> Alcotest.fail "decreasing round not flagged"
+  | Error e ->
+    Alcotest.(check string)
+      "verdict" "virtual round of 2 decreased (0 -> -1) at scan 3" e
+
 let test_checker_empty () =
   match Virtual_rounds.check ~k:2 ~n:3 [] with
   | Ok r ->
@@ -145,5 +166,7 @@ let suite =
       test_rows_follow_own_scans;
     Alcotest.test_case "flags incomparable views" `Quick
       test_checker_flags_incomparable;
+    Alcotest.test_case "flags a decreasing round" `Quick
+      test_checker_flags_decrease;
     Alcotest.test_case "empty history" `Quick test_checker_empty;
   ]
