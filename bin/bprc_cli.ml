@@ -202,20 +202,12 @@ let space_report_cmd =
       & info [ "json" ] ~doc:"Emit the report as JSON (schema bprc-space-report v1).")
   in
   let action n algo json =
-    (* Instantiating the protocol allocates every shared register it
-       will ever use (the bound is the paper's headline), so the report
-       needs a simulator arena but not a single executed step; the
-       arena's register counter cross-checks the analytic report. *)
-    let adversary = Bprc_runtime.Adversary.random () in
-    let sim = Bprc_runtime.Sim.create ~seed:0 ~max_steps:1 ~n ~adversary () in
-    let params = Bprc_core.Params.default in
-    let (module C : Bprc_core.Consensus_intf.S) =
-      Bprc_harness.Run.protocol algo (Bprc_runtime.Sim.batched sim)
+    (* The arena's register counter cross-checks the analytic report.
+       [state_bits] is the static bound, except for the unbounded
+       baseline: its (initial) grown maximum. *)
+    let { Bprc_harness.Run.space; state_bits; registers_created } =
+      Bprc_harness.Run.footprint algo ~n
     in
-    let t = C.create ~params () in
-    (* [state_bits] is the static bound, except for the unbounded
-       baseline: its (initial) grown maximum *)
-    let space = C.space t and state_bits = C.state_bits t in
     let algo_key =
       match algo with
       | Bprc_harness.Run.Ads _ -> "ads"
@@ -223,8 +215,7 @@ let space_report_cmd =
       | Bprc_harness.Run.Ah -> "ah"
     in
     let module Space = Bprc_space.Space in
-    let registers_created = Bprc_runtime.Sim.registers_created sim in
-    let k, delta, m = Bprc_core.Params.validate params ~n in
+    let k, delta, m = Bprc_core.Params.validate Bprc_core.Params.default ~n in
     if json then
       let open Bprc_util.Json in
       Fmt.pr "%s@."
@@ -397,26 +388,6 @@ let multi_cmd =
 
 (* --- trace ------------------------------------------------------------ *)
 
-(* Canonical digest of a full trace: every event rendered to a fixed
-   textual form, MD5-hashed.  Pinned by the golden determinism cram
-   test — any change to the simulator that perturbs scheduling, flip
-   draws, or event recording changes this value. *)
-let trace_digest tr =
-  let buf = Buffer.create 4096 in
-  Bprc_runtime.Trace.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d|%d|%d|%s|%s\n" e.Bprc_runtime.Trace.time e.pid
-           e.reg_id e.reg_name
-           (match e.kind with
-           | Bprc_runtime.Trace.Read -> "R"
-           | Bprc_runtime.Trace.Write -> "W"
-           | Bprc_runtime.Trace.Flip b -> if b then "F1" else "F0"
-           | Bprc_runtime.Trace.Step -> "S"
-           | Bprc_runtime.Trace.Note s -> "N:" ^ s)))
-    tr;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let trace_cmd =
   let steps_arg =
     Arg.(
@@ -450,7 +421,7 @@ let trace_cmd =
     | Some tr ->
       if digest then
         Fmt.pr "%d events  md5 %s@." (Bprc_runtime.Trace.length tr)
-          (trace_digest tr)
+          (Bprc_runtime.Trace.digest tr)
       else begin
         Fmt.pr "%a@." Bprc_runtime.Trace_stats.pp
           (Bprc_runtime.Trace_stats.analyze tr ~n);

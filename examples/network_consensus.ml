@@ -36,5 +36,5 @@ let () =
   Fmt.pr "messages sent      : %d@." (Abd.messages_sent t);
   Fmt.pr "quorum phases      : %d@." (Abd.quorum_ops t);
   Fmt.pr "register footprint : still %d bits per process — the bound@."
-    (Consensus.register_bits cons);
+    (Bprc_space.Space.max_register_bits (Consensus.space cons));
   Fmt.pr "survives the change of substrate.@."

@@ -40,4 +40,4 @@ let () =
   Fmt.pr "rounds used               : %d@." stats.Bprc_core.Ads89.max_raw_round;
   Fmt.pr "coin walk steps           : %d@." stats.Bprc_core.Ads89.walk_steps;
   Fmt.pr "register size (bounded!)  : %d bits@."
-    (Consensus.register_bits consensus)
+    (Bprc_space.Space.max_register_bits (Consensus.space consensus))

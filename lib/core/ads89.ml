@@ -46,7 +46,6 @@ module type STRIP = sig
   val counter : t -> round -> int
   val edges : round -> int array
   val state_bits : t -> int
-  val register_bits : t -> int
   val decode_stats : t -> decode_stats
   val inconsistent_reconstructions : t -> int
 end
@@ -251,7 +250,6 @@ struct
 
   let decode_stats t = St.decode_stats t.strip
   let state_bits t = St.state_bits t.strip
-  let register_bits t = St.register_bits t.strip
 
   (* The [ghost] field is checker-only meta-state and excluded from the
      space accounting; the snapshot layer adds its own control bits. *)
@@ -285,7 +283,6 @@ module Bounded = struct
     m : int;
     threshold : int;
     state_bits : int;
-    register_bits : int;
     (* The instance's one decode scratch: one mod-3K counter matrix plus
        one distance graph, refilled in place once per scan, and
        incrementally, re-decoding only the rows whose published array
@@ -315,7 +312,6 @@ module Bounded = struct
       m;
       threshold = delta * n;
       state_bits = Params.state_bits params ~n;
-      register_bits = Params.register_bits params ~n;
       ec = Ec.create ~k ~n;
       g = Dg.create_scratch ~k ~n;
       seen = Array.make n unseen;
@@ -398,7 +394,6 @@ module Bounded = struct
   let counter s st = st.coins.((st.current_coin + 1) mod (s.k + 1))
   let edges st = st.edges
   let state_bits s = s.state_bits
-  let register_bits s = s.register_bits
   let decode_stats s = Ec.refill_stats s.ec
   let inconsistent_reconstructions s = Dg.inconsistent s.g
 end

@@ -121,9 +121,6 @@ module type STRIP = sig
   val state_bits : t -> int
   (** Payload bits per segment. *)
 
-  val register_bits : t -> int
-  (** The width {!Consensus_intf.S.register_bits} reports. *)
-
   val decode_stats : t -> decode_stats
 
   val inconsistent_reconstructions : t -> int

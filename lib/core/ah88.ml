@@ -85,7 +85,6 @@ module Unbounded = struct
     let counter_bits = 1 + Params.bits_for (s.max_counter_mag + 1) in
     2 (* pref *) + Params.bits_for (rounds + 1) + (rounds * counter_bits)
 
-  let register_bits = state_bits
   let decode_stats _ = ()
   let inconsistent_reconstructions _ = 0
 end

@@ -13,8 +13,8 @@
     - the round coin is the sum of every process's counter for my
       round, with no overflow escape;
     - a walk step is unclamped, and the largest magnitude is tracked;
-    - [state_bits] and [register_bits] are both the grown maximum,
-      without the handshake toggle.
+    - [state_bits] is the grown maximum, so the widths of [space]
+      (payload plus the handshake toggle) grow with it.
 
     Expected polynomial time, like the paper's protocol, but register
     size grows linearly with the round number reached, and adversarial

@@ -51,15 +51,14 @@ module type S = sig
       any execution (the paper's headline); over the unbounded strip it
       is the maximum grown so far. *)
 
-  val register_bits : t -> int
-  (** One segment's width as reported per run.  Over the bounded strip:
-      [state_bits] plus the handshake toggle, the static bound.  Over
-      the unbounded strip: [state_bits] alone, the grown maximum
-      without the toggle. *)
-
   val space : t -> Bprc_space.Space.t
   (** Full shared-memory space report: the underlying scannable
       memory's register groups with [state_bits] as the value width.
+      It is the one source of register widths: a register's width is
+      its group's [bits_per_register], payload plus the snapshot's own
+      control bits (the handshake's toggle, the embedded snapshot's
+      sequence number and view), and
+      {!Bprc_space.Space.max_register_bits} is the widest.
       Checker-side ghost fields are excluded. *)
 
   val coin_probe : t -> Bprc_coin.Coin_probe.t

@@ -20,7 +20,3 @@ let state_bits t ~n =
   let coins = (k + 1) * bits_for ((2 * (m + 1)) + 1) in
   let edges = n * bits_for (3 * k) in
   pref + pointer + coins + edges
-
-let register_bits t ~n =
-  let toggle = 1 in
-  state_bits t ~n + toggle

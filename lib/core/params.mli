@@ -28,9 +28,3 @@ val state_bits : t -> n:int -> int
     scannable-memory segment must carry, excluding any snapshot control
     bits.  Feed to {!Bprc_snapshot.Snapshot_intf.S.space} as
     [value_bits]. *)
-
-val register_bits : t -> n:int -> int
-(** Size in bits of one process's register under these parameters —
-    the quantity the paper bounds.  Includes the preference, coin
-    pointer, [K+1] coin counters, [n] edge counters and the snapshot
-    toggle bit. *)

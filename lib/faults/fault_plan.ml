@@ -28,9 +28,6 @@ let weaken_target plan ~index =
       | _ -> acc)
     None plan
 
-let crash_count plan =
-  List.length (List.filter (function Crash _ -> true | _ -> false) plan)
-
 let liveness_threatening plan =
   List.exists (function Drop _ | Duplicate _ -> true | _ -> false) plan
 

@@ -35,8 +35,6 @@ val weaken_target : t -> index:int -> semantics option
 (** The semantics the plan assigns to register [index], if weakened
     (last matching fault wins; a [-1] fault matches every index). *)
 
-val crash_count : t -> int
-
 val liveness_threatening : t -> bool
 (** [true] when the plan contains [Drop] or [Duplicate] faults, which
     may legitimately destroy liveness of quorum protocols (lost

@@ -39,6 +39,10 @@ let tally_runs ?pool root c ~trials run =
 let measure field t =
   List.map (fun r -> float_of_int (field r)) t.Run.finished
 
+(* The widest register of a fresh instance's space report. *)
+let register_bits ?params algo ~n =
+  Bprc_space.Space.max_register_bits (Run.footprint ?params algo ~n).Run.space
+
 (* ------------------------------------------------------------------ *)
 
 let e1_coin_agreement ?(quick = false) ?pool () =
@@ -294,7 +298,7 @@ let e5_total_steps ?(quick = false) ?pool () =
 let e6_space ?(quick = false) ?pool () =
   let trials = scale quick 160 in
   let n = 4 in
-  let ads_bits = Bprc_core.Params.register_bits Bprc_core.Params.default ~n in
+  let ads_bits = register_bits (Run.Ads Bprc_core.Ads89.Shared_walk) ~n in
   let root = Bprc_rng.Splitmix.create ~seed:0xE6 in
   let cell c algo sched =
     let t =
@@ -321,12 +325,18 @@ let e6_space ?(quick = false) ?pool () =
       cell 3 Run.Ah Run.Osc_coin_sched;
     ]
   in
-  (* Analytic worst-case rows: the AH88-style register at round r costs
-     2 + lg(r+1) + r*counter bits, with no finite bound over all
-     executions; the paper's register never moves. *)
+  (* Analytic worst-case rows: the AH88-style payload at round r costs
+     2 + lg(r+2) + (r+1)*counter bits, with no finite bound over all
+     executions, and the snapshot adds the control bits a fresh
+     instance's register carries beyond its payload; the paper's
+     register never moves. *)
+  let ah_control =
+    let fp = Run.footprint Run.Ah ~n in
+    Bprc_space.Space.max_register_bits fp.Run.space - fp.Run.state_bits
+  in
   (* ~6 bits per per-round counter, matching observed magnitudes. *)
   let ah_bits_at r =
-    2 + Bprc_core.Params.bits_for (r + 2) + ((r + 1) * 6)
+    2 + Bprc_core.Params.bits_for (r + 2) + ((r + 1) * 6) + ah_control
   in
   let analytic =
     [
@@ -644,7 +654,7 @@ let e11_delta_ablation ?(quick = false) ?pool () =
           f (Stats.mean steps);
           f (Stats.mean rounds);
           f (Stats.mean walks);
-          i (Bprc_core.Params.register_bits params ~n);
+          i (register_bits ~params (Run.Ads Bprc_core.Ads89.Shared_walk) ~n);
         ])
       [ 1; 2; 4; 8 ]
   in
@@ -692,7 +702,7 @@ let e12_k_ablation ?(quick = false) ?pool () =
           i t.Run.violations;
           f (Stats.mean steps);
           f (Stats.mean rounds);
-          i (Bprc_core.Params.register_bits params ~n);
+          i (register_bits ~params (Run.Ads Bprc_core.Ads89.Shared_walk) ~n);
         ])
       [ 1; 2; 3; 4 ]
   in
@@ -973,6 +983,3 @@ let ids = List.map fst registry
 
 let by_id id =
   List.assoc_opt (String.uppercase_ascii id) registry
-
-let all ?quick ?pool () =
-  List.map (fun (_, fn) -> fn ?quick ?pool ()) registry

@@ -269,15 +269,16 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
   in
   let decisions = decisions sim handles in
   let st = C.stats t in
+  let space = C.space t in
   {
     completed;
     steps = Sim.clock sim;
     decisions;
     max_round = st.Bprc_core.Ads89.max_raw_round;
-    register_bits = C.register_bits t;
+    register_bits = Bprc_space.Space.max_register_bits space;
     walk_steps = st.Bprc_core.Ads89.walk_steps;
     spec = Bprc_core.Spec.check ~inputs ~decisions;
-    space = C.space t;
+    space;
     registers_used = Sim.registers_created sim;
     inconsistent_reconstructions =
       st.Bprc_core.Ads89.inconsistent_reconstructions;
@@ -338,6 +339,28 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
   in
   consensus_on sim ~protocol ~params ~coin_mode
     ~oracle_seed:seed ~sched ~faults ~max_steps ~inputs ()
+
+type footprint = {
+  space : Bprc_space.Space.t;
+  state_bits : int;
+  registers_created : int;
+}
+
+(* Creating an instance allocates every shared register it will ever
+   use, so the footprint needs an arena but not a single step. *)
+let footprint ?(params = Bprc_core.Params.default) algo ~n =
+  let sim =
+    Sim.create ~seed:0 ~max_steps:1 ~n ~adversary:(Adversary.random ()) ()
+  in
+  let (module C : Bprc_core.Consensus_intf.S) =
+    protocol algo (Sim.batched sim)
+  in
+  let t = C.create ~params () in
+  {
+    space = C.space t;
+    state_bits = C.state_bits t;
+    registers_created = Sim.registers_created sim;
+  }
 
 type tally = {
   trials : int;

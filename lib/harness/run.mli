@@ -91,9 +91,9 @@ type consensus_run = {
           own. *)
   max_round : int;  (** true round count reached *)
   register_bits : int;
-      (** {!Bprc_core.Consensus_intf.S.register_bits}: [Ads] and
-          [Ads_esnap] report the static bound, state plus toggle; [Ah]
-          reports the grown maximum, without the toggle *)
+      (** [Space.max_register_bits space]: the widest register, payload
+          plus the snapshot's control bits.  Constant for [Ads] and
+          [Ads_esnap]; [Ah]'s grows with the rounds reached *)
   walk_steps : int;
   spec : (unit, string) result;
   space : Bprc_space.Space.t;
@@ -163,6 +163,21 @@ val consensus_once :
     collection falls inside it no longer depends on how full earlier
     runs left the minor heap.
     @raise Invalid_argument when the reused arena's shape mismatches. *)
+
+type footprint = {
+  space : Bprc_space.Space.t;  (** the instance's space report *)
+  state_bits : int;  (** its payload bits per segment *)
+  registers_created : int;
+      (** {!Bprc_runtime.Sim.registers_created} of its arena: equals
+          [Space.registers space] when the report is honest *)
+}
+
+val footprint : ?params:Bprc_core.Params.t -> algo -> n:int -> footprint
+(** The shared memory of a fresh [protocol algo] instance ([params]
+    default {!Bprc_core.Params.default}), created on an arena of [n]
+    processes that takes no step: creation allocates every register
+    the instance will ever use.  For [Ah] it is the memory before any
+    round is entered. *)
 
 (** What a batch of consensus runs counts as, decided once for every
     table that reports one. *)

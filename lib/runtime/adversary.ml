@@ -45,9 +45,11 @@ let round_robin () =
   in
   { name = "round-robin"; choose; policy = Round_robin next }
 
-let random () =
-  let choose ctx = Bprc_rng.Dist.uniform_pick ctx.rng ctx.runnable in
-  make ~name:"random" choose
+(* A uniform runnable pid. *)
+let pick ctx =
+  ctx.runnable.(Bprc_rng.Splitmix.int ctx.rng (Array.length ctx.runnable))
+
+let random () = make ~name:"random" pick
 
 let bursty ~burst () =
   if burst <= 0 then invalid_arg "Adversary.bursty: burst must be positive";
@@ -59,7 +61,7 @@ let bursty ~burst () =
       !current
     end
     else begin
-      current := Bprc_rng.Dist.uniform_pick ctx.rng ctx.runnable;
+      current := pick ctx;
       remaining := burst - 1;
       !current
     end

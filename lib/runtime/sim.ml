@@ -352,15 +352,6 @@ let[@inline always] record_access t pid reg_id reg_name k kind =
   | None -> ()
   | Some tr -> Trace.record tr { Trace.time = t.clock; pid; reg_id; reg_name; kind }
 
-let note t ~pid s =
-  (* Notes are annotations, not accesses: [last_access] keeps the value
-     of the step's real access. *)
-  match t.tr with
-  | None -> ()
-  | Some tr ->
-    Trace.record tr
-      { Trace.time = t.clock; pid; reg_id = -1; reg_name = ""; kind = Trace.Note s }
-
 (* Start process [p]'s fiber and run it until it suspends or finishes. *)
 let start_fiber (p : proc) (body : unit -> unit) =
   if p.handler == no_handler then p.handler <- fiber_handler p;

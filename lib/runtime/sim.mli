@@ -209,10 +209,6 @@ val resumes : t -> int
     batch length.  A plain counter: reading it and bumping it allocate
     nothing. *)
 
-val note : t -> pid:int -> string -> unit
-(** Append an algorithm-level annotation to the trace (no-op when
-    recording is off).  Not a step. *)
-
 val set_flip_source : t -> (pid:int -> bool) -> unit
 (** Override the source of local coin flips (used by the exhaustive
     explorer and by bias-injection tests).  Default draws from the

@@ -3,7 +3,6 @@ type kind =
   | Write
   | Flip of bool
   | Step
-  | Note of string
 
 type event = {
   time : int;
@@ -21,3 +20,16 @@ let length = Bprc_util.Vec.length
 let iter = Bprc_util.Vec.iter
 let to_list = Bprc_util.Vec.to_list
 let clear = Bprc_util.Vec.clear
+
+let digest t =
+  let buf = Buffer.create 4096 in
+  iter
+    (fun e ->
+      Printf.bprintf buf "%d|%d|%d|%s|%s\n" e.time e.pid e.reg_id e.reg_name
+        (match e.kind with
+        | Read -> "R"
+        | Write -> "W"
+        | Flip b -> if b then "F1" else "F0"
+        | Step -> "S"))
+    t;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -10,12 +10,11 @@ type kind =
   | Write
   | Flip of bool
   | Step  (** explicit no-op yield *)
-  | Note of string  (** algorithm-level annotation *)
 
 type event = {
   time : int;  (** global step counter at execution *)
   pid : int;
-  reg_id : int;  (** -1 for [Flip]/[Step]/[Note] *)
+  reg_id : int;  (** -1 for [Flip]/[Step] *)
   reg_name : string;
   kind : kind;
 }
@@ -31,3 +30,9 @@ val iter : (event -> unit) -> t -> unit
 
 val to_list : t -> event list
 val clear : t -> unit
+
+val digest : t -> string
+(** Canonical digest of the whole trace: every event rendered as one
+    [time|pid|reg_id|name|kind] line ([kind] one of [R], [W], [F0],
+    [F1], [S]), MD5-hashed, in hex.  Any change that perturbs
+    scheduling, flip draws or event recording changes it. *)

@@ -8,7 +8,10 @@ type t = {
   longest_monopoly : int;
 }
 
-let analyze ?(top = 5) trace ~n =
+(* How many registers [hottest_registers] lists. *)
+let top = 5
+
+let analyze trace ~n =
   let reads = ref 0 and writes = ref 0 and flips = ref 0 in
   let per = Array.make n (0, 0) in
   let regs : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -29,7 +32,7 @@ let analyze ?(top = 5) trace ~n =
       | Trace.Read -> incr reads
       | Trace.Write -> incr writes
       | Trace.Flip _ -> incr flips
-      | Trace.Step | Trace.Note _ -> ());
+      | Trace.Step -> ());
       if e.Trace.reg_id >= 0 then
         let key = e.Trace.reg_name in
         Hashtbl.replace regs key

@@ -14,7 +14,7 @@ type t = {
           measure of how bursty the schedule was *)
 }
 
-val analyze : ?top:int -> Trace.t -> n:int -> t
-(** [top] bounds [hottest_registers] (default 5). *)
+val analyze : Trace.t -> n:int -> t
+(** [hottest_registers] lists the five most accessed registers. *)
 
 val pp : Format.formatter -> t -> unit

@@ -122,8 +122,6 @@ let create ?(mode = Deterministic) ?(seed = 1) ?(in_flight_cap = 1024) ?batch
     closed = false;
   }
 
-let mode t = t.mode
-let in_flight_cap t = t.cap
 let in_flight t = Queue.length t.pending + Queue.length t.ready
 
 let arenas_live t =

@@ -105,9 +105,6 @@ val create :
     round; [lat_capacity] (default 4096) sizes the latency sample ring.
     @raise Invalid_argument on non-positive cap, batch or capacity. *)
 
-val mode : t -> mode
-val in_flight_cap : t -> int
-
 val in_flight : t -> int
 (** Admitted instances not yet delivered (queued + decided-undrained). *)
 

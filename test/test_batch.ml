@@ -91,44 +91,62 @@ let arb_case =
         (fun sched seed fault -> (n, sched, seed, fault))
         (int_range 0 2) (int_bound 10_000) (gen_fault n))
 
-let snapshot_differential name
-    (make : (module Runtime_intf.BATCHED) -> (module SNAP)) =
+(* Three writes and scans per process, batched and per-access: the
+   same steps, trace and views, and no step exactly when every process
+   crashed before its first one. *)
+let snapshot_law (make : (module Runtime_intf.BATCHED) -> (module SNAP))
+    (n, sched, seed, fault) =
+  let run sim rt ~chosen =
+    let (module S) = make rt in
+    let snap = S.create ~init:0 () in
+    let handles =
+      Array.init n (fun i ->
+          Sim.spawn sim (fun () ->
+              let views = ref [] in
+              for r = 1 to 3 do
+                S.write snap ((100 * i) + r);
+                views := S.scan snap :: !views
+              done;
+              !views))
+    in
+    let stream = drive sim ~chosen ~fault ~max_steps:200_000 in
+    let trace = Option.get (Sim.trace sim) in
+    let unstarted =
+      List.for_all
+        (fun p -> Sim.crashed sim p && Sim.steps_of sim p = 0)
+        (List.init n Fun.id)
+    in
+    (stream, Trace.to_list trace, Array.map Sim.result handles, unstarted)
+  in
+  let (s1, t1, v1, unstarted), (s2, t2, v2, _) =
+    twice ~n ~sched ~seed ~record_trace:true ~max_steps:200_000 run
+  in
+  if s1 <> s2 then QCheck.Test.fail_report "step streams differ";
+  if t1 <> t2 then QCheck.Test.fail_report "traces differ";
+  if v1 <> v2 then QCheck.Test.fail_report "views differ";
+  s1 = [] = unstarted
+
+let snapshot_differential name make =
   QCheck.Test.make ~count:40
     ~name:(name ^ ": batched = per-access (steps, trace, views)")
-    arb_case
-    (fun (n, sched, seed, fault) ->
-      let run sim rt ~chosen =
-        let (module S) = make rt in
-        let snap = S.create ~init:0 () in
-        let handles =
-          Array.init n (fun i ->
-              Sim.spawn sim (fun () ->
-                  let views = ref [] in
-                  for r = 1 to 3 do
-                    S.write snap ((100 * i) + r);
-                    views := S.scan snap :: !views
-                  done;
-                  !views))
-        in
-        let stream = drive sim ~chosen ~fault ~max_steps:200_000 in
-        let trace = Option.get (Sim.trace sim) in
-        (stream, Trace.to_list trace, Array.map Sim.result handles)
-      in
-      let (s1, t1, v1), (s2, t2, v2) =
-        twice ~n ~sched ~seed ~record_trace:true ~max_steps:200_000 run
-      in
-      if s1 <> s2 then QCheck.Test.fail_report "step streams differ";
-      if t1 <> t2 then QCheck.Test.fail_report "traces differ";
-      if v1 <> v2 then QCheck.Test.fail_report "views differ";
-      List.length s1 > 0)
+    arb_case (snapshot_law make)
 
-let prop_handshake =
-  snapshot_differential "handshake" (fun (module B) ->
-      (module Handshake.Make_batched (B) : SNAP))
+let handshake (module B : Runtime_intf.BATCHED) =
+  (module Handshake.Make_batched (B) : SNAP)
 
-let prop_embedded =
-  snapshot_differential "embedded" (fun (module B) ->
-      (module Embedded.Make_batched (B) : SNAP))
+let embedded (module B : Runtime_intf.BATCHED) =
+  (module Embedded.Make_batched (B) : SNAP)
+
+let prop_handshake = snapshot_differential "handshake" handshake
+let prop_embedded = snapshot_differential "embedded" embedded
+
+(* A lone process crashed at clock 0 takes no step, batched or not. *)
+let test_lone_crash_at_start () =
+  let case = (1, 1, 199, Crash { at = 0; pid = 0 }) in
+  List.iter
+    (fun (name, make) ->
+      Alcotest.(check bool) (name ^ ": no step") true (snapshot_law make case))
+    [ ("handshake", handshake); ("embedded", embedded) ]
 
 (* ADS89 over both snapshots: decisions, per-process steps and a digest
    of the step stream. *)
@@ -407,6 +425,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_handshake;
     QCheck_alcotest.to_alcotest prop_embedded;
     QCheck_alcotest.to_alcotest prop_ads89;
+    Alcotest.test_case "lone process crashed at clock 0" `Quick
+      test_lone_crash_at_start;
     Alcotest.test_case "alloc: batched collect words constant in n" `Quick
       test_collect_words_constant;
     Alcotest.test_case "alloc: scan attempt, update words constant in n" `Quick

@@ -156,13 +156,14 @@ let test_register_bits_constant () =
   let sim = Sim.create ~seed:1 ~n:3 ~adversary:(Adversary.random ()) () in
   let module C = Ads89.Make ((val Sim.runtime sim)) in
   let t = C.create () in
-  let before = C.register_bits t in
+  let width t = Bprc_space.Space.max_register_bits (C.space t) in
+  let before = width t in
   let _ =
     Array.init 3 (fun i -> Sim.spawn sim (fun () -> C.run t ~input:(i = 0)))
   in
   ignore (Sim.run sim);
   Alcotest.(check int) "register bound unchanged by execution" before
-    (C.register_bits t);
+    (width t);
   let st = C.stats t in
   Alcotest.(check bool) "protocol did real work" true (st.Ads89.scans > 0);
   Alcotest.(check bool) "rounds advanced" true (st.Ads89.max_raw_round >= 1)
@@ -226,7 +227,7 @@ let run_ah88 ?(max_steps = 3_000_000) ~n ~seed ~adversary ~inputs () =
   ( completed,
     Array.map Sim.result handles,
     (C.stats t).Ads89.max_raw_round,
-    C.register_bits t )
+    Bprc_space.Space.max_register_bits (C.space t) )
 
 let test_ah88_correct () =
   for seed = 1 to 20 do

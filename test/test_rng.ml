@@ -132,42 +132,6 @@ let test_split_advances_parent () =
     (Splitmix.next64 a);
   ignore child
 
-let test_bernoulli_extremes () =
-  let rng = Splitmix.create ~seed:17 in
-  for _ = 1 to 100 do
-    if Dist.bernoulli rng ~p:0.0 then Alcotest.fail "p=0 fired";
-    if not (Dist.bernoulli rng ~p:1.0) then Alcotest.fail "p=1 missed"
-  done
-
-let test_geometric_mean () =
-  let rng = Splitmix.create ~seed:23 in
-  let p = 0.25 in
-  let trials = 50_000 in
-  let sum = ref 0 in
-  for _ = 1 to trials do
-    sum := !sum + Dist.geometric rng ~p
-  done;
-  let mean = float_of_int !sum /. float_of_int trials in
-  (* Expected failures before success = (1-p)/p = 3. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "geometric mean ~3 (got %.3f)" mean)
-    true
-    (mean > 2.8 && mean < 3.2)
-
-let test_shuffle_permutes () =
-  let rng = Splitmix.create ~seed:31 in
-  let arr = Array.init 50 Fun.id in
-  Dist.shuffle_in_place rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
-
-let test_uniform_pick_empty () =
-  let rng = Splitmix.create ~seed:1 in
-  Alcotest.check_raises "empty pick"
-    (Invalid_argument "Dist.uniform_pick: empty array") (fun () ->
-      ignore (Dist.uniform_pick rng [||]))
-
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"Splitmix.int stays in bounds" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -199,10 +163,6 @@ let suite =
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "fork independence" `Quick test_fork_independent;
     Alcotest.test_case "split advances parent" `Quick test_split_advances_parent;
-    Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
-    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
-    Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
-    Alcotest.test_case "uniform_pick empty" `Quick test_uniform_pick_empty;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_int_wide_in_bounds;
     QCheck_alcotest.to_alcotest prop_fork_deterministic;

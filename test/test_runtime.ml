@@ -408,43 +408,6 @@ let test_scripted_adversary () =
   Alcotest.(check int) "p0 ran first under script" 3 (Sim.steps_of sim 0);
   Alcotest.(check int) "final value from p1" 9 (R.peek reg)
 
-let test_note_recorded () =
-  let sim =
-    Sim.create ~seed:2 ~record_trace:true ~n:1
-      ~adversary:(Adversary.round_robin ()) ()
-  in
-  ignore (Sim.spawn sim (fun () -> Sim.note sim ~pid:0 "checkpoint"));
-  ignore (Sim.run sim);
-  match Sim.trace sim with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-    let found = ref false in
-    Trace.iter
-      (fun e ->
-        match e.Trace.kind with
-        | Trace.Note "checkpoint" -> found := true
-        | _ -> ())
-      tr;
-    Alcotest.(check bool) "note traced" true !found
-
-let test_dist_exponential () =
-  let rng = Bprc_rng.Splitmix.create ~seed:41 in
-  let trials = 40_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to trials do
-    let x = Bprc_rng.Dist.exponential rng ~rate:2.0 in
-    if x < 0.0 then Alcotest.fail "negative exponential";
-    sum := !sum +. x
-  done;
-  let mean = !sum /. float_of_int trials in
-  Alcotest.(check bool)
-    (Printf.sprintf "mean ~0.5 (got %.3f)" mean)
-    true
-    (mean > 0.47 && mean < 0.53);
-  Alcotest.check_raises "bad rate"
-    (Invalid_argument "Dist.exponential: rate must be positive") (fun () ->
-      ignore (Bprc_rng.Dist.exponential rng ~rate:0.0))
-
 (* Minor words per [choose] call: the marginal cost of [calls] more
    calls, over a runnable set that alternates between dense and sparse
    so every branch of every adversary runs. *)
@@ -484,8 +447,6 @@ let gap_suite =
     Alcotest.test_case "scripted adversary" `Quick test_scripted_adversary;
     Alcotest.test_case "adversaries: choose allocates nothing" `Quick
       test_choose_allocation_free;
-    Alcotest.test_case "note recorded" `Quick test_note_recorded;
-    Alcotest.test_case "dist: exponential" `Quick test_dist_exponential;
   ]
 
 let suite = suite @ gap_suite

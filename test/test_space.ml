@@ -49,18 +49,17 @@ let test_json_shape () =
    = 34 bits; handshake adds the toggle (35/register) and the 2×2 arrow
    matrix: 2·35 + 4·1 = 74 shared bits in 6 registers. *)
 let expect_ads ~n ~registers ~max_bits ~total_bits () =
-  let sim =
-    Sim.create ~seed:0 ~max_steps:1 ~n ~adversary:(Adversary.random ()) ()
+  let fp =
+    Bprc_harness.Run.footprint
+      (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk)
+      ~n
   in
-  let module C = Bprc_core.Ads89.Make ((val Sim.runtime sim)) in
-  let t = C.create () in
-  let s = C.space t in
+  let s = fp.Bprc_harness.Run.space in
   Alcotest.(check int) "registers" registers (Space.registers s);
   Alcotest.(check int) "max register bits" max_bits (Space.max_register_bits s);
   Alcotest.(check int) "total shared bits" total_bits (Space.total_bits s);
   Alcotest.(check int)
-    "arena agrees" registers
-    (Sim.registers_created sim)
+    "arena agrees" registers fp.Bprc_harness.Run.registers_created
 
 let test_exact_ads_n2 () =
   expect_ads ~n:2 ~registers:6 ~max_bits:35 ~total_bits:74 ()
@@ -147,6 +146,28 @@ let test_run_surfaces_space () =
   Alcotest.(check int) "esnap measured = analytic" 4
     r.Bprc_harness.Run.registers_used
 
+(* Over the unbounded strip the payload grows with the rounds a run
+   enters, and the handshake still adds exactly its toggle: a finished
+   run's width minus its payload is 1 control bit, as on a fresh
+   instance ([Run.footprint]). *)
+let test_ah_control_bit () =
+  let n = 3 in
+  let sim = Sim.create ~seed:5 ~n ~adversary:(Adversary.random ()) () in
+  let module C = Bprc_core.Ah88.Make_batched ((val Sim.batched sim)) in
+  let t = C.create () in
+  let fresh = C.state_bits t in
+  let _ =
+    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:(i = 0)))
+  in
+  Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+  Alcotest.(check bool) "payload grew" true (C.state_bits t > fresh);
+  Alcotest.(check int) "finished: width - payload" 1
+    (Space.max_register_bits (C.space t) - C.state_bits t);
+  let fp = Bprc_harness.Run.footprint Bprc_harness.Run.Ah ~n in
+  Alcotest.(check int) "fresh: width - payload" 1
+    (Space.max_register_bits fp.Bprc_harness.Run.space
+    - fp.Bprc_harness.Run.state_bits)
+
 (* ------------------------------------------------------------------ *)
 (* Large-n smoke: n=64 decides, deterministically                      *)
 (* ------------------------------------------------------------------ *)
@@ -154,20 +175,7 @@ let test_run_surfaces_space () =
 let trace_digest sim =
   match Sim.trace sim with
   | None -> Alcotest.fail "trace recording was requested"
-  | Some t ->
-    let buf = Buffer.create (1 lsl 16) in
-    Trace.iter
-      (fun (e : Trace.event) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%d|%d|%d|%s|%s\n" e.time e.pid e.reg_id e.reg_name
-             (match e.kind with
-             | Trace.Read -> "R"
-             | Trace.Write -> "W"
-             | Trace.Flip b -> if b then "F1" else "F0"
-             | Trace.Step -> "S"
-             | Trace.Note s -> "N:" ^ s)))
-      t;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+  | Some t -> Trace.digest t
 
 let large_n = 64
 let large_max_steps = 2_000_000
@@ -244,6 +252,8 @@ let suite =
       test_space_constant_over_run;
     Alcotest.test_case "space: surfaced through Run" `Quick
       test_run_surfaces_space;
+    Alcotest.test_case "space: AH width = payload + toggle" `Quick
+      test_ah_control_bit;
     Alcotest.test_case "large-n: n=64 decides in bound" `Quick
       test_large_n_decides;
     Alcotest.test_case "large-n: digest stable across reset reuse" `Quick
