@@ -76,7 +76,7 @@ let memoized r check () =
     Hashtbl.add r.verdicts key verdict;
     verdict
 
-(* [linearizable] takes the events as an array ({!Lin.check_events}):
+(* [linearizable] takes the events as an array ({!Lin.Make.linearizable}):
    one verdict costs no intermediate list, and the message — built on
    violation only — renders from the same array. *)
 let lin_verdict ~name pp_op linearizable events =
@@ -87,81 +87,45 @@ let lin_verdict ~name pp_op linearizable events =
          Fmt.(list ~sep:sp (Hist.pp_event pp_op))
          (Array.to_list events))
 
+let both first second evs = Result.bind (first evs) (fun () -> second evs)
+
+(* Spawn process [i] to run [prog.(i)]: each step [op] becomes the event
+   [apply i op], stamped before and after it runs. *)
+let spawn_recorded sim h prog apply =
+  for i = 0 to Array.length prog - 1 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           List.iter
+             (fun op ->
+               let s = Hist.stamp h in
+               let op = apply i op in
+               let f = Hist.stamp h in
+               Hist.record h ~pid:i ~start_time:s ~finish_time:f op)
+             prog.(i)))
+  done
+
 let reg_check =
-  lin_verdict ~name:"register" Specs.Register.pp_op (fun evs ->
-      match Reg_lin.check_events evs with
-      | Reg_lin.Linearizable _ -> true
-      | Reg_lin.Not_linearizable -> false)
+  lin_verdict ~name:"register" Specs.Register.pp_op Reg_lin.linearizable
 
-(* Every process writes a distinct value then reads the register back. *)
-let reg_write_read ~plan =
+(* Process [i] runs [prog.(i)] over one register, which [plan] may
+   weaken. *)
+let register_prog ~plan ~prog =
   let slot = recorder () in
   fun sim ->
-    let (module Base) = Sim.runtime sim in
-    let (module R) = Inject.weaken_runtime (module Base) ~plan in
+    let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
     let r = R.make_reg ~name:"x" 0 in
     let rc = recording sim slot in
-    let h = rc.hist in
-    for i = 0 to 1 do
-      ignore
-        (Sim.spawn sim (fun () ->
-             let v = 10 * (i + 1) in
-             let s = Hist.stamp h in
-             R.write r v;
-             let f = Hist.stamp h in
-             Hist.record h ~pid:i ~start_time:s ~finish_time:f (Specs.Write v);
-             let s = Hist.stamp h in
-             let got = R.read r in
-             let f = Hist.stamp h in
-             Hist.record h ~pid:i ~start_time:s ~finish_time:f (Specs.Read got)))
-    done;
+    spawn_recorded sim rc.hist prog (fun _ -> function
+      | `Write v ->
+        R.write r v;
+        Specs.Write v
+      | `Read -> Specs.Read (R.read r));
     memoized rc reg_check
 
-(* New-old inversion probe: p0 reads twice while p1 writes once.  A
-   regular register may serve the overlapping new value then the old
-   one; an atomic register may not. *)
-let reg_read_read ~plan =
-  let slot = recorder () in
-  fun sim ->
-    let (module Base) = Sim.runtime sim in
-    let (module R) = Inject.weaken_runtime (module Base) ~plan in
-    let r = R.make_reg ~name:"x" 0 in
-    let rc = recording sim slot in
-    let h = rc.hist in
-    ignore
-      (Sim.spawn sim (fun () ->
-           for _ = 1 to 2 do
-             let s = Hist.stamp h in
-             let got = R.read r in
-             let f = Hist.stamp h in
-             Hist.record h ~pid:0 ~start_time:s ~finish_time:f (Specs.Read got)
-           done));
-    ignore
-      (Sim.spawn sim (fun () ->
-           let s = Hist.stamp h in
-           R.write r 7;
-           let f = Hist.stamp h in
-           Hist.record h ~pid:1 ~start_time:s ~finish_time:f (Specs.Write 7)));
-    memoized rc reg_check
-
-(* A fixed per-process program of updates and scans over the §2
-   handshake snapshot.  Checked against P1–P3 (Snap_checker, built
-   from the recorded events) and against full snapshot
-   linearizability.  Update values must strictly increase per process
-   (Snap_checker requirement). *)
-let snapshot_prog ~plan ~prog =
+(* P1–P3 are checked by a Snap_checker built from the recorded events. *)
+let snapshot_prog ~lin ~prog =
   let n = Array.length prog in
-  (* Hoisted out of the per-run closure: the snapshot spec and its
-     linearizability checker depend only on [n], fixed per registry
-     entry, so the functor is applied once at registry-build time
-     instead of once per explored run. *)
-  let module Snap_lin = Lin.Make ((val Specs.snapshot ~n ())) in
-  let snap_linearizable evs =
-    match Snap_lin.check_events evs with
-    | Snap_lin.Linearizable _ -> true
-    | Snap_lin.Not_linearizable -> false
-  in
-  let check evs =
+  let p1_p3 evs =
     let ck = Snap_checker.create ~n ~init:0 in
     Array.iter
       (fun (e : Specs.snap_op Hist.event) ->
@@ -173,95 +137,76 @@ let snapshot_prog ~plan ~prog =
           Snap_checker.record_scan ck ~pid:e.pid ~start_time:e.start_time
             ~finish_time:e.finish_time ~view)
       evs;
-    let ( let* ) = Result.bind in
-    let* () = Snap_checker.check_regularity ck in
-    let* () = Snap_checker.check_snapshot ck in
-    let* () = Snap_checker.check_serializability ck in
-    lin_verdict ~name:"snapshot" Specs.pp_snap_op snap_linearizable evs
+    Snap_checker.check_all ck
   in
-  let weakened = plan <> [] in
+  let check =
+    if not lin then p1_p3
+    else
+      (* The snapshot spec and its checker depend only on [n], so the
+         functor is applied once per program, not once per run. *)
+      let module Snap_lin = Lin.Make ((val Specs.snapshot ~n ())) in
+      both p1_p3
+        (lin_verdict ~name:"snapshot" Specs.pp_snap_op Snap_lin.linearizable)
+  in
   let slot = recorder () in
-  fun sim ->
+  fun ~plan sim ->
     let (module S) =
-      if weakened then begin
-        let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
+      let rt = Inject.weaken_runtime (Sim.runtime sim) ~plan in
+      if rt == Sim.runtime sim then Sim.local sim handshake_slot
+      else
+        let (module R) = rt in
         (module Bprc_snapshot.Handshake.Make (R)
         : Bprc_snapshot.Snapshot_intf.S)
-      end
-      else Sim.local sim handshake_slot
     in
     let snap = S.create ~init:0 () in
     let rc = recording sim slot in
-    let h = rc.hist in
-    for i = 0 to n - 1 do
-      ignore
-        (Sim.spawn sim (fun () ->
-             List.iter
-               (function
-                 | `Update v ->
-                   let s = Hist.stamp h in
-                   S.write snap v;
-                   let f = Hist.stamp h in
-                   Hist.record h ~pid:i ~start_time:s ~finish_time:f
-                     (Specs.Update { pid = i; value = v })
-                 | `Scan ->
-                   let s = Hist.stamp h in
-                   let view = S.scan snap in
-                   let f = Hist.stamp h in
-                   Hist.record h ~pid:i ~start_time:s ~finish_time:f
-                     (Specs.Scan view))
-               prog.(i)))
-    done;
+    spawn_recorded sim rc.hist prog (fun i -> function
+      | `Update v ->
+        S.write snap v;
+        Specs.Update { pid = i; value = v }
+      | `Scan -> Specs.Scan (S.scan snap));
     memoized rc check
 
-(* Two-process §5 consensus with split inputs; checked against the
-   consensus spec (agreement + validity) both directly and as a
-   linearizable object.  Both read the decisions off the [Propose]
-   events.  Tiny coin parameters keep runs short; the schedule tree is
-   far too large to exhaust — this configuration is a bounded corner
-   search, not a proof. *)
-let consensus_split =
-  let n = 2 in
-  let params = { Bprc_core.Params.k = 2; delta = 1; m = Some 3 } in
-  let inputs = [| true; false |] in
-  let lin_check =
-    lin_verdict ~name:"consensus" Specs.Consensus.pp_op (fun evs ->
-        match Cons_lin.check_events evs with
-        | Cons_lin.Linearizable _ -> true
-        | Cons_lin.Not_linearizable -> false)
-  in
-  let check evs =
+(* Both checks read the decisions off the [Propose] events, so a
+   process that never finished (crashed, or cut off) has no decision. *)
+let consensus_prog ~lin ~params ~inputs =
+  let n = Array.length inputs in
+  let agreement_validity evs =
     let decisions = Array.make n None in
     Array.iter
       (fun (e : Specs.cons_op Hist.event) ->
         let (Specs.Propose { output; _ }) = e.op in
         decisions.(e.pid) <- Some (output = 1))
       evs;
-    let ( let* ) = Result.bind in
-    let* () = Bprc_core.Spec.check ~inputs ~decisions in
-    lin_check evs
+    Bprc_core.Spec.check ~inputs ~decisions
   in
+  let check =
+    if not lin then agreement_validity
+    else
+      both agreement_validity
+        (lin_verdict ~name:"consensus" Specs.Consensus.pp_op
+           Cons_lin.linearizable)
+  in
+  let algo = Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk in
+  let proposals = Array.map (fun input -> [ input ]) inputs in
   let slot = recorder () in
-  fun sim ->
+  fun ~plan sim ->
     let (module C) =
-      Bprc_harness.Run.(applied sim (Ads Bprc_core.Ads89.Shared_walk))
+      let rt = Inject.weaken_batched (Sim.batched sim) ~plan in
+      if rt == Sim.batched sim then Bprc_harness.Run.applied sim algo
+      else Bprc_harness.Run.protocol algo rt
     in
     let st = C.create ~params () in
     let rc = recording sim slot in
-    let h = rc.hist in
-    for i = 0 to n - 1 do
-      ignore
-        (Sim.spawn sim (fun () ->
-             let s = Hist.stamp h in
-             let d = C.run st ~input:inputs.(i) in
-             let f = Hist.stamp h in
-             Hist.record h ~pid:i ~start_time:s ~finish_time:f
-               (Specs.Propose
-                  { input = Bool.to_int inputs.(i); output = Bool.to_int d })))
-    done;
+    spawn_recorded sim rc.hist proposals (fun _ input ->
+        let output = Bool.to_int (C.run st ~input) in
+        Specs.Propose { input = Bool.to_int input; output });
     memoized rc check
 
 let weaken semantics = [ Fault_plan.Weaken { index = -1; semantics } ]
+
+(* Every process writes a distinct value then reads the register back. *)
+let write_read = [| [ `Write 10; `Read ]; [ `Write 20; `Read ] |]
 
 let all =
   [
@@ -272,7 +217,7 @@ let all =
       max_steps = 64;
       reduction = true;
       expect_violation = false;
-      setup = reg_write_read ~plan:[];
+      setup = register_prog ~plan:[] ~prog:write_read;
     };
     {
       name = "reg-safe";
@@ -281,16 +226,22 @@ let all =
       max_steps = 64;
       reduction = false;
       expect_violation = true;
-      setup = reg_write_read ~plan:(weaken Fault_plan.Safe);
+      setup = register_prog ~plan:(weaken Fault_plan.Safe) ~prog:write_read;
     };
     {
+      (* New-old inversion probe: p0 reads twice while p1 writes once.  A
+         regular register may serve the overlapping new value then the
+         old one; an atomic register may not. *)
       name = "reg-regular";
       summary = "new-old inversion probe over a regular-weakened register";
       n = 2;
       max_steps = 64;
       reduction = false;
       expect_violation = true;
-      setup = reg_read_read ~plan:(weaken Fault_plan.Regular);
+      setup =
+        register_prog
+          ~plan:(weaken Fault_plan.Regular)
+          ~prog:[| [ `Read; `Read ]; [ `Write 7 ] |];
     };
     {
       name = "snapshot-atomic";
@@ -300,7 +251,7 @@ let all =
       reduction = true;
       expect_violation = false;
       setup =
-        snapshot_prog ~plan:[]
+        snapshot_prog ~lin:true ~plan:[]
           ~prog:[| [ `Update 1; `Scan ]; [ `Update 11; `Scan ] |];
     };
     {
@@ -316,7 +267,7 @@ let all =
       reduction = false;
       expect_violation = true;
       setup =
-        snapshot_prog
+        snapshot_prog ~lin:true
           ~plan:(weaken Fault_plan.Safe)
           ~prog:[| [ `Update 1; `Update 2 ]; [ `Scan ] |];
     };
@@ -327,7 +278,13 @@ let all =
       max_steps = 2000;
       reduction = true;
       expect_violation = false;
-      setup = consensus_split;
+      (* Tiny coin parameters keep runs short; the schedule tree is far
+         too large to exhaust, so this is a bounded corner search, not a
+         proof. *)
+      setup =
+        consensus_prog ~lin:true
+          ~params:{ Bprc_core.Params.k = 2; delta = 1; m = Some 3 }
+          ~inputs:[| true; false |] ~plan:[];
     };
   ]
 

@@ -1,10 +1,12 @@
 (** Registry of explorable configurations: small fixed programs over
     the scannable-memory stack, each paired with a property check of
-    the history a completed schedule records.  The check reads nothing
-    but that history, so each program runs it once per distinct history
-    on an arena: the verdict is memoized in an arena-local table keyed
-    on the exact events (pids, stamps, ops and scan views, compared
-    structurally).  A check that raises is not memoized.
+    the history a completed schedule records.  The snapshot and
+    consensus programs are also the hunt's ({!Hunt.program}).  The
+    check reads nothing but that history, so each program runs it once
+    per distinct history on an arena: the verdict is memoized in an
+    arena-local table keyed on the exact events (pids, stamps, ops and
+    scan views, compared structurally).  A check that raises is not
+    memoized.
 
     Configurations deliberately mirror the acceptance gate of the
     checker subsystem: the atomic register and handshake-snapshot
@@ -24,6 +26,27 @@ type t = {
   expect_violation : bool;  (** documentation + test oracle *)
   setup : Explorer.setup;
 }
+
+val snapshot_prog :
+  lin:bool ->
+  prog:[ `Update of int | `Scan ] list array ->
+  plan:Bprc_faults.Fault_plan.t ->
+  Explorer.setup
+(** Process [i] runs [prog.(i)] (per-process update values strictly
+    increasing) over the §2 handshake snapshot, with registers weakened
+    by the plan's [Weaken] faults; checked against P1–P3 and, with
+    [lin], linearizability.  Apply [~lin ~prog] once: each application
+    takes an arena slot. *)
+
+val consensus_prog :
+  lin:bool ->
+  params:Bprc_core.Params.t ->
+  inputs:bool array ->
+  plan:Bprc_faults.Fault_plan.t ->
+  Explorer.setup
+(** ADS89 consensus, process [i] proposing [inputs.(i)], built like
+    {!snapshot_prog}; checked by {!Bprc_core.Spec.check} on the
+    finished processes' decisions and, with [lin], linearizability. *)
 
 val all : t list
 (** In registry order. *)

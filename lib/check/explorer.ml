@@ -188,34 +188,35 @@ let index_of arr pid =
 
 (* ---- replay of an explicit witness ------------------------------------ *)
 
-(* The adversary a simulator is (re)created with before the real one is
-   installed by [reset]; never actually asked to choose. *)
-let placeholder_adversary =
-  Adversary.make ~name:"explore-init" (fun ctx -> ctx.runnable.(0))
+(* A replay's fallback once its script runs out, and the adversary an
+   arena is created with before [reset] installs the real one. *)
+let first_runnable =
+  Adversary.make ~name:"first" (fun ctx -> ctx.runnable.(0))
 
 (* An exception out of a setup, a process body or a check is that run's
    violation, reported under this failure text. *)
 let raised e = "raised: " ^ Printexc.to_string e
+
+(* Choice validation stays on: a script recorded against a different
+   runnable set must fail fast, not silently step the wrong process. *)
+let scripted sim ~choices ~flips ~fallback ~flip_fallback =
+  Sim.reset ~adversary:(Adversary.scripted ~choices ~fallback ()) sim;
+  Sim.set_validate sim true;
+  let remaining = ref flips in
+  Sim.set_flip_source sim (fun ~pid:_ ->
+      match !remaining with
+      | [] -> flip_fallback ()
+      | b :: tl ->
+        remaining := tl;
+        b)
 
 (* Replay on an existing arena: [Sim.reset] guarantees bit-identical
    behaviour to a fresh [Sim.create], so the explorer and the shrinker
    reuse one simulator across their thousands of runs instead of
    allocating processes, scratch buffers and RNG state every time. *)
 let replay_on sim ~choices ~flips ~setup =
-  let fallback = Adversary.make ~name:"first" (fun ctx -> ctx.runnable.(0)) in
-  let adversary = Adversary.scripted ~choices ~fallback () in
-  Sim.reset ~adversary sim;
-  (* Witness replays keep choice validation on: a script recorded
-     against a different runnable set must fail fast, not silently step
-     the wrong process. *)
-  Sim.set_validate sim true;
-  let remaining = ref flips in
-  Sim.set_flip_source sim (fun ~pid:_ ->
-      match !remaining with
-      | [] -> false
-      | b :: tl ->
-        remaining := tl;
-        b);
+  scripted sim ~choices ~flips ~fallback:first_runnable
+    ~flip_fallback:(fun () -> false);
   match setup sim with
   | exception e -> (Fail (raised e), Sim.clock sim)
   | check -> (
@@ -230,7 +231,7 @@ let replay_on sim ~choices ~flips ~setup =
 
 let replay ~n ?(max_steps = 2000) ~choices ~flips ~setup () =
   let sim =
-    Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ()
+    Sim.create ~seed:0 ~max_steps ~n ~adversary:first_runnable ()
   in
   replay_on sim ~choices ~flips ~setup
 
@@ -241,7 +242,7 @@ let replay ~n ?(max_steps = 2000) ~choices ~flips ~setup () =
    exploring arena must not inherit. *)
 let shrink_witness ~n ~max_steps ~setup w =
   let sim =
-    Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ()
+    Sim.create ~seed:0 ~max_steps ~n ~adversary:first_runnable ()
   in
   let still_fails choices flips =
     match replay_on sim ~choices ~flips ~setup with
@@ -275,7 +276,7 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
   let d = dfs_make () in
   ensure_depth d 0 ~n;
   let sim =
-    Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ()
+    Sim.create ~seed:0 ~max_steps ~n ~adversary:first_runnable ()
   in
   (* Store the pending access capture, if any.  [Sim.last_access_code]
      still holds the previous step's access when the next [choose]

@@ -108,3 +108,16 @@ val replay :
   replay_outcome * int
 (** Re-run one schedule ([choices] then first-runnable, [flips] then
     [false]) and return the check outcome and the run's step count. *)
+
+val scripted :
+  Bprc_runtime.Sim.t ->
+  choices:int list ->
+  flips:bool list ->
+  fallback:Bprc_runtime.Adversary.t ->
+  flip_fallback:(unit -> bool) ->
+  unit
+(** Reset the arena to replay a recorded run: [choices] (validated
+    runnable-array indices) then [fallback]'s, and [flips] then
+    [flip_fallback ()].  Both drivers replay through it: {!replay}
+    falls back to first-runnable and [false], the hunt to the random
+    adversary and a seed-derived stream. *)

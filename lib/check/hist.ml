@@ -20,7 +20,6 @@ let record t ~pid ~start_time ~finish_time op =
 
 let events t = Bprc_util.Vec.to_list t.events
 let events_array t = Bprc_util.Vec.to_array t.events
-let length t = Bprc_util.Vec.length t.events
 
 (* Keeps the backing array: histories cleared between explored runs are
    scratch, and re-growing the event vector per run is exactly the

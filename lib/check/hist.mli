@@ -34,7 +34,6 @@ val events_array : 'op t -> 'op event array
 (** {!events} as a fresh array — the checker's per-run path, skipping
     the list. *)
 
-val length : 'op t -> int
 val clear : 'op t -> unit
 
 val precedes : 'op event -> 'op event -> bool

@@ -1,3 +1,8 @@
+open Bprc_runtime
+module Inject = Bprc_faults.Inject
+module Splitmix = Bprc_rng.Splitmix
+module Vec = Bprc_util.Vec
+
 type found = {
   script : Script.t;
   shrunk : Script.t;
@@ -10,20 +15,96 @@ type outcome =
   | Found of found
   | Budget_exhausted of { trials_run : int }
 
+type mode = Record | Replay of { choices : int list; flips : bool list }
+
+type result = {
+  failure : string option;
+  clock : int;
+  choices : int list;
+  flips : bool list;
+}
+
+let program (scenario : Scenario.t) ~n =
+  match scenario.system with
+  | Snapshot ->
+    let rounds =
+      List.concat (List.init 3 (fun k -> [ `Update (k + 1); `Scan ]))
+    in
+    Config.snapshot_prog ~lin:false ~prog:(Array.make n rounds)
+  | Consensus ->
+    Config.consensus_prog ~lin:false ~params:Bprc_core.Params.default
+      ~inputs:(Bprc_harness.Run.inputs_of_pattern Split ~n ~seed:0)
+  | Net _ -> invalid_arg "Hunt.program: a message-passing scenario"
+
+(* [label] prefixes a failure, and [exhausted] is what a run reports
+   when it spends its step budget with every check passing.  A recording
+   run logs each choice as a position in the runnable array, the form
+   [Adversary.scripted] replays (pid sets then match positionally, not
+   by value), and every coin flip in draw order. *)
+let exec (scenario : Scenario.t) ~n =
+  let on_simulator ~max_steps ~label ~exhausted =
+    let program = program scenario ~n in
+    fun ~seed ~plan ~mode ->
+      let choices = Vec.create () and flips = Vec.create () in
+      let random = Adversary.random () in
+      let recorder =
+        Adversary.make ~name:("recorded:" ^ random.name) (fun ctx ->
+            let pid = random.choose ctx in
+            let idx = ref 0 in
+            Array.iteri (fun i p -> if p = pid then idx := i) ctx.runnable;
+            Vec.push choices !idx;
+            pid)
+      in
+      let sim = Sim.create ~seed ~max_steps ~n ~adversary:recorder () in
+      (match mode with
+      | Record -> Sim.set_flip_observer sim (fun ~pid:_ b -> Vec.push flips b)
+      | Replay { choices; flips } ->
+        let fallback = Splitmix.create ~seed:(seed lxor 0x5eed) in
+        Explorer.scripted sim ~choices ~flips ~fallback:random
+          ~flip_fallback:(fun () -> Splitmix.bool fallback));
+      let check = program ~plan sim in
+      let completed =
+        Inject.drive sim ~driver:(Inject.driver ~n plan) ~max_steps
+      in
+      let failure =
+        match check () with
+        | Error e -> Some (label ^ ": " ^ e)
+        | Ok () -> if completed then None else Some (label ^ ": " ^ exhausted)
+      in
+      {
+        failure;
+        clock = Sim.clock sim;
+        choices = Vec.to_list choices;
+        flips = Vec.to_list flips;
+      }
+  in
+  match scenario.system with
+  | Net { exec; _ } ->
+    fun ~seed ~plan ~mode:_ ->
+      let failure, clock = exec ~n ~seed ~plan in
+      { failure; clock; choices = []; flips = [] }
+  | Snapshot ->
+    on_simulator ~max_steps:200_000 ~label:"snapshot"
+      ~exhausted:
+        "step budget exhausted (scan retries not caused by new writes?)"
+  | Consensus ->
+    on_simulator ~max_steps:400_000 ~label:"consensus"
+      ~exhausted:"step budget exhausted before survivors decided"
+
 let sequential_map f idxs = List.map f idxs
 
 (* Trial [i] is a pure function of (hunt seed, i): plan and simulator
    seed come from the forked stream [Splitmix.fork root i], never from
    scheduling — so outcomes are identical at any worker count. *)
 let trial_inputs ~(scenario : Scenario.t) ~seed ~n i =
-  let rng = Bprc_rng.Splitmix.fork (Bprc_rng.Splitmix.create ~seed) i in
+  let rng = Splitmix.fork (Splitmix.create ~seed) i in
   let plan = scenario.gen_plan ~n ~rng in
-  let sim_seed = Bprc_rng.Splitmix.bits30 rng in
+  let sim_seed = Splitmix.bits30 rng in
   (plan, sim_seed)
 
-let replay_script ~(scenario : Scenario.t) (s : Script.t) =
+let replay_script ~scenario (s : Script.t) =
   let h = s.header and w = s.schedule in
-  scenario.exec ~n:h.n ~seed:h.seed ~plan:h.plan
+  exec scenario ~n:h.n ~seed:h.seed ~plan:h.plan
     ~mode:(Replay { choices = w.choices; flips = w.flips })
 
 (* Three passes — fault plan, then adversary choices, then coin flips —
@@ -31,10 +112,11 @@ let replay_script ~(scenario : Scenario.t) (s : Script.t) =
    full replay.  The result is never longer than the input and still
    fails, though not necessarily with the original string: the final
    replay's failure and clock are the ones stored. *)
-let shrink ~(scenario : Scenario.t) (s : Script.t) =
+let shrink ~scenario (s : Script.t) =
   let h = s.header and w = s.schedule in
+  let run = exec scenario ~n:h.n in
   let exec plan choices flips =
-    scenario.exec ~n:h.n ~seed:h.seed ~plan ~mode:(Replay { choices; flips })
+    run ~seed:h.seed ~plan ~mode:(Replay { choices; flips })
   in
   let fails plan choices flips = (exec plan choices flips).failure <> None in
   let plan = Shrink.ddmin ~test:(fun p -> fails p w.choices w.flips) h.plan in
@@ -58,6 +140,10 @@ let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
     ~trials ~seed ~n () =
   if trials < 0 then invalid_arg "Hunt.run: negative trial count";
   if batch <= 0 then invalid_arg "Hunt.run: batch must be positive";
+  Result.iter_error
+    (fun e -> invalid_arg ("Hunt.run: " ^ e))
+    (Scenario.check_n scenario ~n);
+  let exec = exec scenario ~n in
   let t0 = Unix.gettimeofday () in
   let out_of_budget () =
     match budget_s with
@@ -66,7 +152,7 @@ let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
   in
   let probe i =
     let plan, sim_seed = trial_inputs ~scenario ~seed ~n i in
-    (scenario.exec ~n ~seed:sim_seed ~plan ~mode:Record).failure
+    (exec ~seed:sim_seed ~plan ~mode:Record).failure
   in
   let rec go start =
     if start >= trials then No_failure { trials_run = trials }
@@ -83,7 +169,7 @@ let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
       | None -> go stop
       | Some (i, _) ->
         let plan, sim_seed = trial_inputs ~scenario ~seed ~n i in
-        let r = scenario.exec ~n ~seed:sim_seed ~plan ~mode:Record in
+        let r = exec ~seed:sim_seed ~plan ~mode:Record in
         let failure =
           match r.failure with
           | Some f -> f

@@ -87,4 +87,9 @@ module Make (S : SPEC) = struct
     end
 
   let check events = check_events (Array.of_list events)
+
+  let linearizable ops =
+    match check_events ops with
+    | Linearizable _ -> true
+    | Not_linearizable -> false
 end

@@ -50,4 +50,7 @@ module Make (S : SPEC) : sig
   (** [check] on {!Hist.events_array} output: the explorer's per-run
       hot path, skipping the intermediate event list.  The array is
       not modified. *)
+
+  val linearizable : S.op Hist.event array -> bool
+  (** [check_events] found a linearization. *)
 end

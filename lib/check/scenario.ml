@@ -1,80 +1,22 @@
-open Bprc_runtime
-module Vec = Bprc_util.Vec
 module Fault_plan = Bprc_faults.Fault_plan
 module Inject = Bprc_faults.Inject
 module Reg_lin = Lin.Make (Specs.Register)
 
-type mode = Record | Replay of { choices : int list; flips : bool list }
-
-type exec_result = {
-  failure : string option;
-  clock : int;
-  choices : int list;
-  flips : bool list;
-}
+type system =
+  | Snapshot
+  | Consensus
+  | Net of {
+      exec : n:int -> seed:int -> plan:Fault_plan.t -> string option * int;
+      ops_per_process : int;
+    }
 
 type t = {
   name : string;
   summary : string;
+  expect_violation : bool;
   gen_plan : n:int -> rng:Bprc_rng.Splitmix.t -> Fault_plan.t;
-  exec : n:int -> seed:int -> plan:Fault_plan.t -> mode:mode -> exec_result;
+  system : system;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Shared-memory plumbing: record or replay the schedule               *)
-(* ------------------------------------------------------------------ *)
-
-(* A simulator for one run, and the function that turns its failure
-   into the run's result.  [Record] wraps a random adversary and logs
-   each choice as a position in the runnable array, the form
-   [Adversary.scripted] replays (pid sets then match positionally, not
-   by value), and logs every coin flip in draw order.  [Replay] feeds
-   both back, with deterministic fallbacks once a shrunk script runs
-   out: the random adversary for choices and a stream derived from the
-   seed for flips. *)
-let sim_of ~mode ~seed ~max_steps ~n =
-  let choices = Vec.create () and flips = Vec.create () in
-  let adversary =
-    match mode with
-    | Record ->
-      let base = Adversary.random () in
-      Adversary.make ~name:("recorded:" ^ base.Adversary.name)
-        (fun (ctx : Adversary.ctx) ->
-          let pid = base.Adversary.choose ctx in
-          let idx = ref 0 in
-          Array.iteri
-            (fun i p -> if p = pid then idx := i)
-            ctx.Adversary.runnable;
-          Vec.push choices !idx;
-          pid)
-    | Replay { choices; _ } ->
-      Adversary.scripted ~choices ~fallback:(Adversary.random ()) ()
-  in
-  let sim = Sim.create ~seed ~max_steps ~n ~adversary () in
-  (match mode with
-  | Record -> Sim.set_flip_observer sim (fun ~pid:_ b -> Vec.push flips b)
-  | Replay { flips; _ } ->
-    (* Replays validate every scripted choice against the runnable set:
-       a witness recorded against a different schedule must fail fast,
-       not silently replay with wrong semantics. *)
-    Sim.set_validate sim true;
-    let cursor = ref flips in
-    let fallback = Bprc_rng.Splitmix.create ~seed:(seed lxor 0x5eed) in
-    Sim.set_flip_source sim (fun ~pid:_ ->
-        match !cursor with
-        | b :: rest ->
-          cursor := rest;
-          b
-        | [] -> Bprc_rng.Splitmix.bool fallback));
-  let result failure =
-    {
-      failure;
-      clock = Sim.clock sim;
-      choices = Vec.to_list choices;
-      flips = Vec.to_list flips;
-    }
-  in
-  (sim, result)
 
 (* ------------------------------------------------------------------ *)
 (* Process-fault generation (crash/stall), shared by sim scenarios     *)
@@ -101,29 +43,11 @@ let gen_process_faults ~n ~rng ~count =
   List.rev !faults
 
 (* ------------------------------------------------------------------ *)
-(* Scenario: consensus under crash/stall faults                        *)
+(* Simulator scenarios: consensus and the handshake snapshot           *)
 (* ------------------------------------------------------------------ *)
 
-let consensus_max_steps = 400_000
-
-let consensus_exec ~n ~seed ~plan ~mode =
-  let sim, result = sim_of ~mode ~seed ~max_steps:consensus_max_steps ~n in
-  let module Run = Bprc_harness.Run in
-  let r =
-    Run.consensus_on sim
-      ~protocol:(Run.protocol (Run.Ads Bprc_core.Ads89.Shared_walk))
-      ~faults:plan ~max_steps:consensus_max_steps
-      ~inputs:(Run.inputs_of_pattern Run.Split ~n ~seed)
-      ()
-  in
-  let failure =
-    match r.Run.spec with
-    | Error e -> Some ("consensus: " ^ e)
-    | Ok () ->
-      if r.Run.completed then None
-      else Some "consensus: step budget exhausted before survivors decided"
-  in
-  result failure
+let crashes_and_stalls ~n ~rng =
+  gen_process_faults ~n ~rng ~count:(1 + Bprc_rng.Splitmix.int rng 2)
 
 let consensus =
   {
@@ -131,66 +55,19 @@ let consensus =
     summary =
       "ADS89 consensus under crash/stall faults: agreement, validity and \
        survivor termination must hold (expected clean)";
-    gen_plan =
-      (fun ~n ~rng ->
-        gen_process_faults ~n ~rng ~count:(1 + Bprc_rng.Splitmix.int rng 2));
-    exec = consensus_exec;
+    expect_violation = false;
+    gen_plan = crashes_and_stalls;
+    system = Consensus;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Scenarios: handshake snapshot (faulted; optionally weakened)        *)
-(* ------------------------------------------------------------------ *)
-
-let snapshot_max_steps = 200_000
-let snapshot_rounds = 3
-
-let snapshot_exec ~n ~seed ~plan ~mode =
-  let sim, result = sim_of ~mode ~seed ~max_steps:snapshot_max_steps ~n in
-  let module R = (val Inject.weaken_runtime (Sim.runtime sim) ~plan) in
-  let module S = Bprc_snapshot.Handshake.Make (R) in
-  let mem = S.create ~init:0 () in
-  let checker = Bprc_snapshot.Snap_checker.create ~n ~init:0 in
-  for p = 0 to n - 1 do
-    ignore
-      (Sim.spawn sim (fun () ->
-           for k = 1 to snapshot_rounds do
-             let s = Bprc_snapshot.Snap_checker.stamp checker in
-             S.write mem k;
-             Bprc_snapshot.Snap_checker.record_write checker ~pid:p
-               ~start_time:s
-               ~finish_time:(Bprc_snapshot.Snap_checker.stamp checker)
-               ~value:k;
-             let s = Bprc_snapshot.Snap_checker.stamp checker in
-             let view = S.scan mem in
-             Bprc_snapshot.Snap_checker.record_scan checker ~pid:p
-               ~start_time:s
-               ~finish_time:(Bprc_snapshot.Snap_checker.stamp checker)
-               ~view
-           done))
-  done;
-  let driver = Inject.driver ~n plan in
-  let completed = Inject.drive sim ~driver ~max_steps:snapshot_max_steps in
-  let failure =
-    match Bprc_snapshot.Snap_checker.check_all checker with
-    | Error e -> Some ("snapshot: " ^ e)
-    | Ok () ->
-      if completed then None
-      else
-        Some
-          "snapshot: step budget exhausted (scan retries not caused by new \
-           writes?)"
-  in
-  result failure
 
 let snapshot =
   {
     name = "snapshot";
     summary =
       "handshake snapshot P1-P3 under crash/stall faults (expected clean)";
-    gen_plan =
-      (fun ~n ~rng ->
-        gen_process_faults ~n ~rng ~count:(1 + Bprc_rng.Splitmix.int rng 2));
-    exec = snapshot_exec;
+    expect_violation = false;
+    gen_plan = crashes_and_stalls;
+    system = Snapshot;
   }
 
 let snapshot_unsafe =
@@ -199,11 +76,12 @@ let snapshot_unsafe =
     summary =
       "handshake snapshot with every register weakened to safe semantics — a \
        deliberately injected bug the hunt must find (P1-P3 need atomicity)";
+    expect_violation = true;
     gen_plan =
       (fun ~n ~rng ->
         Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe }
         :: gen_process_faults ~n ~rng ~count:(Bprc_rng.Splitmix.int rng 2));
-    exec = snapshot_exec;
+    system = Snapshot;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -212,9 +90,7 @@ let snapshot_unsafe =
 
 let abd_max_events = 400_000
 
-let abd_exec ~n ~seed ~plan ~mode:_ =
-  (* Message-passing runs are deterministic in the seed alone; nothing
-     is recorded and replay is plain re-execution. *)
+let abd_exec ~n ~seed ~plan =
   let abd = Bprc_netsim.Abd.create ~seed ~max_events:abd_max_events ~n () in
   Bprc_netsim.Abd.set_fault_hook abd (Inject.net_hook plan);
   let module R = (val Bprc_netsim.Abd.runtime abd) in
@@ -258,10 +134,8 @@ let abd_exec ~n ~seed ~plan ~mode:_ =
         (Specs.Write v))
     !pending;
   let failure =
-    if
-      Hist.length hist <= Lin.max_events
-      && Reg_lin.check (Hist.events hist) = Reg_lin.Not_linearizable
-    then Some "abd: register history is not linearizable"
+    if not (Reg_lin.linearizable (Hist.events_array hist)) then
+      Some "abd: register history is not linearizable"
     else begin
       match outcome with
       | `Completed -> None
@@ -273,12 +147,7 @@ let abd_exec ~n ~seed ~plan ~mode:_ =
       | `Event_limit -> Some "abd: event budget exhausted without message loss"
     end
   in
-  {
-    failure;
-    clock = Bprc_netsim.Abd.events abd;
-    choices = [];
-    flips = [];
-  }
+  (failure, Bprc_netsim.Abd.events abd)
 
 let abd =
   {
@@ -286,6 +155,7 @@ let abd =
     summary =
       "ABD quorum registers under drop/duplicate/delay link faults: \
        linearizability always; termination when no message is lost";
+    expect_violation = false;
     gen_plan =
       (fun ~n:_ ~rng ->
         let count = 1 + Bprc_rng.Splitmix.int rng 3 in
@@ -295,10 +165,22 @@ let abd =
             | 0 -> Fault_plan.Drop { nth }
             | 1 -> Fault_plan.Duplicate { nth }
             | _ -> Fault_plan.Delay { nth; by = 1 + Bprc_rng.Splitmix.int rng 50 }));
-    exec = abd_exec;
+    (* Every client writes, reads, writes and reads. *)
+    system = Net { exec = abd_exec; ops_per_process = 4 };
   }
 
 (* ------------------------------------------------------------------ *)
+
+let check_n s ~n =
+  match s.system with
+  | Net { ops_per_process; _ } when n * ops_per_process > Lin.max_events ->
+    Error
+      (Printf.sprintf
+         "scenario %s checks at most %d operations (%d per process), so n \
+          must be at most %d"
+         s.name Lin.max_events ops_per_process
+         (Lin.max_events / ops_per_process))
+  | Snapshot | Consensus | Net _ -> Ok ()
 
 let registry = [ consensus; snapshot; snapshot_unsafe; abd ]
 let names = List.map (fun s -> s.name) registry

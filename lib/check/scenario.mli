@@ -1,42 +1,35 @@
-(** Hunt scenarios: named, self-checking system configurations the
-    fuzz loop draws fault plans for and executes.
+(** Hunt scenarios: the named systems the fuzz loop ({!Hunt}) draws
+    fault plans for.
 
-    A scenario bundles a plan generator with an executor.  The executor
-    is a {e pure} function of [(n, seed, plan, mode)]: running it twice
-    with equal arguments gives bit-identical results, which is what
-    makes hunting parallelizable and counterexamples replayable.
+    A name names one system, an object plus a register model; the model
+    comes from the plan's [Weaken] faults, so [snapshot] and
+    [snapshot-unsafe] differ only in their plans.  Each driver sizes its
+    own program of a system: {!Config}'s entries for the explorer, and
+    {!Hunt.program} for the hunt.  Only ABD, on the message-passing
+    simulator, keeps its program here. *)
 
-    In [Record] mode the run's adversary choices and coin flips are
-    captured (shared-memory scenarios only — message-passing runs are
-    deterministic in the seed alone and record nothing); in [Replay]
-    mode the given script is fed back instead. *)
-
-type mode = Record | Replay of { choices : int list; flips : bool list }
-
-type exec_result = {
-  failure : string option;  (** [None] = run satisfied all properties *)
-  clock : int;  (** final simulator clock / event count *)
-  choices : int list;  (** recorded choices ([Record] mode, sim scenarios) *)
-  flips : bool list;  (** recorded flips (likewise) *)
-}
+type system =
+  | Snapshot  (** the §2 handshake snapshot: P1–P3 *)
+  | Consensus  (** ADS89: agreement, validity, survivor termination *)
+  | Net of {
+      exec :
+        n:int -> seed:int -> plan:Bprc_faults.Fault_plan.t ->
+        string option * int;  (** failure, if any, and event count *)
+      ops_per_process : int;  (** operations each adds to the history *)
+    }
+      (** a message-passing run, deterministic in the seed alone: it
+          records nothing, and a replay re-executes it *)
 
 type t = {
   name : string;
   summary : string;
+  expect_violation : bool;  (** documentation + test oracle *)
   gen_plan : n:int -> rng:Bprc_rng.Splitmix.t -> Bprc_faults.Fault_plan.t;
-  exec :
-    n:int ->
-    seed:int ->
-    plan:Bprc_faults.Fault_plan.t ->
-    mode:mode ->
-    exec_result;
+  system : system;
 }
 
 val consensus : t
-(** ADS89 consensus under crash/stall faults.  Checks the consensus
-    spec (consistency + validity) and that all surviving processes
-    decide within the step budget.  Expected clean — the CI smoke
-    hunts this scenario. *)
+(** ADS89 consensus under crash/stall faults.  Expected clean. *)
 
 val snapshot : t
 (** Handshake snapshot P1–P3 under crash/stall faults.  Expected
@@ -52,6 +45,10 @@ val abd : t
     linearizability of the completed-operation history ({!Lin} with
     {!Specs.Register}) always; termination additionally when the plan
     loses no message ([Delay]-only plans). *)
+
+val check_n : t -> n:int -> (unit, string) result
+(** [Error], naming {!Lin.max_events}, when the scenario's history at
+    [n] processes is too long to check. *)
 
 val registry : t list
 val names : string list

@@ -1,3 +1,7 @@
+(* The preference, the round number and one walk counter per round. *)
+let payload_bits ~rounds ~counter_bits =
+  2 (* pref *) + Params.bits_for (rounds + 1) + (rounds * counter_bits)
+
 (* The unbounded strip: a plain round number, and a walk counter for
    every round entered so far (the infinite strip of coins, one
    location per round). *)
@@ -83,7 +87,7 @@ module Unbounded = struct
   let state_bits s =
     let rounds = s.max_round + 1 in
     let counter_bits = 1 + Params.bits_for (s.max_counter_mag + 1) in
-    2 (* pref *) + Params.bits_for (rounds + 1) + (rounds * counter_bits)
+    payload_bits ~rounds ~counter_bits
 
   let decode_stats _ = ()
   let inconsistent_reconstructions _ = 0

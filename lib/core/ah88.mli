@@ -22,6 +22,11 @@
     checker-only hooks stay the bounded strip's: {!Virtual_rounds} reads
     edge rows, which this strip does not have. *)
 
+val payload_bits : rounds:int -> counter_bits:int -> int
+(** Width of the unbounded strip's payload once [rounds] rounds have
+    been entered with [counter_bits]-bit walk counters: the preference,
+    the round number and one counter per round. *)
+
 module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) :
   Consensus_intf.S
 (** The baseline over the §2 handshake snapshot of the given runtime. *)

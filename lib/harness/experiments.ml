@@ -325,18 +325,17 @@ let e6_space ?(quick = false) ?pool () =
       cell 3 Run.Ah Run.Osc_coin_sched;
     ]
   in
-  (* Analytic worst-case rows: the AH88-style payload at round r costs
-     2 + lg(r+2) + (r+1)*counter bits, with no finite bound over all
-     executions, and the snapshot adds the control bits a fresh
-     instance's register carries beyond its payload; the paper's
-     register never moves. *)
+  (* Analytic worst-case rows: the AH88-style payload at round r holds
+     r+1 counters, with no finite bound over all executions, and the
+     snapshot adds the control bits a fresh instance's register carries
+     beyond its payload; the paper's register never moves. *)
   let ah_control =
     let fp = Run.footprint Run.Ah ~n in
     Bprc_space.Space.max_register_bits fp.Run.space - fp.Run.state_bits
   in
   (* ~6 bits per per-round counter, matching observed magnitudes. *)
   let ah_bits_at r =
-    2 + Bprc_core.Params.bits_for (r + 2) + ((r + 1) * 6) + ah_control
+    Bprc_core.Ah88.payload_bits ~rounds:(r + 1) ~counter_bits:6 + ah_control
   in
   let analytic =
     [

@@ -131,34 +131,61 @@ let test_ddmin_edge_cases () =
 (* ------------------------------------------------------------------ *)
 
 (* Record a run, then replay its choices and flips: the outcome must be
-   bit-identical (same failure or lack of one, same final clock). *)
+   bit-identical (same failure or lack of one, same final clock).  Each
+   scenario runs three plans of its own generator. *)
 let test_record_replay_identity () =
   List.iter
-    (fun (scenario, plan) ->
-      let r1 =
-        scenario.Scenario.exec ~n:4 ~seed:7 ~plan ~mode:Scenario.Record
+    (fun (scenario : Scenario.t) ->
+      let exec = Hunt.exec scenario ~n:4 in
+      let rng = Bprc_rng.Splitmix.create ~seed:7 in
+      for seed = 1 to 3 do
+        let plan = scenario.gen_plan ~n:4 ~rng in
+        let r1 = exec ~seed ~plan ~mode:Hunt.Record in
+        let r2 =
+          exec ~seed ~plan
+            ~mode:
+              (Hunt.Replay
+                 { choices = r1.Hunt.choices; flips = r1.Hunt.flips })
+        in
+        let label = Printf.sprintf "%s seed %d" scenario.name seed in
+        Alcotest.(check (option string))
+          (label ^ ": same failure") r1.Hunt.failure r2.Hunt.failure;
+        Alcotest.(check int)
+          (label ^ ": same clock") r1.Hunt.clock r2.Hunt.clock
+      done)
+    Scenario.registry
+
+(* One run, two drivers: a hunt run of [snapshot-unsafe] under a plan
+   that only weakens registers, replayed by the explorer on the same
+   program, fails alike at the same clock.  Each pinned seed fails at
+   its size; over seeds 1-5000 the two agree on all 52 failing runs
+   (31, 16 and 5 at n = 2, 3 and 4). *)
+let test_hunt_run_replays_in_explorer () =
+  let plan =
+    [ Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe } ]
+  in
+  List.iter
+    (fun (n, seed) ->
+      let r =
+        Hunt.exec Scenario.snapshot_unsafe ~n ~seed ~plan ~mode:Hunt.Record
       in
-      let r2 =
-        scenario.Scenario.exec ~n:4 ~seed:7 ~plan
-          ~mode:
-            (Scenario.Replay
-               {
-                 choices = r1.Scenario.choices;
-                 flips = r1.Scenario.flips;
-               })
-      in
-      Alcotest.(check (option string))
-        (scenario.Scenario.name ^ ": same failure")
-        r1.Scenario.failure r2.Scenario.failure;
-      Alcotest.(check int)
-        (scenario.Scenario.name ^ ": same clock")
-        r1.Scenario.clock r2.Scenario.clock)
-    [
-      (Scenario.consensus, [ Fault_plan.Crash { pid = 1; at_step = 40 } ]);
-      (Scenario.snapshot, [ Fault_plan.Stall { pid = 0; at_step = 3; steps = 80 } ]);
-      ( Scenario.snapshot_unsafe,
-        [ Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe } ] );
-    ]
+      let label = Printf.sprintf "n=%d seed=%d" n seed in
+      match r.Hunt.failure with
+      | None -> Alcotest.failf "%s: the hunt run did not fail" label
+      | Some failure -> (
+        match
+          Explorer.replay ~n ~max_steps:10_000 ~choices:r.Hunt.choices
+            ~flips:r.Hunt.flips
+            ~setup:(Hunt.program Scenario.snapshot_unsafe ~n ~plan)
+            ()
+        with
+        | Explorer.Fail f, clock ->
+          Alcotest.(check string) (label ^ ": same failure") failure
+            ("snapshot: " ^ f);
+          Alcotest.(check int) (label ^ ": same clock") r.Hunt.clock clock
+        | Explorer.Pass, _ -> Alcotest.failf "%s: explorer passed" label
+        | Explorer.Cutoff, _ -> Alcotest.failf "%s: explorer cut off" label))
+    [ (2, 39); (2, 77); (3, 108); (3, 965); (4, 1249) ]
 
 (* With no overlap possible (single process), weakened registers must
    behave exactly like atomic ones, for both semantics. *)
@@ -278,16 +305,16 @@ let test_hunt_finds_injected_bug () =
     let r = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe small in
     Alcotest.(check (option string))
       "shrunk script reproduces its recorded failure"
-      (Some small.schedule.failure) r.Scenario.failure;
+      (Some small.schedule.failure) r.Hunt.failure;
     Alcotest.(check int) "shrunk script reproduces its recorded clock"
-      small.schedule.clock r.Scenario.clock;
+      small.schedule.clock r.Hunt.clock;
     (* And it survives a serialization round-trip before replay. *)
     match Script.of_string (Script.to_string small) with
     | Error e -> Alcotest.failf "shrunk script does not round-trip: %s" e
     | Ok reloaded ->
       let r' = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe reloaded in
       Alcotest.(check (option string)) "reload replays identically"
-        r.Scenario.failure r'.Scenario.failure
+        r.Hunt.failure r'.Hunt.failure
 
 (* The hunt outcome must not depend on how the probe map schedules the
    batch: a shuffled-execution map and a Pool-backed map must both find
@@ -328,7 +355,7 @@ let test_hunt_clean_scenarios () =
   (* The expected-clean scenarios must come up clean on a modest bounded
      hunt (this is what the CI smoke run enforces at larger scale). *)
   List.iter
-    (fun scenario ->
+    (fun (scenario : Scenario.t) ->
       match Hunt.run ~scenario ~trials:60 ~seed:1 ~n:4 () with
       | Hunt.No_failure { trials_run } ->
         Alcotest.(check int)
@@ -338,7 +365,9 @@ let test_hunt_clean_scenarios () =
         Alcotest.failf "%s: unexpected failure %S" scenario.Scenario.name
           f.Hunt.script.schedule.failure
       | Hunt.Budget_exhausted _ -> Alcotest.fail "no budget was set")
-    [ Scenario.consensus; Scenario.snapshot; Scenario.abd ]
+    (List.filter
+       (fun (s : Scenario.t) -> not s.expect_violation)
+       Scenario.registry)
 
 let test_hunt_budget_exhausted () =
   match
@@ -348,6 +377,27 @@ let test_hunt_budget_exhausted () =
   | Hunt.Budget_exhausted { trials_run } ->
     Alcotest.(check int) "stopped before the first batch" 0 trials_run
   | _ -> Alcotest.fail "a zero budget must exhaust immediately"
+
+(* ABD's history holds four operations per client, and the checker takes
+   at most [Lin.max_events]: a larger hunt is refused before its first
+   trial instead of judging termination alone. *)
+let test_hunt_refuses_unjudgeable_n () =
+  Alcotest.(check (result unit string))
+    "15 clients" (Ok ()) (Scenario.check_n Scenario.abd ~n:15);
+  let refusal =
+    "scenario abd checks at most 62 operations (4 per process), so n must \
+     be at most 15"
+  in
+  Alcotest.(check (result unit string))
+    "16 clients" (Error refusal) (Scenario.check_n Scenario.abd ~n:16);
+  Alcotest.check_raises "hunt refuses"
+    (Invalid_argument ("Hunt.run: " ^ refusal)) (fun () ->
+      ignore (Hunt.run ~scenario:Scenario.abd ~trials:1 ~seed:1 ~n:16 ()));
+  List.iter
+    (fun (s : Scenario.t) ->
+      Alcotest.(check (result unit string))
+        (s.name ^ " takes 64") (Ok ()) (Scenario.check_n s ~n:64))
+    [ Scenario.consensus; Scenario.snapshot; Scenario.snapshot_unsafe ]
 
 let test_hunt_rejects_bad_args () =
   Alcotest.check_raises "negative trials"
@@ -525,6 +575,8 @@ let suite =
     Alcotest.test_case "ddmin: pair" `Quick test_ddmin_pair;
     Alcotest.test_case "ddmin: edge cases" `Quick test_ddmin_edge_cases;
     Alcotest.test_case "record/replay identity" `Quick test_record_replay_identity;
+    Alcotest.test_case "hunt run replays in the explorer" `Quick
+      test_hunt_run_replays_in_explorer;
     Alcotest.test_case "weaken: no overlap = atomic" `Quick
       test_weaken_no_overlap_is_atomic;
     Alcotest.test_case "weaken: regular histories" `Quick
@@ -538,6 +590,8 @@ let suite =
     Alcotest.test_case "hunt: clean scenarios" `Quick test_hunt_clean_scenarios;
     Alcotest.test_case "hunt: budget" `Quick test_hunt_budget_exhausted;
     Alcotest.test_case "hunt: bad args" `Quick test_hunt_rejects_bad_args;
+    Alcotest.test_case "hunt: refuses an unjudgeable n" `Quick
+      test_hunt_refuses_unjudgeable_n;
     Alcotest.test_case "harness: consensus_once faults" `Quick
       test_consensus_once_with_faults;
     Alcotest.test_case "drive: matches the step-by-step loop" `Quick
