@@ -41,7 +41,7 @@ let handshake_slot =
 (* Every registry check reads only its run's recorded history, and a
    search's runs repeat few histories: the 30,448 unreduced
    snapshot-atomic runs record 32 distinct ones.  So each program
-   records into a per-arena [recorder] and runs its check through
+   records into its arena's [recorder] and runs its check through
    [memoized], which checks each distinct history once per arena.  The
    key is the exact event array — pid, stamps and op of every event,
    scan views included — paired with a hash over all of it
@@ -49,20 +49,38 @@ let handshake_slot =
    The table compares keys structurally, so the hash only picks the
    bucket.  Only returned verdicts are stored: a check that raises
    stores nothing and raises again on every run that reaches its
-   history.  The table lives in a {!Sim.local} slot, so the explorer's,
-   the shrinker's and a replay's arenas each have their own, and it
-   dies with its arena. *)
+   history.
+
+   There is one recorder slot per op type, made here once: a slot made
+   per program would take a fresh process-wide index ({!Sim.new_local})
+   and grow every later arena that records for it.  Programs of one op
+   type share the slot, so the table belongs to the check that filled
+   it ([owner], compared physically) and is emptied when another check
+   records on the arena.  The explorer's, the shrinker's and a replay's
+   arenas each have their own table, and it dies with its arena. *)
 type 'op recorder = {
   hist : 'op Hist.t;
   verdicts : (int * 'op Hist.event array, (unit, string) result) Hashtbl.t;
+  mutable owner : ('op Hist.event array -> (unit, string) result) option;
 }
 
 let recorder () =
-  Sim.new_local (fun _ -> { hist = Hist.create (); verdicts = Hashtbl.create 64 })
+  Sim.new_local (fun _ ->
+      { hist = Hist.create (); verdicts = Hashtbl.create 64; owner = None })
 
-(* The arena's recorder, its history rewound for a new run. *)
-let recording sim slot =
+let reg_slot = recorder ()
+let snap_slot = recorder ()
+let cons_slot = recorder ()
+
+(* The arena's recorder, its history rewound for a new run of a program
+   checked by [check]. *)
+let recording sim slot check =
   let r = Sim.local sim slot in
+  (match r.owner with
+  | Some c when c == check -> ()
+  | _ ->
+    Hashtbl.reset r.verdicts;
+    r.owner <- Some check);
   Hist.clear r.hist;
   r
 
@@ -109,18 +127,16 @@ let reg_check =
 
 (* Process [i] runs [prog.(i)] over one register, which [plan] may
    weaken. *)
-let register_prog ~plan ~prog =
-  let slot = recorder () in
-  fun sim ->
-    let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
-    let r = R.make_reg ~name:"x" 0 in
-    let rc = recording sim slot in
-    spawn_recorded sim rc.hist prog (fun _ -> function
-      | `Write v ->
-        R.write r v;
-        Specs.Write v
-      | `Read -> Specs.Read (R.read r));
-    memoized rc reg_check
+let register_prog ~plan ~prog sim =
+  let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
+  let r = R.make_reg ~name:"x" 0 in
+  let rc = recording sim reg_slot reg_check in
+  spawn_recorded sim rc.hist prog (fun _ -> function
+    | `Write v ->
+      R.write r v;
+      Specs.Write v
+    | `Read -> Specs.Read (R.read r));
+  memoized rc reg_check
 
 (* P1–P3 are checked by a Snap_checker built from the recorded events. *)
 let snapshot_prog ~lin ~prog =
@@ -148,7 +164,6 @@ let snapshot_prog ~lin ~prog =
       both p1_p3
         (lin_verdict ~name:"snapshot" Specs.pp_snap_op Snap_lin.linearizable)
   in
-  let slot = recorder () in
   fun ~plan sim ->
     let (module S) =
       let rt = Inject.weaken_runtime (Sim.runtime sim) ~plan in
@@ -159,7 +174,7 @@ let snapshot_prog ~lin ~prog =
         : Bprc_snapshot.Snapshot_intf.S)
     in
     let snap = S.create ~init:0 () in
-    let rc = recording sim slot in
+    let rc = recording sim snap_slot check in
     spawn_recorded sim rc.hist prog (fun i -> function
       | `Update v ->
         S.write snap v;
@@ -189,7 +204,6 @@ let consensus_prog ~lin ~params ~inputs =
   in
   let algo = Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk in
   let proposals = Array.map (fun input -> [ input ]) inputs in
-  let slot = recorder () in
   fun ~plan sim ->
     let (module C) =
       let rt = Inject.weaken_batched (Sim.batched sim) ~plan in
@@ -197,7 +211,7 @@ let consensus_prog ~lin ~params ~inputs =
       else Bprc_harness.Run.protocol algo rt
     in
     let st = C.create ~params () in
-    let rc = recording sim slot in
+    let rc = recording sim cons_slot check in
     spawn_recorded sim rc.hist proposals (fun _ input ->
         let output = Bool.to_int (C.run st ~input) in
         Specs.Propose { input = Bool.to_int input; output });

@@ -5,7 +5,8 @@
     check reads nothing but that history, so each program runs it once
     per distinct history on an arena: the verdict is memoized in an
     arena-local table keyed on the exact events (pids, stamps, ops and
-    scan views, compared structurally).  A check that raises is not
+    scan views, compared structurally) and emptied when a program with
+    another check records on the arena.  A check that raises is not
     memoized.
 
     Configurations deliberately mirror the acceptance gate of the
@@ -35,8 +36,9 @@ val snapshot_prog :
 (** Process [i] runs [prog.(i)] (per-process update values strictly
     increasing) over the §2 handshake snapshot, with registers weakened
     by the plan's [Weaken] faults; checked against P1–P3 and, with
-    [lin], linearizability.  Apply [~lin ~prog] once: each application
-    takes an arena slot. *)
+    [lin], linearizability.  Apply [~lin ~prog] once per program: the
+    application builds the program's check, and an arena keeps its
+    memoized verdicts only while one check records on it. *)
 
 val consensus_prog :
   lin:bool ->

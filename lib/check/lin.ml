@@ -10,21 +10,26 @@ end
 
 let max_events = 62
 
+(* Memo table for the failed (linearized-set, state) pairs of one
+   [check] call, reused across calls: the explorer checks one short
+   history per explored schedule, and even a 16-bucket table per call
+   is measurable at that rate.  Per-domain because [bprc hunt
+   --workers] runs the ABD scenario's checks on pool domains that
+   share one checker module, and [Hashtbl.reset] between checks,
+   which also shrinks a table grown by an unusually deep search back
+   to its initial size.  One key serves every application of {!Make}:
+   a key per application would take a process-wide index and leave
+   every domain that checks with a table it never frees.  So the keys
+   hold states erased to [Obj.t]; each check resets the table before
+   its first lookup, so states of two specs never meet, and the table
+   hashes and compares them structurally as it would typed ones. *)
+let failed_key : (int * Obj.t, unit) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
 module Make (S : SPEC) = struct
   type verdict =
     | Linearizable of S.op Hist.event list
     | Not_linearizable
-
-  (* Memo table for the failed (linearized-set, state) pairs of one
-     [check] call, reused across calls: the explorer checks one short
-     history per explored schedule, and even a 16-bucket table per call
-     is measurable at that rate.  Per-domain because [bprc hunt
-     --workers] runs the ABD scenario's checks on pool domains that
-     share one checker module, and [Hashtbl.reset] between checks,
-     which also shrinks a table grown by an unusually deep search back
-     to its initial size. *)
-  let failed_key : (int * S.state, unit) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
   let check_events ops =
     let n = Array.length ops in
@@ -56,7 +61,7 @@ module Make (S : SPEC) = struct
              failure insertion; the search loop tracks progress with a
              flag rather than comparing [!result] against [None], which
              would call the polymorphic equality on every iteration. *)
-          let key = (mask, st) in
+          let key = (mask, Obj.repr st) in
           if Hashtbl.mem failed key then None
           else begin
             let result = ref None in

@@ -1,3 +1,5 @@
+module Json = Bprc_util.Json
+
 type entry = { table : Table.t; wall_s : float }
 
 type t = {
@@ -36,46 +38,46 @@ let column_summaries (table : Table.t) =
          if samples = [] then None else Some (name, Stats.summarize samples))
 
 let summary_json (s : Stats.summary) =
-  Table.Obj
+  Json.Obj
     [
-      ("count", Table.Int s.Stats.count);
-      ("mean", Table.Float s.Stats.mean);
-      ("median", Table.Float s.Stats.median);
-      ("ci95", Table.Float s.Stats.ci95);
-      ("min", Table.Float s.Stats.min);
-      ("max", Table.Float s.Stats.max);
+      ("count", Json.Int s.Stats.count);
+      ("mean", Json.Float s.Stats.mean);
+      ("median", Json.Float s.Stats.median);
+      ("ci95", Json.Float s.Stats.ci95);
+      ("min", Json.Float s.Stats.min);
+      ("max", Json.Float s.Stats.max);
     ]
 
 let entry_json e =
   let base =
     match Table.to_json e.table with
-    | Table.Obj kvs -> kvs
+    | Json.Obj kvs -> kvs
     | _ -> assert false
   in
-  Table.Obj
+  Json.Obj
     (base
     @ [
-        ("wall_s", Table.Float e.wall_s);
+        ("wall_s", Json.Float e.wall_s);
         ( "column_summaries",
-          Table.Obj
+          Json.Obj
             (List.map
                (fun (name, s) -> (name, summary_json s))
                (column_summaries e.table)) );
       ])
 
 let to_json r =
-  Table.Obj
+  Json.Obj
     [
-      ("schema_version", Table.Int schema_version);
-      ("kind", Table.Str "bprc-bench-report");
-      ("date", Table.Str r.date);
-      ("workers", Table.Int r.workers);
-      ("quick", Table.Bool r.quick);
-      ("total_wall_s", Table.Float r.total_wall_s);
-      ("experiments", Table.Arr (List.map entry_json r.entries));
+      ("schema_version", Json.Int schema_version);
+      ("kind", Json.Str "bprc-bench-report");
+      ("date", Json.Str r.date);
+      ("workers", Json.Int r.workers);
+      ("quick", Json.Bool r.quick);
+      ("total_wall_s", Json.Float r.total_wall_s);
+      ("experiments", Json.Arr (List.map entry_json r.entries));
     ]
 
-let to_string r = Table.json_to_string (to_json r)
+let to_string r = Json.to_string (to_json r)
 
 let write ~path r =
   let oc = open_out path in

@@ -29,7 +29,7 @@ val column_summaries : Table.t -> (string * Stats.summary) list
     column parses as a finite number; columns with no numeric cells are
     omitted. *)
 
-val to_json : t -> Table.json
+val to_json : t -> Bprc_util.Json.t
 val to_string : t -> string
 
 val write : path:string -> t -> unit

@@ -77,40 +77,31 @@ let to_csv t =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* JSON — the shared minimal document type from Bprc_util, re-exported *)
-(* so report code keeps reading Table.Obj / Table.Str.                 *)
+(* JSON                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type json = Bprc_util.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let json_to_string = Bprc_util.Json.to_string
+module Json = Bprc_util.Json
 
 let cell_json s =
   (* Numeric cells become JSON numbers so reports diff numerically. *)
   match int_of_string_opt s with
-  | Some i -> Int i
+  | Some i -> Json.Int i
   | None -> (
     match float_of_string_opt s with
-    | Some x when Float.is_finite x -> Float x
-    | Some _ | None -> Str s)
+    | Some x when Float.is_finite x -> Json.Float x
+    | Some _ | None -> Json.Str s)
 
 let to_json t =
-  Obj
-    [
-      ("id", Str t.id);
-      ("title", Str t.title);
-      ("columns", Arr (List.map (fun c -> Str c) t.columns));
-      ("rows", Arr (List.map (fun r -> Arr (List.map cell_json r)) t.rows));
-      ("notes", Arr (List.map (fun s -> Str s) t.notes));
-      ("metrics", Obj (List.map (fun (k, v) -> (k, Float v)) t.metrics));
-    ]
+  Json.(
+    Obj
+      [
+        ("id", Str t.id);
+        ("title", Str t.title);
+        ("columns", Arr (List.map (fun c -> Str c) t.columns));
+        ("rows", Arr (List.map (fun r -> Arr (List.map cell_json r)) t.rows));
+        ("notes", Arr (List.map (fun s -> Str s) t.notes));
+        ("metrics", Obj (List.map (fun (k, v) -> (k, Float v)) t.metrics));
+      ])
 
 let fmt_float x =
   if Float.is_integer x && abs_float x < 1e15 then

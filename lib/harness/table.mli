@@ -23,25 +23,7 @@ val render : t -> string
 val print : t -> unit
 val to_csv : t -> string
 
-(** {1 JSON}
-
-    The shared {!Bprc_util.Json} document type, re-exported with its
-    constructors; used by {!Report} for the [BENCH_*.json]
-    perf-trajectory files and by [Bprc_faults] for hunt scripts. *)
-
-type json = Bprc_util.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float  (** non-finite values serialize as [null] *)
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val json_to_string : json -> string
-(** Compact (single-line) rendering with full string escaping. *)
-
-val to_json : t -> json
+val to_json : t -> Bprc_util.Json.t
 (** The table as an object; cells that parse as numbers are emitted as
     JSON numbers, all others as strings. *)
 

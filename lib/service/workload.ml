@@ -18,18 +18,3 @@ let spec ?(algo = Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk)
   { n; algo; pattern; sched; params; faults; max_steps }
 
 let uniform ~count s = List.init (max 0 count) (fun _ -> s)
-
-let weighted ~rng ~count specs =
-  if specs = [] then invalid_arg "Workload.weighted: empty spec list";
-  if List.exists (fun (w, _) -> w <= 0) specs then
-    invalid_arg "Workload.weighted: weights must be positive";
-  let total = List.fold_left (fun a (w, _) -> a + w) 0 specs in
-  let pick () =
-    let r = Bprc_rng.Splitmix.int rng total in
-    let rec go acc = function
-      | [] -> assert false
-      | (w, s) :: tl -> if r < acc + w then s else go (acc + w) tl
-    in
-    go 0 specs
-  in
-  List.init (max 0 count) (fun _ -> pick ())

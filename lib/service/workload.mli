@@ -38,10 +38,3 @@ val spec :
 val uniform : count:int -> spec -> spec list
 (** [count] copies of one spec — the homogeneous-traffic workload the
     sustained-throughput benches drive. *)
-
-val weighted : rng:Bprc_rng.Splitmix.t -> count:int -> (int * spec) list -> spec list
-(** [count] specs drawn with the given positive integer weights —
-    mixed traffic (e.g. mostly small-[n] instances with a heavy tail,
-    or atomic-register instances with a weakened minority).  Draws
-    advance [rng]; the sequence is deterministic in its state.
-    @raise Invalid_argument on an empty list or non-positive weight. *)

@@ -401,6 +401,27 @@ let skewed_cases () =
       })
     [ true; false ]
 
+(* The one exploration at n = 3: a snapshot program whose updater
+   also scans, beside a lone updater and a lone scanner.  Reduced, the
+   walk exhausts at 12,089 runs; unreduced, the tree is far larger, so
+   [max_runs] stops it. *)
+let three_process_cases () =
+  let setup =
+    Config.snapshot_prog ~lin:true ~plan:[]
+      ~prog:[| [ `Update 1; `Scan ]; [ `Update 2 ]; [ `Scan ] |]
+  in
+  List.map
+    (fun reduction ->
+      {
+        label = Printf.sprintf "snapshot n=3 reduction:%b" reduction;
+        n = 3;
+        max_steps = 256;
+        max_runs = 20_000;
+        reduction;
+        setup;
+      })
+    [ true; false ]
+
 (* [max_runs] bounds that stop snapshot-unsafe's walk at its first run
    and mid-tree, or leave room for its witness (found at run 18). *)
 let bounded_cases () =
@@ -462,7 +483,8 @@ let check_against_reference cases =
       | None, Some _ -> Alcotest.failf "%s: spurious witness" label)
     cases
 
-let test_matches_reference () = check_against_reference (registry_cases ())
+let test_matches_reference () =
+  check_against_reference (registry_cases () @ three_process_cases ())
 let test_skewed_tree () = check_against_reference (skewed_cases ())
 let test_max_runs_bounds () = check_against_reference (bounded_cases ())
 
@@ -488,6 +510,48 @@ let test_explore_caches_do_not_leak () =
   if after - before > 10_000 then
     Alcotest.failf "live words grew from %d to %d over 40 explores" before
       after
+
+(* Building a program takes no process-wide index: one program run on
+   a fresh arena allocates the same words, minor and major, before and
+   after 10,000 more programs are built.  An arena slot per program
+   ({!Bprc_runtime.Sim.new_local}) would grow the arena's slot array to
+   the newest slot's index, and a domain-local key per linearizability
+   checker would grow the domain's store the same way; arrays that
+   large are allocated on the major heap. *)
+let test_programs_take_no_slots () =
+  let module Sim = Bprc_runtime.Sim in
+  let build () =
+    Config.snapshot_prog ~lin:true ~plan:[]
+      ~prog:[| [ `Update 1; `Scan ]; [ `Update 11; `Scan ] |]
+  in
+  let words () =
+    (* The counters take in the words allocated since the last
+       collection only when one runs. *)
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    (s.Gc.minor_words, s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  let run_one () =
+    let setup = build () in
+    let sim =
+      Sim.create ~seed:1 ~n:2 ~adversary:(Bprc_runtime.Adversary.random ()) ()
+    in
+    let minor0, major0 = words () in
+    let check = setup sim in
+    ignore (Sim.run sim);
+    Alcotest.(check bool) "passes" true (check () = Ok ());
+    let minor1, major1 = words () in
+    (minor1 -. minor0, major1 -. major0)
+  in
+  ignore (run_one ());
+  let before = run_one () in
+  for _ = 1 to 10_000 do
+    let (_ : Explorer.setup) = build () in
+    ()
+  done;
+  let after = run_one () in
+  Alcotest.(check (pair (float 0.) (float 0.)))
+    "minor and major words" before after
 
 (* Each registry program memoizes its check's verdict per arena, keyed
    on the exact recorded history.  Seeded schedules (uniformly random,
@@ -593,6 +657,8 @@ let suite =
       test_explore_caches_do_not_leak;
     Alcotest.test_case "check: memoized verdicts warm = cold" `Quick
       test_verdict_memo_warm_matches_cold;
+    Alcotest.test_case "alloc: programs take no arena slot" `Quick
+      test_programs_take_no_slots;
   ]
 
 (* Allocation ceiling for the explorer over the snapshot-atomic

@@ -1,4 +1,5 @@
 open Bprc_harness
+module Json = Bprc_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -156,7 +157,7 @@ let test_table_to_json () =
       ~metrics:[ ("slope", 2.0) ]
       [ [ "4"; "1.5"; "ok" ]; [ "8"; "2.5"; "-" ] ]
   in
-  let s = Table.json_to_string (Table.to_json t) in
+  let s = Json.to_string (Table.to_json t) in
   List.iter
     (fun affix ->
       Alcotest.(check bool) ("contains " ^ affix) true
@@ -171,17 +172,17 @@ let test_table_to_json () =
 
 let test_json_string_escaping () =
   let s =
-    Table.json_to_string
-      (Table.Arr
+    Json.to_string
+      (Json.Arr
          [
-           Table.Str "a\"b";
-           Table.Str "c\\d";
-           Table.Str "e\nf";
-           Table.Str "\x01";
-           Table.Float nan;
-           Table.Float 0.5;
-           Table.Bool true;
-           Table.Null;
+           Json.Str "a\"b";
+           Json.Str "c\\d";
+           Json.Str "e\nf";
+           Json.Str "\x01";
+           Json.Float nan;
+           Json.Float 0.5;
+           Json.Bool true;
+           Json.Null;
          ])
   in
   Alcotest.(check string) "escaped"

@@ -457,22 +457,6 @@ let test_batch_decisions_words () =
         Alcotest.failf "32 results retain %d words of decisions > %d" words
           bound)
 
-let test_workload_weighted () =
-  let rng = Bprc_rng.Splitmix.create ~seed:3 in
-  let a = Workload.spec ~n:3 () in
-  let b = Workload.spec ~n:4 () in
-  let picks = Workload.weighted ~rng ~count:200 [ (3, a); (1, b) ] in
-  Alcotest.(check int) "count" 200 (List.length picks);
-  let na = List.length (List.filter (fun s -> s.Workload.n = 3) picks) in
-  (* 3:1 weights; loose band, deterministic in the seed anyway. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "weights respected (%d/200)" na)
-    true
-    (na > 120 && na < 180);
-  Alcotest.check_raises "bad weight"
-    (Invalid_argument "Workload.weighted: weights must be positive") (fun () ->
-      ignore (Workload.weighted ~rng ~count:1 [ (0, a) ]))
-
 let suite =
   [
     Alcotest.test_case "ring: empty" `Quick test_ring_empty;
@@ -498,7 +482,6 @@ let suite =
       test_engine_shutdown_drains;
     Alcotest.test_case "engine: stats accounting" `Quick
       test_engine_stats_accounting;
-    Alcotest.test_case "workload: weighted mix" `Quick test_workload_weighted;
     Alcotest.test_case "run: decided result retains n + 5 words" `Quick
       test_decisions_retained_words;
     Alcotest.test_case "run: unanimous results share the arena's vectors"
