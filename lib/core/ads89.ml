@@ -44,7 +44,7 @@ module type STRIP = sig
   val advance : t -> round -> round
   val walk : t -> round -> int -> round
   val counter : t -> round -> int
-  val edges : round -> int array
+  val edges : round -> Bytes.t
   val state_bits : t -> int
   val decode_stats : t -> decode_stats
   val inconsistent_reconstructions : t -> int
@@ -120,7 +120,7 @@ struct
         {
           Virtual_rounds.spid = me;
           ghosts = Array.map (fun st -> st.ghost) view;
-          rows = Array.map (fun st -> Array.copy (St.edges st.round)) view;
+          rows = Array.map (fun st -> Bytes.copy (St.edges st.round)) view;
         });
     St.decode t.strip view me;
     view
@@ -273,7 +273,8 @@ module Bounded = struct
   type round = {
     current_coin : int;  (** pointer in [0..K] *)
     coins : int array;  (** K+1 bounded walk counters *)
-    edges : int array;  (** this process's row of the mod-3K counters *)
+    edges : Bytes.t;
+        (** this process's row of the mod-3K counters, one byte each *)
   }
 
   type decode_stats = Ec.refill_stats
@@ -301,7 +302,7 @@ module Bounded = struct
   let unseen =
     {
       pref = None;
-      round = { current_coin = 0; coins = [||]; edges = [||] };
+      round = { current_coin = 0; coins = [||]; edges = Bytes.empty };
       ghost = 0;
     }
 
@@ -322,15 +323,15 @@ module Bounded = struct
     {
       current_coin = 0;
       coins = Array.make (s.k + 1) 0;
-      edges = Array.make (Ec.n s.ec) 0;
+      edges = Bytes.make (Ec.n s.ec) '\000';
     }
 
   (* Rows into the counter matrix, counters into the distance graph.
      A segment that is physically the one adopted last is skipped with
      one compare, and [Ec.set_row] skips a row whose published [edges]
-     array it adopted last: published segments and rows are never
+     bytes it adopted last: published segments and rows are never
      mutated ([advance] publishes a fresh row, every other write reuses
-     the array). *)
+     the bytes). *)
   let decode s view me =
     for i = 0 to Array.length view - 1 do
       let seg = view.(i) in
@@ -374,8 +375,8 @@ module Bounded = struct
   (* §5 [inc]: bump the coin pointer, zero the slot now standing for the
      round being entered (recycling the slot of the round K+1 back),
      advance my edge counters against the latest decode.  [coins] and
-     [edges] are fresh arrays: they are published and must not alias
-     the scratch. *)
+     [edges] are fresh: they are published and must not alias the
+     scratch. *)
   let advance s st =
     let kp1 = s.k + 1 in
     let current_coin = (st.current_coin + 1) mod kp1 in

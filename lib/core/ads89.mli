@@ -115,8 +115,9 @@ module type STRIP = sig
   val counter : t -> round -> int
   (** My counter for my current round. *)
 
-  val edges : round -> int array
-  (** The edge-counter row the §6.1 scan recorder copies. *)
+  val edges : round -> Bytes.t
+  (** The edge-counter row the §6.1 scan recorder copies, one byte per
+      counter; empty when the strip has none. *)
 
   val state_bits : t -> int
   (** Payload bits per segment. *)

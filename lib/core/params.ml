@@ -4,6 +4,10 @@ let default = { k = 2; delta = 2; m = None }
 
 let validate t ~n =
   if t.k <= 0 then invalid_arg "Params: k must be positive";
+  if t.k > Bprc_strip.Distance_graph.max_k then
+    invalid_arg
+      "Params: k must be at most 85, so that the 3K edge-counter values fit \
+       a byte";
   if n <= 0 then invalid_arg "Params: n must be positive";
   let _, m = Bprc_coin.Bounded_walk.bounds ~delta:t.delta ~m:t.m ~n in
   (t.k, t.delta, m)

@@ -17,7 +17,9 @@ val default : t
 val validate : t -> n:int -> int * int * int
 (** [(k, delta, m)] with [m] resolved by
     {!Bprc_coin.Bounded_walk.bounds}.  @raise Invalid_argument on
-    nonsensical values. *)
+    nonsensical values, and on [k] above
+    {!Bprc_strip.Distance_graph.max_k} (85): the edge counters, in
+    [[0, 3K)], are stored one per byte. *)
 
 val bits_for : int -> int
 (** Bits needed to represent [x] distinct values. *)

@@ -1,7 +1,7 @@
 type obs = {
   spid : int;
   ghosts : int array;
-  rows : int array array;
+  rows : Bytes.t array;
 }
 
 type report = {
@@ -67,8 +67,8 @@ let check ~k ~n observations =
           | () ->
             let moved j =
               match !prev_rows with
-              | None -> not (Array.for_all (( = ) 0) ob.rows.(j))
-              | Some pr -> ob.rows.(j) <> pr.(j)
+              | None -> Bytes.exists (( <> ) '\000') ob.rows.(j)
+              | Some pr -> not (Bytes.equal ob.rows.(j) pr.(j))
             in
             let mx = Array.fold_left max 0 rounds in
             let new_leaders = List.filter moved !prev_leaders in

@@ -17,7 +17,8 @@
 type obs = {
   spid : int;  (** scanning process *)
   ghosts : int array;  (** per-writer ghost write counters in the view *)
-  rows : int array array;  (** edge-counter rows in the view *)
+  rows : Bytes.t array;
+      (** edge-counter rows in the view, one byte per counter *)
 }
 
 type report = {

@@ -285,14 +285,15 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
   }
 
 (* From this n up, a decision on a reused arena starts on an empty minor
-   heap.  Its per-instance scratch is about 8n² words (n = 128: 137k,
-   half of OCaml's default 256k-word minor heap), so where a minor
-   collection fell inside it depended only on what the decisions before
-   it had allocated.  One that fell early promoted the n×n blocks and
-   sent the rest of the run's stores into them through the write
-   barrier: at n = 128 such runs took 7.5–10 ms against 5.4–6.6 ms for
-   runs with none (2-vCPU Xeon VM).  At 137k words a decision, the
-   collection point drifts slowly enough that whole stretches of runs
+   heap.  It allocates about 6.5n² words (n = 128: 109k, two fifths of
+   OCaml's default 256k-word minor heap; 137k, or 8n², while the strip
+   held a word per counter), so where a minor collection fell inside it
+   depended only on what the decisions before it had allocated.  One
+   that fell early promoted the n×n blocks and sent the rest of the
+   run's stores into them through the write barrier: at n = 128, with
+   word-wide strip rows, such runs took 7.5–10 ms against 5.4–6.6 ms
+   for runs with none (2-vCPU Xeon VM).  At 137k words a decision, the
+   collection point drifted slowly enough that whole stretches of runs
    were slow or fast together.  Emptying the heap first makes every run
    start alike. *)
 let empty_minor_heap_from = 64

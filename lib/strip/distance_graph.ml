@@ -1,9 +1,13 @@
-(* Flat representation: one [nn*nn] int array indexed [i*nn + j], with
-   [absent] as the missing-edge sentinel — no per-pair options, no row
-   arrays.  On top of it sits a cached *position reconstruction*: a
-   graph that is exactly [of_positions ~k p] for some token positions
-   [p] (every G(S) the atomic game reaches is, because positions and
-   their gap-compressed shrinking produce the same graph) answers
+(* Flat representation: one [nn*nn] byte matrix indexed [i*nn + j],
+   one signed byte per weight, with [absent] (-128) as the
+   missing-edge code — no per-pair options, no row arrays, and no
+   pointers for the GC to scan.  A weight of a graph decoded from edge
+   counters lies in [0, K] with K <= [max_k]; the signed range leaves
+   room for the negative weights of hand-built test graphs.  On top of
+   it sits a cached *position reconstruction*: a graph that is exactly
+   [of_positions ~k p] for some token positions [p] (every G(S) the
+   atomic game reaches is, because positions and their gap-compressed
+   shrinking produce the same graph) answers
    [dist], [dist_ge] and [advance_row]'s max-path test from the
    positions in O(1)/O(n) instead of the O(n^3)/O(n^4) relaxations —
    the difference between n=4 and n=1024.  Graphs that no positions
@@ -15,7 +19,8 @@
    [test/cram/known-defects.t]), and [inconsistent] counts those
    reconstructions. *)
 
-let absent = min_int
+let absent = -128
+let max_k = 85
 
 type positions =
   | Unknown  (** reconstruction not attempted yet *)
@@ -25,7 +30,7 @@ type positions =
 type t = {
   nn : int;
   kk : int;
-  w : int array;  (** [w.(i*nn + j)]: edge weight, or [absent] *)
+  w : Bytes.t;  (** byte [i*nn + j]: edge weight, or [absent] *)
   mutable pos : positions;
   mutable generation : int;  (** bumped by every [invalidate] *)
   mutable inconsistent : int;  (** reconstructions that found no positions *)
@@ -42,7 +47,12 @@ type t = {
 
 let n t = t.nn
 let k t = t.kk
-let unsafe_w t i j = Array.unsafe_get t.w ((i * t.nn) + j)
+
+(* A signed byte, read without a bounds check: every caller indexes
+   with [i], [j] in [0, nn). *)
+let unsafe_w t i j =
+  let c = Char.code (Bytes.unsafe_get t.w ((i * t.nn) + j)) in
+  (c lsl (Sys.int_size - 8)) asr (Sys.int_size - 8)
 
 let make ~k ~n w =
   {
@@ -59,13 +69,17 @@ let make ~k ~n w =
     pos_some = Unknown;
   }
 
+let absent_byte = Char.chr (absent land 0xff)
+
 let of_positions ~k pos =
+  if k > 127 then
+    invalid_arg "Distance_graph.of_positions: k above 127 does not fit a byte";
   let nn = Array.length pos in
-  let w = Array.make (nn * nn) absent in
+  let w = Bytes.make (nn * nn) absent_byte in
   for i = 0 to nn - 1 do
     for j = 0 to nn - 1 do
       if i <> j && pos.(i) >= pos.(j) then
-        w.((i * nn) + j) <- Int.min (pos.(i) - pos.(j)) k
+        Bytes.set_int8 w ((i * nn) + j) (Int.min (pos.(i) - pos.(j)) k)
     done
   done;
   make ~k ~n:nn w
@@ -74,7 +88,9 @@ let of_positions ~k pos =
 
 let create_scratch ~k ~n =
   if k <= 0 || n <= 0 then invalid_arg "Distance_graph.create_scratch";
-  make ~k ~n (Array.make (n * n) absent)
+  if k > max_k then
+    invalid_arg "Distance_graph.create_scratch: k above 85 does not fit a byte";
+  make ~k ~n (Bytes.make (n * n) absent_byte)
 
 let invalidate t =
   t.pos <- Unknown;
@@ -84,10 +100,10 @@ let generation t = t.generation
 let inconsistent t = t.inconsistent
 let weights t = t.w
 
-let edge t i j = t.w.((i * t.nn) + j) <> absent
+let edge t i j = Bytes.get_int8 t.w ((i * t.nn) + j) <> absent
 
 let weight t i j =
-  let d = t.w.((i * t.nn) + j) in
+  let d = Bytes.get_int8 t.w ((i * t.nn) + j) in
   if d = absent then invalid_arg "Distance_graph.weight: no such edge";
   d
 
@@ -254,7 +270,7 @@ let tight t j i wji =
    pair.  The positions are reconstructed, if at all, at the first edge
    into [i]: a row with no edge into [i] never needs them. *)
 let advance_row t i row =
-  if Array.length row <> t.nn then
+  if Bytes.length row <> t.nn then
     invalid_arg "Distance_graph.advance_row: row must have length n";
   let m = 3 * t.kk in
   for j = 0 to t.nn - 1 do
@@ -262,8 +278,8 @@ let advance_row t i row =
       let wji = unsafe_w t j i and wij = unsafe_w t i j in
       if (wji <> absent && tight t j i wji) || (wij <> absent && wij < t.kk)
       then begin
-        let c = row.(j) + 1 in
-        row.(j) <- (if c = m then 0 else c)
+        let c = Bytes.get_uint8 row j + 1 in
+        Bytes.set_uint8 row j (if c = m then 0 else c)
       end
     end
   done
@@ -303,9 +319,10 @@ let no_positive_cycle t =
 
 let weights_in_range t =
   let ok = ref true in
-  Array.iter
-    (fun d -> if d <> absent && (d < 0 || d > t.kk) then ok := false)
-    t.w;
+  for x = 0 to Bytes.length t.w - 1 do
+    let d = Bytes.get_int8 t.w x in
+    if d <> absent && (d < 0 || d > t.kk) then ok := false
+  done;
   !ok
 
 let total_order_consistent t =
@@ -319,7 +336,7 @@ let total_order_consistent t =
   done;
   !ok
 
-let equal a b = a.nn = b.nn && a.kk = b.kk && a.w = b.w
+let equal a b = a.nn = b.nn && a.kk = b.kk && Bytes.equal a.w b.w
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>";

@@ -17,7 +17,9 @@
 type t
 
 val of_positions : k:int -> int array -> t
-(** Build G(S) from token positions. *)
+(** Build G(S) from token positions.
+    @raise Invalid_argument when [k > 127]: a weight is one signed
+    byte. *)
 
 val n : t -> int
 val k : t -> int
@@ -38,15 +40,16 @@ val dist_ge : t -> int -> int -> int -> bool
     option: [true] iff [j] is reachable from [i] with max path weight
     at least [b].  The protocol's per-scan trails-by-K test. *)
 
-val advance_row : t -> int -> int array -> unit
+val advance_row : t -> int -> Bytes.t -> unit
 (** [advance_row t i row] advances, by one modulo [3K], every
     [row.(j)] such that edge [(j,i)] lies on some maximum-weight path
     into [i] (its weight is {e tight}: [weight j i = dist j i], the
     paper's [(∃k)((j,i) ∈ max_paths(k,i))] guard) or edge [(i,j)]
     weighs less than [K]: the paper's [inc_graph] on process [i]'s row
-    of edge counters ({!Edge_counters.inc_row_with}), in one pass.
-    Allocation-free on a positional graph.
-    @raise Invalid_argument when [Array.length row <> n t]. *)
+    of edge counters, one unsigned byte per counter
+    ({!Edge_counters.inc_row_with}), in one pass.  Allocation-free on a
+    positional graph.
+    @raise Invalid_argument when [Bytes.length row <> n t]. *)
 
 val is_leader : t -> int -> bool
 (** [is_leader t i]: does [i] have an edge to every other process
@@ -73,19 +76,24 @@ val pp : Format.formatter -> t -> unit
     answer derived from the graph; callers must not hold on to a
     scratch graph across refills. *)
 
+val max_k : int
+(** 85, the largest [K] a scratch graph accepts: its weights are
+    decoded from mod-3K edge counters, and [3K] counter values must fit
+    one unsigned byte. *)
+
 val create_scratch : k:int -> n:int -> t
 (** An edgeless graph to refill through {!weights}.
-    @raise Invalid_argument when [k <= 0 || n <= 0]. *)
+    @raise Invalid_argument when [k <= 0 || n <= 0] or [k > max_k]. *)
 
 val absent : int
-(** The weight {!weights} holds for a missing edge. *)
+(** -128: the signed byte {!weights} holds for a missing edge. *)
 
-val weights : t -> int array
-(** The graph's own flat weight matrix: entry [i*n + j] is the weight
-    of edge [(i,j)], or {!absent}.  Refill plumbing: a write is
-    neither validated nor invalidates the cache — callers must
-    {!invalidate} once per refill.  Diagonal entries must stay
-    {!absent}. *)
+val weights : t -> Bytes.t
+(** The graph's own flat weight matrix, one signed byte per entry
+    ({!Bytes.get_int8}): entry [i*n + j] is the weight of edge [(i,j)],
+    or {!absent}.  Refill plumbing: a write is neither validated nor
+    invalidates the cache — callers must {!invalidate} once per refill.
+    Diagonal entries must stay {!absent}. *)
 
 val invalidate : t -> unit
 (** Drop the cached position reconstruction and bump {!generation};

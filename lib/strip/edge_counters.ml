@@ -1,21 +1,23 @@
 (* Flat representation: the n x n mod-3K counter matrix lives in one
-   [int array] indexed [i*n + j] (row-major, so a process's own row —
-   the only part it writes — is one contiguous slice).  The observable
-   behavior is pinned against the frozen pre-rewrite copy in
-   [test/oracles/edge_counters_ref.ml] by the differential property
-   tests.
+   [Bytes.t], one unsigned byte per counter, indexed [i*n + j]
+   (row-major, so a process's own row — the only part it writes — is
+   one contiguous slice, and a published row is a [Bytes.t] of its
+   own).  Counters lie in [0, 3K), so a byte holds them for K <=
+   [Distance_graph.max_k].  The observable behavior is pinned against
+   the frozen pre-rewrite copy in [test/oracles/edge_counters_ref.ml]
+   by the differential property tests.
 
    On top of the matrix sits the incremental-refill bookkeeping of
-   [to_graph_into]: which row array each matrix row was last adopted
+   [to_graph_into]: which row each matrix row was last adopted
    from, which rows changed since the last decode, and the scratch
    graph (and its generation) that holds that decode. *)
 
 type t = {
   kk : int;
   nn : int;
-  e : int array;
-  src : int array array;
-      (** [src.(i)]: the array row [i] was last adopted from by
+  e : Bytes.t;
+  src : Bytes.t array;
+      (** [src.(i)]: the row [i] was last adopted from by
           [set_row], or [no_row] when the row was written otherwise *)
   dirty : int array;
       (** the first [ndirty] entries: rows changed since the last decode *)
@@ -32,16 +34,18 @@ type t = {
 }
 
 (* Private to this module, so never physically equal to a row handed
-   to [set_row] (not [[||]]: every empty array is the same atom, and an
+   to [set_row] (not [Bytes.empty], which a caller may pass, and an
    empty row must still fail validation). *)
-let no_row = [| -1 |]
+let no_row = Bytes.make 1 '\255'
 
 let create ~k ~n =
   if k <= 0 || n <= 0 then invalid_arg "Edge_counters.create";
+  if k > Distance_graph.max_k then
+    invalid_arg "Edge_counters.create: k above 85 does not fit a byte";
   {
     kk = k;
     nn = n;
-    e = Array.make (n * n) 0;
+    e = Bytes.make (n * n) '\000';
     src = Array.make n no_row;
     dirty = Array.make n 0;
     ndirty = 0;
@@ -75,13 +79,13 @@ let clear_dirty t =
 let set_row t i r =
   if i < 0 || i >= t.nn then invalid_arg "Edge_counters.set_row: no such row";
   if r != Array.unsafe_get t.src i then begin
-    if Array.length r <> t.nn then
+    if Bytes.length r <> t.nn then
       invalid_arg "Edge_counters.set_row: not square";
     for j = 0 to t.nn - 1 do
-      if r.(j) < 0 || r.(j) >= 3 * t.kk then
+      if Bytes.get_uint8 r j >= 3 * t.kk then
         invalid_arg "Edge_counters.set_row: counter out of range"
     done;
-    Array.blit r 0 t.e (i * t.nn) t.nn;
+    Bytes.blit r 0 t.e (i * t.nn) t.nn;
     t.src.(i) <- r;
     mark_dirty t i
   end
@@ -95,7 +99,7 @@ let set_rows t rows =
 
 let k t = t.kk
 let n t = t.nn
-let row t i = Array.sub t.e (i * t.nn) t.nn
+let row t i = Bytes.sub t.e (i * t.nn) t.nn
 let rows t = Array.init t.nn (fun i -> row t i)
 
 (* Every counter is in [0, 3K) (validated when adopted, kept there by
@@ -103,7 +107,9 @@ let rows t = Array.init t.nn (fun i -> row t i)
    conditional add reduces it mod 3K: two [mod]s by a non-constant are
    two integer divisions. *)
 let decode_pair t i j =
-  let d = t.e.((i * t.nn) + j) - t.e.((j * t.nn) + i) in
+  let d =
+    Bytes.get_uint8 t.e ((i * t.nn) + j) - Bytes.get_uint8 t.e ((j * t.nn) + i)
+  in
   if d < 0 then d + (3 * t.kk) else d
 
 let valid t =
@@ -121,7 +127,7 @@ let undecodable () =
 
 let[@inline] fill_pair t w absent i j =
   let a = decode_pair t i j in
-  w.((i * t.nn) + j) <- (if a <= t.kk then a else absent)
+  Bytes.set_int8 w ((i * t.nn) + j) (if a <= t.kk then a else absent)
 
 (* A pair with both rows dirty is visited once, from its lower row. *)
 let[@inline] visit t i j =
@@ -226,6 +232,6 @@ let apply_inc t i =
       g
   in
   to_graph_into t g;
-  Array.blit (inc_row_with t ~graph:g i) 0 t.e (i * t.nn) t.nn;
+  Bytes.blit (inc_row_with t ~graph:g i) 0 t.e (i * t.nn) t.nn;
   t.src.(i) <- no_row;
   mark_dirty t i

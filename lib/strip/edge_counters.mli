@@ -11,6 +11,10 @@
     - [K < a < 2K]: undecodable — never reached, because a process only
       advances its pointer when it trails or leads by less than [K].
 
+    Counters and rows are stored at their width: the matrix holds one
+    unsigned byte per counter, and a row is a [Bytes.t] of length [n].
+    So [3K] must fit a byte: [K ≤ {!Distance_graph.max_k}] (85).
+
     A process adopts a (possibly stale, snapshot-read) view of all rows
     with {!set_row}/{!set_rows}, decodes it into a scratch graph with
     {!to_graph_into}, and computes its next row with {!inc_row_with},
@@ -20,9 +24,11 @@
 type t
 
 val create : k:int -> n:int -> t
-(** All counters 0 (all tokens level). *)
+(** All counters 0 (all tokens level).
+    @raise Invalid_argument when [k <= 0], [n <= 0] or
+    [k > Distance_graph.max_k]. *)
 
-val set_rows : t -> int array array -> unit
+val set_rows : t -> Bytes.t array -> unit
 (** Adopt existing rows (e.g. scanned from shared memory) in place,
     allocating nothing: one scratch counter object per protocol
     instance absorbs a scanned view per round.  Row by row as
@@ -30,13 +36,13 @@ val set_rows : t -> int array array -> unit
     @raise Invalid_argument if the matrix is not square or an entry is
     outside [[0, 3K)]. *)
 
-val set_row : t -> int -> int array -> unit
-(** Adopt a single row — lets a caller holding per-process row arrays
+val set_row : t -> int -> Bytes.t -> unit
+(** Adopt a single row — lets a caller holding per-process rows
     fill the scratch without assembling a row matrix first.
 
     {b Adopted rows must never be mutated afterwards.}  A row
     physically equal to the one last adopted at the same index is
-    taken as unchanged and skipped; any other array is copied in and
+    taken as unchanged and skipped; any other row is copied in and
     marks the row changed for the next {!to_graph_into}.  Shared-memory
     rows satisfy this: a published row is never written again.
     @raise Invalid_argument on a bad row index, length or entry. *)
@@ -44,7 +50,7 @@ val set_row : t -> int -> int array -> unit
 val k : t -> int
 val n : t -> int
 
-val rows : t -> int array array
+val rows : t -> Bytes.t array
 (** Copy of the whole matrix.  Allocates a fresh matrix per call;
     kept for tests, benchmarks and debugging only. *)
 
@@ -86,7 +92,7 @@ val refill_stats : t -> refill_stats
     ints, bumped without allocating; deterministic under the
     simulator). *)
 
-val inc_row_with : t -> graph:Distance_graph.t -> int -> int array
+val inc_row_with : t -> graph:Distance_graph.t -> int -> Bytes.t
 (** [inc_row_with t ~graph i]: the new row for process [i] per
     [inc_graph], against [graph], the decode of [t] just refilled by
     {!to_graph_into}, so the hot path decodes once per scan.  The

@@ -267,6 +267,25 @@ let test_spec_checker () =
   Alcotest.(check bool) "undecided ignored" true
     (Spec.check ~inputs:[| true; false |] ~decisions:[| None; None |] = Ok ())
 
+(* The edge counters are stored one per byte, and 3K of them must fit:
+   K = 85 runs, K = 86 is refused before any counter can wrap. *)
+let test_k_fits_a_byte () =
+  let at k = { Params.default with Params.k } in
+  let n = 2 and inputs = [| true; false |] in
+  let o =
+    run_ads89 ~params:(at 85) ~n ~seed:3 ~adversary:(Adversary.random ())
+      ~inputs ()
+  in
+  check_outcome ~name:"k=85" ~seed:3 ~inputs ~require_all:true o;
+  Alcotest.check_raises "k=86"
+    (Invalid_argument
+       "Params: k must be at most 85, so that the 3K edge-counter values fit \
+        a byte")
+    (fun () ->
+      ignore
+        (run_ads89 ~params:(at 86) ~n ~seed:3 ~adversary:(Adversary.random ())
+           ~inputs ()))
+
 let suite =
   [
     Alcotest.test_case "spec checker" `Quick test_spec_checker;
@@ -287,6 +306,7 @@ let suite =
       test_decisions_mirror_results;
     Alcotest.test_case "ah88: correct" `Quick test_ah88_correct;
     Alcotest.test_case "ah88: space grows" `Quick test_ah88_space_grows_with_rounds;
+    Alcotest.test_case "params: K fits a byte" `Quick test_k_fits_a_byte;
   ]
 
 (* --- Multivalued extension -------------------------------------------- *)
@@ -509,15 +529,16 @@ let suite = suite @ fuzz_suite
    simulator arena — over repeated instances at n=4.  The arena is
    reused via [~sim] so the gauge reads the protocol path, not
    simulator construction.  Before the scratch rework this measured in
-   the tens of thousands of words per decision.  It reads 733 words
-   now that the arena keeps one applied protocol module, the §5 loop
-   no decision arrays and a non-adaptive scheduler no coin-probe
-   closures (788 before), and the ceiling pins that level with a 4%
-   margin; the seeds are fixed, so the count repeats exactly.  A
-   second input builds a fresh arena per instance, so simulator
-   construction counts too; it sits near 656 words and is
-   pinned at 2210, a third of the 6,632 measured before the rework.
-   Both inputs run the random scheduler. *)
+   the tens of thousands of words per decision.  It reads about 712
+   words now that a published edge row is n bytes rather than n words
+   (727 before; 733 before that, 788 before the arena kept one applied
+   protocol module, the §5 loop no decision arrays and a non-adaptive
+   scheduler no coin-probe closures), and the ceiling pins that level
+   with a 4% margin; the seeds are fixed, so the count repeats exactly.
+   A second input builds a fresh arena per instance, so simulator
+   construction counts too; it reads about 634 words (649 with int
+   rows, 6,632 before the scratch rework) and is pinned with the same
+   4% margin.  Both inputs run the random scheduler. *)
 let test_ads89_words_per_decision_bounded () =
   let module Run = Bprc_harness.Run in
   let n = 4 in
@@ -550,7 +571,7 @@ let test_ads89_words_per_decision_bounded () =
   for s = 1 to 5 do
     ignore (reused s)
   done;
-  words_per_decision ~ceiling:760.0 ~what:"reused arena" reused
+  words_per_decision ~ceiling:740.0 ~what:"reused arena" reused
     (List.init 40 (fun i -> 101 + i));
   (* A fresh arena per instance, creation included: the whole decision
      path as a one-shot caller pays for it. *)
@@ -559,15 +580,17 @@ let test_ads89_words_per_decision_bounded () =
       ~algo:(Run.Ads Ads89.Shared_walk)
       ~pattern:Run.Random_inputs ~n ~seed ()
   in
-  words_per_decision ~ceiling:2210.0 ~what:"fresh arenas" fresh
+  words_per_decision ~ceiling:660.0 ~what:"fresh arenas" fresh
     (List.init 24 (fun i -> 0x7E5 + 1 + i))
 
 (* Minor words of one n=64 ADS89 decision over the embedded snapshot
    (oracle coin, round-robin) on a reused arena, whose applied protocol
-   module already exists.  It reads 40,177 words: the embedded
+   module already exists.  It reads 33,060 words: the embedded
    snapshot keeps one collect buffer per scanner in the instance and
-   its pointer-free scan bookkeeping in the application.  It read
-   60,487 when each instance allocated three buffers per scanner, the
+   its pointer-free scan bookkeeping in the application, and the
+   strip's published rows and its counter and weight matrices hold a
+   byte per entry.  It read 40,155 with a word per entry, and 60,487
+   when each instance allocated three buffers per scanner, the
    bookkeeping and n initial views.  The ceiling sits 2% above, below
    what one more per-instance n x n buffer (4,160 words) costs.  The
    run is deterministic, so the count repeats exactly. *)
@@ -590,8 +613,8 @@ let test_esnap_words_per_decision_bounded () =
   let m0 = Gc.minor_words () in
   decide 11;
   let words = Gc.minor_words () -. m0 in
-  if words > 41_000.0 then
-    Alcotest.failf "esnap n=64: minor words per decision %.0f > 41000" words
+  if words > 33_700.0 then
+    Alcotest.failf "esnap n=64: minor words per decision %.0f > 33700" words
 
 (* A reused-arena n=64 decision started with 24k words left in the
    minor heap.  Left alone, the heap overflows once the instance and

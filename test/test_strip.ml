@@ -3,10 +3,11 @@ open Bprc_strip
 let rng seed = Bprc_rng.Splitmix.create ~seed
 
 (* The protocol's decode path: adopt rows with [set_rows], decode with
-   [to_graph_into] into a scratch graph. *)
+   [to_graph_into] into a scratch graph.  [rows] are int arrays, as the
+   oracles and the literals below write them. *)
 let counters_of_rows ~k rows =
   let ec = Edge_counters.create ~k ~n:(Array.length rows) in
-  Edge_counters.set_rows ec rows;
+  Edge_counters.set_rows ec (Strip_rows.matrix_of_ints rows);
   ec
 
 let graph_of ec =
@@ -271,26 +272,27 @@ let test_counters_stay_bounded () =
   Array.iter
     (Array.iter (fun x ->
          if x < 0 || x >= 6 then Alcotest.failf "counter %d out of [0,3K)" x))
-    (Edge_counters.rows c)
+    (Strip_rows.matrix_to_ints (Edge_counters.rows c))
 
 let test_counters_set_row_validation () =
   let c () = Edge_counters.create ~k:2 ~n:2 in
+  let rows = Strip_rows.matrix_of_ints in
   Alcotest.check_raises "range check"
     (Invalid_argument "Edge_counters.set_row: counter out of range") (fun () ->
-      Edge_counters.set_rows (c ()) [| [| 0; 6 |]; [| 0; 0 |] |]);
+      Edge_counters.set_rows (c ()) (rows [| [| 0; 6 |]; [| 0; 0 |] |]));
   Alcotest.check_raises "row length check"
     (Invalid_argument "Edge_counters.set_row: not square") (fun () ->
-      Edge_counters.set_rows (c ()) [| [| 0 |]; [| 0; 0 |] |]);
+      Edge_counters.set_rows (c ()) (rows [| [| 0 |]; [| 0; 0 |] |]));
   Alcotest.check_raises "row count check"
     (Invalid_argument "Edge_counters.set_rows: not square") (fun () ->
-      Edge_counters.set_rows (c ()) [| [| 0; 0 |] |]);
+      Edge_counters.set_rows (c ()) (rows [| [| 0; 0 |] |]));
   Alcotest.check_raises "row index check"
     (Invalid_argument "Edge_counters.set_row: no such row") (fun () ->
-      Edge_counters.set_row (c ()) 2 [| 0; 0 |]);
+      Edge_counters.set_row (c ()) 2 (Strip_rows.of_ints [| 0; 0 |]));
   (* Even an empty row never adopted before is checked. *)
   Alcotest.check_raises "set_row empty row"
     (Invalid_argument "Edge_counters.set_row: not square") (fun () ->
-      Edge_counters.set_row (c ()) 0 [||])
+      Edge_counters.set_row (c ()) 0 Bytes.empty)
 
 let test_counters_leader_never_runs_away () =
   (* A single process inc'ing forever saturates at lead K over everyone
@@ -450,7 +452,7 @@ let test_counters_wrap_boundaries_with_compression () =
           (Array.iter (fun x ->
                if x < 0 || x >= cyc then
                  Alcotest.failf "k=%d: pointer %d outside [0,3K)" k x))
-          (Edge_counters.rows counters);
+          (Strip_rows.matrix_to_ints (Edge_counters.rows counters));
         let a = Edge_counters.decode_pair counters 0 1 in
         if a > k && a < 2 * k then
           Alcotest.failf "k=%d: pair (0,1) decoded into forbidden band (%d)" k a;
@@ -503,9 +505,76 @@ let test_counters_wrap_boundaries_with_compression () =
       done)
     [ 1; 2; 3 ]
 
+(* Every counter lies in [0, 3K) and is stored in one byte, so the
+   strip takes K up to 85 and refuses K = 86 rather than wrap a
+   counter; a weight is one signed byte, so [of_positions] takes K up
+   to 127. *)
+let test_counters_k_fits_a_byte () =
+  ignore (Edge_counters.create ~k:85 ~n:2 : Edge_counters.t);
+  ignore (Distance_graph.create_scratch ~k:85 ~n:2 : Distance_graph.t);
+  Alcotest.check_raises "counters at K=86"
+    (Invalid_argument "Edge_counters.create: k above 85 does not fit a byte")
+    (fun () -> ignore (Edge_counters.create ~k:86 ~n:2 : Edge_counters.t));
+  Alcotest.check_raises "scratch graph at K=86"
+    (Invalid_argument
+       "Distance_graph.create_scratch: k above 85 does not fit a byte")
+    (fun () ->
+      ignore (Distance_graph.create_scratch ~k:86 ~n:2 : Distance_graph.t));
+  Alcotest.(check int) "weight 127" 127
+    (Distance_graph.weight
+       (Distance_graph.of_positions ~k:127 [| 500; 0 |])
+       0 1);
+  Alcotest.check_raises "positions at K=128"
+    (Invalid_argument
+       "Distance_graph.of_positions: k above 127 does not fit a byte")
+    (fun () ->
+      ignore
+        (Distance_graph.of_positions ~k:128 [| 1; 0 |] : Distance_graph.t));
+  (* The top counter value 3K - 1 = 254 round-trips, and one past it is
+     refused. *)
+  let c = Edge_counters.create ~k:85 ~n:2 in
+  Edge_counters.set_rows c
+    (Strip_rows.matrix_of_ints [| [| 0; 254 |]; [| 254; 0 |] |]);
+  Alcotest.(check int) "level at the top value" 0
+    (Edge_counters.decode_pair c 0 1);
+  Alcotest.check_raises "counter 3K"
+    (Invalid_argument "Edge_counters.set_row: counter out of range") (fun () ->
+      Edge_counters.set_row c 0 (Strip_rows.of_ints [| 0; 255 |]))
+
+(* A published row is its own bytes: a row [inc_row_with] returned
+   stays as it was while the counters it came from adopt other rows
+   and advance in place, and at n = 128 it takes n/8 words of payload
+   plus a header and the padding word. *)
+let test_published_row_layout () =
+  let k = 2 and n = 4 in
+  let c = Edge_counters.create ~k ~n in
+  Edge_counters.apply_inc c 1;
+  let g = graph_of c in
+  let row = Edge_counters.inc_row_with c ~graph:g 0 in
+  let kept = Bytes.copy row in
+  Edge_counters.set_row c 0 row;
+  for i = 0 to (3 * k * n) - 1 do
+    Edge_counters.apply_inc c (i mod n)
+  done;
+  Edge_counters.set_row c 0 (Strip_rows.of_ints [| 0; 5; 5; 5 |]);
+  Edge_counters.apply_inc c 0;
+  Alcotest.(check (array int)) "published row unchanged"
+    (Strip_rows.to_ints kept) (Strip_rows.to_ints row);
+  let n = 128 in
+  let c = Edge_counters.create ~k ~n in
+  let row = Edge_counters.inc_row_with c ~graph:(graph_of c) 0 in
+  Alcotest.(check int) "one byte per counter" n (Bytes.length row);
+  let words = Obj.reachable_words (Obj.repr row) in
+  if words > ((n + 7) / 8) + 2 then
+    Alcotest.failf "an n=128 row takes %d words" words
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "counters: K fits a byte" `Quick
+        test_counters_k_fits_a_byte;
+      Alcotest.test_case "counters: published row layout" `Quick
+        test_published_row_layout;
       Alcotest.test_case "counters: forbidden band" `Quick
         test_counters_forbidden_band;
       Alcotest.test_case "counters: wrapped decode" `Quick
@@ -552,7 +621,7 @@ let graphs_agree ~ctx g gr =
    one [edge]/[on_max_path]/[weight] query per pair. *)
 let advance_row_agrees ~ctx g gr i =
   let n = Distance_graph.n g and k = Distance_graph.k g in
-  let row = Array.make n 0 in
+  let row = Bytes.make n '\000' in
   Distance_graph.advance_row g i row;
   for j = 0 to n - 1 do
     let want =
@@ -561,9 +630,9 @@ let advance_row_agrees ~ctx g gr i =
          || (Distance_graph_ref.edge gr i j
             && Distance_graph_ref.weight gr i j < k))
     in
-    if row.(j) <> Bool.to_int want then
+    if Bytes.get_uint8 row j <> Bool.to_int want then
       Alcotest.failf "%s: advance_row %d, pair %d: flat %d, ref %b" ctx i j
-        row.(j) want
+        (Bytes.get_uint8 row j) want
   done
 
 let leaders_agree ~ctx g gr =
@@ -616,7 +685,10 @@ let max_path_queries_agree ~ctx ?pairs g gr r =
 
 let counters_agree ~ctx flat refc =
   let n = Edge_counters.n flat in
-  if Edge_counters.rows flat <> Edge_counters_ref.rows refc then
+  if
+    Strip_rows.matrix_to_ints (Edge_counters.rows flat)
+    <> Edge_counters_ref.rows refc
+  then
     Alcotest.failf "%s: rows diverge" ctx;
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -637,7 +709,7 @@ let counters_agree ~ctx flat refc =
    refilled decode must agree.  Returns the reference's decode. *)
 let lockstep_move ~ctx ~via_apply flat g refc i =
   let row_f = Edge_counters.inc_row_with flat ~graph:g i in
-  if row_f <> Edge_counters_ref.inc_row refc i then
+  if Strip_rows.to_ints row_f <> Edge_counters_ref.inc_row refc i then
     Alcotest.failf "%s: inc_row_with diverges" ctx;
   if via_apply then Edge_counters.apply_inc flat i
   else Edge_counters.set_row flat i row_f;
@@ -756,7 +828,7 @@ let test_diff_counters_stale_views () =
       max_path_queries_agree ~ctx g gr r;
       for i = 0 to n - 1 do
         if
-          Edge_counters.inc_row_with flat ~graph:g i
+          Strip_rows.to_ints (Edge_counters.inc_row_with flat ~graph:g i)
           <> Edge_counters_ref.inc_row refc i
         then Alcotest.failf "%s: inc_row_with %d diverges" ctx i
       done
@@ -785,7 +857,8 @@ let test_diff_graph_arbitrary () =
     let wts = Distance_graph.weights g in
     Array.iteri
       (fun i ->
-        Array.iteri (fun j -> Option.iter (fun x -> wts.((i * n) + j) <- x)))
+        Array.iteri (fun j ->
+            Option.iter (fun x -> Bytes.set_int8 wts ((i * n) + j) x)))
       w;
     Distance_graph.invalidate g;
     let gr =
@@ -862,6 +935,9 @@ let suite =
    which must raise [set_row]'s or [to_graph_into]'s message, after
    which the next valid refill must again agree with the reference.
 
+   The view holds the strip's byte rows, so that the physically shared
+   ones hit [set_row]'s skip; the reference gets int copies.
+
    The reference prices [inc_row] and [dist] at O(n^4) and O(n^3), so
    up to n = 8 every process's row and every pair's [dist_ge] are
    compared at every step; wider, one random process's row and one
@@ -872,10 +948,14 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
   let old_rows = ref (Edge_counters_ref.rows live) in
   let scratch = Edge_counters.create ~k ~n in
   let g_scr = Distance_graph.create_scratch ~k ~n in
-  let view = Edge_counters_ref.rows live in
+  let view = Strip_rows.matrix_of_ints (Edge_counters_ref.rows live) in
   let pick p =
-    if Bprc_rng.Splitmix.bool r then (Edge_counters_ref.rows live).(p)
-    else Array.copy !old_rows.(p)
+    Strip_rows.of_ints
+      (if Bprc_rng.Splitmix.bool r then (Edge_counters_ref.rows live).(p)
+       else !old_rows.(p))
+  in
+  let ref_of rows =
+    Edge_counters_ref.of_rows ~k (Strip_rows.matrix_to_ints rows)
   in
   let raised f =
     match f () with () -> None | exception Invalid_argument m -> Some m
@@ -900,7 +980,7 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
         done
       | 2 ->
         let p = Bprc_rng.Splitmix.int r n in
-        view.(p) <- Array.copy view.(p)
+        view.(p) <- Bytes.copy view.(p)
       | 3 ->
         for p = 0 to n - 1 do
           if Bprc_rng.Splitmix.int r 4 = 0 then view.(p) <- pick p
@@ -912,15 +992,14 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
         (* One broken row for one step; [view] itself stays intact. *)
         let p = Bprc_rng.Splitmix.int r n in
         let q = (p + 1) mod n in
-        let bad = Array.copy view.(p) in
+        let bad = Bytes.copy view.(p) in
         let undecodable = k >= 2 && Bprc_rng.Splitmix.bool r in
-        bad.(q) <-
-          (if undecodable then (view.(q).(p) + k + 1) mod (3 * k) else 3 * k);
+        Bytes.set_uint8 bad q
+          (if undecodable then (Bytes.get_uint8 view.(q) p + k + 1) mod (3 * k)
+           else 3 * k);
         let broken = Array.copy view in
         broken.(p) <- bad;
-        (match
-           Edge_counters_ref.to_graph (Edge_counters_ref.of_rows ~k broken)
-         with
+        (match Edge_counters_ref.to_graph (ref_of broken) with
         | _ -> Alcotest.failf "%s: reference accepts broken row %d" ctx p
         | exception Invalid_argument _ -> ());
         let want =
@@ -940,7 +1019,7 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
     end;
     let mixed = Array.copy view in
     Edge_counters.set_rows scratch mixed;
-    let refc = Edge_counters_ref.of_rows ~k mixed in
+    let refc = ref_of mixed in
     counters_agree ~ctx scratch refc;
     if Edge_counters.valid scratch then begin
       Edge_counters.to_graph_into scratch g_scr;
@@ -959,7 +1038,8 @@ let diff_into_walk ?(incremental = false) ~k ~n ~steps ~seed ~sample () =
       List.iter
         (fun p ->
           if
-            Edge_counters.inc_row_with scratch ~graph:g_scr p
+            Strip_rows.to_ints
+              (Edge_counters.inc_row_with scratch ~graph:g_scr p)
             <> Edge_counters_ref.inc_row refc p
           then Alcotest.failf "%s: inc_row_with %d diverges" ctx p)
         sources
@@ -1161,11 +1241,13 @@ let explore_game ~exact ~split ~k ~n =
     | None -> None
     | Some st ->
       let m = rows (Array.sub st 0 nn) in
-      Edge_counters.set_rows ec m;
+      Edge_counters.set_rows ec (Strip_rows.matrix_of_ints m);
       if not (sound_decode ~exact ec graph) then Some (path st [], m)
       else begin
         for i = 0 to n - 1 do
-          let row = Edge_counters.inc_row_with ec ~graph i in
+          let row =
+            Strip_rows.to_ints (Edge_counters.inc_row_with ec ~graph i)
+          in
           if not split then begin
             let st' = Array.copy st in
             Array.blit row 0 st' (i * n) n;
@@ -1273,13 +1355,14 @@ let suite =
 let check_advance_rows ctx ec =
   let n = Edge_counters.n ec in
   let refc =
-    Edge_counters_ref.of_rows ~k:(Edge_counters.k ec) (Edge_counters.rows ec)
+    Edge_counters_ref.of_rows ~k:(Edge_counters.k ec)
+      (Strip_rows.matrix_to_ints (Edge_counters.rows ec))
   in
   let positional = Distance_graph.reconstruct_into (graph_of ec) in
   let corrupt = ref 0 in
   for i = 0 to n - 1 do
     let g = graph_of ec in
-    let got = Edge_counters.inc_row_with ec ~graph:g i in
+    let got = Strip_rows.to_ints (Edge_counters.inc_row_with ec ~graph:g i) in
     Alcotest.(check (array int))
       (Printf.sprintf "%s: row %d" ctx i)
       (Edge_counters_ref.inc_row refc i)
@@ -1330,7 +1413,9 @@ let test_advance_row_matches_queries () =
           pending.(i) <- None
         | _ ->
           pending.(i) <-
-            Some (Edge_counters.inc_row_with ec ~graph:(graph_of ec) i));
+            Some
+              (Strip_rows.to_ints
+                 (Edge_counters.inc_row_with ec ~graph:(graph_of ec) i)));
         go (step + 1)
       end
     in

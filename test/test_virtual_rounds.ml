@@ -78,10 +78,11 @@ let rows_follow_own_scans ~n ~coin_mode ~seed ~adversary name =
       | Some (prev : Virtual_rounds.obs) ->
         let row = o.rows.(p) in
         if
-          row <> prev.rows.(p)
-          && row
+          (not (Bytes.equal row prev.rows.(p)))
+          && Strip_rows.to_ints row
              <> Edge_counters_ref.inc_row
-                  (Edge_counters_ref.of_rows ~k prev.rows)
+                  (Edge_counters_ref.of_rows ~k
+                     (Strip_rows.matrix_to_ints prev.rows))
                   p
         then
           Alcotest.failf
@@ -119,7 +120,7 @@ let test_checker_flags_incomparable () =
     {
       Virtual_rounds.spid;
       ghosts;
-      rows = [| [| 0; 0 |]; [| 0; 0 |] |];
+      rows = Strip_rows.matrix_of_ints [| [| 0; 0 |]; [| 0; 0 |] |];
     }
   in
   match
@@ -134,7 +135,9 @@ let test_checker_flags_incomparable () =
    names the last of them. *)
 let test_checker_flags_decrease () =
   let ob spid ghosts rows = { Virtual_rounds.spid; ghosts; rows } in
-  let z = [| 0; 0; 0 |] and lead = [| 0; 1; 1 |] and behind = [| 5; 0; 0 |] in
+  let z = Strip_rows.of_ints [| 0; 0; 0 |]
+  and lead = Strip_rows.of_ints [| 0; 1; 1 |]
+  and behind = Strip_rows.of_ints [| 5; 0; 0 |] in
   match
     Virtual_rounds.check ~k:2 ~n:3
       [
