@@ -65,6 +65,6 @@ let () =
   Fmt.pr
     "@.the explorer exhibits both classic failures: waiting on flags alone@.\
      can deadlock (both flags up), and not waiting breaks mutual exclusion.@.\
-     The same machinery verifies this repository's register constructions@.\
+     The same machinery verifies this repository's registers@.\
      and snapshot objects exhaustively (see test/).@.";
   if stats.step_limited = 0 || violations' = 0 then exit 1

@@ -34,7 +34,6 @@ let program (scenario : Scenario.t) ~n =
   | Consensus ->
     Config.consensus_prog ~lin:false ~params:Bprc_core.Params.default
       ~inputs:(Bprc_harness.Run.inputs_of_pattern Split ~n ~seed:0)
-  | Net _ -> invalid_arg "Hunt.program: a message-passing scenario"
 
 (* [label] prefixes a failure, and [exhausted] is what a run reports
    when it spends its step budget with every check passing.  A recording
@@ -42,54 +41,49 @@ let program (scenario : Scenario.t) ~n =
    [Adversary.scripted] replays (pid sets then match positionally, not
    by value), and every coin flip in draw order. *)
 let exec (scenario : Scenario.t) ~n =
-  let on_simulator ~max_steps ~label ~exhausted =
-    let program = program scenario ~n in
-    fun ~seed ~plan ~mode ->
-      let choices = Vec.create () and flips = Vec.create () in
-      let random = Adversary.random () in
-      let recorder =
-        Adversary.make ~name:("recorded:" ^ random.name) (fun ctx ->
-            let pid = random.choose ctx in
-            let idx = ref 0 in
-            Array.iteri (fun i p -> if p = pid then idx := i) ctx.runnable;
-            Vec.push choices !idx;
-            pid)
-      in
-      let sim = Sim.create ~seed ~max_steps ~n ~adversary:recorder () in
-      (match mode with
-      | Record -> Sim.set_flip_observer sim (fun ~pid:_ b -> Vec.push flips b)
-      | Replay { choices; flips } ->
-        let fallback = Splitmix.create ~seed:(seed lxor 0x5eed) in
-        Explorer.scripted sim ~choices ~flips ~fallback:random
-          ~flip_fallback:(fun () -> Splitmix.bool fallback));
-      let check = program ~plan sim in
-      let completed =
-        Inject.drive sim ~driver:(Inject.driver ~n plan) ~max_steps
-      in
-      let failure =
-        match check () with
-        | Error e -> Some (label ^ ": " ^ e)
-        | Ok () -> if completed then None else Some (label ^ ": " ^ exhausted)
-      in
-      {
-        failure;
-        clock = Sim.clock sim;
-        choices = Vec.to_list choices;
-        flips = Vec.to_list flips;
-      }
+  let max_steps, label, exhausted =
+    match scenario.system with
+    | Snapshot ->
+      ( 200_000,
+        "snapshot",
+        "step budget exhausted (scan retries not caused by new writes?)" )
+    | Consensus ->
+      (400_000, "consensus", "step budget exhausted before survivors decided")
   in
-  match scenario.system with
-  | Net { exec; _ } ->
-    fun ~seed ~plan ~mode:_ ->
-      let failure, clock = exec ~n ~seed ~plan in
-      { failure; clock; choices = []; flips = [] }
-  | Snapshot ->
-    on_simulator ~max_steps:200_000 ~label:"snapshot"
-      ~exhausted:
-        "step budget exhausted (scan retries not caused by new writes?)"
-  | Consensus ->
-    on_simulator ~max_steps:400_000 ~label:"consensus"
-      ~exhausted:"step budget exhausted before survivors decided"
+  let program = program scenario ~n in
+  fun ~seed ~plan ~mode ->
+    let choices = Vec.create () and flips = Vec.create () in
+    let random = Adversary.random () in
+    let recorder =
+      Adversary.make ~name:("recorded:" ^ random.name) (fun ctx ->
+          let pid = random.choose ctx in
+          let idx = ref 0 in
+          Array.iteri (fun i p -> if p = pid then idx := i) ctx.runnable;
+          Vec.push choices !idx;
+          pid)
+    in
+    let sim = Sim.create ~seed ~max_steps ~n ~adversary:recorder () in
+    (match mode with
+    | Record -> Sim.set_flip_observer sim (fun ~pid:_ b -> Vec.push flips b)
+    | Replay { choices; flips } ->
+      let fallback = Splitmix.create ~seed:(seed lxor 0x5eed) in
+      Explorer.scripted sim ~choices ~flips ~fallback:random
+        ~flip_fallback:(fun () -> Splitmix.bool fallback));
+    let check = program ~plan sim in
+    let completed =
+      Inject.drive sim ~driver:(Inject.driver ~n plan) ~max_steps
+    in
+    let failure =
+      match check () with
+      | Error e -> Some (label ^ ": " ^ e)
+      | Ok () -> if completed then None else Some (label ^ ": " ^ exhausted)
+    in
+    {
+      failure;
+      clock = Sim.clock sim;
+      choices = Vec.to_list choices;
+      flips = Vec.to_list flips;
+    }
 
 let sequential_map f idxs = List.map f idxs
 
@@ -140,9 +134,6 @@ let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
     ~trials ~seed ~n () =
   if trials < 0 then invalid_arg "Hunt.run: negative trial count";
   if batch <= 0 then invalid_arg "Hunt.run: batch must be positive";
-  Result.iter_error
-    (fun e -> invalid_arg ("Hunt.run: " ^ e))
-    (Scenario.check_n scenario ~n);
   let exec = exec scenario ~n in
   let t0 = Unix.gettimeofday () in
   let out_of_budget () =

@@ -35,8 +35,8 @@ type mode = Record | Replay of { choices : int list; flips : bool list }
 
 type result = {
   failure : string option;  (** [None] = run satisfied all properties *)
-  clock : int;  (** final simulator clock / event count *)
-  choices : int list;  (** recorded choices (recorded simulator runs) *)
+  clock : int;  (** final simulator clock *)
+  choices : int list;  (** recorded choices (recording runs) *)
   flips : bool list;  (** recorded flips (likewise) *)
 }
 
@@ -47,8 +47,8 @@ val exec :
   plan:Bprc_faults.Fault_plan.t ->
   mode:mode ->
   result
-(** One run, a pure function of its arguments.  A simulator system
-    runs {!program}, recording its choices and flips or replaying them
+(** One run, a pure function of its arguments.  It runs {!program},
+    recording its choices and flips or replaying them
     ({!Explorer.scripted}), fires the plan's crashes and stalls, and
     reports the program's verdict or an exhausted step budget.  Apply
     [scenario] and [~n] once: each application builds the program. *)
@@ -58,8 +58,7 @@ val program :
 (** The hunt's size of a simulator system: three update-then-scan
     rounds per process, or split inputs under default parameters.
     Linearizability is off, since a crashed process's operation is
-    missing from the history.
-    @raise Invalid_argument on a message-passing system. *)
+    missing from the history. *)
 
 val replay_script : scenario:Scenario.t -> Script.t -> result
 (** Re-execute a script under its scenario (deterministic). *)
@@ -75,5 +74,4 @@ val run :
   unit ->
   outcome
 (** [batch] (default 64) is the fan-out unit; the budget is checked
-    between batches, so a budget overshoot is at most one batch.
-    @raise Invalid_argument when {!Scenario.check_n} refuses [n]. *)
+    between batches, so a budget overshoot is at most one batch. *)

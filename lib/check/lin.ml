@@ -13,13 +13,13 @@ let max_events = 62
 (* Memo table for the failed (linearized-set, state) pairs of one
    [check] call, reused across calls: the explorer checks one short
    history per explored schedule, and even a 16-bucket table per call
-   is measurable at that rate.  Per-domain because [bprc hunt
-   --workers] runs the ABD scenario's checks on pool domains that
-   share one checker module, and [Hashtbl.reset] between checks,
-   which also shrinks a table grown by an unusually deep search back
-   to its initial size.  One key serves every application of {!Make}:
-   a key per application would take a process-wide index and leave
-   every domain that checks with a table it never frees.  So the keys
+   is measurable at that rate.  Per-domain so that checks run at once
+   on several domains (a caller mapping them over a pool) never share
+   a table, and [Hashtbl.reset] between checks, which also shrinks a
+   table grown by an unusually deep search back to its initial size.
+   One key serves every application of {!Make}: a key per application
+   would take a process-wide index and leave every domain that checks
+   with a table it never frees.  So the keys
    hold states erased to [Obj.t]; each check resets the table before
    its first lookup, so states of two specs never meet, and the table
    hashes and compares them structurally as it would typed ones. *)

@@ -15,10 +15,9 @@
     The search is the Wing–Gong depth-first enumeration of next-minimal
     operations with memoization of failed [(linearized-set, state)]
     pairs.  Worst-case exponential, fine for the bounded explorer's
-    histories and the hunt's ABD histories (a few dozen operations).
-    It is the repository's one linearizability checker: the explorer
-    configurations, the ABD hunt scenario and the register tests all
-    use it. *)
+    histories (a few dozen operations).  It is the repository's one
+    linearizability checker: the explorer configurations and the
+    register and checker tests all use it. *)
 
 module type SPEC = sig
   type state

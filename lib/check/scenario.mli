@@ -5,20 +5,11 @@
     comes from the plan's [Weaken] faults, so [snapshot] and
     [snapshot-unsafe] differ only in their plans.  Each driver sizes its
     own program of a system: {!Config}'s entries for the explorer, and
-    {!Hunt.program} for the hunt.  Only ABD, on the message-passing
-    simulator, keeps its program here. *)
+    {!Hunt.program} for the hunt. *)
 
 type system =
   | Snapshot  (** the §2 handshake snapshot: P1–P3 *)
   | Consensus  (** ADS89: agreement, validity, survivor termination *)
-  | Net of {
-      exec :
-        n:int -> seed:int -> plan:Bprc_faults.Fault_plan.t ->
-        string option * int;  (** failure, if any, and event count *)
-      ops_per_process : int;  (** operations each adds to the history *)
-    }
-      (** a message-passing run, deterministic in the seed alone: it
-          records nothing, and a replay re-executes it *)
 
 type t = {
   name : string;
@@ -39,16 +30,6 @@ val snapshot_unsafe : t
 (** {!snapshot} with every register weakened to safe semantics — the
     deliberately injected bug used by the end-to-end capture/replay/
     shrink acceptance test.  Expected to fail quickly. *)
-
-val abd : t
-(** ABD quorum registers under drop/duplicate/delay link faults:
-    linearizability of the completed-operation history ({!Lin} with
-    {!Specs.Register}) always; termination additionally when the plan
-    loses no message ([Delay]-only plans). *)
-
-val check_n : t -> n:int -> (unit, string) result
-(** [Error], naming {!Lin.max_events}, when the scenario's history at
-    [n] processes is too long to check. *)
 
 val registry : t list
 val names : string list

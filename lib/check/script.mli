@@ -3,11 +3,10 @@
 
     The header names the scenario and its size, the simulator seed, the
     hunt trial and the fault plan; the schedule is the full sequence of
-    adversary choices and coin flips recorded during the failing run
-    (empty for message-passing scenarios, which are deterministic in
-    the seed alone), with the [failure] and [clock] a replay must
-    reproduce.  The codec is {!Witness}'s; the JSON schema is
-    documented in EXPERIMENTS.md ("Hunt scripts"). *)
+    adversary choices and coin flips recorded during the failing run,
+    with the [failure] and [clock] a replay must reproduce.  The codec
+    is {!Witness}'s; the JSON schema is documented in EXPERIMENTS.md
+    ("Hunt scripts"). *)
 
 type header = {
   scenario : string;

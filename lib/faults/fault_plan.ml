@@ -6,9 +6,6 @@ type fault =
   | Crash of { pid : int; at_step : int }
   | Stall of { pid : int; at_step : int; steps : int }
   | Weaken of { index : int; semantics : semantics }
-  | Drop of { nth : int }
-  | Duplicate of { nth : int }
-  | Delay of { nth : int; by : int }
 
 type t = fault list
 
@@ -28,9 +25,6 @@ let weaken_target plan ~index =
       | _ -> acc)
     None plan
 
-let liveness_threatening plan =
-  List.exists (function Drop _ | Duplicate _ -> true | _ -> false) plan
-
 let fault_to_json = function
   | Crash { pid; at_step } ->
     Json.Obj
@@ -44,13 +38,6 @@ let fault_to_json = function
     Json.Obj
       [ ("fault", Json.Str "weaken"); ("index", Json.Int index);
         ("semantics", Json.Str (semantics_to_string semantics)) ]
-  | Drop { nth } -> Json.Obj [ ("fault", Json.Str "drop"); ("nth", Json.Int nth) ]
-  | Duplicate { nth } ->
-    Json.Obj [ ("fault", Json.Str "duplicate"); ("nth", Json.Int nth) ]
-  | Delay { nth; by } ->
-    Json.Obj
-      [ ("fault", Json.Str "delay"); ("nth", Json.Int nth);
-        ("by", Json.Int by) ]
 
 let ( let* ) = Result.bind
 
@@ -79,16 +66,6 @@ let fault_of_json j =
       | None -> Error "fault: missing \"semantics\""
     in
     Ok (Weaken { index; semantics })
-  | Some "drop" ->
-    let* nth = field_int j "nth" in
-    Ok (Drop { nth })
-  | Some "duplicate" ->
-    let* nth = field_int j "nth" in
-    Ok (Duplicate { nth })
-  | Some "delay" ->
-    let* nth = field_int j "nth" in
-    let* by = field_int j "by" in
-    Ok (Delay { nth; by })
   | Some tag -> Error (Printf.sprintf "fault: unknown kind %S" tag)
 
 let to_json plan = Json.Arr (List.map fault_to_json plan)
@@ -112,9 +89,6 @@ let pp_fault ppf = function
     Fmt.pf ppf "weaken(%s->%s)"
       (if index = -1 then "all" else Printf.sprintf "r%d" index)
       (semantics_to_string semantics)
-  | Drop { nth } -> Fmt.pf ppf "drop(m%d)" nth
-  | Duplicate { nth } -> Fmt.pf ppf "dup(m%d)" nth
-  | Delay { nth; by } -> Fmt.pf ppf "delay(m%d by %d)" nth by
 
 let pp ppf plan =
   if plan = [] then Fmt.string ppf "(no faults)"

@@ -1,11 +1,10 @@
 (** Declarative, serializable fault plans.
 
-    A plan is a list of faults to inject into one run.  Process faults
-    ([Crash]/[Stall]) and register weakening apply to the shared-memory
-    simulator {!Bprc_runtime.Sim}; link faults ([Drop]/[Duplicate]/
-    [Delay]) apply to {!Bprc_netsim.Netsim} runs.  Plans round-trip
-    through JSON (see {!to_json}) so counterexample scripts can be
-    saved, replayed and shrunk. *)
+    A plan is a list of faults to inject into one run of the
+    shared-memory simulator {!Bprc_runtime.Sim}: process faults
+    ([Crash]/[Stall]) and register weakening.  Plans round-trip through
+    JSON (see {!to_json}) so counterexample scripts can be saved,
+    replayed and shrunk. *)
 
 type semantics =
   | Safe
@@ -25,21 +24,12 @@ type fault =
   | Weaken of { index : int; semantics : semantics }
       (** downgrade the [index]-th register (in allocation order;
           [-1] = every register) from atomic to the given semantics *)
-  | Drop of { nth : int }  (** lose the [nth] transmission of the run *)
-  | Duplicate of { nth : int }  (** deliver it twice *)
-  | Delay of { nth : int; by : int }  (** hold it for [by] events *)
 
 type t = fault list
 
 val weaken_target : t -> index:int -> semantics option
 (** The semantics the plan assigns to register [index], if weakened
     (last matching fault wins; a [-1] fault matches every index). *)
-
-val liveness_threatening : t -> bool
-(** [true] when the plan contains [Drop] or [Duplicate] faults, which
-    may legitimately destroy liveness of quorum protocols (lost
-    acknowledgements / premature termination); scenarios then check
-    safety only. *)
 
 val to_json : t -> Bprc_util.Json.t
 val of_json : Bprc_util.Json.t -> (t, string) result

@@ -211,23 +211,3 @@ let drive sim ~driver ~max_steps =
       | Some Sim.Hit_step_limit | None -> go ()
   in
   go ()
-
-(* ------------------------------------------------------------------ *)
-(* Link faults                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let net_hook (plan : Fault_plan.t) =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Fault_plan.Drop { nth } -> Hashtbl.replace tbl nth Bprc_netsim.Netsim.Drop
-      | Fault_plan.Duplicate { nth } ->
-        Hashtbl.replace tbl nth Bprc_netsim.Netsim.Duplicate
-      | Fault_plan.Delay { nth; by } ->
-        Hashtbl.replace tbl nth (Bprc_netsim.Netsim.Delay by)
-      | _ -> ())
-    plan;
-  fun ~nth ~src:_ ~dst:_ ->
-    match Hashtbl.find_opt tbl nth with
-    | Some a -> a
-    | None -> Bprc_netsim.Netsim.Pass

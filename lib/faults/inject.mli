@@ -1,15 +1,13 @@
-(** Applying a {!Fault_plan} to the two simulators.
+(** Applying a {!Fault_plan} to the simulator.
 
-    Three independent mechanisms:
+    Two independent mechanisms:
 
     - {!weaken_runtime} wraps a {!Bprc_runtime.Runtime_intf.S} so that
       plan-targeted registers behave as regular or safe registers
       instead of atomic ones (registers are identified by allocation
       order, which is deterministic for a given algorithm and [n]);
     - {!driver}/{!fire}/{!drive} fire [Crash] and [Stall] faults when
-      the targeted process reaches its trigger step count;
-    - {!net_hook} compiles the plan's link faults into a
-      {!Bprc_netsim.Netsim.Make.set_fault_hook} callback. *)
+      the targeted process reaches its trigger step count. *)
 
 open Bprc_runtime
 
@@ -51,7 +49,3 @@ val drive : Sim.t -> driver:driver -> max_steps:int -> bool
     proceeds in {!Sim.run_to} stretches up to the earliest clock at
     which a pending fault can next fall due.  Returns [false] if
     [max_steps] (capped at the arena's own bound) was reached first. *)
-
-val net_hook :
-  Fault_plan.t -> nth:int -> src:int -> dst:int -> Bprc_netsim.Netsim.fault_action
-(** Link-fault lookup keyed on the global send ordinal. *)

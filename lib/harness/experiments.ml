@@ -791,72 +791,6 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
 
 (* ------------------------------------------------------------------ *)
 
-let e14_network_consensus ?(quick = false) ?pool () =
-  let trials = scale quick 12 in
-  let root = Bprc_rng.Splitmix.create ~seed:0xE14 in
-  let rows =
-    List.mapi
-      (fun c n ->
-        let runs =
-          samples ?pool ~base:(Bprc_rng.Splitmix.fork root c) ~trials
-            (fun rng ->
-              let seed = seed_of rng in
-              let t = Bprc_netsim.Abd.create ~seed ~max_events:50_000_000 ~n () in
-              let module C = Bprc_core.Ads89.Make ((val Bprc_netsim.Abd.runtime t)) in
-              let cons = C.create () in
-              let inputs = Run.inputs_of_pattern Run.Random_inputs ~n ~seed in
-              let handles =
-                Array.init n (fun i ->
-                    Bprc_netsim.Abd.spawn_client t (fun () ->
-                        C.run cons ~input:inputs.(i)))
-              in
-              match Bprc_netsim.Abd.run t with
-              | `Completed ->
-                let decisions = Array.map Bprc_netsim.Abd.result handles in
-                if Bprc_core.Spec.check ~inputs ~decisions <> Ok () then
-                  `Failure
-                else
-                  `Completed
-                    ( float_of_int (Bprc_netsim.Abd.events t),
-                      float_of_int (Bprc_netsim.Abd.messages_sent t),
-                      float_of_int (Bprc_netsim.Abd.quorum_ops t) )
-              | `Deadlock | `Event_limit -> `Failure)
-        in
-        let completed =
-          collect
-            (function `Completed (e, m, q) -> Some (e, m, q) | `Failure -> None)
-            runs
-        in
-        let events = List.map (fun (e, _, _) -> e) completed in
-        let messages = List.map (fun (_, m, _) -> m) completed in
-        let quorums = List.map (fun (_, _, q) -> q) completed in
-        let failures = count (fun r -> r = `Failure) runs in
-        [
-          i n;
-          i (List.length events);
-          f (Stats.mean events);
-          f (Stats.mean messages);
-          f (Stats.mean quorums);
-          i failures;
-        ])
-      [ 2; 3; 4 ]
-  in
-  Table.make ~id:"E14"
-    ~title:"Consensus over an asynchronous network (ABD-emulated registers)"
-    ~columns:
-      [ "n"; "completed"; "mean net events"; "mean messages"; "mean quorum phases"; "failures" ]
-    ~notes:
-      [
-        "The shared-memory protocol runs unchanged over quorum-replicated";
-        "registers on a message-passing simulation (Attiya-Bar-Noy-Dolev";
-        "emulation): every register step becomes Θ(n) messages, so costs";
-        "multiply by roughly n·(round trips) relative to E5's step counts;";
-        "correctness is untouched (failures must be 0).";
-      ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-
 let e15_crash_tolerance ?(quick = false) ?pool () =
   let n = 5 in
   let trials = scale quick 48 in
@@ -973,7 +907,6 @@ let registry =
     ("E11", e11_delta_ablation);
     ("E12", e12_k_ablation);
     ("E13", e13_snapshot_ablation);
-    ("E14", e14_network_consensus);
     ("E15", e15_crash_tolerance);
     ("E16", e16_weakening);
   ]

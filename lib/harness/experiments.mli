@@ -1,4 +1,4 @@
-(** The paper's evaluation, reproduced as sixteen experiments (see DESIGN.md
+(** The paper's evaluation, reproduced as fifteen experiments (see DESIGN.md
     §3 and EXPERIMENTS.md for the mapping to the paper's claims).
 
     Each experiment returns a {!Table.t}; [quick] shrinks trial counts
@@ -42,8 +42,6 @@ val by_id : string -> (?quick:bool -> ?pool:Pool.t -> unit -> Table.t) option
       still breaks agreement there, rarely.
     - E13, ablation: the protocol over each of the three scannable
       memories (handshake / plain double collect / embedded scans).
-    - E14: the protocol over ABD quorum-replicated registers on the
-      message-passing simulator: message and event complexity vs n.
     - E15, fault injection: decide latency and correctness as up to
       ⌊(n-1)/2⌋ processes crash mid-run (must stay clean).
     - E16, fault injection: the protocol over registers downgraded to

@@ -151,8 +151,7 @@ val consensus_once :
 
     [faults] is a declarative fault plan (crash/stall faults fire on the
     targeted process's own step count, [Weaken] faults downgrade
-    registers — see {!Bprc_faults.Inject}).  Link faults in [faults]
-    are ignored here (shared-memory run).
+    registers — see {!Bprc_faults.Inject}).
 
     [sim] reuses an existing simulator arena via [Sim.reset] instead of
     allocating a fresh one; the run is bit-identical to the fresh path

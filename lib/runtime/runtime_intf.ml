@@ -5,9 +5,8 @@
     calling process, and a local coin flip.  {!Sim} implements it: a
     deterministic simulator in which the adversary picks every register
     access, one scheduling step each — the paper's model and cost
-    model.  The other implementations are built over deterministic
-    simulators too ([Bprc_netsim.Abd]'s quorum registers,
-    [Bprc_faults.Inject]'s weakened registers), so every run can be
+    model.  The other implementations wrap it
+    ([Bprc_faults.Inject]'s weakened registers), so every run can be
     replayed from its seed and explored schedule by schedule. *)
 
 module type S = sig
@@ -97,8 +96,7 @@ end
 
 (** The per-access lifting: every batch is the documented loop of
     single accesses, so a runtime without batching (a weakened or
-    instrumented wrapper, ABD's quorum registers) keeps its own
-    per-access semantics. *)
+    instrumented wrapper) keeps its own per-access semantics. *)
 module Loop (R : S) : BATCHED with type 'a reg = 'a R.reg = struct
   include R
 

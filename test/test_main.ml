@@ -14,7 +14,6 @@ let () =
       ("consensus", Test_consensus.suite);
       ("virtual-rounds", Test_virtual_rounds.suite);
       ("harness", Test_harness.suite);
-      ("netsim", Test_netsim.suite);
       ("faults", Test_faults.suite);
       ("check", Test_check.suite);
       ("service", Test_service.suite);
