@@ -445,8 +445,8 @@ let exit_violation = 1
 let exit_budget = 124
 
 module Json = Bprc_util.Json
+module Config = Bprc_check.Config
 module Explorer = Bprc_check.Explorer
-module Scenario = Bprc_check.Scenario
 module Script = Bprc_check.Script
 module Witness = Bprc_check.Witness
 
@@ -493,26 +493,28 @@ let replay_report ~json ~noun ~head ~banner ~(expected : Explorer.witness)
     exit exit_budget
 
 let scenario_arg =
+  let names =
+    String.concat ", "
+      (List.map (fun (s : Config.scenario) -> s.name) Config.scenarios)
+  in
   let scenario_conv =
     Arg.conv
       ( (fun s ->
-          match Scenario.find s with
+          match Config.find_scenario s with
           | Some sc -> Ok sc
           | None ->
             Error
               (`Msg
-                 (Printf.sprintf "unknown scenario %s (valid: %s)" s
-                    (String.concat ", " Scenario.names)))),
-        fun ppf (s : Scenario.t) -> Fmt.string ppf s.name )
+                 (Printf.sprintf "unknown scenario %s (valid: %s)" s names))),
+        fun ppf (s : Config.scenario) -> Fmt.string ppf s.name )
   in
   Arg.(
     value
-    & opt scenario_conv Scenario.consensus
+    & opt scenario_conv (List.hd Config.scenarios)
     & info [ "scenario" ] ~docv:"NAME"
         ~doc:
           (Printf.sprintf
-             "Hunt scenario: %s.  See DESIGN.md \"Fault model\"."
-             (String.concat ", " Scenario.names)))
+             "Hunt scenario: %s.  See DESIGN.md \"Fault model\"." names))
 
 let hunt_cmd =
   let trials_arg =
@@ -641,7 +643,7 @@ let replay_cmd =
     in
     let h = s.header in
     let scenario =
-      match Scenario.find h.scenario with
+      match Config.find_scenario h.scenario with
       | Some scenario -> scenario
       | None ->
         usage_error "replay: script names unknown scenario %S" h.scenario
@@ -672,7 +674,7 @@ let check_cmd =
           ~doc:
             (Printf.sprintf
                "Configurations to explore (default: all).  Known: %s."
-               (String.concat ", " (Bprc_check.Config.names ()))))
+               (String.concat ", " (Config.names ()))))
   in
   let list_arg =
     Arg.(
@@ -734,7 +736,7 @@ let check_cmd =
     in
     let h = w.header in
     let cfg =
-      match Bprc_check.Config.find h.config with
+      match Config.find h.config with
       | Some cfg -> cfg
       | None ->
         usage_error "check: witness names unknown configuration %S" h.config
@@ -743,7 +745,7 @@ let check_cmd =
       usage_error "check: witness has n=%d but configuration %s has n=%d" h.n
         cfg.name cfg.n;
     let outcome, clock =
-      Bprc_check.Config.replay ~max_steps:h.max_steps cfg w.schedule
+      Config.replay ~max_steps:h.max_steps cfg w.schedule
     in
     replay_report ~json ~noun:"witness"
       ~head:[ ("config", Json.Str cfg.name); ("witness", Json.Str path) ]
@@ -755,9 +757,8 @@ let check_cmd =
     if list then begin
       List.iter
         (fun c ->
-          Fmt.pr "%-16s %s@." c.Bprc_check.Config.name
-            c.Bprc_check.Config.summary)
-        Bprc_check.Config.all;
+          Fmt.pr "%-16s %s@." c.Config.name c.Config.summary)
+        Config.all;
       exit exit_ok
     end;
     match replay_file with
@@ -765,15 +766,15 @@ let check_cmd =
     | None ->
       let cfgs =
         match configs with
-        | [] -> Bprc_check.Config.all
+        | [] -> Config.all
         | names ->
           List.map
             (fun name ->
-              match Bprc_check.Config.find name with
+              match Config.find name with
               | Some c -> c
               | None ->
                 usage_error "check: unknown configuration %S (valid: %s)" name
-                  (String.concat ", " (Bprc_check.Config.names ())))
+                  (String.concat ", " (Config.names ())))
             names
       in
       let results =
@@ -783,14 +784,14 @@ let check_cmd =
           | [] -> List.rev acc
           | cfg :: rest ->
             let stats =
-              Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
+              Config.run ~max_runs ?max_steps ?budget_s
                 ~shrink:(not no_shrink) cfg
             in
             if not json then begin
               match stats.Bprc_check.Explorer.violation with
               | None ->
                 Fmt.pr "check: %-16s runs=%d pruned=%d cutoff=%d %s@."
-                  cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
+                  cfg.Config.name stats.Bprc_check.Explorer.runs
                   stats.Bprc_check.Explorer.pruned
                   stats.Bprc_check.Explorer.step_limited
                   (if stats.Bprc_check.Explorer.exhausted then
@@ -798,7 +799,7 @@ let check_cmd =
                    else "bound hit: clean so far")
               | Some w ->
                 Fmt.pr "check: %-16s FAILURE after %d runs: %s@."
-                  cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
+                  cfg.Config.name stats.Bprc_check.Explorer.runs
                   w.Bprc_check.Explorer.failure
             end;
             if stats.Bprc_check.Explorer.violation <> None then
@@ -846,7 +847,7 @@ let check_cmd =
       if json then begin
         let config_json (cfg, s) =
           Bprc_util.Json.Obj
-            (("name", Bprc_util.Json.Str cfg.Bprc_check.Config.name)
+            (("name", Bprc_util.Json.Str cfg.Config.name)
              :: ("runs", Bprc_util.Json.Int s.Bprc_check.Explorer.runs)
              :: ("pruned", Bprc_util.Json.Int s.Bprc_check.Explorer.pruned)
              :: ("step_limited",
@@ -936,13 +937,6 @@ let serve_bench_cmd =
             "In-flight cap: admitted-but-undelivered instances beyond \
              which submission is refused (backpressure window).")
   in
-  let batch_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"B"
-          ~doc:"Instances dispatched per pool round (default 16/worker).")
-  in
   let mode_conv =
     let parse = function
       | "det" | "deterministic" -> Ok Bprc_service.Engine.Deterministic
@@ -995,15 +989,13 @@ let serve_bench_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit a machine-readable JSON report on stdout.")
   in
-  let action n seed algo sched pattern instances cap batch mode registers
-      json workers =
+  let action n seed algo sched pattern instances cap mode registers json
+      workers =
     require_positive ~flag:"--instances" instances;
     require_positive ~flag:"--in-flight" cap;
-    Option.iter (require_positive ~flag:"--batch") batch;
     let pool = pool_of_workers workers in
     let eng =
-      Bprc_service.Engine.create ~mode ~seed ~in_flight_cap:cap ?batch
-        ~pool ()
+      Bprc_service.Engine.create ~mode ~seed ~in_flight_cap:cap ~pool ()
     in
     let spec =
       Bprc_service.Workload.spec ~algo ~pattern ~sched ~faults:registers ~n ()
@@ -1122,7 +1114,7 @@ let serve_bench_cmd =
           streams spec-clean, 1 spec violations observed.")
     Term.(
       const action $ n_arg $ seed_arg $ algo_arg $ sched_arg $ pattern_arg
-      $ instances_arg $ in_flight_arg $ batch_arg $ mode_arg $ registers_arg
+      $ instances_arg $ in_flight_arg $ mode_arg $ registers_arg
       $ json_arg $ workers_opt_arg)
 
 let main =

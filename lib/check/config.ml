@@ -1,7 +1,20 @@
 module Sim = Bprc_runtime.Sim
+module Run = Bprc_harness.Run
 module Inject = Bprc_faults.Inject
 module Fault_plan = Bprc_faults.Fault_plan
 module Snap_checker = Bprc_snapshot.Snap_checker
+module Splitmix = Bprc_rng.Splitmix
+
+type scenario = {
+  name : string;
+  summary : string;
+  expect_violation : bool;
+  gen_plan : n:int -> rng:Splitmix.t -> Fault_plan.t;
+  program : n:int -> plan:Fault_plan.t -> Explorer.setup;
+  max_steps : int;
+  label : string;
+  exhausted : string;
+}
 
 type t = {
   name : string;
@@ -16,25 +29,25 @@ type t = {
 module Reg_lin = Lin.Make (Specs.Register)
 module Cons_lin = Lin.Make (Specs.Consensus)
 
-(* ---- per-arena functor-application caches ------------------------------ *)
+(* ---- the runtime a program runs over ----------------------------------- *)
 
-(* [Handshake.Make_batched] is pure (all state lives under its
-   [create]) but not free: each application allocates a module block
+(* Every program runs over its arena's {!Sim.batched} runtime, weakened
+   by its plan.  [Handshake.Make_batched] is pure (all state lives under
+   its [create]) but not free: each application allocates a module block
    and a closure per operation.  The explorer calls [setup] once per
-   run — hundreds of thousands of times — so the application is
-   memoized in an arena-local slot ({!Sim.local}) over the arena's
-   {!Sim.batched}, which is stable for the arena's life, as
-   {!Bprc_harness.Run.applied} memoizes the §5 protocol.  An entry dies
-   with its arena; every explore makes fresh arenas, so a table keyed
-   on arenas from outside would keep all of them alive.  Weakened
-   runtimes ({!Inject.weaken_runtime} with a non-empty plan) are never
-   cached — the wrapper carries per-run mutable state and is a fresh
-   module each run. *)
+   run, hundreds of thousands of times, so the application goes through
+   {!Run.cached}, as {!Run.applied} does for the §5 protocol: it is kept
+   in an arena-local slot and dies with its arena (every explore makes
+   fresh arenas, so a table keyed on arenas from outside would keep all
+   of them alive).  A weakened runtime carries per-run state and gets a
+   fresh application each run. *)
+let weakened sim ~plan = Inject.weaken_batched (Sim.batched sim) ~plan
 
-let handshake_slot =
-  Sim.new_local (fun sim ->
-      (module Bprc_snapshot.Handshake.Make_batched ((val Sim.batched sim))
-      : Bprc_snapshot.Snapshot_intf.S))
+let handshake (module R : Bprc_runtime.Runtime_intf.BATCHED) :
+    (module Bprc_snapshot.Snapshot_intf.S) =
+  (module Bprc_snapshot.Handshake.Make_batched (R))
+
+let handshake_slot = Sim.new_local (fun sim -> handshake (Sim.batched sim))
 
 (* ---- per-arena verdict memo -------------------------------------------- *)
 
@@ -127,8 +140,8 @@ let reg_check =
 
 (* Process [i] runs [prog.(i)] over one register, which [plan] may
    weaken. *)
-let register_prog ~plan ~prog sim =
-  let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
+let register_prog ~prog ~plan sim =
+  let (module R) = weakened sim ~plan in
   let r = R.make_reg ~name:"x" 0 in
   let rc = recording sim reg_slot reg_check in
   spawn_recorded sim rc.hist prog (fun _ -> function
@@ -166,12 +179,7 @@ let snapshot_prog ~lin ~prog =
   in
   fun ~plan sim ->
     let (module S) =
-      let rt = Inject.weaken_runtime (Sim.runtime sim) ~plan in
-      if rt == Sim.runtime sim then Sim.local sim handshake_slot
-      else
-        let (module R) = rt in
-        (module Bprc_snapshot.Handshake.Make (R)
-        : Bprc_snapshot.Snapshot_intf.S)
+      Run.cached sim handshake_slot handshake (weakened sim ~plan)
     in
     let snap = S.create ~init:0 () in
     let rc = recording sim snap_slot check in
@@ -202,20 +210,31 @@ let consensus_prog ~lin ~params ~inputs =
         (lin_verdict ~name:"consensus" Specs.Consensus.pp_op
            Cons_lin.linearizable)
   in
-  let algo = Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk in
+  let algo = Run.Ads Bprc_core.Ads89.Shared_walk in
   let proposals = Array.map (fun input -> [ input ]) inputs in
   fun ~plan sim ->
-    let (module C) =
-      let rt = Inject.weaken_batched (Sim.batched sim) ~plan in
-      if rt == Sim.batched sim then Bprc_harness.Run.applied sim algo
-      else Bprc_harness.Run.protocol algo rt
-    in
+    let (module C) = Run.applied sim algo (weakened sim ~plan) in
     let st = C.create ~params () in
     let rc = recording sim cons_slot check in
     spawn_recorded sim rc.hist proposals (fun _ input ->
         let output = Bool.to_int (C.run st ~input) in
         Specs.Propose { input = Bool.to_int input; output });
     memoized rc check
+
+(* ---- the explorer's configurations ------------------------------------ *)
+
+(* Reduction is sound exactly when no register is weakened: the
+   weakening wrapper shares a hidden write table across processes. *)
+let entry ~name ~summary ~n ~max_steps ~expect_violation ~plan program =
+  {
+    name;
+    summary;
+    n;
+    max_steps;
+    reduction = not (Fault_plan.weakens plan);
+    expect_violation;
+    setup = program ~plan;
+  }
 
 let weaken semantics = [ Fault_plan.Weaken { index = -1; semantics } ]
 
@@ -224,82 +243,44 @@ let write_read = [| [ `Write 10; `Read ]; [ `Write 20; `Read ] |]
 
 let all =
   [
-    {
-      name = "reg-atomic";
-      summary = "2 procs, write-then-read one atomic register";
-      n = 2;
-      max_steps = 64;
-      reduction = true;
-      expect_violation = false;
-      setup = register_prog ~plan:[] ~prog:write_read;
-    };
-    {
-      name = "reg-safe";
-      summary = "write-then-read over a safe-weakened register";
-      n = 2;
-      max_steps = 64;
-      reduction = false;
-      expect_violation = true;
-      setup = register_prog ~plan:(weaken Fault_plan.Safe) ~prog:write_read;
-    };
-    {
-      (* New-old inversion probe: p0 reads twice while p1 writes once.  A
-         regular register may serve the overlapping new value then the
-         old one; an atomic register may not. *)
-      name = "reg-regular";
-      summary = "new-old inversion probe over a regular-weakened register";
-      n = 2;
-      max_steps = 64;
-      reduction = false;
-      expect_violation = true;
-      setup =
-        register_prog
-          ~plan:(weaken Fault_plan.Regular)
-          ~prog:[| [ `Read; `Read ]; [ `Write 7 ] |];
-    };
-    {
-      name = "snapshot-atomic";
-      summary = "update-then-scan over the handshake snapshot (P1-P3 + lin)";
-      n = 2;
-      max_steps = 256;
-      reduction = true;
-      expect_violation = false;
-      setup =
-        snapshot_prog ~lin:true ~plan:[]
-          ~prog:[| [ `Update 1; `Scan ]; [ `Update 11; `Scan ] |];
-    };
-    {
-      (* Two updates by p0 so a safe read can serve a stale value
-         (init, or the first write) after the first write committed —
-         with a single write per writer, every value a safe register
-         can return still potentially coexists with the scan and P1 is
-         unviolable. *)
-      name = "snapshot-unsafe";
-      summary = "handshake snapshot over safe-weakened registers";
-      n = 2;
-      max_steps = 256;
-      reduction = false;
-      expect_violation = true;
-      setup =
-        snapshot_prog ~lin:true
-          ~plan:(weaken Fault_plan.Safe)
-          ~prog:[| [ `Update 1; `Update 2 ]; [ `Scan ] |];
-    };
-    {
-      name = "consensus-2p";
-      summary = "2-proc split-input consensus, bounded corner search";
-      n = 2;
-      max_steps = 2000;
-      reduction = true;
-      expect_violation = false;
-      (* Tiny coin parameters keep runs short; the schedule tree is far
-         too large to exhaust, so this is a bounded corner search, not a
-         proof. *)
-      setup =
-        consensus_prog ~lin:true
-          ~params:{ Bprc_core.Params.k = 2; delta = 1; m = Some 3 }
-          ~inputs:[| true; false |] ~plan:[];
-    };
+    entry ~name:"reg-atomic"
+      ~summary:"2 procs, write-then-read one atomic register" ~n:2
+      ~max_steps:64 ~expect_violation:false ~plan:[]
+      (register_prog ~prog:write_read);
+    entry ~name:"reg-safe"
+      ~summary:"write-then-read over a safe-weakened register" ~n:2
+      ~max_steps:64 ~expect_violation:true ~plan:(weaken Fault_plan.Safe)
+      (register_prog ~prog:write_read);
+    (* New-old inversion probe: p0 reads twice while p1 writes once.  A
+       regular register may serve the overlapping new value then the old
+       one; an atomic register may not. *)
+    entry ~name:"reg-regular"
+      ~summary:"new-old inversion probe over a regular-weakened register"
+      ~n:2 ~max_steps:64 ~expect_violation:true
+      ~plan:(weaken Fault_plan.Regular)
+      (register_prog ~prog:[| [ `Read; `Read ]; [ `Write 7 ] |]);
+    entry ~name:"snapshot-atomic"
+      ~summary:"update-then-scan over the handshake snapshot (P1-P3 + lin)"
+      ~n:2 ~max_steps:256 ~expect_violation:false ~plan:[]
+      (snapshot_prog ~lin:true
+         ~prog:[| [ `Update 1; `Scan ]; [ `Update 11; `Scan ] |]);
+    (* Two updates by p0 so a safe read can serve a stale value (init, or
+       the first write) after the first write committed — with a single
+       write per writer, every value a safe register can return still
+       potentially coexists with the scan and P1 is unviolable. *)
+    entry ~name:"snapshot-unsafe"
+      ~summary:"handshake snapshot over safe-weakened registers" ~n:2
+      ~max_steps:256 ~expect_violation:true ~plan:(weaken Fault_plan.Safe)
+      (snapshot_prog ~lin:true ~prog:[| [ `Update 1; `Update 2 ]; [ `Scan ] |]);
+    (* Tiny coin parameters keep runs short; the schedule tree is far too
+       large to exhaust, so this is a bounded corner search, not a
+       proof. *)
+    entry ~name:"consensus-2p"
+      ~summary:"2-proc split-input consensus, bounded corner search" ~n:2
+      ~max_steps:2000 ~expect_violation:false ~plan:[]
+      (consensus_prog ~lin:true
+         ~params:{ Bprc_core.Params.k = 2; delta = 1; m = Some 3 }
+         ~inputs:[| true; false |]);
   ]
 
 let names () = List.map (fun c -> c.name) all
@@ -314,3 +295,85 @@ let replay ?max_steps cfg (w : Explorer.witness) =
   Explorer.replay ~n:cfg.n
     ~max_steps:(Option.value max_steps ~default:cfg.max_steps)
     ~choices:w.choices ~flips:w.flips ~setup:cfg.setup ()
+
+(* ---- the hunt's scenarios ---------------------------------------------- *)
+
+(* [count] crash or stall faults at random processes and steps. *)
+let process_faults ~n ~rng ~count =
+  let faults = ref [] in
+  let crashes = ref 0 in
+  for _ = 1 to count do
+    let pid = Splitmix.int rng n in
+    let at_step = Splitmix.int rng 2_000 in
+    (* Keep at least one process alive: a fully crashed run completes
+       vacuously and wastes the trial. *)
+    if Splitmix.bool rng && !crashes < n - 1 then begin
+      incr crashes;
+      faults := Fault_plan.Crash { pid; at_step } :: !faults
+    end
+    else
+      faults :=
+        Fault_plan.Stall { pid; at_step; steps = 1 + Splitmix.int rng 500 }
+        :: !faults
+  done;
+  List.rev !faults
+
+let crashes_and_stalls ~n ~rng =
+  process_faults ~n ~rng ~count:(1 + Splitmix.int rng 2)
+
+(* The hunt's size of each system: three update-then-scan rounds per
+   process, or split inputs under default parameters.  Linearizability
+   is off, since a crashed process's operation is missing from the
+   history. *)
+let snapshot =
+  {
+    name = "snapshot";
+    summary =
+      "handshake snapshot P1-P3 under crash/stall faults (expected clean)";
+    expect_violation = false;
+    gen_plan = crashes_and_stalls;
+    program =
+      (fun ~n ->
+        let rounds = List.init 3 (fun k -> [ `Update (k + 1); `Scan ]) in
+        snapshot_prog ~lin:false ~prog:(Array.make n (List.concat rounds)));
+    max_steps = 200_000;
+    label = "snapshot";
+    exhausted =
+      "step budget exhausted (scan retries not caused by new writes?)";
+  }
+
+let scenarios =
+  [
+    {
+      name = "consensus";
+      summary =
+        "ADS89 consensus under crash/stall faults: agreement, validity and \
+         survivor termination must hold (expected clean)";
+      expect_violation = false;
+      gen_plan = crashes_and_stalls;
+      program =
+        (fun ~n ->
+          consensus_prog ~lin:false ~params:Bprc_core.Params.default
+            ~inputs:(Run.inputs_of_pattern Split ~n ~seed:0));
+      max_steps = 400_000;
+      label = "consensus";
+      exhausted = "step budget exhausted before survivors decided";
+    };
+    snapshot;
+    {
+      snapshot with
+      name = "snapshot-unsafe";
+      summary =
+        "handshake snapshot with every register weakened to safe semantics \
+         — a deliberately injected bug the hunt must find (P1-P3 need \
+         atomicity)";
+      expect_violation = true;
+      gen_plan =
+        (fun ~n ~rng ->
+          Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe }
+          :: process_faults ~n ~rng ~count:(Splitmix.int rng 2));
+    };
+  ]
+
+let find_scenario name =
+  List.find_opt (fun (s : scenario) -> s.name = name) scenarios

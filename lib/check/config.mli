@@ -1,29 +1,56 @@
-(** Registry of explorable configurations: small fixed programs over
-    the scannable-memory stack, each paired with a property check of
-    the history a completed schedule records.  The snapshot and
-    consensus programs are also the hunt's ({!Hunt.program}).  The
-    check reads nothing but that history, so each program runs it once
-    per distinct history on an arena: the verdict is memoized in an
-    arena-local table keyed on the exact events (pids, stamps, ops and
-    scan views, compared structurally) and emptied when a program with
-    another check records on the arena.  A check that raises is not
-    memoized.
+(** The registry of checked systems: the explorer's configurations
+    ({!all}) and the hunt's scenarios ({!scenarios}).  Each is a small
+    program over the scannable-memory stack, paired with a property
+    check of the history a completed schedule records, and built by
+    {!snapshot_prog} or {!consensus_prog} (the register configurations
+    by a private builder).  Every program runs over its arena's batched
+    runtime weakened by its plan, with functor applications cached per
+    arena by {!Bprc_harness.Run.cached}.  The check reads nothing but
+    the history, so each program runs it once per distinct history on
+    an arena: the verdict is memoized in an arena-local table keyed on
+    the exact events (pids, stamps, ops and scan views, compared
+    structurally) and emptied when a program with another check
+    records on the arena.  A check that raises is not memoized.
 
     Configurations deliberately mirror the acceptance gate of the
     checker subsystem: the atomic register and handshake-snapshot
     configurations must pass exhaustively at their bounds, while the
     [Weaken]-injected ones ([reg-safe], [reg-regular],
-    [snapshot-unsafe]) must yield a non-linearizable history.  Weakened
-    configurations run without partial-order reduction — the weakening
-    wrapper shares a hidden write table across processes, which register
-    level independence cannot see (see {!Explorer}). *)
+    [snapshot-unsafe]) must yield a non-linearizable history.  Each
+    entry's [reduction] is derived from its plan: on exactly when the
+    plan weakens no register ({!Bprc_faults.Fault_plan.weakens}).  The
+    weakening wrapper shares a hidden write table across processes,
+    which register-level independence cannot see (see {!Explorer}). *)
+
+type scenario = {
+  name : string;
+  summary : string;
+  expect_violation : bool;  (** documentation + test oracle *)
+  gen_plan : n:int -> rng:Bprc_rng.Splitmix.t -> Bprc_faults.Fault_plan.t;
+      (** the fault plan of one hunt trial *)
+  program : n:int -> plan:Bprc_faults.Fault_plan.t -> Explorer.setup;
+      (** the system at the hunt's size [n]; apply [~n] once per hunt.
+          Linearizability is off, since a crashed process's operation
+          is missing from the history. *)
+  max_steps : int;  (** per-run step budget *)
+  label : string;  (** prefix of every failure *)
+  exhausted : string;
+      (** the failure of a run that spends its budget with every check
+          passing *)
+}
+(** A hunt scenario: a system, an object plus a register model, with
+    the fault plans the fuzz loop ({!Hunt}) draws for it.  The register
+    model comes from the plan's [Weaken] faults, so [snapshot] and
+    [snapshot-unsafe] differ only in their plans. *)
 
 type t = {
   name : string;
   summary : string;
   n : int;
   max_steps : int;  (** per-run step bound the configuration was sized for *)
-  reduction : bool;  (** sleep-set reduction soundness for this program *)
+  reduction : bool;
+      (** sleep-set reduction: on exactly when the plan weakens no
+          register *)
   expect_violation : bool;  (** documentation + test oracle *)
   setup : Explorer.setup;
 }
@@ -55,6 +82,16 @@ val all : t list
 
 val names : unit -> string list
 val find : string -> t option
+
+val scenarios : scenario list
+(** [consensus] (ADS89 under crash/stall faults: split inputs under
+    default parameters), [snapshot] (the handshake snapshot's P1–P3
+    under crash/stall faults: three update-then-scan rounds per
+    process), both expected clean, and [snapshot-unsafe] ([snapshot]
+    with every register weakened to safe semantics: the deliberately
+    injected bug the end-to-end capture/replay/shrink test finds). *)
+
+val find_scenario : string -> scenario option
 
 val run :
   ?max_steps:int ->

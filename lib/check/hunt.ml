@@ -24,33 +24,12 @@ type result = {
   flips : bool list;
 }
 
-let program (scenario : Scenario.t) ~n =
-  match scenario.system with
-  | Snapshot ->
-    let rounds =
-      List.concat (List.init 3 (fun k -> [ `Update (k + 1); `Scan ]))
-    in
-    Config.snapshot_prog ~lin:false ~prog:(Array.make n rounds)
-  | Consensus ->
-    Config.consensus_prog ~lin:false ~params:Bprc_core.Params.default
-      ~inputs:(Bprc_harness.Run.inputs_of_pattern Split ~n ~seed:0)
-
-(* [label] prefixes a failure, and [exhausted] is what a run reports
-   when it spends its step budget with every check passing.  A recording
-   run logs each choice as a position in the runnable array, the form
-   [Adversary.scripted] replays (pid sets then match positionally, not
-   by value), and every coin flip in draw order. *)
-let exec (scenario : Scenario.t) ~n =
-  let max_steps, label, exhausted =
-    match scenario.system with
-    | Snapshot ->
-      ( 200_000,
-        "snapshot",
-        "step budget exhausted (scan retries not caused by new writes?)" )
-    | Consensus ->
-      (400_000, "consensus", "step budget exhausted before survivors decided")
-  in
-  let program = program scenario ~n in
+(* A recording run logs each choice as a position in the runnable
+   array, the form [Adversary.scripted] replays (pid sets then match
+   positionally, not by value), and every coin flip in draw order. *)
+let exec (scenario : Config.scenario) ~n =
+  let max_steps = scenario.max_steps in
+  let program = scenario.program ~n in
   fun ~seed ~plan ~mode ->
     let choices = Vec.create () and flips = Vec.create () in
     let random = Adversary.random () in
@@ -75,8 +54,10 @@ let exec (scenario : Scenario.t) ~n =
     in
     let failure =
       match check () with
-      | Error e -> Some (label ^ ": " ^ e)
-      | Ok () -> if completed then None else Some (label ^ ": " ^ exhausted)
+      | Error e -> Some (scenario.label ^ ": " ^ e)
+      | Ok () ->
+        if completed then None
+        else Some (scenario.label ^ ": " ^ scenario.exhausted)
     in
     {
       failure;
@@ -90,7 +71,7 @@ let sequential_map f idxs = List.map f idxs
 (* Trial [i] is a pure function of (hunt seed, i): plan and simulator
    seed come from the forked stream [Splitmix.fork root i], never from
    scheduling — so outcomes are identical at any worker count. *)
-let trial_inputs ~(scenario : Scenario.t) ~seed ~n i =
+let trial_inputs ~(scenario : Config.scenario) ~seed ~n i =
   let rng = Splitmix.fork (Splitmix.create ~seed) i in
   let plan = scenario.gen_plan ~n ~rng in
   let sim_seed = Splitmix.bits30 rng in
@@ -130,8 +111,8 @@ let shrink ~scenario (s : Script.t) =
       };
   }
 
-let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
-    ~trials ~seed ~n () =
+let run ?budget_s ?(batch = 64) ?(map = sequential_map)
+    ~(scenario : Config.scenario) ~trials ~seed ~n () =
   if trials < 0 then invalid_arg "Hunt.run: negative trial count";
   if batch <= 0 then invalid_arg "Hunt.run: batch must be positive";
   let exec = exec scenario ~n in

@@ -41,33 +41,27 @@ type result = {
 }
 
 val exec :
-  Scenario.t ->
+  Config.scenario ->
   n:int ->
   seed:int ->
   plan:Bprc_faults.Fault_plan.t ->
   mode:mode ->
   result
-(** One run, a pure function of its arguments.  It runs {!program},
-    recording its choices and flips or replaying them
+(** One run, a pure function of its arguments.  It runs the scenario's
+    program, recording its choices and flips or replaying them
     ({!Explorer.scripted}), fires the plan's crashes and stalls, and
-    reports the program's verdict or an exhausted step budget.  Apply
-    [scenario] and [~n] once: each application builds the program. *)
+    reports the program's verdict, or the scenario's [exhausted]
+    failure when the run spends its step budget.  Apply [scenario] and
+    [~n] once: each application builds the program. *)
 
-val program :
-  Scenario.t -> n:int -> plan:Bprc_faults.Fault_plan.t -> Explorer.setup
-(** The hunt's size of a simulator system: three update-then-scan
-    rounds per process, or split inputs under default parameters.
-    Linearizability is off, since a crashed process's operation is
-    missing from the history. *)
-
-val replay_script : scenario:Scenario.t -> Script.t -> result
+val replay_script : scenario:Config.scenario -> Script.t -> result
 (** Re-execute a script under its scenario (deterministic). *)
 
 val run :
   ?budget_s:float ->
   ?batch:int ->
   ?map:((int -> string option) -> int list -> string option list) ->
-  scenario:Scenario.t ->
+  scenario:Config.scenario ->
   trials:int ->
   seed:int ->
   n:int ->

@@ -16,6 +16,8 @@ let semantics_of_string = function
   | "regular" -> Ok Regular
   | s -> Error (Printf.sprintf "unknown register semantics %S" s)
 
+let weakens plan = List.exists (function Weaken _ -> true | _ -> false) plan
+
 let weaken_target plan ~index =
   (* Last matching fault wins; index -1 targets every register. *)
   List.fold_left

@@ -27,6 +27,11 @@ type fault =
 
 type t = fault list
 
+val weakens : t -> bool
+(** Does the plan weaken any register?  A plan that does not leaves
+    every register atomic: the explorer's sleep-set reduction is sound
+    for it. *)
+
 val weaken_target : t -> index:int -> semantics option
 (** The semantics the plan assigns to register [index], if weakened
     (last matching fault wins; a [-1] fault matches every index). *)

@@ -4,12 +4,9 @@ open Bprc_runtime
 (* Register weakening                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let weakens plan =
-  List.exists (function Fault_plan.Weaken _ -> true | _ -> false) plan
-
 let weaken_runtime (rt : (module Runtime_intf.S)) ~(plan : Fault_plan.t) :
     (module Runtime_intf.S) =
-  if not (weakens plan) then rt
+  if not (Fault_plan.weakens plan) then rt
   else
     let (module B : Runtime_intf.S) = rt in
     let counter = ref 0 in
@@ -131,7 +128,7 @@ let weaken_runtime (rt : (module Runtime_intf.S)) ~(plan : Fault_plan.t) :
 
 let weaken_batched (rt : (module Runtime_intf.BATCHED)) ~plan :
     (module Runtime_intf.BATCHED) =
-  if not (weakens plan) then rt
+  if not (Fault_plan.weakens plan) then rt
   else
     let (module B) = rt in
     let (module W) = weaken_runtime (module B : Runtime_intf.S) ~plan in

@@ -162,10 +162,13 @@ let algo_name = function
   | Ads_esnap Bprc_core.Ads89.Oracle_shared -> "ADS89/esnap (oracle coin)"
   | Ah -> "AH88-style (unbounded strip)"
 
-let protocol algo (module R : Runtime_intf.BATCHED) :
-    (module Bprc_core.Consensus_intf.S) =
-  match algo with
-  | Ads _ -> (module Bprc_core.Ads89.Make_batched (R))
+(* Each arm is a closed function, so [protocol algo] allocates
+   nothing. *)
+let protocol :
+    algo ->
+    (module Runtime_intf.BATCHED) ->
+    (module Bprc_core.Consensus_intf.S) = function
+  | Ads _ -> fun (module R) -> (module Bprc_core.Ads89.Make_batched (R))
   | Ads_esnap _ ->
     (* The paper's protocol over the wait-free embedded snapshot: at
        large [n] the handshake's clean double-collect window shrinks
@@ -173,10 +176,11 @@ let protocol algo (module R : Runtime_intf.BATCHED) :
        runs over [Embedded], whose scans borrow instead of starving
        (caveat: DESIGN.md note 8 — a corrupt strip reconstruction
        sticks more often over it, and some runs livelock or disagree). *)
-    (module Bprc_core.Ads89.Make_over_snapshot
-              (R)
-              (Bprc_snapshot.Embedded.Make_batched (R)))
-  | Ah -> (module Bprc_core.Ah88.Make_batched (R))
+    fun (module R) ->
+      (module Bprc_core.Ads89.Make_over_snapshot
+                (R)
+                (Bprc_snapshot.Embedded.Make_batched (R)))
+  | Ah -> fun (module R) -> (module Bprc_core.Ah88.Make_batched (R))
 
 type pattern = Unanimous of bool | Split | Random_inputs
 
@@ -213,12 +217,16 @@ let ads_esnap_slot =
 
 let ah_slot = Sim.new_local (fun sim -> protocol Ah (Sim.batched sim))
 
-let applied sim algo =
-  Sim.local sim
+let cached sim slot make rt =
+  if rt == Sim.batched sim then Sim.local sim slot else make rt
+
+let applied sim algo rt =
+  cached sim
     (match algo with
     | Ads _ -> ads_slot
     | Ads_esnap _ -> ads_esnap_slot
     | Ah -> ah_slot)
+    (protocol algo) rt
 
 (* A decided result keeps its [n] decisions as the two shared boxes of
    [Ads89.decision], not as the per-process boxes [Sim.result] hands
@@ -333,12 +341,11 @@ let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
     | Ads mode | Ads_esnap mode -> mode
     | Ah -> Bprc_core.Ads89.Shared_walk
   in
-  (* A plan that weakens registers hands over a runtime of its own,
-     applied afresh. *)
-  let protocol rt =
-    if rt == Sim.batched sim then applied sim algo else protocol algo rt
-  in
-  consensus_on sim ~protocol ~params ~coin_mode
+  (* One closure: the partial application [applied sim algo] costs a
+     word more per run. *)
+  consensus_on sim
+    ~protocol:(fun rt -> applied sim algo rt)
+    ~params ~coin_mode
     ~oracle_seed:seed ~sched ~faults ~max_steps ~inputs ()
 
 type footprint = {

@@ -69,11 +69,26 @@ val protocol :
     over the embedded one) or over the unbounded strip ([Ah], over the
     handshake snapshot). *)
 
-val applied : Bprc_runtime.Sim.t -> algo -> (module Bprc_core.Consensus_intf.S)
-(** [protocol algo] over the arena's own {!Bprc_runtime.Sim.batched}
-    runtime, applied once per arena and [algo] constructor and kept in
-    a {!Bprc_runtime.Sim.local} slot.  The module does not depend on
-    the coin mode, which goes to [create]. *)
+val cached :
+  Bprc_runtime.Sim.t ->
+  'm Bprc_runtime.Sim.local ->
+  ((module Bprc_runtime.Runtime_intf.BATCHED) -> 'm) ->
+  (module Bprc_runtime.Runtime_intf.BATCHED) ->
+  'm
+(** [cached sim slot make rt] is [make rt], taken from [slot] when [rt]
+    is the arena's own {!Bprc_runtime.Sim.batched} runtime, which is
+    what {!Bprc_faults.Inject.weaken_batched} returns for a plan that
+    weakens no register.  [slot] holds [make] applied to that runtime,
+    once per arena.  A weakened runtime carries per-run state, so it
+    gets a fresh application. *)
+
+val applied :
+  Bprc_runtime.Sim.t ->
+  algo ->
+  (module Bprc_runtime.Runtime_intf.BATCHED) ->
+  (module Bprc_core.Consensus_intf.S)
+(** [protocol algo], {!cached} in one slot per [algo] constructor.  The
+    module does not depend on the coin mode, which goes to [create]. *)
 
 type pattern = Unanimous of bool | Split | Random_inputs
 
@@ -145,9 +160,8 @@ val consensus_once :
 (** {!consensus_on} with the inputs of [pattern] on a fresh simulator
     seeded with [seed], whose adversary is [plain_adversary sched];
     [seed] also seeds the oracle coin.  The protocol module is
-    {!applied}, unless [faults] weakens registers: that plan's runtime
-    gets a fresh application.  Every instance is still [create]d
-    afresh.
+    {!applied}, so only a plan that weakens registers gets a fresh
+    application.  Every instance is still [create]d afresh.
 
     [faults] is a declarative fault plan (crash/stall faults fire on the
     targeted process's own step count, [Weaken] faults downgrade

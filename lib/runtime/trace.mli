@@ -1,9 +1,11 @@
 (** Recording of shared-memory operations executed during a run.
 
-    Traces drive the adaptive adversaries and the correctness checkers.
-    Values are not recorded (they are polymorphic); checkers that need
-    them tag their payloads with unique identifiers instead.  A trace
-    grows without bound; index 0 is the oldest event. *)
+    Traces serve [bprc trace] (its access statistics and the event
+    digest that [test/cram/determinism.t] pins) and the tests.  The
+    adaptive adversaries read [Bprc_coin.Coin_probe] instead, and the
+    correctness checkers read [Bprc_check.Hist] histories.  Values are
+    not recorded (they are polymorphic).  A trace grows without bound;
+    index 0 is the oldest event. *)
 
 type kind =
   | Read

@@ -85,22 +85,16 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?(mode = Deterministic) ?(seed = 1) ?(in_flight_cap = 1024) ?batch
+let create ?(mode = Deterministic) ?(seed = 1) ?(in_flight_cap = 1024)
     ?(lat_capacity = 4096) ~pool () =
   if in_flight_cap < 1 then
     invalid_arg "Engine.create: in_flight_cap must be >= 1";
-  let batch =
-    match batch with
-    | Some b when b >= 1 -> b
-    | Some _ -> invalid_arg "Engine.create: batch must be >= 1"
-    | None -> max 32 (16 * Pool.workers pool)
-  in
   {
     pool;
     mode;
     base = Splitmix.create ~seed;
     cap = in_flight_cap;
-    batch;
+    batch = max 32 (16 * Pool.workers pool);
     pending = Queue.create ();
     ready = Queue.create ();
     arenas = Hashtbl.create 16;

@@ -92,7 +92,6 @@ val create :
   ?mode:mode ->
   ?seed:int ->
   ?in_flight_cap:int ->
-  ?batch:int ->
   ?lat_capacity:int ->
   pool:Bprc_harness.Pool.t ->
   unit ->
@@ -100,10 +99,10 @@ val create :
 (** An engine over [pool] (not owned: shut the engine down first, the
     pool after).  [mode] defaults to {!Deterministic}; [seed] (default
     1) roots every instance's forked randomness; [in_flight_cap]
-    (default 1024) bounds admitted-but-undelivered instances; [batch]
-    (default [max 32 (16 * workers)]) is the dispatch fan-out per pool
-    round; [lat_capacity] (default 4096) sizes the latency sample ring.
-    @raise Invalid_argument on non-positive cap, batch or capacity. *)
+    (default 1024) bounds admitted-but-undelivered instances;
+    [lat_capacity] (default 4096) sizes the latency sample ring.  Each
+    pool round dispatches up to [max 32 (16 * workers)] instances.
+    @raise Invalid_argument on non-positive cap or capacity. *)
 
 val in_flight : t -> int
 (** Admitted instances not yet delivered (queued + decided-undrained). *)

@@ -32,10 +32,6 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
 let last t = if t.len = 0 then None else Some t.data.(t.len - 1)
 
 let pop t =

@@ -10,9 +10,6 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument on out-of-bounds access. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** @raise Invalid_argument on out-of-bounds access. *)
-
 val last : 'a t -> 'a option
 val pop : 'a t -> 'a option
 val clear : 'a t -> unit

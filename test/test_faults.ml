@@ -13,6 +13,10 @@ let all_kinds_plan : Fault_plan.t =
     Fault_plan.Weaken { index = 3; semantics = Fault_plan.Regular };
   ]
 
+let scenario name = Option.get (Config.find_scenario name)
+let snapshot_unsafe = scenario "snapshot-unsafe"
+let consensus = scenario "consensus"
+
 let plan_testable =
   Alcotest.testable Fault_plan.pp (fun (a : Fault_plan.t) b -> a = b)
 
@@ -141,7 +145,7 @@ let test_ddmin_edge_cases () =
    scenario runs three plans of its own generator. *)
 let test_record_replay_identity () =
   List.iter
-    (fun (scenario : Scenario.t) ->
+    (fun (scenario : Config.scenario) ->
       let exec = Hunt.exec scenario ~n:4 in
       let rng = Bprc_rng.Splitmix.create ~seed:7 in
       for seed = 1 to 3 do
@@ -159,7 +163,7 @@ let test_record_replay_identity () =
         Alcotest.(check int)
           (label ^ ": same clock") r1.Hunt.clock r2.Hunt.clock
       done)
-    Scenario.registry
+    Config.scenarios
 
 (* One run, two drivers: a hunt run of [snapshot-unsafe] under a plan
    that only weakens registers, replayed by the explorer on the same
@@ -173,7 +177,7 @@ let test_hunt_run_replays_in_explorer () =
   List.iter
     (fun (n, seed) ->
       let r =
-        Hunt.exec Scenario.snapshot_unsafe ~n ~seed ~plan ~mode:Hunt.Record
+        Hunt.exec snapshot_unsafe ~n ~seed ~plan ~mode:Hunt.Record
       in
       let label = Printf.sprintf "n=%d seed=%d" n seed in
       match r.Hunt.failure with
@@ -182,7 +186,7 @@ let test_hunt_run_replays_in_explorer () =
         match
           Explorer.replay ~n ~max_steps:10_000 ~choices:r.Hunt.choices
             ~flips:r.Hunt.flips
-            ~setup:(Hunt.program Scenario.snapshot_unsafe ~n ~plan)
+            ~setup:(snapshot_unsafe.program ~n ~plan)
             ()
         with
         | Explorer.Fail f, clock ->
@@ -288,7 +292,7 @@ let test_weaken_safe_values_written () =
    must be no longer and still failing.  Seed 1 is known to fail within
    150 trials (trial 138). *)
 let hunt_unsafe ~map () =
-  Hunt.run ?map ~scenario:Scenario.snapshot_unsafe ~trials:150 ~seed:1 ~n:4 ()
+  Hunt.run ?map ~scenario:snapshot_unsafe ~trials:150 ~seed:1 ~n:4 ()
 
 let test_hunt_finds_injected_bug () =
   match hunt_unsafe ~map:None () with
@@ -308,7 +312,7 @@ let test_hunt_finds_injected_bug () =
     Alcotest.(check bool) "shrunk plan keeps the weakening" true
       (Fault_plan.weaken_target small.header.plan ~index:0 <> None);
     (* The shrunk script still fails, exactly as it says on the tin. *)
-    let r = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe small in
+    let r = Hunt.replay_script ~scenario:snapshot_unsafe small in
     Alcotest.(check (option string))
       "shrunk script reproduces its recorded failure"
       (Some small.schedule.failure) r.Hunt.failure;
@@ -318,7 +322,7 @@ let test_hunt_finds_injected_bug () =
     match Script.of_string (Script.to_string small) with
     | Error e -> Alcotest.failf "shrunk script does not round-trip: %s" e
     | Ok reloaded ->
-      let r' = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe reloaded in
+      let r' = Hunt.replay_script ~scenario:snapshot_unsafe reloaded in
       Alcotest.(check (option string)) "reload replays identically"
         r.Hunt.failure r'.Hunt.failure
 
@@ -361,23 +365,23 @@ let test_hunt_clean_scenarios () =
   (* The expected-clean scenarios must come up clean on a modest bounded
      hunt (this is what the CI smoke run enforces at larger scale). *)
   List.iter
-    (fun (scenario : Scenario.t) ->
+    (fun (scenario : Config.scenario) ->
       match Hunt.run ~scenario ~trials:60 ~seed:1 ~n:4 () with
       | Hunt.No_failure { trials_run } ->
         Alcotest.(check int)
-          (scenario.Scenario.name ^ ": all trials ran")
+          (scenario.name ^ ": all trials ran")
           60 trials_run
       | Hunt.Found f ->
-        Alcotest.failf "%s: unexpected failure %S" scenario.Scenario.name
+        Alcotest.failf "%s: unexpected failure %S" scenario.name
           f.Hunt.script.schedule.failure
       | Hunt.Budget_exhausted _ -> Alcotest.fail "no budget was set")
     (List.filter
-       (fun (s : Scenario.t) -> not s.expect_violation)
-       Scenario.registry)
+       (fun (s : Config.scenario) -> not s.expect_violation)
+       Config.scenarios)
 
 let test_hunt_budget_exhausted () =
   match
-    Hunt.run ~budget_s:0.0 ~scenario:Scenario.consensus ~trials:1_000 ~seed:1
+    Hunt.run ~budget_s:0.0 ~scenario:consensus ~trials:1_000 ~seed:1
       ~n:4 ()
   with
   | Hunt.Budget_exhausted { trials_run } ->
@@ -387,11 +391,11 @@ let test_hunt_budget_exhausted () =
 let test_hunt_rejects_bad_args () =
   Alcotest.check_raises "negative trials"
     (Invalid_argument "Hunt.run: negative trial count") (fun () ->
-      ignore (Hunt.run ~scenario:Scenario.consensus ~trials:(-1) ~seed:1 ~n:4 ()));
+      ignore (Hunt.run ~scenario:consensus ~trials:(-1) ~seed:1 ~n:4 ()));
   Alcotest.check_raises "zero batch"
     (Invalid_argument "Hunt.run: batch must be positive") (fun () ->
       ignore
-        (Hunt.run ~batch:0 ~scenario:Scenario.consensus ~trials:1 ~seed:1 ~n:4 ()))
+        (Hunt.run ~batch:0 ~scenario:consensus ~trials:1 ~seed:1 ~n:4 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Faults through the harness runner                                   *)

@@ -12,20 +12,13 @@ let test_push_get () =
   Alcotest.(check int) "get 99" (99 * 99) (Vec.get v 99);
   Alcotest.(check bool) "not empty" false (Vec.is_empty v)
 
-let test_set () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
-  Vec.set v 1 42;
-  Alcotest.(check (list int)) "after set" [ 1; 42; 3 ] (Vec.to_list v)
-
 let test_bounds () =
   let v = Vec.of_list [ 1 ] in
   Alcotest.check_raises "get oob" (Invalid_argument "Vec: index out of bounds")
     (fun () -> ignore (Vec.get v 1));
   Alcotest.check_raises "get negative"
     (Invalid_argument "Vec: index out of bounds") (fun () ->
-      ignore (Vec.get v (-1)));
-  Alcotest.check_raises "set oob" (Invalid_argument "Vec: index out of bounds")
-    (fun () -> Vec.set v 3 0)
+      ignore (Vec.get v (-1)))
 
 let test_pop_last () =
   let v = Vec.of_list [ 10; 20 ] in
@@ -137,7 +130,6 @@ let suite =
     Alcotest.test_case "json: document fields" `Quick
       test_json_document_fields;
     Alcotest.test_case "push/get" `Quick test_push_get;
-    Alcotest.test_case "set" `Quick test_set;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "pop/last" `Quick test_pop_last;
     Alcotest.test_case "iter/fold/exists" `Quick test_iter_fold;
