@@ -777,6 +777,12 @@ let check_cmd =
                   (String.concat ", " (Config.names ())))
             names
       in
+      (* A search is clean only if it ran out of schedules with no run
+         cut off by the step bound: a cut-off run checked nothing. *)
+      let clean s =
+        s.Bprc_check.Explorer.exhausted
+        && s.Bprc_check.Explorer.step_limited = 0
+      in
       let results =
         (* Stop exploring further configurations at the first violation,
            mirroring hunt's stop-at-first-failure. *)
@@ -794,8 +800,7 @@ let check_cmd =
                   cfg.Config.name stats.Bprc_check.Explorer.runs
                   stats.Bprc_check.Explorer.pruned
                   stats.Bprc_check.Explorer.step_limited
-                  (if stats.Bprc_check.Explorer.exhausted then
-                     "exhausted: clean"
+                  (if clean stats then "exhausted: clean"
                    else "bound hit: clean so far")
               | Some w ->
                 Fmt.pr "check: %-16s FAILURE after %d runs: %s@."
@@ -834,14 +839,9 @@ let check_cmd =
           Fmt.pr "  repro   : bprc check --replay %s@." out
         end
       | _ -> ());
-      let all_exhausted =
-        List.for_all
-          (fun (_, s) -> s.Bprc_check.Explorer.exhausted)
-          results
-      in
       let outcome =
         if found <> None then "violation"
-        else if all_exhausted then "clean"
+        else if List.for_all (fun (_, s) -> clean s) results then "clean"
         else "bound_hit"
       in
       if json then begin
@@ -893,8 +893,9 @@ let check_cmd =
          "Exhaustively explore the schedules of small configurations \
           (linearizability + P1-P3 + consensus spec on every completed \
           run); on violation, write a ddmin-minimized replayable witness \
-          schedule.  Exit codes: 0 every configuration exhausted clean, \
-          1 violation found, 124 exploration bound hit first.")
+          schedule.  Exit codes: 0 every configuration exhausted clean \
+          with no run cut off by the step bound, 1 violation found, 124 \
+          a run, step or wall bound hit first.")
     Term.(
       const action $ configs_arg $ list_arg $ max_runs_arg $ max_steps_arg
       $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ replay_arg)

@@ -1,12 +1,10 @@
-(* Flat representation of the §2.2 handshake object: the n x n arrow
-   matrix is one [bool R.reg array] indexed [i*n + j], and the two
-   collects of a scan land in preallocated per-scanner cell buffers
-   (the [Embedded] rewrite's recipe) instead of fresh option arrays per
-   attempt — a retry allocates nothing.  Register creation order, names
-   and the read/write order per operation are exactly those of the
-   pre-rewrite implementation (frozen in
-   [test/oracles/handshake_ref.ml]): the simulated schedules, and so
-   every pinned trace digest, are bit-identical. *)
+(* Flat representation of the §2.2 handshake object: its n(n-1) arrows
+   are one [bool R.reg array] in [Reg_names.arrow] order, and the two
+   collects of a scan land in preallocated per-scanner cell buffers, so
+   a retry allocates nothing.  Each operation's reads and writes, in
+   order, are those of the pre-rewrite implementation frozen in
+   [test/oracles/handshake_ref.ml]; only register ids differ, as the
+   oracle also allocates the n diagonal arrows. *)
 
 module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
   type 'a cell = { value : 'a; toggle : bool }
@@ -14,7 +12,7 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
   type 'a t = {
     values : 'a cell R.reg array;  (** [values.(j)] written by process j *)
     arrows : bool R.reg array;
-        (** [arrows.(i*n + j)]: cleared by scanner i, set by writer j *)
+        (** arrow [(i, j)]: cleared by scanner i, set by writer j *)
     my_value : 'a array;  (** writer-local copy of own latest value *)
     my_toggle : bool array;  (** writer-local toggle state *)
     v1 : 'a cell array array;  (** per-scanner first-collect buffers *)
@@ -22,18 +20,16 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
     mutable retries : int;
   }
 
-  (* The arrow-matrix positions a process touches, shared by every
-     instance of this application: [rows.(i)] lists [i*n + j], the
-     arrows scanner [i] clears and reads back, and [cols.(j)] lists
-     [i*n + j], the arrows writer [j] raises — each over the other
-     processes in ascending order. *)
+  (* [rows.(i)]: the arrows scanner [i] clears and reads back; [cols.(j)]:
+     those writer [j] raises — indices into [arrows], over the other
+     processes ascending, shared by every instance of this application. *)
   let rows, cols =
     let n = R.n in
     let others p f =
       Array.init (n - 1) (fun k -> f (if k < p then k else k + 1))
     in
-    ( Array.init n (fun i -> others i (fun j -> (i * n) + j)),
-      Array.init n (fun j -> others j (fun i -> (i * n) + j)) )
+    ( Array.init n (fun i -> others i (fun j -> Reg_names.arrow n i j)),
+      Array.init n (fun j -> others j (fun i -> Reg_names.arrow n i j)) )
 
   let create ?(name = "snap") ~init () =
     let value_names = Reg_names.values name R.n
@@ -41,9 +37,7 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
     let cell0 = { value = init; toggle = false } in
     {
       values = Array.init R.n (fun j -> R.make_reg ~name:value_names.(j) cell0);
-      arrows =
-        Array.init (R.n * R.n) (fun idx ->
-            R.make_reg ~name:arrow_names.(idx) false);
+      arrows = Array.map (fun name -> R.make_reg ~name false) arrow_names;
       my_value = Array.make R.n init;
       my_toggle = Array.make R.n false;
       v1 = Array.init R.n (fun _ -> Array.make R.n cell0);
@@ -104,13 +98,12 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
 
   let scan_retries t = t.retries
 
-  let space ~value_bits _t =
-    let open Bprc_space in
-    [
-      Space.entry ~group:"values" ~registers:R.n
-        ~bits_per_register:(value_bits + 1);
-      Space.entry ~group:"arrows" ~registers:(R.n * R.n) ~bits_per_register:1;
-    ]
+  let space ~value_bits t =
+    let entry group regs bits_per_register =
+      Bprc_space.Space.entry ~group ~registers:(Array.length regs)
+        ~bits_per_register
+    in
+    [ entry "values" t.values (value_bits + 1); entry "arrows" t.arrows 1 ]
 end
 
 module Make (R : Bprc_runtime.Runtime_intf.S) =

@@ -1,9 +1,6 @@
 (* Register names depend only on the base [name] and [n], yet
-   [Printf.sprintf] dominated a snapshot's [create]: it runs once per
-   consensus instance and once per explored run, under base names the
-   caller picks.  Memoized per domain on [(name, n)], one table per
-   register family, so an embedded snapshot never builds the
-   handshake's n² arrow names. *)
+   [Printf.sprintf] dominated a snapshot's [create], which runs once per
+   instance and per explored run: memoized per domain on [(name, n)]. *)
 
 let rec find name n = function
   | [] -> raise_notrace Not_found
@@ -24,7 +21,15 @@ let memo make =
 let values =
   memo (fun name n -> Array.init n (fun j -> Printf.sprintf "%s.V%d" name j))
 
+let arrow n i j = (i * (n - 1)) + if j < i then j else j - 1
+
 let arrows =
   memo (fun name n ->
-      Array.init (n * n) (fun idx ->
-          Printf.sprintf "%s.A%d.%d" name (idx / n) (idx mod n)))
+      let names = Array.make (n * (n - 1)) name in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if i <> j then
+            names.(arrow n i j) <- Printf.sprintf "%s.A%d.%d" name i j
+        done
+      done;
+      names)

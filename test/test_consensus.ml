@@ -529,16 +529,17 @@ let suite = suite @ fuzz_suite
    simulator arena — over repeated instances at n=4.  The arena is
    reused via [~sim] so the gauge reads the protocol path, not
    simulator construction.  Before the scratch rework this measured in
-   the tens of thousands of words per decision.  It reads about 712
-   words now that a published edge row is n bytes rather than n words
-   (727 before; 733 before that, 788 before the arena kept one applied
-   protocol module, the §5 loop no decision arrays and a non-adaptive
-   scheduler no coin-probe closures), and the ceiling pins that level
-   with a 4% margin; the seeds are fixed, so the count repeats exactly.
-   A second input builds a fresh arena per instance, so simulator
-   construction counts too; it reads about 634 words (649 with int
-   rows, 6,632 before the scratch rework) and is pinned with the same
-   4% margin.  Both inputs run the random scheduler. *)
+   the tens of thousands of words per decision.  It reads about 704
+   words now that the handshake allocates only its n(n-1) arrows (711
+   with the n unused diagonal arrows; 727 with int edge rows, 733
+   before that, 788 before the arena kept one applied protocol module,
+   the §5 loop no decision arrays and a non-adaptive scheduler no
+   coin-probe closures), and the ceiling pins that level with a 4%
+   margin; the seeds are fixed, so the count repeats exactly.  A second
+   input builds a fresh arena per instance, so simulator construction
+   counts too; it reads about 625 words (633 with the diagonal arrows,
+   649 with int rows, 6,632 before the scratch rework) and is pinned
+   with the same 4% margin.  Both inputs run the random scheduler. *)
 let test_ads89_words_per_decision_bounded () =
   let module Run = Bprc_harness.Run in
   let n = 4 in
@@ -571,7 +572,7 @@ let test_ads89_words_per_decision_bounded () =
   for s = 1 to 5 do
     ignore (reused s)
   done;
-  words_per_decision ~ceiling:740.0 ~what:"reused arena" reused
+  words_per_decision ~ceiling:732.0 ~what:"reused arena" reused
     (List.init 40 (fun i -> 101 + i));
   (* A fresh arena per instance, creation included: the whole decision
      path as a one-shot caller pays for it. *)
@@ -580,7 +581,7 @@ let test_ads89_words_per_decision_bounded () =
       ~algo:(Run.Ads Ads89.Shared_walk)
       ~pattern:Run.Random_inputs ~n ~seed ()
   in
-  words_per_decision ~ceiling:660.0 ~what:"fresh arenas" fresh
+  words_per_decision ~ceiling:650.0 ~what:"fresh arenas" fresh
     (List.init 24 (fun i -> 0x7E5 + 1 + i))
 
 (* Minor words of one n=64 ADS89 decision over the embedded snapshot

@@ -789,13 +789,12 @@ let suite = suite @ embedded_suite
 (* Differential: flat Handshake vs the frozen pre-rewrite reference    *)
 (* ------------------------------------------------------------------ *)
 
-(* The flat rewrite promises bit-identical behavior: same register
-   creation order and names, same read/write sequence per operation,
-   same views, same retry counts.  Run the same workload under the same
-   seeded adversary on both implementations and compare the full
-   recorded traces — any divergence in schedule, register naming or
-   access order shows up as a trace mismatch long before a wrong view
-   would. *)
+(* The flat rewrite promises the reference's behavior: same register
+   names, same read/write sequence per operation, same views, same
+   retry counts.  Run the same workload under the same seeded adversary
+   on both implementations and compare the full recorded traces — any
+   divergence in schedule, register naming or access order shows up as
+   a trace mismatch long before a wrong view would. *)
 let run_handshake_workload make_snap ~n ~rounds ~seed =
   let sim =
     Sim.create ~seed ~n ~record_trace:true ~adversary:(Adversary.random ()) ()
@@ -826,6 +825,25 @@ let handshake_ref_of rt : (module SNAP) =
   let (module R : Runtime_intf.S) = rt in
   (module Handshake_ref.Make (R) : SNAP)
 
+(* The reference allocates the full n × n arrow matrix, the flat
+   handshake only its n(n-1) off-diagonal arrows, in the same order.
+   Both create their arrows before their values, so the reference's
+   arrow (i, j), id i·n + j, is the flat one's i·(n-1) + j - [j > i],
+   and its value j, id n² + j, the flat one's n(n-1) + j.  An access to
+   a diagonal arrow, which the flat handshake lacks, fails. *)
+let ref_trace_as_flat ~n trace =
+  List.map
+    (fun (e : Trace.event) ->
+      let id = e.reg_id in
+      if id < 0 then e
+      else if id >= n * n then { e with reg_id = id - n }
+      else
+        let i = id / n and j = id mod n in
+        if i = j then
+          Alcotest.failf "reference accessed diagonal arrow %s" e.reg_name;
+        { e with reg_id = (i * (n - 1)) + j - Bool.to_int (j > i) })
+    trace
+
 let test_diff_handshake_lockstep () =
   (* n = 32, rounds = 2 alone is 10k+ simulated register accesses; the
      smaller widths add breadth across seeds. *)
@@ -845,7 +863,7 @@ let test_diff_handshake_lockstep () =
         if rf <> rr then
           Alcotest.failf "n=%d seed %d: retries differ (%d vs %d)" n seed rf rr;
         if vf <> vr then Alcotest.failf "n=%d seed %d: views differ" n seed;
-        if tf <> tr then
+        if tf <> ref_trace_as_flat ~n tr then
           Alcotest.failf "n=%d seed %d: traces differ (%d vs %d events)" n
             seed (List.length tf) (List.length tr)
       done)
@@ -887,7 +905,8 @@ let test_diff_handshake_saturated () =
       let gr, rr, tr = run handshake_ref_of in
       if gf <> gr || rf <> rr then
         Alcotest.failf "saturated seed %d: outcome differs" seed;
-      if tf <> tr then Alcotest.failf "saturated seed %d: traces differ" seed)
+      if tf <> ref_trace_as_flat ~n:4 tr then
+        Alcotest.failf "saturated seed %d: traces differ" seed)
     [ 1; 2; 3; 4; 5 ]
 
 let suite =

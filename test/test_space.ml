@@ -46,8 +46,8 @@ let test_json_shape () =
 
 (* Default params, n=2: k=2, δ=2, m=4·(δn)²=64.  One segment's payload:
    pref 2 + pointer ⌈lg 3⌉=2 + 3 coins × ⌈lg 131⌉=8 + 2 edges × ⌈lg 6⌉=3
-   = 34 bits; handshake adds the toggle (35/register) and the 2×2 arrow
-   matrix: 2·35 + 4·1 = 74 shared bits in 6 registers. *)
+   = 34 bits; handshake adds the toggle (35/register) and its n(n-1) = 2
+   arrows: 2·35 + 2·1 = 72 shared bits in 4 registers. *)
 let expect_ads ~n ~registers ~max_bits ~total_bits () =
   let fp =
     Bprc_harness.Run.footprint
@@ -62,12 +62,12 @@ let expect_ads ~n ~registers ~max_bits ~total_bits () =
     "arena agrees" registers fp.Bprc_harness.Run.registers_created
 
 let test_exact_ads_n2 () =
-  expect_ads ~n:2 ~registers:6 ~max_bits:35 ~total_bits:74 ()
+  expect_ads ~n:2 ~registers:4 ~max_bits:35 ~total_bits:72 ()
 
 (* n=4: m=4·(2·4)²=256; payload 2 + 2 + 3×⌈lg 515⌉=30 + 4×3 = 46 bits;
-   4·47 + 16·1 = 204 bits in 20 registers. *)
+   4·47 + 12·1 = 200 bits in 16 registers. *)
 let test_exact_ads_n4 () =
-  expect_ads ~n:4 ~registers:20 ~max_bits:47 ~total_bits:204 ()
+  expect_ads ~n:4 ~registers:16 ~max_bits:47 ~total_bits:200 ()
 
 let test_exact_snapshots () =
   let n = 4 in
@@ -77,10 +77,10 @@ let test_exact_snapshots () =
   let module R = (val Sim.runtime sim) in
   let module H = Bprc_snapshot.Handshake.Make (R) in
   let h = H.create ~init:0 () in
-  Alcotest.(check int) "handshake regs" (n + (n * n))
+  Alcotest.(check int) "handshake regs" (n + (n * (n - 1)))
     (Space.registers (H.space ~value_bits:10 h));
   Alcotest.(check int) "handshake bits"
-    ((n * 11) + (n * n))
+    ((n * 11) + (n * (n - 1)))
     (Space.total_bits (H.space ~value_bits:10 h));
   let module E = Bprc_snapshot.Embedded.Make (R) in
   let e = E.create ~init:0 () in
@@ -100,10 +100,31 @@ let test_exact_snapshots () =
 (* never sees a register the report does not account for               *)
 (* ------------------------------------------------------------------ *)
 
+(* The register ids [sim]'s recorded trace reads or writes are exactly
+   [0 .. Sim.registers_created sim - 1]. *)
+let check_every_register_accessed ~what sim =
+  let seen = Array.make (Sim.registers_created sim) false in
+  (match Sim.trace sim with
+  | None -> Alcotest.fail "trace recording was requested"
+  | Some t ->
+    Trace.iter
+      (fun e ->
+        let id = e.Trace.reg_id in
+        if id >= Array.length seen then
+          Alcotest.failf "%s: access to register %d, not created" what id;
+        if id >= 0 then seen.(id) <- true)
+      t);
+  Array.iteri
+    (fun id hit ->
+      if not hit then
+        Alcotest.failf "%s: register %d created but never accessed" what id)
+    seen
+
 let test_space_constant_over_run () =
   let n = 3 in
   let sim =
-    Sim.create ~seed:5 ~n ~adversary:(Adversary.random ()) ()
+    Sim.create ~seed:5 ~n ~record_trace:true ~adversary:(Adversary.random ())
+      ()
   in
   let module C = Bprc_core.Ads89.Make ((val Sim.runtime sim)) in
   let t = C.create () in
@@ -121,7 +142,42 @@ let test_space_constant_over_run () =
   Alcotest.(check int) "no hidden shared-register allocation mid-run" regs0
     (Sim.registers_created sim);
   Alcotest.(check bool) "report constant across the run" true
-    (C.space t = space0)
+    (C.space t = space0);
+  check_every_register_accessed ~what:"ads89 decision" sim
+
+(* Every snapshot, at every width from a lone process up, accesses
+   each register its arena created once every process has updated and
+   then scanned: no register is dead weight in a space report. *)
+let test_every_register_accessed () =
+  let open Bprc_snapshot in
+  let snaps :
+      (string * ((module Runtime_intf.S) -> (module Snapshot_intf.S))) list =
+    [
+      ("handshake", fun (module R) -> (module Handshake.Make (R)));
+      ("embedded", fun (module R) -> (module Embedded.Make (R)));
+      ("unbounded", fun (module R) -> (module Unbounded.Make (R)));
+    ]
+  in
+  List.iter
+    (fun (what, make) ->
+      for n = 1 to 5 do
+        let sim =
+          Sim.create ~seed:n ~n ~record_trace:true
+            ~adversary:(Adversary.random ()) ()
+        in
+        let (module S : Snapshot_intf.S) = make (Sim.runtime sim) in
+        let mem = S.create ~init:0 () in
+        for p = 0 to n - 1 do
+          ignore
+            (Sim.spawn sim (fun () ->
+                 S.write mem (p + 1);
+                 ignore (S.scan mem)))
+        done;
+        Alcotest.(check bool) "completed" true (Sim.run sim = Sim.Completed);
+        check_every_register_accessed ~what:(Printf.sprintf "%s n=%d" what n)
+          sim
+      done)
+    snaps
 
 let test_run_surfaces_space () =
   let r =
@@ -130,9 +186,9 @@ let test_run_surfaces_space () =
       ~pattern:Bprc_harness.Run.Split ~n:4 ~seed:2 ()
   in
   Alcotest.(check bool) "completed" true r.Bprc_harness.Run.completed;
-  Alcotest.(check int) "space through Run" 204
+  Alcotest.(check int) "space through Run" 200
     (Space.total_bits r.Bprc_harness.Run.space);
-  Alcotest.(check int) "measured = analytic" 20
+  Alcotest.(check int) "measured = analytic" 16
     r.Bprc_harness.Run.registers_used;
   let r =
     Bprc_harness.Run.consensus_once
@@ -250,6 +306,8 @@ let suite =
       test_exact_snapshots;
     Alcotest.test_case "space: constant over a run" `Quick
       test_space_constant_over_run;
+    Alcotest.test_case "space: every created register is accessed" `Quick
+      test_every_register_accessed;
     Alcotest.test_case "space: surfaced through Run" `Quick
       test_run_surfaces_space;
     Alcotest.test_case "space: AH width = payload + toggle" `Quick
