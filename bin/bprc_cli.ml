@@ -84,80 +84,44 @@ let n_arg =
     value & opt positive_int 4
     & info [ "n"; "procs" ] ~docv:"N" ~doc:"Number of processes.")
 
-let sched_conv =
-  let parse = function
-    | "random" -> Ok Bprc_harness.Run.Random_sched
-    | "rr" | "round-robin" -> Ok Bprc_harness.Run.Round_robin_sched
-    | "anti-coin" -> Ok Bprc_harness.Run.Anti_coin_sched
-    | "split" -> Ok Bprc_harness.Run.Osc_coin_sched
-    | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "bursty" -> (
-        match
-          int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-        with
-        | Some b when b > 0 -> Ok (Bprc_harness.Run.Bursty_sched b)
-        | _ -> Error (`Msg "bursty:<positive burst> expected"))
-      | None | Some _ -> Error (`Msg ("unknown scheduler " ^ s)))
-  in
-  let print ppf s = Fmt.string ppf (Bprc_harness.Run.sched_name s) in
-  Arg.conv (parse, print)
+module Axis = Bprc_util.Axis
+module Run = Bprc_harness.Run
+
+(* The one converter of a configuration option: [print] shows a value
+   as a token [parse] reads back, as --help's [absent=] does. *)
+let token_conv parse print =
+  Arg.conv' (parse, fun ppf v -> Fmt.string ppf (print v))
+
+let axis_conv axis = token_conv (Axis.parse axis) (Axis.token axis)
 
 let sched_arg =
   Arg.(
     value
-    & opt sched_conv Bprc_harness.Run.Random_sched
+    & opt (token_conv Run.sched_of_token Run.sched_token) Run.Random_sched
     & info [ "sched" ] ~docv:"SCHED"
         ~doc:
-          "Scheduler/adversary: random, rr, bursty:K, anti-coin (walk \
-           stretcher), split (disagreement seeker).")
-
-let algo_conv =
-  let parse = function
-    | "ads" | "ads89" -> Ok (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk)
-    | "ah" | "ah88" -> Ok Bprc_harness.Run.Ah
-    | "local" -> Ok (Bprc_harness.Run.Ads Bprc_core.Ads89.Local_flips)
-    | "oracle" -> Ok (Bprc_harness.Run.Ads Bprc_core.Ads89.Oracle_shared)
-    | "esnap" | "ads-esnap" ->
-      Ok (Bprc_harness.Run.Ads_esnap Bprc_core.Ads89.Shared_walk)
-    | "esnap-oracle" ->
-      Ok (Bprc_harness.Run.Ads_esnap Bprc_core.Ads89.Oracle_shared)
-    | s -> Error (`Msg ("unknown algorithm " ^ s))
-  in
-  let print ppf a = Fmt.string ppf (Bprc_harness.Run.algo_name a) in
-  Arg.conv (parse, print)
+          ("Scheduler/adversary: $(b,bursty:K) (bursts of K steps) or "
+          ^ Arg.doc_alts_enum Run.schedulers.tokens
+          ^ ".  anti-coin stretches the shared coin's walk, split seeks \
+             disagreement."))
 
 let algo_arg =
   Arg.(
     value
-    & opt algo_conv (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk)
+    & opt (axis_conv Run.algos) (Run.Ads Bprc_core.Ads89.Shared_walk)
     & info [ "algo" ] ~docv:"ALGO"
-        ~doc:"Algorithm: ads (the paper), ah (unbounded baseline), local \
-              (exponential baseline), oracle (perfect coin), esnap / \
-              esnap-oracle (the paper's protocol over the wait-free \
-              embedded snapshot — the large-n configuration).")
-
-let pattern_conv =
-  let parse = function
-    | "random" -> Ok Bprc_harness.Run.Random_inputs
-    | "split" -> Ok Bprc_harness.Run.Split
-    | "ones" -> Ok (Bprc_harness.Run.Unanimous true)
-    | "zeros" -> Ok (Bprc_harness.Run.Unanimous false)
-    | s -> Error (`Msg ("unknown input pattern " ^ s))
-  in
-  let print ppf = function
-    | Bprc_harness.Run.Random_inputs -> Fmt.string ppf "random"
-    | Bprc_harness.Run.Split -> Fmt.string ppf "split"
-    | Bprc_harness.Run.Unanimous v -> Fmt.pf ppf "unanimous %b" v
-  in
-  Arg.conv (parse, print)
+        ~doc:
+          ("Algorithm: " ^ Arg.doc_alts_enum Run.algos.tokens
+          ^ ".  ads is the paper's, local and oracle the same loop over a \
+             local or a perfect coin, ah the unbounded-strip baseline, \
+             esnap the paper's over the embedded snapshot (large n)."))
 
 let pattern_arg =
   Arg.(
     value
-    & opt pattern_conv Bprc_harness.Run.Random_inputs
+    & opt (axis_conv Run.patterns) Run.Random_inputs
     & info [ "inputs" ] ~docv:"PATTERN"
-        ~doc:"Input pattern: random, split, ones, zeros.")
+        ~doc:("Input pattern: " ^ Arg.doc_alts_enum Run.patterns.tokens ^ "."))
 
 (* --- run -------------------------------------------------------------- *)
 
@@ -168,21 +132,20 @@ let field_array pp_elt = Fmt.(box (array ~sep:sp pp_elt))
 
 let run_cmd =
   let action n seed algo sched pattern =
-    let r = Bprc_harness.Run.consensus_once ~sched ~algo ~pattern ~n ~seed () in
-    let inputs = Bprc_harness.Run.inputs_of_pattern pattern ~n ~seed in
-    Fmt.pr "algorithm : %s@." (Bprc_harness.Run.algo_name algo);
-    Fmt.pr "scheduler : %s@." (Bprc_harness.Run.sched_name sched);
+    let r = Run.consensus_once ~sched ~algo ~pattern ~n ~seed () in
+    let inputs = Run.inputs_of_pattern pattern ~n ~seed in
+    Fmt.pr "algorithm : %s@." (Run.algo_name algo);
+    Fmt.pr "scheduler : %s@." (Run.sched_name sched);
     Fmt.pr "inputs    : %a@." (field_array (Fmt.fmt "%b")) inputs;
     Fmt.pr "decisions : %a@."
       (field_array Fmt.(option ~none:(any "?") (fmt "%b")))
-      r.Bprc_harness.Run.decisions;
-    Fmt.pr "steps     : %d   rounds: %d   walk steps: %d@."
-      r.Bprc_harness.Run.steps r.Bprc_harness.Run.max_round
-      r.Bprc_harness.Run.walk_steps;
-    Fmt.pr "register  : %d bits@." r.Bprc_harness.Run.register_bits;
+      r.Run.decisions;
+    Fmt.pr "steps     : %d   rounds: %d   walk steps: %d@." r.Run.steps
+      r.Run.max_round r.Run.walk_steps;
+    Fmt.pr "register  : %d bits@." r.Run.register_bits;
     Fmt.pr "strip     : %d inconsistent reconstructions@."
-      r.Bprc_harness.Run.inconsistent_reconstructions;
-    match r.Bprc_harness.Run.spec with
+      r.Run.inconsistent_reconstructions;
+    match r.Run.spec with
     | Ok () -> Fmt.pr "spec      : consistency and validity hold@."
     | Error e ->
       Fmt.pr "spec      : VIOLATION — %s@." e;
@@ -205,14 +168,14 @@ let space_report_cmd =
     (* The arena's register counter cross-checks the analytic report.
        [state_bits] is the static bound, except for the unbounded
        baseline: its (initial) grown maximum. *)
-    let { Bprc_harness.Run.space; state_bits; registers_created } =
-      Bprc_harness.Run.footprint algo ~n
-    in
+    let { Run.space; state_bits; registers_created } = Run.footprint algo ~n in
+    (* The protocol, whatever the coin: its shared-walk variant's token. *)
     let algo_key =
-      match algo with
-      | Bprc_harness.Run.Ads _ -> "ads"
-      | Bprc_harness.Run.Ads_esnap _ -> "esnap"
-      | Bprc_harness.Run.Ah -> "ah"
+      Axis.token Run.algos
+        (match algo with
+        | Run.Ads _ -> Run.Ads Bprc_core.Ads89.Shared_walk
+        | Run.Ads_esnap _ -> Run.Ads_esnap Bprc_core.Ads89.Shared_walk
+        | Run.Ah -> Run.Ah)
     in
     let module Space = Bprc_space.Space in
     let k, delta, m = Bprc_core.Params.validate Bprc_core.Params.default ~n in
@@ -234,8 +197,7 @@ let space_report_cmd =
               ]))
     else begin
       Fmt.pr "algorithm : %s   n = %d   (k=%d delta=%d m=%d)@."
-        (Bprc_harness.Run.algo_name algo)
-        n k delta m;
+        (Run.algo_name algo) n k delta m;
       Fmt.pr "payload   : %d bits of protocol state per segment@." state_bits;
       Fmt.pr "%a@." Space.pp space;
       Fmt.pr "arena     : %d registers created@." registers_created
@@ -265,13 +227,12 @@ let coin_cmd =
       value & opt positive_int 2 & info [ "delta" ] ~doc:"Barrier multiplier δ.")
   in
   let action n seed delta sched =
-    let r = Bprc_harness.Run.coin_once ~delta ~sched ~n ~seed () in
+    let r = Run.coin_once ~delta ~sched ~n ~seed () in
     Fmt.pr "values     : %a@."
       (field_array (Fmt.fmt "%b"))
-      (Array.of_list r.Bprc_harness.Run.values);
-    Fmt.pr "agreed     : %b@." r.Bprc_harness.Run.agreed;
-    Fmt.pr "walk steps : %d   overflows: %d@." r.Bprc_harness.Run.walk_steps
-      r.Bprc_harness.Run.overflows
+      (Array.of_list r.Run.values);
+    Fmt.pr "agreed     : %b@." r.Run.agreed;
+    Fmt.pr "walk steps : %d   overflows: %d@." r.Run.walk_steps r.Run.overflows
   in
   Cmd.v
     (cmd_info "coin" ~doc:"Flip one bounded weak shared coin (§3).")
@@ -405,16 +366,13 @@ let trace_cmd =
   let action n seed sched steps digest =
     let sim =
       Bprc_runtime.Sim.create ~seed ~max_steps:steps ~record_trace:true ~n
-        ~adversary:(Bprc_harness.Run.plain_adversary sched) ()
+        ~adversary:(Run.plain_adversary sched) ()
     in
     let r =
-      Bprc_harness.Run.consensus_on sim
-        ~protocol:
-          (Bprc_harness.Run.protocol
-             (Bprc_harness.Run.Ads Bprc_core.Ads89.Shared_walk))
+      Run.consensus_on sim
+        ~protocol:(Run.protocol (Run.Ads Bprc_core.Ads89.Shared_walk))
         ~sched ~max_steps:steps
-        ~inputs:
-          (Bprc_harness.Run.inputs_of_pattern Bprc_harness.Run.Split ~n ~seed)
+        ~inputs:(Run.inputs_of_pattern Run.Split ~n ~seed)
         ()
     in
     match Bprc_runtime.Sim.trace sim with
@@ -427,7 +385,7 @@ let trace_cmd =
         Fmt.pr "%a@." Bprc_runtime.Trace_stats.pp
           (Bprc_runtime.Trace_stats.analyze tr ~n);
         Fmt.pr "strip : %d inconsistent reconstructions@."
-          r.Bprc_harness.Run.inconsistent_reconstructions
+          r.Run.inconsistent_reconstructions
       end
   in
   Cmd.v
@@ -493,28 +451,15 @@ let replay_report ~json ~noun ~head ~banner ~(expected : Explorer.witness)
     exit exit_budget
 
 let scenario_arg =
-  let names =
-    String.concat ", "
-      (List.map (fun (s : Config.scenario) -> s.name) Config.scenarios)
-  in
-  let scenario_conv =
-    Arg.conv
-      ( (fun s ->
-          match Config.find_scenario s with
-          | Some sc -> Ok sc
-          | None ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown scenario %s (valid: %s)" s names))),
-        fun ppf (s : Config.scenario) -> Fmt.string ppf s.name )
-  in
+  let name (s : Config.scenario) = s.name in
   Arg.(
     value
-    & opt scenario_conv (List.hd Config.scenarios)
+    & opt (token_conv Config.find_scenario name) (List.hd Config.scenarios)
     & info [ "scenario" ] ~docv:"NAME"
         ~doc:
-          (Printf.sprintf
-             "Hunt scenario: %s.  See DESIGN.md \"Fault model\"." names))
+          ("Hunt scenario: "
+          ^ doc_alts (List.map name Config.scenarios)
+          ^ ".  See DESIGN.md \"Fault model\"."))
 
 let hunt_cmd =
   let trials_arg =
@@ -644,8 +589,8 @@ let replay_cmd =
     let h = s.header in
     let scenario =
       match Config.find_scenario h.scenario with
-      | Some scenario -> scenario
-      | None ->
+      | Ok scenario -> scenario
+      | Error _ ->
         usage_error "replay: script names unknown scenario %S" h.scenario
     in
     let r = Bprc_check.Hunt.replay_script ~scenario s in
@@ -938,52 +883,27 @@ let serve_bench_cmd =
             "In-flight cap: admitted-but-undelivered instances beyond \
              which submission is refused (backpressure window).")
   in
-  let mode_conv =
-    let parse = function
-      | "det" | "deterministic" -> Ok Bprc_service.Engine.Deterministic
-      | "thr" | "throughput" -> Ok Bprc_service.Engine.Throughput
-      | s -> Error (`Msg ("unknown mode " ^ s))
-    in
-    Arg.conv
-      (parse, fun ppf m -> Fmt.string ppf (Bprc_service.Engine.mode_name m))
-  in
   let mode_arg =
     Arg.(
       value
-      & opt mode_conv Bprc_service.Engine.Throughput
+      & opt (axis_conv Bprc_service.Engine.modes) Bprc_service.Engine.Throughput
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "det (reproducible decided stream, no wall-clock fields) or \
-             thr (p50/p99 latency pipeline on).  Decisions are identical \
-             either way.")
-  in
-  let registers_conv =
-    let parse = function
-      | "atomic" -> Ok []
-      | "regular" ->
-        Ok
-          [
-            Bprc_faults.Fault_plan.Weaken
-              { index = -1; semantics = Bprc_faults.Fault_plan.Regular };
-          ]
-      | "safe" ->
-        Ok
-          [
-            Bprc_faults.Fault_plan.Weaken
-              { index = -1; semantics = Bprc_faults.Fault_plan.Safe };
-          ]
-      | s -> Error (`Msg ("unknown register strength " ^ s))
-    in
-    Arg.conv (parse, fun ppf (_ : Bprc_faults.Fault_plan.t) -> Fmt.string ppf "-")
+            ("Mode: " ^ Arg.doc_alts_enum Bprc_service.Engine.modes.tokens
+            ^ ".  det keeps wall-clock fields out of a reproducible \
+               decided stream, thr turns the p50/p99 latency pipeline on.  \
+               Decisions are identical either way."))
   in
   let registers_arg =
     Arg.(
-      value & opt registers_conv []
+      value
+      & opt (axis_conv Bprc_faults.Fault_plan.strengths) []
       & info [ "registers" ] ~docv:"STRENGTH"
           ~doc:
-            "Register strength every instance runs under: atomic \
-             (default), regular, safe.  Weakened strengths ablate \
-             robustness; spec violations then exit 1 with a count.")
+            ("Register strength every instance runs under: "
+            ^ Arg.doc_alts_enum Bprc_faults.Fault_plan.strengths.tokens
+            ^ ".  Weakened strengths ablate robustness; spec violations \
+               then exit 1 with a count."))
   in
   let json_arg =
     Arg.(
@@ -1022,7 +942,7 @@ let serve_bench_cmd =
     Bprc_service.Engine.shutdown eng;
     let st = Bprc_service.Engine.stats eng in
     let digest = Digest.to_hex (Digest.string (Buffer.contents digest_buf)) in
-    let mode_s = Bprc_service.Engine.mode_name mode in
+    let mode_s = Axis.token Bprc_service.Engine.modes mode in
     let throughput_mode = mode = Bprc_service.Engine.Throughput in
     let open Bprc_service.Engine in
     if json then begin
@@ -1037,9 +957,8 @@ let serve_bench_cmd =
                 ( "workers",
                   Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
                 ("n", Bprc_util.Json.Int n);
-                ("algo", Bprc_util.Json.Str (Bprc_harness.Run.algo_name algo));
-                ( "sched",
-                  Bprc_util.Json.Str (Bprc_harness.Run.sched_name sched) );
+                ("algo", Bprc_util.Json.Str (Run.algo_name algo));
+                ("sched", Bprc_util.Json.Str (Run.sched_name sched));
                 ("seed", Bprc_util.Json.Int seed);
                 ("instances", Bprc_util.Json.Int instances);
                 ("in_flight_cap", Bprc_util.Json.Int cap);
@@ -1074,9 +993,8 @@ let serve_bench_cmd =
     else begin
       Fmt.pr "mode        : %s@." mode_s;
       Fmt.pr "workers     : %d@." (Bprc_harness.Pool.workers pool);
-      Fmt.pr "instance    : n=%d %s, %s scheduler@." n
-        (Bprc_harness.Run.algo_name algo)
-        (Bprc_harness.Run.sched_name sched);
+      Fmt.pr "instance    : n=%d %s, %s scheduler@." n (Run.algo_name algo)
+        (Run.sched_name sched);
       Fmt.pr "submitted   : %d  (backpressure refusals: %d)@." st.submitted
         st.overloaded;
       Fmt.pr "decided     : %d  (violations: %d, incomplete: %d)@." st.decided

@@ -236,8 +236,6 @@ let entry ~name ~summary ~n ~max_steps ~expect_violation ~plan program =
     setup = program ~plan;
   }
 
-let weaken semantics = [ Fault_plan.Weaken { index = -1; semantics } ]
-
 (* Every process writes a distinct value then reads the register back. *)
 let write_read = [| [ `Write 10; `Read ]; [ `Write 20; `Read ] |]
 
@@ -249,7 +247,7 @@ let all =
       (register_prog ~prog:write_read);
     entry ~name:"reg-safe"
       ~summary:"write-then-read over a safe-weakened register" ~n:2
-      ~max_steps:64 ~expect_violation:true ~plan:(weaken Fault_plan.Safe)
+      ~max_steps:64 ~expect_violation:true ~plan:(Fault_plan.weaken_all Safe)
       (register_prog ~prog:write_read);
     (* New-old inversion probe: p0 reads twice while p1 writes once.  A
        regular register may serve the overlapping new value then the old
@@ -257,7 +255,7 @@ let all =
     entry ~name:"reg-regular"
       ~summary:"new-old inversion probe over a regular-weakened register"
       ~n:2 ~max_steps:64 ~expect_violation:true
-      ~plan:(weaken Fault_plan.Regular)
+      ~plan:(Fault_plan.weaken_all Regular)
       (register_prog ~prog:[| [ `Read; `Read ]; [ `Write 7 ] |]);
     entry ~name:"snapshot-atomic"
       ~summary:"update-then-scan over the handshake snapshot (P1-P3 + lin)"
@@ -270,7 +268,7 @@ let all =
        potentially coexists with the scan and P1 is unviolable. *)
     entry ~name:"snapshot-unsafe"
       ~summary:"handshake snapshot over safe-weakened registers" ~n:2
-      ~max_steps:256 ~expect_violation:true ~plan:(weaken Fault_plan.Safe)
+      ~max_steps:256 ~expect_violation:true ~plan:(Fault_plan.weaken_all Safe)
       (snapshot_prog ~lin:true ~prog:[| [ `Update 1; `Update 2 ]; [ `Scan ] |]);
     (* Tiny coin parameters keep runs short; the schedule tree is far too
        large to exhaust, so this is a bounded corner search, not a
@@ -370,10 +368,16 @@ let scenarios =
       expect_violation = true;
       gen_plan =
         (fun ~n ~rng ->
-          Fault_plan.Weaken { index = -1; semantics = Fault_plan.Safe }
-          :: process_faults ~n ~rng ~count:(Splitmix.int rng 2));
+          Fault_plan.weaken_all Safe
+          @ process_faults ~n ~rng ~count:(Splitmix.int rng 2));
     };
   ]
 
 let find_scenario name =
-  List.find_opt (fun (s : scenario) -> s.name = name) scenarios
+  let named (s : scenario) = s.name in
+  match List.find_opt (fun s -> named s = name) scenarios with
+  | Some s -> Ok s
+  | None ->
+    Error
+      (Printf.sprintf "unknown scenario %s (valid: %s)" name
+         (String.concat ", " (List.map named scenarios)))

@@ -91,7 +91,8 @@ val scenarios : scenario list
     with every register weakened to safe semantics: the deliberately
     injected bug the end-to-end capture/replay/shrink test finds). *)
 
-val find_scenario : string -> scenario option
+val find_scenario : string -> (scenario, string) result
+(** The scenario of that name, or a refusal that lists the valid ones. *)
 
 val run :
   ?max_steps:int ->

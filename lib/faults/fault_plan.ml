@@ -9,12 +9,15 @@ type fault =
 
 type t = fault list
 
-let semantics_to_string = function Safe -> "safe" | Regular -> "regular"
+let weaken_all semantics = [ Weaken { index = -1; semantics } ]
 
-let semantics_of_string = function
-  | "safe" -> Ok Safe
-  | "regular" -> Ok Regular
-  | s -> Error (Printf.sprintf "unknown register semantics %S" s)
+let strengths =
+  { Bprc_util.Axis.noun = "register strength";
+    tokens =
+      [ ("atomic", []); ("regular", weaken_all Regular);
+        ("safe", weaken_all Safe) ] }
+
+let semantics_to_string s = Bprc_util.Axis.token strengths (weaken_all s)
 
 let weakens plan = List.exists (function Weaken _ -> true | _ -> false) plan
 
@@ -60,14 +63,15 @@ let fault_of_json j =
     let* at_step = field_int j "at_step" in
     let* steps = field_int j "steps" in
     Ok (Stall { pid; at_step; steps })
-  | Some "weaken" ->
+  | Some "weaken" -> (
     let* index = field_int j "index" in
-    let* semantics =
-      match Option.bind (Json.member "semantics" j) Json.to_string_opt with
-      | Some s -> semantics_of_string s
-      | None -> Error "fault: missing \"semantics\""
-    in
-    Ok (Weaken { index; semantics })
+    match Option.bind (Json.member "semantics" j) Json.to_string_opt with
+    | None -> Error "fault: missing \"semantics\""
+    | Some s -> (
+      (* A strength's token is its semantics' name. *)
+      match List.assoc_opt s strengths.tokens with
+      | Some [ Weaken { semantics; _ } ] -> Ok (Weaken { index; semantics })
+      | _ -> Error (Printf.sprintf "unknown register semantics %S" s)))
   | Some tag -> Error (Printf.sprintf "fault: unknown kind %S" tag)
 
 let to_json plan = Json.Arr (List.map fault_to_json plan)

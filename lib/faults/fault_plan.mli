@@ -27,6 +27,13 @@ type fault =
 
 type t = fault list
 
+val weaken_all : semantics -> t
+(** The plan that weakens every register to [semantics]. *)
+
+val strengths : t Bprc_util.Axis.t
+(** Register strength: atomic ([[]]) or a {!weaken_all} plan.  A
+    [Weaken] fault's semantics is saved under its token here. *)
+
 val weakens : t -> bool
 (** Does the plan weaken any register?  A plan that does not leaves
     every register atomic: the explorer's sleep-set reduction is sound

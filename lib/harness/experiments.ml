@@ -338,11 +338,13 @@ let e6_space ?(quick = false) ?pool () =
     Bprc_core.Ah88.payload_bits ~rounds:(r + 1) ~counter_bits:6 + ah_control
   in
   let analytic =
+    let ads = Run.algo_name (Run.Ads Bprc_core.Ads89.Shared_walk)
+    and ah = Run.algo_name Run.Ah in
     [
-      [ "ADS89 (bounded shared coin)"; "any execution"; "-"; i ads_bits; i ads_bits; i ads_bits; "any" ];
-      [ "AH88-style (unbounded strip)"; "execution reaching r=10"; "-"; "-"; "-"; i (ah_bits_at 10); "10" ];
-      [ "AH88-style (unbounded strip)"; "execution reaching r=100"; "-"; "-"; "-"; i (ah_bits_at 100); "100" ];
-      [ "AH88-style (unbounded strip)"; "worst case"; "-"; "-"; "-"; "unbounded"; "unbounded" ];
+      [ ads; "any execution"; "-"; i ads_bits; i ads_bits; i ads_bits; "any" ];
+      [ ah; "execution reaching r=10"; "-"; "-"; "-"; i (ah_bits_at 10); "10" ];
+      [ ah; "execution reaching r=100"; "-"; "-"; "-"; i (ah_bits_at 100); "100" ];
+      [ ah; "worst case"; "-"; "-"; "-"; "unbounded"; "unbounded" ];
     ]
   in
   Table.make ~id:"E6" ~title:"Register size in bits: bounded vs unbounded strip (headline)"
@@ -512,11 +514,6 @@ let e9_correctness ?(quick = false) ?pool () =
   let algos = [ Run.Ads Bprc_core.Ads89.Shared_walk; Run.Ah ] in
   let scheds = [ Run.Random_sched; Run.Round_robin_sched; Run.Bursty_sched 9 ] in
   let patterns = [ Run.Unanimous true; Run.Split; Run.Random_inputs ] in
-  let pattern_name = function
-    | Run.Unanimous v -> Printf.sprintf "unanimous %b" v
-    | Run.Split -> "split"
-    | Run.Random_inputs -> "random"
-  in
   let root = Bprc_rng.Splitmix.create ~seed:0xE9 in
   let cell = ref 0 in
   let rows =
@@ -559,7 +556,7 @@ let e9_correctness ?(quick = false) ?pool () =
                 [
                   Run.algo_name algo;
                   Run.sched_name sched;
-                  pattern_name pattern;
+                  Run.pattern_name pattern;
                   i trials;
                   i t.Run.violations;
                   i undecided;
@@ -602,9 +599,9 @@ let e10_adaptive_adversary ?(quick = false) ?pool () =
   let rnd_steps, rnd_dis = per 0 Run.Random_sched in
   let anti_steps, anti_dis = per 1 Run.Anti_coin_sched in
   let osc_steps, osc_dis = per 2 Run.Osc_coin_sched in
-  let row name steps dis =
+  let row sched steps dis =
     [
-      name;
+      Run.sched_name sched;
       i trials;
       f (Stats.mean steps);
       f (Stats.percentile 90.0 steps);
@@ -623,9 +620,9 @@ let e10_adaptive_adversary ?(quick = false) ?pool () =
       ]
     ~metrics:[ ("adaptive_random_step_ratio", ratio) ]
     [
-      row "random" rnd_steps rnd_dis;
-      row "anti-coin (stretch)" anti_steps anti_dis;
-      row "anti-coin (split)" osc_steps osc_dis;
+      row Run.Random_sched rnd_steps rnd_dis;
+      row Run.Anti_coin_sched anti_steps anti_dis;
+      row Run.Osc_coin_sched osc_steps osc_dis;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -841,25 +838,10 @@ let e16_weakening ?(quick = false) ?pool () =
   let n = 4 in
   let trials = scale quick 32 in
   let max_steps = 300_000 in
-  let variants =
-    [
-      ("atomic", []);
-      ( "regular (all registers)",
-        [
-          Bprc_faults.Fault_plan.Weaken
-            { index = -1; semantics = Bprc_faults.Fault_plan.Regular };
-        ] );
-      ( "safe (all registers)",
-        [
-          Bprc_faults.Fault_plan.Weaken
-            { index = -1; semantics = Bprc_faults.Fault_plan.Safe };
-        ] );
-    ]
-  in
   let root = Bprc_rng.Splitmix.create ~seed:0xE16 in
   let rows =
     List.mapi
-      (fun cell (label, faults) ->
+      (fun cell (token, faults) ->
         let t =
           tally_runs ?pool root cell ~trials (fun ~seed ->
               Run.consensus_once ~max_steps ~faults
@@ -867,13 +849,13 @@ let e16_weakening ?(quick = false) ?pool () =
                 ~seed ())
         in
         [
-          label;
+          (if faults = [] then token else token ^ " (all registers)");
           i trials;
           i t.Run.violations;
           i t.Run.timeouts;
           f (Stats.mean (measure (fun r -> r.Run.steps) t));
         ])
-      variants
+      Bprc_faults.Fault_plan.strengths.tokens
   in
   Table.make ~id:"E16"
     ~title:"Register-weakening ablation: consensus over degraded registers"

@@ -7,12 +7,29 @@ type sched =
   | Anti_coin_sched
   | Osc_coin_sched
 
+let schedulers =
+  { Bprc_util.Axis.noun = "scheduler";
+    tokens =
+      [ ("random", Random_sched);
+        ("round-robin", Round_robin_sched); ("rr", Round_robin_sched);
+        ("anti-coin", Anti_coin_sched); ("split", Osc_coin_sched) ] }
+
+let sched_of_token s =
+  if String.starts_with ~prefix:"bursty:" s then
+    match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
+    | Some b when b > 0 -> Ok (Bursty_sched b)
+    | _ -> Error "bursty:<positive burst> expected"
+  else Bprc_util.Axis.parse schedulers s
+
+let sched_token = function
+  | Bursty_sched b -> Printf.sprintf "bursty:%d" b
+  | s -> Bprc_util.Axis.token schedulers s
+
 let sched_name = function
-  | Random_sched -> "random"
-  | Round_robin_sched -> "round-robin"
   | Bursty_sched b -> Printf.sprintf "bursty-%d" b
   | Anti_coin_sched -> "anti-coin (stretch)"
   | Osc_coin_sched -> "anti-coin (split)"
+  | (Random_sched | Round_robin_sched) as s -> sched_token s
 
 (* The first runnable pid satisfying [p]. *)
 let rec find_from runnable p i =
@@ -162,6 +179,16 @@ let algo_name = function
   | Ads_esnap Bprc_core.Ads89.Oracle_shared -> "ADS89/esnap (oracle coin)"
   | Ah -> "AH88-style (unbounded strip)"
 
+let algos =
+  let open Bprc_core.Ads89 in
+  { Bprc_util.Axis.noun = "algorithm";
+    tokens =
+      [ ("ads", Ads Shared_walk); ("ads89", Ads Shared_walk);
+        ("local", Ads Local_flips); ("oracle", Ads Oracle_shared);
+        ("esnap", Ads_esnap Shared_walk); ("ads-esnap", Ads_esnap Shared_walk);
+        ("esnap-oracle", Ads_esnap Oracle_shared);
+        ("ah", Ah); ("ah88", Ah) ] }
+
 (* Each arm is a closed function, so [protocol algo] allocates
    nothing. *)
 let protocol :
@@ -183,6 +210,16 @@ let protocol :
   | Ah -> fun (module R) -> (module Bprc_core.Ah88.Make_batched (R))
 
 type pattern = Unanimous of bool | Split | Random_inputs
+
+let patterns =
+  { Bprc_util.Axis.noun = "input pattern";
+    tokens =
+      [ ("random", Random_inputs); ("split", Split);
+        ("ones", Unanimous true); ("zeros", Unanimous false) ] }
+
+let pattern_name = function
+  | Unanimous v -> Printf.sprintf "unanimous %b" v
+  | (Split | Random_inputs) as p -> Bprc_util.Axis.token patterns p
 
 let inputs_of_pattern pattern ~n ~seed =
   match pattern with
@@ -306,9 +343,11 @@ let consensus_on sim ~protocol ?(params = Bprc_core.Params.default)
    start alike. *)
 let empty_minor_heap_from = 64
 
+let default_max_steps = 20_000_000
+
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
-    ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(faults = []) ~algo
-    ~pattern ~n ~seed () =
+    ?(max_steps = default_max_steps) ?(sched = Random_sched) ?(faults = [])
+    ~algo ~pattern ~n ~seed () =
   let inputs = inputs_of_pattern pattern ~n ~seed in
   let adversary = plain_adversary sched in
   let sim =

@@ -16,7 +16,16 @@ type sched =
           lets some processes observe and decide, then reverses it
           across the other barrier for the rest. *)
 
+val schedulers : sched Bprc_util.Axis.t
+(** The tokens of every scheduler but [Bursty_sched]. *)
+
+val sched_of_token : string -> (sched, string) result
+(** A {!schedulers} token, or the one parametric token, [bursty:K]. *)
+
+val sched_token : sched -> string
+
 val sched_name : sched -> string
+(** A report label, as [algo_name] and [pattern_name] are. *)
 
 val plain_adversary : sched -> Bprc_runtime.Adversary.t
 (** The adversary a run under [sched] starts with.  The two adaptive
@@ -60,6 +69,9 @@ type algo =
 
 val algo_name : algo -> string
 
+val algos : algo Bprc_util.Axis.t
+(** The tokens of every algorithm but [Ads_esnap Local_flips]. *)
+
 val protocol :
   algo ->
   (module Bprc_runtime.Runtime_intf.BATCHED) ->
@@ -91,6 +103,10 @@ val applied :
     module does not depend on the coin mode, which goes to [create]. *)
 
 type pattern = Unanimous of bool | Split | Random_inputs
+
+val patterns : pattern Bprc_util.Axis.t
+
+val pattern_name : pattern -> string
 
 val inputs_of_pattern : pattern -> n:int -> seed:int -> bool array
 
@@ -144,6 +160,8 @@ val consensus_on :
     run for at most [max_steps] while firing [faults]' crashes and
     stalls, and check the decisions.  Otherwise the simulator's
     adversary and its trace and flip hooks stay the caller's. *)
+
+val default_max_steps : int
 
 val consensus_once :
   ?sim:Bprc_runtime.Sim.t ->

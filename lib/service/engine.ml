@@ -7,9 +7,11 @@ module Splitmix = Bprc_rng.Splitmix
 
 type mode = Deterministic | Throughput
 
-let mode_name = function
-  | Deterministic -> "deterministic"
-  | Throughput -> "throughput"
+let modes =
+  { Bprc_util.Axis.noun = "mode";
+    tokens =
+      [ ("deterministic", Deterministic); ("det", Deterministic);
+        ("throughput", Throughput); ("thr", Throughput) ] }
 
 type decided = {
   ticket : int;

@@ -34,8 +34,8 @@ type mode =
       (** per-instance latency measured and ring-buffered for p50/p99;
           records carry the executing shard's domain id *)
 
-val mode_name : mode -> string
-(** ["deterministic"] / ["throughput"]. *)
+val modes : mode Bprc_util.Axis.t
+(** Each mode's full name, which reports print, then its abbreviation. *)
 
 type decided = {
   ticket : int;  (** as returned by {!submit} *)

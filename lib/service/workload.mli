@@ -32,7 +32,7 @@ val spec :
   spec
 (** Smart constructor.  Defaults: ADS89 over the shared bounded walk,
     random inputs, random scheduler, default parameters, no faults,
-    [max_steps = 20_000_000].
+    [max_steps =] {!Bprc_harness.Run.default_max_steps}.
     @raise Invalid_argument on [n < 1] or [max_steps < 1]. *)
 
 val uniform : count:int -> spec -> spec list

@@ -35,9 +35,12 @@ module Make_batched (R : Bprc_runtime.Runtime_intf.BATCHED) = struct
     let value_names = Reg_names.values name R.n
     and arrow_names = Reg_names.arrows name R.n in
     let cell0 = { value = init; toggle = false } in
+    (* Allocation order is register id order: arrows, then values. *)
+    let arrows = Array.map (fun name -> R.make_reg ~name false) arrow_names in
+    let values = Array.map (fun name -> R.make_reg ~name cell0) value_names in
     {
-      values = Array.init R.n (fun j -> R.make_reg ~name:value_names.(j) cell0);
-      arrows = Array.map (fun name -> R.make_reg ~name false) arrow_names;
+      values;
+      arrows;
       my_value = Array.make R.n init;
       my_toggle = Array.make R.n false;
       v1 = Array.init R.n (fun _ -> Array.make R.n cell0);

@@ -13,7 +13,7 @@ let all_kinds_plan : Fault_plan.t =
     Fault_plan.Weaken { index = 3; semantics = Fault_plan.Regular };
   ]
 
-let scenario name = Option.get (Config.find_scenario name)
+let scenario name = Result.get_ok (Config.find_scenario name)
 let snapshot_unsafe = scenario "snapshot-unsafe"
 let consensus = scenario "consensus"
 

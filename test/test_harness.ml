@@ -334,6 +334,89 @@ let test_inputs_of_pattern () =
   let b = Run.inputs_of_pattern Run.Random_inputs ~n:8 ~seed:5 in
   Alcotest.(check (array bool)) "random deterministic" a b
 
+(* [accepted] lists tokens with the values they name: each must parse
+   to its value, and the value must print as a token that parses back
+   to it. *)
+let round_trip what ~parse ~print accepted =
+  List.iter
+    (fun (token, v) ->
+      if parse token <> Ok v then
+        Alcotest.failf "%s: %s parses to another value" what token;
+      let printed = print v in
+      if parse printed <> Ok v then
+        Alcotest.failf "%s: %s prints as %s, which does not parse back" what
+          token printed)
+    accepted
+
+(* ... and [accepted] is every token of [axis]. *)
+let axis_round_trip what axis accepted =
+  let sorted l = List.sort compare (List.map fst l) in
+  Alcotest.(check (list string))
+    (what ^ ": every token") (sorted accepted)
+    (sorted axis.Bprc_util.Axis.tokens);
+  round_trip what ~parse:(Bprc_util.Axis.parse axis)
+    ~print:(Bprc_util.Axis.token axis) accepted
+
+let test_axis_tokens_round_trip () =
+  let open Bprc_core.Ads89 in
+  axis_round_trip "algo" Run.algos
+    [
+      ("ads", Run.Ads Shared_walk);
+      ("ads89", Run.Ads Shared_walk);
+      ("local", Run.Ads Local_flips);
+      ("oracle", Run.Ads Oracle_shared);
+      ("esnap", Run.Ads_esnap Shared_walk);
+      ("ads-esnap", Run.Ads_esnap Shared_walk);
+      ("esnap-oracle", Run.Ads_esnap Oracle_shared);
+      ("ah", Run.Ah);
+      ("ah88", Run.Ah);
+    ];
+  let scheds =
+    [
+      ("random", Run.Random_sched);
+      ("rr", Run.Round_robin_sched);
+      ("round-robin", Run.Round_robin_sched);
+      ("anti-coin", Run.Anti_coin_sched);
+      ("split", Run.Osc_coin_sched);
+    ]
+  in
+  axis_round_trip "sched" Run.schedulers scheds;
+  round_trip "sched" ~parse:Run.sched_of_token ~print:Run.sched_token
+    (("bursty:1", Run.Bursty_sched 1)
+     :: ("bursty:7", Run.Bursty_sched 7)
+     :: scheds);
+  List.iter
+    (fun (token, refusal) ->
+      Alcotest.(check (result reject string))
+        token (Error refusal) (Run.sched_of_token token))
+    [
+      ("bursty:0", "bursty:<positive burst> expected");
+      ("bursty:x", "bursty:<positive burst> expected");
+      ("bursty-7", "unknown scheduler bursty-7");
+    ];
+  axis_round_trip "inputs" Run.patterns
+    [
+      ("random", Run.Random_inputs);
+      ("split", Run.Split);
+      ("ones", Run.Unanimous true);
+      ("zeros", Run.Unanimous false);
+    ];
+  let module F = Bprc_faults.Fault_plan in
+  axis_round_trip "registers" F.strengths
+    [
+      ("atomic", []);
+      ("regular", [ F.Weaken { index = -1; semantics = F.Regular } ]);
+      ("safe", [ F.Weaken { index = -1; semantics = F.Safe } ]);
+    ];
+  let module E = Bprc_service.Engine in
+  axis_round_trip "mode" E.modes
+    [
+      ("det", E.Deterministic);
+      ("deterministic", E.Deterministic);
+      ("thr", E.Throughput);
+      ("throughput", E.Throughput);
+    ]
+
 let test_coin_once_deterministic () =
   let a = Run.coin_once ~n:3 ~seed:11 () in
   let b = Run.coin_once ~n:3 ~seed:11 () in
@@ -504,6 +587,8 @@ let suite =
     Alcotest.test_case "pool: experiment matches sequential" `Slow
       test_pool_experiment_matches_sequential;
     Alcotest.test_case "run: input patterns" `Quick test_inputs_of_pattern;
+    Alcotest.test_case "run: axis tokens round-trip" `Quick
+      test_axis_tokens_round_trip;
     Alcotest.test_case "run: coin deterministic" `Quick
       test_coin_once_deterministic;
     Alcotest.test_case "run: adaptive coins complete" `Quick

@@ -209,6 +209,31 @@ let test_handshake_own_component () =
         (Sim.result h))
     handles
 
+(* The handshake allocates its n(n-1) arrows first, so the first value
+   register, V0, takes id n(n-1).  Trace digests and [Weaken {index}]
+   plans name registers by these ids. *)
+let test_handshake_value_ids_follow_arrows () =
+  let n = 2 in
+  let sim =
+    Sim.create ~seed:1 ~n ~record_trace:true
+      ~adversary:(Adversary.round_robin ()) ()
+  in
+  let module S = Handshake.Make ((val Sim.runtime sim)) in
+  let mem = S.create ~init:0 () in
+  for p = 0 to n - 1 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           S.write mem (p + 1);
+           ignore (S.scan mem)))
+  done;
+  ignore (Sim.run sim);
+  let v0 =
+    List.find
+      (fun e -> e.Trace.reg_name = "snap.V0")
+      (Trace.to_list (Option.get (Sim.trace sim)))
+  in
+  Alcotest.(check int) "V0's id" (n * (n - 1)) v0.Trace.reg_id
+
 let test_handshake_exhaustive_two_procs () =
   (* n=2, each process: one write then one scan.  Full interleaving
      space; all three properties checked on every execution. *)
@@ -349,6 +374,8 @@ let suite =
       test_handshake_sequential_exact;
     Alcotest.test_case "handshake: own component" `Quick
       test_handshake_own_component;
+    Alcotest.test_case "handshake: value ids follow the arrows" `Quick
+      test_handshake_value_ids_follow_arrows;
     Alcotest.test_case "handshake: exhaustive n=2" `Slow
       test_handshake_exhaustive_two_procs;
     Alcotest.test_case "handshake: retries bounded" `Quick
