@@ -952,13 +952,13 @@ let serve_bench_cmd =
            (Bprc_util.Json.Obj
               [
                 ("kind", Bprc_util.Json.Str "bprc-serve-report");
-                ("version", Bprc_util.Json.Int 1);
+                ("version", Bprc_util.Json.Int 2);
                 ("mode", Bprc_util.Json.Str mode_s);
                 ( "workers",
                   Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
                 ("n", Bprc_util.Json.Int n);
-                ("algo", Bprc_util.Json.Str (Run.algo_name algo));
-                ("sched", Bprc_util.Json.Str (Run.sched_name sched));
+                ("algo", Bprc_util.Json.Str (Axis.token Run.algos algo));
+                ("sched", Bprc_util.Json.Str (Run.sched_token sched));
                 ("seed", Bprc_util.Json.Int seed);
                 ("instances", Bprc_util.Json.Int instances);
                 ("in_flight_cap", Bprc_util.Json.Int cap);

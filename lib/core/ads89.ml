@@ -17,15 +17,7 @@ let some_true = Some true
 let some_false = Some false
 let decision v = if v then some_true else some_false
 
-type 'r segment = {
-  pref : bool option;
-  round : 'r;
-  ghost : int;
-      (** checker-only ghost write counter: not part of the algorithm
-          (nothing reads it) and excluded from the space accounting;
-          it lets tests serialize scans per P3 and drive the §6.1
-          virtual-round checker. *)
-}
+type 'r segment = { pref : bool option; round : 'r }
 
 type verdict = Bprc_coin.Bounded_walk.verdict = Heads | Tails | Undecided
 
@@ -44,7 +36,6 @@ module type STRIP = sig
   val advance : t -> round -> round
   val walk : t -> round -> int -> round
   val counter : t -> round -> int
-  val edges : round -> Bytes.t
   val state_bits : t -> int
   val decode_stats : t -> decode_stats
   val inconsistent_reconstructions : t -> int
@@ -80,19 +71,16 @@ struct
     probe : Bprc_coin.Coin_probe.t;
         (** true round, current-round counter as last written, and
             drawn-but-unpublished step direction, per process *)
-    ghost_count : int array;
-    recorder : Virtual_rounds.obs Bprc_util.Vec.t option;
     mutable scan_count : int;
     mutable write_count : int;
     mutable walk_count : int;
   }
 
   let create ?(name = St.name) ?(params = Params.default)
-      ?(coin_mode = Shared_walk) ?(oracle_seed = 0) ?(record_scans = false) ()
-      =
+      ?(coin_mode = Shared_walk) ?(oracle_seed = 0) () =
     let _, delta, _ = Params.validate params ~n:R.n in
     let strip = St.create params ~n:R.n in
-    let init = { pref = None; round = St.init strip; ghost = 0 } in
+    let init = { pref = None; round = St.init strip } in
     {
       strip;
       mem = Snap.create ~name ~init ();
@@ -100,9 +88,6 @@ struct
       mode = coin_mode;
       oracle_seed;
       probe = Bprc_coin.Coin_probe.create ~n:R.n ~threshold:(delta * R.n);
-      ghost_count = Array.make R.n 0;
-      recorder =
-        (if record_scans then Some (Bprc_util.Vec.create ()) else None);
       scan_count = 0;
       write_count = 0;
       walk_count = 0;
@@ -113,22 +98,12 @@ struct
     t.scan_count <- t.scan_count + 1;
     let view = t.views.(me) in
     Snap.scan_into t.mem view;
-    (match t.recorder with
-    | None -> ()
-    | Some rec_ ->
-      Bprc_util.Vec.push rec_
-        {
-          Virtual_rounds.spid = me;
-          ghosts = Array.map (fun st -> st.ghost) view;
-          rows = Array.map (fun st -> Bytes.copy (St.edges st.round)) view;
-        });
     St.decode t.strip view me;
     view
 
-  let write t me pref round =
+  let write t pref round =
     t.write_count <- t.write_count + 1;
-    t.ghost_count.(me) <- t.ghost_count.(me) + 1;
-    Snap.write t.mem { pref; round; ghost = t.ghost_count.(me) }
+    Snap.write t.mem { pref; round }
 
   (* Adopt [v] and enter the next round (§5 [inc]). *)
   let enter t me v round =
@@ -136,7 +111,7 @@ struct
     t.probe.rounds.(me) <- t.probe.rounds.(me) + 1;
     t.probe.published.(me) <- 0;
     t.probe.pending.(me) <- 0;
-    write t me (Some v) round
+    write t (Some v) round
 
   (* I lead, and every process preferring otherwise trails me by K. *)
   let can_decide t view me v =
@@ -206,7 +181,7 @@ struct
         | None -> (
           match my.pref with
           | Some _ ->
-            write t me None my.round;
+            write t None my.round;
             loop ()
           | None -> (
             match t.mode with
@@ -225,7 +200,7 @@ struct
                 t.probe.pending.(me) <- move;
                 let round = St.walk t.strip my.round move in
                 t.walk_count <- t.walk_count + 1;
-                write t me None round;
+                write t None round;
                 t.probe.published.(me) <- St.counter t.strip round;
                 t.probe.pending.(me) <- 0;
                 loop ()
@@ -251,16 +226,11 @@ struct
   let decode_stats t = St.decode_stats t.strip
   let state_bits t = St.state_bits t.strip
 
-  (* The [ghost] field is checker-only meta-state and excluded from the
-     space accounting; the snapshot layer adds its own control bits. *)
+  (* The snapshot layer adds its own control bits. *)
   let space t = Snap.space ~value_bits:(state_bits t) t.mem
 
   let coin_probe t = t.probe
-
-  let recorded_scans t =
-    match t.recorder with
-    | None -> []
-    | Some rec_ -> Bprc_util.Vec.to_list rec_
+  let memory t = t.mem
 end
 
 (* The §4 bounded strip: a pointer and K+1 bounded walk counters (the
@@ -303,7 +273,6 @@ module Bounded = struct
     {
       pref = None;
       round = { current_coin = 0; coins = [||]; edges = Bytes.empty };
-      ghost = 0;
     }
 
   let create params ~n =

@@ -16,7 +16,9 @@
     implementing the coins of its latest rounds (§3 embedded per
     Observation 1), and its row of the mod-3K edge counters that
     encode the rounds-strip distance graph (§4).  Everything is bounded
-    by a function of [n] and the parameters; no field ever grows.
+    by a function of [n] and the parameters; no field ever grows.  The
+    segment carries nothing else: a checker observes the protocol from
+    outside, through the snapshot it runs over ({!Over_strip.memory}).
 
     The protocol loop, §5 (reconstruction decisions in DESIGN.md):
 
@@ -60,11 +62,9 @@ val decision : bool -> bool option
 type 'r segment = {
   pref : bool option;
   round : 'r;  (** the strip's round state and round coins *)
-  ghost : int;
-      (** checker-only write stamp: nothing in the protocol reads it,
-          and the space accounting leaves it out *)
 }
-(** One process's segment of the scannable memory. *)
+(** One process's segment of the scannable memory: the paper's state
+    and nothing else. *)
 
 type verdict = Bprc_coin.Bounded_walk.verdict = Heads | Tails | Undecided
 (** A round coin as read from one view: the §3 coin's verdict. *)
@@ -115,10 +115,6 @@ module type STRIP = sig
   val counter : t -> round -> int
   (** My counter for my current round. *)
 
-  val edges : round -> Bytes.t
-  (** The edge-counter row the §6.1 scan recorder copies, one byte per
-      counter; empty when the strip has none. *)
-
   val state_bits : t -> int
   (** Payload bits per segment. *)
 
@@ -134,12 +130,27 @@ end
 module Over_strip
     (St : STRIP)
     (R : Bprc_runtime.Runtime_intf.S)
-    (_ : Bprc_snapshot.Snapshot_intf.S) : sig
+    (Snap : Bprc_snapshot.Snapshot_intf.S) : sig
   include Consensus_intf.S
 
   val decode_stats : t -> St.decode_stats
+
+  val memory : t -> St.round segment Snap.t
+  (** The instance's scannable memory, for a checker that observes the
+      protocol through its snapshot (the §6.1 tests wrap [Snap] in a
+      recorder). *)
 end
 (** The §5 loop over strip [St]: one instance per application. *)
+
+module Bounded : sig
+  include STRIP
+
+  val edges : round -> Bytes.t
+  (** My published row of the mod-3K edge counters, one byte per
+      counter: what the §6.1 checker reads of a segment. *)
+end
+(** The §4 bounded strip: a pointer and [K+1] bounded walk counters
+    (the coins of my latest rounds) plus my row of the edge counters. *)
 
 module type S = sig
   include Consensus_intf.S

@@ -80,7 +80,6 @@ module Unbounded = struct
     { st with coins }
 
   let counter _ st = st.coins.(st.r)
-  let edges _ = Bytes.empty
 
   (* The grown maximum so far: execution-dependent, unlike the bounded
      strip's (the point of experiment E6). *)

@@ -18,9 +18,7 @@
 
     Expected polynomial time, like the paper's protocol, but register
     size grows linearly with the round number reached, and adversarial
-    scheduling can push it arbitrarily high (experiment E6).  The
-    checker-only hooks stay the bounded strip's: {!Virtual_rounds} reads
-    edge rows, which this strip does not have. *)
+    scheduling can push it arbitrarily high (experiment E6). *)
 
 val payload_bits : rounds:int -> counter_bits:int -> int
 (** Width of the unbounded strip's payload once [rounds] rounds have

@@ -32,12 +32,8 @@ module type S = sig
     ?params:Params.t ->
     ?coin_mode:coin_mode ->
     ?oracle_seed:int ->
-    ?record_scans:bool ->
     unit ->
     t
-  (** [record_scans] turns on the checker-level scan recorder consumed
-      by {!Virtual_rounds} (§6.1); off by default.  Only the bounded
-      strip's edge rows mean anything to that checker. *)
 
   val run : t -> input:bool -> bool
   (** Execute the protocol as the calling process; returns the decided
@@ -58,15 +54,12 @@ module type S = sig
       its group's [bits_per_register], payload plus the snapshot's own
       control bits (the handshake's toggle, the embedded snapshot's
       sequence number and view), and
-      {!Bprc_space.Space.max_register_bits} is the widest.
-      Checker-side ghost fields are excluded. *)
+      {!Bprc_space.Space.max_register_bits} is the widest.  A segment
+      holds only the protocol's state, so nothing published is left
+      out. *)
 
   val coin_probe : t -> Bprc_coin.Coin_probe.t
   (** Meta-level view of the per-round coin counters, for the
       full-information adaptive adversaries of the harness.  Live: the
       one record tracks the run. *)
-
-  val recorded_scans : t -> Virtual_rounds.obs list
-  (** The scans observed so far (empty unless [record_scans]), in
-      completion order; feed to {!Virtual_rounds.check}. *)
 end

@@ -1,6 +1,6 @@
 type obs = {
   spid : int;
-  ghosts : int array;
+  writes : int array;
   rows : Bytes.t array;
 }
 
@@ -29,7 +29,7 @@ let serialize observations =
      that equal views keep completion order. *)
   let err = ref None in
   let cmp a b =
-    match compare_views a.ghosts b.ghosts with
+    match compare_views a.writes b.writes with
     | Some c -> c
     | None ->
       if !err = None then err := Some "P3 violated: incomparable scan views";

@@ -8,15 +8,15 @@
     otherwise relative to an old leader at [max].  The paper's key
     structural facts, checked here on recorded executions:
 
-    - the serialization exists: scan views (per-writer ghost write
-      counts) are totally ordered componentwise — P3 lifted to the
+    - the serialization exists: scan views (per-writer write counts)
+      are totally ordered componentwise — P3 lifted to the
       consensus protocol's own scans;
     - each process's virtual round is non-decreasing along the
       serialization, {e even at scans the process did not perform}. *)
 
 type obs = {
   spid : int;  (** scanning process *)
-  ghosts : int array;  (** per-writer ghost write counters in the view *)
+  writes : int array;  (** per-writer write counts in the view *)
   rows : Bytes.t array;
       (** edge-counter rows in the view, one byte per counter *)
 }

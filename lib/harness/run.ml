@@ -186,6 +186,7 @@ let algos =
       [ ("ads", Ads Shared_walk); ("ads89", Ads Shared_walk);
         ("local", Ads Local_flips); ("oracle", Ads Oracle_shared);
         ("esnap", Ads_esnap Shared_walk); ("ads-esnap", Ads_esnap Shared_walk);
+        ("esnap-local", Ads_esnap Local_flips);
         ("esnap-oracle", Ads_esnap Oracle_shared);
         ("ah", Ah); ("ah88", Ah) ] }
 

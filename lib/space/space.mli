@@ -8,11 +8,11 @@
     harness surfaces the totals through bench rows and
     [bprc space-report].
 
-    The accounting covers {e shared} state only: checker-side ghost
-    fields (e.g. the unbounded round counter kept by the [Ads89]
-    checker) and private per-process scratch buffers are excluded —
-    they are not part of what the adversary can observe nor of what the
-    paper bounds. *)
+    The accounting covers {e shared} state only: private per-process
+    scratch buffers and meta-level counters (e.g. the true round
+    number the [Ads89] coin probe keeps) are excluded — they are not
+    part of what the adversary can observe nor of what the paper
+    bounds. *)
 
 type entry = {
   group : string;  (** structure/field family, e.g. ["values"] *)

@@ -3,9 +3,9 @@ type 'a t = {
   mutable len : int;
 }
 
-(* Capacity cannot be preallocated without a witness element, so the
-   backing array is allocated lazily on first push. *)
-let create ?capacity:_ () = { data = [||]; len = 0 }
+(* The backing array is allocated lazily on first push: it cannot be
+   made without a witness element. *)
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -528,18 +528,12 @@ let suite = suite @ fuzz_suite
    scan-into view buffers, scratch counter/graph decode, reused
    simulator arena — over repeated instances at n=4.  The arena is
    reused via [~sim] so the gauge reads the protocol path, not
-   simulator construction.  Before the scratch rework this measured in
-   the tens of thousands of words per decision.  It reads about 704
-   words now that the handshake allocates only its n(n-1) arrows (711
-   with the n unused diagonal arrows; 727 with int edge rows, 733
-   before that, 788 before the arena kept one applied protocol module,
-   the §5 loop no decision arrays and a non-adaptive scheduler no
-   coin-probe closures), and the ceiling pins that level with a 4%
-   margin; the seeds are fixed, so the count repeats exactly.  A second
-   input builds a fresh arena per instance, so simulator construction
-   counts too; it reads about 625 words (633 with the diagonal arrows,
-   649 with int rows, 6,632 before the scratch rework) and is pinned
-   with the same 4% margin.  Both inputs run the random scheduler. *)
+   simulator construction.  It reads about 687 words; the ceiling
+   (700, a 2% margin) sits below the 704 a segment with one more
+   per-write field costs.  A second input builds a fresh arena per
+   instance, so simulator construction counts too; it reads about 616
+   words and is pinned with a 4% margin.  The seeds are fixed, so the
+   counts repeat exactly.  Both inputs run the random scheduler. *)
 let test_ads89_words_per_decision_bounded () =
   let module Run = Bprc_harness.Run in
   let n = 4 in
@@ -572,7 +566,7 @@ let test_ads89_words_per_decision_bounded () =
   for s = 1 to 5 do
     ignore (reused s)
   done;
-  words_per_decision ~ceiling:732.0 ~what:"reused arena" reused
+  words_per_decision ~ceiling:700.0 ~what:"reused arena" reused
     (List.init 40 (fun i -> 101 + i));
   (* A fresh arena per instance, creation included: the whole decision
      path as a one-shot caller pays for it. *)
@@ -581,20 +575,15 @@ let test_ads89_words_per_decision_bounded () =
       ~algo:(Run.Ads Ads89.Shared_walk)
       ~pattern:Run.Random_inputs ~n ~seed ()
   in
-  words_per_decision ~ceiling:650.0 ~what:"fresh arenas" fresh
+  words_per_decision ~ceiling:640.0 ~what:"fresh arenas" fresh
     (List.init 24 (fun i -> 0x7E5 + 1 + i))
 
 (* Minor words of one n=64 ADS89 decision over the embedded snapshot
    (oracle coin, round-robin) on a reused arena, whose applied protocol
-   module already exists.  It reads 33,060 words: the embedded
-   snapshot keeps one collect buffer per scanner in the instance and
-   its pointer-free scan bookkeeping in the application, and the
-   strip's published rows and its counter and weight matrices hold a
-   byte per entry.  It read 40,155 with a word per entry, and 60,487
-   when each instance allocated three buffers per scanner, the
-   bookkeeping and n initial views.  The ceiling sits 2% above, below
-   what one more per-instance n x n buffer (4,160 words) costs.  The
-   run is deterministic, so the count repeats exactly. *)
+   module already exists.  It reads 32,800 words, and the ceiling sits
+   2% above, below what one more per-instance n x n buffer (4,160
+   words) costs.  The run is deterministic, so the count repeats
+   exactly. *)
 let test_esnap_words_per_decision_bounded () =
   let module Run = Bprc_harness.Run in
   let n = 64 and max_steps = 3_000_000 in
@@ -614,8 +603,8 @@ let test_esnap_words_per_decision_bounded () =
   let m0 = Gc.minor_words () in
   decide 11;
   let words = Gc.minor_words () -. m0 in
-  if words > 33_700.0 then
-    Alcotest.failf "esnap n=64: minor words per decision %.0f > 33700" words
+  if words > 33_450.0 then
+    Alcotest.failf "esnap n=64: minor words per decision %.0f > 33450" words
 
 (* A reused-arena n=64 decision started with 24k words left in the
    minor heap.  Left alone, the heap overflows once the instance and

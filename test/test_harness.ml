@@ -367,10 +367,26 @@ let test_axis_tokens_round_trip () =
       ("oracle", Run.Ads Oracle_shared);
       ("esnap", Run.Ads_esnap Shared_walk);
       ("ads-esnap", Run.Ads_esnap Shared_walk);
+      ("esnap-local", Run.Ads_esnap Local_flips);
       ("esnap-oracle", Run.Ads_esnap Oracle_shared);
       ("ah", Run.Ah);
       ("ah88", Run.Ah);
     ];
+  (* Every value the library runs has a token, so a report can name
+     the command that reproduces it. *)
+  List.iter
+    (fun algo ->
+      match Bprc_util.Axis.token Run.algos algo with
+      | token ->
+        if Bprc_util.Axis.parse Run.algos token <> Ok algo then
+          Alcotest.failf "algo %s: token %s names another value"
+            (Run.algo_name algo) token
+      | exception Not_found ->
+        Alcotest.failf "algo %s has no token" (Run.algo_name algo))
+    (Run.Ah
+    :: List.concat_map
+         (fun coin -> [ Run.Ads coin; Run.Ads_esnap coin ])
+         [ Shared_walk; Local_flips; Oracle_shared ]);
   let scheds =
     [
       ("random", Run.Random_sched);

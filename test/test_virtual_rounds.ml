@@ -1,29 +1,119 @@
 open Bprc_runtime
 open Bprc_core
 
-(* Run the full protocol with scan recording and hand the observations
-   to the §6.1 checker. *)
+(* A scannable memory [S] observed from outside, for the §6.1 checker:
+   [write] hands [S] the value paired with its writer's write count,
+   and [scan_into] scans [S], copies the values out and logs (scanner,
+   per-writer counts, view).  It takes no simulator step and creates no
+   register, so the protocol runs the schedule it runs over [S] alone
+   ("recorder is transparent" pins that).  The counts stamp every
+   published cell, which is what serializes the logged views (P3).  The
+   log keeps the published values, not copies: the protocol never
+   mutates a published segment (the bounded strip's decode relies on
+   it). *)
+module Recorded (R : Runtime_intf.S) (S : Bprc_snapshot.Snapshot_intf.S) =
+struct
+  type 'a t = {
+    mem : ('a * int) S.t;
+    counts : int array;  (** writes so far, per writer *)
+    bufs : ('a * int) array array;  (** per-pid scan buffers *)
+    mutable log : (int * int array * 'a array) list;  (** newest first *)
+  }
+
+  let create ?name ~init () =
+    let cell = (init, 0) in
+    {
+      mem = S.create ?name ~init:cell ();
+      counts = Array.make R.n 0;
+      bufs = Array.init R.n (fun _ -> Array.make R.n cell);
+      log = [];
+    }
+
+  let write t v =
+    let me = R.pid () in
+    t.counts.(me) <- t.counts.(me) + 1;
+    S.write t.mem (v, t.counts.(me))
+
+  let record t cells =
+    let view = Array.map fst cells in
+    t.log <- (R.pid (), Array.map snd cells, view) :: t.log;
+    view
+
+  let scan t = Array.copy (record t (S.scan t.mem))
+
+  let scan_into t out =
+    let cells = t.bufs.(R.pid ()) in
+    S.scan_into t.mem cells;
+    Array.blit (record t cells) 0 out 0 (Array.length out)
+
+  let scan_retries t = S.scan_retries t.mem
+  let space ~value_bits t = S.space ~value_bits t.mem
+
+  (** (scanner, per-writer counts, view) of every scan, in completion
+      order. *)
+  let log t = List.rev t.log
+end
+
+(* What a run shows its scheduler and its caller. *)
+type outcome = {
+  completed : bool;
+  clock : int;
+  decisions : bool option array;
+  steps : int array;  (** per process *)
+  scans : int;
+  registers : int;
+}
+
+let run_to_end (type c) sim (module C : Consensus_intf.S with type t = c)
+    (t : c) inputs =
+  let handles =
+    Array.map (fun input -> Sim.spawn sim (fun () -> C.run t ~input)) inputs
+  in
+  let completed = Sim.run sim = Sim.Completed in
+  {
+    completed;
+    clock = Sim.clock sim;
+    decisions = Array.map Sim.result handles;
+    steps = Array.init (Array.length inputs) (Sim.steps_of sim);
+    scans = (C.stats t).scans;
+    registers = Sim.registers_created sim;
+  }
+
+(* Run the full protocol over the recorded handshake and turn the log
+   into the §6.1 checker's observations. *)
 let run_recorded ?coin_mode ?(max_steps = 3_000_000) ~n ~seed ~adversary
     ~inputs () =
   let sim = Sim.create ~seed ~max_steps ~n ~adversary () in
-  let module C = Ads89.Make ((val Sim.runtime sim)) in
-  let t = C.create ?coin_mode ~oracle_seed:seed ~record_scans:true () in
-  let _handles =
-    Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+  let module R = (val Sim.runtime sim) in
+  let module Rec = Recorded (R) (Bprc_snapshot.Handshake.Make (R)) in
+  let module C = Ads89.Over_strip (Ads89.Bounded) (R) (Rec) in
+  let t = C.create ?coin_mode ~oracle_seed:seed () in
+  let outcome = run_to_end sim (module C) t inputs in
+  let obs =
+    List.map
+      (fun (spid, writes, view) ->
+        {
+          Virtual_rounds.spid;
+          writes;
+          rows =
+            Array.map (fun seg -> Ads89.Bounded.edges seg.Ads89.round) view;
+        })
+      (Rec.log (C.memory t))
   in
-  let completed = Sim.run sim = Sim.Completed in
-  (completed, C.recorded_scans t)
+  (outcome, obs)
+
+let inputs ~n ~seed =
+  let r = Bprc_rng.Splitmix.create ~seed:(seed * 31) in
+  Array.init n (fun _ -> Bprc_rng.Splitmix.bool r)
 
 let check_seeds ~n ~seeds ~adversary name =
   for seed = 1 to seeds do
-    let inputs =
-      let r = Bprc_rng.Splitmix.create ~seed:(seed * 31) in
-      Array.init n (fun _ -> Bprc_rng.Splitmix.bool r)
+    let outcome, obs =
+      run_recorded ~n ~seed ~adversary:(adversary ()) ~inputs:(inputs ~n ~seed)
+        ()
     in
-    let completed, obs =
-      run_recorded ~n ~seed ~adversary:(adversary ()) ~inputs ()
-    in
-    if not completed then Alcotest.failf "%s: seed %d timed out" name seed;
+    if not outcome.completed then
+      Alcotest.failf "%s: seed %d timed out" name seed;
     match Virtual_rounds.check ~k:2 ~n obs with
     | Ok report ->
       if report.Virtual_rounds.scans_checked = 0 then
@@ -44,8 +134,8 @@ let test_bursty () =
     "bursty"
 
 let test_serialization_is_total () =
-  (* The ghost vectors of all recorded scans must form a chain — P3
-     lifted to the protocol's own scans.  [check] already fails on
+  (* The write-count vectors of all recorded scans must form a chain —
+     P3 lifted to the protocol's own scans.  [check] already fails on
      incomparability; this test asserts it over many seeds with wide n. *)
   check_seeds ~n:6 ~seeds:6 ~adversary:Adversary.random "wide"
 
@@ -61,12 +151,9 @@ let test_serialization_is_total () =
    100,000 steps and the rows are checked over the scans made so
    far. *)
 let rows_follow_own_scans ~n ~coin_mode ~seed ~adversary name =
-  let inputs =
-    let r = Bprc_rng.Splitmix.create ~seed:(seed * 31) in
-    Array.init n (fun _ -> Bprc_rng.Splitmix.bool r)
-  in
-  let _completed, obs =
-    run_recorded ~coin_mode ~max_steps:100_000 ~n ~seed ~adversary ~inputs ()
+  let _outcome, obs =
+    run_recorded ~coin_mode ~max_steps:100_000 ~n ~seed ~adversary
+      ~inputs:(inputs ~n ~seed) ()
   in
   let k = Params.default.Params.k in
   let last = Array.make n None in
@@ -115,11 +202,48 @@ let test_rows_follow_own_scans () =
       ("oracle", Ads89.Oracle_shared, 20);
     ]
 
+(* The recorder takes no step and creates no register, and over atomic
+   registers the handshake's retry never turns on its value comparison
+   (two writes by j between i's collects raise arrow (i, j) after i
+   cleared it, and one flips j's toggle), so the stamped cells leave
+   every schedule as it is: the paper's configuration and the recorded
+   one run the same steps to the same decisions. *)
+let test_recorder_transparent () =
+  List.iter
+    (fun (name, adversary) ->
+      let n = 4 and seed = 1 in
+      let inputs = inputs ~n ~seed in
+      let plain =
+        let sim =
+          Sim.create ~seed ~max_steps:3_000_000 ~n ~adversary:(adversary ()) ()
+        in
+        let module C = Ads89.Make ((val Sim.runtime sim)) in
+        run_to_end sim (module C) (C.create ~oracle_seed:seed ()) inputs
+      in
+      let recorded, obs =
+        run_recorded ~n ~seed ~adversary:(adversary ()) ~inputs ()
+      in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      Alcotest.(check bool) (name ^ ": completed") true plain.completed;
+      check "clock" plain.clock recorded.clock;
+      Alcotest.(check (array (option bool)))
+        (name ^ ": decisions") plain.decisions recorded.decisions;
+      Alcotest.(check (array int))
+        (name ^ ": steps") plain.steps recorded.steps;
+      check "scans" plain.scans recorded.scans;
+      check "scans logged" plain.scans (List.length obs);
+      check "registers" plain.registers recorded.registers)
+    [
+      ("random", Adversary.random);
+      ("round-robin", Adversary.round_robin);
+      ("bursty:13", fun () -> Adversary.bursty ~burst:13 ());
+    ]
+
 let test_checker_flags_incomparable () =
-  let ob spid ghosts =
+  let ob spid writes =
     {
       Virtual_rounds.spid;
-      ghosts;
+      writes;
       rows = Strip_rows.matrix_of_ints [| [| 0; 0 |]; [| 0; 0 |] |];
     }
   in
@@ -134,7 +258,7 @@ let test_checker_flags_incomparable () =
    leader 0 at round 1, so both fall from round 0 to -1; the verdict
    names the last of them. *)
 let test_checker_flags_decrease () =
-  let ob spid ghosts rows = { Virtual_rounds.spid; ghosts; rows } in
+  let ob spid writes rows = { Virtual_rounds.spid; writes; rows } in
   let z = Strip_rows.of_ints [| 0; 0; 0 |]
   and lead = Strip_rows.of_ints [| 0; 1; 1 |]
   and behind = Strip_rows.of_ints [| 5; 0; 0 |] in
@@ -167,6 +291,8 @@ let suite =
       test_serialization_is_total;
     Alcotest.test_case "published rows follow own scans" `Quick
       test_rows_follow_own_scans;
+    Alcotest.test_case "recorder is transparent" `Quick
+      test_recorder_transparent;
     Alcotest.test_case "flags incomparable views" `Quick
       test_checker_flags_incomparable;
     Alcotest.test_case "flags a decreasing round" `Quick
